@@ -131,7 +131,7 @@ func BenchmarkSurfaceGrid(b *testing.B) {
 				}
 				// Per-point reference path: this benchmark isolates the
 				// fan-out engine; the batched path has its own benchmark.
-				sys.SetBatching(false)
+				sys = core.NewSystem(perPointBackend{sys.Backend()})
 				b.StartTimer()
 				pts, err := experiments.SurfaceSystem(context.Background(), sys, 40, 40, bc.workers)
 				if err != nil {
@@ -142,6 +142,10 @@ func BenchmarkSurfaceGrid(b *testing.B) {
 		})
 	}
 }
+
+// perPointBackend hides the wrapped backend's BatchEvaluator capability,
+// so a System built on it sweeps through the per-point carry path.
+type perPointBackend struct{ backend.Evaluator }
 
 func checkSurfaceShape(b *testing.B, pts []experiments.SurfacePoint) {
 	b.Helper()
@@ -187,7 +191,9 @@ func BenchmarkSurfaceGridBatched(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sys.SetBatching(bc.batched)
+				if !bc.batched {
+					sys = core.NewSystem(perPointBackend{sys.Backend()})
+				}
 				b.StartTimer()
 				pts, err := experiments.SurfaceSystem(context.Background(), sys, 40, 40, 1)
 				if err != nil {

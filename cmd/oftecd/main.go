@@ -9,12 +9,13 @@
 //	POST /v1/sweep     𝒯/𝒫 surface samples on an ω×I grid
 //	POST /v1/pareto    power/temperature trade-off over thresholds
 //	GET  /healthz      liveness (exempt from admission control)
-//	GET  /stats        pool, cache, and traffic counters (exempt)
-//	GET  /statz        /stats plus live batched-evaluation counters (exempt)
+//	GET  /statz        pool, cache, batched-evaluation, and traffic counters (exempt)
 //
-// The daemon shuts down cleanly on SIGTERM/SIGINT: the listener closes,
-// in-flight requests get a grace period, and the final cache statistics
-// are logged.
+// The daemon fails closed on slow or oversized clients: request headers
+// must arrive within readHeaderTimeout and the request body within
+// readTimeout, and bodies over 1 MiB are refused with 413. It shuts down
+// cleanly on SIGTERM/SIGINT: the listener closes, in-flight requests get a
+// grace period, and the final cache statistics are logged.
 package main
 
 import (
@@ -31,6 +32,18 @@ import (
 	"oftec/internal/serve"
 )
 
+// Connection limits: a client gets readHeaderTimeout to send its request
+// line and headers and readTimeout for the whole request, body included,
+// so a slow or stalled client cannot hold a connection indefinitely. The
+// longest legitimate body is a few kilobytes. Neither timeout cancels a
+// running handler: net/http clears the read deadline when the handler
+// reaches the end of the body, so solve time is bounded by the
+// per-request deadline alone.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("oftecd: ")
@@ -42,7 +55,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "clamp on client-requested deadlines (0 = 2m)")
 	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period for in-flight requests")
-	batch := flag.Bool("batch", true, "blocked multi-RHS evaluation for sweep/Pareto traffic")
 	romCacheDir := flag.String("rom-cache-dir", "", "persist ROM bases here so restarts skip snapshot collection")
 	flag.Parse()
 
@@ -52,10 +64,13 @@ func main() {
 		MaxModels:      *maxModels,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		DisableBatch:   !*batch,
 		ROMCacheDir:    *romCacheDir,
 	})
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

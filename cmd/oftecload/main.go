@@ -365,19 +365,19 @@ func oneRequest(client *http.Client, base, kind string, i int, chip serve.ChipSp
 	}
 }
 
-func fetchStats(client *http.Client, base string) (serve.StatsResponse, error) {
-	resp, err := client.Get(base + "/stats")
+func fetchStats(client *http.Client, base string) (serve.StatzResponse, error) {
+	resp, err := client.Get(base + "/statz")
 	if err != nil {
-		return serve.StatsResponse{}, err
+		return serve.StatzResponse{}, err
 	}
 	//lint:ignore errdrop nothing actionable if the response-body close fails
 	defer resp.Body.Close()
-	var s serve.StatsResponse
+	var s serve.StatzResponse
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return serve.StatsResponse{}, err
+		return serve.StatzResponse{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return serve.StatsResponse{}, fmt.Errorf("stats: status %d", resp.StatusCode)
+		return serve.StatzResponse{}, fmt.Errorf("statz: status %d", resp.StatusCode)
 	}
 	return s, nil
 }

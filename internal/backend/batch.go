@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"oftec/internal/thermal"
@@ -36,35 +35,6 @@ func SetROMCacheDir(dir string) { romCacheDir.Store(dir) }
 func ROMCacheDir() string {
 	dir, _ := romCacheDir.Load().(string)
 	return dir
-}
-
-// EvaluateBatch evaluates scalar operating points as blocked multi-RHS
-// solves on the full model, grouped by fan speed.
-func (f *Full) EvaluateBatch(ctx context.Context, ops []OpPoint, warm []float64) ([]*thermal.Result, error) {
-	pts := make([]thermal.BatchPoint, len(ops))
-	for i, op := range ops {
-		if err := op.validate(); err != nil {
-			return nil, err
-		}
-		if op.K() != 1 {
-			return nil, fmt.Errorf("backend: full backend got a %d-zone point in a batch without zoning (use WithZoning)", op.K())
-		}
-		pts[i] = thermal.BatchPoint{Omega: op.Omega, ITEC: op.Currents[0]}
-	}
-	return f.m.EvaluateBatch(ctx, pts, warm)
-}
-
-// EvaluateBatch evaluates zoned operating points as blocked multi-RHS
-// solves; every point carries one current per zone.
-func (zf *zonedFull) EvaluateBatch(ctx context.Context, ops []OpPoint, warm []float64) ([]*thermal.Result, error) {
-	pts := make([]thermal.ZonedPoint, len(ops))
-	for i, op := range ops {
-		if err := op.validate(); err != nil {
-			return nil, err
-		}
-		pts[i] = thermal.ZonedPoint{Omega: op.Omega, Currents: op.Currents}
-	}
-	return zf.m.EvaluateZonedBatch(ctx, zf.z, pts, warm)
 }
 
 // EvaluateBatch answers each scalar point from the reduced model when it

@@ -14,7 +14,7 @@ import (
 // factorization cache and result memo underneath). It is the
 // authoritative end of every fall-through chain.
 type Full struct {
-	m *thermal.Model
+	fullEval
 
 	// name is the registry name the backend reports; empty means "full".
 	// Registry variants that are a Full over a re-actuated model
@@ -31,7 +31,7 @@ type Full struct {
 }
 
 // NewFull wraps an assembled thermal model as the exact backend.
-func NewFull(m *thermal.Model) *Full { return &Full{m: m} }
+func NewFull(m *thermal.Model) *Full { return &Full{fullEval: fullEval{m: m}} }
 
 // Renamed sets the registry name the backend reports and returns it;
 // used by registry variants built over a re-actuated model.
@@ -46,24 +46,6 @@ func (f *Full) Name() string {
 		return f.name
 	}
 	return "full"
-}
-
-// Config returns the underlying model's configuration.
-func (f *Full) Config() thermal.Config { return f.m.Config() }
-
-// Model exposes the underlying model for cmd-level reporting.
-func (f *Full) Model() *thermal.Model { return f.m }
-
-// Evaluate computes the exact steady state. Zoned (k > 1) points need a
-// zone-to-cell map and must go through WithZoning.
-func (f *Full) Evaluate(_ context.Context, op OpPoint, warm []float64) (*thermal.Result, error) {
-	if err := op.validate(); err != nil {
-		return nil, err
-	}
-	if op.K() != 1 {
-		return nil, fmt.Errorf("backend: full backend got a %d-zone point without zoning (use WithZoning)", op.K())
-	}
-	return f.m.EvaluateWarm(op.Omega, op.Currents[0], warm)
 }
 
 // EvaluateExact verifies a scalar point with the exact exponential
@@ -100,7 +82,7 @@ func (f *Full) WithZoning(z *thermal.Zoning) (Evaluator, error) {
 	if z == nil {
 		return nil, fmt.Errorf("backend: nil zoning")
 	}
-	return &zonedFull{m: f.m, z: z}, nil
+	return &zonedFull{fullEval{m: f.m, z: z}}, nil
 }
 
 // Select returns the named sibling backend over the same model.
@@ -118,21 +100,55 @@ func (f *Full) Select(name string) (Evaluator, error) {
 	}
 }
 
-// zonedFull evaluates k-zone operating points on the full model. A
-// single-zone point is delegated to the scalar path inside the thermal
-// layer, so k=1 zoned evaluation is bit-identical to scalar evaluation.
-type zonedFull struct {
+// zonedFull is the full backend under a zoning from WithZoning: its
+// OpPoint.Currents carry one current per zone.
+type zonedFull struct{ fullEval }
+
+func (*zonedFull) Name() string { return "full/zoned" }
+
+// fullEval is the exact evaluation of the complete network under zoning z
+// (nil is the paper's one-zone deployment) — the one implementation of
+// every evaluation verb that Full and its zoned evaluators share. A
+// one-zone point takes the versioned, memoized path inside the thermal
+// layer under any zoning, so k=1 zoned evaluation is bit-identical to
+// unzoned evaluation.
+type fullEval struct {
 	m *thermal.Model
 	z *thermal.Zoning
 }
 
-func (zf *zonedFull) Name() string           { return "full/zoned" }
-func (zf *zonedFull) Config() thermal.Config { return zf.m.Config() }
-func (zf *zonedFull) Model() *thermal.Model  { return zf.m }
+// Config returns the underlying model's configuration.
+func (e fullEval) Config() thermal.Config { return e.m.Config() }
 
-func (zf *zonedFull) Evaluate(_ context.Context, op OpPoint, warm []float64) (*thermal.Result, error) {
+// Model exposes the underlying model for cmd-level reporting.
+func (e fullEval) Model() *thermal.Model { return e.m }
+
+// Evaluate computes the exact steady state.
+func (e fullEval) Evaluate(_ context.Context, op OpPoint, warm []float64) (*thermal.Result, error) {
 	if err := op.validate(); err != nil {
 		return nil, err
 	}
-	return zf.m.EvaluateZonedWarm(op.Omega, zf.z, op.Currents, warm)
+	return e.m.EvaluateWarm(e.z, thermal.Point(op), warm)
+}
+
+// EvaluateBatch evaluates operating points as blocked multi-RHS solves on
+// the full model, grouped by fan speed.
+func (e fullEval) EvaluateBatch(ctx context.Context, ops []OpPoint, warm []float64) ([]*thermal.Result, error) {
+	pts := make([]thermal.Point, len(ops))
+	for i, op := range ops {
+		if err := op.validate(); err != nil {
+			return nil, err
+		}
+		pts[i] = thermal.Point(op)
+	}
+	return e.m.EvaluateBatch(ctx, e.z, pts, warm)
+}
+
+// EvaluateGrad computes the adjoint gradient on the full model; PowerGrad
+// and TempGrad have length 1+k ordered (ω, I₁..I_k).
+func (e fullEval) EvaluateGrad(_ context.Context, op OpPoint) (*thermal.Gradient, error) {
+	if err := op.validate(); err != nil {
+		return nil, err
+	}
+	return e.m.EvaluateGrad(e.z, thermal.Point(op))
 }

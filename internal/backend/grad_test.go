@@ -23,7 +23,7 @@ func TestGradientOfCapabilityChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.Model().EvaluateGrad(200, 1)
+	want, err := full.Model().EvaluateGrad(nil, thermal.Point(Scalar(200, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestEvaluateBatchContextMatchesPerPoint(t *testing.T) {
 		backend.Scalar(250, 0.5),
 		backend.Scalar(150, 1), // duplicate
 	}
-	res, err := s.EvaluateBatchContext(context.Background(), ops, nil)
+	res, err := s.EvaluateBatchContext(context.Background(), nil, ops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestEvaluateBatchContextMatchesPerPoint(t *testing.T) {
 		t.Error("duplicate op did not alias the first occurrence")
 	}
 	for i, op := range ops {
-		solo, err := s.Evaluate(op.Omega, op.Currents[0])
+		solo, err := evalAt(s, op.Omega, op.Currents[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,39 +39,5 @@ func TestEvaluateBatchContextMatchesPerPoint(t *testing.T) {
 	}
 	if stats := s.CacheStats(); stats.Batches == 0 || stats.BatchPoints < int64(len(ops)) {
 		t.Errorf("batch counters did not tick: %+v", stats)
-	}
-}
-
-// TestSetBatchingDisablesBlockedPath: with batching off the same calls
-// answer per-point — identical results, no batch traffic counted.
-func TestSetBatchingDisablesBlockedPath(t *testing.T) {
-	s := benchSystem(t, "Basicmath")
-	s.SetBatching(false)
-	if s.SupportsBatch() {
-		t.Error("SupportsBatch true after SetBatching(false)")
-	}
-	ops := []backend.OpPoint{backend.Scalar(150, 0), backend.Scalar(250, 0.5)}
-	res, err := s.EvaluateBatchContext(context.Background(), ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats := s.CacheStats(); stats.Batches != 0 {
-		t.Errorf("disabled batching still counted batches: %+v", stats)
-	}
-
-	// Re-enabling routes through the blocked path and serves the cached
-	// points back pointer-identically.
-	s.SetBatching(true)
-	again, err := s.EvaluateBatchContext(context.Background(), ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ops {
-		if again[i] != res[i] {
-			t.Errorf("point %d: batched replay differs from per-point original", i)
-		}
-	}
-	if stats := s.CacheStats(); stats.Batches != 1 {
-		t.Errorf("re-enabled batching did not count: %+v", stats)
 	}
 }

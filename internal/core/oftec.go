@@ -20,11 +20,6 @@ type Options struct {
 	// Method selects the NLP technique; the zero value is the paper's
 	// active-set SQP.
 	Method Method
-	// Backend names the evaluation backend for this run ("full", "rom");
-	// empty uses the backend the System was built on. Named backends are
-	// resolved through the backend's Selector capability and share the
-	// System's evaluation cache (in their own key space).
-	Backend string
 	// FixedOmega is the pinned fan speed for ModeFixedFan, in rad/s. Zero
 	// selects the paper's 2000 RPM.
 	FixedOmega float64
@@ -187,15 +182,14 @@ type vecOutcome struct {
 //     from the feasible point and return (ω*, I*_TEC).
 //
 // Baseline modes run the same algorithm in their restricted decision
-// spaces; RunZoned runs it over one current per zone. Options.Backend
-// selects the evaluation backend for the optimization's inner loop.
+// spaces; RunZoned runs it over one current per zone.
 func (s *System) Run(opts Options) (*Outcome, error) {
 	start := time.Now()
-	sel, err := s.binding(opts.Backend)
+	bnd, err := s.binding(nil)
 	if err != nil {
 		return nil, err
 	}
-	v, err := s.runVector(sel.bnd, 1, opts)
+	v, err := s.runVector(bnd, 1, opts)
 	if err != nil {
 		return nil, err
 	}

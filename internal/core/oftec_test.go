@@ -78,11 +78,11 @@ func TestModeAndMethodStrings(t *testing.T) {
 
 func TestEvaluateCaching(t *testing.T) {
 	s := benchSystem(t, "CRC32")
-	r1, err := s.Evaluate(200, 1)
+	r1, err := evalAt(s, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Evaluate(200, 1)
+	r2, err := evalAt(s, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestEvaluateCaching(t *testing.T) {
 		t.Error("identical operating points should hit the cache")
 	}
 	// Last-bit noise maps to the same key.
-	r3, err := s.Evaluate(200+1e-12, 1)
+	r3, err := evalAt(s, 200+1e-12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +266,15 @@ func TestSQPNearGridSearchOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	bnd, err := s.binding(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := bindingEval(bnd)
 	prob := &solver.Problem{
-		F: func(x []float64) float64 { return s.coolingPower(x[0], x[1]) },
+		F: func(x []float64) float64 { return coolingPowerObj(eval, x) },
 		Cons: []solver.Func{
-			func(x []float64) float64 { return s.maxTemp(x[0], x[1]) - cfg.TMax },
+			func(x []float64) float64 { return maxTempObj(eval, x) - cfg.TMax },
 		},
 		Lower: []float64{0, 0},
 		Upper: []float64{cfg.Fan.OmegaMax, cfg.TEC.MaxCurrent},

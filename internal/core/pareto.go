@@ -69,8 +69,8 @@ func (s *System) ParetoFront(tmaxValues []float64, opts Options) ([]ParetoPoint,
 	// up front so the probes (serial or concurrent) begin on cache hits;
 	// priming both paths from the same batch keeps parallel ≡ serial
 	// fronts bit-identical.
-	if sel, err := s.binding(opts.Backend); err == nil {
-		s.primeStartBatch(ctx, sel.bnd, opts, 1)
+	if bnd, err := s.binding(nil); err == nil {
+		s.primeStartBatch(ctx, bnd, opts, 1)
 	}
 	if workers == 1 {
 		return s.paretoSerial(sorted, opts)

@@ -25,7 +25,7 @@ func TestSystemCacheConcurrent(t *testing.T) {
 	// so the workers mix hits with concurrent misses).
 	want := make([]float64, len(points))
 	for i, p := range points[:3] {
-		r, err := s.Evaluate(p.omega, p.itec)
+		r, err := evalAt(s, p.omega, p.itec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestSystemCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4*len(points); i++ {
 				p := points[(w+i)%len(points)]
-				r, err := s.Evaluate(p.omega, p.itec)
+				r, err := evalAt(s, p.omega, p.itec)
 				if err != nil {
 					t.Errorf("Evaluate(%g, %g): %v", p.omega, p.itec, err)
 					return
@@ -54,7 +54,7 @@ func TestSystemCacheConcurrent(t *testing.T) {
 	wg.Wait()
 
 	for i, p := range points[:3] {
-		r, err := s.Evaluate(p.omega, p.itec)
+		r, err := evalAt(s, p.omega, p.itec)
 		if err != nil {
 			t.Fatal(err)
 		}

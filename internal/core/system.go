@@ -9,15 +9,14 @@
 //
 // The optimizer never touches the thermal model directly: every steady
 // state comes from a backend.Evaluator ("full" or "rom") behind the shared
-// evalcache, so the scalar and zoned paths — and any backend the caller
-// selects — share one bounded cache and one set of statistics.
+// evalcache, so the scalar and zoned paths share one bounded cache and one
+// set of statistics.
 package core
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"oftec/internal/backend"
 	"oftec/internal/evalcache"
@@ -146,29 +145,25 @@ func (m Method) fallbackChain() []solver.NamedRunner {
 }
 
 // System couples a thermal backend with the optimization machinery. All
-// steady-state evaluations — scalar and zoned, from every backend the
-// caller selects — go through one shared evalcache.Cache, so the objective
+// steady-state evaluations — scalar and zoned — go through one shared
+// evalcache.Cache, so the objective
 // and constraint share one backend solve per operating point. It is safe
 // for concurrent use: concurrent misses on the same quantized key coalesce
 // onto a single in-flight solve (singleflight), and the bounded cache
 // evicts by rotating generations so at most half the working set is
 // dropped at once — never the whole cache mid-optimization.
 type System struct {
-	ev     backend.Evaluator
-	cache  *evalcache.Cache
-	scalar *evalcache.Binding
+	ev    backend.Evaluator
+	cache *evalcache.Cache
 
-	// selections memoizes Options.Backend resolutions so repeated runs on
-	// the same System reuse one binding (and its cache space) per backend.
-	selMu      sync.Mutex
-	selections map[string]selection
-
-	// zoned memoizes zoned bindings per (backend, zoning), so repeated
-	// zoned runs and evaluations — every optimize request a service
-	// answers for the same chip and zoning — share one cache key space
-	// instead of opening a fresh one per call.
-	zonedMu sync.Mutex
-	zoned   map[zonedKey]*evalcache.Binding
+	// bindings memoizes one cached evaluator per zoning (*thermal.Zoning →
+	// *evalcache.Binding; nil is the one-zone deployment), so repeated
+	// runs and evaluations — every request a service answers for the same
+	// chip and zoning — share one cache key space instead of opening a
+	// fresh one per call. Lookups take no lock; bindMu only serializes
+	// building a missing binding, so a zoning is never bound twice.
+	bindMu   sync.Mutex
+	bindings sync.Map
 
 	// solveHook, when non-nil, runs immediately before each underlying
 	// scalar backend solve — i.e. exactly once per deduplicated cache
@@ -179,27 +174,10 @@ type System struct {
 	// per-threshold solves, so tests can fault-inject specific thresholds.
 	// Test instrumentation only; set before any traffic.
 	paretoRunHook func(o Options) (*Outcome, error)
-
-	// batchOff disables the blocked evaluation paths (see SetBatching);
-	// the zero value keeps batching on.
-	batchOff atomic.Bool
-}
-
-// zonedKey identifies one memoized zoned binding: the Options.Backend
-// name it was resolved under and the zoning identity.
-type zonedKey struct {
-	backend string
-	zoning  *thermal.Zoning
-}
-
-type selection struct {
-	ev  backend.Evaluator
-	bnd *evalcache.Binding
 }
 
 // CacheStats counts evaluation-cache traffic; totals are cumulative for
-// the System's lifetime, across the scalar and zoned paths and every
-// selected backend.
+// the System's lifetime, across the scalar and zoned paths.
 type CacheStats = evalcache.Stats
 
 // NewSystem wraps a thermal backend (see backend.FromModel / backend.New).
@@ -213,31 +191,21 @@ func NewSystem(ev backend.Evaluator) *System { return newSystemCap(ev, 0) }
 // attached); the per-System solveHook test seam is inert on shared
 // systems.
 func NewSystemShared(ev backend.Evaluator, cache *evalcache.Cache) *System {
-	return &System{
-		ev:         ev,
-		cache:      cache,
-		scalar:     cache.Bind(ev),
-		selections: map[string]selection{},
-		zoned:      map[zonedKey]*evalcache.Binding{},
-	}
+	s := &System{ev: ev, cache: cache}
+	s.bindings.Store((*thermal.Zoning)(nil), cache.Bind(ev))
+	return s
 }
 
 // newSystemCap is NewSystem with an explicit per-generation cache
 // capacity; zero selects the default. Tests use small capacities to
 // exercise eviction.
 func newSystemCap(ev backend.Evaluator, capacity int) *System {
-	s := &System{
-		ev:         ev,
-		cache:      evalcache.New(capacity),
-		selections: map[string]selection{},
-		zoned:      map[zonedKey]*evalcache.Binding{},
-	}
+	s := NewSystemShared(ev, evalcache.New(capacity))
 	s.cache.SetSolveHook(func(op backend.OpPoint) {
 		if h := s.solveHook; h != nil && op.K() == 1 {
 			h(op.Omega, op.Currents[0])
 		}
 	})
-	s.scalar = s.cache.Bind(ev)
 	return s
 }
 
@@ -250,105 +218,51 @@ func (s *System) Config() thermal.Config { return s.ev.Config() }
 // CacheStats returns a snapshot of the evaluation-cache counters.
 func (s *System) CacheStats() CacheStats { return s.cache.Stats() }
 
-// Evaluate returns the (cached) steady state at a scalar operating point,
-// using the system's default backend. Concurrent callers requesting the
-// same quantized point share one solve.
-func (s *System) Evaluate(omega, itec float64) (*thermal.Result, error) {
-	return s.EvaluateWarm(omega, itec, nil)
-}
-
-// EvaluateWarm is Evaluate with an optional warm-start temperature field
-// (length NumNodes), typically the T of a neighboring operating point.
-// The hint only steers the iterative solver on a genuine cache miss —
-// hits and coalesced waits return the already-solved result and ignore it
-// — so the answer for a given point is the same either way; the hint
-// merely makes the cold solve cheaper. The warm slice is read, never
-// written.
-func (s *System) EvaluateWarm(omega, itec float64, warm []float64) (*thermal.Result, error) {
-	return s.scalar.Evaluate(context.Background(), backend.Scalar(omega, itec), warm)
-}
-
-// EvaluateWarmContext is EvaluateWarm bounded by a caller context (see
-// EvaluateContext for the cancellation semantics).
-func (s *System) EvaluateWarmContext(ctx context.Context, omega, itec float64, warm []float64) (*thermal.Result, error) {
-	return s.scalar.Evaluate(ctx, backend.Scalar(omega, itec), warm)
-}
-
-// EvaluateContext is Evaluate bounded by a caller context: a cancelled
-// ctx releases coalesced waiters immediately (the leader's solve runs to
-// completion for the benefit of other callers). Service request paths use
-// this so a client deadline never wedges a handler on someone else's
+// EvaluateContext returns the (cached) steady state at op under zoning
+// (nil is the one-zone deployment, op carrying one current; otherwise op
+// carries one current per zone), using the system's default backend.
+// Concurrent callers requesting the same quantized point share one solve.
+// warm is an optional warm-start temperature field (length NumNodes),
+// typically the T of a neighboring operating point; it only steers the
+// iterative solver on a genuine cache miss — hits and coalesced waits
+// return the already-solved result and ignore it — so the answer for a
+// given point is the same either way. The warm slice is read, never
+// written. A cancelled ctx releases coalesced waiters immediately (the
+// leader's solve runs to completion for the benefit of other callers), so
+// a client deadline never wedges a service handler on someone else's
 // solve.
-func (s *System) EvaluateContext(ctx context.Context, omega, itec float64) (*thermal.Result, error) {
-	return s.scalar.Evaluate(ctx, backend.Scalar(omega, itec), nil)
-}
-
-// EvaluateZonedContext evaluates a zoned operating point (one current per
-// zone) through the shared cache under a caller context. The binding for
-// each zoning is memoized, so repeated calls with one zoning — a service
-// answering many requests for the same chip — share one cache key space
-// and coalesce duplicates.
-func (s *System) EvaluateZonedContext(ctx context.Context, zoning *thermal.Zoning, omega float64, currents []float64) (*thermal.Result, error) {
-	bnd, err := s.zonedBinding("", zoning)
+func (s *System) EvaluateContext(ctx context.Context, zoning *thermal.Zoning, op backend.OpPoint, warm []float64) (*thermal.Result, error) {
+	bnd, err := s.binding(zoning)
 	if err != nil {
 		return nil, err
 	}
-	return bnd.Evaluate(ctx, backend.OpPoint{Omega: omega, Currents: currents}, nil)
+	return bnd.Evaluate(ctx, op, warm)
 }
 
-// zonedBinding resolves (backend name, zoning) to its cached evaluator,
-// memoized for the System's lifetime.
-func (s *System) zonedBinding(name string, zoning *thermal.Zoning) (*evalcache.Binding, error) {
-	if zoning == nil {
-		return nil, fmt.Errorf("core: zoned evaluation needs a zoning")
+// binding resolves a zoning to its cached evaluator, memoized for the
+// System's lifetime. A nil zoning evaluates on the system's backend
+// itself (bound at construction); any other goes through its Zoner
+// capability.
+func (s *System) binding(zoning *thermal.Zoning) (*evalcache.Binding, error) {
+	if bnd, ok := s.bindings.Load(zoning); ok {
+		return bnd.(*evalcache.Binding), nil
 	}
-	zk := zonedKey{backend: name, zoning: zoning}
-	s.zonedMu.Lock()
-	defer s.zonedMu.Unlock()
-	if bnd, ok := s.zoned[zk]; ok {
-		return bnd, nil
+	s.bindMu.Lock()
+	defer s.bindMu.Unlock()
+	if bnd, ok := s.bindings.Load(zoning); ok {
+		return bnd.(*evalcache.Binding), nil
 	}
-	sel, err := s.binding(name)
-	if err != nil {
-		return nil, err
-	}
-	zoner, ok := sel.ev.(backend.Zoner)
+	zoner, ok := s.ev.(backend.Zoner)
 	if !ok {
-		return nil, fmt.Errorf("core: backend %q cannot evaluate zoned operating points", sel.ev.Name())
+		return nil, fmt.Errorf("core: backend %q cannot evaluate zoned operating points", s.ev.Name())
 	}
-	zev, err := zoner.WithZoning(zoning)
+	ev, err := zoner.WithZoning(zoning)
 	if err != nil {
 		return nil, err
 	}
-	bnd := s.cache.Bind(zev)
-	s.zoned[zk] = bnd
+	bnd := s.cache.Bind(ev)
+	s.bindings.Store(zoning, bnd)
 	return bnd, nil
-}
-
-// binding resolves an Options.Backend name to a cached evaluator: the
-// empty name (or the system's own backend name) is the system's default;
-// anything else goes through the backend's Selector capability, memoized
-// so repeated runs share one cache space per backend.
-func (s *System) binding(name string) (selection, error) {
-	if name == "" || name == s.ev.Name() {
-		return selection{ev: s.ev, bnd: s.scalar}, nil
-	}
-	s.selMu.Lock()
-	defer s.selMu.Unlock()
-	if sel, ok := s.selections[name]; ok {
-		return sel, nil
-	}
-	selector, ok := s.ev.(backend.Selector)
-	if !ok {
-		return selection{}, fmt.Errorf("core: backend %q cannot select %q", s.ev.Name(), name)
-	}
-	ev, err := selector.Select(name)
-	if err != nil {
-		return selection{}, err
-	}
-	sel := selection{ev: ev, bnd: s.cache.Bind(ev)}
-	s.selections[name] = sel
-	return sel, nil
 }
 
 // vecEval abstracts the steady-state evaluation of a decision vector
@@ -379,16 +293,6 @@ func coolingPowerObj(eval vecEval, x []float64) float64 {
 		return solver.Infeasible
 	}
 	return r.CoolingPower()
-}
-
-// maxTemp is the scalar 𝒯 objective on the plain cached path.
-func (s *System) maxTemp(omega, itec float64) float64 {
-	return maxTempObj(bindingEval(s.scalar), []float64{omega, itec})
-}
-
-// coolingPower is the scalar 𝒫 objective on the plain cached path.
-func (s *System) coolingPower(omega, itec float64) float64 {
-	return coolingPowerObj(bindingEval(s.scalar), []float64{omega, itec})
 }
 
 // warmCarry hands each solve the previous converged temperature field as

@@ -7,8 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"oftec/internal/backend"
 	"oftec/internal/evalcache"
+	"oftec/internal/thermal"
 )
+
+// evalAt evaluates the one-zone point (ω, I) through s's shared cache.
+func evalAt(s *System, omega, itec float64) (*thermal.Result, error) {
+	return s.EvaluateContext(context.Background(), nil, backend.Scalar(omega, itec), nil)
+}
 
 // These tests pin the two concurrency contracts of the evaluation cache:
 // concurrent misses on one operating point coalesce onto a single
@@ -40,7 +47,7 @@ func TestEvaluateSingleflight(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			entered.Add(1)
-			r, err := s.Evaluate(123.456, 1.25)
+			r, err := evalAt(s, 123.456, 1.25)
 			if err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return
@@ -89,14 +96,14 @@ func TestHotKeySurvivesEviction(t *testing.T) {
 		}
 	}
 
-	if _, err := s.Evaluate(hotOmega, hotITEC); err != nil {
+	if _, err := evalAt(s, hotOmega, hotITEC); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 18; i++ {
-		if _, err := s.Evaluate(150+10*float64(i), 0.5); err != nil {
+		if _, err := evalAt(s, 150+10*float64(i), 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Evaluate(hotOmega, hotITEC); err != nil {
+		if _, err := evalAt(s, hotOmega, hotITEC); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +151,7 @@ func TestEvaluateMixedTrafficStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4*len(points); i++ {
 				p := points[(3*w+i)%len(points)]
-				r, err := s.Evaluate(p.omega, p.itec)
+				r, err := evalAt(s, p.omega, p.itec)
 				if err != nil {
 					t.Errorf("Evaluate(%g, %g): %v", p.omega, p.itec, err)
 					return
@@ -169,11 +176,11 @@ func TestEvaluateMixedTrafficStress(t *testing.T) {
 	// Cross-check a sample of points against an independent serial system.
 	ref := benchSystem(t, "CRC32")
 	for _, p := range points[:6] {
-		want, err := ref.Evaluate(p.omega, p.itec)
+		want, err := evalAt(ref, p.omega, p.itec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Evaluate(p.omega, p.itec)
+		got, err := evalAt(s, p.omega, p.itec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,13 +195,13 @@ func TestEvaluateMixedTrafficStress(t *testing.T) {
 // traffic pattern where the exact values are known.
 func TestCacheStatsAccounting(t *testing.T) {
 	s := benchSystem(t, "CRC32")
-	if _, err := s.Evaluate(100, 0); err != nil {
+	if _, err := evalAt(s, 100, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Evaluate(100, 0); err != nil {
+	if _, err := evalAt(s, 100, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Evaluate(200, 1); err != nil {
+	if _, err := evalAt(s, 200, 1); err != nil {
 		t.Fatal(err)
 	}
 	stats := s.CacheStats()
@@ -221,11 +228,11 @@ func TestZonedBindingMemoized(t *testing.T) {
 	ctx := context.Background()
 	cur := []float64{1, 0.5, 2}
 	before := s.CacheStats()
-	r1, err := s.EvaluateZonedContext(ctx, z, 300, cur)
+	r1, err := s.EvaluateContext(ctx, z, backend.OpPoint{Omega: 300, Currents: cur}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.EvaluateZonedContext(ctx, z, 300, cur)
+	r2, err := s.EvaluateContext(ctx, z, backend.OpPoint{Omega: 300, Currents: cur}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +246,10 @@ func TestZonedBindingMemoized(t *testing.T) {
 
 	// RunZoned must reuse the same memoized binding: its evaluation of
 	// the same zoning shares cache state with the direct path.
-	if bnd, err := s.zonedBinding("", z); err != nil {
+	if bnd, err := s.binding(z); err != nil {
 		t.Fatal(err)
-	} else if bnd2, err2 := s.zonedBinding("", z); err2 != nil || bnd != bnd2 {
-		t.Errorf("zonedBinding not memoized: %p vs %p (err %v)", bnd, bnd2, err2)
+	} else if bnd2, err2 := s.binding(z); err2 != nil || bnd != bnd2 {
+		t.Errorf("zoned binding not memoized: %p vs %p (err %v)", bnd, bnd2, err2)
 	}
 }
 
@@ -254,11 +261,11 @@ func TestSharedCacheSystems(t *testing.T) {
 	a := NewSystemShared(benchSystem(t, "CRC32").Backend(), cache)
 	b := NewSystemShared(benchSystem(t, "FFT").Backend(), cache)
 
-	ra, err := a.Evaluate(300, 1)
+	ra, err := evalAt(a, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Evaluate(300, 1)
+	rb, err := evalAt(b, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"oftec/internal/backend"
 )
 
 // TestEvaluateWarmMatchesCold pins the warm-start contract: the hint only
@@ -12,16 +15,16 @@ func TestEvaluateWarmMatchesCold(t *testing.T) {
 	cold := benchSystem(t, "CRC32")
 	warm := benchSystem(t, "CRC32")
 
-	ref, err := cold.Evaluate(200, 1)
+	ref, err := evalAt(cold, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Solve a neighboring point first, then hand its field forward.
-	near, err := warm.Evaluate(210, 1.1)
+	near, err := evalAt(warm, 210, 1.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := warm.EvaluateWarm(200, 1, near.T)
+	got, err := warm.EvaluateContext(context.Background(), nil, backend.Scalar(200, 1), near.T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestEvaluateWarmMatchesCold(t *testing.T) {
 
 	// Hits ignore the hint entirely: the cached pointer comes back even
 	// with a fresh warm field attached.
-	again, err := warm.EvaluateWarm(200, 1, ref.T)
+	again, err := warm.EvaluateContext(context.Background(), nil, backend.Scalar(200, 1), ref.T)
 	if err != nil {
 		t.Fatal(err)
 	}

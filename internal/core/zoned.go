@@ -63,7 +63,7 @@ func (s *System) RunZoned(zoning *thermal.Zoning, opts Options) (*ZonedOutcome, 
 	if zoning == nil {
 		return nil, fmt.Errorf("core: RunZoned needs a zoning")
 	}
-	bnd, err := s.zonedBinding(opts.Backend, zoning)
+	bnd, err := s.binding(zoning)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"oftec/internal/thermal"
 )
 
 func TestZoningValidation(t *testing.T) {
@@ -65,7 +67,7 @@ func TestZonedUniformMatchesScalarPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zoned, err := m.EvaluateZoned(omega, z, []float64{1.5, 1.5, 1.5})
+	zoned, err := m.EvaluateWarm(z, thermal.Point{Omega: omega, Currents: []float64{1.5, 1.5, 1.5}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +87,13 @@ func TestZonedEvaluateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EvaluateZoned(100, nil, []float64{1}); err == nil {
-		t.Error("nil zoning accepted")
+	if _, err := m.EvaluateWarm(nil, thermal.Point{Omega: 100, Currents: []float64{1, 1, 1}}, nil); err == nil {
+		t.Error("zone currents accepted without a zoning")
 	}
-	if _, err := m.EvaluateZoned(100, z, []float64{1}); err == nil {
+	if _, err := m.EvaluateWarm(z, thermal.Point{Omega: 100, Currents: []float64{1}}, nil); err == nil {
 		t.Error("wrong current count accepted")
 	}
-	if _, err := m.EvaluateZoned(100, z, []float64{1, -1, 1}); err == nil {
+	if _, err := m.EvaluateWarm(z, thermal.Point{Omega: 100, Currents: []float64{1, -1, 1}}, nil); err == nil {
 		t.Error("negative zone current accepted")
 	}
 }

@@ -128,10 +128,9 @@ func surface(ctx context.Context, setup Setup, benchName string, nOmega, nI, wor
 // submitted as one block: the thermal layer assembles and factorizes once
 // per row and sweeps the current axis as blocked multi-RHS solves, with
 // the row's first solution warm-starting the rest (the batch analogue of
-// the per-point carry below). Either way the unit of parallelism is one
-// row and no state crosses rows, so results are identical for any worker
-// count. Disable batching on the system (core.System.SetBatching) to
-// force the per-point reference path.
+// the per-point carry a backend without that capability gets below).
+// Either way the unit of parallelism is one row and no state crosses rows,
+// so results are identical for any worker count.
 func SurfaceSystem(ctx context.Context, sys *core.System, nOmega, nI, workers int) ([]SurfacePoint, error) {
 	if nOmega < 2 || nI < 2 {
 		return nil, fmt.Errorf("experiments: surface grid %d×%d must be at least 2×2", nOmega, nI)
@@ -146,7 +145,7 @@ func SurfaceSystem(ctx context.Context, sys *core.System, nOmega, nI, workers in
 			for j := 0; j < nI; j++ {
 				ops[j] = backend.Scalar(omega, cfg.TEC.MaxCurrent*float64(j)/float64(nI-1))
 			}
-			results, err := sys.EvaluateBatchContext(ctx, ops, nil)
+			results, err := sys.EvaluateBatchContext(ctx, nil, ops, nil)
 			if err != nil {
 				return err
 			}
@@ -160,7 +159,7 @@ func SurfaceSystem(ctx context.Context, sys *core.System, nOmega, nI, workers in
 		var warm []float64
 		for j := 0; j < nI; j++ {
 			itec := cfg.TEC.MaxCurrent * float64(j) / float64(nI-1)
-			res, err := sys.EvaluateWarmContext(ctx, omega, itec, warm)
+			res, err := sys.EvaluateContext(ctx, nil, backend.Scalar(omega, itec), warm)
 			if err != nil {
 				return err
 			}

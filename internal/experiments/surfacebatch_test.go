@@ -5,7 +5,14 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"oftec/internal/backend"
+	"oftec/internal/core"
 )
+
+// perPointBackend hides the wrapped backend's BatchEvaluator capability,
+// so a System built on it sweeps through the per-point carry path.
+type perPointBackend struct{ backend.Evaluator }
 
 // TestSurfaceBatchedMatchesPerPoint pins the row-batch submission: the
 // batched sweep must classify every point like the per-point reference
@@ -27,11 +34,14 @@ func TestSurfaceBatchedMatchesPerPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	refSys, err := setup.System("Basicmath")
+	plain, err := setup.System("Basicmath")
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSys.SetBatching(false)
+	refSys := core.NewSystem(perPointBackend{plain.Backend()})
+	if refSys.SupportsBatch() {
+		t.Fatal("per-point reference system still supports batching")
+	}
 	ref, err := SurfaceSystem(context.Background(), refSys, 9, 5, 0)
 	if err != nil {
 		t.Fatal(err)

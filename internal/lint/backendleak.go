@@ -1,11 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
-
 // BackendLeakAnalyzer guards the evaluation seam introduced with
 // internal/backend: the optimizer (internal/core), the DTM controllers
 // (internal/controller), and the experiment harness (internal/experiments)
@@ -33,79 +27,19 @@ import (
 var BackendLeakAnalyzer = &Analyzer{
 	Name: "backendleak",
 	Doc:  "flags direct *thermal.Model references in the backend-decoupled packages",
-	Run:  runBackendLeak,
+	Run:  backendLeakRule.run,
 }
 
-// backendLeakScoped lists the import-path suffixes of the packages that
-// must stay on the backend side of the seam.
-var backendLeakScoped = []string{
-	"internal/core",
-	"internal/controller",
-	"internal/experiments",
-}
-
-func runBackendLeak(pass *Pass) {
-	scoped := false
-	for _, suffix := range backendLeakScoped {
-		if strings.HasSuffix(pass.Pkg.Path, suffix) {
-			scoped = true
-			break
-		}
-	}
-	if !scoped {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				obj := pass.Pkg.Info.Uses[n]
-				if obj == nil {
-					obj = pass.Pkg.Info.Defs[n]
-				}
-				if isThermalModelType(obj) {
-					pass.Reportf(n.Pos(), "direct reference to thermal.Model; program against backend.Evaluator (or //lint:ignore backendleak with a reason)")
-				}
-			case *ast.SelectorExpr:
-				// Method calls and field reads on a smuggled model value:
-				// the Selections map only holds genuine member selections,
-				// so qualified type names (thermal.Model) stay with the
-				// identifier rule above.
-				sel, ok := pass.Pkg.Info.Selections[n]
-				if !ok {
-					return true
-				}
-				if named := namedOf(sel.Recv()); named != nil && isThermalModelType(named.Obj()) {
-					pass.Reportf(n.Sel.Pos(), "selection %s on a thermal.Model value; route through a backend capability interface (or //lint:ignore backendleak with a reason)", n.Sel.Name)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// isThermalModelType reports whether obj is the Model type name of a
-// thermal package (import path suffix "internal/thermal").
-func isThermalModelType(obj types.Object) bool {
-	tn, ok := obj.(*types.TypeName)
-	if !ok || tn.Name() != "Model" || tn.Pkg() == nil {
-		return false
-	}
-	return strings.HasSuffix(tn.Pkg().Path(), "internal/thermal")
-}
-
-// namedOf unwraps pointers and aliases down to a named type, or nil.
-func namedOf(t types.Type) *types.Named {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Alias:
-			t = types.Unalias(t)
-		case *types.Named:
-			return u
-		default:
-			return nil
-		}
-	}
+var backendLeakRule = &seamRule{
+	analyzer: "backendleak",
+	pkg:      "thermal",
+	types:    []string{"Model"},
+	// The packages that must stay on the backend side of the seam.
+	scoped: []string{
+		"internal/core",
+		"internal/controller",
+		"internal/experiments",
+	},
+	ident: "program against backend.Evaluator",
+	sel:   "route through a backend capability interface",
 }

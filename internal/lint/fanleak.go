@@ -1,11 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
-
 // FanLeakAnalyzer guards the coolant-actuator seam: outside internal/fan
 // (the air-mover physics) and internal/coolant (the seam itself), no
 // package may reference the concrete fan.Fan or fan.HeatSinkModel types.
@@ -30,60 +24,19 @@ import (
 var FanLeakAnalyzer = &Analyzer{
 	Name: "fanleak",
 	Doc:  "flags direct fan.Fan/fan.HeatSinkModel references outside the coolant seam",
-	Run:  runFanLeak,
+	Run:  fanLeakRule.run,
 }
 
-// fanLeakExempt lists the import-path suffixes of the packages on the
-// actuator side of the seam, where fan types are the subject matter.
-var fanLeakExempt = []string{
-	"internal/fan",
-	"internal/coolant",
-}
-
-func runFanLeak(pass *Pass) {
-	for _, suffix := range fanLeakExempt {
-		if strings.HasSuffix(pass.Pkg.Path, suffix) {
-			return
-		}
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				obj := pass.Pkg.Info.Uses[n]
-				if obj == nil {
-					obj = pass.Pkg.Info.Defs[n]
-				}
-				if isFanSeamType(obj) {
-					pass.Reportf(n.Pos(), "direct reference to fan.%s; program against coolant.Actuator (or //lint:ignore fanleak with a reason)", obj.Name())
-				}
-			case *ast.SelectorExpr:
-				// Method calls and field reads on a fan value that arrived
-				// through the coolant aliases: the Selections map only holds
-				// genuine member selections, so qualified type names
-				// (fan.Fan) stay with the identifier rule above.
-				sel, ok := pass.Pkg.Info.Selections[n]
-				if !ok {
-					return true
-				}
-				if named := namedOf(sel.Recv()); named != nil && isFanSeamType(named.Obj()) {
-					pass.Reportf(n.Sel.Pos(), "selection %s on a fan.%s value; route through coolant.Actuator (or //lint:ignore fanleak with a reason)", n.Sel.Name, named.Obj().Name())
-				}
-			}
-			return true
-		})
-	}
-}
-
-// isFanSeamType reports whether obj is the Fan or HeatSinkModel type name
-// of a fan package (import path suffix "internal/fan").
-func isFanSeamType(obj types.Object) bool {
-	tn, ok := obj.(*types.TypeName)
-	if !ok || tn.Pkg() == nil {
-		return false
-	}
-	if tn.Name() != "Fan" && tn.Name() != "HeatSinkModel" {
-		return false
-	}
-	return strings.HasSuffix(tn.Pkg().Path(), "internal/fan")
+var fanLeakRule = &seamRule{
+	analyzer: "fanleak",
+	pkg:      "fan",
+	types:    []string{"Fan", "HeatSinkModel"},
+	// The packages on the actuator side of the seam, where fan types are
+	// the subject matter.
+	exempt: []string{
+		"internal/fan",
+		"internal/coolant",
+	},
+	ident: "program against coolant.Actuator",
+	sel:   "route through coolant.Actuator",
 }

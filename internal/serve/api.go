@@ -243,16 +243,9 @@ type ParetoResponse struct {
 	Points []ParetoPointJSON `json:"points"`
 }
 
-// StatsResponse is the /stats snapshot.
-type StatsResponse struct {
-	UptimeS float64    `json:"uptime_s"`
-	Pool    PoolStats  `json:"pool"`
-	Cache   CacheStats `json:"cache"`
-	Req     ReqStats   `json:"requests"`
-}
-
-// StatzResponse is the /statz snapshot: /stats plus the blocked
-// multi-RHS evaluation counters.
+// StatzResponse is the /statz snapshot: uptime, the model pool, the
+// shared cache, the blocked multi-RHS evaluation counters, and request
+// traffic.
 type StatzResponse struct {
 	UptimeS float64    `json:"uptime_s"`
 	Pool    PoolStats  `json:"pool"`
@@ -263,8 +256,6 @@ type StatzResponse struct {
 
 // BatchStats describes blocked multi-RHS evaluation traffic.
 type BatchStats struct {
-	// Enabled is false when the server runs with DisableBatch.
-	Enabled bool `json:"enabled"`
 	// Batches counts EvaluateBatch calls that reached the shared cache.
 	Batches int64 `json:"batches"`
 	// BatchPoints is the total operating points submitted in them; each

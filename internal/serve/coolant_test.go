@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"strings"
 	"testing"
 
+	"oftec/internal/backend"
 	"oftec/internal/experiments"
 	"oftec/internal/units"
 	"oftec/internal/workload"
@@ -35,7 +37,7 @@ func TestEvaluateLiquidCoolant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Evaluate(units.RPMToRadPerSec(2000), 1)
+	want, err := sys.EvaluateContext(context.Background(), nil, backend.Scalar(units.RPMToRadPerSec(2000), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 
+	"oftec/internal/backend"
 	"oftec/internal/core"
 	"oftec/internal/experiments"
 	"oftec/internal/solver"
@@ -25,8 +26,8 @@ func fin(v float64) float64 {
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if status, err := decode(w, r, &req); err != nil {
+		s.writeError(w, status, err)
 		return
 	}
 	entry, sys, status, err := s.system(req.Chip)
@@ -50,15 +51,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	var res *thermal.Result
+	op := backend.Scalar(omega, req.ITecA)
+	var zoning *thermal.Zoning
 	switch {
-	case req.Zoning == nil && len(req.CurrentsA) == 0:
-		res, err = sys.EvaluateContext(ctx, omega, req.ITecA)
-	case req.Zoning == nil:
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: currents_a needs a zoning"))
-		return
-	default:
-		var zoning *thermal.Zoning
+	case req.Zoning != nil:
 		zoning, err = entry.zoning(sys, req.Zoning)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
@@ -69,8 +65,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("serve: %d currents for %d zones", len(req.CurrentsA), zoning.NumZones()))
 			return
 		}
-		res, err = sys.EvaluateZonedContext(ctx, zoning, omega, req.CurrentsA)
+		op = backend.OpPoint{Omega: omega, Currents: req.CurrentsA}
+	case len(req.CurrentsA) > 0:
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: currents_a needs a zoning"))
+		return
 	}
+	res, err := sys.EvaluateContext(ctx, zoning, op, nil)
 	if err != nil {
 		s.writeError(w, solveStatus(ctx), err)
 		return
@@ -125,8 +125,8 @@ func optimizeOptions(ctx context.Context, req OptimizeRequest) (core.Options, er
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if status, err := decode(w, r, &req); err != nil {
+		s.writeError(w, status, err)
 		return
 	}
 	entry, sys, status, err := s.system(req.Chip)
@@ -222,8 +222,8 @@ func stopName(s solver.StopReason) string {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if status, err := decode(w, r, &req); err != nil {
+		s.writeError(w, status, err)
 		return
 	}
 	if req.NOmega < 2 || req.NI < 2 {
@@ -267,8 +267,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	var req ParetoRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if status, err := decode(w, r, &req); err != nil {
+		s.writeError(w, status, err)
 		return
 	}
 	if len(req.TMaxC) == 0 {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"oftec/internal/backend"
 	"oftec/internal/experiments"
 	"oftec/internal/units"
 	"oftec/internal/workload"
@@ -70,7 +71,7 @@ func TestEvaluateScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Evaluate(units.RPMToRadPerSec(3000), 2)
+	want, err := sys.EvaluateContext(context.Background(), nil, backend.Scalar(units.RPMToRadPerSec(3000), 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestConcurrentEvaluatesCoalesce(t *testing.T) {
 
 // TestAdmissionControl pins the throttle path: with every slot taken, a
 // request is refused with 429 and a Retry-After hint, while /healthz and
-// /stats stay reachable.
+// /statz stay reachable.
 func TestAdmissionControl(t *testing.T) {
 	s := New(Options{MaxInflight: 1, AdmitWait: time.Millisecond})
 	h := s.Handler()
@@ -217,8 +218,8 @@ func TestAdmissionControl(t *testing.T) {
 	if rec := get(t, h, "/healthz"); rec.Code != http.StatusOK {
 		t.Errorf("healthz blocked by admission control: %d", rec.Code)
 	}
-	if rec := get(t, h, "/stats"); rec.Code != http.StatusOK {
-		t.Errorf("stats blocked by admission control: %d", rec.Code)
+	if rec := get(t, h, "/statz"); rec.Code != http.StatusOK {
+		t.Errorf("statz blocked by admission control: %d", rec.Code)
 	}
 	<-s.sem
 
@@ -226,7 +227,7 @@ func TestAdmissionControl(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("freed server answered %d: %s", rec.Code, rec.Body.String())
 	}
-	stats := decodeBody[StatsResponse](t, get(t, h, "/stats"))
+	stats := decodeBody[StatzResponse](t, get(t, h, "/statz"))
 	if stats.Req.Throttled != 1 {
 		t.Errorf("throttled = %d, want 1", stats.Req.Throttled)
 	}
@@ -506,12 +507,17 @@ func TestClusterZoning(t *testing.T) {
 	}
 }
 
+// TestStatsShape pins the /statz counters after one evaluate; /statz is
+// the only stats endpoint.
 func TestStatsShape(t *testing.T) {
 	s := New(Options{})
 	h := s.Handler()
 
 	post(t, h, "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, ITecA: 1})
-	stats := decodeBody[StatsResponse](t, get(t, h, "/stats"))
+	if rec := get(t, h, "/stats"); rec.Code != http.StatusNotFound {
+		t.Errorf("/stats answered %d, want 404", rec.Code)
+	}
+	stats := decodeBody[StatzResponse](t, get(t, h, "/statz"))
 	if stats.Pool.Models != 1 || stats.Pool.Builds != 1 {
 		t.Errorf("pool stats %+v, want 1 model / 1 build", stats.Pool)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -37,10 +38,6 @@ type Options struct {
 	// MaxGridPoints bounds sweep grids (n_omega × n_i). Zero selects
 	// 4096.
 	MaxGridPoints int
-	// DisableBatch turns off blocked multi-RHS evaluation on every pooled
-	// system: sweep rows and Pareto start priming fall back to per-point
-	// solves. The batched path is the default; this is the escape hatch.
-	DisableBatch bool
 	// ROMCacheDir, when set, persists Galerkin ROM bases there so a
 	// restarted server loads them instead of re-collecting snapshots.
 	ROMCacheDir string
@@ -110,7 +107,7 @@ func New(opts Options) *Server {
 	return &Server{
 		opts:  opts,
 		cache: evalcache.New(opts.CacheCapacity),
-		pool:  newPool(opts.MaxModels, opts.DisableBatch),
+		pool:  newPool(opts.MaxModels),
 		sem:   make(chan struct{}, opts.maxInflight()),
 		start: time.Now(),
 	}
@@ -128,13 +125,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sweep", s.working(s.handleSweep, &s.sweeps))
 	mux.HandleFunc("POST /v1/pareto", s.working(s.handlePareto, &s.paretos))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /statz", s.handleStatz)
 	return mux
 }
 
 // working wraps a solve-carrying handler with admission control and
-// traffic accounting. /healthz and /stats bypass it: an operator must be
+// traffic accounting. /healthz and /statz bypass it: an operator must be
 // able to observe a saturated server.
 func (s *Server) working(h http.HandlerFunc, counter *atomic.Int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -197,14 +193,24 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
-// decode strictly parses the request body.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body. The largest legitimate request — a
+// chip spec with a full per-unit zone map and a long threshold list — is
+// a few kilobytes, so 1 MiB rejects only abuse.
+const maxBodyBytes = 1 << 20
+
+// decode strictly parses the request body, reading at most maxBodyBytes
+// of it. A body over the cap answers 413, any other malformed body 400.
+func decode(w http.ResponseWriter, r *http.Request, v any) (status int, err error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: decoding request: %w", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("serve: request body over %d bytes", maxBodyBytes)
+		}
+		return http.StatusBadRequest, fmt.Errorf("serve: decoding request: %w", err)
 	}
-	return nil
+	return 0, nil
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -226,18 +232,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, StatsResponse{
-		UptimeS: time.Since(s.start).Seconds(),
-		Pool:    s.poolStats(),
-		Cache:   s.cacheStats(),
-		Req:     s.reqStats(),
-	})
-}
-
-// handleStatz is the live-counter superset of /stats: the same snapshot
-// plus the blocked-evaluation traffic, served admission-exempt so a
-// saturated or mid-sweep server stays observable.
+// handleStatz serves the live counters admission-exempt, so a saturated
+// or mid-sweep server stays observable.
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	cs := s.cache.Stats()
 	s.writeJSON(w, http.StatusOK, StatzResponse{
@@ -245,7 +241,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Pool:    s.poolStats(),
 		Cache:   s.cacheStats(),
 		Batch: BatchStats{
-			Enabled:     !s.opts.DisableBatch,
 			Batches:     cs.Batches,
 			BatchPoints: cs.BatchPoints,
 		},

@@ -3,7 +3,6 @@ package thermal
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"oftec/internal/sparse"
 )
@@ -23,7 +22,7 @@ import (
 // a batched result is reflect.DeepEqual to the per-point result from the
 // same seed (the equivalence suite pins this). A column the lockstep
 // solve cannot finish (breakdown, iteration budget) falls back to the
-// scalar path, which reproduces the identical failure and proceeds down
+// per-point path, which reproduces the identical failure and proceeds down
 // the full SolveAuto ladder exactly as a per-point call would.
 
 // batchWidth is the lockstep column count: wide enough to amortize the
@@ -31,36 +30,27 @@ import (
 // narrow enough that the interleaved working set stays in cache.
 const batchWidth = 8
 
-// BatchPoint is one scalar operating point of a batched evaluation.
-type BatchPoint struct {
-	Omega float64 // fan speed, rad/s
-	ITEC  float64 // uniform TEC driving current, A
-}
-
-// ZonedPoint is one zoned operating point of a batched evaluation: one
-// driving current per control zone (see Zoning).
-type ZonedPoint struct {
-	Omega    float64
-	Currents []float64
-}
-
-// EvaluateBatch computes the steady state at every operating point,
-// solving memo misses in lockstep chunks that share one assembly and one
-// IC(0) factorization per ω-slice. Results are positionally aligned with
-// pts and identical — reflect.DeepEqual, including SolveStats — to what
-// per-point EvaluateWarm calls would return: with warm == nil the first
-// point of each ω-group seeds from ambient and the rest seed from its
-// solution (the sweep warm-start carry); with warm set every point seeds
-// from it. ctx is checked between chunks; cancellation returns ctx.Err()
-// with no results.
-func (m *Model) EvaluateBatch(ctx context.Context, pts []BatchPoint, warm []float64) ([]*Result, error) {
+// EvaluateBatch computes the steady state at every operating point under
+// zoning z (nil is the one-zone deployment), solving memo misses in
+// lockstep chunks that share one assembly and one IC(0) factorization per
+// ω-slice. Results are positionally aligned with pts and identical —
+// reflect.DeepEqual, including SolveStats — to what per-point EvaluateWarm
+// calls would return: with warm == nil the first point of each ω-group
+// seeds from ambient and the rest seed from its solution (the sweep
+// warm-start carry); with warm set every point seeds from it. ctx is
+// checked between chunks; cancellation returns ctx.Err() with no results.
+func (m *Model) EvaluateBatch(ctx context.Context, z *Zoning, pts []Point, warm []float64) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, p := range pts {
-		if err := m.checkOperatingPoint(p.Omega, p.ITEC); err != nil {
-			return nil, err
+	z = m.zoningOr(z)
+	maxCur := make([]float64, len(pts))
+	for i, p := range pts {
+		c, err := m.checkPoint(z, p)
+		if err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
+		maxCur[i] = c
 	}
 	if err := m.checkWarm(warm); err != nil {
 		return nil, err
@@ -74,15 +64,13 @@ func (m *Model) EvaluateBatch(ctx context.Context, pts []BatchPoint, warm []floa
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		omega := pts[g[0]].Omega
-
 		// Seed: the sweep warm-start carry. The first point of the group
 		// solves per-point from ambient (or answers from the memo) and its
 		// field seeds the siblings; an explicit warm seeds everything.
 		seed := warm
 		rest := g
 		if warm == nil {
-			res, err := m.EvaluateWarm(omega, pts[g[0]].ITEC, nil)
+			res, err := m.EvaluateWarm(z, pts[g[0]], nil)
 			if err != nil {
 				return nil, err
 			}
@@ -92,125 +80,7 @@ func (m *Model) EvaluateBatch(ctx context.Context, pts []BatchPoint, warm []floa
 			}
 			rest = g[1:]
 		}
-
-		if err := m.evaluateGroup(ctx, omega, rest,
-			func(i, cell int) float64 { return pts[i].ITEC },
-			seed,
-			func(i int) (*Result, bool) {
-				ver := m.versionFor(verKey{omega: omega, itec: pts[i].ITEC, linear: true})
-				return m.loadResult(ver)
-			},
-			func(i int, t []float64, stats sparse.Stats) *Result {
-				itec := pts[i].ITEC
-				ver := m.versionFor(verKey{omega: omega, itec: itec, linear: true})
-				res := (*Result)(nil)
-				if !m.physical(t) {
-					res = m.runawayResult(omega, itec, stats)
-				} else {
-					res = m.buildResult(omega, itec, t, stats, true)
-					if res.MaxChipTemp > m.cfg.runawayTemp() {
-						res = m.runawayResult(omega, itec, stats)
-					}
-				}
-				m.storeResult(ver, res)
-				return res
-			},
-			func(i int, seed []float64) (*Result, error) {
-				return m.EvaluateWarm(omega, pts[i].ITEC, seed)
-			},
-			results,
-		); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// EvaluateZonedBatch is EvaluateBatch for zoned operating points (one
-// current per control zone). Zoned points are never memoized (matching
-// EvaluateZonedWarm), so every point solves; a single-zone zoning
-// delegates to the scalar batch exactly as EvaluateZonedWarm delegates
-// to EvaluateWarm.
-func (m *Model) EvaluateZonedBatch(ctx context.Context, z *Zoning, pts []ZonedPoint, warm []float64) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if z == nil {
-		return nil, fmt.Errorf("thermal: nil zoning")
-	}
-	maxCur := make([]float64, len(pts))
-	for pi, p := range pts {
-		if len(p.Currents) != z.numZones {
-			return nil, fmt.Errorf("thermal: point %d has %d currents for %d zones", pi, len(p.Currents), z.numZones)
-		}
-		for zone, c := range p.Currents {
-			if c < 0 || math.IsNaN(c) {
-				return nil, fmt.Errorf("thermal: point %d zone %d current %g must be non-negative", pi, zone, c)
-			}
-			if c > maxCur[pi] {
-				maxCur[pi] = c
-			}
-		}
-		if err := m.checkOperatingPoint(p.Omega, maxCur[pi]); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.checkWarm(warm); err != nil {
-		return nil, err
-	}
-	if z.numZones == 1 {
-		sp := make([]BatchPoint, len(pts))
-		for i, p := range pts {
-			sp[i] = BatchPoint{Omega: p.Omega, ITEC: p.Currents[0]}
-		}
-		return m.EvaluateBatch(ctx, sp, warm)
-	}
-	results := make([]*Result, len(pts))
-	if len(pts) == 0 {
-		return results, nil
-	}
-
-	for _, g := range groupByOmega(len(pts), func(i int) float64 { return pts[i].Omega }) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		omega := pts[g[0]].Omega
-
-		seed := warm
-		rest := g
-		if warm == nil {
-			res, err := m.EvaluateZonedWarm(omega, z, pts[g[0]].Currents, nil)
-			if err != nil {
-				return nil, err
-			}
-			results[g[0]] = res
-			if !res.Runaway {
-				seed = res.T
-			}
-			rest = g[1:]
-		}
-
-		if err := m.evaluateGroup(ctx, omega, rest,
-			func(i, cell int) float64 { return pts[i].Currents[z.zoneOf[cell]] },
-			seed,
-			func(i int) (*Result, bool) { return nil, false }, // zoned points are not memoized
-			func(i int, t []float64, stats sparse.Stats) *Result {
-				currents := pts[i].Currents
-				if !m.physical(t) {
-					return m.runawayResult(omega, maxCur[i], stats)
-				}
-				res := m.buildResult(omega, maxCur[i], t, stats, true)
-				res.PTEC = m.tecPowerFunc(t, func(cell int) float64 { return currents[z.zoneOf[cell]] })
-				if res.MaxChipTemp > m.cfg.runawayTemp() {
-					return m.runawayResult(omega, maxCur[i], stats)
-				}
-				return res
-			},
-			func(i int, seed []float64) (*Result, error) {
-				return m.EvaluateZonedWarm(omega, z, pts[i].Currents, seed)
-			},
-			results,
-		); err != nil {
+		if err := m.evaluateGroup(ctx, z, pts[g[0]].Omega, pts, maxCur, rest, seed, results); err != nil {
 			return nil, err
 		}
 	}
@@ -237,23 +107,10 @@ func groupByOmega(n int, omegaOf func(int) float64) [][]int {
 	return out
 }
 
-// evaluateGroup solves the memo misses of one ω-group in lockstep
-// chunks. curAt supplies the driving current of point pi at a TEC cell
-// (uniform for scalar points, zone-resolved for zoned ones); memo
-// answers points without solving; finish replicates the per-point result
-// tail for a converged lockstep column; fallback re-solves a column the
-// lockstep path could not finish.
-func (m *Model) evaluateGroup(
-	ctx context.Context,
-	omega float64,
-	idxs []int,
-	curAt func(pi, cell int) float64,
-	seed []float64,
-	memo func(int) (*Result, bool),
-	finish func(int, []float64, sparse.Stats) *Result,
-	fallback func(int, []float64) (*Result, error),
-	results []*Result,
-) error {
+// evaluateGroup solves the memo misses among the points idxs of pts, all
+// at fan speed omega, in lockstep chunks. A column the lockstep path could
+// not finish is re-solved per-point from the same seed.
+func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts []Point, maxCur []float64, idxs []int, seed []float64, results []*Result) error {
 	ic, icOK := m.slicePrecond(omega)
 
 	// One canonical assembly for the whole group: the I_TEC = 0 system.
@@ -261,8 +118,8 @@ func (m *Model) evaluateGroup(
 	// override and RHS buffers below.
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sc.itec = 0
-	m.assembleInto(sc, omega, sc.uniform, true, nil)
+	sparse.Fill(sc.cur, 0)
+	m.assembleInto(sc, omega, sc.cell, true, nil)
 
 	ws := sparse.GetBatchWorkspace()
 	defer sparse.PutBatchWorkspace(ws)
@@ -297,7 +154,7 @@ func (m *Model) evaluateGroup(
 		}
 		chunk = chunk[:0]
 		for _, pi := range idxs[start:min(start+batchWidth, len(idxs))] {
-			if res, ok := memo(pi); ok {
+			if res, ok := m.loadResult(m.solutionVersion(z, pts[pi])); ok {
 				results[pi] = res
 				continue
 			}
@@ -311,7 +168,7 @@ func (m *Model) evaluateGroup(
 			// rung is unavailable, so every point takes the per-point
 			// ladder — the same one it would have taken solo.
 			for _, pi := range chunk {
-				res, err := fallback(pi, seed)
+				res, err := m.EvaluateWarm(z, pts[pi], seed)
 				if err != nil {
 					return err
 				}
@@ -345,7 +202,7 @@ func (m *Model) evaluateGroup(
 			cold.Vals = cold.Vals[:wp]
 			hot.Vals = hot.Vals[:wp]
 			for j, pi := range chunk {
-				iTEC := curAt(pi, cell)
+				iTEC := pts[pi].Currents[z.zoneOf[cell]]
 				cv, hv := cbase, hbase
 				if iTEC != 0 {
 					cv = cbase + alpha*iTEC
@@ -374,7 +231,7 @@ func (m *Model) evaluateGroup(
 			mid := m.node(planeTECMid, cell)
 			row := bw[mid*wp : mid*wp+wp]
 			for j, pi := range chunk {
-				iTEC := curAt(pi, cell)
+				iTEC := pts[pi].Currents[z.zoneOf[cell]]
 				if iTEC != 0 {
 					row[j] += m.tecR[cell] * iTEC * iTEC
 				}
@@ -408,13 +265,18 @@ func (m *Model) evaluateGroup(
 		}
 		for j, pi := range chunk {
 			if ok[j] {
-				results[pi] = finish(pi, sols[j], stats[j])
+				// The chunk's canonical assembly is done, so sc.cur is free
+				// to carry this column's per-cell current into the result.
+				sc.loadCurrents(z, pts[pi].Currents)
+				res := m.linearResult(omega, maxCur[pi], sc.cell, sols[j], stats[j], nil)
+				m.storeResult(m.solutionVersion(z, pts[pi]), res)
+				results[pi] = res
 				continue
 			}
 			// Lockstep rung failed for this column: re-solve per-point
 			// from the same seed. The first CG rung reproduces the same
 			// failure and the ladder continues exactly as a solo call.
-			res, err := fallback(pi, seed)
+			res, err := m.EvaluateWarm(z, pts[pi], seed)
 			if err != nil {
 				return err
 			}

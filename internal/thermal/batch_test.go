@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the batched-evaluation equivalence suite: EvaluateBatch
-// and EvaluateZonedBatch are pure performance transforms, so their
-// results must be reflect.DeepEqual — bit-identical fields, Stats
+// is a pure performance transform under every zoning, so its results
+// must be reflect.DeepEqual — bit-identical fields, Stats
 // included — to the per-point reference protocol: within each ω-group
 // the first point evaluates from a nil warm start and its solution seeds
 // the remaining points (the sweep warm-start carry), or an explicit warm
@@ -18,19 +18,24 @@ import (
 
 // batchGrid is a small sweep covering memo-cold points, repeated points,
 // and the fanless high-current runaway corner.
-func batchGrid(cfg Config) []BatchPoint {
-	var pts []BatchPoint
+func batchGrid(cfg Config) []Point {
+	var pts []Point
 	for _, omega := range []float64{120, 250, 0} {
 		for _, itec := range []float64{0, 0.8, cfg.TEC.MaxCurrent} {
-			pts = append(pts, BatchPoint{Omega: omega, ITEC: itec})
+			pts = append(pts, opPoint(omega, itec))
 		}
 	}
 	return pts
 }
 
+// opPoint builds an operating point with one current per zone.
+func opPoint(omega float64, currents ...float64) Point {
+	return Point{Omega: omega, Currents: currents}
+}
+
 // perPointReference replays pts through the scalar per-point protocol on
 // the given model.
-func perPointReference(t *testing.T, m *Model, pts []BatchPoint, warm []float64) []*Result {
+func perPointReference(t *testing.T, m *Model, z *Zoning, pts []Point, warm []float64) []*Result {
 	t.Helper()
 	out := make([]*Result, len(pts))
 	seeds := map[float64][]float64{}
@@ -40,7 +45,7 @@ func perPointReference(t *testing.T, m *Model, pts []BatchPoint, warm []float64)
 		if warm == nil {
 			if !seen[p.Omega] {
 				seen[p.Omega] = true
-				r0, err := m.EvaluateWarm(p.Omega, p.ITEC, nil)
+				r0, err := m.EvaluateWarm(z, p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -52,7 +57,7 @@ func perPointReference(t *testing.T, m *Model, pts []BatchPoint, warm []float64)
 			}
 			seed = seeds[p.Omega]
 		}
-		res, err := m.EvaluateWarm(p.Omega, p.ITEC, seed)
+		res, err := m.EvaluateWarm(z, p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +84,12 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 	pts := batchGrid(cfg)
 
 	batched := benchModel(t, cfg, "Basicmath")
-	got, err := batched.EvaluateBatch(context.Background(), pts, nil)
+	got, err := batched.EvaluateBatch(context.Background(), nil, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reference := benchModel(t, cfg, "Basicmath")
-	want := perPointReference(t, reference, pts, nil)
+	want := perPointReference(t, reference, nil, pts, nil)
 	assertResultsDeepEqual(t, "cold", got, want)
 
 	// With an explicit warm start every point seeds from it.
@@ -93,12 +98,12 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 		t.Fatal("first grid point unexpectedly ran away")
 	}
 	b2 := benchModel(t, cfg, "Basicmath")
-	got2, err := b2.EvaluateBatch(context.Background(), pts, warmRes.T)
+	got2, err := b2.EvaluateBatch(context.Background(), nil, pts, warmRes.T)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2 := benchModel(t, cfg, "Basicmath")
-	want2 := perPointReference(t, r2, pts, warmRes.T)
+	want2 := perPointReference(t, r2, nil, pts, warmRes.T)
 	assertResultsDeepEqual(t, "warm", got2, want2)
 }
 
@@ -112,8 +117,8 @@ func TestEvaluateBatchSharesMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := []BatchPoint{{250, 0}, {250, 0.8}, {250, 1.4}}
-	got, err := m.EvaluateBatch(context.Background(), pts, nil)
+	pts := []Point{opPoint(250, 0), opPoint(250, 0.8), opPoint(250, 1.4)}
+	got, err := m.EvaluateBatch(context.Background(), nil, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestEvaluateBatchSharesMemo(t *testing.T) {
 		t.Error("memoized point re-solved in batch (pointer differs)")
 	}
 	for i, p := range pts {
-		solo, err := m.Evaluate(p.Omega, p.ITEC)
+		solo, err := m.EvaluateWarm(nil, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,41 +154,21 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var pts []ZonedPoint
+	var pts []Point
 	for _, omega := range []float64{150, 250} {
 		for _, cur := range [][]float64{{0, 0}, {0.6, 1.2}, {1.4, 0.2}, {0.6, 1.2}} {
-			pts = append(pts, ZonedPoint{Omega: omega, Currents: cur})
+			pts = append(pts, Point{Omega: omega, Currents: cur})
 		}
 	}
-	got, err := batched.EvaluateZonedBatch(context.Background(), zb, pts, nil)
+	got, err := batched.EvaluateBatch(context.Background(), zb, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	want := make([]*Result, len(pts))
-	seeds := map[float64][]float64{}
-	seen := map[float64]bool{}
-	for i, p := range pts {
-		var seed []float64
-		if seen[p.Omega] {
-			seed = seeds[p.Omega]
-		}
-		res, err := reference.EvaluateZonedWarm(p.Omega, zr, p.Currents, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-		if !seen[p.Omega] {
-			seen[p.Omega] = true
-			if !res.Runaway {
-				seeds[p.Omega] = res.T
-			}
-		}
-	}
+	want := perPointReference(t, reference, zr, pts, nil)
 	assertResultsDeepEqual(t, "zoned", got, want)
 
-	// k=1 delegates to the scalar batch, like EvaluateZonedWarm delegates
-	// to EvaluateWarm.
+	// A k=1 zoning is the one-zone deployment: it shares the nil
+	// zoning's memo entry.
 	one := map[string]int{}
 	for _, u := range cfg.Floorplan.Units() {
 		one[u.Name] = 0
@@ -192,12 +177,11 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := []ZonedPoint{{Omega: 200, Currents: []float64{0.9}}}
-	gz, err := batched.EvaluateZonedBatch(context.Background(), z1, single, nil)
+	gz, err := batched.EvaluateBatch(context.Background(), z1, []Point{opPoint(200, 0.9)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := batched.EvaluateWarm(200, 0.9, nil)
+	gs, err := batched.Evaluate(200, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +196,8 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 func TestEvaluateBatchSpansDynamicPowerFlush(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	pts := []BatchPoint{{200, 0}, {200, 0.7}, {200, 1.3}, {120, 0.7}}
-	before, err := m.EvaluateBatch(context.Background(), pts, nil)
+	pts := []Point{opPoint(200, 0), opPoint(200, 0.7), opPoint(200, 1.3), opPoint(120, 0.7)}
+	before, err := m.EvaluateBatch(context.Background(), nil, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +206,7 @@ func TestEvaluateBatchSpansDynamicPowerFlush(t *testing.T) {
 	if err := m.SetDynamicPower(newMap); err != nil {
 		t.Fatal(err)
 	}
-	after, err := m.EvaluateBatch(context.Background(), pts, nil)
+	after, err := m.EvaluateBatch(context.Background(), nil, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +220,7 @@ func TestEvaluateBatchSpansDynamicPowerFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := perPointReference(t, ref, pts, nil)
+	want := perPointReference(t, ref, nil, pts, nil)
 	assertResultsDeepEqual(t, "post-flush", after, want)
 }
 
@@ -265,17 +249,17 @@ func TestEvaluateBatchCancelledMidBatch(t *testing.T) {
 	// Already-cancelled context: nothing runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.EvaluateBatch(ctx, batchGrid(cfg), nil); !errors.Is(err, context.Canceled) {
+	if _, err := m.EvaluateBatch(ctx, nil, batchGrid(cfg), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
 	}
 
 	// Cancelled mid-batch: the first ω-group proceeds, then the run stops
 	// with no results; the model stays healthy for the next call.
 	mid := &countdownCtx{remaining: 2}
-	if _, err := m.EvaluateBatch(mid, batchGrid(cfg), nil); !errors.Is(err, context.Canceled) {
+	if _, err := m.EvaluateBatch(mid, nil, batchGrid(cfg), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-batch cancel: err = %v, want context.Canceled", err)
 	}
-	res, err := m.EvaluateBatch(context.Background(), batchGrid(cfg), nil)
+	res, err := m.EvaluateBatch(context.Background(), nil, batchGrid(cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,13 +275,13 @@ func TestEvaluateBatchCancelledMidBatch(t *testing.T) {
 func TestEvaluateBatchValidation(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	if _, err := m.EvaluateBatch(context.Background(), []BatchPoint{{-1, 0}}, nil); err == nil {
+	if _, err := m.EvaluateBatch(context.Background(), nil, []Point{opPoint(-1, 0)}, nil); err == nil {
 		t.Error("negative ω accepted")
 	}
-	if _, err := m.EvaluateBatch(context.Background(), []BatchPoint{{100, 1}}, make([]float64, 3)); err == nil {
+	if _, err := m.EvaluateBatch(context.Background(), nil, []Point{opPoint(100, 1)}, make([]float64, 3)); err == nil {
 		t.Error("short warm accepted")
 	}
-	res, err := m.EvaluateBatch(context.Background(), nil, nil)
+	res, err := m.EvaluateBatch(context.Background(), nil, nil, nil)
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty batch: res=%v err=%v", res, err)
 	}
@@ -309,13 +293,13 @@ func TestEvaluateBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EvaluateZonedBatch(context.Background(), nil, nil, nil); err == nil {
-		t.Error("nil zoning accepted")
+	if _, err := m.EvaluateBatch(context.Background(), nil, []Point{opPoint(100, 1, 1)}, nil); err == nil {
+		t.Error("two currents accepted under the one-zone zoning")
 	}
-	if _, err := m.EvaluateZonedBatch(context.Background(), z, []ZonedPoint{{100, []float64{1}}}, nil); err == nil {
+	if _, err := m.EvaluateBatch(context.Background(), z, []Point{opPoint(100, 1)}, nil); err == nil {
 		t.Error("current-count mismatch accepted")
 	}
-	if _, err := m.EvaluateZonedBatch(context.Background(), z, []ZonedPoint{{100, []float64{1, -2}}}, nil); err == nil {
+	if _, err := m.EvaluateBatch(context.Background(), z, []Point{opPoint(100, 1, -2)}, nil); err == nil {
 		t.Error("negative zone current accepted")
 	}
 }

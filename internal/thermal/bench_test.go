@@ -3,6 +3,7 @@ package thermal
 import (
 	"testing"
 
+	"oftec/internal/sparse"
 	"oftec/internal/workload"
 )
 
@@ -32,11 +33,11 @@ func BenchmarkAssemble(b *testing.B) {
 	m := benchmarkModel(b)
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sc.itec = 1.5
+	sparse.Fill(sc.cur, 1.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.assembleInto(sc, 250, sc.uniform, true, nil)
+		m.assembleInto(sc, 250, sc.cell, true, nil)
 		if sc.mat.N() != m.n {
 			b.Fatal("bad dimension")
 		}

@@ -44,11 +44,11 @@ func TestAirSpecBitIdenticalToNilCoolant(t *testing.T) {
 		if ra.Runaway {
 			continue
 		}
-		ga, err := nilModel.EvaluateGrad(pt.omega, pt.itec)
+		ga, err := nilModel.EvaluateGrad(nil, opPoint(pt.omega, pt.itec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, err := airModel.EvaluateGrad(pt.omega, pt.itec)
+		gb, err := airModel.EvaluateGrad(nil, opPoint(pt.omega, pt.itec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestLiquidAdjointMatchesCentralDiff(t *testing.T) {
 	}
 	for _, pt := range points {
 		t.Run(pt.name, func(t *testing.T) {
-			g, err := pt.m.EvaluateGrad(pt.u, pt.itec)
+			g, err := pt.m.EvaluateGrad(nil, opPoint(pt.u, pt.itec))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -114,7 +114,7 @@ func referenceEvaluate(t *testing.T, m *Model, omega, itec float64) *Result {
 	if err != nil || !m.physical(temps) {
 		return m.runawayResult(omega, itec, stats)
 	}
-	res := m.buildResult(omega, itec, temps, stats, true)
+	res := m.buildResult(omega, itec, m.uniformCurrent(itec), temps, stats, true)
 	if res.MaxChipTemp > m.cfg.runawayTemp() {
 		return m.runawayResult(omega, itec, stats)
 	}
@@ -199,7 +199,7 @@ func TestEvaluateExactIsFixedPoint(t *testing.T) {
 
 // TestConcurrentPooledEvaluate hammers one model from many goroutines
 // across every entry point that borrows pooled scratch — Evaluate,
-// EvaluateWarm, EvaluateExact, EvaluateZoned, and a Transient — and then
+// EvaluateWarm (unzoned and under a one-zone zoning), EvaluateExact, and a Transient — and then
 // checks the linearized results against a fresh serial model. The mix
 // includes warm-start hints, so whichever racer solves a point first fixes
 // the memoized bits; the comparison is therefore to solver tolerance, not
@@ -241,7 +241,7 @@ func TestConcurrentPooledEvaluate(t *testing.T) {
 						return
 					}
 				case 1:
-					res, err := m.EvaluateWarm(p.omega, p.itec, warm)
+					res, err := m.EvaluateWarm(nil, opPoint(p.omega, p.itec), warm)
 					if err != nil {
 						errs <- err
 						return
@@ -255,7 +255,7 @@ func TestConcurrentPooledEvaluate(t *testing.T) {
 						return
 					}
 				case 3:
-					if _, err := m.EvaluateZoned(p.omega, zoning, []float64{p.itec}); err != nil {
+					if _, err := m.EvaluateWarm(zoning, opPoint(p.omega, p.itec), nil); err != nil {
 						errs <- err
 						return
 					}

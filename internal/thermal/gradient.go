@@ -103,34 +103,22 @@ type Gradient struct {
 	AdjointStats sparse.Stats
 }
 
-// EvaluateGrad computes the steady state at (ω, I_TEC) and the exact
-// gradients of 𝒫 and the smoothed 𝒯 via the adjoint method. The system
-// G(ω,I)·T = b(ω,I) is symmetric, so each objective costs one extra
-// solve Gᵀλ = ∂j/∂T on the already-assembled matrix, reusing the cached
-// ω-slice IC(0) factorization — one forward + one backward triangular
-// sweep per preconditioner application, no new factorization, instead of
-// the k+1 full solves a finite-difference gradient burns.
-func (m *Model) EvaluateGrad(omega, iTEC float64) (*Gradient, error) {
-	if err := m.checkOperatingPoint(omega, iTEC); err != nil {
-		return nil, err
-	}
-	res, err := m.EvaluateWarm(omega, iTEC, nil)
+// EvaluateGrad computes the steady state at p under zoning z (nil is the
+// one-zone deployment) and the exact gradients of 𝒫 and the smoothed 𝒯
+// via the adjoint method; the gradients have length 1+k, ordered
+// (ω, I₁..I_k). The system G(ω,I)·T = b(ω,I) is symmetric, so each
+// objective costs one extra solve Gᵀλ = ∂j/∂T on the already-assembled
+// matrix, reusing the cached ω-slice IC(0) factorization — one forward +
+// one backward triangular sweep per preconditioner application, no new
+// factorization, instead of the k+1 full solves a finite-difference
+// gradient burns.
+func (m *Model) EvaluateGrad(z *Zoning, p Point) (*Gradient, error) {
+	z = m.zoningOr(z)
+	res, err := m.EvaluateWarm(z, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	return m.gradientAt(res, omega, nil, []float64{iTEC})
-}
-
-// EvaluateZonedGrad is EvaluateGrad with one driving current per zone:
-// the returned gradients have length 1+k, ordered (ω, I₁..I_k). A
-// single-zone zoning reduces to the scalar gradient exactly, mirroring
-// EvaluateZonedWarm's k=1 delegation.
-func (m *Model) EvaluateZonedGrad(omega float64, z *Zoning, currents []float64) (*Gradient, error) {
-	res, err := m.EvaluateZonedWarm(omega, z, currents, nil)
-	if err != nil {
-		return nil, err
-	}
-	return m.gradientAt(res, omega, z.zoneOf, currents)
+	return m.gradientAt(res, z, p)
 }
 
 // gradientAt runs the two adjoint solves and assembles the derivative
@@ -143,11 +131,12 @@ func (m *Model) EvaluateZonedGrad(omega float64, z *Zoning, currents []float64) 
 // reduces to a handful of O(n) dot products over the sink and TEC nodes.
 //
 //oftec:allocok two solution vectors per gradient by SolveAuto contract; scratch is pooled
-func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []float64) (*Gradient, error) {
+func (m *Model) gradientAt(res *Result, z *Zoning, p Point) (*Gradient, error) {
+	omega := p.Omega
 	if res.Runaway {
 		return nil, fmt.Errorf("thermal: cannot differentiate a runaway operating point (ω=%g)", omega)
 	}
-	k := len(currents)
+	k := z.numZones
 	nc := len(res.ChipTemps)
 	tau := SmoothMaxTau(nc, DefaultSmoothBound)
 	g := &Gradient{
@@ -161,19 +150,13 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 		g.SmoothBound = tau * math.Log(float64(nc))
 	}
 
-	cur := func(cell int) float64 {
-		if zoneOf == nil {
-			return currents[0]
-		}
-		return currents[zoneOf[cell]]
-	}
-
 	sc := m.getScratch()
 	defer m.putScratch(sc)
 	// Re-assemble the exact system the steady state solved; only the
 	// matrix is needed (the adjoint RHS replaces b), but assembleInto
 	// refreshes both in one O(nnz) pass.
-	m.assembleInto(sc, omega, cur, true, nil)
+	sc.loadCurrents(z, p.Currents)
+	m.assembleInto(sc, omega, sc.cell, true, nil)
 
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws}
 	if ic, ok := m.slicePrecond(omega); ok {
@@ -191,7 +174,7 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 		if alpha == 0 {
 			continue
 		}
-		iz := cur(i)
+		iz := sc.cur[i]
 		adjRHS[m.node(planeTECHot, i)] += alpha * iz
 		adjRHS[m.node(planeTECCold, i)] -= alpha * iz
 	}
@@ -240,11 +223,8 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 		if alpha == 0 {
 			continue
 		}
-		zi := 0
-		if zoneOf != nil {
-			zi = zoneOf[i]
-		}
-		iz := currents[zi]
+		zi := z.zoneOf[i]
+		iz := sc.cur[i]
 		cold := m.node(planeTECCold, i)
 		mid := m.node(planeTECMid, i)
 		hot := m.node(planeTECHot, i)

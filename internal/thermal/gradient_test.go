@@ -109,7 +109,7 @@ func TestAdjointMatchesCentralDiffScalar(t *testing.T) {
 	}
 	for _, pt := range points {
 		t.Run(pt.name, func(t *testing.T) {
-			g, err := m.EvaluateGrad(pt.omega, pt.itec)
+			g, err := m.EvaluateGrad(nil, opPoint(pt.omega, pt.itec))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestAdjointMatchesCentralDiffZoned(t *testing.T) {
 			}
 			const omega = 220.0
 
-			g, err := m.EvaluateZonedGrad(omega, z, currents)
+			g, err := m.EvaluateGrad(z, Point{Omega: omega, Currents: currents})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestAdjointMatchesCentralDiffZoned(t *testing.T) {
 			}
 
 			eval := func(w float64, cur []float64) *Result {
-				res, err := m.EvaluateZoned(w, z, cur)
+				res, err := m.EvaluateWarm(z, Point{Omega: w, Currents: cur}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,11 +196,11 @@ func TestAdjointZonedSingleZoneMatchesScalar(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
 	z := testZoning(t, m, 1)
-	gz, err := m.EvaluateZonedGrad(210, z, []float64{0.9})
+	gz, err := m.EvaluateGrad(z, opPoint(210, 0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := m.EvaluateGrad(210, 0.9)
+	gs, err := m.EvaluateGrad(nil, opPoint(210, 0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestAdjointRunawayRejected(t *testing.T) {
 	m := benchModel(t, testConfig(), "Basicmath")
 	// Fanless, max current: the corner the equivalence suite pins as
 	// runaway.
-	if _, err := m.EvaluateGrad(0, m.Config().TEC.MaxCurrent); err == nil {
+	if _, err := m.EvaluateGrad(nil, opPoint(0, m.Config().TEC.MaxCurrent)); err == nil {
 		t.Fatal("EvaluateGrad on a runaway point returned a gradient")
 	}
 }

@@ -82,6 +82,10 @@ type Model struct {
 	tecR     []float64 // module electrical resistance, Ω
 	numTEC   int
 
+	// one is the paper's deployment as a zoning: every module in one
+	// series string. A nil *Zoning argument means this one.
+	one *Zoning
+
 	// Symbolic-assembly state, built once in NewModel: the sparsity
 	// pattern of every per-evaluation system is identical (the variable
 	// contributions — sink conductance, Taylor-leakage slope, Peltier
@@ -147,14 +151,21 @@ type evalScratch struct {
 	chipRHS []float64 // leak-free RHS at the chip nodes
 	tChip   []float64
 
-	// itec is the uniform TEC current the evaluation in flight is running
-	// at; uniform is a closure over it built once when the scratch is
-	// created. Handing sc.uniform to assembleInto instead of
-	// m.uniformCurrent(iTEC) keeps the hot evaluate path free of the
-	// per-call closure allocation (the scratch, and with it the closure,
-	// is pooled).
-	itec    float64
-	uniform func(int) float64
+	// cur is the per-cell TEC current of the evaluation in flight (see
+	// loadCurrents); cell is a closure over it built once when the scratch
+	// is created. Handing sc.cell to assembleInto instead of a per-call
+	// closure keeps the hot evaluate path free of the closure allocation
+	// (the scratch, and with it the closure, is pooled).
+	cur  []float64
+	cell func(int) float64
+}
+
+// loadCurrents writes the per-cell TEC current of an operating point
+// under zoning z into the scratch: cell i carries currents[z.zoneOf[i]].
+func (sc *evalScratch) loadCurrents(z *Zoning, currents []float64) {
+	for i, zone := range z.zoneOf {
+		sc.cur[i] = currents[zone]
+	}
 }
 
 // NewModel assembles the network for the given configuration and dynamic
@@ -176,6 +187,7 @@ func NewModel(cfg Config, dyn power.Map) (*Model, error) {
 	if err := m.buildTEC(); err != nil {
 		return nil, err
 	}
+	m.one = &Zoning{numZones: 1, zoneOf: make([]int, m.grids[planeChip].NumCells())}
 	if err := m.buildConduction(); err != nil {
 		return nil, err
 	}
@@ -560,6 +572,7 @@ func (m *Model) buildSymbolic() error {
 			warm:    make([]float64, m.n),
 			chipRHS: make([]float64, nc),
 			tChip:   make([]float64, nc),
+			cur:     make([]float64, nc),
 		}
 		mat, werr := pat.WithValues(sc.vals)
 		if werr != nil {
@@ -567,7 +580,7 @@ func (m *Model) buildSymbolic() error {
 			panic(werr)
 		}
 		sc.mat = mat
-		sc.uniform = func(int) float64 { return sc.itec }
+		sc.cell = func(i int) float64 { return sc.cur[i] }
 		return sc
 	}
 	return nil
@@ -721,8 +734,8 @@ func (m *Model) slicePrecond(omega float64) (*sparse.ICPreconditioner, bool) {
 	return m.factors.ICVersioned(sliceVer, func() (*sparse.ICPreconditioner, error) {
 		sc := m.getScratch()
 		defer m.putScratch(sc)
-		sc.itec = 0
-		m.assembleInto(sc, omega, sc.uniform, true, nil)
+		sparse.Fill(sc.cur, 0)
+		m.assembleInto(sc, omega, sc.cell, true, nil)
 		return sparse.NewICPreconditioner(sc.mat)
 	})
 }
@@ -821,50 +834,93 @@ func (m *Model) solve(mat *sparse.CSR, rhs, warm []float64) ([]float64, sparse.S
 // Result.Runaway with infinite temperature/power figures rather than as an
 // error, matching the paper's description of 𝒫 and 𝒯 tending to infinity.
 func (m *Model) Evaluate(omega, iTEC float64) (*Result, error) {
-	return m.EvaluateWarm(omega, iTEC, nil)
+	return m.EvaluateWarm(nil, Point{Omega: omega, Currents: []float64{iTEC}}, nil)
 }
 
-// EvaluateWarm is Evaluate with an optional warm-start temperature field of
-// length NumNodes — typically the solution at a neighboring operating
-// point; nil starts from a uniform ambient field. Sweeps and line searches
-// that walk the operating space hand the previous solution forward and cut
-// the CG iteration count substantially. The warm slice is read, never
-// written; it only steers the iterative solver, so a memoized result for
-// the exact operating point is returned without re-solving either way.
+// Point is one steady-state operating point: the actuator command and one
+// TEC driving current per control zone (length one under the paper's
+// deployment).
+type Point struct {
+	Omega    float64
+	Currents []float64
+}
+
+// EvaluateWarm computes the steady state at p under zoning z — nil is the
+// paper's deployment, every module in series on one current. The result's
+// ITEC field holds the largest zone current. warm is an optional
+// warm-start temperature field of length NumNodes — typically the solution
+// at a neighboring operating point; nil starts from a uniform ambient
+// field. Sweeps and line searches that walk the operating space hand the
+// previous solution forward and cut the CG iteration count substantially.
+// The warm slice is read, never written; it only steers the iterative
+// solver, so a memoized result for the exact operating point is returned
+// without re-solving either way.
+//
+// A one-zone point (nil or any k = 1 zoning) is versioned: its matrix
+// stamps the factor cache and its Result is memoized, so every zoning of
+// it returns the identical Result. k > 1 current patterns are neither.
 //
 //oftec:hotpath
-func (m *Model) EvaluateWarm(omega, iTEC float64, warm []float64) (*Result, error) {
-	if err := m.checkOperatingPoint(omega, iTEC); err != nil {
+func (m *Model) EvaluateWarm(z *Zoning, p Point, warm []float64) (*Result, error) {
+	z = m.zoningOr(z)
+	maxCur, err := m.checkPoint(z, p)
+	if err != nil {
 		return nil, err
 	}
 	if err := m.checkWarm(warm); err != nil {
 		return nil, err
 	}
-	ver := m.versionFor(verKey{omega: omega, itec: iTEC, linear: true})
+	ver := m.solutionVersion(z, p)
 	if res, ok := m.loadResult(ver); ok {
 		return res, nil
 	}
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sc.itec = iTEC
-	m.assembleInto(sc, omega, sc.uniform, true, nil)
+	sc.loadCurrents(z, p.Currents)
+	m.assembleInto(sc, p.Omega, sc.cell, true, nil)
 	sc.mat.SetVersion(ver)
 	if warm == nil {
 		sparse.Fill(sc.warm, m.cfg.Ambient)
 		warm = sc.warm
 	}
-	t, stats, err := m.solveScratch(sc, omega, warm)
-	res := (*Result)(nil)
-	if err != nil || !m.physical(t) {
-		res = m.runawayResult(omega, iTEC, stats)
-	} else {
-		res = m.buildResult(omega, iTEC, t, stats, true)
-		if res.MaxChipTemp > m.cfg.runawayTemp() {
-			res = m.runawayResult(omega, iTEC, stats)
-		}
-	}
+	t, stats, err := m.solveScratch(sc, p.Omega, warm)
+	res := m.linearResult(p.Omega, maxCur, sc.cell, t, stats, err)
 	m.storeResult(ver, res)
 	return res, nil
+}
+
+// zoningOr resolves a nil zoning to the model's one-zone zoning.
+func (m *Model) zoningOr(z *Zoning) *Zoning {
+	if z == nil {
+		return m.one
+	}
+	return z
+}
+
+// solutionVersion is the memo key of p's linearized solution: the matrix
+// version of a one-zone point, or 0 (never memoized, never factor-cached)
+// for a k > 1 current pattern, which the scalar version key cannot name —
+// a wrong reuse would be silent.
+func (m *Model) solutionVersion(z *Zoning, p Point) uint64 {
+	if z.numZones != 1 {
+		return 0
+	}
+	return m.versionFor(verKey{omega: p.Omega, itec: p.Currents[0], linear: true})
+}
+
+// linearResult is the result tail of every linearized solve: a failed or
+// non-physical solve, or a field past the runaway threshold, is runaway;
+// anything else materializes the Result. cur is the per-cell current the
+// system was assembled at and maxCur the largest of them.
+func (m *Model) linearResult(omega, maxCur float64, cur func(int) float64, t []float64, stats sparse.Stats, solveErr error) *Result {
+	if solveErr != nil || !m.physical(t) {
+		return m.runawayResult(omega, maxCur, stats)
+	}
+	res := m.buildResult(omega, maxCur, cur, t, stats, true)
+	if res.MaxChipTemp > m.cfg.runawayTemp() {
+		return m.runawayResult(omega, maxCur, stats)
+	}
+	return res
 }
 
 // EvaluateExact computes the steady state using the exact exponential
@@ -896,8 +952,8 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	// vanishes); the contraction is much faster, and each refresh touches
 	// only the n_chip RHS entries. Inner solves warm-start from the
 	// previous iterate.
-	sc.itec = iTEC
-	m.assembleInto(sc, omega, sc.uniform, true, nil)
+	sparse.Fill(sc.cur, iTEC)
+	m.assembleInto(sc, omega, sc.cell, true, nil)
 	sc.mat.SetVersion(m.versionFor(verKey{omega: omega, itec: iTEC, linear: true}))
 	nc := m.grids[planeChip].NumCells()
 	for i := 0; i < nc; i++ {
@@ -942,7 +998,7 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 			return res, nil
 		}
 		if maxDelta < 1e-4 {
-			res := m.buildResult(omega, iTEC, t, stats, false)
+			res := m.buildResult(omega, iTEC, sc.cell, t, stats, false)
 			res.OuterIterations = outer + 1
 			m.storeResult(solVer, res)
 			return res, nil
@@ -952,6 +1008,23 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	res := m.runawayResult(omega, iTEC, stats)
 	m.storeResult(solVer, res)
 	return res, nil
+}
+
+// checkPoint validates an operating point against zoning z and returns
+// its largest zone current.
+//
+//oftec:allocok cold validation path; error values are built only on caller misuse
+func (m *Model) checkPoint(z *Zoning, p Point) (maxCur float64, err error) {
+	if len(p.Currents) != z.numZones {
+		return 0, fmt.Errorf("thermal: %d currents for %d zones", len(p.Currents), z.numZones)
+	}
+	for _, c := range p.Currents {
+		if err := m.checkOperatingPoint(p.Omega, c); err != nil {
+			return 0, err
+		}
+		maxCur = math.Max(maxCur, c)
+	}
+	return maxCur, nil
 }
 
 //oftec:allocok cold validation path; error values are built only on caller misuse

@@ -101,10 +101,12 @@ func (m *Model) tecPowerFunc(t []float64, cur func(int) float64) float64 {
 	return p
 }
 
-// buildResult materializes the Result record for a converged solve.
+// buildResult materializes the Result record for a converged solve; cur is
+// the per-cell TEC current the system was assembled at and iTEC the
+// largest of them.
 //
 //oftec:allocok result materialization; runs once per miss, then memoized by version
-func (m *Model) buildResult(omega, iTEC float64, t []float64, stats sparse.Stats, linearLeak bool) *Result {
+func (m *Model) buildResult(omega, iTEC float64, cur func(int) float64, t []float64, stats sparse.Stats, linearLeak bool) *Result {
 	nc := m.grids[planeChip].NumCells()
 	res := &Result{
 		Omega:       omega,
@@ -129,7 +131,7 @@ func (m *Model) buildResult(omega, iTEC float64, t []float64, stats sparse.Stats
 			res.PLeakage += m.leakP0[i] * math.Exp(m.leakBeta*(ti-m.leakT0))
 		}
 	}
-	res.PTEC = m.tecPowerAt(t, iTEC)
+	res.PTEC = m.tecPowerFunc(t, cur)
 	return res
 }
 

@@ -251,7 +251,7 @@ func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*Redu
 	// speeds sit in the runaway wall (Figure 6's dark-red region); runaway
 	// snapshots carry no field and are skipped, and the smallest surviving
 	// ω becomes the ROM's floor.
-	var pts []BatchPoint
+	var pts []Point
 	for io := 0; io < opts.SnapshotOmegas; io++ {
 		omega := omegaMax * float64(io+1) / float64(opts.SnapshotOmegas)
 		for ic := 0; ic < opts.SnapshotCurrents; ic++ {
@@ -259,10 +259,10 @@ func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*Redu
 			if opts.SnapshotCurrents > 1 {
 				itec = iMax * float64(ic) / float64(opts.SnapshotCurrents-1)
 			}
-			pts = append(pts, BatchPoint{Omega: omega, ITEC: itec})
+			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
 		}
 	}
-	snapRes, err := m.EvaluateBatch(context.Background(), pts, nil)
+	snapRes, err := m.EvaluateBatch(context.Background(), nil, pts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: ROM snapshot sweep: %w", err)
 	}
@@ -408,16 +408,16 @@ func (r *ReducedModel) project() {
 // full reference solves go through the batched evaluator — one assembly
 // and factorization per validation ω.
 func (r *ReducedModel) calibrate(opts ROMOptions, omegaMax, iMax float64) error {
-	var pts []BatchPoint
+	var pts []Point
 	for io := 0; io < opts.ValidateOmegas; io++ {
 		// Midpoint offset relative to the snapshot ω grid.
 		omega := r.omegaFloor + (omegaMax-r.omegaFloor)*(float64(io)+0.5)/float64(opts.ValidateOmegas)
 		for ic := 0; ic < opts.ValidateCurrents; ic++ {
 			itec := iMax * (float64(ic) + 0.5) / float64(opts.ValidateCurrents)
-			pts = append(pts, BatchPoint{Omega: omega, ITEC: itec})
+			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
 		}
 	}
-	fulls, err := r.m.EvaluateBatch(context.Background(), pts, nil)
+	fulls, err := r.m.EvaluateBatch(context.Background(), nil, pts, nil)
 	if err != nil {
 		return fmt.Errorf("thermal: ROM validation sweep: %w", err)
 	}
@@ -427,7 +427,7 @@ func (r *ReducedModel) calibrate(opts ROMOptions, omegaMax, iMax float64) error 
 		if full.Runaway {
 			continue
 		}
-		t, resNorm, ok := r.reducedSolve(pts[k].Omega, pts[k].ITEC)
+		t, resNorm, ok := r.reducedSolve(pts[k].Omega, pts[k].Currents[0])
 		if !ok {
 			continue
 		}
@@ -582,7 +582,7 @@ func (r *ReducedModel) Evaluate(omega, itec float64) (*Result, bool, error) {
 		r.rejections.Add(1)
 		return nil, false, nil
 	}
-	res := r.m.buildResult(omega, itec, t, sparse.Stats{}, true)
+	res := r.m.buildResult(omega, itec, r.m.uniformCurrent(itec), t, sparse.Stats{}, true)
 	if res.MaxChipTemp > r.runawayT {
 		// Near or inside the runaway wall the linearized fixed point is
 		// meaningless; let the full model classify the point.

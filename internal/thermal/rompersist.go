@@ -247,12 +247,12 @@ func (r *ReducedModel) revalidate() error {
 	cfg := r.m.Config()
 	omegaMax := r.m.act.UMax()
 	iMax := cfg.TEC.MaxCurrent
-	probes := []BatchPoint{
-		{Omega: r.omegaFloor + 0.25*(omegaMax-r.omegaFloor), ITEC: 0.3 * iMax},
-		{Omega: r.omegaFloor + 0.75*(omegaMax-r.omegaFloor), ITEC: 0.7 * iMax},
-		{Omega: omegaMax, ITEC: 0},
+	probes := []Point{
+		{Omega: r.omegaFloor + 0.25*(omegaMax-r.omegaFloor), Currents: []float64{0.3 * iMax}},
+		{Omega: r.omegaFloor + 0.75*(omegaMax-r.omegaFloor), Currents: []float64{0.7 * iMax}},
+		{Omega: omegaMax, Currents: []float64{0}},
 	}
-	fulls, err := r.m.EvaluateBatch(context.Background(), probes, nil)
+	fulls, err := r.m.EvaluateBatch(context.Background(), nil, probes, nil)
 	if err != nil {
 		return err
 	}
@@ -261,7 +261,7 @@ func (r *ReducedModel) revalidate() error {
 		if full.Runaway {
 			continue
 		}
-		t, resNorm, ok := r.reducedSolve(probes[k].Omega, probes[k].ITEC)
+		t, resNorm, ok := r.reducedSolve(probes[k].Omega, probes[k].Currents[0])
 		if !ok || !r.m.physical(t) {
 			continue
 		}

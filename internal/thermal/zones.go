@@ -1,18 +1,14 @@
 package thermal
 
-import (
-	"fmt"
-	"math"
-
-	"oftec/internal/sparse"
-)
+import "fmt"
 
 // Zoning partitions the TEC deployment into independently driven control
 // zones — the natural generalization of the paper's single series string
 // (Section 6.1: "the deployed TECs are connected electrically in series
 // and driven by the same current value"). Splitting the string into a few
 // zones lets the controller concentrate current where the hot spots are;
-// the zoned experiment quantifies the extra savings.
+// the zoned experiment quantifies the extra savings. The paper's string is
+// the one-zone zoning, which every evaluation method takes as nil.
 type Zoning struct {
 	numZones int
 	// zoneOf maps each chip-grid cell to its zone (only meaningful for
@@ -105,64 +101,4 @@ func (m *Model) SpreadZoning(k int) (*Zoning, error) {
 		return nil, fmt.Errorf("thermal: only %d units own TEC-covered cells, cannot build %d zones", next, k)
 	}
 	return m.NewZoning(assign, k)
-}
-
-// EvaluateZoned computes the steady state with one driving current per
-// zone (linearized leakage, like Evaluate). The result's ITEC field holds
-// the maximum zone current; per-zone accounting is in the returned value's
-// PTEC as usual.
-func (m *Model) EvaluateZoned(omega float64, z *Zoning, currents []float64) (*Result, error) {
-	return m.EvaluateZonedWarm(omega, z, currents, nil)
-}
-
-// EvaluateZonedWarm is EvaluateZoned with a warm-start hint for the
-// iterative solver (same contract as EvaluateWarm: the hint steers the
-// solver, never the answer). A single-zone zoning drives every TEC with
-// one current, which is exactly the scalar operating point, so k=1 is
-// delegated to the versioned, memoized scalar path — the zoned and scalar
-// evaluations of the same point return the identical result.
-func (m *Model) EvaluateZonedWarm(omega float64, z *Zoning, currents []float64, warm []float64) (*Result, error) {
-	if z == nil {
-		return nil, fmt.Errorf("thermal: nil zoning")
-	}
-	if len(currents) != z.numZones {
-		return nil, fmt.Errorf("thermal: %d currents for %d zones", len(currents), z.numZones)
-	}
-	maxCur := 0.0
-	for zone, c := range currents {
-		if c < 0 || math.IsNaN(c) {
-			return nil, fmt.Errorf("thermal: zone %d current %g must be non-negative", zone, c)
-		}
-		maxCur = math.Max(maxCur, c)
-	}
-	if err := m.checkOperatingPoint(omega, maxCur); err != nil {
-		return nil, err
-	}
-	if z.numZones == 1 {
-		return m.EvaluateWarm(omega, currents[0], warm)
-	}
-
-	cur := func(cell int) float64 { return currents[z.zoneOf[cell]] }
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	// Zoned current patterns are left unversioned: the factor cache keys on
-	// scalar operating points only, and a wrong reuse would be silent.
-	m.assembleInto(sc, omega, cur, true, nil)
-	if len(warm) == m.n {
-		copy(sc.warm, warm)
-	} else {
-		sparse.Fill(sc.warm, m.cfg.Ambient)
-	}
-	t, stats, err := m.solveScratch(sc, omega, sc.warm)
-	if err != nil || !m.physical(t) {
-		return m.runawayResult(omega, maxCur, stats), nil
-	}
-	res := m.buildResult(omega, maxCur, t, stats, true)
-	// buildResult computed PTEC with the uniform maxCur; redo with the
-	// per-zone currents.
-	res.PTEC = m.tecPowerFunc(t, cur)
-	if res.MaxChipTemp > m.cfg.runawayTemp() {
-		return m.runawayResult(omega, maxCur, stats), nil
-	}
-	return res, nil
 }

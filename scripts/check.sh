@@ -1,10 +1,11 @@
 #!/bin/sh
 # check.sh — the full verification gate for this repository:
 #
-#   build → go vet → oftecvet (project static analysis) → concurrency
-#   tests with -race → batched-equivalence tests with -race → full tests
-#   with -race → oftecd smoke (live daemon, every endpoint, clean SIGTERM
-#   shutdown) → parallel-sweep bench smoke
+#   build → go vet → oftecvet (project static analysis) → named test
+#   gates with -race (concurrency, solver, adjoint, backend, batch,
+#   coolant) → every remaining test with -race → oftecd smoke (live
+#   daemon, every endpoint, clean SIGTERM shutdown) → parallel-sweep
+#   bench smoke
 #
 # Run from anywhere inside the module; exits nonzero on the first failure.
 set -eu
@@ -43,51 +44,74 @@ if [ "$vet_wall" -gt 60 ]; then
 fi
 echo "   oftecvet wall time: ${vet_wall}s (budget 60s)"
 
+# The named gates below run first, in fail-fast order, and each test runs
+# exactly once: every gate skips the tests an earlier gate already ran
+# (-skip with the earlier patterns), and the final ./... pass skips them
+# all. A gate's package list covers every package holding a test its
+# pattern selects first, so the final pass's -skip loses nothing.
+
 # The concurrency surface first and by name, so a race in the evaluation
 # cache or the fan-out engine fails fast and unambiguously even if the
 # test names around it change.
+conc='Concurrent|Singleflight|Eviction|Stress|ParallelMatchesSerial|ForEach'
 echo "== go test -race (evaluation-cache + fan-out concurrency)"
-go test -race -run 'Concurrent|Singleflight|Eviction|Stress|ParallelMatchesSerial|ForEach' \
+go test -race -run "$conc" \
 	./internal/core/... ./internal/experiments/... ./internal/solver/... ./internal/parallel/... \
-	./internal/serve/...
+	./internal/serve/... ./internal/evalcache/... ./internal/sparse/... ./internal/thermal/...
+done_pat=$conc
 
 # The solver robustness contract by name: Report conformance across all
 # methods, cancellation within one iteration, fault-injected fallback
 # degradation, and trace-hook safety — all under -race so the Workers>1
-# trace/cancel paths are exercised with the detector on.
+# trace/cancel paths are exercised with the detector on. The Trace and
+# Cancel patterns also select the workload-trace and cancellation tests
+# of the packages around the solver.
+solv='Conformance|Fallback|Cancel|Trace|Stop|FaultWrapper|EvalAccounting'
 echo "== go test -race (solver conformance + fallback fault injection)"
-go test -race -run 'Conformance|Fallback|Cancel|Trace|Stop|FaultWrapper|EvalAccounting|Gradient' \
-	./internal/solver/... ./internal/core/...
+go test -race -run "$solv" -skip "$done_pat" \
+	./internal/solver/... ./internal/core/... ./internal/backend/... ./internal/controller/... \
+	./internal/evalcache/... ./internal/experiments/... ./internal/power/... ./internal/thermal/... \
+	./internal/workload/...
+done_pat="$done_pat|$solv"
 
 # The adjoint-gradient gate by name: transpose solves reusing the cached
 # factorization, the adjoint-vs-central-difference agreement suite
 # (scalar and zoned), the smoothed-max bracket, the backend capability
-# chain, and the core gradient-mode runs — the contract that keeps
-# Options.Gradient's derivatives exact.
+# chain, the solver's analytic-gradient steering, and the core
+# gradient-mode runs — the contract that keeps Options.Gradient's
+# derivatives exact.
+adj='Adjoint|SmoothMax|Gradient|SolveTranspose|MulVecT'
 echo "== go test -race (adjoint gradients vs finite differences)"
-go test -race -run 'Adjoint|SmoothMax|Gradient|SolveTranspose|MulVecT' \
-	./internal/sparse/... ./internal/thermal/... ./internal/backend/... ./internal/core/...
+go test -race -run "$adj" -skip "$done_pat" \
+	./internal/sparse/... ./internal/thermal/... ./internal/backend/... ./internal/core/... \
+	./internal/solver/...
+done_pat="$done_pat|$adj"
 
 # The backend-conformance gate by name: the k=1 zoned/scalar agreement
 # contract through the backend layer, the registry and ROM fall-through
-# behavior, ROM fidelity against the advertised bound, the backendleak
-# seam analyzer, and mixed scalar/zoned traffic on one shared evalcache —
-# the set that keeps every backend interchangeable.
+# behavior, ROM fidelity against the advertised bound, ROM basis
+# persistence round-trips (in the model and through oftecd), the
+# backendleak seam analyzer, and mixed scalar/zoned traffic on one shared
+# evalcache — the set that keeps every backend interchangeable.
+back='SingleZoneMatchesScalarRun|Registry|FullScalarMatchesModel|ROM|MixedTraffic|BackendLeak|Binding|Quantized|Oversized|Waiter'
 echo "== go test -race (backend conformance)"
-go test -race \
-	-run 'SingleZoneMatchesScalarRun|Registry|FullScalarMatchesModel|ROM|MixedTraffic|BackendLeak|Binding|Quantized|Oversized|Waiter' \
-	./internal/core/... ./internal/backend/... ./internal/evalcache/... ./internal/thermal/... ./internal/lint/...
+go test -race -run "$back" -skip "$done_pat" \
+	./internal/core/... ./internal/backend/... ./internal/evalcache/... ./internal/thermal/... \
+	./internal/lint/... ./internal/serve/...
+done_pat="$done_pat|$back"
 
 # The batched-equivalence gate by name: blocked multi-RHS CG against the
 # scalar solver bitwise, EvaluateBatch against per-point DeepEqual
-# (scalar, zoned, mid-batch cancellation, dynamic-power flush spans),
-# the backend BatchEvaluator conformance contract, ROM basis persistence
-# round-trips, and the /statz counters — the set that keeps the batch
-# path interchangeable with the per-point path.
-echo "== go test -race (batched equivalence + basis persistence)"
-go test -race -run 'Batch|ROMPersist|Statz|DisableBatch|ROMCacheDir' \
-	./internal/sparse/... ./internal/thermal/... ./internal/backend/... \
-	./internal/core/... ./internal/serve/...
+# (scalar, zoned, mid-batch cancellation, dynamic-power flush spans), the
+# evalcache batch classification, the backend BatchEvaluator conformance
+# contract, the batched surface sweep, and the /statz counters — the set
+# that keeps the batch path interchangeable with the per-point path.
+batch='Batch|Statz'
+echo "== go test -race (batched equivalence)"
+go test -race -run "$batch" -skip "$done_pat" \
+	./internal/sparse/... ./internal/thermal/... ./internal/backend/... ./internal/core/... \
+	./internal/serve/... ./internal/evalcache/... ./internal/experiments/...
+done_pat="$done_pat|$batch"
 
 # The coolant-conformance gate by name: the actuator contract (air
 # bit-identical to the fan package, knee continuity/monotonicity,
@@ -96,14 +120,15 @@ go test -race -run 'Batch|ROMPersist|Statz|DisableBatch|ROMCacheDir' \
 # ROM-basis invalidation on actuator change, the liquid/package backend
 # registrations and the served coolant field, and the fanleak seam
 # analyzer — the set that keeps every actuator interchangeable.
+cool='Coolant|Liquid|AirSpec|AirBitIdentical|ActuatorChange|Knee|Saturated|TableTwoModes|ColdPlate|Facility|Package|SpecResolve|SpecJSON|FanLeak'
 echo "== go test -race (coolant-actuator conformance)"
-go test -race \
-	-run 'Coolant|Liquid|AirSpec|AirBitIdentical|ActuatorChange|Knee|Saturated|TableTwoModes|ColdPlate|Facility|Package|SpecResolve|SpecJSON|FanLeak' \
+go test -race -run "$cool" -skip "$done_pat" \
 	./internal/coolant/... ./internal/thermal/... ./internal/core/... \
 	./internal/backend/... ./internal/serve/... ./internal/lint/...
+done_pat="$done_pat|$cool"
 
-echo "== go test -race ./..."
-go test -race ./...
+echo "== go test -race ./... (every test the gates above did not run)"
+go test -race -skip "$done_pat" ./...
 
 # The oftecd smoke gate: a real daemon on an ephemeral port, one request
 # against every endpoint (including a streamed optimize), then SIGTERM —
@@ -137,10 +162,9 @@ curl -sf -X POST "http://$smokeaddr/v1/sweep" \
 	-d '{"n_omega":3,"n_i":3}' | jq -e '.points | length == 9' >/dev/null
 curl -sf -X POST "http://$smokeaddr/v1/pareto" \
 	-d '{"tmax_c":[90]}' | jq -e '.points[0].feasible == true' >/dev/null
-curl -sf "http://$smokeaddr/stats" | jq -e '.cache.misses > 0' >/dev/null
 # The sweep above went through the blocked multi-RHS path; /statz must
-# show the batch traffic.
-curl -sf "http://$smokeaddr/statz" | jq -e '.batch.enabled and .batch.batches > 0' >/dev/null
+# show the batch traffic next to the cache misses.
+curl -sf "http://$smokeaddr/statz" | jq -e '.cache.misses > 0 and .batch.batches > 0' >/dev/null
 kill -TERM "$smokepid"
 if ! wait "$smokepid"; then
 	echo "check.sh: oftecd did not exit cleanly on SIGTERM" >&2
