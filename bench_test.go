@@ -170,9 +170,9 @@ func checkSurfaceShape(b *testing.B, pts []experiments.SurfacePoint) {
 // BENCH_evaluate.json.
 //
 // On the measured ratio: the per-point path already shares the ω-slice
-// IC(0) factorization across a row (sparse.FactorCache), and the batch
-// contract replicates per-point CG bit-for-bit, which pins per-column
-// iteration counts to per-point counts. What batching buys is the
+// IC(0) factorization across a row (the model's preconditioner cache,
+// keyed by ω), and the batch contract replicates per-point CG
+// bit-for-bit, which pins per-column iteration counts to per-point counts. What batching buys is the
 // per-iteration pattern walk amortized over eight columns — worth ~2×
 // here, not an algorithmic-order win.
 func BenchmarkSurfaceGridBatched(b *testing.B) {
@@ -221,7 +221,7 @@ func BenchmarkROMColdStart(b *testing.B) {
 
 	b.Run("collected", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := thermal.NewReducedModel(m, thermal.ROMOptions{}); err != nil {
+			if _, err := thermal.NewReducedModel(m, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -229,12 +229,12 @@ func BenchmarkROMColdStart(b *testing.B) {
 	b.Run("persisted", func(b *testing.B) {
 		dir := b.TempDir()
 		// Warm the cache dir once; every timed iteration is a restart.
-		if _, err := thermal.NewReducedModel(m, thermal.ROMOptions{CacheDir: dir}); err != nil {
+		if _, err := thermal.NewReducedModel(m, dir); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := thermal.NewReducedModel(m, thermal.ROMOptions{CacheDir: dir}); err != nil {
+			if _, err := thermal.NewReducedModel(m, dir); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -121,31 +121,11 @@ func main() {
 	}
 
 	opts := core.Options{SkipOpt1: *opt2, VerifyExact: *exact}
-	switch *mode {
-	case "oftec":
-		opts.Mode = core.ModeHybrid
-	case "var":
-		opts.Mode = core.ModeVariableFan
-	case "fixed":
-		opts.Mode = core.ModeFixedFan
-	case "teconly":
-		opts.Mode = core.ModeTECOnly
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	if opts.Mode, err = core.ParseMode(*mode); err != nil {
+		log.Fatal(err)
 	}
-	switch *method {
-	case "sqp":
-		opts.Method = core.MethodSQP
-	case "interior":
-		opts.Method = core.MethodInteriorPoint
-	case "trust":
-		opts.Method = core.MethodTrustRegion
-	case "neldermead":
-		opts.Method = core.MethodNelderMead
-	case "hooke":
-		opts.Method = core.MethodHookeJeeves
-	default:
-		log.Fatalf("unknown method %q", *method)
+	if opts.Method, err = core.ParseMethod(*method); err != nil {
+		log.Fatal(err)
 	}
 	opts.Fallback = *fallback
 	opts.Gradient = *grad

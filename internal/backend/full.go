@@ -11,7 +11,7 @@ import (
 
 // Full is the exact backend: every evaluation is the sparse steady-state
 // solve of the complete thermal network (with the model's own
-// factorization cache and result memo underneath). It is the
+// preconditioner cache and result memo underneath). It is the
 // authoritative end of every fall-through chain.
 type Full struct {
 	fullEval
@@ -92,7 +92,7 @@ func (f *Full) Select(name string) (Evaluator, error) {
 		return f, nil
 	case "rom":
 		f.romOnce.Do(func() {
-			f.rom, f.romErr = NewROM(f, thermal.ROMOptions{CacheDir: ROMCacheDir()})
+			f.rom, f.romErr = NewROM(f, ROMCacheDir())
 		})
 		return f.rom, f.romErr
 	default:
@@ -108,10 +108,9 @@ func (*zonedFull) Name() string { return "full/zoned" }
 
 // fullEval is the exact evaluation of the complete network under zoning z
 // (nil is the paper's one-zone deployment) — the one implementation of
-// every evaluation verb that Full and its zoned evaluators share. A
-// one-zone point takes the versioned, memoized path inside the thermal
-// layer under any zoning, so k=1 zoned evaluation is bit-identical to
-// unzoned evaluation.
+// every evaluation verb that Full and its zoned evaluators share. The
+// thermal layer treats every one-zone zoning as the nil zoning, so k=1
+// zoned evaluation is bit-identical to unzoned evaluation.
 type fullEval struct {
 	m *thermal.Model
 	z *thermal.Zoning

@@ -76,6 +76,30 @@ func TestModeAndMethodStrings(t *testing.T) {
 	}
 }
 
+// TestParseModeAndMethod: every mode and method has exactly one spelling,
+// the parsers invert it, and an unknown or empty name fails listing the
+// accepted ones.
+func TestParseModeAndMethod(t *testing.T) {
+	for want, name := range modeNames {
+		if got, err := ParseMode(name); err != nil || got != Mode(want) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, Mode(want))
+		}
+	}
+	for want, name := range methodNames {
+		if got, err := ParseMethod(name); err != nil || got != Method(want) {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", name, got, err, Method(want))
+		}
+	}
+	for _, bad := range []string{"", "OFTEC", "nope"} {
+		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), "oftec, var, fixed, teconly") {
+			t.Errorf("ParseMode(%q): err = %v, want a rejection listing the modes", bad, err)
+		}
+		if _, err := ParseMethod(bad); err == nil || !strings.Contains(err.Error(), "sqp, interior, trust, neldermead, hooke") {
+			t.Errorf("ParseMethod(%q): err = %v, want a rejection listing the methods", bad, err)
+		}
+	}
+}
+
 func TestEvaluateCaching(t *testing.T) {
 	s := benchSystem(t, "CRC32")
 	r1, err := evalAt(s, 200, 1)

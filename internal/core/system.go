@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"oftec/internal/backend"
@@ -56,6 +57,28 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// modeNames spells each Mode the one way cmd/oftec's -mode flag and
+// oftecd's mode field accept it.
+var modeNames = [...]string{
+	ModeHybrid:      "oftec",
+	ModeVariableFan: "var",
+	ModeFixedFan:    "fixed",
+	ModeTECOnly:     "teconly",
+}
+
+// ParseMode returns the mode spelled s (see modeNames).
+func ParseMode(s string) (Mode, error) { return parseName[Mode]("mode", modeNames[:], s) }
+
+// parseName returns the enum value whose one spelling in names is s.
+func parseName[T ~int](kind string, names []string, s string) (T, error) {
+	for v, name := range names {
+		if s == name {
+			return T(v), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown %s %q (want %s)", kind, s, strings.Join(names, ", "))
 }
 
 // Method selects the nonlinear programming technique (Section 5.2).
@@ -110,23 +133,26 @@ func (m Method) run(p *solver.Problem, x0 []float64, opts solver.Options) (solve
 	}
 }
 
-// chainName is the short stage label used in fallback chains; it matches
-// the cmd/oftec -method spelling for the method.
+// methodNames spells each Method the one way cmd/oftec's -method flag
+// and oftecd's method field accept it; it also labels the method's stage
+// in fallback chains.
+var methodNames = [...]string{
+	MethodSQP:           "sqp",
+	MethodInteriorPoint: "interior",
+	MethodTrustRegion:   "trust",
+	MethodNelderMead:    "neldermead",
+	MethodHookeJeeves:   "hooke",
+}
+
+// ParseMethod returns the method spelled s (see methodNames).
+func ParseMethod(s string) (Method, error) { return parseName[Method]("method", methodNames[:], s) }
+
+// chainName is the method's stage label in fallback chains.
 func (m Method) chainName() string {
-	switch m {
-	case MethodSQP:
-		return "sqp"
-	case MethodInteriorPoint:
-		return "interior"
-	case MethodTrustRegion:
-		return "trust"
-	case MethodNelderMead:
-		return "neldermead"
-	case MethodHookeJeeves:
-		return "hooke"
-	default:
+	if m < 0 || int(m) >= len(methodNames) {
 		return fmt.Sprintf("method-%d", int(m))
 	}
+	return methodNames[m]
 }
 
 // fallbackChain builds the degradation ladder for a run with

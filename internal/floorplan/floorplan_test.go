@@ -30,9 +30,9 @@ func TestRectOverlap(t *testing.T) {
 		want float64
 	}{
 		{Rect{X: 1, Y: 1, W: 2, H: 2}, 1},
-		{Rect{X: 2, Y: 0, W: 1, H: 1}, 0},  // edge-adjacent
-		{Rect{X: 5, Y: 5, W: 1, H: 1}, 0},  // disjoint
-		{Rect{X: 0, Y: 0, W: 2, H: 2}, 4},  // identical
+		{Rect{X: 2, Y: 0, W: 1, H: 1}, 0},   // edge-adjacent
+		{Rect{X: 5, Y: 5, W: 1, H: 1}, 0},   // disjoint
+		{Rect{X: 0, Y: 0, W: 2, H: 2}, 4},   // identical
 		{Rect{X: -1, Y: -1, W: 4, H: 4}, 4}, // containing
 	}
 	for _, tc := range cases {

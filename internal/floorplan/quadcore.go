@@ -22,9 +22,9 @@ func QuadCore() *Floorplan {
 	}
 
 	// Shared L3: a cross through the die center (2 mm arms).
-	const core = 10.0 // each core tile is 10×10 mm
-	add("L3_v", core, 0, die-2*core, die)           // vertical bar, 2 mm wide
-	add("L3_h_left", 0, core, core, die-2*core)     // left horizontal arm
+	const core = 10.0                                   // each core tile is 10×10 mm
+	add("L3_v", core, 0, die-2*core, die)               // vertical bar, 2 mm wide
+	add("L3_h_left", 0, core, core, die-2*core)         // left horizontal arm
 	add("L3_h_right", die-core, core, core, die-2*core) // right horizontal arm
 
 	// Four core tiles in the corners; each is a compact EV6-like layout.

@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"oftec/internal/coolant"
-	"oftec/internal/core"
 	"oftec/internal/thermal"
 	"oftec/internal/units"
 	"oftec/internal/workload"
@@ -298,38 +297,4 @@ type ReqStats struct {
 // errorBody is the uniform error payload.
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-// parseMode mirrors cmd/oftec's -mode spellings.
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "", "oftec":
-		return core.ModeHybrid, nil
-	case "var":
-		return core.ModeVariableFan, nil
-	case "fixed":
-		return core.ModeFixedFan, nil
-	case "teconly":
-		return core.ModeTECOnly, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown mode %q (want oftec, var, fixed, teconly)", s)
-	}
-}
-
-// parseMethod mirrors cmd/oftec's -method spellings.
-func parseMethod(s string) (core.Method, error) {
-	switch s {
-	case "", "sqp":
-		return core.MethodSQP, nil
-	case "interior":
-		return core.MethodInteriorPoint, nil
-	case "trust":
-		return core.MethodTrustRegion, nil
-	case "neldermead":
-		return core.MethodNelderMead, nil
-	case "hooke":
-		return core.MethodHookeJeeves, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown method %q (want sqp, interior, trust, neldermead, hooke)", s)
-	}
 }

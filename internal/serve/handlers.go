@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -104,11 +105,12 @@ func solveStatus(ctx context.Context) int {
 
 // optimizeOptions translates the wire request into core.Options.
 func optimizeOptions(ctx context.Context, req OptimizeRequest) (core.Options, error) {
-	mode, err := parseMode(req.Mode)
+	// An omitted mode or method selects OFTEC with SQP.
+	mode, err := core.ParseMode(cmp.Or(req.Mode, "oftec"))
 	if err != nil {
 		return core.Options{}, err
 	}
-	method, err := parseMethod(req.Method)
+	method, err := core.ParseMethod(cmp.Or(req.Method, "sqp"))
 	if err != nil {
 		return core.Options{}, err
 	}
@@ -280,7 +282,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	method, err := parseMethod(req.Method)
+	method, err := core.ParseMethod(cmp.Or(req.Method, "sqp"))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

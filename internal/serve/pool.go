@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,10 +13,8 @@ import (
 )
 
 // pool is the model pool: one entry per distinct chip configuration,
-// keyed by a hash of the canonical (benchmark, backend, config) rendering
-// with the full canonical string kept alongside for collision checking —
-// the same discipline the evaluation cache applies to wide operating
-// points. Each entry builds its thermal model exactly once, no matter how
+// keyed by the canonical (benchmark, backend, config) rendering. Each
+// entry builds its thermal model exactly once, no matter how
 // many requests race on a cold chip: the winners of the map insertion all
 // funnel through one sync.Once, so the expensive assembly (RC network +
 // ROM basis) is singleflighted and every request shares the resulting
@@ -25,15 +22,14 @@ import (
 // shared evalcache.
 type pool struct {
 	mu      sync.Mutex
-	entries map[uint64][]*poolEntry // hash → collision bucket
+	entries map[string]*poolEntry // canonical chip → entry
 	builds  atomic.Int64
 	max     int
 }
 
-// poolEntry is one resident chip: the canonical identity, the
-// once-guarded build, and the memoized zonings resolved against it.
+// poolEntry is one resident chip: its spec, the once-guarded build, and
+// the memoized zonings resolved against it.
 type poolEntry struct {
-	canon   string
 	spec    ChipSpec
 	cfg     thermal.Config
 	once    sync.Once
@@ -47,7 +43,7 @@ func newPool(maxModels int) *pool {
 	if maxModels <= 0 {
 		maxModels = 64
 	}
-	return &pool{entries: map[uint64][]*poolEntry{}, max: maxModels}
+	return &pool{entries: map[string]*poolEntry{}, max: maxModels}
 }
 
 // canonChip renders the spec's full identity: workload, backend, and the
@@ -61,13 +57,6 @@ func canonChip(spec ChipSpec, cfg thermal.Config, benchName, backendName string)
 		return "", err
 	}
 	return b.String(), nil
-}
-
-func hashCanon(canon string) uint64 {
-	h := fnv.New64a()
-	//lint:ignore errdrop fnv's Write is documented to never fail
-	h.Write([]byte(canon))
-	return h.Sum64()
 }
 
 // lookup returns the pool entry for the spec, creating a cold (unbuilt)
@@ -90,24 +79,17 @@ func (p *pool) lookup(spec ChipSpec) (*poolEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := hashCanon(canon)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, e := range p.entries[h] {
-		if e.canon == canon {
-			return e, nil
-		}
+	if e, ok := p.entries[canon]; ok {
+		return e, nil
 	}
-	n := 0
-	for _, bucket := range p.entries {
-		n += len(bucket)
-	}
-	if n >= p.max {
+	if len(p.entries) >= p.max {
 		return nil, errPoolFull
 	}
-	e := &poolEntry{canon: canon, spec: spec, cfg: cfg, zonings: map[string]*thermal.Zoning{}}
-	p.entries[h] = append(p.entries[h], e)
+	e := &poolEntry{spec: spec, cfg: cfg, zonings: map[string]*thermal.Zoning{}}
+	p.entries[canon] = e
 	return e, nil
 }
 
@@ -115,11 +97,7 @@ func (p *pool) lookup(spec ChipSpec) (*poolEntry, error) {
 func (p *pool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, bucket := range p.entries {
-		n += len(bucket)
-	}
-	return n
+	return len(p.entries)
 }
 
 var errPoolFull = fmt.Errorf("serve: model pool full")

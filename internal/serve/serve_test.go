@@ -441,9 +441,16 @@ func TestBadRequests(t *testing.T) {
 		{"empty zoning", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1}, Zoning: &ZoneSpec{}}},
 		{"unknown mode", "/v1/optimize", OptimizeRequest{Mode: "nope"}},
 		{"unknown method", "/v1/optimize", OptimizeRequest{Method: "nope"}},
+		{"unknown pareto method", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, Method: "nope"}},
 		{"tiny grid", "/v1/sweep", SweepRequest{NOmega: 1, NI: 1}},
 		{"empty pareto", "/v1/pareto", ParetoRequest{}},
 		{"unknown field", "/v1/evaluate", map[string]any{"omega_rpm": 2000, "bogus": true}},
+	}
+	// An unknown name is answered with the accepted ones.
+	lists := map[string]string{
+		"unknown mode":          "oftec, var, fixed, teconly",
+		"unknown method":        "sqp, interior, trust, neldermead, hooke",
+		"unknown pareto method": "sqp, interior, trust, neldermead, hooke",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -454,6 +461,9 @@ func TestBadRequests(t *testing.T) {
 			var eb errorBody
 			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 				t.Errorf("400 without an error body: %q", rec.Body.String())
+			}
+			if !strings.Contains(eb.Error, lists[tc.name]) {
+				t.Errorf("error %q does not list %q", eb.Error, lists[tc.name])
 			}
 		})
 	}

@@ -668,41 +668,3 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 	}
 	return out, stats, ok, nil
 }
-
-// SolveBatch solves A·x_j = B[j] for every column against one shared
-// matrix and one IC(0) factorization, in lockstep. It is the multi-RHS
-// convenience over CGPrecondBatch for callers whose systems share every
-// coefficient (no per-column overrides); opts.X0 (when set) seeds every
-// column. ok[j] = false marks a column the lockstep solve could not
-// finish — re-solve it with CGPrecond (the failure reproduces).
-func SolveBatch(a *CSR, B [][]float64, m *ICPreconditioner, opts SolveOptions, ws *BatchWorkspace) ([][]float64, []Stats, []bool, error) {
-	w := len(B)
-	if w == 0 {
-		return nil, nil, nil, nil
-	}
-	n := a.N()
-	for j, col := range B {
-		if len(col) != n {
-			return nil, nil, nil, fmt.Errorf("sparse: batch rhs column %d has length %d, want %d", j, len(col), n)
-		}
-	}
-	b := make([]float64, n*w)
-	for j, col := range B {
-		for i, v := range col {
-			b[i*w+j] = v
-		}
-	}
-	var x0 []float64
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, nil, fmt.Errorf("sparse: batch start has length %d, want %d", len(opts.X0), n)
-		}
-		x0 = make([]float64, n*w)
-		for i, v := range opts.X0 {
-			for j := 0; j < w; j++ {
-				x0[i*w+j] = v
-			}
-		}
-	}
-	return CGPrecondBatch(a, nil, b, x0, m, w, opts, ws)
-}

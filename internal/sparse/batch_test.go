@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -249,47 +248,6 @@ func TestCGPrecondBatchBreakdown(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMatchesCGPrecond covers the shared-matrix multi-RHS
-// convenience (no overrides, column-major [][]float64 interface).
-func TestSolveBatchMatchesCGPrecond(t *testing.T) {
-	base := laplacian2D(9, 1.4)
-	n := base.N()
-	ic, err := NewICPreconditioner(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	B := make([][]float64, 6)
-	for j := range B {
-		B[j] = make([]float64, n)
-		for i := range B[j] {
-			B[j][i] = math.Sin(float64(i*(j+1)) * 0.17)
-		}
-	}
-	x0 := make([]float64, n)
-	for i := range x0 {
-		x0[i] = 0.5
-	}
-	got, stats, ok, err := SolveBatch(base, B, ic, SolveOptions{X0: x0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range B {
-		if !ok[j] {
-			t.Fatalf("column %d failed", j)
-		}
-		want, wantStats, err := CGPrecond(base, B[j], ic, SolveOptions{X0: x0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[j], want) || stats[j] != wantStats {
-			t.Errorf("column %d mismatch vs solo", j)
-		}
-	}
-	if out, _, _, err := SolveBatch(base, nil, ic, SolveOptions{}, nil); err != nil || out != nil {
-		t.Errorf("empty batch: out=%v err=%v", out, err)
-	}
-}
-
 func TestCGPrecondBatchValidation(t *testing.T) {
 	base := laplacian2D(4, 1.0)
 	n := base.N()
@@ -337,52 +295,10 @@ func TestCGPrecondBatchValidation(t *testing.T) {
 			_, _, _, err := CGPrecondBatch(base, ovs, good, nil, ic, 2, SolveOptions{}, nil)
 			return err
 		}},
-		{"ragged solve-batch rhs", func() error {
-			_, _, _, err := SolveBatch(base, [][]float64{make([]float64, n-1)}, ic, SolveOptions{}, nil)
-			return err
-		}},
-		{"solve-batch start length", func() error {
-			_, _, _, err := SolveBatch(base, [][]float64{make([]float64, n)}, ic, SolveOptions{X0: make([]float64, 2)}, nil)
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		if tc.run() == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-	}
-}
-
-// TestICVersioned: hits skip the builder entirely, misses build outside
-// the lock, failures are cached, version 0 always rebuilds.
-func TestICVersioned(t *testing.T) {
-	c := NewFactorCache(4)
-	a := laplacian2D(5, 1.2)
-	builds := 0
-	build := func() (*ICPreconditioner, error) {
-		builds++
-		return NewICPreconditioner(a)
-	}
-	ic1, ok := c.ICVersioned(7, build)
-	if !ok || ic1 == nil || builds != 1 {
-		t.Fatalf("miss: ok=%v builds=%d", ok, builds)
-	}
-	ic2, ok := c.ICVersioned(7, build)
-	if !ok || ic2 != ic1 || builds != 1 {
-		t.Fatalf("hit rebuilt: builds=%d same=%v", builds, ic2 == ic1)
-	}
-	if _, ok := c.ICVersioned(0, build); !ok || builds != 2 {
-		t.Fatalf("version 0 must build fresh: builds=%d", builds)
-	}
-	fails := 0
-	failing := func() (*ICPreconditioner, error) {
-		fails++
-		return nil, errors.New("not SPD")
-	}
-	if _, ok := c.ICVersioned(9, failing); ok {
-		t.Fatal("failure reported ok")
-	}
-	if _, ok := c.ICVersioned(9, failing); ok || fails != 1 {
-		t.Fatalf("failure not cached: fails=%d", fails)
 	}
 }

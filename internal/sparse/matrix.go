@@ -1,8 +1,8 @@
 // Package sparse implements the sparse linear algebra needed by the thermal
 // simulator: compressed sparse row (CSR) matrices assembled from coordinate
-// triplets, iterative Krylov solvers (CG, BiCGSTAB), stationary solvers
-// (Gauss-Seidel / SOR), and a dense LU fallback for small systems and for
-// cross-checking the iterative methods in tests.
+// triplets, iterative Krylov solvers (CG, BiCGSTAB), and a dense LU
+// fallback for small systems and for cross-checking the iterative methods
+// in tests.
 //
 // The thermal system matrix is a conduction Laplacian plus diagonal shifts
 // contributed by linear-in-temperature heat sources (Peltier terms and the
@@ -146,9 +146,6 @@ type CSR struct {
 	// sym caches the symmetry of the matrix: 0 unknown, +1 symmetric,
 	// -1 asymmetric. Stamped by MarkSymmetric; read by SymmetricHint.
 	sym int8
-	// version is an opaque value-version used to key factorization caches
-	// (see FactorCache); 0 means unversioned.
-	version uint64
 }
 
 // N returns the matrix dimension.
@@ -264,20 +261,10 @@ func (m *CSR) SymmetricHint(tol float64) bool {
 	return m.IsSymmetric(tol)
 }
 
-// SetVersion stamps an opaque value-version on the matrix. Callers that
-// rewrite a shared-pattern value array between solves assign a version
-// that identifies the value content (e.g. derived from the operating
-// point), letting FactorCache reuse factorizations across matrices with
-// identical values. Version 0 means unversioned: never cached.
-func (m *CSR) SetVersion(v uint64) { m.version = v }
-
-// Version returns the stamped value-version (0 when unversioned).
-func (m *CSR) Version() uint64 { return m.version }
-
 // WithValues returns a matrix sharing the receiver's sparsity pattern
 // with the given value array, which the caller owns and may rewrite
-// between solves. len(values) must equal NNZ(). Symmetry and version
-// stamps are not inherited; the caller re-stamps after each refresh.
+// between solves. len(values) must equal NNZ(). The symmetry stamp is not
+// inherited; the caller re-stamps after each refresh.
 func (m *CSR) WithValues(values []float64) (*CSR, error) {
 	if len(values) != len(m.values) {
 		return nil, fmt.Errorf("sparse: value array length %d does not match nnz %d", len(values), len(m.values))
@@ -320,38 +307,6 @@ func (m *CSR) DiagIndices() ([]int32, error) {
 	return idx, nil
 }
 
-// WithAddedDiagonal returns a copy of the matrix with d[i] added to each
-// diagonal entry. Every row must already store a diagonal entry (true for
-// the assembled thermal systems); the sparsity pattern is shared with the
-// receiver, making this O(nnz) with no re-sorting — the fast path for
-// backward-Euler steps that add C/Δt to a fixed conduction matrix.
-func (m *CSR) WithAddedDiagonal(d []float64) (*CSR, error) {
-	if len(d) != m.n {
-		return nil, fmt.Errorf("sparse: diagonal length %d does not match dimension %d", len(d), m.n)
-	}
-	out := &CSR{
-		n:      m.n,
-		rowPtr: m.rowPtr,
-		colIdx: m.colIdx,
-		values: append([]float64(nil), m.values...),
-	}
-	for i := 0; i < m.n; i++ {
-		lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
-		found := false
-		for k := lo; k < hi; k++ {
-			if int(m.colIdx[k]) == i {
-				out.values[k] += d[i]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sparse: row %d has no stored diagonal entry", i)
-		}
-	}
-	return out, nil
-}
-
 // Dense expands the matrix into a row-major dense form; intended for tests
 // and for the dense LU fallback on small systems.
 func (m *CSR) Dense() [][]float64 {
@@ -372,6 +327,7 @@ func (m *CSR) Dense() [][]float64 {
 // Vector helpers.
 
 // Dot returns the inner product of a and b.
+//
 //oftec:hotpath
 func Dot(a, b []float64) float64 {
 	var s float64
@@ -382,6 +338,7 @@ func Dot(a, b []float64) float64 {
 }
 
 // Norm2 returns the Euclidean norm of v.
+//
 //oftec:hotpath
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
@@ -397,6 +354,7 @@ func NormInf(v []float64) float64 {
 }
 
 // AXPY computes y += alpha*x in place.
+//
 //oftec:hotpath
 func AXPY(alpha float64, x, y []float64) {
 	for i := range y {
@@ -404,10 +362,8 @@ func AXPY(alpha float64, x, y []float64) {
 	}
 }
 
-// Copy copies src into dst.
-func Copy(dst, src []float64) { copy(dst, src) }
-
 // Fill sets every element of v to x.
+//
 //oftec:hotpath
 func Fill(v []float64, x float64) {
 	for i := range v {

@@ -190,36 +190,3 @@ func TestVectorHelpers(t *testing.T) {
 		t.Errorf("Fill: y = %v, want all 9", y)
 	}
 }
-
-func TestWithAddedDiagonal(t *testing.T) {
-	m := buildFromDense(t, [][]float64{{2, -1, 0}, {-1, 2, -1}, {0, -1, 2}})
-	d := []float64{10, 20, 30}
-	out, err := m.WithAddedDiagonal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if got := out.At(i, i); got != 2+d[i] {
-			t.Errorf("diag %d = %g, want %g", i, got, 2+d[i])
-		}
-	}
-	// Receiver unchanged, off-diagonals shared and intact.
-	if m.At(0, 0) != 2 || out.At(0, 1) != -1 {
-		t.Error("WithAddedDiagonal disturbed the original or the off-diagonals")
-	}
-	if _, err := m.WithAddedDiagonal([]float64{1}); err == nil {
-		t.Error("mismatched diagonal length accepted")
-	}
-	// A row without a stored diagonal must be rejected.
-	b := NewBuilder(2)
-	b.Add(0, 1, 1)
-	b.Add(1, 0, 1)
-	b.AddDiag(1, 5)
-	noDiag, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := noDiag.WithAddedDiagonal([]float64{1, 1}); err == nil {
-		t.Error("missing diagonal accepted")
-	}
-}

@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Preconditioner approximates the inverse of a matrix: Apply computes
@@ -11,32 +10,6 @@ import (
 // slices of equal length.
 type Preconditioner interface {
 	Apply(dst, r []float64)
-}
-
-// JacobiPreconditioner is diagonal scaling, the default inside CG and
-// BiCGSTAB.
-type JacobiPreconditioner struct {
-	invDiag []float64
-}
-
-// NewJacobiPreconditioner builds the diagonal preconditioner; it fails on
-// zero diagonal entries.
-func NewJacobiPreconditioner(a *CSR) (*JacobiPreconditioner, error) {
-	d := a.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("sparse: zero diagonal at row %d", i)
-		}
-		d[i] = 1 / v
-	}
-	return &JacobiPreconditioner{invDiag: d}, nil
-}
-
-// Apply implements Preconditioner.
-func (p *JacobiPreconditioner) Apply(dst, r []float64) {
-	for i := range dst {
-		dst[i] = p.invDiag[i] * r[i]
-	}
 }
 
 // ICPreconditioner is a zero-fill incomplete Cholesky factorization
@@ -217,116 +190,6 @@ func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
 		}
 		dst[i] = s / p.ltValues[lo]
 	}
-}
-
-// FactorCache memoizes IC(0) factorizations keyed on the matrix
-// value-version (CSR.SetVersion). Assembly paths that rewrite a shared
-// sparsity pattern stamp each refresh with a version identifying the
-// value content; solves at a repeated version then reuse the
-// factorization instead of re-running the O(nnz) numeric factorization.
-// Matrices with version 0 (unversioned) are factorized fresh and never
-// cached. The cache is safe for concurrent use; cached preconditioners
-// must be applied via ApplyScratch (CGPrecond does this automatically).
-type FactorCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[uint64]factorEntry
-}
-
-// factorEntry records the outcome of one factorization; ic is nil when
-// the matrix was not SPD enough, so the failure is cached too and the
-// caller's fallback path does not retry the factorization every solve.
-type factorEntry struct {
-	ic *ICPreconditioner
-}
-
-// NewFactorCache returns a cache bounded to the given number of entries
-// (≤ 0 selects the default of 64). On overflow the cache is cleared
-// wholesale: factorizations rebuild in one pass, and the working set of
-// an optimization run is far below the bound.
-func NewFactorCache(capacity int) *FactorCache {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &FactorCache{capacity: capacity, entries: make(map[uint64]factorEntry)}
-}
-
-// IC returns the IC(0) preconditioner for a, factorizing on a version
-// miss. The second return is false when the factorization failed (matrix
-// not SPD enough) — callers then fall back exactly as they would on a
-// fresh NewICPreconditioner error.
-//
-//oftec:allocok amortized O(nnz) factorization on a version miss; hits are lookup-only
-func (c *FactorCache) IC(a *CSR) (*ICPreconditioner, bool) {
-	v := a.Version()
-	if v == 0 {
-		ic, err := NewICPreconditioner(a)
-		return ic, err == nil
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[v]; ok {
-		c.mu.Unlock()
-		return e.ic, e.ic != nil
-	}
-	c.mu.Unlock()
-
-	// Factorize outside the lock so concurrent misses on different
-	// versions proceed in parallel; duplicated work on the same version
-	// is possible but harmless (last store wins, results are identical).
-	ic, err := NewICPreconditioner(a)
-	if err != nil {
-		ic = nil
-	}
-	c.mu.Lock()
-	if len(c.entries) >= c.capacity {
-		c.entries = make(map[uint64]factorEntry)
-	}
-	c.entries[v] = factorEntry{ic: ic}
-	c.mu.Unlock()
-	return ic, ic != nil
-}
-
-// ICVersioned returns the cached IC(0) preconditioner for value-version
-// v, invoking build on a miss. Unlike IC it does not need the matrix in
-// hand on a hit: callers whose matrices live in pooled scratch can defer
-// assembly (and keep the scratch alive) inside build, which both
-// constructs the canonical matrix and factorizes it. v == 0 builds
-// uncached; a build error is cached as a failure like IC does.
-//
-//oftec:allocok amortized O(nnz) factorization on a version miss; hits are lookup-only
-func (c *FactorCache) ICVersioned(v uint64, build func() (*ICPreconditioner, error)) (*ICPreconditioner, bool) {
-	if v == 0 {
-		ic, err := build()
-		return ic, err == nil && ic != nil
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[v]; ok {
-		c.mu.Unlock()
-		return e.ic, e.ic != nil
-	}
-	c.mu.Unlock()
-
-	// Build outside the lock, same rationale as IC: concurrent misses on
-	// different versions proceed in parallel, duplicated work on one
-	// version is harmless.
-	ic, err := build()
-	if err != nil {
-		ic = nil
-	}
-	c.mu.Lock()
-	if len(c.entries) >= c.capacity {
-		c.entries = make(map[uint64]factorEntry)
-	}
-	c.entries[v] = factorEntry{ic: ic}
-	c.mu.Unlock()
-	return ic, ic != nil
-}
-
-// Len reports the number of cached factorizations (test instrumentation).
-func (c *FactorCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // CGPrecond solves A·x = b with the conjugate gradient method under an

@@ -39,34 +39,6 @@ func laplacian2D(n int, g float64) *CSR {
 	return m
 }
 
-func TestJacobiPreconditioner(t *testing.T) {
-	a := laplacian1D(10, 2)
-	p, err := NewJacobiPreconditioner(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, 10)
-	dst := make([]float64, 10)
-	for i := range r {
-		r[i] = float64(i + 1)
-	}
-	p.Apply(dst, r)
-	for i := range dst {
-		want := r[i] / a.At(i, i)
-		if math.Abs(dst[i]-want) > 1e-14 {
-			t.Errorf("dst[%d] = %g, want %g", i, dst[i], want)
-		}
-	}
-	// Zero diagonal must be rejected.
-	b := NewBuilder(2)
-	b.Add(0, 1, 1)
-	b.Add(1, 0, 1)
-	bad, _ := b.Build()
-	if _, err := NewJacobiPreconditioner(bad); err == nil {
-		t.Error("zero diagonal accepted")
-	}
-}
-
 func TestICFactorizationExactOnTridiagonal(t *testing.T) {
 	// IC(0) on a tridiagonal SPD matrix has no fill-in, so L·Lᵀ must
 	// reproduce A exactly; the preconditioner is then an exact solver.
@@ -154,15 +126,15 @@ func TestCGPrecondValidation(t *testing.T) {
 	if _, _, err := CGPrecond(a, make([]float64, 3), nil, SolveOptions{}); err == nil {
 		t.Error("nil preconditioner / bad rhs accepted")
 	}
-	jac, err := NewJacobiPreconditioner(a)
+	ic, err := NewICPreconditioner(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := CGPrecond(a, make([]float64, 3), jac, SolveOptions{}); err == nil {
+	if _, _, err := CGPrecond(a, make([]float64, 3), ic, SolveOptions{}); err == nil {
 		t.Error("mismatched rhs accepted")
 	}
 	// Zero rhs short-circuits.
-	x, st, err := CGPrecond(a, make([]float64, 4), jac, SolveOptions{})
+	x, st, err := CGPrecond(a, make([]float64, 4), ic, SolveOptions{})
 	if err != nil || NormInf(x) != 0 || st.Iterations != 0 {
 		t.Errorf("zero rhs: x=%v st=%+v err=%v", x, st, err)
 	}

@@ -2,8 +2,6 @@ package sparse
 
 import (
 	"math"
-	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -195,106 +193,4 @@ func TestWorkspaceReuse(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestFactorCache: version hits must reuse the factorization object,
-// version 0 must bypass the cache, failures must be cached, and the
-// bound must clear on overflow.
-func TestFactorCache(t *testing.T) {
-	c := NewFactorCache(4)
-	a := laplacian1D(20, 1)
-	a.SetVersion(7)
-	ic1, ok := c.IC(a)
-	if !ok || ic1 == nil {
-		t.Fatal("SPD factorization failed")
-	}
-	ic2, ok := c.IC(a)
-	if !ok || ic2 != ic1 {
-		t.Error("version hit did not reuse the cached factorization")
-	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
-	}
-
-	a.SetVersion(0)
-	ic3, ok := c.IC(a)
-	if !ok || ic3 == ic1 {
-		t.Error("version 0 must factorize fresh")
-	}
-	if c.Len() != 1 {
-		t.Errorf("version 0 was cached: %d entries", c.Len())
-	}
-
-	// Indefinite matrix: the failure itself is cached.
-	b := NewBuilder(2)
-	b.AddDiag(0, -1)
-	b.AddDiag(1, -1)
-	bad, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.SetVersion(9)
-	if _, ok := c.IC(bad); ok {
-		t.Error("indefinite matrix factorized")
-	}
-	if _, ok := c.IC(bad); ok {
-		t.Error("cached failure reported success")
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2", c.Len())
-	}
-
-	// Overflow clears.
-	for v := uint64(10); v < 16; v++ {
-		a.SetVersion(v)
-		c.IC(a)
-	}
-	if c.Len() > 4 {
-		t.Errorf("cache exceeded its bound: %d entries", c.Len())
-	}
-}
-
-// TestFactorCacheConcurrent hammers one cache from many goroutines across
-// a few versions; run under -race this pins the locking discipline, and
-// the ApplyScratch path keeps shared factors safe inside CGPrecond.
-func TestFactorCacheConcurrent(t *testing.T) {
-	c := NewFactorCache(0)
-	mats := make([]*CSR, 4)
-	for i := range mats {
-		mats[i] = laplacian1D(30, float64(i+1))
-		mats[i].SetVersion(uint64(i + 1))
-		mats[i].MarkSymmetric(true)
-	}
-	rhs := make([]float64, 30)
-	for i := range rhs {
-		rhs[i] = float64(i%5) + 1
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			ws := &Workspace{}
-			for k := 0; k < 50; k++ {
-				m := mats[rng.Intn(len(mats))]
-				ic, ok := c.IC(m)
-				if !ok {
-					t.Error("factorization failed")
-					return
-				}
-				x, _, err := CGPrecond(m, rhs, ic, SolveOptions{Work: ws})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				r := make([]float64, len(rhs))
-				if m.Residual(r, x, rhs); Norm2(r)/Norm2(rhs) > 1e-8 {
-					t.Error("concurrent solve inaccurate")
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
 }

@@ -25,7 +25,7 @@ type SolveOptions struct {
 	X0 []float64
 	// Precond optionally supplies a preconditioner for SolveAuto's
 	// symmetric path, bypassing the per-solve IC(0) factorization —
-	// the hook for factorization caching (see FactorCache).
+	// the hook for callers that cache factorizations.
 	Precond Preconditioner
 	// Work optionally supplies reusable solver work arrays so repeated
 	// solves stay allocation-light. A Workspace must not be shared by
@@ -249,62 +249,13 @@ func BiCGSTAB(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) 
 	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
 }
 
-// SOR solves A·x = b with successive over-relaxation. relax=1 is
-// Gauss-Seidel. SOR is exposed mainly as a reference solver for tests and
-// as a smoother; the Krylov methods are preferred in production paths.
-func SOR(a *CSR, b []float64, relax float64, opts SolveOptions) ([]float64, Stats, error) {
-	n := a.N()
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
-	}
-	if relax <= 0 || relax >= 2 {
-		return nil, Stats{}, fmt.Errorf("sparse: SOR relaxation factor %g outside (0,2)", relax)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-	}
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, Stats{}, nil
-	}
-	tol := opts.tol()
-	r := make([]float64, n)
-
-	maxIter := opts.maxIter(n)
-	for it := 1; it <= maxIter; it++ {
-		for i := 0; i < n; i++ {
-			lo, hi := int(a.rowPtr[i]), int(a.rowPtr[i+1])
-			var sum, diag float64
-			for k := lo; k < hi; k++ {
-				j := int(a.colIdx[k])
-				if j == i {
-					diag = a.values[k]
-					continue
-				}
-				sum += a.values[k] * x[j]
-			}
-			if diag == 0 {
-				return nil, Stats{Iterations: it}, fmt.Errorf("sparse: zero diagonal at row %d in SOR", i)
-			}
-			gs := (b[i] - sum) / diag
-			x[i] += relax * (gs - x[i])
-		}
-		if res := a.Residual(r, x, b); res/(1+bnorm) <= tol || Norm2(r)/bnorm <= tol {
-			return x, Stats{Iterations: it, Residual: Norm2(r) / bnorm}, nil
-		}
-	}
-	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
-}
-
 // LU is a dense LU factorization with partial pivoting. It is the fallback
 // for small systems and for operating points where the Krylov solvers
 // break down (e.g. matrices driven indefinite by leakage feedback).
 type LU struct {
-	n    int
-	lu   [][]float64
-	piv  []int
-	sign int
+	n   int
+	lu  [][]float64
+	piv []int
 }
 
 // NewLU factorizes the dense matrix a (row-major slices). a is not modified.
@@ -323,7 +274,7 @@ func NewLU(a [][]float64) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	f := &LU{n: n, lu: lu, piv: piv, sign: 1}
+	f := &LU{n: n, lu: lu, piv: piv}
 
 	for col := 0; col < n; col++ {
 		// Partial pivot.
@@ -340,7 +291,6 @@ func NewLU(a [][]float64) (*LU, error) {
 		if p != col {
 			lu[p], lu[col] = lu[col], lu[p]
 			piv[p], piv[col] = piv[col], piv[p]
-			f.sign = -f.sign
 		}
 		pivVal := lu[col][col]
 		for r := col + 1; r < n; r++ {
@@ -386,15 +336,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = (x[i] - s) / row[i]
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i][i]
-	}
-	return d
 }
 
 // SolveAuto solves A·x = b choosing a method automatically: CG first when

@@ -24,8 +24,7 @@ func (m *CSR) MulVecT(dst, x []float64) {
 }
 
 // Transpose returns mᵀ as a freshly built CSR matrix. The symmetry stamp
-// carries over (Aᵀ is symmetric iff A is); the value-version does not,
-// since factorization caches key on the forward matrix's values.
+// carries over (Aᵀ is symmetric iff A is).
 func (m *CSR) Transpose() *CSR {
 	n := m.n
 	t := &CSR{

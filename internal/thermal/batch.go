@@ -118,8 +118,7 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 	// override and RHS buffers below.
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sparse.Fill(sc.cur, 0)
-	m.assembleInto(sc, omega, sc.cell, true, nil)
+	m.assembleSlice(sc, omega)
 
 	ws := sparse.GetBatchWorkspace()
 	defer sparse.PutBatchWorkspace(ws)
@@ -154,7 +153,7 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 		}
 		chunk = chunk[:0]
 		for _, pi := range idxs[start:min(start+batchWidth, len(idxs))] {
-			if res, ok := m.loadResult(m.solutionVersion(z, pts[pi])); ok {
+			if res, ok := m.loadResult(sc.memoKey(z, true, pts[pi].Omega, pts[pi].Currents)); ok {
 				results[pi] = res
 				continue
 			}
@@ -268,8 +267,8 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 				// The chunk's canonical assembly is done, so sc.cur is free
 				// to carry this column's per-cell current into the result.
 				sc.loadCurrents(z, pts[pi].Currents)
-				res := m.linearResult(omega, maxCur[pi], sc.cell, sols[j], stats[j], nil)
-				m.storeResult(m.solutionVersion(z, pts[pi]), res)
+				res := m.linearResult(omega, maxCur[pi], sc.cur, sols[j], stats[j], nil)
+				m.storeResult(sc.memoKey(z, true, pts[pi].Omega, pts[pi].Currents), res)
 				results[pi] = res
 				continue
 			}

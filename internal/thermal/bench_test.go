@@ -37,7 +37,7 @@ func BenchmarkAssemble(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.assembleInto(sc, 250, sc.cell, true, nil)
+		m.assembleInto(sc, 250, sc.cur, true, nil)
 		if sc.mat.N() != m.n {
 			b.Fatal("bad dimension")
 		}
@@ -48,10 +48,11 @@ func BenchmarkAssemble(b *testing.B) {
 // the production path replaced, for before/after comparison in place.
 func BenchmarkAssembleReference(b *testing.B) {
 	m := benchmarkModel(b)
+	cur := uniformCells(m, 1.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat, _, err := m.assembleReference(250, m.uniformCurrent(1.5), true, nil)
+		mat, _, err := m.assembleReference(250, cur, true, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

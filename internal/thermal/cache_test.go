@@ -1,0 +1,199 @@
+package thermal
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"oftec/internal/sparse"
+)
+
+// TestResultMemoEveryZoneCount pins the one memo rule: a steady state is
+// memoized by its operating point — zoning, ω, and every zone current —
+// whatever the zone count. For k ∈ {1, 3, 9} on fixed-seed random points
+// inside the box, a repeated EvaluateWarm, the gradient's steady state,
+// and EvaluateBatch all return the first EvaluateWarm's pointer, and a
+// SetDynamicPower flush makes every point solve afresh. Under k = 1 the
+// explicit one-zone zoning and the nil zoning share one pointer.
+func TestResultMemoEveryZoneCount(t *testing.T) {
+	cfg := testConfig()
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{1, 3, 9} {
+		pts := randomPoints(rng, cfg, k, 8)
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			m := benchModel(t, cfg, "Basicmath")
+			z := testZoning(t, m, k)
+			first := make([]*Result, len(pts))
+			for i, p := range pts {
+				res, err := m.EvaluateWarm(z, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first[i] = res
+				again, err := m.EvaluateWarm(z, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again != res {
+					t.Errorf("point %d: repeated EvaluateWarm returned a fresh Result", i)
+				}
+				if k == 1 {
+					unzoned, err := m.EvaluateWarm(nil, p, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if unzoned != res {
+						t.Errorf("point %d: nil and one-zone zonings hold different Results", i)
+					}
+				}
+				if res.Runaway {
+					continue
+				}
+				g, err := m.EvaluateGrad(z, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Result != res {
+					t.Errorf("point %d: gradient re-solved its steady state", i)
+				}
+			}
+
+			batch, err := m.EvaluateBatch(context.Background(), z, pts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pts {
+				if batch[i] != first[i] {
+					t.Errorf("point %d: batch did not return the memoized Result", i)
+				}
+			}
+
+			if err := m.SetDynamicPower(m.dynMap); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pts {
+				res, err := m.EvaluateWarm(z, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res == first[i] {
+					t.Errorf("point %d: Result survived the SetDynamicPower flush", i)
+				}
+			}
+		})
+	}
+}
+
+// TestPrecondCache pins the preconditioner cache's hits and bound: a hit
+// returns the cached factorization object, and past the bound the cache
+// clears wholesale.
+func TestPrecondCache(t *testing.T) {
+	m := benchModel(t, testConfig(), "Basicmath")
+	ic1, ok := m.slicePrecond(250)
+	if !ok || ic1 == nil {
+		t.Fatal("ω-slice factorization failed")
+	}
+	ic2, ok := m.slicePrecond(250)
+	if !ok || ic2 != ic1 {
+		t.Error("ω-slice hit did not return the cached factorization")
+	}
+
+	for w := 0; w < maxPreconds; w++ {
+		m.slicePrecond(100 + float64(w))
+	}
+	m.pcMu.Lock()
+	n := len(m.pcs)
+	m.pcMu.Unlock()
+	if n > maxPreconds {
+		t.Errorf("cache holds %d preconditioners, bound %d", n, maxPreconds)
+	}
+	if ic3, _ := m.slicePrecond(250); ic3 == ic1 {
+		t.Error("the first slice outlived a wholesale clear")
+	}
+}
+
+// TestPrecondCacheBuildOnMiss pins when the cache assembles: once on a
+// miss and never on a hit, and a failed factorization stays cached as a
+// failure, so it is neither assembled nor factored again.
+func TestPrecondCacheBuildOnMiss(t *testing.T) {
+	m := benchModel(t, testConfig(), "Basicmath")
+	tr, err := m.NewTransient(250, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	step := func(sc *evalScratch) {
+		builds++
+		tr.assemble(sc, 0.25)
+	}
+	key := precondKey{omega: 250, itec: 1, dt: 0.25}
+	ic1, ok := m.precond(key, step)
+	if !ok || ic1 == nil || builds != 1 {
+		t.Fatalf("miss: ok=%v builds=%d", ok, builds)
+	}
+	ic2, ok := m.precond(key, step)
+	if !ok || ic2 != ic1 || builds != 1 {
+		t.Fatalf("hit rebuilt: builds=%d same=%v", builds, ic2 == ic1)
+	}
+
+	// An indefinite matrix: flip a diagonal entry's sign after assembly.
+	fails := 0
+	indefinite := func(sc *evalScratch) {
+		fails++
+		m.assembleSlice(sc, 250)
+		sc.vals[m.diagIdx[0]] = -1
+	}
+	bad := precondKey{omega: 250, itec: 1, dt: 0.5}
+	for i := 0; i < 2; i++ {
+		if ic, ok := m.precond(bad, indefinite); ok || ic != nil {
+			t.Fatalf("call %d: indefinite matrix factorized", i)
+		}
+	}
+	if fails != 1 {
+		t.Errorf("failed factorization assembled %d times, want once", fails)
+	}
+}
+
+// TestPrecondCacheConcurrent races misses and hits on many keys — ω-slices
+// and transient steps — from several goroutines. Run under -race it pins
+// the locking discipline: misses factor outside the lock, and once the
+// misses settle every key answers one object.
+func TestPrecondCacheConcurrent(t *testing.T) {
+	m := benchModel(t, testConfig(), "Basicmath")
+	tr, err := m.NewTransient(250, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slices, steps = 24, 8
+	lookup := func(i int) (*sparse.ICPreconditioner, bool) {
+		if i < slices {
+			return m.slicePrecond(120 + 10*float64(i))
+		}
+		dt := 0.01 * float64(i-slices+1)
+		return m.precond(precondKey{omega: 250, itec: 1, dt: dt}, func(sc *evalScratch) { tr.assemble(sc, dt) })
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < 40; n++ {
+				if _, ok := lookup(rng.Intn(slices + steps)); !ok {
+					t.Error("factorization failed")
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	for i := 0; i < slices+steps; i++ {
+		a, _ := lookup(i)
+		b, _ := lookup(i)
+		if a != b {
+			t.Errorf("key %d: settled cache answers two objects", i)
+		}
+	}
+}

@@ -317,12 +317,12 @@ func DefaultConfig() Config {
 		HeatSink: coolant.PaperHeatSink(),
 		Fan:      coolant.PaperFan(),
 		Leakage: LeakageSpec{
-			P0Density: 2.4e4, // ≈ 6.1 W over the die at T0
-			Beta:      0.030,
-			T0:        units.CToK(45),
-			Tref:      units.CToK(75),
-			SampleLo:  300,
-			SampleHi:  390,
+			P0Density:  2.4e4, // ≈ 6.1 W over the die at T0
+			Beta:       0.030,
+			T0:         units.CToK(45),
+			Tref:       units.CToK(75),
+			SampleLo:   300,
+			SampleHi:   390,
 			NumSamples: 10,
 		},
 		PCBToAmbient: 0.3,

@@ -181,10 +181,7 @@ func TestLiquidAdjointMatchesCentralDiff(t *testing.T) {
 func TestLiquidROMFidelity(t *testing.T) {
 	cfg := liquidConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	rom, err := NewReducedModel(m, ROMOptions{
-		MaxRank: 16, SnapshotOmegas: 4, SnapshotCurrents: 3,
-		ValidateOmegas: 3, ValidateCurrents: 2,
-	})
+	rom, err := NewReducedModel(m, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,26 +213,25 @@ func TestLiquidROMFidelity(t *testing.T) {
 // in-header identity check rejects it.
 func TestROMPersistActuatorChangeInvalidates(t *testing.T) {
 	dir := t.TempDir()
-	opts := romTestOptions(dir)
-	airROM, err := NewReducedModel(benchModel(t, testConfig(), "Basicmath"), opts)
+	airROM, err := NewReducedModel(benchModel(t, testConfig(), "Basicmath"), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	airPath := romCacheFile(t, airROM.m, opts)
+	airPath := romCacheFile(t, airROM.m, dir)
 
 	liquidModel := benchModel(t, liquidConfig(), "Basicmath")
-	idAir, err := romIdentity(airROM.m, opts)
+	idAir, err := romIdentity(airROM.m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idLiquid, err := romIdentity(liquidModel, opts)
+	idLiquid, err := romIdentity(liquidModel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idAir == idLiquid {
 		t.Fatal("air and liquid actuators share a ROM identity")
 	}
-	if _, err := loadCachedROM(liquidModel, opts); err == nil {
+	if _, err := loadCachedROM(liquidModel, dir); err == nil {
 		t.Fatal("liquid model loaded an air-actuator basis via content address")
 	}
 
@@ -246,7 +242,7 @@ func TestROMPersistActuatorChangeInvalidates(t *testing.T) {
 	if err := os.WriteFile(romCachePath(dir, idLiquid), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = loadCachedROM(liquidModel, opts)
+	_, err = loadCachedROM(liquidModel, dir)
 	if err == nil || !strings.Contains(err.Error(), "identity") {
 		t.Fatalf("planted air basis under liquid address: err = %v, want an identity rejection", err)
 	}

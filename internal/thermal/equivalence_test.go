@@ -23,6 +23,14 @@ func equivGrid(cfg Config) (omegas, currents []float64) {
 	return
 }
 
+// uniformCells is the per-cell current of the paper's deployment: every
+// module in series carries iTEC.
+func uniformCells(m *Model, iTEC float64) []float64 {
+	cur := make([]float64, m.grids[planeChip].NumCells())
+	sparse.Fill(cur, iTEC)
+	return cur
+}
+
 // maxMatrixDiff returns the largest entrywise difference between two
 // matrices, walking both sparsity patterns so an entry present in only one
 // (e.g. a structurally forced diagonal) is still compared against zero.
@@ -52,8 +60,8 @@ func TestAssembleMatchesReference(t *testing.T) {
 	defer m.putScratch(sc)
 	for _, omega := range omegas {
 		for _, itec := range currents {
-			m.assembleInto(sc, omega, m.uniformCurrent(itec), true, nil)
-			ref, refRHS, err := m.assembleReference(omega, m.uniformCurrent(itec), true, nil)
+			m.assembleInto(sc, omega, uniformCells(m, itec), true, nil)
+			ref, refRHS, err := m.assembleReference(omega, uniformCells(m, itec), true, nil)
 			if err != nil {
 				t.Fatalf("(ω=%g, I=%g): %v", omega, itec, err)
 			}
@@ -83,8 +91,8 @@ func TestAssembleMatchesReferenceConstantLeakage(t *testing.T) {
 	}
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	m.assembleInto(sc, 200, m.uniformCurrent(1.5), false, leak)
-	ref, refRHS, err := m.assembleReference(200, m.uniformCurrent(1.5), false, leak)
+	m.assembleInto(sc, 200, uniformCells(m, 1.5), false, leak)
+	ref, refRHS, err := m.assembleReference(200, uniformCells(m, 1.5), false, leak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +112,7 @@ func TestAssembleMatchesReferenceConstantLeakage(t *testing.T) {
 // with the same classification rules as Evaluate.
 func referenceEvaluate(t *testing.T, m *Model, omega, itec float64) *Result {
 	t.Helper()
-	mat, rhs, err := m.assembleReference(omega, m.uniformCurrent(itec), true, nil)
+	mat, rhs, err := m.assembleReference(omega, uniformCells(m, itec), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func referenceEvaluate(t *testing.T, m *Model, omega, itec float64) *Result {
 	if err != nil || !m.physical(temps) {
 		return m.runawayResult(omega, itec, stats)
 	}
-	res := m.buildResult(omega, itec, m.uniformCurrent(itec), temps, stats, true)
+	res := m.buildResult(omega, itec, uniformCells(m, itec), temps, stats, true)
 	if res.MaxChipTemp > m.cfg.runawayTemp() {
 		return m.runawayResult(omega, itec, stats)
 	}
@@ -175,7 +183,7 @@ func TestEvaluateExactIsFixedPoint(t *testing.T) {
 		tc := res.T[m.node(planeChip, i)]
 		leak[i] = m.leakP0[i] * math.Exp(m.leakBeta*(tc-m.leakT0))
 	}
-	mat, rhs, err := m.assembleReference(250, m.uniformCurrent(1.2), false, leak)
+	mat, rhs, err := m.assembleReference(250, uniformCells(m, 1.2), false, leak)
 	if err != nil {
 		t.Fatal(err)
 	}

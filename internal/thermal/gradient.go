@@ -156,7 +156,7 @@ func (m *Model) gradientAt(res *Result, z *Zoning, p Point) (*Gradient, error) {
 	// matrix is needed (the adjoint RHS replaces b), but assembleInto
 	// refreshes both in one O(nnz) pass.
 	sc.loadCurrents(z, p.Currents)
-	m.assembleInto(sc, omega, sc.cell, true, nil)
+	m.assembleInto(sc, omega, sc.cur, true, nil)
 
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws}
 	if ic, ok := m.slicePrecond(omega); ok {

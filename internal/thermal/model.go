@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -96,25 +97,20 @@ type Model struct {
 	baseVals []float64   // basePat's value array (patch copy source)
 	diagIdx  []int32     // per-row index of the diagonal slot in the value array
 
-	// factors caches IC(0) factorizations across evaluations, keyed on a
-	// per-operating-point value-version (see versionFor): the matrix is a
-	// pure function of (ω, current pattern, leakage linearization, Δt),
-	// so a repeated operating point reuses its factorization.
-	factors *sparse.FactorCache
-	verMu   sync.Mutex
-	vers    map[verKey]uint64
-	nextVer uint64
+	// pcs caches IC(0) preconditioners by the matrix they factor (see
+	// precondKey). A nil entry records a failed factorization.
+	pcMu sync.Mutex
+	pcs  map[precondKey]*sparse.ICPreconditioner
 
-	// resMem memoizes the Result per solution version — the second-level
-	// cache below core's bounded evaluation cache. A repeated operating
-	// point (the dominant pattern in line searches and repeated sweeps)
-	// returns the identical first-computed Result, so re-solves after an
-	// upstream cache eviction stay bit-reproducible. Linearized and exact
-	// solutions key separately: they share the matrix version (and hence
-	// the factorization) but not the fixed point. SetDynamicPower flushes
-	// the memo.
+	// resMem memoizes Results by operating point (see memoKey): the
+	// second-level cache below core's bounded evaluation cache. A repeated
+	// operating point of any zone count (the dominant pattern in line
+	// searches, gradient forward solves, and the optimizer's final
+	// certification) returns the identical first-computed Result, so
+	// re-solves after an upstream cache eviction stay bit-reproducible.
+	// SetDynamicPower flushes the memo.
 	resMu  sync.Mutex
-	resMem map[uint64]*Result
+	resMem map[string]*Result
 
 	// scratch pools per-evaluation workspaces (matrix values, RHS, warm
 	// vector, CG work arrays) so concurrent Evaluate stays race-free
@@ -128,15 +124,11 @@ type Model struct {
 	dynGen atomic.Uint64
 }
 
-// verKey identifies the system-matrix content of one evaluation: the
-// matrix depends only on the fan speed (sink conductance), the uniform
-// TEC current (Peltier diagonals), whether the Taylor leakage is folded
-// in, and the backward-Euler 1/Δt shift (0 for steady state). Dynamic
-// power and exact-leakage injections enter the RHS only. Zoned (non-
-// uniform) current patterns bypass versioning and are never cached.
-type verKey struct {
+// precondKey names the matrix a cached preconditioner factors: {ω, 0, 0}
+// is a steady ω-slice's canonical I_TEC = 0 assembly, and {ω, I, Δt} a
+// transient step's backward-Euler matrix.
+type precondKey struct {
 	omega, itec, dt float64
-	linear          bool
 }
 
 // evalScratch is one pooled per-evaluation workspace.
@@ -152,12 +144,12 @@ type evalScratch struct {
 	tChip   []float64
 
 	// cur is the per-cell TEC current of the evaluation in flight (see
-	// loadCurrents); cell is a closure over it built once when the scratch
-	// is created. Handing sc.cell to assembleInto instead of a per-call
-	// closure keeps the hot evaluate path free of the closure allocation
-	// (the scratch, and with it the closure, is pooled).
-	cur  []float64
-	cell func(int) float64
+	// loadCurrents).
+	cur []float64
+
+	// key holds the result-memo key of the point in flight (see memoKey),
+	// sized for the widest zoning the model admits.
+	key []byte
 }
 
 // loadCurrents writes the per-cell TEC current of an operating point
@@ -187,7 +179,7 @@ func NewModel(cfg Config, dyn power.Map) (*Model, error) {
 	if err := m.buildTEC(); err != nil {
 		return nil, err
 	}
-	m.one = &Zoning{numZones: 1, zoneOf: make([]int, m.grids[planeChip].NumCells())}
+	m.one = &Zoning{id: zoningIDs.Add(1), numZones: 1, zoneOf: make([]int, m.grids[planeChip].NumCells())}
 	if err := m.buildConduction(); err != nil {
 		return nil, err
 	}
@@ -486,8 +478,8 @@ func (m *Model) buildLeakage() error {
 }
 
 // SetDynamicPower replaces the per-unit dynamic power input and flushes
-// the solution memo (dynamic power enters the RHS, so memoized results are
-// stale; the factorization cache is unaffected — the matrix never depends
+// the result memo (dynamic power enters the RHS, so memoized results are
+// stale; the preconditioner cache is unaffected — the matrix never depends
 // on the power input).
 func (m *Model) SetDynamicPower(dyn power.Map) error {
 	cells, err := dyn.ToCells(m.cfg.Floorplan, m.grids[planeChip])
@@ -499,7 +491,7 @@ func (m *Model) SetDynamicPower(dyn power.Map) error {
 	m.dynGen.Add(1)
 	if m.resMem != nil {
 		m.resMu.Lock()
-		m.resMem = make(map[uint64]*Result)
+		m.resMem = make(map[string]*Result)
 		m.resMu.Unlock()
 	}
 	return nil
@@ -523,12 +515,6 @@ func (m *Model) TotalLeakageSlope() float64 {
 		s += a
 	}
 	return s
-}
-
-// uniformCurrent returns the per-cell current function for the paper's
-// deployment: every module in series carries the same current.
-func (m *Model) uniformCurrent(iTEC float64) func(int) float64 {
-	return func(int) float64 { return iTEC }
 }
 
 // buildSymbolic freezes the shared sparsity pattern and the reuse
@@ -561,9 +547,8 @@ func (m *Model) buildSymbolic() error {
 	if m.diagIdx, err = pat.DiagIndices(); err != nil {
 		return err
 	}
-	m.factors = sparse.NewFactorCache(0)
-	m.vers = make(map[verKey]uint64)
-	m.resMem = make(map[uint64]*Result)
+	m.pcs = make(map[precondKey]*sparse.ICPreconditioner)
+	m.resMem = make(map[string]*Result)
 	nc := m.grids[planeChip].NumCells()
 	m.scratch.New = func() any {
 		sc := &evalScratch{
@@ -573,6 +558,9 @@ func (m *Model) buildSymbolic() error {
 			chipRHS: make([]float64, nc),
 			tChip:   make([]float64, nc),
 			cur:     make([]float64, nc),
+			// Every zone holds a module, so no zoning has more than
+			// numTEC zones.
+			key: make([]byte, keyHead+8*m.numTEC),
 		}
 		mat, werr := pat.WithValues(sc.vals)
 		if werr != nil {
@@ -580,88 +568,79 @@ func (m *Model) buildSymbolic() error {
 			panic(werr)
 		}
 		sc.mat = mat
-		sc.cell = func(i int) float64 { return sc.cur[i] }
 		return sc
 	}
 	return nil
 }
 
-// maxVersions bounds the operating-point → version map. Past the bound it
-// clears wholesale; versions stay monotonic, so entries cached under
-// cleared keys are never wrongly revived — they age out of the bounded
-// factor cache instead.
-const maxVersions = 4096
-
-// versionFor returns the stable matrix value-version for an operating
-// point, minting a fresh one on first sight.
-//
-//oftec:hotpath
-func (m *Model) versionFor(k verKey) uint64 {
-	m.verMu.Lock()
-	defer m.verMu.Unlock()
-	if v, ok := m.vers[k]; ok {
-		return v
-	}
-	if len(m.vers) >= maxVersions {
-		//lint:ignore hotalloc amortized wholesale clear, at most once per maxVersions hits
-		m.vers = make(map[verKey]uint64)
-	}
-	m.nextVer++
-	m.vers[k] = m.nextVer
-	return m.nextVer
-}
-
 func (m *Model) getScratch() *evalScratch   { return m.scratch.Get().(*evalScratch) }
 func (m *Model) putScratch(sc *evalScratch) { m.scratch.Put(sc) }
 
-// maxResults bounds the per-version result memo (each entry holds a full
-// temperature field, NumNodes×8 bytes, so the bound caps the memory at a
-// few megabytes). Past the bound it clears wholesale, like the version map.
+// maxResults bounds the result memo (each entry holds a full temperature
+// field, NumNodes×8 bytes, so the bound caps the memory at a few
+// megabytes). Past the bound it clears wholesale.
 const maxResults = 256
 
-// loadResult returns the memoized Result for solution version v. Version 0
-// never has a memory. The pointer is shared, exactly as core's evaluation
-// cache shares results across callers.
+// keyHead is the fixed part of a memo key: zoning id, leakage treatment,
+// and ω. Each zone current adds eight bytes.
+const keyHead = 8 + 1 + 8
+
+// memoKey writes the result-memo key of an operating point into sc.key
+// and returns it: the zoning's id, whether the leakage is linearized, ω,
+// and every zone current, all bit for bit — one rule for every zone
+// count. Zoning ids are never reused, so a collected zoning cannot alias
+// a later one.
 //
 //oftec:hotpath
-func (m *Model) loadResult(v uint64) (*Result, bool) {
-	if v == 0 {
-		return nil, false
+func (sc *evalScratch) memoKey(z *Zoning, linear bool, omega float64, currents []float64) []byte {
+	key := sc.key[:keyHead+8*len(currents)]
+	binary.LittleEndian.PutUint64(key, z.id)
+	key[8] = 0
+	if linear {
+		key[8] = 1
 	}
+	binary.LittleEndian.PutUint64(key[9:], math.Float64bits(omega))
+	for i, c := range currents {
+		binary.LittleEndian.PutUint64(key[keyHead+8*i:], math.Float64bits(c))
+	}
+	return key
+}
+
+// loadResult returns the memoized Result for a memo key. The pointer is
+// shared, exactly as core's evaluation cache shares results across
+// callers.
+//
+//oftec:hotpath
+func (m *Model) loadResult(key []byte) (*Result, bool) {
 	m.resMu.Lock()
 	defer m.resMu.Unlock()
-	res, ok := m.resMem[v]
+	res, ok := m.resMem[string(key)]
 	return res, ok
 }
 
 // storeResult memoizes a computed Result (converged or runaway — both are
-// deterministic functions of the operating point) for solution version v.
+// deterministic functions of the operating point) under a memo key.
 //
-//oftec:hotpath
-func (m *Model) storeResult(v uint64, res *Result) {
-	if v == 0 {
-		return
-	}
+//oftec:allocok runs once per memo miss, next to the solve and the Result it stores
+func (m *Model) storeResult(key []byte, res *Result) {
 	m.resMu.Lock()
 	defer m.resMu.Unlock()
 	if len(m.resMem) >= maxResults {
-		//lint:ignore hotalloc amortized wholesale clear, at most once per maxResults stores
-		m.resMem = make(map[uint64]*Result)
+		m.resMem = make(map[string]*Result)
 	}
-	m.resMem[v] = res
+	m.resMem[string(key)] = res
 }
 
 // assembleInto refreshes sc with the system at the given operating point:
 // an O(nnz) copy of the frozen base values followed by O(n) diagonal and
-// RHS patches. It mirrors assembleReference exactly (the equivalence suite
-// pins the two paths to ≤1e-12); the matrix comes back unversioned, so a
-// caller that forgets to stamp a version degrades to uncached solves, never
-// to wrong factorization reuse. A nil leakConst with linearLeak=false
-// leaves the leakage out entirely — the exact fixed-point loop patches it
-// into the RHS per iteration.
+// RHS patches. cur is the TEC current per chip-grid cell. It mirrors
+// assembleReference exactly (the equivalence suite pins the two paths to
+// ≤1e-12). A nil leakConst with linearLeak=false leaves the leakage out
+// entirely — the exact fixed-point loop patches it into the RHS per
+// iteration.
 //
 //oftec:hotpath
-func (m *Model) assembleInto(sc *evalScratch, omega float64, cur func(int) float64, linearLeak bool, leakConst []float64) {
+func (m *Model) assembleInto(sc *evalScratch, omega float64, cur []float64, linearLeak bool, leakConst []float64) {
 	copy(sc.vals, m.baseVals)
 	copy(sc.rhs, m.baseRHS)
 
@@ -693,7 +672,7 @@ func (m *Model) assembleInto(sc *evalScratch, omega float64, cur func(int) float
 		if alpha == 0 {
 			continue
 		}
-		iTEC := cur(i)
+		iTEC := cur[i]
 		if iTEC == 0 {
 			continue
 		}
@@ -702,8 +681,14 @@ func (m *Model) assembleInto(sc *evalScratch, omega float64, cur func(int) float
 		sc.rhs[m.node(planeTECMid, i)] += m.tecR[i] * iTEC * iTEC
 	}
 
-	sc.mat.SetVersion(0)
 	sc.mat.MarkSymmetric(true)
+}
+
+// assembleSlice assembles the ω-slice's canonical system, the I_TEC = 0
+// linearized assembly, into sc.
+func (m *Model) assembleSlice(sc *evalScratch, omega float64) {
+	sparse.Fill(sc.cur, 0)
+	m.assembleInto(sc, omega, sc.cur, true, nil)
 }
 
 // solveScratch runs the sparse solve through the scratch workspace. All
@@ -724,37 +709,47 @@ func (m *Model) solveScratch(sc *evalScratch, omega float64, warm []float64) ([]
 	return sparse.SolveAuto(sc.mat, sc.rhs, opts)
 }
 
-// slicePrecond returns the cached IC(0) preconditioner of the ω-slice's
-// canonical matrix (the I_TEC = 0 assembly — the same matrix version
-// EvaluateWarm(ω, 0) stamps), building and caching it on first sight.
+// slicePrecond returns the IC(0) preconditioner of the ω-slice's
+// canonical matrix, factoring it on first sight.
 //
 //oftec:allocok one canonical assembly + factorization per ω-slice, amortized across every point in the slice
 func (m *Model) slicePrecond(omega float64) (*sparse.ICPreconditioner, bool) {
-	sliceVer := m.versionFor(verKey{omega: omega, linear: true})
-	return m.factors.ICVersioned(sliceVer, func() (*sparse.ICPreconditioner, error) {
-		sc := m.getScratch()
-		defer m.putScratch(sc)
-		sparse.Fill(sc.cur, 0)
-		m.assembleInto(sc, omega, sc.cell, true, nil)
-		return sparse.NewICPreconditioner(sc.mat)
-	})
+	return m.precond(precondKey{omega: omega}, func(sc *evalScratch) { m.assembleSlice(sc, omega) })
 }
 
-// solveScratchOwn is solveScratch with a preconditioner factored from
-// the scratch matrix itself, keyed on its stamped version. The transient
-// integrator uses it: its matrices carry the C/Δt diagonal patch on
-// every row, far from the canonical slice matrix, so the shared slice
-// preconditioner would fit poorly there.
+// maxPreconds bounds the preconditioner cache. Past the bound it clears
+// wholesale: factorizations rebuild in one pass, and the working set of
+// an optimization run is far below the bound.
+const maxPreconds = 64
+
+// precond returns the IC(0) preconditioner cached under key. On a miss,
+// assemble writes the matrix key names into a pooled scratch, which is
+// factored outside the lock; concurrent misses on one key may both
+// factor, harmlessly, since the factors are identical. A failed
+// factorization (matrix not SPD enough) is cached as a failure, so the
+// caller's fallback does not retry it every solve.
 //
-//oftec:hotpath
-func (m *Model) solveScratchOwn(sc *evalScratch, warm []float64) ([]float64, sparse.Stats, error) {
-	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm, Work: &sc.ws}
-	if sc.mat.Version() != 0 {
-		if ic, ok := m.factors.IC(sc.mat); ok {
-			opts.Precond = ic
+//oftec:allocok one assembly + factorization per key, amortized across every solve that shares it
+func (m *Model) precond(key precondKey, assemble func(sc *evalScratch)) (*sparse.ICPreconditioner, bool) {
+	m.pcMu.Lock()
+	ic, hit := m.pcs[key]
+	m.pcMu.Unlock()
+	if !hit {
+		sc := m.getScratch()
+		assemble(sc)
+		var err error
+		if ic, err = sparse.NewICPreconditioner(sc.mat); err != nil {
+			ic = nil
 		}
+		m.putScratch(sc)
+		m.pcMu.Lock()
+		if len(m.pcs) >= maxPreconds {
+			m.pcs = make(map[precondKey]*sparse.ICPreconditioner)
+		}
+		m.pcs[key] = ic
+		m.pcMu.Unlock()
 	}
-	return sparse.SolveAuto(sc.mat, sc.rhs, opts)
+	return ic, ic != nil
 }
 
 // assembleReference builds the system matrix and RHS for the given
@@ -766,7 +761,7 @@ func (m *Model) solveScratchOwn(sc *evalScratch, warm []float64) ([]float64, spa
 // modules independently). linearLeak selects whether the Taylor leakage is
 // folded into the system (true) or the provided constant per-cell leakage
 // powers are used (false, for the exact fixed-point iteration).
-func (m *Model) assembleReference(omega float64, cur func(int) float64, linearLeak bool, leakConst []float64) (*sparse.CSR, []float64, error) {
+func (m *Model) assembleReference(omega float64, cur []float64, linearLeak bool, leakConst []float64) (*sparse.CSR, []float64, error) {
 	b := sparse.NewBuilder(m.n)
 	for _, t := range m.base {
 		b.Add(t.i, t.j, t.v)
@@ -802,7 +797,7 @@ func (m *Model) assembleReference(omega float64, cur func(int) float64, linearLe
 		if alpha == 0 {
 			continue
 		}
-		iTEC := cur(i)
+		iTEC := cur[i]
 		if iTEC == 0 {
 			continue
 		}
@@ -856,9 +851,9 @@ type Point struct {
 // solver, so a memoized result for the exact operating point is returned
 // without re-solving either way.
 //
-// A one-zone point (nil or any k = 1 zoning) is versioned: its matrix
-// stamps the factor cache and its Result is memoized, so every zoning of
-// it returns the identical Result. k > 1 current patterns are neither.
+// Every point is memoized by its operating point (see memoKey), so a
+// repeat under the same zoning returns the identical Result; every k = 1
+// zoning shares the nil zoning's entries.
 //
 //oftec:hotpath
 func (m *Model) EvaluateWarm(z *Zoning, p Point, warm []float64) (*Result, error) {
@@ -870,49 +865,39 @@ func (m *Model) EvaluateWarm(z *Zoning, p Point, warm []float64) (*Result, error
 	if err := m.checkWarm(warm); err != nil {
 		return nil, err
 	}
-	ver := m.solutionVersion(z, p)
-	if res, ok := m.loadResult(ver); ok {
-		return res, nil
-	}
 	sc := m.getScratch()
 	defer m.putScratch(sc)
+	key := sc.memoKey(z, true, p.Omega, p.Currents)
+	if res, ok := m.loadResult(key); ok {
+		return res, nil
+	}
 	sc.loadCurrents(z, p.Currents)
-	m.assembleInto(sc, p.Omega, sc.cell, true, nil)
-	sc.mat.SetVersion(ver)
+	m.assembleInto(sc, p.Omega, sc.cur, true, nil)
 	if warm == nil {
 		sparse.Fill(sc.warm, m.cfg.Ambient)
 		warm = sc.warm
 	}
 	t, stats, err := m.solveScratch(sc, p.Omega, warm)
-	res := m.linearResult(p.Omega, maxCur, sc.cell, t, stats, err)
-	m.storeResult(ver, res)
+	res := m.linearResult(p.Omega, maxCur, sc.cur, t, stats, err)
+	m.storeResult(key, res)
 	return res, nil
 }
 
-// zoningOr resolves a nil zoning to the model's one-zone zoning.
+// zoningOr resolves a nil zoning, and any one-zone zoning, to the model's
+// one-zone zoning, so every spelling of the paper's deployment shares one
+// memo key.
 func (m *Model) zoningOr(z *Zoning) *Zoning {
-	if z == nil {
+	if z == nil || z.numZones == 1 {
 		return m.one
 	}
 	return z
-}
-
-// solutionVersion is the memo key of p's linearized solution: the matrix
-// version of a one-zone point, or 0 (never memoized, never factor-cached)
-// for a k > 1 current pattern, which the scalar version key cannot name —
-// a wrong reuse would be silent.
-func (m *Model) solutionVersion(z *Zoning, p Point) uint64 {
-	if z.numZones != 1 {
-		return 0
-	}
-	return m.versionFor(verKey{omega: p.Omega, itec: p.Currents[0], linear: true})
 }
 
 // linearResult is the result tail of every linearized solve: a failed or
 // non-physical solve, or a field past the runaway threshold, is runaway;
 // anything else materializes the Result. cur is the per-cell current the
 // system was assembled at and maxCur the largest of them.
-func (m *Model) linearResult(omega, maxCur float64, cur func(int) float64, t []float64, stats sparse.Stats, solveErr error) *Result {
+func (m *Model) linearResult(omega, maxCur float64, cur, t []float64, stats sparse.Stats, solveErr error) *Result {
 	if solveErr != nil || !m.physical(t) {
 		return m.runawayResult(omega, maxCur, stats)
 	}
@@ -931,15 +916,15 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	if err := m.checkOperatingPoint(omega, iTEC); err != nil {
 		return nil, err
 	}
-	// The solution memo keys exact results under linear=false — distinct
-	// from the matrix version below, which is shared with the linearized
-	// path (same matrix, different fixed point).
-	solVer := m.versionFor(verKey{omega: omega, itec: iTEC, linear: false})
-	if res, ok := m.loadResult(solVer); ok {
-		return res, nil
-	}
 	sc := m.getScratch()
 	defer m.putScratch(sc)
+	// Exact results key apart from the linearized ones at the same point:
+	// same matrix, different fixed point.
+	cur := [1]float64{iTEC}
+	key := sc.memoKey(m.one, false, omega, cur[:])
+	if res, ok := m.loadResult(key); ok {
+		return res, nil
+	}
 
 	// The system matrix is hoisted out of the fixed-point loop entirely.
 	// Keeping the Taylor leakage folded into the matrix (exactly as in the
@@ -953,8 +938,7 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	// only the n_chip RHS entries. Inner solves warm-start from the
 	// previous iterate.
 	sparse.Fill(sc.cur, iTEC)
-	m.assembleInto(sc, omega, sc.cell, true, nil)
-	sc.mat.SetVersion(m.versionFor(verKey{omega: omega, itec: iTEC, linear: true}))
+	m.assembleInto(sc, omega, sc.cur, true, nil)
 	nc := m.grids[planeChip].NumCells()
 	for i := 0; i < nc; i++ {
 		sc.chipRHS[i] = sc.rhs[m.node(planeChip, i)]
@@ -977,7 +961,7 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 		t, stats, solveErr = m.solveScratch(sc, omega, warm)
 		if solveErr != nil || !m.physical(t) {
 			res := m.runawayResult(omega, iTEC, stats)
-			m.storeResult(solVer, res)
+			m.storeResult(key, res)
 			return res, nil
 		}
 		warm = t
@@ -994,19 +978,19 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 		}
 		if maxT > m.cfg.runawayTemp() {
 			res := m.runawayResult(omega, iTEC, stats)
-			m.storeResult(solVer, res)
+			m.storeResult(key, res)
 			return res, nil
 		}
 		if maxDelta < 1e-4 {
-			res := m.buildResult(omega, iTEC, sc.cell, t, stats, false)
+			res := m.buildResult(omega, iTEC, sc.cur, t, stats, false)
 			res.OuterIterations = outer + 1
-			m.storeResult(solVer, res)
+			m.storeResult(key, res)
 			return res, nil
 		}
 	}
 	// No convergence within the budget: treat as runaway.
 	res := m.runawayResult(omega, iTEC, stats)
-	m.storeResult(solVer, res)
+	m.storeResult(key, res)
 	return res, nil
 }
 

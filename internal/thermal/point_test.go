@@ -50,7 +50,8 @@ func oneZone(t *testing.T, m *Model) *Zoning {
 //
 //   - EvaluateBatch ≡ per-point EvaluateWarm under the batch warm-start
 //     protocol (reflect.DeepEqual, SolveStats included);
-//   - EvaluateGrad(...).Result ≡ EvaluateWarm;
+//   - EvaluateGrad(...).Result ≡ EvaluateWarm, each on a model of its own
+//     so the result memo cannot answer for the gradient's forward solve;
 //   - for k = 1, an explicit one-zone zoning ≡ the nil zoning for all
 //     three verbs, each on a fresh model so no memo can mask a difference.
 func TestEvaluatePathsAgreeOnRandomPoints(t *testing.T) {
@@ -70,13 +71,15 @@ func TestEvaluatePathsAgreeOnRandomPoints(t *testing.T) {
 
 			m := benchModel(t, cfg, "Basicmath")
 			z := testZoning(t, m, k)
+			graded := benchModel(t, cfg, "Basicmath")
+			zg := testZoning(t, graded, k)
 			solved := 0
 			for i, p := range pts {
 				res, err := m.EvaluateWarm(z, p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				g, err := m.EvaluateGrad(z, p)
+				g, err := graded.EvaluateGrad(zg, p)
 				if res.Runaway {
 					if err == nil {
 						t.Errorf("point %d: gradient of a runaway point", i)

@@ -61,7 +61,7 @@ func (r *Result) String() string {
 
 // runawayResult builds the infinite-objective result for a runaway point.
 //
-//oftec:allocok result materialization; runs once per miss, then memoized by version
+//oftec:allocok result materialization; runs once per miss, then memoized
 func (m *Model) runawayResult(omega, iTEC float64, stats sparse.Stats) *Result {
 	return &Result{
 		Omega:       omega,
@@ -70,33 +70,37 @@ func (m *Model) runawayResult(omega, iTEC float64, stats sparse.Stats) *Result {
 		MaxChipTemp: math.Inf(1),
 		MaxChipCell: -1,
 		PLeakage:    math.Inf(1),
-		PTEC:        m.tecPowerAt(nil, iTEC),
+		PTEC:        m.jouleAt(iTEC),
 		PFan:        m.act.Power(omega),
 		PDynamic:    m.DynamicPowerTotal(),
 		SolveStats:  stats,
 	}
 }
 
-// tecPowerAt computes Equation (12) for a uniform driving current.
-func (m *Model) tecPowerAt(t []float64, iTEC float64) float64 {
-	return m.tecPowerFunc(t, m.uniformCurrent(iTEC))
+// jouleAt is the Joule part of Equation (12), Σ over modules of R·I², for
+// a uniform driving current.
+func (m *Model) jouleAt(iTEC float64) float64 {
+	var p float64
+	for i, alpha := range m.tecAlpha {
+		if alpha != 0 {
+			p += m.tecR[i] * iTEC * iTEC
+		}
+	}
+	return p
 }
 
-// tecPowerFunc computes Equation (12): Σ over modules of R·I² + α·ΔT·I,
-// with a per-cell current. With a nil temperature vector only the Joule
-// part is returned.
-func (m *Model) tecPowerFunc(t []float64, cur func(int) float64) float64 {
+// tecPower computes Equation (12): Σ over modules of R·I² + α·ΔT·I,
+// with cur the TEC current per chip-grid cell.
+func (m *Model) tecPower(t, cur []float64) float64 {
 	var p float64
 	for i, alpha := range m.tecAlpha {
 		if alpha == 0 {
 			continue
 		}
-		iTEC := cur(i)
+		iTEC := cur[i]
 		p += m.tecR[i] * iTEC * iTEC
-		if t != nil {
-			dT := t[m.node(planeTECHot, i)] - t[m.node(planeTECCold, i)]
-			p += alpha * dT * iTEC
-		}
+		dT := t[m.node(planeTECHot, i)] - t[m.node(planeTECCold, i)]
+		p += alpha * dT * iTEC
 	}
 	return p
 }
@@ -105,8 +109,8 @@ func (m *Model) tecPowerFunc(t []float64, cur func(int) float64) float64 {
 // the per-cell TEC current the system was assembled at and iTEC the
 // largest of them.
 //
-//oftec:allocok result materialization; runs once per miss, then memoized by version
-func (m *Model) buildResult(omega, iTEC float64, cur func(int) float64, t []float64, stats sparse.Stats, linearLeak bool) *Result {
+//oftec:allocok result materialization; runs once per miss, then memoized
+func (m *Model) buildResult(omega, iTEC float64, cur, t []float64, stats sparse.Stats, linearLeak bool) *Result {
 	nc := m.grids[planeChip].NumCells()
 	res := &Result{
 		Omega:       omega,
@@ -131,7 +135,7 @@ func (m *Model) buildResult(omega, iTEC float64, cur func(int) float64, t []floa
 			res.PLeakage += m.leakP0[i] * math.Exp(m.leakBeta*(ti-m.leakT0))
 		}
 	}
-	res.PTEC = m.tecPowerFunc(t, cur)
+	res.PTEC = m.tecPower(t, cur)
 	return res
 }
 
@@ -148,7 +152,10 @@ func (m *Model) InstantaneousPowers(temps []float64, itec float64) (leak, tec fl
 		ti := temps[m.node(planeChip, i)]
 		leak += m.leakA[i]*(ti-m.leakTref) + m.leakB[i]
 	}
-	return leak, m.tecPowerAt(temps, itec), nil
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	sparse.Fill(sc.cur, itec)
+	return leak, m.tecPower(temps, sc.cur), nil
 }
 
 // PlaneTemps returns the temperatures of the named plane ("chip", "tim1",

@@ -38,70 +38,31 @@ import (
 // looks like thermal runaway, Evaluate reports ok=false and the caller
 // falls through to the full model.
 
-// ROMOptions configures reduced-model construction. The zero value selects
-// the defaults noted on each field.
-type ROMOptions struct {
-	// MaxRank caps the basis size (default 32).
-	MaxRank int
-	// SnapshotOmegas × SnapshotCurrents is the snapshot grid: fan speeds
-	// span (0, ΩMax] (low speeds that hit thermal runaway are skipped and
-	// set the ROM's ω floor), currents span [0, MaxCurrent].
-	// Defaults 6 × 4.
-	SnapshotOmegas   int
-	SnapshotCurrents int
-	// ValidateOmegas × ValidateCurrents is the held-out validation grid,
+// Reduced-model construction constants.
+const (
+	// romMaxRank caps the basis size.
+	romMaxRank = 32
+	// romSnapOmegas × romSnapCurrents is the snapshot grid: fan speeds span
+	// (0, ΩMax] (low speeds that hit thermal runaway are skipped and set
+	// the ROM's ω floor), currents span [0, MaxCurrent].
+	romSnapOmegas   = 6
+	romSnapCurrents = 4
+	// romValOmegas × romValCurrents is the held-out validation grid,
 	// offset to the midpoints of the snapshot grid. It calibrates the
 	// advertised error bound and the residual→error amplification factor.
-	// Defaults 5 × 3.
-	ValidateOmegas   int
-	ValidateCurrents int
-	// Safety multiplies the largest validation-grid error to give the
-	// advertised bound (default 2).
-	Safety float64
-	// CacheDir, when set, enables basis persistence: construction first
-	// tries to load a serialized basis + calibration content-addressed by
-	// the model/options identity (see rompersist.go) from this directory,
-	// skipping the snapshot-collection and calibration sweeps entirely; a
-	// fresh build writes its basis back. Any load-time mismatch —
-	// corruption, stale format, different identity, failed re-validation —
-	// silently falls through to a full build.
-	CacheDir string
-	// CacheKey is folded into the identity hash, for callers whose model
-	// identity has components outside Config + dynamic power (e.g. the
-	// serving pool's canonical chip string).
-	CacheKey string
-	// MinBound floors the advertised bound (default 0.02 K). A basis that
+	romValOmegas   = 5
+	romValCurrents = 3
+	// romSafety multiplies the largest validation-grid error to give the
+	// advertised bound.
+	romSafety = 2.0
+	// romMinBound floors the advertised bound, in kelvin. A basis that
 	// nails the validation grid to microkelvins would otherwise advertise
 	// a bound at solver-noise scale and reject perfectly good evaluations
 	// after benign workload rescales; 20 mK keeps the contract physically
 	// meaningful while staying well inside the controller's 50 mK
 	// constraint margin.
-	MinBound float64
-}
-
-func (o *ROMOptions) setDefaults() {
-	if o.MaxRank <= 0 {
-		o.MaxRank = 32
-	}
-	if o.SnapshotOmegas <= 0 {
-		o.SnapshotOmegas = 6
-	}
-	if o.SnapshotCurrents <= 0 {
-		o.SnapshotCurrents = 4
-	}
-	if o.ValidateOmegas <= 0 {
-		o.ValidateOmegas = 5
-	}
-	if o.ValidateCurrents <= 0 {
-		o.ValidateCurrents = 3
-	}
-	if o.Safety <= 0 {
-		o.Safety = 2
-	}
-	if o.MinBound <= 0 {
-		o.MinBound = 0.02
-	}
-}
+	romMinBound = 0.02
+)
 
 // ROMStats counts reduced-model traffic. Rejections are evaluations that
 // fell through to the full model (error estimate over bound, ω below the
@@ -164,34 +125,33 @@ type romScratch struct {
 
 // NewReducedModel builds a ROM over the model's operating box
 // [0, ΩMax] × [0, MaxCurrent]. It fails if the snapshot grid yields no
-// usable basis (for example, every snapshot in thermal runaway). With
-// ROMOptions.CacheDir set, a previously persisted basis with a matching
-// identity is loaded instead of collected (see rompersist.go), and a
-// fresh build persists its basis for the next restart.
-func NewReducedModel(m *Model, opts ROMOptions) (*ReducedModel, error) {
-	opts.setDefaults()
+// usable basis (for example, every snapshot in thermal runaway). A
+// non-empty cacheDir enables basis persistence: a previously persisted
+// basis with a matching identity is loaded instead of collected (see
+// rompersist.go), and a fresh build persists its basis for the next
+// restart. Any load-time mismatch — corruption, stale format, different
+// identity, failed re-validation — silently falls through to a full build.
+func NewReducedModel(m *Model, cacheDir string) (*ReducedModel, error) {
 	cfg := m.Config()
 	omegaMax := m.act.UMax()
 	iMax := cfg.TEC.MaxCurrent
 	if omegaMax <= 0 {
 		return nil, fmt.Errorf("thermal: ROM needs a positive fan speed range, got ΩMax=%g", omegaMax)
 	}
-	if opts.CacheDir != "" {
-		if r, err := loadCachedROM(m, opts); err == nil {
+	if cacheDir != "" {
+		if r, err := loadCachedROM(m, cacheDir); err == nil {
 			return r, nil
 		}
-		// Any load failure — missing file, corruption, stale format,
-		// identity or bound mismatch — falls through to a full build.
 	}
-	r, err := buildReducedModel(m, opts, omegaMax, iMax)
+	r, err := buildReducedModel(m, omegaMax, iMax)
 	if err != nil {
 		return nil, err
 	}
-	if opts.CacheDir != "" {
+	if cacheDir != "" {
 		// Best effort: a failed write (read-only dir, disk full) costs the
 		// next restart a rebuild, never this construction.
 		//lint:ignore errdrop a failed cache write only costs the next restart a rebuild
-		_ = saveCachedROM(r, opts)
+		_ = saveCachedROM(r, cacheDir)
 	}
 	return r, nil
 }
@@ -208,7 +168,7 @@ func newReducedShell(m *Model) (*ReducedModel, error) {
 	// leakage folded in, then copy the matrix values and RHS out of the
 	// pooled scratch.
 	sc := m.getScratch()
-	m.assembleInto(sc, 0, m.uniformCurrent(0), true, nil)
+	m.assembleSlice(sc, 0)
 	a0vals := make([]float64, len(sc.vals))
 	copy(a0vals, sc.vals)
 	r.b0 = make([]float64, m.n)
@@ -240,7 +200,7 @@ func (r *ReducedModel) initScratch() {
 	}
 }
 
-func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*ReducedModel, error) {
+func buildReducedModel(m *Model, omegaMax, iMax float64) (*ReducedModel, error) {
 	r, err := newReducedShell(m)
 	if err != nil {
 		return nil, err
@@ -252,13 +212,10 @@ func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*Redu
 	// snapshots carry no field and are skipped, and the smallest surviving
 	// ω becomes the ROM's floor.
 	var pts []Point
-	for io := 0; io < opts.SnapshotOmegas; io++ {
-		omega := omegaMax * float64(io+1) / float64(opts.SnapshotOmegas)
-		for ic := 0; ic < opts.SnapshotCurrents; ic++ {
-			itec := 0.0
-			if opts.SnapshotCurrents > 1 {
-				itec = iMax * float64(ic) / float64(opts.SnapshotCurrents-1)
-			}
+	for io := 0; io < romSnapOmegas; io++ {
+		omega := omegaMax * float64(io+1) / romSnapOmegas
+		for ic := 0; ic < romSnapCurrents; ic++ {
+			itec := iMax * float64(ic) / (romSnapCurrents - 1)
 			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
 		}
 	}
@@ -292,7 +249,7 @@ func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*Redu
 		}
 	}
 
-	r.basis = orthonormalBasis(snaps, opts.MaxRank)
+	r.basis = orthonormalBasis(snaps, romMaxRank)
 	r.rank = len(r.basis)
 	if r.rank == 0 {
 		return nil, fmt.Errorf("thermal: ROM basis collapsed (degenerate snapshots)")
@@ -300,7 +257,7 @@ func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*Redu
 	r.project()
 	r.initScratch()
 
-	if err := r.calibrate(opts, omegaMax, iMax); err != nil {
+	if err := r.calibrate(omegaMax, iMax); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -312,7 +269,7 @@ func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 	m := r.m
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	m.assembleInto(sc, omega, m.uniformCurrent(0), true, nil)
+	m.assembleSlice(sc, omega)
 	rhs := make([]float64, m.n)
 	for i, p := range m.dyn {
 		rhs[m.node(planeChip, i)] = p
@@ -407,13 +364,13 @@ func (r *ReducedModel) project() {
 // setting the advertised bound and the residual→error amplification. The
 // full reference solves go through the batched evaluator — one assembly
 // and factorization per validation ω.
-func (r *ReducedModel) calibrate(opts ROMOptions, omegaMax, iMax float64) error {
+func (r *ReducedModel) calibrate(omegaMax, iMax float64) error {
 	var pts []Point
-	for io := 0; io < opts.ValidateOmegas; io++ {
+	for io := 0; io < romValOmegas; io++ {
 		// Midpoint offset relative to the snapshot ω grid.
-		omega := r.omegaFloor + (omegaMax-r.omegaFloor)*(float64(io)+0.5)/float64(opts.ValidateOmegas)
-		for ic := 0; ic < opts.ValidateCurrents; ic++ {
-			itec := iMax * (float64(ic) + 0.5) / float64(opts.ValidateCurrents)
+		omega := r.omegaFloor + (omegaMax-r.omegaFloor)*(float64(io)+0.5)/romValOmegas
+		for ic := 0; ic < romValCurrents; ic++ {
+			itec := iMax * (float64(ic) + 0.5) / romValCurrents
 			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
 		}
 	}
@@ -452,7 +409,7 @@ func (r *ReducedModel) calibrate(opts ROMOptions, omegaMax, iMax float64) error 
 	if valid == 0 {
 		return fmt.Errorf("thermal: ROM validation grid has no usable points")
 	}
-	r.bound = math.Max(opts.Safety*maxErr, opts.MinBound)
+	r.bound = math.Max(romSafety*maxErr, romMinBound)
 	r.kappa = maxKappa
 	return nil
 }
@@ -488,7 +445,7 @@ func (r *ReducedModel) ensureDyn() {
 		return
 	}
 	sc := r.m.getScratch()
-	r.m.assembleInto(sc, 0, r.m.uniformCurrent(0), true, nil)
+	r.m.assembleSlice(sc, 0)
 	copy(r.b0, sc.rhs)
 	r.m.putScratch(sc)
 	for i := 0; i < r.rank; i++ {
@@ -582,7 +539,10 @@ func (r *ReducedModel) Evaluate(omega, itec float64) (*Result, bool, error) {
 		r.rejections.Add(1)
 		return nil, false, nil
 	}
-	res := r.m.buildResult(omega, itec, r.m.uniformCurrent(itec), t, sparse.Stats{}, true)
+	sc := r.m.getScratch()
+	sparse.Fill(sc.cur, itec)
+	res := r.m.buildResult(omega, itec, sc.cur, t, sparse.Stats{}, true)
+	r.m.putScratch(sc)
 	if res.MaxChipTemp > r.runawayT {
 		// Near or inside the runaway wall the linearized fixed point is
 		// meaningless; let the full model classify the point.

@@ -25,8 +25,9 @@ import (
 //	magic     "OFTECROM"           8 bytes
 //	version   uint32               bumped on any layout change; stale
 //	                               versions are ignored, never migrated
-//	identity  uint64               FNV-64a over config JSON, dynamic
-//	                               power bits, ROM options, cache key
+//	identity  uint64               FNV-64a over config JSON, actuator
+//	                               name, dynamic power bits, ROM
+//	                               construction constants
 //	n, rank   uint32 ×2
 //	omegaFloor, bound, kappa       float64 bits ×3
 //	basis     rank·n float64 bits
@@ -48,11 +49,12 @@ const (
 	romHeaderLen = 8 + 4 + 8 + 4 + 4 + 3*8
 )
 
-// romIdentity content-addresses a (model, options) pair: the full config
-// (embedded floorplan included), the dynamic power vector the snapshots
-// were solved under, every option that shapes the basis or calibration,
-// and the caller's extra key.
-func romIdentity(m *Model, opts ROMOptions) (uint64, error) {
+// romIdentity content-addresses a model's ROM: the full config (embedded
+// floorplan included), the dynamic power vector the snapshots were solved
+// under, and every construction constant that shapes the basis or
+// calibration. Persisted files are named by this hash, so the bytes and
+// their order must not change (TestROMPersistIdentityStable pins one).
+func romIdentity(m *Model) (uint64, error) {
 	cfgJSON, err := json.Marshal(m.Config())
 	if err != nil {
 		return 0, fmt.Errorf("thermal: hashing config: %w", err)
@@ -77,15 +79,13 @@ func romIdentity(m *Model, opts ROMOptions) (uint64, error) {
 	for _, p := range m.dyn {
 		wf(p)
 	}
-	w64(uint64(opts.MaxRank))
-	w64(uint64(opts.SnapshotOmegas))
-	w64(uint64(opts.SnapshotCurrents))
-	w64(uint64(opts.ValidateOmegas))
-	w64(uint64(opts.ValidateCurrents))
-	wf(opts.Safety)
-	wf(opts.MinBound)
-	//lint:ignore errdrop fnv's Write is documented to never fail
-	h.Write([]byte(opts.CacheKey))
+	w64(romMaxRank)
+	w64(romSnapOmegas)
+	w64(romSnapCurrents)
+	w64(romValOmegas)
+	w64(romValCurrents)
+	wf(romSafety)
+	wf(romMinBound)
 	return h.Sum64(), nil
 }
 
@@ -94,16 +94,15 @@ func romCachePath(dir string, identity uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("rom-%016x.basis", identity))
 }
 
-// saveCachedROM serializes r's basis and calibration into opts.CacheDir,
-// creating the directory as needed. The write goes through a temp file +
-// rename so a crashed writer never leaves a torn file under the final
-// name.
-func saveCachedROM(r *ReducedModel, opts ROMOptions) error {
-	identity, err := romIdentity(r.m, opts)
+// saveCachedROM serializes r's basis and calibration into dir, creating
+// the directory as needed. The write goes through a temp file + rename so
+// a crashed writer never leaves a torn file under the final name.
+func saveCachedROM(r *ReducedModel, dir string) error {
+	identity, err := romIdentity(r.m)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(opts.CacheDir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	n := r.m.n
@@ -134,7 +133,7 @@ func saveCachedROM(r *ReducedModel, opts ROMOptions) error {
 	binary.LittleEndian.PutUint64(payload[off:], h.Sum64())
 	off += 8
 
-	tmp, err := os.CreateTemp(opts.CacheDir, "rom-*.tmp")
+	tmp, err := os.CreateTemp(dir, "rom-*.tmp")
 	if err != nil {
 		return err
 	}
@@ -150,7 +149,7 @@ func saveCachedROM(r *ReducedModel, opts ROMOptions) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), romCachePath(opts.CacheDir, identity))
+	return os.Rename(tmp.Name(), romCachePath(dir, identity))
 }
 
 // loadCachedROM reconstructs a ReducedModel from the persisted basis,
@@ -158,12 +157,12 @@ func saveCachedROM(r *ReducedModel, opts ROMOptions) error {
 // the replica is bit-identical to the ROM that was saved: the basis bits
 // come from the file and every derived piece is recomputed by the same
 // deterministic projection a fresh build runs.
-func loadCachedROM(m *Model, opts ROMOptions) (*ReducedModel, error) {
-	identity, err := romIdentity(m, opts)
+func loadCachedROM(m *Model, dir string) (*ReducedModel, error) {
+	identity, err := romIdentity(m)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := os.ReadFile(romCachePath(opts.CacheDir, identity))
+	raw, err := os.ReadFile(romCachePath(dir, identity))
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +197,8 @@ func loadCachedROM(m *Model, opts ROMOptions) (*ReducedModel, error) {
 	if n != m.n {
 		return nil, fmt.Errorf("thermal: ROM cache has %d nodes, model has %d", n, m.n)
 	}
-	if rank <= 0 || rank > opts.MaxRank {
-		return nil, fmt.Errorf("thermal: ROM cache rank %d outside (0, %d]", rank, opts.MaxRank)
+	if rank <= 0 || rank > romMaxRank {
+		return nil, fmt.Errorf("thermal: ROM cache rank %d outside (0, %d]", rank, romMaxRank)
 	}
 	if want := romHeaderLen + 8*rank*n + 8; len(raw) != want {
 		return nil, fmt.Errorf("thermal: ROM cache is %d bytes, want %d", len(raw), want)

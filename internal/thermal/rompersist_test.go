@@ -9,22 +9,6 @@ import (
 	"testing"
 )
 
-// romTestOptions keeps ROM construction fast at test resolution. Defaults
-// are filled eagerly so romIdentity sees the same options NewReducedModel
-// hashes internally.
-func romTestOptions(dir string) ROMOptions {
-	opts := ROMOptions{
-		MaxRank:          16,
-		SnapshotOmegas:   4,
-		SnapshotCurrents: 3,
-		ValidateOmegas:   3,
-		ValidateCurrents: 2,
-		CacheDir:         dir,
-	}
-	opts.setDefaults()
-	return opts
-}
-
 // romEvalGrid compares two ROMs over a probe grid; both must make the
 // same accept/reject decisions and return DeepEqual results.
 func assertROMsIdentical(t *testing.T, label string, a, b *ReducedModel) {
@@ -57,25 +41,39 @@ func assertROMsIdentical(t *testing.T, label string, a, b *ReducedModel) {
 	}
 }
 
-func romCacheFile(t *testing.T, m *Model, opts ROMOptions) string {
+func romCacheFile(t *testing.T, m *Model, dir string) string {
 	t.Helper()
-	identity, err := romIdentity(m, opts)
+	identity, err := romIdentity(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return romCachePath(opts.CacheDir, identity)
+	return romCachePath(dir, identity)
+}
+
+// TestROMPersistIdentityStable pins the content address of one fixed
+// model: the identity hashes the same bytes in the same order as when the
+// construction constants were options, so OFTECROM files written then
+// still load.
+func TestROMPersistIdentityStable(t *testing.T) {
+	id, err := romIdentity(benchModel(t, testConfig(), "Basicmath"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0xebfadbef87553800
+	if id != want {
+		t.Errorf("identity %#016x, want %#016x", id, uint64(want))
+	}
 }
 
 func TestROMPersistRoundTripBitIdentical(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
-	opts := romTestOptions(dir)
 
-	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), opts)
+	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := romCacheFile(t, collected.m, opts)
+	path := romCacheFile(t, collected.m, dir)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("fresh build did not persist its basis: %v", err)
 	}
@@ -84,14 +82,14 @@ func TestROMPersistRoundTripBitIdentical(t *testing.T) {
 	// cache dir. It must load, skipping collection, and behave
 	// bit-identically to the freshly collected ROM.
 	m2 := benchModel(t, cfg, "Basicmath")
-	loaded, err := loadCachedROM(m2, opts)
+	loaded, err := loadCachedROM(m2, dir)
 	if err != nil {
 		t.Fatalf("persisted basis did not load: %v", err)
 	}
 	assertROMsIdentical(t, "replica", collected, loaded)
 
 	// NewReducedModel takes the same load path.
-	viaNew, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), opts)
+	viaNew, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +99,11 @@ func TestROMPersistRoundTripBitIdentical(t *testing.T) {
 func TestROMPersistCorruptByteRejectedAndFallsThrough(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
-	opts := romTestOptions(dir)
-	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), opts)
+	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := romCacheFile(t, collected.m, opts)
+	path := romCacheFile(t, collected.m, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +117,12 @@ func TestROMPersistCorruptByteRejectedAndFallsThrough(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadCachedROM(benchModel(t, cfg, "Basicmath"), opts); err == nil {
+		if _, err := loadCachedROM(benchModel(t, cfg, "Basicmath"), dir); err == nil {
 			t.Fatalf("corrupt byte at %d accepted", pos)
 		}
 		// The constructor falls through to a full rebuild and the result
 		// still matches the original.
-		rebuilt, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), opts)
+		rebuilt, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir)
 		if err != nil {
 			t.Fatalf("corrupt cache broke construction: %v", err)
 		}
@@ -136,7 +133,7 @@ func TestROMPersistCorruptByteRejectedAndFallsThrough(t *testing.T) {
 	if err := os.WriteFile(path, raw[:romHeaderLen-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadCachedROM(benchModel(t, cfg, "Basicmath"), opts); err == nil {
+	if _, err := loadCachedROM(benchModel(t, cfg, "Basicmath"), dir); err == nil {
 		t.Fatal("truncated file accepted")
 	}
 }
@@ -144,12 +141,11 @@ func TestROMPersistCorruptByteRejectedAndFallsThrough(t *testing.T) {
 func TestROMPersistStaleVersionIgnored(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
-	opts := romTestOptions(dir)
-	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), opts)
+	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := romCacheFile(t, collected.m, opts)
+	path := romCacheFile(t, collected.m, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +163,11 @@ func TestROMPersistStaleVersionIgnored(t *testing.T) {
 	if err := os.WriteFile(path, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = loadCachedROM(benchModel(t, cfg, "Basicmath"), opts)
+	_, err = loadCachedROM(benchModel(t, cfg, "Basicmath"), dir)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("stale version: err = %v, want a format-version rejection", err)
 	}
-	if _, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), opts); err != nil {
+	if _, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir); err != nil {
 		t.Fatalf("stale cache broke construction: %v", err)
 	}
 }
@@ -179,17 +175,16 @@ func TestROMPersistStaleVersionIgnored(t *testing.T) {
 func TestROMPersistIdentityMismatchIgnored(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
-	opts := romTestOptions(dir)
-	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), opts)
+	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := romCacheFile(t, collected.m, opts)
+	path := romCacheFile(t, collected.m, dir)
 
 	// A different workload has a different identity: its cache path is
 	// empty, so the load misses and the build runs fresh.
 	other := benchModel(t, cfg, "CRC32")
-	if _, err := loadCachedROM(other, opts); err == nil {
+	if _, err := loadCachedROM(other, dir); err == nil {
 		t.Fatal("foreign-identity cache load unexpectedly succeeded")
 	}
 
@@ -199,26 +194,11 @@ func TestROMPersistIdentityMismatchIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(romCacheFile(t, other, opts), raw, 0o644); err != nil {
+	if err := os.WriteFile(romCacheFile(t, other, dir), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = loadCachedROM(benchModel(t, cfg, "CRC32"), opts)
+	_, err = loadCachedROM(benchModel(t, cfg, "CRC32"), dir)
 	if err == nil || !strings.Contains(err.Error(), "identity") {
 		t.Fatalf("planted foreign basis: err = %v, want an identity rejection", err)
-	}
-
-	// CacheKey participates in the identity.
-	keyed := opts
-	keyed.CacheKey = "replica-7"
-	idA, err := romIdentity(collected.m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := romIdentity(collected.m, keyed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idA == idB {
-		t.Error("CacheKey does not change the identity hash")
 	}
 }

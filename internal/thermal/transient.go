@@ -110,8 +110,10 @@ func (tr *Transient) ChipState() (maxTemp float64, temps []float64) {
 // solve and returns the maximum chip temperature after the step. The
 // backward-Euler system is the steady-state matrix plus C/Δt on the
 // diagonal, assembled through the shared symbolic pattern (the shift is
-// diagonal, so the pattern is unchanged) and versioned on (ω, I, Δt): a
-// fixed-step integration reuses one IC(0) factorization across all steps.
+// diagonal, so the pattern is unchanged). Its preconditioner is cached
+// under (ω, I, Δt), so a fixed-step integration reuses one IC(0)
+// factorization across all steps; the shared ω-slice preconditioner would
+// fit poorly, since the C/Δt patch touches every row.
 func (tr *Transient) Step(dt float64) (float64, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return 0, fmt.Errorf("thermal: step size %g must be positive and finite", dt)
@@ -119,14 +121,13 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 	m := tr.model
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	m.assembleInto(sc, tr.omega, m.uniformCurrent(tr.itec), true, nil)
-	for i, c := range tr.caps {
-		cdt := c / dt
-		sc.vals[m.diagIdx[i]] += cdt
-		sc.rhs[i] += cdt * tr.temps[i]
+	tr.assemble(sc, dt)
+	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: tr.temps, Work: &sc.ws}
+	key := precondKey{omega: tr.omega, itec: tr.itec, dt: dt}
+	if ic, ok := m.precond(key, func(pc *evalScratch) { tr.assemble(pc, dt) }); ok {
+		opts.Precond = ic
 	}
-	sc.mat.SetVersion(m.versionFor(verKey{omega: tr.omega, itec: tr.itec, dt: dt, linear: true}))
-	next, _, err := m.solveScratchOwn(sc, tr.temps)
+	next, _, err := sparse.SolveAuto(sc.mat, sc.rhs, opts)
 	if err != nil {
 		return 0, fmt.Errorf("thermal: transient solve failed at t=%g: %w", tr.now, err)
 	}
@@ -134,6 +135,19 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 	tr.now += dt
 	maxTemp, _ := tr.ChipState()
 	return maxTemp, nil
+}
+
+// assemble writes the backward-Euler system of a dt step from the current
+// state into sc.
+func (tr *Transient) assemble(sc *evalScratch, dt float64) {
+	m := tr.model
+	sparse.Fill(sc.cur, tr.itec)
+	m.assembleInto(sc, tr.omega, sc.cur, true, nil)
+	for i, c := range tr.caps {
+		cdt := c / dt
+		sc.vals[m.diagIdx[i]] += cdt
+		sc.rhs[i] += cdt * tr.temps[i]
+	}
 }
 
 // SteadyStateGap returns the infinity-norm difference between the current

@@ -1,6 +1,9 @@
 package thermal
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Zoning partitions the TEC deployment into independently driven control
 // zones — the natural generalization of the paper's single series string
@@ -10,11 +13,18 @@ import "fmt"
 // the zoned experiment quantifies the extra savings. The paper's string is
 // the one-zone zoning, which every evaluation method takes as nil.
 type Zoning struct {
+	// id names the zoning in the model's result memo. Ids come from
+	// zoningIDs and are never reused, unlike the address of a collected
+	// zoning.
+	id       uint64
 	numZones int
 	// zoneOf maps each chip-grid cell to its zone (only meaningful for
 	// TEC-covered cells).
 	zoneOf []int
 }
+
+// zoningIDs issues Zoning ids.
+var zoningIDs atomic.Uint64
 
 // NumZones returns the number of control zones.
 func (z *Zoning) NumZones() int { return z.numZones }
@@ -44,7 +54,7 @@ func (m *Model) NewZoning(assign map[string]int, numZones int) (*Zoning, error) 
 	}
 
 	chip := m.grids[planeChip]
-	z := &Zoning{numZones: numZones, zoneOf: make([]int, chip.NumCells())}
+	z := &Zoning{id: zoningIDs.Add(1), numZones: numZones, zoneOf: make([]int, chip.NumCells())}
 	used := make([]bool, numZones)
 	for i := 0; i < chip.NumCells(); i++ {
 		r, c := chip.RowCol(i)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the full verification gate for this repository:
 #
-#   build → go vet → oftecvet (project static analysis) → named test
+#   build → go vet → gofmt → oftecvet (project static analysis) → named test
 #   gates with -race (concurrency, solver, adjoint, backend, batch,
 #   coolant) → every remaining test with -race → oftecd smoke (live
 #   daemon, every endpoint, clean SIGTERM shutdown) → parallel-sweep
@@ -17,6 +17,17 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# Formatting gate: every Go file must be gofmt-clean, except the analyzer
+# fixtures under testdata/ (some are deliberately malformed) and the
+# benchmark's build tree.
+echo "== gofmt -l"
+unformatted=$(find . -path ./.bench_build -prune -o -path '*/testdata' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "check.sh: gofmt -l lists unformatted files; run gofmt -w on them:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 # Project static analysis, gated against the committed baseline. The
 # baseline exists so a finding introduced by an upstream change can be
