@@ -102,6 +102,6 @@ func main() {
 	}
 
 	cs := s.Cache().Stats()
-	log.Printf("cache at exit: hits=%d waits=%d misses=%d rotations=%d collisions=%d batches=%d batch_points=%d",
-		cs.Hits, cs.Waits, cs.Misses, cs.Rotations, cs.Collisions, cs.Batches, cs.BatchPoints)
+	log.Printf("cache at exit: hits=%d waits=%d misses=%d rotations=%d batches=%d batch_points=%d",
+		cs.Hits, cs.Waits, cs.Misses, cs.Rotations, cs.Batches, cs.BatchPoints)
 }

@@ -27,7 +27,7 @@ import (
 //
 // Omega is the actuator command u: the fan speed ω in rad/s under the
 // paper's air cooling, the pump speed under a liquid loop. The field keeps
-// its historical name for compatibility; U() is the seam-era accessor.
+// its historical name for compatibility.
 type OpPoint struct {
 	Omega    float64
 	Currents []float64
@@ -37,14 +37,6 @@ type OpPoint struct {
 func Scalar(omega, itec float64) OpPoint {
 	return OpPoint{Omega: omega, Currents: []float64{itec}}
 }
-
-// ScalarU is Scalar under the actuator-command naming: u is the fan speed
-// for air cooling, the pump speed for a liquid loop.
-func ScalarU(u, itec float64) OpPoint { return Scalar(u, itec) }
-
-// U returns the actuator command (the Omega field under its
-// actuator-agnostic name).
-func (op OpPoint) U() float64 { return op.Omega }
 
 // K returns the number of control zones.
 func (op OpPoint) K() int { return len(op.Currents) }

@@ -37,7 +37,7 @@ func TestCoolantBackendsRegistered(t *testing.T) {
 	if got, want := m.UMax(), coolant.PaperLoop().MaxSpeed; got != want {
 		t.Errorf("UMax %g, want the pump ceiling %g", got, want)
 	}
-	res, err := p.Evaluate(context.Background(), ScalarU(200, 1), nil)
+	res, err := p.Evaluate(context.Background(), Scalar(200, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,72 +2,41 @@ package core
 
 import (
 	"context"
-	"math"
-	"strconv"
-	"sync"
 
 	"oftec/internal/backend"
 	"oftec/internal/solver"
 	"oftec/internal/thermal"
 )
 
-// gradMemo caches adjoint gradients by quantized operating point. One
+// adjoint is gradient mode's source of exact derivatives. One
 // backend.GradEvaluator call produces BOTH ∇𝒫 and ∇𝒯_τ (two adjoint solves
-// on the already-factored system); the solver asks for the objective and
-// constraint gradients separately at the same iterate, so without the memo
-// every iterate would pay the adjoint pair twice. Safe for concurrent use
-// (MultiStart's corner launch shares one memo).
-type gradMemo struct {
+// on the already-factored system), and the thermal model memoizes the
+// Gradient with its point's Result, so when the solver asks for the
+// objective and constraint gradients separately at one iterate, the second
+// request is a memo hit rather than another adjoint pair. Safe for
+// concurrent use (MultiStart's corner launch shares one).
+type adjoint struct {
 	ge backend.GradEvaluator
-
-	mu sync.Mutex
-	m  map[string]*thermal.Gradient
-}
-
-func newGradMemo(ge backend.GradEvaluator) *gradMemo {
-	return &gradMemo{ge: ge, m: map[string]*thermal.Gradient{}}
-}
-
-// gradKey quantizes x on the evaluation cache's 1e-9 grid, so the memo and
-// the cache agree on which probes are the same operating point.
-func gradKey(x []float64) string {
-	b := make([]byte, 0, 24*len(x))
-	for _, v := range x {
-		b = strconv.AppendInt(b, int64(math.Round(v*1e9)), 10)
-		b = append(b, ':')
-	}
-	return string(b)
 }
 
 // at returns the gradient at x, or nil when the point cannot be
 // differentiated (thermal runaway, failed adjoint solve) — a nil return
 // from the installed solver.GradFunc sends the solver back to finite
-// differences at that point only. Errors are not cached: the runaway check
-// rides an evaluation that is itself memoized, so a repeat is cheap.
-func (g *gradMemo) at(x []float64) *thermal.Gradient {
-	key := gradKey(x)
-	g.mu.Lock()
-	got, ok := g.m[key]
-	g.mu.Unlock()
-	if ok {
-		return got
-	}
-	grad, err := g.ge.EvaluateGrad(context.Background(), backend.OpPoint{
+// differences at that point only.
+func (a adjoint) at(x []float64) *thermal.Gradient {
+	grad, err := a.ge.EvaluateGrad(context.Background(), backend.OpPoint{
 		Omega:    x[0],
 		Currents: append([]float64(nil), x[1:]...),
 	})
 	if err != nil {
 		return nil
 	}
-	g.mu.Lock()
-	g.m[key] = grad
-	g.mu.Unlock()
 	return grad
 }
 
 // powerGrad is the solver.GradFunc for the 𝒫 objective.
-func (g *gradMemo) powerGrad(x []float64) []float64 {
-	if grad := g.at(x); grad != nil {
+func (a adjoint) powerGrad(x []float64) []float64 {
+	if grad := a.at(x); grad != nil {
 		return grad.PowerGrad
 	}
 	return nil
@@ -76,8 +45,8 @@ func (g *gradMemo) powerGrad(x []float64) []float64 {
 // tempGrad is the solver.GradFunc for the smoothed 𝒯_τ objective and for
 // the thermal constraint 𝒯_τ − (T_max − margin), whose constant offset
 // differentiates away.
-func (g *gradMemo) tempGrad(x []float64) []float64 {
-	if grad := g.at(x); grad != nil {
+func (a adjoint) tempGrad(x []float64) []float64 {
+	if grad := a.at(x); grad != nil {
 		return grad.TempGrad
 	}
 	return nil

@@ -218,7 +218,7 @@ func (s *System) Run(opts Options) (*Outcome, error) {
 func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOutcome, error) {
 	cfg := s.ev.Config()
 
-	lower, upper, err := s.bounds(opts.Mode, opts.fixedOmega(), k)
+	lower, upper, corners, err := s.setup(k, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +243,10 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 	// gradients, install them on the solver options and align the thermal
 	// objective/constraint with the smoothed maximum the adjoint
 	// differentiates.
-	var gm *gradMemo
+	var adj *adjoint
 	if opts.Gradient {
 		if ge, ok := backend.GradientOf(bnd); ok {
-			gm = newGradMemo(ge)
+			adj = &adjoint{ge: ge}
 			tempObj = func(x []float64) float64 { return smoothTempObj(eval, x) }
 			tempCons = func(x []float64) float64 { return smoothTempObj(eval, x) - tMaxSolve }
 		}
@@ -272,8 +272,8 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 	if t1 > tMaxSolve || opts.SkipOpt1 {
 		p2 := &solver.Problem{F: tempObj, Lower: lower, Upper: upper}
 		o2 := opts.Solver
-		if gm != nil {
-			o2.Grad = gm.tempGrad
+		if adj != nil {
+			o2.Grad = adj.tempGrad
 		}
 		if !opts.SkipOpt1 {
 			// Algorithm 1 line 3: stop Optimization 2 early once feasible.
@@ -323,19 +323,15 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 		Upper: upper,
 	}
 	so1 := opts.Solver
-	if gm != nil {
-		so1.Grad = gm.powerGrad
-		so1.ConsGrad = []solver.GradFunc{gm.tempGrad}
+	if adj != nil {
+		so1.Grad = adj.powerGrad
+		so1.ConsGrad = []solver.GradFunc{adj.tempGrad}
 	}
 	var rep solver.Report
 	if opts.MultiStart {
-		starts, serr := solver.CornerStarts(p1, 0.05)
-		if serr != nil {
-			return nil, fmt.Errorf("core: multistart setup failed: %w", serr)
-		}
 		// The feasible point from phase 2 leads the list so the plain
 		// Algorithm 1 path is always among the candidates.
-		starts = append([][]float64{x1}, starts...)
+		starts := append([][]float64{x1}, corners...)
 		if so1.Workers == 0 {
 			// The cached objectives are safe for concurrent use, so the
 			// corner launch fans out unless the caller pinned a width.
@@ -361,6 +357,38 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 		return nil, err
 	}
 	return out, nil
+}
+
+// setup returns the decision box of an Algorithm 1 run over k zones and,
+// under Options.MultiStart, Optimization 1's corner launch over it. It
+// solves nothing, so an option the run cannot honor fails before the
+// first solve.
+func (s *System) setup(k int, opts Options) (lower, upper []float64, corners [][]float64, err error) {
+	lower, upper, err = s.bounds(opts.Mode, opts.fixedOmega(), k)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if opts.MultiStart {
+		box := &solver.Problem{F: func([]float64) float64 { return 0 }, Lower: lower, Upper: upper}
+		if corners, err = solver.CornerStarts(box, 0.05); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: multistart setup failed: %w", err)
+		}
+	}
+	return lower, upper, corners, nil
+}
+
+// CheckOptions returns the error Run (nil zoning) or RunZoned would
+// report for opts before its first solve — a mode without a decision box,
+// or a multistart corner launch past solver.CornerStarts' dimension bound
+// — without solving anything, so a service can reject the request before
+// its response starts.
+func (s *System) CheckOptions(zoning *thermal.Zoning, opts Options) error {
+	k := 1
+	if zoning != nil {
+		k = zoning.NumZones()
+	}
+	_, _, _, err := s.setup(k, opts)
+	return err
 }
 
 // MinimizeMaxTemp solves Optimization 2 to completion (no early stop):

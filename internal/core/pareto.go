@@ -60,18 +60,6 @@ func (s *System) ParetoFront(tmaxValues []float64, opts Options) ([]ParetoPoint,
 		workers = len(sorted)
 	}
 
-	ctx := opts.Solver.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Every threshold's Run starts from the same point(s) — the domain
-	// center, plus the corners under MultiStart. Submit them as one batch
-	// up front so the probes (serial or concurrent) begin on cache hits;
-	// priming both paths from the same batch keeps parallel ≡ serial
-	// fronts bit-identical.
-	if bnd, err := s.binding(nil); err == nil {
-		s.primeStartBatch(ctx, bnd, opts, 1)
-	}
 	if workers == 1 {
 		return s.paretoSerial(sorted, opts)
 	}
@@ -80,6 +68,10 @@ func (s *System) ParetoFront(tmaxValues []float64, opts Options) ([]ParetoPoint,
 	// one (service request deadlines): cancellation stops dispatching new
 	// thresholds, and each in-flight Run already honors the same context
 	// at its iteration boundaries.
+	ctx := opts.Solver.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	out := make([]ParetoPoint, len(sorted))
 	errs := make([]error, len(sorted))
 	err := parallel.ForEach(ctx, len(sorted), workers, func(i int) error {

@@ -140,3 +140,32 @@ func TestZonedControlBeatsUniform(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// TestMultiStartBoundRejectedBeforeSolving: a corner launch past
+// solver.CornerStarts' dimension bound (8 zones → 9 variables) fails the
+// run before its first evaluation, and CheckOptions reports the same error
+// without running anything.
+func TestMultiStartBoundRejectedBeforeSolving(t *testing.T) {
+	s := benchSystem(t, "CRC32")
+	z, err := testModelOf(t, s).SpreadZoning(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MultiStart: true}
+	checkErr := s.CheckOptions(z, opts)
+	if checkErr == nil {
+		t.Fatal("CheckOptions accepted a 9-variable corner launch")
+	}
+	if _, err := s.RunZoned(z, opts); err == nil || err.Error() != checkErr.Error() {
+		t.Errorf("RunZoned error %v, want CheckOptions' %v", err, checkErr)
+	}
+	if st := s.CacheStats(); st.Misses != 0 {
+		t.Errorf("rejected run evaluated %d points, want 0", st.Misses)
+	}
+	if err := s.CheckOptions(z, Options{}); err != nil {
+		t.Errorf("single-start 8-zone run rejected: %v", err)
+	}
+	if err := s.CheckOptions(nil, opts); err != nil {
+		t.Errorf("scalar multistart rejected: %v", err)
+	}
+}

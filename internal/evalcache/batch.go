@@ -8,14 +8,15 @@ import (
 )
 
 // EvaluateBatch resolves a block of operating points through the cache in
-// one pass. Classification — hit, coalesced wait, or miss — happens under
-// a single lock acquisition, then every unique miss is solved through the
-// wrapped backend's BatchEvaluator capability when it has one (blocked
-// multi-RHS solves) and per-point otherwise. The per-index contract is
-// the same as calling Evaluate for each op, with one deliberate
-// difference: duplicate keys inside the batch dedupe onto the first
-// occurrence's solve without any channel rendezvous, so a batch can never
-// wait on itself.
+// one pass. Every point is classified — hit, coalesced wait, or miss — by
+// the claim step Evaluate uses, under a single lock acquisition, then
+// every unique miss is solved through the wrapped backend's
+// BatchEvaluator capability when it has one (blocked multi-RHS solves)
+// and per-point otherwise. The per-index contract is the same as calling
+// Evaluate for each op. A duplicate inside the batch claims a wait on the
+// batch's own miss; waits are joined only after the batch's misses are
+// finished, so a duplicate reads its twin's finished rendezvous and never
+// parks on a channel — a batch can never wait on itself.
 //
 // Results are filled per index; any error — a failed solve, a cancelled
 // wait on another caller's in-flight point — fails the whole batch, like
@@ -26,96 +27,26 @@ func (b *Binding) EvaluateBatch(ctx context.Context, ops []backend.OpPoint, warm
 		return out, nil
 	}
 
-	type missRec struct {
-		idx int
-		ck  key
-		fl  *inflight
-	}
-	type waitRec struct {
+	type claim struct {
 		idx int
 		fl  *inflight
 	}
-	var (
-		misses  []missRec
-		waits   []waitRec
-		solo    []int       // uncached: invalid shape or wide-key collision
-		aliases map[int]int // op index → first in-batch occurrence (a miss)
-	)
-	keys := make([]key, len(ops))
-	wides := make([][]float64, len(ops))
-	valid := make([]bool, len(ops))
-	for i, op := range ops {
-		k := op.K()
-		if k == 0 {
-			solo = append(solo, i)
-			continue
-		}
-		valid[i] = true
-		ck := key{space: b.space, k: k, omega: quantize(op.Omega)}
-		if k <= maxInlineK {
-			for j, v := range op.Currents {
-				ck.cur[j] = quantize(v)
-			}
-		} else {
-			wides[i] = b.wideKey(&ck, op.Currents)
-		}
-		keys[i] = ck
-	}
-
+	var misses, waits []claim
 	c := b.c
 	c.mu.Lock()
 	c.stats.Batches++
 	c.stats.BatchPoints += int64(len(ops))
-	var firstOf map[key]int
-	for i := range ops {
-		if !valid[i] {
-			continue
+	for i, op := range ops {
+		c.keyLocked(b.space, op)
+		res, fl, miss := c.claimLocked()
+		switch {
+		case fl == nil:
+			out[i] = res
+		case miss:
+			misses = append(misses, claim{idx: i, fl: fl})
+		default:
+			waits = append(waits, claim{idx: i, fl: fl})
 		}
-		ck := keys[i]
-		if e, ok := c.lookupLocked(ck); ok {
-			if !currentsEqual(e.wide, wides[i]) {
-				c.stats.Collisions++
-				solo = append(solo, i)
-				continue
-			}
-			c.stats.Hits++
-			out[i] = e.res
-			continue
-		}
-		if j, ok := firstOf[ck]; ok {
-			if !currentsEqual(wides[j], wides[i]) {
-				c.stats.Collisions++
-				solo = append(solo, i)
-				continue
-			}
-			// An in-batch duplicate is a backend solve the cache avoided,
-			// same as a cross-caller wait — but it joins this batch's own
-			// solve directly, never parking on a channel.
-			c.stats.Waits++
-			if aliases == nil {
-				aliases = make(map[int]int)
-			}
-			aliases[i] = j
-			continue
-		}
-		if fl, ok := c.infl[ck]; ok {
-			if !currentsEqual(fl.wide, wides[i]) {
-				c.stats.Collisions++
-				solo = append(solo, i)
-				continue
-			}
-			c.stats.Waits++
-			waits = append(waits, waitRec{idx: i, fl: fl})
-			continue
-		}
-		fl := &inflight{done: make(chan struct{}), wide: wides[i]}
-		c.infl[ck] = fl
-		c.stats.Misses++
-		if firstOf == nil {
-			firstOf = make(map[key]int)
-		}
-		firstOf[ck] = i
-		misses = append(misses, missRec{idx: i, ck: ck, fl: fl})
 	}
 	hook := c.hook
 	c.mu.Unlock()
@@ -123,83 +54,61 @@ func (b *Binding) EvaluateBatch(ctx context.Context, ops []backend.OpPoint, warm
 	var solveErr error
 	if len(misses) > 0 {
 		if hook != nil {
-			for _, mr := range misses {
-				hook(ops[mr.idx])
+			for _, mc := range misses {
+				hook(ops[mc.idx])
 			}
 		}
 		if be, ok := b.ev.(backend.BatchEvaluator); ok {
 			missOps := make([]backend.OpPoint, len(misses))
-			for j, mr := range misses {
-				missOps[j] = ops[mr.idx]
+			for j, mc := range misses {
+				missOps[j] = ops[mc.idx]
 			}
 			res, err := be.EvaluateBatch(ctx, missOps, warm)
 			if err != nil {
 				solveErr = err
-				for _, mr := range misses {
-					mr.fl.err = err
+				for _, mc := range misses {
+					mc.fl.err = err
 				}
 			} else {
-				for j, mr := range misses {
-					mr.fl.res = res[j]
+				for j, mc := range misses {
+					mc.fl.res = res[j]
 				}
 			}
 		} else {
-			for _, mr := range misses {
+			for _, mc := range misses {
 				if solveErr != nil {
 					// The batch is already failing; release the remaining
 					// rendezvous without more solves.
-					mr.fl.err = solveErr
+					mc.fl.err = solveErr
 					continue
 				}
-				mr.fl.res, mr.fl.err = b.ev.Evaluate(ctx, ops[mr.idx], warm)
-				if mr.fl.err != nil {
-					solveErr = mr.fl.err
-				}
+				mc.fl.res, mc.fl.err = b.ev.Evaluate(ctx, ops[mc.idx], warm)
+				solveErr = mc.fl.err
 			}
 		}
 
 		c.mu.Lock()
-		for _, mr := range misses {
-			delete(c.infl, mr.ck)
-			if mr.fl.err == nil {
-				c.storeLocked(mr.ck, entry{res: mr.fl.res, wide: mr.fl.wide})
-			}
+		for _, mc := range misses {
+			c.finishLocked(mc.fl)
 		}
 		c.mu.Unlock()
-		for _, mr := range misses {
-			close(mr.fl.done)
-			out[mr.idx] = mr.fl.res
+		for _, mc := range misses {
+			close(mc.fl.done)
+			out[mc.idx] = mc.fl.res
 		}
 	}
 
-	// Uncached stragglers solve directly on the backend, exactly like the
-	// per-point collision path.
-	for _, i := range solo {
-		if solveErr != nil {
-			break
-		}
-		res, err := b.ev.Evaluate(ctx, ops[i], warm)
-		if err != nil {
-			solveErr = err
-			break
-		}
-		out[i] = res
-	}
-
-	// Join other callers' in-flight solves last, so this batch's own work
-	// is already dispatched while we park.
-	for _, wr := range waits {
-		res, err := waitInflight(ctx, wr.fl)
+	// Join the waits last, so this batch's own work is already done while
+	// we park on other callers' solves.
+	for _, wc := range waits {
+		res, err := waitInflight(ctx, wc.fl)
 		if err != nil {
 			if solveErr == nil {
 				solveErr = err
 			}
 			continue
 		}
-		out[wr.idx] = res
-	}
-	for i, j := range aliases {
-		out[i] = out[j]
+		out[wc.idx] = res
 	}
 	if solveErr != nil {
 		return nil, solveErr

@@ -24,6 +24,7 @@ package evalcache
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -35,13 +36,6 @@ import (
 // DefaultCapacity is the per-generation entry bound; two generations give
 // a ~16k-point footprint.
 const DefaultCapacity = 1 << 13
-
-// maxInlineK is the largest zone count whose currents are inlined into
-// the comparable cache key verbatim. Wider points (the high-density TEC
-// regime) are keyed by a 64-bit hash of the full quantized current vector
-// instead, collision-checked against the stored vector on every hit, so
-// dedupe and singleflight coalescing survive arbitrary zone counts.
-const maxInlineK = 8
 
 // Stats counts cache traffic; totals are cumulative for the Cache's
 // lifetime, across all bindings.
@@ -55,10 +49,9 @@ type Stats struct {
 	Misses int64
 	// Rotations counts generation rotations (bounded evictions).
 	Rotations int64
-	// Collisions counts wide-key (k > 8) hash collisions: two distinct
-	// current vectors mapping to one key. The colliding caller solves
-	// uncached (correctness is never at stake); any nonzero value with
-	// real traffic deserves investigation.
+	// Collisions is always zero: a key holds every quantized coordinate
+	// of its point, so two distinct points never share one. The field
+	// stays for readers of the struct.
 	Collisions int64
 	// Batches counts EvaluateBatch calls; BatchPoints the operating points
 	// submitted through them. Each point still lands in Hits, Waits, or
@@ -68,74 +61,38 @@ type Stats struct {
 	BatchPoints int64
 }
 
-// key identifies one quantized operating point inside one binding's key
-// space. Up to maxInlineK currents are inlined into a fixed array so the
-// key stays comparable; k disambiguates a scalar point from a zoned point
-// whose trailing zones happen to be zero. Wider points additionally carry
-// a hash of the full quantized vector (the inline array then holds the
-// leading currents), and every lookup on such a key re-verifies the full
-// vector against the stored entry — a collision is detected, never
-// silently served.
-type key struct {
-	space uint64
-	k     int
-	omega float64
-	cur   [maxInlineK]float64
-	hash  uint64
-}
-
-// entry is one completed cached solve. wide holds the full quantized
-// current vector for hash-keyed (k > maxInlineK) points, nil for inline
-// keys; lookups use it as the collision check.
+// entry is one completed cached solve, stored under its own key so a
+// promotion between generations re-inserts it without rebuilding the key.
 type entry struct {
-	res  *thermal.Result
-	wide []float64
+	key string
+	res *thermal.Result
 }
 
-// inflight is the rendezvous for callers coalesced onto one solve: the
-// leader closes done after filling res/err. wide mirrors entry.wide so
-// coalescing on hashed keys is collision-checked too.
+// inflight is one deduplicated miss: callers coalesced onto it wait on
+// done, which the leader closes after filling res/err.
 type inflight struct {
+	entry
 	done chan struct{}
-	res  *thermal.Result
 	err  error
-	wide []float64
-}
-
-// hashCurrents is the wide-key hash: FNV-1a over the bit patterns of the
-// quantized currents. A package variable so collision tests can force two
-// vectors onto one digest.
-var hashCurrents = fnvCurrents
-
-func fnvCurrents(qs []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, q := range qs {
-		bits := math.Float64bits(q)
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (bits >> shift) & 0xff
-			h *= prime64
-		}
-	}
-	return h
 }
 
 // Cache is a bounded, concurrency-safe evaluation cache shared by any
 // number of Bindings. The zero value is not usable; call New.
 type Cache struct {
 	mu        sync.Mutex
-	cur, old  map[key]entry
-	infl      map[key]*inflight
+	cur, old  map[string]entry
+	infl      map[string]*inflight
 	capacity  int
 	stats     Stats
 	nextSpace uint64
 
+	// key is the point being classified, written by keyLocked and read by
+	// claimLocked; one reused buffer, guarded by mu.
+	key []byte
+
 	// hook, when non-nil, runs immediately before each underlying
 	// backend Evaluate — i.e. exactly once per deduplicated miss.
-	// Guarded by mu (read at the top of Evaluate's miss path), so
+	// Guarded by mu (read while a call classifies its points), so
 	// installation is safe at any time, including mid-traffic.
 	hook func(op backend.OpPoint)
 }
@@ -147,8 +104,8 @@ func New(capacity int) *Cache {
 		capacity = DefaultCapacity
 	}
 	return &Cache{
-		cur:      make(map[key]entry),
-		infl:     make(map[key]*inflight),
+		cur:      make(map[string]entry),
+		infl:     make(map[string]*inflight),
 		capacity: capacity,
 	}
 }
@@ -225,127 +182,121 @@ func (b *Binding) Fallthrough() backend.Evaluator { return b.ev }
 //
 //oftec:hotpath
 func (b *Binding) Evaluate(ctx context.Context, op backend.OpPoint, warm []float64) (*thermal.Result, error) {
-	k := op.K()
-	if k == 0 {
-		// Invalid shape; pass through so the backend reports it.
-		return b.ev.Evaluate(ctx, op, warm)
-	}
-	ck := key{space: b.space, k: k, omega: quantize(op.Omega)}
-	var wide []float64
-	if k <= maxInlineK {
-		for i, v := range op.Currents {
-			ck.cur[i] = quantize(v)
-		}
-	} else {
-		wide = b.wideKey(&ck, op.Currents)
-	}
-
 	c := b.c
 	c.mu.Lock()
-	if e, ok := c.lookupLocked(ck); ok {
-		if !currentsEqual(e.wide, wide) {
-			// Hash collision: a different vector owns this key. Solve
-			// uncached — never serve or overwrite the incumbent.
-			c.stats.Collisions++
-			c.mu.Unlock()
-			return b.ev.Evaluate(ctx, op, warm)
-		}
-		c.stats.Hits++
-		c.mu.Unlock()
-		return e.res, nil
-	}
-	if fl, ok := c.infl[ck]; ok {
-		if !currentsEqual(fl.wide, wide) {
-			c.stats.Collisions++
-			c.mu.Unlock()
-			return b.ev.Evaluate(ctx, op, warm)
-		}
-		c.stats.Waits++
-		c.mu.Unlock()
-		return waitInflight(ctx, fl)
-	}
-	//lint:ignore hotalloc one rendezvous per deduplicated miss; the hit path allocates nothing
-	fl := &inflight{done: make(chan struct{}), wide: wide}
-	c.infl[ck] = fl
-	c.stats.Misses++
+	c.keyLocked(b.space, op)
+	res, fl, miss := c.claimLocked()
 	hook := c.hook
 	c.mu.Unlock()
+	if fl == nil {
+		return res, nil
+	}
+	if !miss {
+		return waitInflight(ctx, fl)
+	}
 
 	if hook != nil {
 		hook(op)
 	}
 	fl.res, fl.err = b.ev.Evaluate(ctx, op, warm)
-
 	c.mu.Lock()
-	delete(c.infl, ck)
-	if fl.err == nil {
-		c.storeLocked(ck, entry{res: fl.res, wide: wide})
-	}
+	c.finishLocked(fl)
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.res, fl.err
 }
 
-// wideKey fills ck for a k > maxInlineK point: leading currents inlined,
-// the full quantized vector hashed into ck.hash. It returns the quantized
-// vector, which lookups use as the collision check.
+// keyLocked writes op's key in the binding's space into c.key: the space,
+// then the bits of each quantized coordinate — ω, then every zone current
+// — with −0 folded to +0, so coordinates that compare equal share a key.
+// The length carries the zone count, so one rule keys every point.
 //
-//oftec:allocok one key vector per wide-point evaluation; wide points always pay a map probe anyway
-func (b *Binding) wideKey(ck *key, currents []float64) []float64 {
-	wide := make([]float64, len(currents))
-	for i, v := range currents {
-		wide[i] = quantize(v)
+//oftec:allocok amortized growth of the reused key buffer to the widest point seen; a grown buffer is rewritten in place
+func (c *Cache) keyLocked(space uint64, op backend.OpPoint) {
+	c.key = binary.LittleEndian.AppendUint64(c.key[:0], space)
+	c.key = appendCoord(c.key, op.Omega)
+	for _, v := range op.Currents {
+		c.key = appendCoord(c.key, v)
 	}
-	copy(ck.cur[:], wide)
-	ck.hash = hashCurrents(wide)
-	return wide
 }
 
-// currentsEqual compares two quantized wide vectors; two nils (inline
-// keys) are equal.
+// appendCoord appends the bits of v quantized onto the cache grid.
+func appendCoord(key []byte, v float64) []byte {
+	q := quantize(v)
+	if q == 0 {
+		q = 0 // fold −0 onto +0
+	}
+	return binary.LittleEndian.AppendUint64(key, math.Float64bits(q))
+}
+
+// claimLocked classifies the point keyed in c.key — the one step Evaluate
+// and EvaluateBatch share. A completed entry is a hit and returns its
+// result; a point another solve is working on returns that rendezvous to
+// wait on; anything else is a miss, registered as a new rendezvous
+// (miss = true) that the caller must solve and pass to finishLocked.
 //
 //oftec:hotpath
-func currentsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+func (c *Cache) claimLocked() (res *thermal.Result, fl *inflight, miss bool) {
+	if e, ok := c.lookupLocked(); ok {
+		c.stats.Hits++
+		return e.res, nil, false
 	}
-	for i := range a {
-		//lint:ignore floatcmp key identity is exact by construction — both sides are quantized, and a tolerance would alias neighboring keys
-		if a[i] != b[i] {
-			return false
-		}
+	if fl, ok := c.infl[string(c.key)]; ok {
+		c.stats.Waits++
+		return nil, fl, false
 	}
-	return true
+	//lint:ignore hotalloc one rendezvous and one owned key per deduplicated miss; the hit path allocates nothing
+	fl = &inflight{entry: entry{key: string(c.key)}, done: make(chan struct{})}
+	c.infl[fl.key] = fl
+	c.stats.Misses++
+	return nil, fl, true
 }
 
-// waitInflight parks a coalesced caller on the leader's rendezvous,
-// honoring ctx cancellation (a nil ctx waits unconditionally).
+// finishLocked retires a solved miss: it leaves the in-flight table and,
+// on success, enters the current generation. The caller then closes
+// fl.done to wake the waiters.
+func (c *Cache) finishLocked(fl *inflight) {
+	delete(c.infl, fl.key)
+	if fl.err == nil {
+		c.storeLocked(fl.entry)
+	}
+}
+
+// waitInflight returns the result of the solve behind fl, parking until
+// it finishes unless it already has; a parked caller honors ctx
+// cancellation (a nil ctx waits unconditionally).
 //
 //oftec:allocok coalesced-wait path blocks on a channel anyway; the cancellation error is off the hot path
 func waitInflight(ctx context.Context, fl *inflight) (*thermal.Result, error) {
-	if ctx == nil {
-		<-fl.done
+	select {
+	case <-fl.done:
 		return fl.res, fl.err
+	default:
+	}
+	var cancel <-chan struct{}
+	if ctx != nil {
+		cancel = ctx.Done()
 	}
 	select {
 	case <-fl.done:
 		return fl.res, fl.err
-	case <-ctx.Done():
+	case <-cancel:
 		return nil, fmt.Errorf("evalcache: wait for in-flight solve: %w", ctx.Err())
 	}
 }
 
-// lookupLocked checks both generations, promoting old-generation hits
-// into the current one so the hot working set survives the next rotation.
+// lookupLocked checks both generations for the point keyed in c.key,
+// promoting old-generation hits into the current one so the hot working
+// set survives the next rotation.
 //
 //oftec:hotpath
-func (c *Cache) lookupLocked(ck key) (entry, bool) {
-	if e, ok := c.cur[ck]; ok {
+func (c *Cache) lookupLocked() (entry, bool) {
+	if e, ok := c.cur[string(c.key)]; ok {
 		return e, true
 	}
-	if e, ok := c.old[ck]; ok {
-		delete(c.old, ck)
-		c.storeLocked(ck, e)
+	if e, ok := c.old[string(c.key)]; ok {
+		delete(c.old, e.key)
+		c.storeLocked(e)
 		return e, true
 	}
 	return entry{}, false
@@ -356,14 +307,14 @@ func (c *Cache) lookupLocked(ck key) (entry, bool) {
 // most the stale half of the working set.
 //
 //oftec:hotpath
-func (c *Cache) storeLocked(ck key, e entry) {
+func (c *Cache) storeLocked(e entry) {
 	if len(c.cur) >= c.capacity {
 		c.old = c.cur
 		//lint:ignore hotalloc amortized generation rotation, once per capacity inserts
-		c.cur = make(map[key]entry, len(c.old))
+		c.cur = make(map[string]entry, len(c.old))
 		c.stats.Rotations++
 	}
-	c.cur[ck] = e
+	c.cur[e.key] = e
 }
 
 // quantize rounds an operating coordinate so cache keys are insensitive

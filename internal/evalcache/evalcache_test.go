@@ -2,6 +2,7 @@ package evalcache
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,20 +185,78 @@ func TestQuantizedHitsAndStats(t *testing.T) {
 	if n := fake.solves.Load(); n != 2 {
 		t.Errorf("backend solved %d times, want 2", n)
 	}
+
+	// −0 and +0 compare equal, so they share one entry — whether the sign
+	// is written or comes from noise that quantizes to zero.
+	zero, _ := b.Evaluate(ctx, backend.Scalar(100, 0), nil)
+	for _, neg := range []float64{math.Copysign(0, -1), -1e-12} {
+		if r, _ := b.Evaluate(ctx, backend.Scalar(100, neg), nil); r != zero {
+			t.Errorf("current %g did not share +0's entry", neg)
+		}
+	}
+	if n := fake.solves.Load(); n != 3 {
+		t.Errorf("backend solved %d times after the zero currents, want 3", n)
+	}
+
+	// A NaN point keys like any other: its solve finishes, leaves no
+	// in-flight entry behind, and repeats hit the one stored result.
+	before := c.Len()
+	for i := 0; i < 5; i++ {
+		if _, err := b.Evaluate(ctx, backend.Scalar(math.NaN(), 1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	inflight := len(c.infl)
+	c.mu.Unlock()
+	if inflight != 0 {
+		t.Errorf("NaN points left %d in-flight entries, want 0", inflight)
+	}
+	if got := c.Len() - before; got != 1 {
+		t.Errorf("NaN points added %d cache entries, want 1", got)
+	}
+	if n := fake.solves.Load(); n != 4 {
+		t.Errorf("backend solved %d times after the NaN points, want 4", n)
+	}
+}
+
+// TestHitAllocatesNothing pins the zero-allocation hit for a scalar point
+// and for a point wider than eight zones: both key into the reused buffer
+// and look up without building a string.
+func TestHitAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	for _, k := range []int{1, 9} {
+		c := New(0)
+		b := c.Bind(&fakeEval{})
+		op := backend.OpPoint{Omega: 250, Currents: make([]float64, k)}
+		for i := range op.Currents {
+			op.Currents[i] = 0.5 + 0.25*float64(i)
+		}
+		if _, err := b.Evaluate(ctx, op, nil); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := b.Evaluate(ctx, op, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("k=%d: a hit allocates %v times, want 0", k, allocs)
+		}
+	}
 }
 
 // TestOversizedPointsCached is the regression test for the historical
-// k > maxInlineK cache bypass: wide points used to skip the cache (and
+// k > 8 cache bypass: wide points used to skip the cache (and
 // singleflight) entirely, so every high-zone request burned a full solve.
-// They are now keyed by a collision-checked hash and cache like any other
-// point.
+// They key by every coordinate and cache like any other point.
 func TestOversizedPointsCached(t *testing.T) {
 	fake := &fakeEval{}
 	c := New(0)
 	b := c.Bind(fake)
 	ctx := context.Background()
 
-	op := backend.OpPoint{Omega: 100, Currents: make([]float64, maxInlineK+1)}
+	op := backend.OpPoint{Omega: 100, Currents: make([]float64, 9)}
 	for i := range op.Currents {
 		op.Currents[i] = 0.25 * float64(i)
 	}
@@ -219,17 +278,16 @@ func TestOversizedPointsCached(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss + 1 hit, no collisions", s)
 	}
 
-	// Distinct wide vectors sharing the leading maxInlineK currents must
-	// not alias: only the tail differs, which the inline array alone could
-	// not distinguish.
+	// Distinct wide vectors sharing the leading eight currents must not
+	// alias: only the tail differs.
 	tail := backend.OpPoint{Omega: 100, Currents: append([]float64(nil), op.Currents...)}
-	tail.Currents[maxInlineK] += 1
+	tail.Currents[8] += 1
 	rt, err := b.Evaluate(ctx, tail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt == r1 {
-		t.Error("wide points differing only past the inline prefix aliased one entry")
+		t.Error("wide points differing only past the eighth current aliased one entry")
 	}
 }
 
@@ -282,57 +340,6 @@ func TestConcurrentWideMissesCoalesce(t *testing.T) {
 	}
 	if s := c.Stats(); s.Misses != 1 || s.Hits+s.Waits != workers-1 {
 		t.Errorf("stats = %+v, want 1 miss and %d hits+waits", s, workers-1)
-	}
-}
-
-// TestWideHashCollisionDetected forces two distinct k=16 vectors onto one
-// digest and checks the collision path: the second vector solves uncached
-// (correct answer, no aliasing) and the collision is counted.
-func TestWideHashCollisionDetected(t *testing.T) {
-	orig := hashCurrents
-	hashCurrents = func([]float64) uint64 { return 0xdead }
-	defer func() { hashCurrents = orig }()
-
-	fake := &fakeEval{}
-	c := New(0)
-	b := c.Bind(fake)
-	ctx := context.Background()
-
-	// Omega 0 keeps the fake's positional encoding (t = 10t + c) exactly
-	// representable at k=16, so the two answers stay distinguishable.
-	mk := func(last float64) backend.OpPoint {
-		op := backend.OpPoint{Omega: 0, Currents: make([]float64, 16)}
-		op.Currents[15] = last
-		return op
-	}
-	ra, err := b.Evaluate(ctx, mk(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.Evaluate(ctx, mk(2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra == rb {
-		t.Fatal("colliding wide keys served one result for two operating points")
-	}
-	if ra.MaxChipTemp == rb.MaxChipTemp {
-		t.Fatal("collision aliased the solved answers")
-	}
-	// The incumbent entry survives; repeating the colliding point keeps
-	// solving uncached, repeating the incumbent hits.
-	if _, err := b.Evaluate(ctx, mk(2), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Evaluate(ctx, mk(1), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := fake.solves.Load(); n != 3 {
-		t.Errorf("solves = %d, want 3 (one cached vector, two uncached collisions)", n)
-	}
-	s := c.Stats()
-	if s.Collisions != 2 || s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want 2 collisions, 1 miss, 1 hit", s)
 	}
 }
 
@@ -478,7 +485,7 @@ func TestBindingChurnStress(t *testing.T) {
 		t.Errorf("stress produced degenerate traffic: %+v", s)
 	}
 	if s.Collisions != 0 {
-		t.Errorf("real FNV hashing collided during stress: %+v", s)
+		t.Errorf("stress counted collisions: %+v", s)
 	}
 	if c.Len() > 2*c.Capacity() {
 		t.Errorf("cache holds %d entries, bound is %d", c.Len(), 2*c.Capacity())

@@ -273,13 +273,12 @@ type PoolStats struct {
 
 // CacheStats mirrors evalcache.Stats plus occupancy.
 type CacheStats struct {
-	Hits       int64 `json:"hits"`
-	Waits      int64 `json:"waits"`
-	Misses     int64 `json:"misses"`
-	Rotations  int64 `json:"rotations"`
-	Collisions int64 `json:"collisions"`
-	Len        int   `json:"len"`
-	Capacity   int   `json:"capacity"`
+	Hits      int64 `json:"hits"`
+	Waits     int64 `json:"waits"`
+	Misses    int64 `json:"misses"`
+	Rotations int64 `json:"rotations"`
+	Len       int   `json:"len"`
+	Capacity  int   `json:"capacity"`
 }
 
 // ReqStats counts request traffic.

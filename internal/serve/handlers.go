@@ -150,6 +150,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if err := sys.CheckOptions(zoning, opts); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 
 	if req.Stream {
 		s.streamOptimize(ctx, w, sys, zoning, opts)

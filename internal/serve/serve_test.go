@@ -441,16 +441,21 @@ func TestBadRequests(t *testing.T) {
 		{"empty zoning", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1}, Zoning: &ZoneSpec{}}},
 		{"unknown mode", "/v1/optimize", OptimizeRequest{Mode: "nope"}},
 		{"unknown method", "/v1/optimize", OptimizeRequest{Method: "nope"}},
+		{"multistart over 8 zones", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Bench: "CRC32", Res: 16}, Zoning: &ZoneSpec{Zones: 8}, MultiStart: true}},
+		{"streamed multistart over 8 zones", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Bench: "CRC32", Res: 16}, Zoning: &ZoneSpec{Zones: 8}, MultiStart: true, Stream: true}},
 		{"unknown pareto method", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, Method: "nope"}},
 		{"tiny grid", "/v1/sweep", SweepRequest{NOmega: 1, NI: 1}},
 		{"empty pareto", "/v1/pareto", ParetoRequest{}},
 		{"unknown field", "/v1/evaluate", map[string]any{"omega_rpm": 2000, "bogus": true}},
 	}
-	// An unknown name is answered with the accepted ones.
+	// An unknown name is answered with the accepted ones, and a corner
+	// launch past the multistart bound names the bound.
 	lists := map[string]string{
-		"unknown mode":          "oftec, var, fixed, teconly",
-		"unknown method":        "sqp, interior, trust, neldermead, hooke",
-		"unknown pareto method": "sqp, interior, trust, neldermead, hooke",
+		"unknown mode":                     "oftec, var, fixed, teconly",
+		"unknown method":                   "sqp, interior, trust, neldermead, hooke",
+		"unknown pareto method":            "sqp, interior, trust, neldermead, hooke",
+		"multistart over 8 zones":          "CornerStarts limited to 8 dimensions",
+		"streamed multistart over 8 zones": "CornerStarts limited to 8 dimensions",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -258,13 +258,12 @@ func (s *Server) poolStats() PoolStats {
 func (s *Server) cacheStats() CacheStats {
 	cs := s.cache.Stats()
 	return CacheStats{
-		Hits:       cs.Hits,
-		Waits:      cs.Waits,
-		Misses:     cs.Misses,
-		Rotations:  cs.Rotations,
-		Collisions: cs.Collisions,
-		Len:        s.cache.Len(),
-		Capacity:   s.cache.Capacity(),
+		Hits:      cs.Hits,
+		Waits:     cs.Waits,
+		Misses:    cs.Misses,
+		Rotations: cs.Rotations,
+		Len:       s.cache.Len(),
+		Capacity:  s.cache.Capacity(),
 	}
 }
 

@@ -11,10 +11,13 @@ import (
 // collection — evaluate many operating points against one ω-slice of the
 // conductance matrix: the systems differ only in a handful of diagonal
 // entries (the per-point Peltier terms) and in the RHS. CGPrecondBatch
-// solves up to w such systems in lockstep, sharing one IC(0)
+// solves BatchWidth such systems in lockstep, sharing one IC(0)
 // factorization and walking the matrix pattern once per iteration for
 // all columns, with the column values interleaved (node i, column j at
-// i*w+j) so the inner loops stream w-wide contiguous blocks.
+// i*BatchWidth+j) so each inner loop streams one eight-wide contiguous
+// block — a float64 cache line — held in registers. A caller with fewer
+// points pads the block by repeating its last column: a pad runs its
+// twin's arithmetic, freezes on the same iteration, and is dropped.
 //
 // The lockstep iteration replicates CGPrecond's arithmetic per column
 // bit-for-bit: every dot product accumulates in the same i-order, every
@@ -26,11 +29,19 @@ import (
 // ladder. Batched results are therefore DeepEqual to per-point results,
 // including SolveStats.
 
+// BatchWidth is the lockstep column count: one float64 cache line under
+// every matrix-entry load, where the pattern-walk amortization saturates,
+// while the interleaved working set (six n×8 vectors) stays in cache. The
+// kernels below are written out for exactly eight columns, so this names
+// the width; it is not a tuning knob.
+const BatchWidth = 8
+
 // DiagOverride replaces one value-array slot of the shared matrix with a
 // per-column coefficient: row Row's entry at value index K reads
 // Vals[j] (the full coefficient, not a delta) for column j. The batched
 // thermal assembly uses these for the TEC cold/hot diagonal terms, the
-// only matrix entries that vary within an ω-slice.
+// only matrix entries that vary within an ω-slice. Vals holds BatchWidth
+// coefficients.
 type DiagOverride struct {
 	Row  int32
 	K    int32
@@ -41,45 +52,30 @@ type DiagOverride struct {
 // chunked batch loops (or a sync.Pool) avoid per-call allocation. The
 // zero value is ready; vectors grow on demand and are retained.
 type BatchWorkspace struct {
-	x, r, z, p, ap, pre []float64 // n×w interleaved
-	acc                 []float64 // w-wide row accumulator
+	x, r, z, p, ap, pre []float64 // n×BatchWidth interleaved
 
-	bnorm, rz, rzNew, pap        []float64 // per-column scalars
-	alpha, nalpha, beta, resnorm []float64
-	inactive                     []bool
+	bnorm, rz, rzNew, pap        [BatchWidth]float64 // per-column scalars
+	alpha, nalpha, beta, resnorm [BatchWidth]float64
+	inactive                     [BatchWidth]bool
 }
 
-// grow sizes the workspace for an n-node, w-column solve.
-func (ws *BatchWorkspace) grow(n, w int) {
+// grow sizes the workspace for an n-node solve and clears the column
+// state.
+func (ws *BatchWorkspace) grow(n int) {
 	growF := func(v []float64, size int) []float64 {
 		if cap(v) < size {
 			return make([]float64, size)
 		}
 		return v[:size]
 	}
-	nw := n * w
+	nw := n * BatchWidth
 	ws.x = growF(ws.x, nw)
 	ws.r = growF(ws.r, nw)
 	ws.z = growF(ws.z, nw)
 	ws.p = growF(ws.p, nw)
 	ws.ap = growF(ws.ap, nw)
 	ws.pre = growF(ws.pre, nw)
-	ws.acc = growF(ws.acc, w)
-	ws.bnorm = growF(ws.bnorm, w)
-	ws.rz = growF(ws.rz, w)
-	ws.rzNew = growF(ws.rzNew, w)
-	ws.pap = growF(ws.pap, w)
-	ws.alpha = growF(ws.alpha, w)
-	ws.nalpha = growF(ws.nalpha, w)
-	ws.beta = growF(ws.beta, w)
-	ws.resnorm = growF(ws.resnorm, w)
-	if cap(ws.inactive) < w {
-		ws.inactive = make([]bool, w)
-	}
-	ws.inactive = ws.inactive[:w]
-	for j := range ws.inactive {
-		ws.inactive[j] = false
-	}
+	ws.inactive = [BatchWidth]bool{}
 }
 
 // batchPool recycles BatchWorkspaces across chunked solves.
@@ -94,63 +90,15 @@ func PutBatchWorkspace(ws *BatchWorkspace) { batchPool.Put(ws) }
 // mulVecBatch computes dst = A_j·x per column j, where A_j is the shared
 // matrix with the per-column DiagOverride values applied. Overrides must
 // be sorted by ascending Row (validated by CGPrecondBatch); each row has
-// at most one. Per column the accumulation runs in the same k-order as
+// at most one. The eight column accumulators live in registers and each
+// inner-loop slice has compile-time length 8, so the bounds checks vanish
+// and each loaded matrix entry feeds eight multiply-adds off one cache
+// line. Per column the accumulation runs in the same k-order as
 // CSR.MulVec, so the result bits match a per-point MulVec against the
 // patched matrix.
 //
 //oftec:hotpath
-func mulVecBatch(m *CSR, ovs []DiagOverride, dst, x []float64, w int, acc []float64) {
-	if w == 8 {
-		mulVecBatch8(m, ovs, dst, x)
-		return
-	}
-	oi := 0
-	for i := 0; i < m.n; i++ {
-		lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
-		for j := 0; j < w; j++ {
-			acc[j] = 0
-		}
-		if oi < len(ovs) && int(ovs[oi].Row) == i {
-			ovK := int(ovs[oi].K)
-			ovVals := ovs[oi].Vals
-			for k := lo; k < hi; k++ {
-				c := int(m.colIdx[k]) * w
-				xs := x[c : c+w]
-				if k == ovK {
-					for j := 0; j < w; j++ {
-						acc[j] += ovVals[j] * xs[j]
-					}
-					continue
-				}
-				v := m.values[k]
-				for j := 0; j < w; j++ {
-					acc[j] += v * xs[j]
-				}
-			}
-			oi++
-		} else {
-			for k := lo; k < hi; k++ {
-				v := m.values[k]
-				c := int(m.colIdx[k]) * w
-				xs := x[c : c+w]
-				for j := 0; j < w; j++ {
-					acc[j] += v * xs[j]
-				}
-			}
-		}
-		copy(dst[i*w:i*w+w], acc[:w])
-	}
-}
-
-// mulVecBatch8 is mulVecBatch specialized to the production chunk width:
-// the eight column accumulators live in registers and each inner-loop
-// slice has compile-time length 8, so the bounds checks vanish and each
-// loaded matrix entry feeds eight fused multiply-adds off one cache line.
-// Per column the statement shape is acc[j] += v·x[c+j] in the same
-// k-order as the generic loop — the bits match.
-//
-//oftec:hotpath
-func mulVecBatch8(m *CSR, ovs []DiagOverride, dst, x []float64) {
+func mulVecBatch(m *CSR, ovs []DiagOverride, dst, x []float64) {
 	oi := 0
 	for i := 0; i < m.n; i++ {
 		lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
@@ -203,63 +151,15 @@ func mulVecBatch8(m *CSR, ovs []DiagOverride, dst, x []float64) {
 	}
 }
 
-// applyBlock runs the IC(0) forward/backward triangular sweeps over w
-// interleaved columns at once: dst = (L·Lᵀ)⁻¹·r per column, touching the
-// factor pattern once for all columns. Per column the operations and
-// their order match ApplyScratch exactly.
+// applyBlock runs the IC(0) forward/backward triangular sweeps over the
+// eight interleaved columns at once: dst = (L·Lᵀ)⁻¹·r per column,
+// touching the factor pattern once for all columns, with the eight
+// running residuals held in registers through each row's update loop.
+// Per column the operations and their order (acc −= v·y in k-order, then
+// /d) match ApplyScratch exactly.
 //
 //oftec:hotpath
-func (p *ICPreconditioner) applyBlock(dst, r, y, acc []float64, w int) {
-	if w == 8 {
-		p.applyBlock8(dst, r, y)
-		return
-	}
-	// Forward solve L·y = r (rows of L are sorted with the diagonal last).
-	for i := 0; i < p.n; i++ {
-		base := i * w
-		copy(acc[:w], r[base:base+w])
-		lo, hi := int(p.lRowPtr[i]), int(p.lRowPtr[i+1])
-		for k := lo; k < hi-1; k++ {
-			v := p.lValues[k]
-			c := int(p.lColIdx[k]) * w
-			ys := y[c : c+w]
-			for j := 0; j < w; j++ {
-				acc[j] -= v * ys[j]
-			}
-		}
-		d := p.lValues[hi-1]
-		for j := 0; j < w; j++ {
-			y[base+j] = acc[j] / d
-		}
-	}
-	// Backward solve Lᵀ·dst = y (row i of Lᵀ holds columns ≥ i, diagonal
-	// first).
-	for i := p.n - 1; i >= 0; i-- {
-		base := i * w
-		copy(acc[:w], y[base:base+w])
-		lo, hi := int(p.ltRowPtr[i]), int(p.ltRowPtr[i+1])
-		for k := lo + 1; k < hi; k++ {
-			v := p.ltValues[k]
-			c := int(p.ltColIdx[k]) * w
-			ds := dst[c : c+w]
-			for j := 0; j < w; j++ {
-				acc[j] -= v * ds[j]
-			}
-		}
-		d := p.ltValues[lo]
-		for j := 0; j < w; j++ {
-			dst[base+j] = acc[j] / d
-		}
-	}
-}
-
-// applyBlock8 is applyBlock at the production chunk width, with the
-// eight running residuals held in registers through each row's update
-// loop. Statement shape per column is unchanged (acc -= v·y, then /d in
-// the same k-order), so the bits match the generic sweep.
-//
-//oftec:hotpath
-func (p *ICPreconditioner) applyBlock8(dst, r, y []float64) {
+func (p *ICPreconditioner) applyBlock(dst, r, y []float64) {
 	// Forward solve L·y = r (rows of L are sorted with the diagonal last).
 	for i := 0; i < p.n; i++ {
 		base := i * 8
@@ -311,31 +211,12 @@ func (p *ICPreconditioner) applyBlock8(dst, r, y []float64) {
 	}
 }
 
-// dotColsInto computes out[j] = Σ_i a[i*w+j]·b[i*w+j], accumulating each
-// column in ascending i-order — the same order Dot uses.
+// dotColsInto computes out[j] = Σ_i a[i*8+j]·b[i*8+j], keeping the eight
+// column accumulators in registers across the whole sweep; each column
+// sums in ascending i-order — the same order Dot uses.
 //
 //oftec:hotpath
-func dotColsInto(out, a, b []float64, w int) {
-	if w == 8 {
-		dotColsInto8(out, a, b)
-		return
-	}
-	for j := 0; j < w; j++ {
-		out[j] = 0
-	}
-	for base := 0; base+w <= len(a); base += w {
-		as, bs := a[base:base+w], b[base:base+w]
-		for j := 0; j < w; j++ {
-			out[j] += as[j] * bs[j]
-		}
-	}
-}
-
-// dotColsInto8 keeps the eight column accumulators in registers across
-// the whole sweep; each column still sums in ascending i-order.
-//
-//oftec:hotpath
-func dotColsInto8(out, a, b []float64) {
+func dotColsInto(out *[BatchWidth]float64, a, b []float64) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
 	for base := 0; base+8 <= len(a); base += 8 {
 		as, bs := a[base:base+8:base+8], b[base:base+8:base+8]
@@ -348,190 +229,141 @@ func dotColsInto8(out, a, b []float64) {
 		a6 += as[6] * bs[6]
 		a7 += as[7] * bs[7]
 	}
-	os := out[0:8:8]
-	os[0], os[1], os[2], os[3], os[4], os[5], os[6], os[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	*out = [BatchWidth]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
-// axpyCols computes y[i*w+j] += alpha[j]·x[i*w+j]. When anyInactive is
+// axpyCols computes y[i*8+j] += alpha[j]·x[i*8+j]. When anyInactive is
 // set, inactive columns are skipped entirely so a frozen column's vector
 // is never touched again — exactly as if its per-point solve had already
 // returned.
 //
 //oftec:hotpath
-func axpyCols(alpha []float64, x, y []float64, w int, inactive []bool, anyInactive bool) {
+func axpyCols(alpha *[BatchWidth]float64, x, y []float64, inactive *[BatchWidth]bool, anyInactive bool) {
+	l0, l1, l2, l3, l4, l5, l6, l7 := alpha[0], alpha[1], alpha[2], alpha[3], alpha[4], alpha[5], alpha[6], alpha[7]
 	if !anyInactive {
-		if w == 8 {
-			al := alpha[0:8:8]
-			l0, l1, l2, l3, l4, l5, l6, l7 := al[0], al[1], al[2], al[3], al[4], al[5], al[6], al[7]
-			for base := 0; base+8 <= len(y); base += 8 {
-				xs, ys := x[base:base+8:base+8], y[base:base+8:base+8]
-				ys[0] += l0 * xs[0]
-				ys[1] += l1 * xs[1]
-				ys[2] += l2 * xs[2]
-				ys[3] += l3 * xs[3]
-				ys[4] += l4 * xs[4]
-				ys[5] += l5 * xs[5]
-				ys[6] += l6 * xs[6]
-				ys[7] += l7 * xs[7]
-			}
-			return
-		}
-		for base := 0; base+w <= len(y); base += w {
-			xs, ys := x[base:base+w], y[base:base+w]
-			for j := 0; j < w; j++ {
-				ys[j] += alpha[j] * xs[j]
-			}
-		}
-		return
-	}
-	if w == 8 {
-		// Frozen columns must not be written at all (a breakdown column
-		// may hold non-finite values that a masked multiply would smear),
-		// so the skip stays a branch — but hoisted into eight registers
-		// whose pattern is fixed for the whole sweep, which the branch
-		// predictor eats for free.
-		al, in := alpha[0:8:8], inactive[0:8:8]
-		l0, l1, l2, l3, l4, l5, l6, l7 := al[0], al[1], al[2], al[3], al[4], al[5], al[6], al[7]
-		i0, i1, i2, i3, i4, i5, i6, i7 := in[0], in[1], in[2], in[3], in[4], in[5], in[6], in[7]
 		for base := 0; base+8 <= len(y); base += 8 {
 			xs, ys := x[base:base+8:base+8], y[base:base+8:base+8]
-			if !i0 {
-				ys[0] += l0 * xs[0]
-			}
-			if !i1 {
-				ys[1] += l1 * xs[1]
-			}
-			if !i2 {
-				ys[2] += l2 * xs[2]
-			}
-			if !i3 {
-				ys[3] += l3 * xs[3]
-			}
-			if !i4 {
-				ys[4] += l4 * xs[4]
-			}
-			if !i5 {
-				ys[5] += l5 * xs[5]
-			}
-			if !i6 {
-				ys[6] += l6 * xs[6]
-			}
-			if !i7 {
-				ys[7] += l7 * xs[7]
-			}
+			ys[0] += l0 * xs[0]
+			ys[1] += l1 * xs[1]
+			ys[2] += l2 * xs[2]
+			ys[3] += l3 * xs[3]
+			ys[4] += l4 * xs[4]
+			ys[5] += l5 * xs[5]
+			ys[6] += l6 * xs[6]
+			ys[7] += l7 * xs[7]
 		}
 		return
 	}
-	for base := 0; base+w <= len(y); base += w {
-		xs, ys := x[base:base+w], y[base:base+w]
-		for j := 0; j < w; j++ {
-			if inactive[j] {
-				continue
-			}
-			ys[j] += alpha[j] * xs[j]
+	// Frozen columns must not be written at all (a breakdown column may
+	// hold non-finite values that a masked multiply would smear), so the
+	// skip stays a branch — but hoisted into eight registers whose pattern
+	// is fixed for the whole sweep, which the branch predictor eats for
+	// free.
+	i0, i1, i2, i3, i4, i5, i6, i7 := inactive[0], inactive[1], inactive[2], inactive[3], inactive[4], inactive[5], inactive[6], inactive[7]
+	for base := 0; base+8 <= len(y); base += 8 {
+		xs, ys := x[base:base+8:base+8], y[base:base+8:base+8]
+		if !i0 {
+			ys[0] += l0 * xs[0]
+		}
+		if !i1 {
+			ys[1] += l1 * xs[1]
+		}
+		if !i2 {
+			ys[2] += l2 * xs[2]
+		}
+		if !i3 {
+			ys[3] += l3 * xs[3]
+		}
+		if !i4 {
+			ys[4] += l4 * xs[4]
+		}
+		if !i5 {
+			ys[5] += l5 * xs[5]
+		}
+		if !i6 {
+			ys[6] += l6 * xs[6]
+		}
+		if !i7 {
+			ys[7] += l7 * xs[7]
 		}
 	}
 }
 
-// updateDirCols computes p[i*w+j] = z[i*w+j] + beta[j]·p[i*w+j], the CG
-// search-direction update, per column in i-order.
+// updateDirCols computes p[i*8+j] = z[i*8+j] + beta[j]·p[i*8+j], the CG
+// search-direction update, per column in i-order, skipping inactive
+// columns like axpyCols.
 //
 //oftec:hotpath
-func updateDirCols(p, z, beta []float64, w int, inactive []bool, anyInactive bool) {
+func updateDirCols(p, z []float64, beta *[BatchWidth]float64, inactive *[BatchWidth]bool, anyInactive bool) {
+	b0, b1, b2, b3, b4, b5, b6, b7 := beta[0], beta[1], beta[2], beta[3], beta[4], beta[5], beta[6], beta[7]
 	if !anyInactive {
-		if w == 8 {
-			bs := beta[0:8:8]
-			b0, b1, b2, b3, b4, b5, b6, b7 := bs[0], bs[1], bs[2], bs[3], bs[4], bs[5], bs[6], bs[7]
-			for base := 0; base+8 <= len(p); base += 8 {
-				ps, zs := p[base:base+8:base+8], z[base:base+8:base+8]
-				ps[0] = zs[0] + b0*ps[0]
-				ps[1] = zs[1] + b1*ps[1]
-				ps[2] = zs[2] + b2*ps[2]
-				ps[3] = zs[3] + b3*ps[3]
-				ps[4] = zs[4] + b4*ps[4]
-				ps[5] = zs[5] + b5*ps[5]
-				ps[6] = zs[6] + b6*ps[6]
-				ps[7] = zs[7] + b7*ps[7]
-			}
-			return
-		}
-		for base := 0; base+w <= len(p); base += w {
-			ps, zs := p[base:base+w], z[base:base+w]
-			for j := 0; j < w; j++ {
-				ps[j] = zs[j] + beta[j]*ps[j]
-			}
-		}
-		return
-	}
-	if w == 8 {
-		bt, in := beta[0:8:8], inactive[0:8:8]
-		b0, b1, b2, b3, b4, b5, b6, b7 := bt[0], bt[1], bt[2], bt[3], bt[4], bt[5], bt[6], bt[7]
-		i0, i1, i2, i3, i4, i5, i6, i7 := in[0], in[1], in[2], in[3], in[4], in[5], in[6], in[7]
 		for base := 0; base+8 <= len(p); base += 8 {
 			ps, zs := p[base:base+8:base+8], z[base:base+8:base+8]
-			if !i0 {
-				ps[0] = zs[0] + b0*ps[0]
-			}
-			if !i1 {
-				ps[1] = zs[1] + b1*ps[1]
-			}
-			if !i2 {
-				ps[2] = zs[2] + b2*ps[2]
-			}
-			if !i3 {
-				ps[3] = zs[3] + b3*ps[3]
-			}
-			if !i4 {
-				ps[4] = zs[4] + b4*ps[4]
-			}
-			if !i5 {
-				ps[5] = zs[5] + b5*ps[5]
-			}
-			if !i6 {
-				ps[6] = zs[6] + b6*ps[6]
-			}
-			if !i7 {
-				ps[7] = zs[7] + b7*ps[7]
-			}
+			ps[0] = zs[0] + b0*ps[0]
+			ps[1] = zs[1] + b1*ps[1]
+			ps[2] = zs[2] + b2*ps[2]
+			ps[3] = zs[3] + b3*ps[3]
+			ps[4] = zs[4] + b4*ps[4]
+			ps[5] = zs[5] + b5*ps[5]
+			ps[6] = zs[6] + b6*ps[6]
+			ps[7] = zs[7] + b7*ps[7]
 		}
 		return
 	}
-	for base := 0; base+w <= len(p); base += w {
-		ps, zs := p[base:base+w], z[base:base+w]
-		for j := 0; j < w; j++ {
-			if inactive[j] {
-				continue
-			}
-			ps[j] = zs[j] + beta[j]*ps[j]
+	i0, i1, i2, i3, i4, i5, i6, i7 := inactive[0], inactive[1], inactive[2], inactive[3], inactive[4], inactive[5], inactive[6], inactive[7]
+	for base := 0; base+8 <= len(p); base += 8 {
+		ps, zs := p[base:base+8:base+8], z[base:base+8:base+8]
+		if !i0 {
+			ps[0] = zs[0] + b0*ps[0]
+		}
+		if !i1 {
+			ps[1] = zs[1] + b1*ps[1]
+		}
+		if !i2 {
+			ps[2] = zs[2] + b2*ps[2]
+		}
+		if !i3 {
+			ps[3] = zs[3] + b3*ps[3]
+		}
+		if !i4 {
+			ps[4] = zs[4] + b4*ps[4]
+		}
+		if !i5 {
+			ps[5] = zs[5] + b5*ps[5]
+		}
+		if !i6 {
+			ps[6] = zs[6] + b6*ps[6]
+		}
+		if !i7 {
+			ps[7] = zs[7] + b7*ps[7]
 		}
 	}
 }
 
-// CGPrecondBatch solves the w systems A_j·x_j = b_j in lockstep under a
-// shared IC(0) preconditioner, where A_j is the base matrix a with the
-// per-column DiagOverride coefficients applied. b and x0 are interleaved
-// (node i, column j at i*w+j); x0 may be nil for a zero start. The
-// returned solutions are freshly allocated per column (they outlive the
-// workspace); stats[j] and ok[j] report each column's outcome. ok[j] =
-// false marks a breakdown or exhausted iteration budget — the caller
-// re-solves that column through its scalar ladder, which reproduces the
-// identical failure and handles it as the per-point path would.
+// CGPrecondBatch solves the BatchWidth systems A_j·x_j = b_j in lockstep
+// under a shared IC(0) preconditioner, where A_j is the base matrix a
+// with the per-column DiagOverride coefficients applied. b and x0 are
+// interleaved (node i, column j at i*BatchWidth+j); x0 may be nil for a
+// zero start. The returned solutions are freshly allocated per column
+// (they outlive the workspace); stats[j] and ok[j] report each column's
+// outcome. ok[j] = false marks a breakdown or exhausted iteration budget
+// — the caller re-solves that column through its scalar ladder, which
+// reproduces the identical failure and handles it as the per-point path
+// would.
 //
 // Per column the arithmetic is bit-identical to CGPrecond against the
 // patched matrix with the same preconditioner, start, and options:
 // batched and per-point solves return DeepEqual solutions and Stats.
 //
 //oftec:allocok one output slice per solved column plus pooled-workspace growth; the per-iteration kernels are the annotated hot paths
-func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditioner, w int, opts SolveOptions, ws *BatchWorkspace) ([][]float64, []Stats, []bool, error) {
+func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditioner, opts SolveOptions, ws *BatchWorkspace) ([][]float64, []Stats, []bool, error) {
+	const w = BatchWidth
 	n := a.N()
-	if w <= 0 {
-		return nil, nil, nil, fmt.Errorf("sparse: batch width %d must be positive", w)
-	}
 	if len(b) != n*w {
-		return nil, nil, nil, fmt.Errorf("sparse: batch rhs length %d does not match n·w = %d", len(b), n*w)
+		return nil, nil, nil, fmt.Errorf("sparse: batch rhs length %d does not match n·%d = %d", len(b), w, n*w)
 	}
 	if x0 != nil && len(x0) != n*w {
-		return nil, nil, nil, fmt.Errorf("sparse: batch start length %d does not match n·w = %d", len(x0), n*w)
+		return nil, nil, nil, fmt.Errorf("sparse: batch start length %d does not match n·%d = %d", len(x0), w, n*w)
 	}
 	if m == nil {
 		return nil, nil, nil, fmt.Errorf("sparse: CGPrecondBatch requires a preconditioner")
@@ -550,7 +382,7 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 	if ws == nil {
 		ws = &BatchWorkspace{}
 	}
-	ws.grow(n, w)
+	ws.grow(n)
 
 	x, r, z, p, ap := ws.x, ws.r, ws.z, ws.p, ws.ap
 	if x0 != nil {
@@ -563,15 +395,15 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 
 	stats := make([]Stats, w)
 	ok := make([]bool, w)
-	inactive := ws.inactive
+	inactive := &ws.inactive
 	active := w
 
 	// r = b − A_j·x per column, matching CSR.Residual's op order.
-	mulVecBatch(a, ovs, r, x, w, ws.acc)
+	mulVecBatch(a, ovs, r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	dotColsInto(ws.bnorm, b, b, w)
+	dotColsInto(&ws.bnorm, b, b)
 	for j := 0; j < w; j++ {
 		ws.bnorm[j] = math.Sqrt(ws.bnorm[j])
 		if ws.bnorm[j] == 0 {
@@ -586,14 +418,14 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 	maxIter := opts.maxIter(n)
 
 	if active > 0 {
-		m.applyBlock(z, r, ws.pre, ws.acc, w)
+		m.applyBlock(z, r, ws.pre)
 		copy(p, z)
-		dotColsInto(ws.rz, r, z, w)
+		dotColsInto(&ws.rz, r, z)
 	}
 
 	for it := 1; it <= maxIter && active > 0; it++ {
-		mulVecBatch(a, ovs, ap, p, w, ws.acc)
-		dotColsInto(ws.pap, p, ap, w)
+		mulVecBatch(a, ovs, ap, p)
+		dotColsInto(&ws.pap, p, ap)
 		for j := 0; j < w; j++ {
 			ws.alpha[j] = 0
 			if inactive[j] {
@@ -614,12 +446,12 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 		if active == 0 {
 			break
 		}
-		axpyCols(ws.alpha, p, x, w, inactive, anyInactive)
+		axpyCols(&ws.alpha, p, x, inactive, anyInactive)
 		for j := 0; j < w; j++ {
 			ws.nalpha[j] = -ws.alpha[j]
 		}
-		axpyCols(ws.nalpha, ap, r, w, inactive, anyInactive)
-		dotColsInto(ws.resnorm, r, r, w)
+		axpyCols(&ws.nalpha, ap, r, inactive, anyInactive)
+		dotColsInto(&ws.resnorm, r, r)
 		for j := 0; j < w; j++ {
 			if inactive[j] {
 				continue
@@ -637,8 +469,8 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 		if active == 0 {
 			break
 		}
-		m.applyBlock(z, r, ws.pre, ws.acc, w)
-		dotColsInto(ws.rzNew, r, z, w)
+		m.applyBlock(z, r, ws.pre)
+		dotColsInto(&ws.rzNew, r, z)
 		for j := 0; j < w; j++ {
 			ws.beta[j] = 0
 			if inactive[j] {
@@ -647,7 +479,7 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 			ws.beta[j] = ws.rzNew[j] / ws.rz[j]
 			ws.rz[j] = ws.rzNew[j]
 		}
-		updateDirCols(p, z, ws.beta, w, inactive, anyInactive)
+		updateDirCols(p, z, &ws.beta, inactive, anyInactive)
 	}
 
 	// Columns that exhausted the budget report the per-point

@@ -24,10 +24,44 @@ func patchedMatrix(t *testing.T, base *CSR, ovs []DiagOverride, j int) *CSR {
 	return m
 }
 
+// padded extends per-column values to BatchWidth by repeating the last
+// one — how a caller with fewer points fills the lockstep block.
+func padded(vals []float64) []float64 {
+	out := make([]float64, BatchWidth)
+	for j := range out {
+		out[j] = vals[min(j, len(vals)-1)]
+	}
+	return out
+}
+
+// interleave packs per-column vectors into the lockstep layout (node i,
+// column j at i*BatchWidth+j), padding past the last given column by
+// repeating it.
+func interleave(cols [][]float64) []float64 {
+	n := len(cols[0])
+	out := make([]float64, n*BatchWidth)
+	for i := 0; i < n; i++ {
+		for j := 0; j < BatchWidth; j++ {
+			out[i*BatchWidth+j] = cols[min(j, len(cols)-1)][i]
+		}
+	}
+	return out
+}
+
+// column extracts column j of an interleaved block.
+func column(v []float64, j int) []float64 {
+	out := make([]float64, len(v)/BatchWidth)
+	for i := range out {
+		out[i] = v[i*BatchWidth+j]
+	}
+	return out
+}
+
 // TestCGPrecondBatchMatchesScalarBitwise is the core lockstep contract:
-// every batched column must be bit-identical (reflect.DeepEqual, not
-// tolerance) to a solo CGPrecond run against the patched matrix with the
-// same shared preconditioner, start, and options — solutions and Stats.
+// every batched column — the real ones and the pads repeating the last —
+// must be bit-identical (reflect.DeepEqual, not tolerance) to a solo
+// CGPrecond run against the patched matrix with the same shared
+// preconditioner, start, and options — solutions and Stats.
 func TestCGPrecondBatchMatchesScalarBitwise(t *testing.T) {
 	base := laplacian2D(12, 1.9)
 	n := base.N()
@@ -40,56 +74,51 @@ func TestCGPrecondBatchMatchesScalarBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const w = 5
+	const nCols = 5
 	// Override two diagonal rows with per-column values ≥ the base value
 	// (keeps every column SPD), mirroring the thermal TEC diagonal patch.
 	rows := []int{7, 40}
 	ovs := make([]DiagOverride, 0, len(rows))
 	for _, row := range rows {
-		vals := make([]float64, w)
+		vals := make([]float64, nCols)
 		for j := range vals {
 			vals[j] = base.ValAt(int(diag[row])) + 0.3*float64(j)
 		}
-		ovs = append(ovs, DiagOverride{Row: int32(row), K: diag[row], Vals: vals})
+		ovs = append(ovs, DiagOverride{Row: int32(row), K: diag[row], Vals: padded(vals)})
 	}
 
-	b := make([]float64, n*w)
-	for i := 0; i < n; i++ {
-		for j := 0; j < w; j++ {
-			b[i*w+j] = math.Sin(float64(i)*0.31+float64(j)) + 0.1*float64(j)
+	bcols := make([][]float64, nCols)
+	x0cols := make([][]float64, nCols)
+	for j := range bcols {
+		bcols[j] = make([]float64, n)
+		x0cols[j] = make([]float64, n)
+		for i := 0; i < n; i++ {
+			bcols[j][i] = math.Sin(float64(i)*0.31+float64(j)) + 0.1*float64(j)
+			x0cols[j][i] = 0.01 * float64((i*nCols+j)%17)
 		}
 	}
+	b := interleave(bcols)
 
 	for _, warm := range []bool{false, true} {
 		var x0 []float64
 		if warm {
-			x0 = make([]float64, n*w)
-			for i := range x0 {
-				x0[i] = 0.01 * float64(i%17)
-			}
+			x0 = interleave(x0cols)
 		}
 		opts := SolveOptions{Tol: 1e-10}
-		got, stats, ok, err := CGPrecondBatch(base, ovs, b, x0, ic, w, opts, nil)
+		got, stats, ok, err := CGPrecondBatch(base, ovs, b, x0, ic, opts, nil)
 		if err != nil {
 			t.Fatalf("warm=%v: %v", warm, err)
 		}
-		for j := 0; j < w; j++ {
+		for j := 0; j < BatchWidth; j++ {
 			if !ok[j] {
 				t.Fatalf("warm=%v: column %d did not converge", warm, j)
 			}
 			am := patchedMatrix(t, base, ovs, j)
-			bj := make([]float64, n)
 			solo := SolveOptions{Tol: 1e-10}
 			if warm {
-				solo.X0 = make([]float64, n)
+				solo.X0 = column(x0, j)
 			}
-			for i := 0; i < n; i++ {
-				bj[i] = b[i*w+j]
-				if warm {
-					solo.X0[i] = x0[i*w+j]
-				}
-			}
-			want, wantStats, err := CGPrecond(am, bj, ic, solo)
+			want, wantStats, err := CGPrecond(am, column(b, j), ic, solo)
 			if err != nil {
 				t.Fatalf("warm=%v col %d solo: %v", warm, j, err)
 			}
@@ -113,30 +142,29 @@ func TestCGPrecondBatchMixedConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const w = 4
-	b := make([]float64, n*w)
+	bcols := make([][]float64, 4)
+	for j := range bcols {
+		bcols[j] = make([]float64, n)
+	}
 	for i := 0; i < n; i++ {
 		// Column 0 trivially easy (constant), column 3 rough.
-		b[i*w+0] = 1
-		b[i*w+1] = float64(i % 3)
-		b[i*w+2] = math.Cos(float64(i) * 1.3)
-		b[i*w+3] = math.Sin(float64(i*i%7)) * 50
+		bcols[0][i] = 1
+		bcols[1][i] = float64(i % 3)
+		bcols[2][i] = math.Cos(float64(i) * 1.3)
+		bcols[3][i] = math.Sin(float64(i*i%7)) * 50
 	}
-	got, stats, ok, err := CGPrecondBatch(base, nil, b, nil, ic, w, SolveOptions{}, GetBatchWorkspace())
+	b := interleave(bcols)
+	got, stats, ok, err := CGPrecondBatch(base, nil, b, nil, ic, SolveOptions{}, GetBatchWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	iterSpread := map[int]bool{}
-	for j := 0; j < w; j++ {
+	for j := 0; j < BatchWidth; j++ {
 		if !ok[j] {
 			t.Fatalf("column %d failed", j)
 		}
 		iterSpread[stats[j].Iterations] = true
-		bj := make([]float64, n)
-		for i := 0; i < n; i++ {
-			bj[i] = b[i*w+j]
-		}
-		want, wantStats, err := CGPrecond(base, bj, ic, SolveOptions{})
+		want, wantStats, err := CGPrecond(base, column(b, j), ic, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,15 +186,13 @@ func TestCGPrecondBatchZeroRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const w = 2
-	b := make([]float64, n*w)
-	x0 := make([]float64, n*w)
+	bcols := [][]float64{make([]float64, n), make([]float64, n)} // column 0 stays zero
+	x0cols := [][]float64{make([]float64, n), make([]float64, n)}
 	for i := 0; i < n; i++ {
-		b[i*w+1] = float64(i + 1) // column 0 stays zero
-		x0[i*w+0] = 3.25
-		x0[i*w+1] = 0
+		bcols[1][i] = float64(i + 1)
+		x0cols[0][i] = 3.25
 	}
-	got, stats, ok, err := CGPrecondBatch(base, nil, b, x0, ic, w, SolveOptions{}, nil)
+	got, stats, ok, err := CGPrecondBatch(base, nil, interleave(bcols), interleave(x0cols), ic, SolveOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,48 +223,43 @@ func TestCGPrecondBatchBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const w = 3
 	row := 20
 	ovs := []DiagOverride{{
 		Row: int32(row),
 		K:   diag[row],
 		// Column 1 gets a strongly negative diagonal → indefinite.
-		Vals: []float64{base.ValAt(int(diag[row])), -40, base.ValAt(int(diag[row])) + 1},
+		Vals: padded([]float64{base.ValAt(int(diag[row])), -40, base.ValAt(int(diag[row])) + 1}),
 	}}
-	b := make([]float64, n*w)
-	for i := 0; i < n; i++ {
-		for j := 0; j < w; j++ {
-			b[i*w+j] = math.Sin(float64(i)*0.7 + float64(j))
+	bcols := make([][]float64, 3)
+	for j := range bcols {
+		bcols[j] = make([]float64, n)
+		for i := 0; i < n; i++ {
+			bcols[j][i] = math.Sin(float64(i)*0.7 + float64(j))
 		}
 	}
-	got, stats, ok, err := CGPrecondBatch(base, ovs, b, nil, ic, w, SolveOptions{}, nil)
+	b := interleave(bcols)
+	got, stats, ok, err := CGPrecondBatch(base, ovs, b, nil, ic, SolveOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok[1] {
 		t.Fatal("indefinite column reported converged")
 	}
-	am := patchedMatrix(t, base, ovs, 1)
-	bj := make([]float64, n)
-	for i := 0; i < n; i++ {
-		bj[i] = b[i*w+1]
-	}
-	_, soloStats, soloErr := CGPrecond(am, bj, ic, SolveOptions{})
+	_, soloStats, soloErr := CGPrecond(patchedMatrix(t, base, ovs, 1), column(b, 1), ic, SolveOptions{})
 	if soloErr == nil {
 		t.Fatal("solo solve of indefinite column unexpectedly converged")
 	}
 	if stats[1].Iterations != soloStats.Iterations {
 		t.Errorf("breakdown iteration %d, solo %d", stats[1].Iterations, soloStats.Iterations)
 	}
-	for _, j := range []int{0, 2} {
+	for j := 0; j < BatchWidth; j++ {
+		if j == 1 {
+			continue
+		}
 		if !ok[j] {
 			t.Fatalf("healthy column %d failed", j)
 		}
-		am := patchedMatrix(t, base, ovs, j)
-		for i := 0; i < n; i++ {
-			bj[i] = b[i*w+j]
-		}
-		want, wantStats, err := CGPrecond(am, bj, ic, SolveOptions{})
+		want, wantStats, err := CGPrecond(patchedMatrix(t, base, ovs, j), column(b, j), ic, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,43 +277,40 @@ func TestCGPrecondBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	diag, _ := base.DiagIndices()
-	good := make([]float64, n*2)
+	good := make([]float64, n*BatchWidth)
+	ones := padded([]float64{1})
 	cases := []struct {
 		name string
 		run  func() error
 	}{
-		{"zero width", func() error {
-			_, _, _, err := CGPrecondBatch(base, nil, nil, nil, ic, 0, SolveOptions{}, nil)
-			return err
-		}},
 		{"short rhs", func() error {
-			_, _, _, err := CGPrecondBatch(base, nil, make([]float64, n), nil, ic, 2, SolveOptions{}, nil)
+			_, _, _, err := CGPrecondBatch(base, nil, make([]float64, n), nil, ic, SolveOptions{}, nil)
 			return err
 		}},
 		{"short start", func() error {
-			_, _, _, err := CGPrecondBatch(base, nil, good, make([]float64, n), ic, 2, SolveOptions{}, nil)
+			_, _, _, err := CGPrecondBatch(base, nil, good, make([]float64, n), ic, SolveOptions{}, nil)
 			return err
 		}},
 		{"nil preconditioner", func() error {
-			_, _, _, err := CGPrecondBatch(base, nil, good, nil, nil, 2, SolveOptions{}, nil)
+			_, _, _, err := CGPrecondBatch(base, nil, good, nil, nil, SolveOptions{}, nil)
 			return err
 		}},
 		{"override width", func() error {
 			ovs := []DiagOverride{{Row: 1, K: diag[1], Vals: []float64{1}}}
-			_, _, _, err := CGPrecondBatch(base, ovs, good, nil, ic, 2, SolveOptions{}, nil)
+			_, _, _, err := CGPrecondBatch(base, ovs, good, nil, ic, SolveOptions{}, nil)
 			return err
 		}},
 		{"unsorted overrides", func() error {
 			ovs := []DiagOverride{
-				{Row: 2, K: diag[2], Vals: []float64{1, 1}},
-				{Row: 1, K: diag[1], Vals: []float64{1, 1}},
+				{Row: 2, K: diag[2], Vals: ones},
+				{Row: 1, K: diag[1], Vals: ones},
 			}
-			_, _, _, err := CGPrecondBatch(base, ovs, good, nil, ic, 2, SolveOptions{}, nil)
+			_, _, _, err := CGPrecondBatch(base, ovs, good, nil, ic, SolveOptions{}, nil)
 			return err
 		}},
 		{"override outside pattern", func() error {
-			ovs := []DiagOverride{{Row: 1, K: int32(base.NNZ()) + 3, Vals: []float64{1, 1}}}
-			_, _, _, err := CGPrecondBatch(base, ovs, good, nil, ic, 2, SolveOptions{}, nil)
+			ovs := []DiagOverride{{Row: 1, K: int32(base.NNZ()) + 3, Vals: ones}}
+			_, _, _, err := CGPrecondBatch(base, ovs, good, nil, ic, SolveOptions{}, nil)
 			return err
 		}},
 	}

@@ -13,8 +13,8 @@ import (
 // matrix and differ only in the TEC diagonal/RHS terms. EvaluateBatch
 // assembles the canonical slice system once, expresses each point as a
 // set of per-column diagonal overrides plus an RHS patch, and hands
-// width-8 chunks to sparse.CGPrecondBatch under the shared slice
-// preconditioner.
+// sparse.BatchWidth-wide chunks to sparse.CGPrecondBatch under the shared
+// slice preconditioner.
 //
 // The batched path is a pure performance transform: per column the
 // assembly patches use the same floating-point statement shapes as
@@ -24,11 +24,6 @@ import (
 // solve cannot finish (breakdown, iteration budget) falls back to the
 // per-point path, which reproduces the identical failure and proceeds down
 // the full SolveAuto ladder exactly as a per-point call would.
-
-// batchWidth is the lockstep column count: wide enough to amortize the
-// per-iteration pattern walk over a cache line of float64 columns,
-// narrow enough that the interleaved working set stays in cache.
-const batchWidth = 8
 
 // EvaluateBatch computes the steady state at every operating point under
 // zoning z (nil is the one-zone deployment), solving memo misses in
@@ -122,8 +117,9 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 
 	ws := sparse.GetBatchWorkspace()
 	defer sparse.PutBatchWorkspace(ws)
-	b := make([]float64, m.n*batchWidth)
-	x0 := make([]float64, m.n*batchWidth)
+	const bw = sparse.BatchWidth
+	b := make([]float64, m.n*bw)
+	x0 := make([]float64, m.n*bw)
 
 	// Override backing store: cold rows then hot rows, cells ascending —
 	// strictly ascending node order (the cold plane sits below the hot
@@ -141,20 +137,20 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 			ovs = append(ovs, sparse.DiagOverride{
 				Row:  int32(row),
 				K:    m.diagIdx[row],
-				Vals: make([]float64, batchWidth),
+				Vals: make([]float64, bw),
 			})
 		}
 	}
 
 	var chunk []int
-	for start := 0; start < len(idxs); start += batchWidth {
+	for start := 0; start < len(idxs); start += bw {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		chunk = chunk[:0]
-		for _, pi := range idxs[start:min(start+batchWidth, len(idxs))] {
-			if res, ok := m.loadResult(sc.memoKey(z, true, pts[pi].Omega, pts[pi].Currents)); ok {
-				results[pi] = res
+		for _, pi := range idxs[start:min(start+bw, len(idxs))] {
+			if e, ok := m.loadMemo(sc.memoKey(z, true, pts[pi].Omega, pts[pi].Currents)); ok {
+				results[pi] = e.res
 				continue
 			}
 			chunk = append(chunk, pi)
@@ -175,19 +171,10 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 			}
 			continue
 		}
-		w := len(chunk)
-
-		// Pad a wide-enough partial chunk to the full lockstep width by
-		// duplicating its final column. Pads run identical arithmetic to
-		// their twin so they freeze on the same iteration and cost no
-		// extra sweeps; what they buy is the width-8 specialized kernels,
-		// which are cheaper per column than the generic path whenever
-		// most of the width is real work. Narrow chunks (memo-riddled
-		// rows) stay generic — there padding would outweigh the win.
-		wp := w
-		if w < batchWidth && 2*w > batchWidth {
-			wp = batchWidth
-		}
+		// Pad a partial chunk to the full lockstep width by repeating its
+		// last column. A pad runs arithmetic identical to its twin, so it
+		// freezes on the same iteration and costs no extra sweeps.
+		last := len(chunk) - 1
 
 		// Per-column override values, with the per-point statement shape
 		// (base + α·I / base − α·I; I = 0 leaves the canonical value bits).
@@ -198,10 +185,8 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 			hot := &ovs[nCov+ci]
 			cbase := sc.vals[cold.K]
 			hbase := sc.vals[hot.K]
-			cold.Vals = cold.Vals[:wp]
-			hot.Vals = hot.Vals[:wp]
-			for j, pi := range chunk {
-				iTEC := pts[pi].Currents[z.zoneOf[cell]]
+			for j := 0; j < bw; j++ {
+				iTEC := pts[chunk[min(j, last)]].Currents[z.zoneOf[cell]]
 				cv, hv := cbase, hbase
 				if iTEC != 0 {
 					cv = cbase + alpha*iTEC
@@ -210,55 +195,46 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 				cold.Vals[j] = cv
 				hot.Vals[j] = hv
 			}
-			for j := w; j < wp; j++ {
-				cold.Vals[j] = cold.Vals[w-1]
-				hot.Vals[j] = hot.Vals[w-1]
-			}
 		}
 
 		// Interleaved RHS: the canonical slice RHS broadcast per column,
 		// plus each point's Joule injection at the gen plane.
-		bw := b[:m.n*wp]
 		for i := 0; i < m.n; i++ {
 			base := sc.rhs[i]
-			row := bw[i*wp : i*wp+wp]
+			row := b[i*bw : i*bw+bw]
 			for j := range row {
 				row[j] = base
 			}
 		}
 		for _, cell := range covered {
 			mid := m.node(planeTECMid, cell)
-			row := bw[mid*wp : mid*wp+wp]
-			for j, pi := range chunk {
-				iTEC := pts[pi].Currents[z.zoneOf[cell]]
+			row := b[mid*bw : mid*bw+bw]
+			for j := range row {
+				iTEC := pts[chunk[min(j, last)]].Currents[z.zoneOf[cell]]
 				if iTEC != 0 {
 					row[j] += m.tecR[cell] * iTEC * iTEC
 				}
-			}
-			for j := w; j < wp; j++ {
-				row[j] = row[w-1]
 			}
 		}
 
 		// Interleaved start: every column from the group seed (ambient
 		// when the group has none — the per-point nil-warm fill).
-		x0w := x0[:m.n*wp]
 		if seed != nil {
 			for i := 0; i < m.n; i++ {
 				s := seed[i]
-				col := x0w[i*wp : i*wp+wp]
-				for j := range col {
-					col[j] = s
+				row := x0[i*bw : i*bw+bw]
+				for j := range row {
+					row[j] = s
 				}
 			}
 		} else {
-			for i := range x0w {
-				x0w[i] = m.cfg.Ambient
+			for i := range x0 {
+				x0[i] = m.cfg.Ambient
 			}
 		}
 
 		opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n}
-		sols, stats, ok, err := sparse.CGPrecondBatch(sc.mat, ovs[:2*nCov], bw, x0w, ic, wp, opts, ws)
+		sols, stats, ok, err := sparse.CGPrecondBatch(sc.mat, ovs, b, x0, ic, opts, ws)
 		if err != nil {
 			return err
 		}

@@ -14,8 +14,9 @@ import (
 // memoized by its operating point — zoning, ω, and every zone current —
 // whatever the zone count. For k ∈ {1, 3, 9} on fixed-seed random points
 // inside the box, a repeated EvaluateWarm, the gradient's steady state,
-// and EvaluateBatch all return the first EvaluateWarm's pointer, and a
-// SetDynamicPower flush makes every point solve afresh. Under k = 1 the
+// and EvaluateBatch all return the first EvaluateWarm's pointer, a
+// repeated EvaluateGrad returns the first Gradient, and a SetDynamicPower
+// flush makes every point solve and differentiate afresh. Under k = 1 the
 // explicit one-zone zoning and the nil zoning share one pointer.
 func TestResultMemoEveryZoneCount(t *testing.T) {
 	cfg := testConfig()
@@ -26,6 +27,7 @@ func TestResultMemoEveryZoneCount(t *testing.T) {
 			m := benchModel(t, cfg, "Basicmath")
 			z := testZoning(t, m, k)
 			first := make([]*Result, len(pts))
+			grads := make([]*Gradient, len(pts))
 			for i, p := range pts {
 				res, err := m.EvaluateWarm(z, p, nil)
 				if err != nil {
@@ -58,6 +60,14 @@ func TestResultMemoEveryZoneCount(t *testing.T) {
 				if g.Result != res {
 					t.Errorf("point %d: gradient re-solved its steady state", i)
 				}
+				gAgain, err := m.EvaluateGrad(z, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gAgain != g {
+					t.Errorf("point %d: repeated EvaluateGrad returned a fresh Gradient", i)
+				}
+				grads[i] = g
 			}
 
 			batch, err := m.EvaluateBatch(context.Background(), z, pts, nil)
@@ -80,6 +90,16 @@ func TestResultMemoEveryZoneCount(t *testing.T) {
 				}
 				if res == first[i] {
 					t.Errorf("point %d: Result survived the SetDynamicPower flush", i)
+				}
+				if grads[i] == nil {
+					continue
+				}
+				g, err := m.EvaluateGrad(z, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g == grads[i] {
+					t.Errorf("point %d: Gradient survived the SetDynamicPower flush", i)
 				}
 			}
 		})

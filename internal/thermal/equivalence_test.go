@@ -207,13 +207,15 @@ func TestEvaluateExactIsFixedPoint(t *testing.T) {
 
 // TestConcurrentPooledEvaluate hammers one model from many goroutines
 // across every entry point that borrows pooled scratch — Evaluate,
-// EvaluateWarm (unzoned and under a one-zone zoning), EvaluateExact, and a Transient — and then
-// checks the linearized results against a fresh serial model. The mix
-// includes warm-start hints, so whichever racer solves a point first fixes
-// the memoized bits; the comparison is therefore to solver tolerance, not
-// bit-exact (the warm-free determinism contract is pinned separately by
-// the core stress test). Run under -race this exercises the sync.Pool
-// handoff, the version and memo maps, and the shared factorization cache.
+// EvaluateWarm (unzoned and under a one-zone zoning), EvaluateExact,
+// EvaluateGrad, and a Transient — and then checks the linearized results
+// against a fresh serial model. The mix includes warm-start hints, so
+// whichever racer solves a point first fixes the memoized bits; the
+// comparison is therefore to solver tolerance, not bit-exact (the
+// warm-free determinism contract is pinned separately by the core stress
+// test). Run under -race this exercises the sync.Pool handoff, the memo
+// map with its result and gradient entries, and the shared factorization
+// cache.
 func TestConcurrentPooledEvaluate(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
@@ -242,7 +244,7 @@ func TestConcurrentPooledEvaluate(t *testing.T) {
 			var warm []float64
 			for i := 0; i < 6*len(points); i++ {
 				p := points[(w+i)%len(points)]
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
 					if _, err := m.Evaluate(p.omega, p.itec); err != nil {
 						errs <- err
@@ -266,6 +268,14 @@ func TestConcurrentPooledEvaluate(t *testing.T) {
 					if _, err := m.EvaluateWarm(zoning, opPoint(p.omega, p.itec), nil); err != nil {
 						errs <- err
 						return
+					}
+				case 4:
+					if _, err := m.EvaluateGrad(nil, opPoint(p.omega, p.itec)); err != nil {
+						// Only a runaway point has no gradient.
+						if res, rerr := m.Evaluate(p.omega, p.itec); rerr != nil || !res.Runaway {
+							errs <- err
+							return
+						}
 					}
 				}
 			}

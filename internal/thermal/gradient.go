@@ -79,8 +79,9 @@ func softmaxWeights(w, temps []float64, tau float64) {
 // derivatives of the two optimizer objectives with respect to the design
 // vector x = (ω, I₁..I_k).
 type Gradient struct {
-	// Result is the steady state the gradients are taken at (shared with
-	// the evaluation memo; read-only).
+	// Result is the steady state the gradients are taken at. The Result
+	// and the Gradient itself are shared through the model memo;
+	// read-only.
 	Result *Result
 
 	// PowerGrad is ∇𝒫 = (∂𝒫/∂ω, ∂𝒫/∂I₁..∂𝒫/∂I_k) for the cooling power
@@ -112,26 +113,46 @@ type Gradient struct {
 // one backward triangular sweep per preconditioner application, no new
 // factorization, instead of the k+1 full solves a finite-difference
 // gradient burns.
+//
+// The Gradient is memoized with its point's Result (see memoKey), so a
+// repeat — the constraint gradient after the objective gradient at one
+// SQP iterate — returns the identical *Gradient without another adjoint
+// pair. A point that cannot be differentiated (runaway) is not memoized:
+// its forward Result is, so a repeat costs only the check.
 func (m *Model) EvaluateGrad(z *Zoning, p Point) (*Gradient, error) {
 	z = m.zoningOr(z)
+	if _, err := m.checkPoint(z, p); err != nil {
+		return nil, err
+	}
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	key := sc.memoKey(z, true, p.Omega, p.Currents)
+	if e, _ := m.loadMemo(key); e.grad != nil {
+		return e.grad, nil
+	}
 	res, err := m.EvaluateWarm(z, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	return m.gradientAt(res, z, p)
+	g, err := m.gradientAt(sc, res, z, p)
+	if err != nil {
+		return nil, err
+	}
+	return m.storeGrad(key, g), nil
 }
 
 // gradientAt runs the two adjoint solves and assembles the derivative
-// formulas. The design enters the system G(x)T = b(x) only through
-// diagonal matrix patches and RHS injections (assembleInto), so with
-// λ = G⁻ᵀ(∂j/∂T) the chain rule
+// formulas, using sc's matrix and solve scratch (never its memo key). The
+// design enters the system G(x)T = b(x) only through diagonal matrix
+// patches and RHS injections (assembleInto), so with λ = G⁻ᵀ(∂j/∂T) the
+// chain rule
 //
 //	dJ/dx = ∂j/∂x + λᵀ(∂b/∂x − (∂G/∂x)·T)
 //
 // reduces to a handful of O(n) dot products over the sink and TEC nodes.
 //
 //oftec:allocok two solution vectors per gradient by SolveAuto contract; scratch is pooled
-func (m *Model) gradientAt(res *Result, z *Zoning, p Point) (*Gradient, error) {
+func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*Gradient, error) {
 	omega := p.Omega
 	if res.Runaway {
 		return nil, fmt.Errorf("thermal: cannot differentiate a runaway operating point (ω=%g)", omega)
@@ -150,8 +171,6 @@ func (m *Model) gradientAt(res *Result, z *Zoning, p Point) (*Gradient, error) {
 		g.SmoothBound = tau * math.Log(float64(nc))
 	}
 
-	sc := m.getScratch()
-	defer m.putScratch(sc)
 	// Re-assemble the exact system the steady state solved; only the
 	// matrix is needed (the adjoint RHS replaces b), but assembleInto
 	// refreshes both in one O(nnz) pass.

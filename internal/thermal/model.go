@@ -102,15 +102,17 @@ type Model struct {
 	pcMu sync.Mutex
 	pcs  map[precondKey]*sparse.ICPreconditioner
 
-	// resMem memoizes Results by operating point (see memoKey): the
-	// second-level cache below core's bounded evaluation cache. A repeated
-	// operating point of any zone count (the dominant pattern in line
-	// searches, gradient forward solves, and the optimizer's final
-	// certification) returns the identical first-computed Result, so
-	// re-solves after an upstream cache eviction stay bit-reproducible.
-	// SetDynamicPower flushes the memo.
+	// resMem memoizes Results, and their adjoint Gradients once asked
+	// for, by operating point (see memoKey): the second-level cache below
+	// core's bounded evaluation cache. A repeated operating point of any
+	// zone count (the dominant pattern in line searches, gradient forward
+	// solves, the objective and constraint gradients at one SQP iterate,
+	// and the optimizer's final certification) returns the identical
+	// first-computed Result or Gradient, so re-solves after an upstream
+	// cache eviction stay bit-reproducible. SetDynamicPower flushes the
+	// memo.
 	resMu  sync.Mutex
-	resMem map[string]*Result
+	resMem map[string]memoEntry
 
 	// scratch pools per-evaluation workspaces (matrix values, RHS, warm
 	// vector, CG work arrays) so concurrent Evaluate stays race-free
@@ -491,7 +493,7 @@ func (m *Model) SetDynamicPower(dyn power.Map) error {
 	m.dynGen.Add(1)
 	if m.resMem != nil {
 		m.resMu.Lock()
-		m.resMem = make(map[string]*Result)
+		m.resMem = make(map[string]memoEntry)
 		m.resMu.Unlock()
 	}
 	return nil
@@ -548,7 +550,7 @@ func (m *Model) buildSymbolic() error {
 		return err
 	}
 	m.pcs = make(map[precondKey]*sparse.ICPreconditioner)
-	m.resMem = make(map[string]*Result)
+	m.resMem = make(map[string]memoEntry)
 	nc := m.grids[planeChip].NumCells()
 	m.scratch.New = func() any {
 		sc := &evalScratch{
@@ -606,16 +608,23 @@ func (sc *evalScratch) memoKey(z *Zoning, linear bool, omega float64, currents [
 	return key
 }
 
-// loadResult returns the memoized Result for a memo key. The pointer is
+// memoEntry is one memoized operating point: its Result, and its adjoint
+// Gradient once one has been asked for (see EvaluateGrad).
+type memoEntry struct {
+	res  *Result
+	grad *Gradient
+}
+
+// loadMemo returns the memo entry for a memo key. The pointers are
 // shared, exactly as core's evaluation cache shares results across
 // callers.
 //
 //oftec:hotpath
-func (m *Model) loadResult(key []byte) (*Result, bool) {
+func (m *Model) loadMemo(key []byte) (memoEntry, bool) {
 	m.resMu.Lock()
 	defer m.resMu.Unlock()
-	res, ok := m.resMem[string(key)]
-	return res, ok
+	e, ok := m.resMem[string(key)]
+	return e, ok
 }
 
 // storeResult memoizes a computed Result (converged or runaway — both are
@@ -626,9 +635,26 @@ func (m *Model) storeResult(key []byte, res *Result) {
 	m.resMu.Lock()
 	defer m.resMu.Unlock()
 	if len(m.resMem) >= maxResults {
-		m.resMem = make(map[string]*Result)
+		m.resMem = make(map[string]memoEntry)
 	}
-	m.resMem[string(key)] = res
+	m.resMem[string(key)] = memoEntry{res: res}
+}
+
+// storeGrad memoizes a computed Gradient with its Result under a memo key
+// and returns the Gradient the memo holds: the first one stored wins, so
+// concurrent callers at one point converge on one pointer.
+func (m *Model) storeGrad(key []byte, g *Gradient) *Gradient {
+	m.resMu.Lock()
+	defer m.resMu.Unlock()
+	e, ok := m.resMem[string(key)]
+	if e.grad != nil {
+		return e.grad
+	}
+	if !ok && len(m.resMem) >= maxResults {
+		m.resMem = make(map[string]memoEntry)
+	}
+	m.resMem[string(key)] = memoEntry{res: g.Result, grad: g}
+	return g
 }
 
 // assembleInto refreshes sc with the system at the given operating point:
@@ -868,8 +894,8 @@ func (m *Model) EvaluateWarm(z *Zoning, p Point, warm []float64) (*Result, error
 	sc := m.getScratch()
 	defer m.putScratch(sc)
 	key := sc.memoKey(z, true, p.Omega, p.Currents)
-	if res, ok := m.loadResult(key); ok {
-		return res, nil
+	if e, ok := m.loadMemo(key); ok {
+		return e.res, nil
 	}
 	sc.loadCurrents(z, p.Currents)
 	m.assembleInto(sc, p.Omega, sc.cur, true, nil)
@@ -922,8 +948,8 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	// same matrix, different fixed point.
 	cur := [1]float64{iTEC}
 	key := sc.memoKey(m.one, false, omega, cur[:])
-	if res, ok := m.loadResult(key); ok {
-		return res, nil
+	if e, ok := m.loadMemo(key); ok {
+		return e.res, nil
 	}
 
 	// The system matrix is hoisted out of the fixed-point loop entirely.

@@ -3,9 +3,9 @@
 #
 #   build → go vet → gofmt → oftecvet (project static analysis) → named test
 #   gates with -race (concurrency, solver, adjoint, backend, batch,
-#   coolant) → every remaining test with -race → oftecd smoke (live
-#   daemon, every endpoint, clean SIGTERM shutdown) → parallel-sweep
-#   bench smoke
+#   coolant) → every remaining test with -race → the benchmark module's
+#   tests → oftecd smoke (live daemon, every endpoint, clean SIGTERM
+#   shutdown) → parallel-sweep bench smoke
 #
 # Run from anywhere inside the module; exits nonzero on the first failure.
 set -eu
@@ -140,6 +140,14 @@ done_pat="$done_pat|$cool"
 
 echo "== go test -race ./... (every test the gates above did not run)"
 go test -race -skip "$done_pat" ./...
+
+# The end-to-end benchmark is a module of its own (perfbench/, built
+# against this tree), so ./... above never reaches it. Its tests pin what
+# the benchmark relies on: traced runs answer exactly what untraced runs
+# answer, the backend capability probes resolve the same through the
+# tracing decorator, and traced counts repeat run to run.
+echo "== go -C perfbench test ."
+go -C perfbench test .
 
 # The oftecd smoke gate: a real daemon on an ephemeral port, one request
 # against every endpoint (including a streamed optimize), then SIGTERM —
