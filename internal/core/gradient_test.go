@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"oftec/internal/backend"
@@ -113,9 +114,13 @@ func TestGradientTinySpanProbesDistinct(t *testing.T) {
 	cfg.TEC.MaxCurrent = 1e-6
 	s := systemFromConfig(t, "Basicmath", cfg)
 
+	// Probe solves run concurrently, so the hook guards its map.
+	var mu sync.Mutex
 	seen := map[float64]bool{}
 	s.solveHook = func(omega, itec float64) {
+		mu.Lock()
 		seen[math.Round(itec*1e9)/1e9] = true
+		mu.Unlock()
 	}
 	// Hybrid mode keeps both axes live; the fan axis spans hundreds of
 	// rad/s and probes fine either way, while the current axis has the

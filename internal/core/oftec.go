@@ -45,11 +45,15 @@ type Options struct {
 	// uses the model configuration's T_max. Pareto sweeps use this to
 	// trace the power/temperature trade-off.
 	TMax float64
-	// Workers bounds the parallel fan-out of the sweep-style drivers
-	// built on the (thread-safe) evaluation cache: ParetoFront's
-	// threshold probe and the MultiStart corner launch. Zero sizes the
-	// pool to GOMAXPROCS; one forces the serial reference path. Results
-	// are identical either way.
+	// Workers bounds the parallel fan-out built on the (thread-safe)
+	// evaluation cache: the solver's finite-difference probes (a
+	// derivative then costs ⌈2·dim/W⌉ solve times instead of 2·dim),
+	// ParetoFront's threshold probe, and the MultiStart corner launch. An
+	// outer fan-out runs its inner solves with one worker, so only one
+	// level is ever parallel. Zero sizes the pool to GOMAXPROCS; one
+	// forces the serial reference path. Results are identical either way.
+	// Solver.Workers, when set, pins the solver's own width instead, and
+	// WarmStart runs keep the solver serial.
 	Workers int
 	// Gradient steers the gradient-based solver methods with exact adjoint
 	// gradients from the backend (see backend.GradientOf) instead of
@@ -234,6 +238,13 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 	eval := bindingEval(bnd)
 	if opts.WarmStart {
 		eval = (&warmCarry{bnd: bnd}).evaluate
+	} else if opts.Solver.Workers == 0 {
+		// The cached objectives are pure functions of the operating point
+		// and safe for concurrent use, so the solver fans out its
+		// finite-difference probes and the MultiStart corner launch unless
+		// the caller pinned a width. A warm-start carry makes each answer
+		// depend on evaluation order, so those runs stay serial.
+		opts.Solver.Workers = parallel.Workers(opts.Workers)
 	}
 	tempObj := func(x []float64) float64 { return maxTempObj(eval, x) }
 	tempCons := func(x []float64) float64 { return maxTempObj(eval, x) - tMaxSolve }
@@ -332,11 +343,6 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 		// The feasible point from phase 2 leads the list so the plain
 		// Algorithm 1 path is always among the candidates.
 		starts := append([][]float64{x1}, corners...)
-		if so1.Workers == 0 {
-			// The cached objectives are safe for concurrent use, so the
-			// corner launch fans out unless the caller pinned a width.
-			so1.Workers = parallel.Workers(opts.Workers)
-		}
 		rep, err = solver.MultiStart(solve, p1, starts, so1)
 	} else {
 		rep, err = solve(p1, x1, so1)

@@ -78,6 +78,7 @@ func (s *System) ParetoFront(tmaxValues []float64, opts Options) ([]ParetoPoint,
 		tmax := sorted[i]
 		o := opts
 		o.TMax = tmax
+		o.Workers = 1 // one level of fan-out: each threshold solves serially
 		res, err := s.paretoRun(o)
 		if err != nil {
 			// Don't fail the fan-out here: whether this error matters

@@ -230,7 +230,9 @@ var compareModes = []core.Mode{core.ModeHybrid, core.ModeVariableFan, core.ModeF
 func (s Setup) runAll(opts core.Options) ([]MethodResult, error) {
 	// One task per benchmark (each builds its own model, so tasks share
 	// nothing); the mode loop stays inside the task so all three modes
-	// reuse that benchmark's evaluation cache.
+	// reuse that benchmark's evaluation cache. The benchmarks are the one
+	// level of fan-out: each run probes its derivatives serially.
+	opts.Workers = 1
 	perBench := make([][]MethodResult, len(s.Benchmarks))
 	err := parallel.ForEach(context.Background(), len(s.Benchmarks), 0, func(i int) error {
 		b := s.Benchmarks[i]
@@ -301,7 +303,7 @@ func TECOnlySeries(s Setup) ([]MethodResult, error) {
 		if err != nil {
 			return err
 		}
-		res, err := sys.Run(core.Options{Mode: core.ModeTECOnly})
+		res, err := sys.Run(core.Options{Mode: core.ModeTECOnly, Workers: 1})
 		if err != nil {
 			return err
 		}
@@ -332,7 +334,7 @@ func Table2(s Setup) ([]Table2Row, error) {
 		if err != nil {
 			return err
 		}
-		out, err := sys.Run(core.Options{Mode: core.ModeHybrid})
+		out, err := sys.Run(core.Options{Mode: core.ModeHybrid, Workers: 1})
 		if err != nil {
 			return err
 		}

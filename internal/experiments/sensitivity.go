@@ -32,7 +32,8 @@ type SensitivityRow struct {
 
 // SeebeckSensitivity runs OFTEC on one benchmark across a sweep of Seebeck
 // scalings. Each scale builds its own model, so the sweep fans out across
-// GOMAXPROCS workers; rows come back in the caller's scale order.
+// GOMAXPROCS workers, each run inside solving with one; rows come back in
+// the caller's scale order.
 func SeebeckSensitivity(s Setup, benchName string, scales []float64) ([]SensitivityRow, error) {
 	if len(scales) == 0 {
 		return nil, fmt.Errorf("experiments: sensitivity sweep needs at least one scale")
@@ -65,7 +66,7 @@ func SeebeckSensitivity(s Setup, benchName string, scales []float64) ([]Sensitiv
 		if err != nil {
 			return err
 		}
-		out, err := core.NewSystem(ev).Run(core.Options{Mode: core.ModeHybrid})
+		out, err := core.NewSystem(ev).Run(core.Options{Mode: core.ModeHybrid, Workers: 1})
 		if err != nil {
 			return fmt.Errorf("experiments: sensitivity scale %g: %w", scale, err)
 		}
@@ -168,7 +169,7 @@ func CoverageStudy(s Setup, benchName string) ([]CoverageRow, error) {
 		if err != nil {
 			return err
 		}
-		out, err := core.NewSystem(ev).Run(core.Options{Mode: core.ModeHybrid})
+		out, err := core.NewSystem(ev).Run(core.Options{Mode: core.ModeHybrid, Workers: 1})
 		if err != nil {
 			return fmt.Errorf("experiments: coverage %q: %w", d.name, err)
 		}

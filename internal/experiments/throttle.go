@@ -37,7 +37,8 @@ type ThrottleRow struct {
 // setup, using the variable-speed fan baseline as the cooling system that
 // must be rescued by throttling. Benchmarks are independent (each builds
 // its own thermal model), so the series fans out across GOMAXPROCS
-// workers; rows come back in benchmark order.
+// workers, each run inside solving with one; rows come back in benchmark
+// order.
 func ThrottlingSeries(s Setup, model dvfs.Model) ([]ThrottleRow, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -69,7 +70,7 @@ func throttleOne(s Setup, model dvfs.Model, b workload.Benchmark) (ThrottleRow, 
 	row := ThrottleRow{Benchmark: b.Name}
 
 	// OFTEC at full frequency.
-	oftec, err := core.NewSystem(plant).Run(core.Options{Mode: core.ModeHybrid})
+	oftec, err := core.NewSystem(plant).Run(core.Options{Mode: core.ModeHybrid, Workers: 1})
 	if err != nil {
 		return ThrottleRow{}, err
 	}
@@ -80,7 +81,7 @@ func throttleOne(s Setup, model dvfs.Model, b workload.Benchmark) (ThrottleRow, 
 		if err := plant.SetDynamicPower(op.ScaleMap(base)); err != nil {
 			return false, err
 		}
-		out, err := core.NewSystem(plant).Run(core.Options{Mode: core.ModeVariableFan})
+		out, err := core.NewSystem(plant).Run(core.Options{Mode: core.ModeVariableFan, Workers: 1})
 		if err != nil {
 			return false, err
 		}

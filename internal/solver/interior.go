@@ -72,15 +72,15 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 
 	// Barrier objective in scaled space.
 	const edge = 1e-9
-	barrier := func(z []float64, mu float64) float64 {
+	barrier := func(z []float64, mu float64, evals *int) float64 {
 		x := toX(z)
-		*(&evals)++
+		*evals++
 		f := p.F(x)
 		if math.IsNaN(f) || f >= Infeasible || math.IsInf(f, 1) {
 			return Infeasible
 		}
 		for i := range p.Cons {
-			evals++
+			*evals++
 			f += psi(p.Cons[i](x), mu)
 		}
 		for i := 0; i < n; i++ {
@@ -141,24 +141,34 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 	// two probes on distinct keys of a 1e-9-quantized evaluation cache
 	// (see quantRelStep).
 	minStep := scaledGradMinStep(p, span)
+	// grad falls back to finite differences of the barrier, planned,
+	// evaluated and combined like Problem.gradient's: both probes of every
+	// live axis (the extrapolated barrier is defined past the box), run
+	// through probe on opts.workers().
 	grad := func(z []float64, mu float64, f0 float64) []float64 {
 		if g := gradAnalytic(z, mu); g != nil {
 			return g
 		}
-		g := make([]float64, n)
 		h := opts.fdStep()
-		zp := make([]float64, n)
-		copy(zp, z)
+		steps := make([]float64, n)
+		var zs [][]float64
 		for i := 0; i < n; i++ {
 			if p.pinned(i) {
 				continue // pinned axis: the derivative along it is zero
 			}
-			step := math.Max(math.Max(h, 1e-9), minStep[i])
-			zp[i] = z[i] + step
-			fHi := barrier(zp, mu)
-			zp[i] = z[i] - step
-			fLo := barrier(zp, mu)
-			zp[i] = z[i]
+			steps[i] = math.Max(math.Max(h, 1e-9), minStep[i])
+			zs = append(zs, shifted(z, i, z[i]+steps[i]), shifted(z, i, z[i]-steps[i]))
+		}
+		phi := func(zz []float64, evals *int) float64 { return barrier(zz, mu, evals) }
+		vals := probe(phi, zs, opts.workers(), &evals)
+
+		g := make([]float64, n)
+		for i := 0; i < n; i++ {
+			if p.pinned(i) {
+				continue
+			}
+			fHi, fLo, step := vals[0], vals[1], steps[i]
+			vals = vals[2:]
 			switch {
 			case fHi < Infeasible && fLo < Infeasible:
 				g[i] = (fHi - fLo) / (2 * step)
@@ -186,7 +196,7 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 outer:
 	for outerIt := 0; outerIt < 12 && mu > 1e-8; outerIt++ {
 		bmat := identity(n)
-		f := barrier(z, mu)
+		f := barrier(z, mu, &evals)
 		g := grad(z, mu, f)
 		stationary = false
 		for inner := 0; inner < opts.maxIter()/4+10; inner++ {
@@ -225,7 +235,7 @@ outer:
 				for i := range cand {
 					cand[i] = math.Min(uz[i], math.Max(0, z[i]+alpha*d[i]))
 				}
-				fNew = barrier(cand, mu)
+				fNew = barrier(cand, mu, &evals)
 				armijo := fNew < f-1e-6*alpha*math.Abs(dot(g, d))
 				lastResort := alpha < 1e-8 && fNew < f
 				if armijo || lastResort {

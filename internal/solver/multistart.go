@@ -38,7 +38,8 @@ func betterReport(rep, best Report, feasTol float64) bool {
 //
 // With Options.Workers outside {0, 1} the starts are launched on a
 // bounded worker pool (see Options.Workers for the thread-safety
-// contract). The selection over completed reports is replayed serially
+// contract), each start solving with Workers = 1 so the fan-out stays
+// one level deep. The selection over completed reports is replayed serially
 // in start order, so the returned Report is identical to the serial
 // launch — including the early-stop short circuit, whose skipped starts
 // are solved but then ignored.
@@ -64,10 +65,7 @@ func MultiStart(run Runner, p *Problem, starts [][]float64, opts Options) (Repor
 		}
 	}
 
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
+	workers := opts.workers()
 	reps := make([]Report, len(starts))
 	if workers == 1 {
 		// Serial launch: stop issuing solves at the first early stop or on
@@ -90,8 +88,11 @@ func MultiStart(run Runner, p *Problem, starts [][]float64, opts Options) (Repor
 		}
 		reps = reps[:launched]
 	} else {
+		// One level of fan-out: each start probes its derivatives serially.
+		inner := opts
+		inner.Workers = 1
 		err := parallel.ForEach(context.Background(), len(starts), workers, func(i int) error {
-			rep, err := run(p, starts[i], opts)
+			rep, err := run(p, starts[i], inner)
 			if err != nil {
 				return fmt.Errorf("solver: start %d: %w", i, err)
 			}

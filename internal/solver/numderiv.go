@@ -1,6 +1,12 @@
 package solver
 
-import "math"
+import (
+	"context"
+	"fmt"
+	"math"
+
+	"oftec/internal/parallel"
+)
 
 // sliverSlope is the synthetic gradient magnitude used when finite
 // differencing is impossible because the current point or both probes sit
@@ -53,12 +59,59 @@ func scaleToZ(gx, span []float64, p *Problem) []float64 {
 	return g
 }
 
+// countedFunc evaluates at x and adds the evaluations it spends to
+// *evals. The probe fan-out hands every probe its own counter.
+type countedFunc func(x []float64, evals *int) float64
+
+// shifted returns a copy of x with coordinate i set to v.
+func shifted(x []float64, i int, v float64) []float64 {
+	xp := append([]float64(nil), x...)
+	xp[i] = v
+	return xp
+}
+
+// probe evaluates f at every point of xs on a pool of the given width
+// (see Options.workers) and returns the values in order. Width 1 is the
+// serial loop. Each probe counts its evaluations in its own slot and the
+// slots are summed into *evals, so the total equals the serial count. A
+// panicking probe is re-raised on the caller's goroutine, where the
+// serial loop would have panicked, so Fallback's stage recovery still
+// sees it.
+func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
+	vals := make([]float64, len(xs))
+	counts := make([]int, len(xs))
+	// No Options.Ctx here: the solvers honour cancellation at iteration
+	// boundaries only, so a derivative, once started, is finished.
+	err := parallel.ForEach(context.Background(), len(xs), workers, func(k int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("solver: finite-difference probe panicked: %v", r)
+			}
+		}()
+		vals[k] = f(xs[k], &counts[k])
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	for _, c := range counts {
+		*evals += c
+	}
+	return vals
+}
+
 // gradient approximates ∇f at x with central differences, falling back to
 // one-sided differences at box edges or when a probe point evaluates to the
 // Infeasible sentinel (e.g. probing into a thermal-runaway region). The
 // step for variable i is h_i = fdStep·(Upper_i − Lower_i), floored at 1e-10
 // and at GradMinStep_i when set. A pinned variable (Upper_i == Lower_i)
-// gets a zero derivative without spending any evaluations.
+// gets a zero derivative without spending any evaluations. f counts and
+// clamps its own evaluations (Problem.eval, for instance).
+//
+// It runs in three steps: plan every in-box probe, evaluate them all
+// through probe on the given number of workers, then combine the values
+// into difference quotients. When f is a pure function of its point, the
+// result is the same at every width.
 //
 // When finite differencing degenerates, a synthetic slope of magnitude
 // sliverSlope stands in for the unknown derivative:
@@ -69,60 +122,73 @@ func scaleToZ(gx, span []float64, p *Problem) []float64 {
 //   - fx itself Infeasible with one usable probe: the slope points so
 //     that −g moves toward the feasible probe (the raw one-sided quotient
 //     would be ±(fProbe − 1e12)/h garbage).
-func (p *Problem) gradient(f Func, x []float64, fx float64, fdStep float64, evals *int) []float64 {
+func (p *Problem) gradient(f countedFunc, x []float64, fx, fdStep float64, workers int, evals *int) []float64 {
 	n := p.Dim()
-	g := make([]float64, n)
-	xp := make([]float64, n)
-	copy(xp, x)
+	// Plan: hi[i] and lo[i] index axis i's probes in xs, −1 where a probe
+	// would leave the box.
+	h := make([]float64, n)
+	hi := make([]int, n)
+	lo := make([]int, n)
+	var xs [][]float64
 	for i := 0; i < n; i++ {
+		hi[i], lo[i] = -1, -1
 		if p.pinned(i) {
 			// Degenerate (pinned) bounds freeze this axis: no step can stay
-			// inside the box, so the floored probes below would both land
+			// inside the box, so the floored probes would both land
 			// outside and the sliver branch would fabricate a ±sliverSlope
 			// on a variable that cannot move, poisoning the BFGS curvature
 			// pairs and every descent direction built from them. The only
 			// honest derivative along a frozen axis is zero.
-			g[i] = 0
 			continue
 		}
-		h := fdStep * (p.Upper[i] - p.Lower[i])
-		if h < 1e-10 {
-			h = 1e-10
+		h[i] = fdStep * (p.Upper[i] - p.Lower[i])
+		if h[i] < 1e-10 {
+			h[i] = 1e-10
 		}
-		if p.GradMinStep != nil && h < p.GradMinStep[i] {
-			h = p.GradMinStep[i]
+		if p.GradMinStep != nil && h[i] < p.GradMinStep[i] {
+			h[i] = p.GradMinStep[i]
 		}
-		hiOK := x[i]+h <= p.Upper[i]
-		loOK := x[i]-h >= p.Lower[i]
+		if x[i]+h[i] <= p.Upper[i] {
+			hi[i] = len(xs)
+			xs = append(xs, shifted(x, i, x[i]+h[i]))
+		}
+		if x[i]-h[i] >= p.Lower[i] {
+			lo[i] = len(xs)
+			xs = append(xs, shifted(x, i, x[i]-h[i]))
+		}
+	}
 
-		var fHi, fLo float64
-		fHi, fLo = math.NaN(), math.NaN()
-		if hiOK {
-			xp[i] = x[i] + h
-			fHi = p.wrap(f, xp, evals)
+	vals := probe(f, xs, workers, evals)
+	// usable returns probe k's value and whether it was planned and came
+	// back below Infeasible.
+	usable := func(k int) (float64, bool) {
+		if k < 0 {
+			return 0, false
 		}
-		if loOK {
-			xp[i] = x[i] - h
-			fLo = p.wrap(f, xp, evals)
-		}
-		xp[i] = x[i]
+		return vals[k], vals[k] < Infeasible
+	}
 
-		usableHi := hiOK && fHi < Infeasible
-		usableLo := loOK && fLo < Infeasible
+	g := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if p.pinned(i) {
+			continue
+		}
+		fHi, usableHi := usable(hi[i])
+		fLo, usableLo := usable(lo[i])
 		switch {
 		case usableHi && usableLo:
-			g[i] = (fHi - fLo) / (2 * h)
+			g[i] = (fHi - fLo) / (2 * h[i])
 		case usableHi:
 			if fx >= Infeasible {
 				g[i] = -sliverSlope // descend toward the feasible upper probe
 			} else {
-				g[i] = (fHi - fx) / h
+				g[i] = (fHi - fx) / h[i]
 			}
 		case usableLo:
 			if fx >= Infeasible {
 				g[i] = sliverSlope // descend toward the feasible lower probe
 			} else {
-				g[i] = (fx - fLo) / h
+				g[i] = (fx - fLo) / h[i]
 			}
 		default:
 			// Both probes infeasible: the point sits in a sliver of
@@ -137,19 +203,6 @@ func (p *Problem) gradient(f Func, x []float64, fx float64, fdStep float64, eval
 		}
 	}
 	return g
-}
-
-// wrap evaluates an arbitrary Func with the Infeasible clamp.
-func (p *Problem) wrap(f Func, x []float64, evals *int) float64 {
-	*evals++
-	v := f(x)
-	if math.IsNaN(v) || v > Infeasible || math.IsInf(v, 1) {
-		return Infeasible
-	}
-	if math.IsInf(v, -1) {
-		return -Infeasible
-	}
-	return v
 }
 
 // bfgsUpdate applies the damped BFGS update (Powell 1978) to the Hessian

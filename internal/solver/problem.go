@@ -9,7 +9,10 @@
 // objective requires a thermal simulation per point); gradients default to
 // finite-difference approximations, with an analytic path (Options.Grad /
 // Options.ConsGrad, fed by the thermal adjoint solves) that collapses the
-// 2n probes per derivative into a single callback. Problems are small
+// 2n probes per derivative into a single callback. The probes of one
+// finite-difference derivative are independent, so they run on
+// Options.Workers goroutines: a derivative costs ⌈2n/W⌉ evaluation times
+// instead of 2n, with the same result at every width. Problems are small
 // (OFTEC has two variables, ω and I_TEC), which the implementations
 // exploit: the SQP quadratic subproblems are solved exactly by enumerating
 // active sets.
@@ -116,10 +119,9 @@ func (p *Problem) clampBox(x []float64) {
 	}
 }
 
-// eval evaluates the objective with the +Inf clamp.
-func (p *Problem) eval(x []float64, evals *int) float64 {
-	*evals++
-	v := p.F(x)
+// clamp maps NaN, +Inf and anything above Infeasible to Infeasible, and
+// −Inf to −Infeasible.
+func clamp(v float64) float64 {
 	if math.IsNaN(v) || v > Infeasible || math.IsInf(v, 1) {
 		return Infeasible
 	}
@@ -129,17 +131,16 @@ func (p *Problem) eval(x []float64, evals *int) float64 {
 	return v
 }
 
+// eval evaluates the objective with the +Inf clamp.
+func (p *Problem) eval(x []float64, evals *int) float64 {
+	*evals++
+	return clamp(p.F(x))
+}
+
 // evalCons evaluates constraint i with the same clamp.
 func (p *Problem) evalCons(i int, x []float64, evals *int) float64 {
 	*evals++
-	v := p.Cons[i](x)
-	if math.IsNaN(v) || v > Infeasible || math.IsInf(v, 1) {
-		return Infeasible
-	}
-	if math.IsInf(v, -1) {
-		return -Infeasible
-	}
-	return v
+	return clamp(p.Cons[i](x))
 }
 
 // maxViolation returns the largest positive constraint value at x (0 when
@@ -181,11 +182,14 @@ type Options struct {
 	// EarlyStopped=true. Algorithm 1 uses this to stop Optimization 2 as
 	// soon as 𝒯 < T_max.
 	StopWhen func(x []float64, f float64) bool
-	// Workers bounds MultiStart's parallel fan-out over starting points.
-	// Zero and one keep the historical serial launch (required when the
-	// problem's F/Cons/StopWhen are not safe for concurrent use);
-	// negative selects GOMAXPROCS. The iterative solvers themselves
-	// ignore this field.
+	// Workers bounds the solvers' fan-out: the finite-difference probes
+	// of every derivative the gradient-based methods (ActiveSetSQP,
+	// InteriorPoint, TrustRegion) take, and MultiStart's launch over
+	// starting points, which runs each start with Workers = 1 so the
+	// fan-out stays one level deep. Zero and one keep the serial loop
+	// (required when the problem's F/Cons/StopWhen are not safe for
+	// concurrent use); negative selects GOMAXPROCS. When F and Cons are
+	// pure functions of the point, the Report is identical at any width.
 	Workers int
 	// Ctx, when non-nil, is checked at every iteration boundary: once it
 	// is cancelled or past its deadline, the solver stops within one
@@ -210,6 +214,15 @@ func (o Options) trace(rec TraceRecord) {
 	if o.Trace != nil {
 		o.Trace(rec)
 	}
+}
+
+// workers resolves Workers for parallel.ForEach: zero is the serial
+// loop, as one is.
+func (o Options) workers() int {
+	if o.Workers == 0 {
+		return 1
+	}
+	return o.Workers
 }
 
 func (o Options) maxIter() int {

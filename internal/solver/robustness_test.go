@@ -227,12 +227,12 @@ func TestSQPLineSearchEvalAccounting(t *testing.T) {
 // descent direction −g toward the box interior — not freeze the axis at
 // g=0 as the old code did.
 func TestGradientSliverBothProbesInfeasible(t *testing.T) {
-	p := &Problem{Lower: []float64{0, 0}, Upper: []float64{1, 1}}
 	infeasibleEverywhere := func([]float64) float64 { return Infeasible }
+	p := &Problem{F: infeasibleEverywhere, Lower: []float64{0, 0}, Upper: []float64{1, 1}}
 	evals := 0
 
 	// Point near the lower bound on axis 0, near the upper bound on axis 1.
-	g := p.gradient(infeasibleEverywhere, []float64{0.2, 0.8}, 1.0, 1e-5, &evals)
+	g := p.gradient(p.eval, []float64{0.2, 0.8}, 1.0, 1e-5, 1, &evals)
 	if g[0] != -sliverSlope {
 		t.Errorf("g[0] = %g, want %g (−g must point up-axis, away from the lower bound)", g[0], -sliverSlope)
 	}
@@ -246,24 +246,23 @@ func TestGradientSliverBothProbesInfeasible(t *testing.T) {
 // must be the bounded synthetic slope toward the feasible probe — not the
 // ±(f − 1e12)/h garbage a raw one-sided quotient would produce.
 func TestGradientInfeasibleCurrentUsesBoundedSlope(t *testing.T) {
-	p := &Problem{Lower: []float64{0}, Upper: []float64{1}}
+	p := &Problem{F: func(x []float64) float64 { return x[0] }, Lower: []float64{0}, Upper: []float64{1}}
 	evals := 0
 
 	// At the lower bound only the upper probe exists, and it is feasible.
-	f := func(x []float64) float64 { return x[0] }
-	g := p.gradient(f, []float64{0}, Infeasible, 1e-5, &evals)
+	g := p.gradient(p.eval, []float64{0}, Infeasible, 1e-5, 1, &evals)
 	if g[0] != -sliverSlope {
 		t.Errorf("upper probe feasible: g = %g, want %g", g[0], -sliverSlope)
 	}
 
 	// At the upper bound only the lower probe exists.
-	g = p.gradient(f, []float64{1}, Infeasible, 1e-5, &evals)
+	g = p.gradient(p.eval, []float64{1}, Infeasible, 1e-5, 1, &evals)
 	if g[0] != sliverSlope {
 		t.Errorf("lower probe feasible: g = %g, want %g", g[0], sliverSlope)
 	}
 
 	// Feasible current point keeps the genuine one-sided quotient.
-	g = p.gradient(f, []float64{0}, 0, 1e-5, &evals)
+	g = p.gradient(p.eval, []float64{0}, 0, 1e-5, 1, &evals)
 	if math.Abs(g[0]-1) > 1e-6 {
 		t.Errorf("feasible one-sided quotient: g = %g, want 1", g[0])
 	}

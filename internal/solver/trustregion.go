@@ -40,14 +40,14 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 	}
 
 	penWeight := 1e3
-	penalized := func(z []float64) float64 {
+	penalized := func(z []float64, evals *int) float64 {
 		x := toX(z)
-		f := p.eval(x, &evals)
+		f := p.eval(x, evals)
 		if f >= Infeasible {
 			return Infeasible
 		}
 		for i := range p.Cons {
-			if v := p.evalCons(i, x, &evals); v > 0 {
+			if v := p.evalCons(i, x, evals); v > 0 {
 				f += penWeight * v * v
 			}
 		}
@@ -56,8 +56,15 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		}
 		return f
 	}
+	// penalizedProbe is a finite-difference probe of penalized: it counts
+	// itself as one evaluation on top of the F and constraint evaluations
+	// inside it.
+	penalizedProbe := func(z []float64, evals *int) float64 {
+		*evals++
+		return clamp(penalized(z, evals))
+	}
+	// scaledPen is the unit box the finite differences probe.
 	scaledPen := &Problem{
-		F:           penalized,
 		Lower:       make([]float64, n),
 		Upper:       make([]float64, n),
 		GradMinStep: scaledGradMinStep(p, span),
@@ -116,10 +123,10 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 				return g
 			}
 		}
-		return scaledPen.gradient(penalized, zz, fzz, opts.fdStep(), &evals)
+		return scaledPen.gradient(penalizedProbe, zz, fzz, opts.fdStep(), opts.workers(), &evals)
 	}
 
-	f := penalized(z)
+	f := penalized(z, &evals)
 	g := gradPen(z, f)
 	bmat := identity(n)
 	delta := 0.25
@@ -164,7 +171,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		for i := range zNew {
 			zNew[i] = z2(z[i]+d[i], i)
 		}
-		fNew := penalized(zNew)
+		fNew := penalized(zNew, &evals)
 		actual := f - fNew
 
 		rho := 0.0
@@ -204,7 +211,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			// Escalate the penalty while the iterate stays infeasible.
 			if p.maxViolation(report.X, &evals) > opts.tol() {
 				penWeight = math.Min(penWeight*2, 1e9)
-				f = penalized(z)
+				f = penalized(z, &evals)
 				g = gradPen(z, f)
 			}
 		}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Preconditioner approximates the inverse of a matrix: Apply computes
@@ -17,7 +18,9 @@ type Preconditioner interface {
 // the sparsity pattern of the lower triangle of A. For the thermal
 // conduction matrices in this repository it cuts CG iteration counts by
 // several times compared to Jacobi scaling (see the preconditioner
-// ablation benchmark).
+// ablation benchmark). Its structure arrays are shared with the
+// ICSymbolic it was factored through; it owns only the values of L and
+// Lᵀ, and is read-only once built.
 type ICPreconditioner struct {
 	n int
 	// l is the factor in CSR layout (rows sorted by column, diagonal last).
@@ -28,7 +31,29 @@ type ICPreconditioner struct {
 	ltRowPtr []int32
 	ltColIdx []int32
 	ltValues []float64
-	work     []float64
+}
+
+// ICSymbolic is the symbolic half of IC(0) on one sparsity pattern: the
+// structure of L and Lᵀ, and where each of their entries takes its value
+// from. Every matrix on that pattern factors through Factor, which
+// allocates only the two value arrays, so a cache of factorizations over
+// one pattern pays the structural analysis once. It is read-only after
+// construction and safe for concurrent Factor calls.
+type ICSymbolic struct {
+	n int
+	// aRowPtr and aColIdx are the analysed pattern of A (shared, immutable).
+	aRowPtr []int32
+	aColIdx []int32
+	// lRowPtr and lColIdx are L's structure; lSrc[k] indexes A's value
+	// array for L's entry k.
+	lRowPtr []int32
+	lColIdx []int32
+	lSrc    []int32
+	// ltRowPtr and ltColIdx are Lᵀ's structure; ltSrc[k] indexes L's value
+	// array for Lᵀ's entry k.
+	ltRowPtr []int32
+	ltColIdx []int32
+	ltSrc    []int32
 }
 
 // NewICPreconditioner computes the IC(0) factorization. It returns an
@@ -36,12 +61,23 @@ type ICPreconditioner struct {
 // a non-positive pivot, which signals an indefinite matrix — callers then
 // fall back to Jacobi).
 func NewICPreconditioner(a *CSR) (*ICPreconditioner, error) {
+	s, err := NewICSymbolic(a)
+	if err != nil {
+		return nil, err
+	}
+	return s.Factor(a)
+}
+
+// NewICSymbolic analyses the sparsity pattern of a for IC(0): L takes the
+// lower triangle of the pattern, rows sorted by column with the diagonal
+// last. It errors when a row has no structural diagonal.
+func NewICSymbolic(a *CSR) (*ICSymbolic, error) {
 	n := a.N()
-	p := &ICPreconditioner{n: n, work: make([]float64, n)}
+	s := &ICSymbolic{n: n, aRowPtr: a.rowPtr, aColIdx: a.colIdx}
 
 	// Collect the lower-triangle pattern row by row (columns ascending,
 	// diagonal last in each row).
-	p.lRowPtr = make([]int32, n+1)
+	s.lRowPtr = make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		lo, hi := int(a.rowPtr[i]), int(a.rowPtr[i+1])
 		cnt := 0
@@ -57,45 +93,85 @@ func NewICPreconditioner(a *CSR) (*ICPreconditioner, error) {
 		if !hasDiag {
 			return nil, fmt.Errorf("sparse: IC(0) needs a structurally nonzero diagonal (row %d)", i)
 		}
-		p.lRowPtr[i+1] = p.lRowPtr[i] + int32(cnt+1)
+		s.lRowPtr[i+1] = s.lRowPtr[i] + int32(cnt+1)
 	}
-	nnz := int(p.lRowPtr[n])
-	p.lColIdx = make([]int32, nnz)
-	p.lValues = make([]float64, nnz)
-
-	// rowStart[i] tracks the fill position of row i.
-	pos := make([]int32, n)
-	copy(pos, p.lRowPtr[:n])
-	diagPos := make([]int32, n)
+	nnz := int(s.lRowPtr[n])
+	s.lColIdx = make([]int32, nnz)
+	s.lSrc = make([]int32, nnz)
 	for i := 0; i < n; i++ {
+		pos := s.lRowPtr[i]
 		lo, hi := int(a.rowPtr[i]), int(a.rowPtr[i+1])
+		diag := int32(-1)
 		for k := lo; k < hi; k++ {
-			j := int(a.colIdx[k])
-			if j < i {
-				p.lColIdx[pos[i]] = int32(j)
-				p.lValues[pos[i]] = a.values[k]
-				pos[i]++
+			switch j := int(a.colIdx[k]); {
+			case j < i:
+				s.lColIdx[pos] = int32(j)
+				s.lSrc[pos] = int32(k)
+				pos++
+			case j == i:
+				diag = int32(k)
 			}
 		}
 		// Diagonal last.
-		p.lColIdx[pos[i]] = int32(i)
-		p.lValues[pos[i]] = a.At(i, i)
-		diagPos[i] = pos[i]
-		pos[i]++
+		s.lColIdx[pos] = int32(i)
+		s.lSrc[pos] = diag
+	}
+
+	// Lᵀ in CSR form, for the backward solve.
+	s.ltRowPtr = make([]int32, n+1)
+	for k := 0; k < nnz; k++ {
+		s.ltRowPtr[s.lColIdx[k]+1]++
+	}
+	for i := 0; i < n; i++ {
+		s.ltRowPtr[i+1] += s.ltRowPtr[i]
+	}
+	s.ltColIdx = make([]int32, nnz)
+	s.ltSrc = make([]int32, nnz)
+	fill := make([]int32, n)
+	copy(fill, s.ltRowPtr[:n])
+	for i := 0; i < n; i++ {
+		for k := s.lRowPtr[i]; k < s.lRowPtr[i+1]; k++ {
+			j := s.lColIdx[k]
+			s.ltColIdx[fill[j]] = int32(i)
+			s.ltSrc[fill[j]] = k
+			fill[j]++
+		}
+	}
+	return s, nil
+}
+
+// Factor computes the IC(0) factorization of a, which must have the
+// pattern NewICSymbolic analysed. It errors on a different pattern and on
+// a zero or non-positive pivot (an indefinite matrix).
+func (s *ICSymbolic) Factor(a *CSR) (*ICPreconditioner, error) {
+	if !s.matches(a) {
+		return nil, fmt.Errorf("sparse: IC(0) factor: matrix pattern differs from the analysed one")
+	}
+	p := &ICPreconditioner{
+		n:        s.n,
+		lRowPtr:  s.lRowPtr,
+		lColIdx:  s.lColIdx,
+		lValues:  make([]float64, len(s.lSrc)),
+		ltRowPtr: s.ltRowPtr,
+		ltColIdx: s.ltColIdx,
+		ltValues: make([]float64, len(s.ltSrc)),
+	}
+	for k, src := range s.lSrc {
+		p.lValues[k] = a.values[src]
 	}
 
 	// Factorize in place. For entry (i, j), j < i:
 	//   L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j]
 	// Diagonal:
 	//   L[i][i] = sqrt(A[i][i] − Σ_{k<i} L[i][k]²)
-	for i := 0; i < n; i++ {
+	for i := 0; i < s.n; i++ {
 		rowLo, rowHi := int(p.lRowPtr[i]), int(p.lRowPtr[i+1])
 		for idx := rowLo; idx < rowHi-1; idx++ {
 			j := int(p.lColIdx[idx])
 			// Sparse dot of row i (up to column j) with row j (up to j).
 			sum := p.lValues[idx]
 			ai, aj := rowLo, int(p.lRowPtr[j])
-			aiEnd, ajEnd := idx, int(diagPos[j])
+			aiEnd, ajEnd := idx, int(p.lRowPtr[j+1])-1
 			for ai < aiEnd && aj < ajEnd {
 				ci, cj := p.lColIdx[ai], p.lColIdx[aj]
 				switch {
@@ -109,7 +185,7 @@ func NewICPreconditioner(a *CSR) (*ICPreconditioner, error) {
 					aj++
 				}
 			}
-			dj := p.lValues[diagPos[j]]
+			dj := p.lValues[ajEnd]
 			if dj == 0 {
 				return nil, fmt.Errorf("sparse: IC(0) zero pivot at row %d", j)
 			}
@@ -126,41 +202,29 @@ func NewICPreconditioner(a *CSR) (*ICPreconditioner, error) {
 		p.lValues[rowHi-1] = math.Sqrt(d)
 	}
 
-	p.buildTranspose()
+	for k, src := range s.ltSrc {
+		p.ltValues[k] = p.lValues[src]
+	}
 	return p, nil
 }
 
-// buildTranspose materializes Lᵀ in CSR form for the backward solve.
-func (p *ICPreconditioner) buildTranspose() {
-	n := p.n
-	nnz := len(p.lValues)
-	p.ltRowPtr = make([]int32, n+1)
-	for k := 0; k < nnz; k++ {
-		p.ltRowPtr[p.lColIdx[k]+1]++
+// matches reports whether a has the analysed pattern. Matrices sharing
+// the analysed arrays (CSR.WithValues) match without a scan.
+func (s *ICSymbolic) matches(a *CSR) bool {
+	if a.n != s.n || len(a.colIdx) != len(s.aColIdx) {
+		return false
 	}
-	for i := 0; i < n; i++ {
-		p.ltRowPtr[i+1] += p.ltRowPtr[i]
+	if len(s.aColIdx) > 0 && &a.colIdx[0] == &s.aColIdx[0] && &a.rowPtr[0] == &s.aRowPtr[0] {
+		return true
 	}
-	p.ltColIdx = make([]int32, nnz)
-	p.ltValues = make([]float64, nnz)
-	fill := make([]int32, n)
-	copy(fill, p.ltRowPtr[:n])
-	for i := 0; i < n; i++ {
-		for k := p.lRowPtr[i]; k < p.lRowPtr[i+1]; k++ {
-			j := p.lColIdx[k]
-			p.ltColIdx[fill[j]] = int32(i)
-			p.ltValues[fill[j]] = p.lValues[k]
-			fill[j]++
-		}
-	}
+	return slices.Equal(a.rowPtr, s.aRowPtr) && slices.Equal(a.colIdx, s.aColIdx)
 }
 
 // Apply implements Preconditioner: dst = (L·Lᵀ)⁻¹ · r via one forward and
-// one backward triangular solve. Apply uses an internal work vector, so a
-// single ICPreconditioner must not serve concurrent solves through this
-// method — shared (cached) factorizations go through ApplyScratch.
+// one backward triangular solve. It allocates its intermediate vector;
+// solvers bring their own through ApplyScratch.
 func (p *ICPreconditioner) Apply(dst, r []float64) {
-	p.ApplyScratch(dst, r, p.work)
+	p.ApplyScratch(dst, r, make([]float64, p.n))
 }
 
 // ApplyScratch is Apply with a caller-provided intermediate vector (length

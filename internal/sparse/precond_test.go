@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -217,4 +219,63 @@ func BenchmarkPreconditionerAblation(b *testing.B) {
 		}
 		b.ReportMetric(float64(iters), "iters")
 	})
+}
+
+// TestICSymbolicParallelMatchesSerial: matrices on one pattern, factored
+// concurrently through one shared ICSymbolic, are bitwise the
+// NewICPreconditioner factorizations; a matrix on any other pattern is
+// rejected.
+func TestICSymbolicParallelMatchesSerial(t *testing.T) {
+	base := laplacian2D(12, 1.3)
+	sym, err := NewICSymbolic(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diag, err := base.DiagIndices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := make([]*CSR, 8)
+	for k := range mats {
+		vals := make([]float64, base.NNZ())
+		if err := base.CopyValues(vals); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range diag {
+			vals[d] += 0.1 * float64(k*(i%5))
+		}
+		if mats[k], err = base.WithValues(vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*ICPreconditioner, len(mats))
+	var wg sync.WaitGroup
+	for k := range mats {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			ic, err := sym.Factor(mats[k])
+			if err != nil {
+				t.Error(err)
+			}
+			got[k] = ic
+		}(k)
+	}
+	wg.Wait()
+	for k, a := range mats {
+		want, err := NewICPreconditioner(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[k], want) {
+			t.Errorf("matrix %d: shared-symbolic factor differs from NewICPreconditioner", k)
+		}
+	}
+
+	// Same dimension with a different pattern, and a different dimension.
+	for _, other := range []*CSR{laplacian1D(base.N(), 1.3), laplacian2D(11, 1.3)} {
+		if _, err := sym.Factor(other); err == nil {
+			t.Errorf("%d×%d matrix with %d entries factored on the analysed pattern", other.N(), other.N(), other.NNZ())
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -214,6 +215,57 @@ func TestPrecondCacheConcurrent(t *testing.T) {
 		b, _ := lookup(i)
 		if a != b {
 			t.Errorf("key %d: settled cache answers two objects", i)
+		}
+	}
+}
+
+// TestSlicePrecondParallelMatchesSerial pins the shared IC(0) analysis on
+// the thermal pattern: ω-slice and transient-step matrices factored
+// concurrently through the model's one ICSymbolic are bitwise the
+// factorizations sparse.NewICPreconditioner computes from scratch.
+func TestSlicePrecondParallelMatchesSerial(t *testing.T) {
+	m := benchModel(t, testConfig(), "Basicmath")
+	tr, err := m.NewTransient(250, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mats []*sparse.CSR
+	keep := func(assemble func(sc *evalScratch)) {
+		sc := m.getScratch()
+		defer m.putScratch(sc)
+		assemble(sc)
+		mat, err := m.basePat.WithValues(append([]float64(nil), sc.vals...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mats = append(mats, mat)
+	}
+	for _, omega := range []float64{0, 120, 250, 400, m.UMax()} {
+		keep(func(sc *evalScratch) { m.assembleSlice(sc, omega) })
+	}
+	keep(func(sc *evalScratch) { tr.assemble(sc, 0.05) })
+
+	got := make([]*sparse.ICPreconditioner, len(mats))
+	var wg sync.WaitGroup
+	for k := range mats {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			ic, err := m.icSym.Factor(mats[k])
+			if err != nil {
+				t.Error(err)
+			}
+			got[k] = ic
+		}(k)
+	}
+	wg.Wait()
+	for k, mat := range mats {
+		want, err := sparse.NewICPreconditioner(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[k], want) {
+			t.Errorf("matrix %d: shared-symbolic factor differs from NewICPreconditioner", k)
 		}
 	}
 }

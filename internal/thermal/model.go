@@ -97,6 +97,9 @@ type Model struct {
 	baseVals []float64   // basePat's value array (patch copy source)
 	diagIdx  []int32     // per-row index of the diagonal slot in the value array
 
+	// icSym is the IC(0) analysis of basePat, shared by every
+	// factorization below: each one allocates only its values.
+	icSym *sparse.ICSymbolic
 	// pcs caches IC(0) preconditioners by the matrix they factor (see
 	// precondKey). A nil entry records a failed factorization.
 	pcMu sync.Mutex
@@ -524,7 +527,8 @@ func (m *Model) TotalLeakageSlope() float64 {
 // pattern: the variable contributions (sink conductance, Taylor-leakage
 // slope, Peltier terms, backward-Euler C/Δt) are all diagonal, and
 // BuildWithDiagonal stores a structural diagonal in every row, so
-// assembleInto never needs a sparse.Builder.
+// assembleInto never needs a sparse.Builder and one IC(0) analysis
+// serves every factorization the preconditioner cache makes.
 func (m *Model) buildSymbolic() error {
 	b := sparse.NewBuilder(m.n)
 	for _, t := range m.base {
@@ -547,6 +551,9 @@ func (m *Model) buildSymbolic() error {
 		return err
 	}
 	if m.diagIdx, err = pat.DiagIndices(); err != nil {
+		return err
+	}
+	if m.icSym, err = sparse.NewICSymbolic(pat); err != nil {
 		return err
 	}
 	m.pcs = make(map[precondKey]*sparse.ICPreconditioner)
@@ -764,7 +771,7 @@ func (m *Model) precond(key precondKey, assemble func(sc *evalScratch)) (*sparse
 		sc := m.getScratch()
 		assemble(sc)
 		var err error
-		if ic, err = sparse.NewICPreconditioner(sc.mat); err != nil {
+		if ic, err = m.icSym.Factor(sc.mat); err != nil {
 			ic = nil
 		}
 		m.putScratch(sc)
