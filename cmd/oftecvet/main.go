@@ -1,7 +1,8 @@
 // Command oftecvet runs the project's static-analysis suite (internal/lint)
-// over the module: floatcmp, errdrop, mutexcopy, unitsuffix, nonfinite,
-// ctxleak, backendleak, hotalloc, lockorder, and goroleak. It is
-// stdlib-only and meant to gate CI next to go vet:
+// over the module: floatcmp, errdrop, unitsuffix, nonfinite, ctxleak,
+// backendleak, fanleak, hotalloc, lockorder, and goroleak. It is
+// stdlib-only and meant to gate CI next to go vet, whose copylocks check
+// covers mutex-bearing structs passed by value:
 //
 //	go run ./cmd/oftecvet ./...
 //

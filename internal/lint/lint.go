@@ -3,10 +3,10 @@
 // go/importer). It exists because this reproduction's correctness rests on
 // invariants the Go compiler cannot check: all physics is carried in SI
 // units, float comparisons must go through the internal/units tolerances,
-// solver errors must never be silently dropped, the mutex-guarded
-// evaluation caches must not be copied, hot paths annotated
+// solver errors must never be silently dropped, hot paths annotated
 // //oftec:hotpath must not allocate, and lock acquisition must stay
-// cycle-free and balanced on every control-flow path.
+// cycle-free and balanced on every control-flow path. (Copies of the
+// mutex-guarded caches are go vet's copylocks check.)
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // analysis API (Analyzer, Pass, Diagnostic) without importing it, so the
@@ -426,7 +426,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmpAnalyzer,
 		ErrDropAnalyzer,
-		MutexCopyAnalyzer,
 		UnitSuffixAnalyzer,
 		NonFiniteAnalyzer,
 		CtxLeakAnalyzer,

@@ -20,7 +20,6 @@ var fixtureCases = []struct {
 }{
 	{"floatcmp", "fixture/floatcmp", []string{"floatcmp"}},
 	{"errdrop", "fixture/errdrop", []string{"errdrop"}},
-	{"mutexcopy", "fixture/mutexcopy", []string{"mutexcopy"}},
 	{"unitsuffix", "fixture/unitsuffix", []string{"unitsuffix"}},
 	// nonfinite only analyzes the numeric-kernel packages, so the fixture
 	// is loaded as if it were internal/solver.
@@ -145,8 +144,8 @@ func TestAllHaveDocs(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 11 {
-		t.Errorf("expected the 11 analyzers of the suite, got %d", len(seen))
+	if len(seen) != 10 {
+		t.Errorf("expected the 10 analyzers of the suite, got %d", len(seen))
 	}
 }
 

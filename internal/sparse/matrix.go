@@ -1,15 +1,16 @@
 // Package sparse implements the sparse linear algebra needed by the thermal
 // simulator: compressed sparse row (CSR) matrices assembled from coordinate
-// triplets, iterative Krylov solvers (CG, BiCGSTAB), and a dense LU
-// fallback for small systems and for cross-checking the iterative methods
-// in tests.
+// triplets, conjugate gradients (Jacobi and IC(0)-preconditioned, and a
+// lockstep multi-RHS variant), and a dense LU for the optimizers' small
+// systems and for cross-checking the iterative methods in tests.
 //
 // The thermal system matrix is a conduction Laplacian plus diagonal shifts
 // contributed by linear-in-temperature heat sources (Peltier terms and the
 // Taylor-linearized leakage). The Laplacian part is symmetric positive
-// definite; the shifts keep the matrix symmetric but may reduce diagonal
-// dominance, so the package provides BiCGSTAB and LU as robust fallbacks
-// for operating points close to thermal runaway where CG can stall.
+// definite; the shifts keep the matrix symmetric, but near thermal runaway
+// they make it indefinite. There IC(0)-preconditioned CG stops on negative
+// curvature and Jacobi CG, which stops only at zero curvature, answers:
+// SolveAuto is that two-rung ladder.
 package sparse
 
 import (
@@ -142,10 +143,6 @@ type CSR struct {
 	rowPtr []int32
 	colIdx []int32
 	values []float64
-
-	// sym caches the symmetry of the matrix: 0 unknown, +1 symmetric,
-	// -1 asymmetric. Stamped by MarkSymmetric; read by SymmetricHint.
-	sym int8
 }
 
 // N returns the matrix dimension.
@@ -194,15 +191,6 @@ func (m *CSR) ColAt(k int) int { return int(m.colIdx[k]) }
 // ValAt returns the value of stored entry k.
 func (m *CSR) ValAt(k int) float64 { return m.values[k] }
 
-// Diagonal returns a copy of the matrix diagonal.
-func (m *CSR) Diagonal() []float64 {
-	d := make([]float64, m.n)
-	for i := 0; i < m.n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
 // Residual computes dst = b - m·x, returning the infinity norm of dst.
 //
 //oftec:hotpath
@@ -235,36 +223,9 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// MarkSymmetric stamps the matrix's symmetry so SolveAuto (and other
-// callers of SymmetricHint) can skip the O(nnz·log) per-solve symmetry
-// scan. Assembly paths that know their structure — e.g. a conduction
-// Laplacian patched only on the diagonal — stamp at build/refresh time.
-func (m *CSR) MarkSymmetric(sym bool) {
-	if sym {
-		m.sym = 1
-	} else {
-		m.sym = -1
-	}
-}
-
-// SymmetricHint reports whether the matrix is symmetric, trusting a
-// MarkSymmetric stamp when present and falling back to the full
-// IsSymmetric scan otherwise. The fallback does not write the stamp, so
-// concurrent solves on an unstamped shared matrix stay race-free.
-func (m *CSR) SymmetricHint(tol float64) bool {
-	switch m.sym {
-	case 1:
-		return true
-	case -1:
-		return false
-	}
-	return m.IsSymmetric(tol)
-}
-
 // WithValues returns a matrix sharing the receiver's sparsity pattern
 // with the given value array, which the caller owns and may rewrite
-// between solves. len(values) must equal NNZ(). The symmetry stamp is not
-// inherited; the caller re-stamps after each refresh.
+// between solves. len(values) must equal NNZ().
 func (m *CSR) WithValues(values []float64) (*CSR, error) {
 	if len(values) != len(m.values) {
 		return nil, fmt.Errorf("sparse: value array length %d does not match nnz %d", len(values), len(m.values))
@@ -307,8 +268,8 @@ func (m *CSR) DiagIndices() ([]int32, error) {
 	return idx, nil
 }
 
-// Dense expands the matrix into a row-major dense form; intended for tests
-// and for the dense LU fallback on small systems.
+// Dense expands the matrix into a row-major dense form, for tests that
+// cross-check the sparse solvers against LU.
 func (m *CSR) Dense() [][]float64 {
 	d := make([][]float64, m.n)
 	buf := make([]float64, m.n*m.n)

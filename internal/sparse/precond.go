@@ -6,13 +6,6 @@ import (
 	"slices"
 )
 
-// Preconditioner approximates the inverse of a matrix: Apply computes
-// dst ≈ A⁻¹·r. Implementations must tolerate dst and r being distinct
-// slices of equal length.
-type Preconditioner interface {
-	Apply(dst, r []float64)
-}
-
 // ICPreconditioner is a zero-fill incomplete Cholesky factorization
 // M = L·Lᵀ of a symmetric positive-definite matrix, with L restricted to
 // the sparsity pattern of the lower triangle of A. For the thermal
@@ -220,17 +213,11 @@ func (s *ICSymbolic) matches(a *CSR) bool {
 	return slices.Equal(a.rowPtr, s.aRowPtr) && slices.Equal(a.colIdx, s.aColIdx)
 }
 
-// Apply implements Preconditioner: dst = (L·Lᵀ)⁻¹ · r via one forward and
-// one backward triangular solve. It allocates its intermediate vector;
-// solvers bring their own through ApplyScratch.
-func (p *ICPreconditioner) Apply(dst, r []float64) {
-	p.ApplyScratch(dst, r, make([]float64, p.n))
-}
-
-// ApplyScratch is Apply with a caller-provided intermediate vector (length
-// N). The factor arrays are read-only after construction, so a cached
-// ICPreconditioner is safe for concurrent solves as long as each solve
-// brings its own scratch (see Workspace).
+// ApplyScratch computes dst = (L·Lᵀ)⁻¹ · r via one forward and one
+// backward triangular solve, through a caller-provided intermediate
+// vector (length N). The factor arrays are read-only after construction,
+// so a cached ICPreconditioner is safe for concurrent solves as long as
+// each solve brings its own scratch (see Workspace).
 //
 //oftec:hotpath
 func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
@@ -256,9 +243,10 @@ func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
 	}
 }
 
-// CGPrecond solves A·x = b with the conjugate gradient method under an
-// arbitrary symmetric preconditioner.
-func CGPrecond(a *CSR, b []float64, m Preconditioner, opts SolveOptions) ([]float64, Stats, error) {
+// CGPrecond solves A·x = b with the conjugate gradient method under the
+// IC(0) preconditioner m. It stops on non-positive curvature (pᵀAp ≤ 0),
+// the sign of an indefinite A.
+func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]float64, Stats, error) {
 	n := a.N()
 	if len(b) != n {
 		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
@@ -279,17 +267,10 @@ func CGPrecond(a *CSR, b []float64, m Preconditioner, opts SolveOptions) ([]floa
 	}
 	tol := opts.tol()
 
-	// Shared (cached) preconditioners are applied through a per-solve
-	// scratch vector so concurrent solves never contend on internal state.
-	apply := m.Apply
-	if sp, ok := m.(interface {
-		ApplyScratch(dst, r, scratch []float64)
-	}); ok {
-		apply = func(dst, r []float64) { sp.ApplyScratch(dst, r, ws.pre) }
-	}
-
+	// A shared (cached) factorization is applied through the per-solve
+	// scratch vector, so concurrent solves never contend on it.
 	z, p, ap := ws.z, ws.p, ws.ap
-	apply(z, r)
+	m.ApplyScratch(z, r, ws.pre)
 	copy(p, z)
 	rz := Dot(r, z)
 
@@ -307,7 +288,7 @@ func CGPrecond(a *CSR, b []float64, m Preconditioner, opts SolveOptions) ([]floa
 		if res <= tol {
 			return x, Stats{Iterations: it, Residual: res}, nil
 		}
-		apply(z, r)
+		m.ApplyScratch(z, r, ws.pre)
 		rzNew := Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

@@ -54,7 +54,7 @@ func TestICFactorizationExactOnTridiagonal(t *testing.T) {
 		r[i] = math.Sin(float64(i) * 0.7)
 	}
 	x := make([]float64, a.N())
-	ic.Apply(x, r)
+	ic.ApplyScratch(x, r, make([]float64, a.N()))
 	// A·x must equal r.
 	ax := make([]float64, a.N())
 	a.MulVec(ax, x)

@@ -102,70 +102,6 @@ func TestWithValuesSharedPattern(t *testing.T) {
 	}
 }
 
-// TestSymmetricHintStamp: the stamp must short-circuit the scan in both
-// directions, and the unstamped path must still compute the truth.
-func TestSymmetricHintStamp(t *testing.T) {
-	m := laplacian1D(10, 1)
-	if !m.SymmetricHint(1e-12) {
-		t.Fatal("unstamped symmetric matrix reported asymmetric")
-	}
-	m.MarkSymmetric(false)
-	if m.SymmetricHint(1e-12) {
-		t.Error("stamp not trusted: MarkSymmetric(false) ignored")
-	}
-	m.MarkSymmetric(true)
-	if !m.SymmetricHint(1e-12) {
-		t.Error("stamp not trusted: MarkSymmetric(true) ignored")
-	}
-
-	b := NewBuilder(2)
-	b.Add(0, 1, 1)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 1)
-	asym, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asym.SymmetricHint(1e-12) {
-		t.Error("unstamped asymmetric matrix reported symmetric")
-	}
-}
-
-// TestSolveAutoResidualConsistency: the dense-LU fallback must report the
-// same ‖b−Ax‖₂/‖b‖₂ statistic that SolveOptions.Tol is defined against,
-// matching the iterative solvers.
-func TestSolveAutoResidualConsistency(t *testing.T) {
-	// An asymmetric system with a one-iteration budget: BiCGSTAB cannot
-	// reach 1e-10 in one step, so SolveAuto lands on the dense-LU
-	// fallback, whose reported statistic is checked against a direct
-	// recomputation of ‖b−Ax‖₂/‖b‖₂.
-	b := NewBuilder(3)
-	b.Add(0, 0, 2)
-	b.Add(0, 1, 1)
-	b.Add(1, 1, -3)
-	b.Add(1, 2, 1)
-	b.Add(2, 0, 4)
-	b.Add(2, 2, 1)
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := []float64{1, 2, 3}
-	x, stats, err := SolveAuto(m, rhs, SolveOptions{MaxIter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, 3)
-	m.Residual(r, x, rhs)
-	want := Norm2(r) / Norm2(rhs)
-	if math.Abs(stats.Residual-want) > 1e-15 {
-		t.Errorf("reported residual %g, want ‖r‖₂/‖b‖₂ = %g", stats.Residual, want)
-	}
-	if stats.Residual > 1e-10 {
-		t.Errorf("LU residual %g unexpectedly large", stats.Residual)
-	}
-}
-
 // TestWorkspaceReuse: solves through one workspace must agree with
 // workspace-free solves bit-for-bit, and the workspace must grow to fit.
 func TestWorkspaceReuse(t *testing.T) {

@@ -23,10 +23,10 @@ type SolveOptions struct {
 	MaxIter int
 	// X0 is an optional warm-start; nil starts from zero.
 	X0 []float64
-	// Precond optionally supplies a preconditioner for SolveAuto's
-	// symmetric path, bypassing the per-solve IC(0) factorization —
-	// the hook for callers that cache factorizations.
-	Precond Preconditioner
+	// Precond is the IC(0) factorization SolveAuto's first rung runs CG
+	// under. SolveAuto never factors: callers own their factorizations
+	// (thermal caches one per ω-slice). Nil skips to Jacobi CG.
+	Precond *ICPreconditioner
 	// Work optionally supplies reusable solver work arrays so repeated
 	// solves stay allocation-light. A Workspace must not be shared by
 	// concurrent solves.
@@ -153,105 +153,10 @@ func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
 	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
 }
 
-// BiCGSTAB solves A·x = b for general (possibly nonsymmetric or indefinite)
-// matrices with Jacobi preconditioning.
-func BiCGSTAB(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
-	n := a.N()
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-	}
-	r := make([]float64, n)
-	a.Residual(r, x, b)
-
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, Stats{}, nil
-	}
-	tol := opts.tol()
-
-	invDiag := a.Diagonal()
-	for i, d := range invDiag {
-		if d == 0 {
-			return nil, Stats{}, fmt.Errorf("sparse: zero diagonal at row %d; Jacobi preconditioner undefined", i)
-		}
-		invDiag[i] = 1 / d
-	}
-
-	rhat := make([]float64, n)
-	copy(rhat, r)
-	p := make([]float64, n)
-	v := make([]float64, n)
-	s := make([]float64, n)
-	t := make([]float64, n)
-	phat := make([]float64, n)
-	shat := make([]float64, n)
-
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	maxIter := opts.maxIter(n)
-	for it := 1; it <= maxIter; it++ {
-		rhoNew := Dot(rhat, r)
-		if rhoNew == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (rho=0)", ErrNoConvergence)
-		}
-		if it == 1 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
-			}
-		}
-		rho = rhoNew
-
-		for i := range phat {
-			phat[i] = invDiag[i] * p[i]
-		}
-		a.MulVec(v, phat)
-		den := Dot(rhat, v)
-		if den == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (r̂ᵀv=0)", ErrNoConvergence)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if res := Norm2(s) / bnorm; res <= tol {
-			AXPY(alpha, phat, x)
-			return x, Stats{Iterations: it, Residual: res}, nil
-		}
-		for i := range shat {
-			shat[i] = invDiag[i] * s[i]
-		}
-		a.MulVec(t, shat)
-		tt := Dot(t, t)
-		if tt == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (tᵀt=0)", ErrNoConvergence)
-		}
-		omega = Dot(t, s) / tt
-		for i := range x {
-			x[i] += alpha*phat[i] + omega*shat[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		if res := Norm2(r) / bnorm; res <= tol {
-			return x, Stats{Iterations: it, Residual: res}, nil
-		}
-		if omega == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (omega=0)", ErrNoConvergence)
-		}
-	}
-	a.Residual(r, x, b)
-	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
-}
-
-// LU is a dense LU factorization with partial pivoting. It is the fallback
-// for small systems and for operating points where the Krylov solvers
-// break down (e.g. matrices driven indefinite by leakage feedback).
+// LU is a dense LU factorization with partial pivoting. It solves the
+// small dense systems of the optimizers (QP KKT, interior-point Newton)
+// and the ROM's reduced system; the sparse thermal systems go through
+// SolveAuto.
 type LU struct {
 	n   int
 	lu  [][]float64
@@ -338,60 +243,21 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveAuto solves A·x = b choosing a method automatically: CG first when
-// the matrix is symmetric, falling back to BiCGSTAB, then dense LU for
-// systems small enough to factorize. It is the entry point used by the
-// thermal package. A MarkSymmetric stamp on the matrix skips the
-// per-solve symmetry scan, and SolveOptions.Precond skips the per-solve
-// IC(0) factorization (factorization caching).
+// SolveAuto solves A·x = b for a symmetric A, the only kind the thermal
+// package builds, down a two-rung ladder. Rung 1 is CG under the caller's
+// IC(0) factorization (SolveOptions.Precond); rung 2, and the only rung
+// when Precond is nil, is Jacobi CG. Near thermal runaway the matrix
+// turns indefinite: IC(0)-CG stops on negative curvature (pᵀAp < 0),
+// while Jacobi CG stops only at pᵀAp = 0, so it passes through and
+// converges. When both rungs fail, SolveAuto returns Jacobi CG's error,
+// which wraps ErrNoConvergence. It neither factors nor checks symmetry.
 //
 //oftec:allocok returns a freshly allocated solution vector by contract; iteration scratch comes from SolveOptions.Work
 func SolveAuto(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
-	const denseLimit = 3000
-
-	if a.SymmetricHint(1e-12) {
-		// IC(0)-preconditioned CG first: on the conduction-dominated
-		// thermal matrices it converges in a fraction of the Jacobi
-		// iterations. Factorization failure (indefinite matrix near
-		// thermal runaway) falls through to the Jacobi variants.
-		pre := opts.Precond
-		if pre == nil {
-			if ic, err := NewICPreconditioner(a); err == nil {
-				pre = ic
-			}
-		}
-		if pre != nil {
-			if x, st, err := CGPrecond(a, b, pre, opts); err == nil {
-				return x, st, nil
-			}
-		}
-		if x, st, err := CG(a, b, opts); err == nil {
+	if opts.Precond != nil {
+		if x, st, err := CGPrecond(a, b, opts.Precond, opts); err == nil {
 			return x, st, nil
 		}
 	}
-	if x, st, err := BiCGSTAB(a, b, opts); err == nil {
-		return x, st, nil
-	}
-	if a.N() <= denseLimit {
-		f, err := NewLU(a.Dense())
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		x, err := f.Solve(b)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		// Report the same statistic as the iterative solvers: the relative
-		// 2-norm residual ‖b−Ax‖₂/‖b‖₂ that SolveOptions.Tol is defined
-		// against (the historical res/(1+‖b‖) mixed an ∞-norm numerator
-		// with a shifted denominator and understated the residual).
-		r := make([]float64, a.N())
-		a.Residual(r, x, b)
-		res := Norm2(r)
-		if bnorm := Norm2(b); bnorm > 0 {
-			res /= bnorm
-		}
-		return x, Stats{Iterations: 1, Residual: res}, nil
-	}
-	return nil, Stats{}, ErrNoConvergence
+	return CG(a, b, opts)
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -121,36 +123,6 @@ func TestCGRejectsDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestBiCGSTABOnNonsymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(40)
-		bld := NewBuilder(n)
-		for i := 0; i < n; i++ {
-			bld.AddDiag(i, 10+rng.Float64())
-			for k := 0; k < 3; k++ {
-				j := rng.Intn(n)
-				if j != i {
-					bld.Add(i, j, rng.NormFloat64())
-				}
-			}
-		}
-		a, err := bld.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, _, err := BiCGSTAB(a, b, SolveOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: BiCGSTAB: %v", trial, err)
-		}
-		checkSolution(t, "BiCGSTAB", a, x, b, 1e-7)
-	}
-}
-
 func TestLUSolveAndDet(t *testing.T) {
 	a := [][]float64{
 		{4, 2, 0},
@@ -236,6 +208,101 @@ func TestSolveAutoAgreesWithLU(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolveAutoRungs: with a factorization SolveAuto's answer is CG's
+// under it, bit for bit, in far fewer iterations than the dimension (a
+// dropped factorization would show up there); without one it is Jacobi
+// CG's, bit for bit.
+func TestSolveAutoRungs(t *testing.T) {
+	const n = 40
+	m := laplacian1D(n, 2)
+	ic, err := NewICPreconditioner(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = math.Cos(float64(i))
+	}
+	opts := SolveOptions{Tol: 1e-12}
+
+	got, st, err := SolveAuto(m, rhs, SolveOptions{Tol: 1e-12, Precond: ic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt, err := CGPrecond(m, rhs, ic, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || st != wantSt {
+		t.Error("SolveAuto with a factorization differs from CGPrecond under it")
+	}
+	if st.Iterations >= n {
+		t.Errorf("preconditioned solve took %d iterations; factorization ignored?", st.Iterations)
+	}
+
+	got, st, err = SolveAuto(m, rhs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt, err = CG(m, rhs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || st != wantSt {
+		t.Error("SolveAuto without a factorization differs from Jacobi CG")
+	}
+}
+
+// TestSolveAutoNegativeCurvature: one strongly negative diagonal makes
+// the matrix indefinite, as runaway does to the thermal systems. CG under
+// the healthy matrix's IC(0) factorization stops on negative curvature;
+// SolveAuto's second rung, Jacobi CG, still answers within the tolerance
+// the thermal package asks for.
+func TestSolveAutoNegativeCurvature(t *testing.T) {
+	base := laplacian2D(8, 2.0)
+	n := base.N()
+	ic, err := NewICPreconditioner(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, base.NNZ())
+	if err := base.CopyValues(vals); err != nil {
+		t.Fatal(err)
+	}
+	diag, err := base.DiagIndices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals[diag[20]] = -40
+	a, err := base.WithValues(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = math.Sin(float64(i) * 0.7)
+	}
+	opts := SolveOptions{Tol: 1e-9, MaxIter: 20 * n}
+
+	_, st, err := CGPrecond(a, rhs, ic, opts)
+	if !errors.Is(err, ErrNoConvergence) || !strings.Contains(err.Error(), "pᵀAp=-") {
+		t.Fatalf("IC(0)-CG on the indefinite matrix: err = %v, want a negative-curvature stop", err)
+	}
+	t.Logf("IC(0)-CG stopped at iteration %d", st.Iterations)
+
+	opts.Precond = ic
+	x, st, err := SolveAuto(a, rhs, opts)
+	if err != nil {
+		t.Fatalf("SolveAuto: %v", err)
+	}
+	r := make([]float64, n)
+	a.Residual(r, x, rhs)
+	if res := Norm2(r) / Norm2(rhs); res > opts.Tol {
+		t.Errorf("relative residual %g exceeds %g", res, opts.Tol)
+	}
+	t.Logf("Jacobi CG answered in %d iterations, relative residual %.1e", st.Iterations, st.Residual)
 }
 
 // Property: CG solution of a random SPD system reproduces the rhs.

@@ -1,7 +1,9 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -105,6 +107,63 @@ func TestAssembleMatchesReferenceConstantLeakage(t *testing.T) {
 			break
 		}
 	}
+}
+
+// TestAssembledSystemsSymmetric pins the contract sparse.SolveAuto and
+// the adjoint's Aᵀ = A rest on: every system assembled on the shared
+// pattern is exactly symmetric, at random operating points for k ∈
+// {1, 3, 9} zones, with linearized and exact (constant-injection)
+// leakage, for the ω-slice's canonical matrix, and for a backward-Euler
+// step.
+func TestAssembledSystemsSymmetric(t *testing.T) {
+	cfg := testConfig()
+	rng := rand.New(rand.NewSource(17))
+	m := benchModel(t, cfg, "Basicmath")
+	nc := m.grids[planeChip].NumCells()
+	leak := make([]float64, nc)
+	for i := range leak {
+		leak[i] = 0.01 * float64(i%7)
+	}
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	check := func(what string) {
+		t.Helper()
+		if !sc.mat.IsSymmetric(0) {
+			t.Errorf("%s: assembled matrix is not symmetric", what)
+		}
+	}
+	for _, k := range []int{1, 3, 9} {
+		z := testZoning(t, m, k)
+		for i, p := range randomPoints(rng, cfg, k, 6) {
+			what := fmt.Sprintf("k=%d point %d", k, i)
+			sc.loadCurrents(z, p.Currents)
+			m.assembleInto(sc, p.Omega, sc.cur, true, nil)
+			check(what + " linearized")
+			m.assembleInto(sc, p.Omega, sc.cur, false, leak)
+			check(what + " exact leakage")
+			m.assembleSlice(sc, p.Omega)
+			check(what + " ω-slice")
+			tr, err := m.NewTransient(p.Omega, p.Currents[0], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.assemble(sc, 1e-3)
+			check(what + " transient")
+		}
+	}
+	m.assembleSlice(sc, 0)
+	check("ω-slice at ω = 0")
+}
+
+// solve is the reference path's sparse solve: an IC(0) factorization of
+// its own Builder-assembled matrix, then sparse.SolveAuto's ladder, with
+// a warm start when available.
+func (m *Model) solve(mat *sparse.CSR, rhs, warm []float64) ([]float64, sparse.Stats, error) {
+	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm}
+	if ic, err := sparse.NewICPreconditioner(mat); err == nil {
+		opts.Precond = ic
+	}
+	return sparse.SolveAuto(mat, rhs, opts)
 }
 
 // referenceEvaluate is the pre-optimization end-to-end path: Builder

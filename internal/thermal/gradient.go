@@ -173,7 +173,9 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 
 	// Re-assemble the exact system the steady state solved; only the
 	// matrix is needed (the adjoint RHS replaces b), but assembleInto
-	// refreshes both in one O(nnz) pass.
+	// refreshes both in one O(nnz) pass. The system is symmetric (see
+	// buildSymbolic), so each adjoint solve Aᵀλ = ∂j/∂T is a forward
+	// solve under the ω-slice's cached factorization.
 	sc.loadCurrents(z, p.Currents)
 	m.assembleInto(sc, omega, sc.cur, true, nil)
 
@@ -197,7 +199,7 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 		adjRHS[m.node(planeTECHot, i)] += alpha * iz
 		adjRHS[m.node(planeTECCold, i)] -= alpha * iz
 	}
-	lamP, stP, err := sparse.SolveTranspose(sc.mat, adjRHS, opts)
+	lamP, stP, err := sparse.SolveAuto(sc.mat, adjRHS, opts)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: power adjoint solve: %w", err)
 	}
@@ -210,7 +212,7 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 	for i := 0; i < nc; i++ {
 		adjRHS[m.node(planeChip, i)] = w[i]
 	}
-	lamT, stT, err := sparse.SolveTranspose(sc.mat, adjRHS, opts)
+	lamT, stT, err := sparse.SolveAuto(sc.mat, adjRHS, opts)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: temperature adjoint solve: %w", err)
 	}

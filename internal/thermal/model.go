@@ -529,6 +529,11 @@ func (m *Model) TotalLeakageSlope() float64 {
 // BuildWithDiagonal stores a structural diagonal in every row, so
 // assembleInto never needs a sparse.Builder and one IC(0) analysis
 // serves every factorization the preconditioner cache makes.
+//
+// The same fact is the symmetry contract sparse.SolveAuto relies on:
+// every per-point term is diagonal, so every system on the pattern is
+// symmetric exactly when the base couplings are, which is checked here
+// once. It is also why an adjoint solve is a forward solve (Aᵀ = A).
 func (m *Model) buildSymbolic() error {
 	b := sparse.NewBuilder(m.n)
 	for _, t := range m.base {
@@ -538,13 +543,11 @@ func (m *Model) buildSymbolic() error {
 	if err != nil {
 		return err
 	}
-	// The base couplings are symmetric by construction (addCoupling stamps
-	// both triangles); verify once, then every patched refresh re-stamps
-	// the hint so SolveAuto skips its per-solve symmetry scan.
-	if !pat.SymmetricHint(1e-12) {
+	// The base couplings are symmetric by construction (addCoupling adds
+	// both triangles).
+	if !pat.IsSymmetric(1e-12) {
 		return fmt.Errorf("thermal: base conduction matrix is not symmetric")
 	}
-	pat.MarkSymmetric(true)
 	m.basePat = pat
 	m.baseVals = make([]float64, pat.NNZ())
 	if err := pat.CopyValues(m.baseVals); err != nil {
@@ -713,8 +716,6 @@ func (m *Model) assembleInto(sc *evalScratch, omega float64, cur []float64, line
 		sc.vals[m.diagIdx[m.node(planeTECHot, i)]] -= alpha * iTEC
 		sc.rhs[m.node(planeTECMid, i)] += m.tecR[i] * iTEC * iTEC
 	}
-
-	sc.mat.MarkSymmetric(true)
 }
 
 // assembleSlice assembles the ω-slice's canonical system, the I_TEC = 0
@@ -847,12 +848,6 @@ func (m *Model) assembleReference(omega float64, cur []float64, linearLeak bool,
 		return nil, nil, err
 	}
 	return mat, rhs, nil
-}
-
-// solve runs the sparse solve with a warm start when available.
-func (m *Model) solve(mat *sparse.CSR, rhs, warm []float64) ([]float64, sparse.Stats, error) {
-	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm}
-	return sparse.SolveAuto(mat, rhs, opts)
 }
 
 // Evaluate computes the steady state at the operating point (ω, I_TEC)

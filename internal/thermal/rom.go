@@ -264,7 +264,9 @@ func buildReducedModel(m *Model, omegaMax, iMax float64) (*ReducedModel, error) 
 }
 
 // dynSensitivity solves A(ω, 0)·x = b_dyn, the derivative of the steady
-// state with respect to a uniform dynamic-power scale factor.
+// state with respect to a uniform dynamic-power scale factor. A(ω, 0) is
+// the ω-slice's canonical matrix, so the slice's cached factorization is
+// its exact IC(0).
 func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 	m := r.m
 	sc := m.getScratch()
@@ -274,7 +276,11 @@ func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 	for i, p := range m.dyn {
 		rhs[m.node(planeChip, i)] = p
 	}
-	x, _, err := sparse.SolveAuto(sc.mat, rhs, sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws})
+	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws}
+	if ic, ok := m.slicePrecond(omega); ok {
+		opts.Precond = ic
+	}
+	x, _, err := sparse.SolveAuto(sc.mat, rhs, opts)
 	return x, err
 }
 

@@ -57,11 +57,11 @@ awk '
 
 jq -s 'map({(.name): del(.name)}) | add' "$parsed" >"$current"
 
-# Lint wall time: how long the full eleven-analyzer oftecvet sweep takes
+# Lint wall time: how long the full ten-analyzer oftecvet sweep takes
 # over the module, compiled first so the number is pure analysis (load +
 # type-check + analyzers), not go-build time. scripts/check.sh enforces
 # the budget; this records the trajectory next to the solver numbers.
-echo "== oftecvet wall time (full module, eleven analyzers)"
+echo "== oftecvet wall time (full module, ten analyzers)"
 vetbin="$(mktemp)"
 go build -o "$vetbin" ./cmd/oftecvet
 lint_start=$(date +%s%N)

@@ -85,13 +85,12 @@ go test -race -run "$solv" -skip "$done_pat" \
 	./internal/workload/...
 done_pat="$done_pat|$solv"
 
-# The adjoint-gradient gate by name: transpose solves reusing the cached
-# factorization, the adjoint-vs-central-difference agreement suite
-# (scalar and zoned), the smoothed-max bracket, the backend capability
-# chain, the solver's analytic-gradient steering, and the core
-# gradient-mode runs — the contract that keeps Options.Gradient's
-# derivatives exact.
-adj='Adjoint|SmoothMax|Gradient|SolveTranspose|MulVecT'
+# The adjoint-gradient gate by name: the adjoint-vs-central-difference
+# agreement suite (scalar and zoned), the smoothed-max bracket, the
+# backend capability chain, the solver's analytic-gradient steering, and
+# the core gradient-mode runs — the contract that keeps
+# Options.Gradient's derivatives exact.
+adj='Adjoint|SmoothMax|Gradient'
 echo "== go test -race (adjoint gradients vs finite differences)"
 go test -race -run "$adj" -skip "$done_pat" \
 	./internal/sparse/... ./internal/thermal/... ./internal/backend/... ./internal/core/... \
