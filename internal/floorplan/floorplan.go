@@ -132,9 +132,19 @@ func (f *Floorplan) CoverageRatio() float64 {
 	return a / (f.Width * f.Height)
 }
 
-// Validate checks that no two units overlap and that coverage is complete to
-// within tol (fraction of die area).
+// Validate checks that every dimension is finite, that no two units
+// overlap, and that coverage is complete to within tol (fraction of die
+// area). The finiteness check comes first: the overlap and coverage
+// comparisons are all false on NaN.
 func (f *Floorplan) Validate(tol float64) error {
+	if !finite(f.Width, f.Height) {
+		return fmt.Errorf("floorplan: die dimensions %g×%g must be finite", f.Width, f.Height)
+	}
+	for _, u := range f.units {
+		if r := u.Rect; !finite(r.X, r.Y, r.W, r.H) {
+			return fmt.Errorf("floorplan: unit %q rectangle %+v must be finite", u.Name, r)
+		}
+	}
 	for i := 0; i < len(f.units); i++ {
 		for j := i + 1; j < len(f.units); j++ {
 			if ov := f.units[i].Rect.Overlap(f.units[j].Rect); ov > tol*f.Width*f.Height {
@@ -146,6 +156,15 @@ func (f *Floorplan) Validate(tol float64) error {
 		return fmt.Errorf("floorplan: coverage ratio %.6f differs from 1 by more than %g", c, tol)
 	}
 	return nil
+}
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Names returns the sorted unit names.

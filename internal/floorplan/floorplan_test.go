@@ -141,6 +141,36 @@ func TestValidateDetectsOverlapAndGaps(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: AddUnit's range checks and the overlap
+// and coverage comparisons all pass NaN, so Validate checks finiteness
+// first.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name   string
+		second Rect
+	}{
+		{"NaN x", Rect{X: nan, Y: 0, W: 5, H: 10}},
+		{"NaN y", Rect{X: 5, Y: nan, W: 5, H: 10}},
+		{"NaN width", Rect{X: 5, Y: 0, W: nan, H: 10}},
+		{"NaN height", Rect{X: 5, Y: 0, W: 5, H: nan}},
+	} {
+		f, err := New(10, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddUnit("a", Rect{X: 0, Y: 0, W: 5, H: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddUnit("b", tc.second); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := f.Validate(1e-9); err == nil {
+			t.Errorf("%s: validation passed", tc.name)
+		}
+	}
+}
+
 func TestAlphaEV6(t *testing.T) {
 	f := AlphaEV6()
 	if f.Width != EV6DieSize || f.Height != EV6DieSize {

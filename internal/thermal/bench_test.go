@@ -4,25 +4,52 @@ import (
 	"testing"
 
 	"oftec/internal/sparse"
-	"oftec/internal/workload"
 )
 
 func benchmarkModel(b *testing.B) *Model {
 	b.Helper()
 	cfg := DefaultConfig()
-	bench, err := workload.ByName("Basicmath")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm, err := bench.PowerMap(cfg.Floorplan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := NewModel(cfg, pm)
+	m, err := NewModel(cfg, benchMap(b, cfg, "Basicmath"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return m
+}
+
+// BenchmarkNewModel is a build microbenchmark: NewModel at paper
+// resolution on a configuration whose network is already cached, i.e.
+// validation, keying, and the per-model state over a shared network.
+func BenchmarkNewModel(b *testing.B) {
+	cfg := DefaultConfig()
+	pm := benchMap(b, cfg, "Basicmath")
+	if _, err := NewModel(cfg, pm); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewModel(cfg, pm); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewModelCold is a build microbenchmark: NewModel at paper
+// resolution on a configuration never seen before (each iteration nudges
+// the ambient temperature), so every iteration assembles a network.
+func BenchmarkNewModelCold(b *testing.B) {
+	base := DefaultConfig()
+	pm := benchMap(b, base, "Basicmath")
+	resetNetworks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := base
+		cfg.Ambient += 1e-9 * float64(i)
+		if _, err := NewModel(cfg, pm); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAssemble measures the production assembly path of one

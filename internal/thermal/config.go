@@ -15,6 +15,10 @@ package thermal
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 
 	"oftec/internal/coolant"
 	"oftec/internal/floorplan"
@@ -190,6 +194,9 @@ func (c *Config) Validate() error {
 	if c.Floorplan == nil {
 		return fmt.Errorf("thermal: config needs a floorplan")
 	}
+	if path, bad := nonFinite(reflect.ValueOf(c).Elem()); bad {
+		return fmt.Errorf("thermal: config%s must be finite", path)
+	}
 	if err := c.Floorplan.Validate(1e-6); err != nil {
 		return err
 	}
@@ -241,6 +248,49 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("thermal: PCB-to-ambient conductance %g must be non-negative", c.PCBToAmbient)
 	}
 	return nil
+}
+
+// nonFinite reports whether v holds a NaN or ±Inf in an exported field —
+// everything the configuration's JSON carries, through its layer, TEC,
+// leakage and coolant specs — and the field path below v of the first one.
+// The floorplan's unit rectangles are unexported; Floorplan.Validate
+// checks them. The range guards of Validate (x <= 0 and the like) all
+// pass NaN.
+func nonFinite(v reflect.Value) (string, bool) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		f := v.Float()
+		return "", math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			return nonFinite(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if !f.CanInterface() {
+				continue // unexported
+			}
+			if path, bad := nonFinite(f); bad {
+				return "." + v.Type().Field(i).Name + path, true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if path, bad := nonFinite(v.Index(i)); bad {
+				return fmt.Sprintf("[%d]%s", i, path), true
+			}
+		}
+	case reflect.Map:
+		keys := v.MapKeys()
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return strings.Compare(a.String(), b.String()) })
+		for _, k := range keys {
+			if path, bad := nonFinite(v.MapIndex(k)); bad {
+				return fmt.Sprintf("[%v]%s", k, path), true
+			}
+		}
+	}
+	return "", false
 }
 
 // Actuator resolves the cooling actuator this configuration drives: the

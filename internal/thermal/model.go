@@ -2,9 +2,11 @@ package thermal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -44,16 +46,20 @@ type triplet struct {
 	v    float64
 }
 
-// Model is the assembled thermal network of one cooling package. It is
-// safe for concurrent Evaluate calls once built, as long as SetDynamicPower
-// is not called concurrently.
-type Model struct {
-	cfg Config
-
-	// act is the cooling actuator resolved from cfg once at build time:
-	// the model consumes g(u) and the drive power only through this seam.
+// network is everything NewModel derives from the Config alone: the
+// actuator, the grids and node offsets, the base couplings and RHS, the
+// sink fractions, the per-cell TEC and leakage parameters, the frozen
+// symbolic assembly, and the per-evaluation scratch pool. It is immutable
+// once built and shared by every Model of one configuration (see
+// networkFor); only the dynamic power, which enters the RHS alone, and the
+// caches built on it are per model.
+type network struct {
+	// act is the cooling actuator resolved from the configuration: the
+	// model consumes g(u) and the drive power only through this seam.
 	act coolant.Actuator
 
+	// grids are read-only once built: buildTEC is the only writer of a
+	// cell conductivity, and ChipGrid hands out the shared chip grid.
 	grids [numPlanes]*grid.Grid
 	off   [numPlanes]int
 	n     int
@@ -67,9 +73,7 @@ type Model struct {
 	// sinkFrac[i] is the fraction of g_HS&fan(ω) assigned to sink cell i.
 	sinkFrac []float64
 
-	// Per chip-grid-cell data.
-	dynMap   power.Map // last SetDynamicPower input (for WithCoolant rebuilds)
-	dyn      []float64 // dynamic power, W
+	// Per chip-grid-cell leakage data.
 	leakA    []float64 // Taylor slope a, W/K
 	leakB    []float64 // Taylor value b at Tref, W
 	leakP0   []float64 // exponential P0 at T0, W
@@ -83,23 +87,44 @@ type Model struct {
 	tecR     []float64 // module electrical resistance, Ω
 	numTEC   int
 
-	// one is the paper's deployment as a zoning: every module in one
-	// series string. A nil *Zoning argument means this one.
-	one *Zoning
-
-	// Symbolic-assembly state, built once in NewModel: the sparsity
-	// pattern of every per-evaluation system is identical (the variable
-	// contributions — sink conductance, Taylor-leakage slope, Peltier
-	// terms — are all diagonal, and the pattern stores a structural
-	// diagonal in every row), so per-evaluation assembly is an O(nnz)
-	// value copy plus O(n) diagonal/RHS patches into pooled scratch.
+	// Symbolic-assembly state: the sparsity pattern of every
+	// per-evaluation system is identical (the variable contributions —
+	// sink conductance, Taylor-leakage slope, Peltier terms — are all
+	// diagonal, and the pattern stores a structural diagonal in every
+	// row), so per-evaluation assembly is an O(nnz) value copy plus O(n)
+	// diagonal/RHS patches into pooled scratch.
 	basePat  *sparse.CSR // merged base couplings, structural diagonal everywhere
 	baseVals []float64   // basePat's value array (patch copy source)
 	diagIdx  []int32     // per-row index of the diagonal slot in the value array
 
 	// icSym is the IC(0) analysis of basePat, shared by every
-	// factorization below: each one allocates only its values.
+	// factorization a model's preconditioner cache makes: each one
+	// allocates only its values.
 	icSym *sparse.ICSymbolic
+
+	// scratch pools per-evaluation workspaces (matrix values, RHS, warm
+	// vector, CG work arrays) so concurrent Evaluate stays race-free
+	// without per-call allocation. It belongs to the network, not the
+	// model: a discarded model leaves no pool behind.
+	scratch sync.Pool
+}
+
+// Model is the assembled thermal network of one cooling package under one
+// dynamic power map. It is safe for concurrent Evaluate calls once built,
+// as long as SetDynamicPower is not called concurrently.
+type Model struct {
+	// network is the configuration's shared, read-only assembly.
+	*network
+
+	cfg Config
+
+	// one is the paper's deployment as a zoning: every module in one
+	// series string. A nil *Zoning argument means this one.
+	one *Zoning
+
+	dynMap power.Map // last SetDynamicPower input (for WithCoolant rebuilds)
+	dyn    []float64 // dynamic power per chip-grid cell, W
+
 	// pcs caches IC(0) preconditioners by the matrix they factor (see
 	// precondKey). A nil entry records a failed factorization.
 	pcMu sync.Mutex
@@ -116,11 +141,6 @@ type Model struct {
 	// memo.
 	resMu  sync.Mutex
 	resMem map[string]memoEntry
-
-	// scratch pools per-evaluation workspaces (matrix values, RHS, warm
-	// vector, CG work arrays) so concurrent Evaluate stays race-free
-	// without per-call allocation.
-	scratch sync.Pool
 
 	// dynGen counts SetDynamicPower calls. Derived evaluators that bake
 	// the dynamic power into precomputed state (the reduced-order model's
@@ -165,39 +185,109 @@ func (sc *evalScratch) loadCurrents(z *Zoning, currents []float64) {
 	}
 }
 
-// NewModel assembles the network for the given configuration and dynamic
-// power map.
+// NewModel builds the model of the given configuration and dynamic power
+// map on the configuration's shared network, assembling the network on
+// first sight of the configuration.
 func NewModel(cfg Config, dyn power.Map) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: cfg}
-	act, err := cfg.Actuator()
+	net, err := networkFor(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	m.act = act
-	if err := m.buildGrids(); err != nil {
-		return nil, err
-	}
-	m.indexNodes()
-	if err := m.buildTEC(); err != nil {
-		return nil, err
-	}
-	m.one = &Zoning{id: zoningIDs.Add(1), numZones: 1, zoneOf: make([]int, m.grids[planeChip].NumCells())}
-	if err := m.buildConduction(); err != nil {
-		return nil, err
-	}
-	if err := m.buildLeakage(); err != nil {
-		return nil, err
+	return newModel(net, cfg, dyn)
+}
+
+// newModel is the per-model half of NewModel: the caller's configuration,
+// the one-zone zoning, the dynamic power, and empty caches on net.
+func newModel(net *network, cfg Config, dyn power.Map) (*Model, error) {
+	m := &Model{
+		network: net,
+		cfg:     cfg,
+		one:     &Zoning{id: zoningIDs.Add(1), numZones: 1, zoneOf: make([]int, net.grids[planeChip].NumCells())},
+		pcs:     make(map[precondKey]*sparse.ICPreconditioner),
 	}
 	if err := m.SetDynamicPower(dyn); err != nil {
 		return nil, err
 	}
-	if err := m.buildSymbolic(); err != nil {
+	return m, nil
+}
+
+// maxNetworks bounds the process-wide network cache (a network holds about
+// 1.2 MB at paper resolution). Past the bound it clears wholesale, like
+// the result memo and the preconditioner cache.
+const maxNetworks = 8
+
+// networks caches networks by networkKey.
+var networks = struct {
+	sync.Mutex
+	m map[string]*network
+}{m: make(map[string]*network)}
+
+// networkKey is a configuration's canonical JSON: the identity the serve
+// pool and the ROM persistence already rely on. Every numeric leaf of the
+// configuration, the floorplan's unit rectangles included, moves it.
+func networkKey(cfg *Config) (string, error) {
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		return "", fmt.Errorf("thermal: keying config: %w", err)
+	}
+	return string(b), nil
+}
+
+// networkFor returns the shared network of a validated configuration. A
+// miss builds outside the lock; concurrent misses on one key may both
+// build, harmlessly, since the builds are bit-identical, and the first
+// one stored is the one every caller gets.
+func networkFor(cfg *Config) (*network, error) {
+	key, err := networkKey(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	networks.Lock()
+	net, ok := networks.m[key]
+	networks.Unlock()
+	if ok {
+		return net, nil
+	}
+	if net, err = newNetwork(cfg); err != nil {
+		return nil, err
+	}
+	networks.Lock()
+	defer networks.Unlock()
+	if prev, ok := networks.m[key]; ok {
+		return prev, nil
+	}
+	if len(networks.m) >= maxNetworks {
+		networks.m = make(map[string]*network)
+	}
+	networks.m[key] = net
+	return net, nil
+}
+
+// newNetwork assembles the network of a validated configuration.
+func newNetwork(cfg *Config) (*network, error) {
+	act, err := cfg.Actuator()
+	if err != nil {
+		return nil, err
+	}
+	net := &network{act: act}
+	if err := net.buildGrids(cfg); err != nil {
+		return nil, err
+	}
+	net.indexNodes()
+	if err := net.buildTEC(cfg); err != nil {
+		return nil, err
+	}
+	net.buildConduction(cfg)
+	if err := net.buildLeakage(cfg); err != nil {
+		return nil, err
+	}
+	if err := net.buildSymbolic(); err != nil {
+		return nil, err
+	}
+	return net, nil
 }
 
 // Config returns the model's configuration.
@@ -213,8 +303,12 @@ func (m *Model) UMax() float64 { return m.act.UMax() }
 // WithCoolant rebuilds the model with the same floorplan, calibration, and
 // dynamic power map but a different coolant spec — the hook the backend
 // registry's liquid and package variants use to re-actuate an assembled
-// model. A nil spec selects the air path.
+// model. A nil spec selects the air path. A model already carrying an
+// equal spec is returned as is.
 func (m *Model) WithCoolant(spec *coolant.Spec) (*Model, error) {
+	if reflect.DeepEqual(m.cfg.Coolant, spec) {
+		return m, nil
+	}
 	cfg := m.cfg
 	cfg.Coolant = spec
 	return NewModel(cfg, m.dynMap)
@@ -226,7 +320,9 @@ func (m *Model) NumNodes() int { return m.n }
 // NumTEC returns the number of deployed TEC modules (covered cells).
 func (m *Model) NumTEC() int { return m.numTEC }
 
-// ChipGrid returns the chip-layer grid (useful for mapping results).
+// ChipGrid returns the chip-layer grid (useful for mapping results). The
+// grid is shared by every model of the configuration and must not be
+// modified.
 func (m *Model) ChipGrid() *grid.Grid { return m.grids[planeChip] }
 
 func centered(center floorplan.Rect, edge float64) floorplan.Rect {
@@ -234,8 +330,7 @@ func centered(center floorplan.Rect, edge float64) floorplan.Rect {
 	return floorplan.Rect{X: cx - edge/2, Y: cy - edge/2, W: edge, H: edge}
 }
 
-func (m *Model) buildGrids() error {
-	cfg := &m.cfg
+func (net *network) buildGrids(cfg *Config) error {
 	die := floorplan.Rect{X: 0, Y: 0, W: cfg.Floorplan.Width, H: cfg.Floorplan.Height}
 
 	mk := func(plane int, outline floorplan.Rect, spec LayerSpec, res int) error {
@@ -243,7 +338,7 @@ func (m *Model) buildGrids() error {
 		if err != nil {
 			return err
 		}
-		m.grids[plane] = g
+		net.grids[plane] = g
 		return nil
 	}
 
@@ -279,26 +374,26 @@ func (m *Model) buildGrids() error {
 	return nil
 }
 
-func (m *Model) indexNodes() {
+func (net *network) indexNodes() {
 	n := 0
 	for p := 0; p < numPlanes; p++ {
-		m.off[p] = n
-		n += m.grids[p].NumCells()
+		net.off[p] = n
+		n += net.grids[p].NumCells()
 	}
-	m.n = n
+	net.n = n
 }
 
 // node maps (plane, cell) to a global node index.
-func (m *Model) node(plane, cell int) int { return m.off[plane] + cell }
+func (net *network) node(plane, cell int) int { return net.off[plane] + cell }
 
 // buildTEC decides module coverage per chip-grid cell and instantiates the
-// per-cell module parameters from the areal spec.
-func (m *Model) buildTEC() error {
-	cfg := &m.cfg
-	chip := m.grids[planeChip]
+// per-cell module parameters from the areal spec. It is the only writer
+// of a grid cell's conductivity; the network is read-only after it.
+func (net *network) buildTEC(cfg *Config) error {
+	chip := net.grids[planeChip]
 	nc := chip.NumCells()
-	m.tecAlpha = make([]float64, nc)
-	m.tecR = make([]float64, nc)
+	net.tecAlpha = make([]float64, nc)
+	net.tecR = make([]float64, nc)
 
 	// A cell is uncovered when more than half of it lies under an
 	// uncovered unit (the caches).
@@ -314,20 +409,20 @@ func (m *Model) buildTEC() error {
 		if uncoveredFrac[i] > 0.5 {
 			continue
 		}
-		m.tecAlpha[i] = cfg.TEC.SeebeckPerArea * area
-		m.tecR[i] = cfg.TEC.ResistancePerArea * area
-		m.numTEC++
+		net.tecAlpha[i] = cfg.TEC.SeebeckPerArea * area
+		net.tecR[i] = cfg.TEC.ResistancePerArea * area
+		net.numTEC++
 	}
-	if m.numTEC == 0 {
+	if net.numTEC == 0 {
 		return fmt.Errorf("thermal: TEC deployment covers no cells")
 	}
 
 	// The gen plane's lateral conductivity: module material on covered
 	// cells, filler elsewhere.
-	mid := m.grids[planeTECMid]
+	mid := net.grids[planeTECMid]
 	for i := 0; i < nc; i++ {
 		k := cfg.TEC.LateralConductivity
-		if m.tecAlpha[i] == 0 {
+		if net.tecAlpha[i] == 0 {
 			k = cfg.TEC.FillerConductivity
 		}
 		if err := mid.SetCellConductivity(i, k); err != nil {
@@ -339,12 +434,11 @@ func (m *Model) buildTEC() error {
 
 // buildConduction assembles the constant conduction couplings and the PCB
 // ambient path into the base triplet list and base RHS.
-func (m *Model) buildConduction() error {
-	cfg := &m.cfg
-	m.baseRHS = make([]float64, m.n)
+func (net *network) buildConduction(cfg *Config) {
+	net.baseRHS = make([]float64, net.n)
 
 	addCoupling := func(i, j int, g float64) {
-		m.base = append(m.base,
+		net.base = append(net.base,
 			triplet{i, i, g}, triplet{j, j, g},
 			triplet{i, j, -g}, triplet{j, i, -g})
 	}
@@ -352,8 +446,8 @@ func (m *Model) buildConduction() error {
 	// Lateral conduction within the conducting planes. The cold and rej
 	// planes are interface planes without lateral paths of their own.
 	for _, p := range []int{planePCB, planeChip, planeTIM1, planeTECMid, planeSpreader, planeTIM2, planeSink} {
-		for _, lc := range m.grids[p].LateralCouplings() {
-			addCoupling(m.node(p, lc.A), m.node(p, lc.B), lc.G)
+		for _, lc := range net.grids[p].LateralCouplings() {
+			addCoupling(net.node(p, lc.A), net.node(p, lc.B), lc.G)
 		}
 	}
 
@@ -364,38 +458,38 @@ func (m *Model) buildConduction() error {
 		{planeSpreader, planeTIM2},
 		{planeTIM2, planeSink},
 	} {
-		for _, vc := range grid.CoupleVertical(m.grids[pair[0]], m.grids[pair[1]]) {
-			addCoupling(m.node(pair[0], vc.Lower), m.node(pair[1], vc.Upper), vc.G)
+		for _, vc := range grid.CoupleVertical(net.grids[pair[0]], net.grids[pair[1]]) {
+			addCoupling(net.node(pair[0], vc.Lower), net.node(pair[1], vc.Upper), vc.G)
 		}
 	}
 
 	// TIM1 top face to the TEC absorption plane: only TIM1's half
 	// thickness stands between its center node and the interface plane.
-	tim1 := m.grids[planeTIM1]
+	tim1 := net.grids[planeTIM1]
 	for i := 0; i < tim1.NumCells(); i++ {
-		addCoupling(m.node(planeTIM1, i), m.node(planeTECCold, i), tim1.VerticalHalfConductance(i))
+		addCoupling(net.node(planeTIM1, i), net.node(planeTECCold, i), tim1.VerticalHalfConductance(i))
 	}
 
 	// Inside the TEC layer (Figure 4): covered cells couple abs–gen and
 	// gen–rej with conductance 2·K_TEC; filler cells conduct through the
 	// filler material's half thickness.
-	chip := m.grids[planeChip]
+	chip := net.grids[planeChip]
 	area := chip.CellArea()
 	for i := 0; i < chip.NumCells(); i++ {
 		var g float64
-		if m.tecAlpha[i] != 0 {
+		if net.tecAlpha[i] != 0 {
 			g = 2 * cfg.TEC.ConductancePerArea * area
 		} else {
 			g = cfg.TEC.FillerConductivity * area / (cfg.TEC.Thickness / 2)
 		}
-		addCoupling(m.node(planeTECCold, i), m.node(planeTECMid, i), g)
-		addCoupling(m.node(planeTECMid, i), m.node(planeTECHot, i), g)
+		addCoupling(net.node(planeTECCold, i), net.node(planeTECMid, i), g)
+		addCoupling(net.node(planeTECMid, i), net.node(planeTECHot, i), g)
 	}
 
 	// TEC rejection plane to the spreader: the spreader's half thickness,
 	// overlap-weighted because the footprints differ.
-	hot := m.grids[planeTECHot]
-	spr := m.grids[planeSpreader]
+	hot := net.grids[planeTECHot]
+	spr := net.grids[planeSpreader]
 	for r := 0; r < hot.Rows; r++ {
 		for c := 0; c < hot.Cols; c++ {
 			hi := hot.Index(r, c)
@@ -407,45 +501,43 @@ func (m *Model) buildConduction() error {
 					continue
 				}
 				g := spr.ConductivityAt(si) * ov / (spr.Thickness / 2)
-				addCoupling(m.node(planeTECHot, hi), m.node(planeSpreader, si), g)
+				addCoupling(net.node(planeTECHot, hi), net.node(planeSpreader, si), g)
 			}
 		}
 	}
 
 	// PCB secondary path to ambient: constant, so it lives in the base.
-	pcb := m.grids[planePCB]
+	pcb := net.grids[planePCB]
 	if cfg.PCBToAmbient > 0 {
 		per := cfg.PCBToAmbient / float64(pcb.NumCells())
 		for i := 0; i < pcb.NumCells(); i++ {
-			n := m.node(planePCB, i)
-			m.base = append(m.base, triplet{n, n, per})
-			m.baseRHS[n] += per * cfg.Ambient
+			n := net.node(planePCB, i)
+			net.base = append(net.base, triplet{n, n, per})
+			net.baseRHS[n] += per * cfg.Ambient
 		}
 	}
 
 	// Sink-to-ambient area fractions; the conductance itself depends on ω.
-	sink := m.grids[planeSink]
-	m.sinkFrac = make([]float64, sink.NumCells())
-	for i := range m.sinkFrac {
-		m.sinkFrac[i] = 1 / float64(sink.NumCells())
+	sink := net.grids[planeSink]
+	net.sinkFrac = make([]float64, sink.NumCells())
+	for i := range net.sinkFrac {
+		net.sinkFrac[i] = 1 / float64(sink.NumCells())
 	}
-	return nil
 }
 
 // buildLeakage samples the exponential law and regresses the per-cell
 // Taylor coefficients, reproducing the paper's McPAT procedure.
-func (m *Model) buildLeakage() error {
-	cfg := &m.cfg
-	chip := m.grids[planeChip]
+func (net *network) buildLeakage(cfg *Config) error {
+	chip := net.grids[planeChip]
 	nc := chip.NumCells()
 	area := chip.CellArea()
 
-	m.leakBeta = cfg.Leakage.Beta
-	m.leakT0 = cfg.Leakage.T0
-	m.leakTref = cfg.Leakage.Tref
-	m.leakP0 = make([]float64, nc)
-	m.leakA = make([]float64, nc)
-	m.leakB = make([]float64, nc)
+	net.leakBeta = cfg.Leakage.Beta
+	net.leakT0 = cfg.Leakage.T0
+	net.leakTref = cfg.Leakage.Tref
+	net.leakP0 = make([]float64, nc)
+	net.leakA = make([]float64, nc)
+	net.leakB = make([]float64, nc)
 
 	// All cells share the same areal law; regress once at unit power and
 	// scale by cell P0.
@@ -466,8 +558,14 @@ func (m *Model) buildLeakage() error {
 	for i := range factors {
 		factors[i] = 1
 	}
-	for name, mult := range cfg.Leakage.UnitMultipliers {
-		u, _ := cfg.Floorplan.Unit(name)
+	// Floorplan order, not map order: a cell under two listed units sums
+	// them in one order, so every build of a configuration is
+	// bit-identical.
+	for _, u := range cfg.Floorplan.Units() {
+		mult, ok := cfg.Leakage.UnitMultipliers[u.Name]
+		if !ok {
+			continue
+		}
 		for _, idx := range chip.CellsIntersecting(u.Rect) {
 			factors[idx] += (mult - 1) * chip.OverlapFraction(idx, u.Rect)
 		}
@@ -475,9 +573,9 @@ func (m *Model) buildLeakage() error {
 
 	for i := 0; i < nc; i++ {
 		p0 := cfg.Leakage.P0Density * area * factors[i]
-		m.leakP0[i] = p0
-		m.leakA[i] = taylor.A * p0
-		m.leakB[i] = taylor.B * p0
+		net.leakP0[i] = p0
+		net.leakA[i] = taylor.A * p0
+		net.leakB[i] = taylor.B * p0
 	}
 	return nil
 }
@@ -494,11 +592,9 @@ func (m *Model) SetDynamicPower(dyn power.Map) error {
 	m.dynMap = dyn
 	m.dyn = cells
 	m.dynGen.Add(1)
-	if m.resMem != nil {
-		m.resMu.Lock()
-		m.resMem = make(map[string]memoEntry)
-		m.resMu.Unlock()
-	}
+	m.resMu.Lock()
+	m.resMem = make(map[string]memoEntry)
+	m.resMu.Unlock()
 	return nil
 }
 
@@ -523,7 +619,7 @@ func (m *Model) TotalLeakageSlope() float64 {
 }
 
 // buildSymbolic freezes the shared sparsity pattern and the reuse
-// machinery, once per model. Every per-evaluation system shares one
+// machinery, once per network. Every per-evaluation system shares one
 // pattern: the variable contributions (sink conductance, Taylor-leakage
 // slope, Peltier terms, backward-Euler C/Δt) are all diagonal, and
 // BuildWithDiagonal stores a structural diagonal in every row, so
@@ -534,9 +630,9 @@ func (m *Model) TotalLeakageSlope() float64 {
 // every per-point term is diagonal, so every system on the pattern is
 // symmetric exactly when the base couplings are, which is checked here
 // once. It is also why an adjoint solve is a forward solve (Aᵀ = A).
-func (m *Model) buildSymbolic() error {
-	b := sparse.NewBuilder(m.n)
-	for _, t := range m.base {
+func (net *network) buildSymbolic() error {
+	b := sparse.NewBuilder(net.n)
+	for _, t := range net.base {
 		b.Add(t.i, t.j, t.v)
 	}
 	pat, err := b.BuildWithDiagonal()
@@ -548,31 +644,29 @@ func (m *Model) buildSymbolic() error {
 	if !pat.IsSymmetric(1e-12) {
 		return fmt.Errorf("thermal: base conduction matrix is not symmetric")
 	}
-	m.basePat = pat
-	m.baseVals = make([]float64, pat.NNZ())
-	if err := pat.CopyValues(m.baseVals); err != nil {
+	net.basePat = pat
+	net.baseVals = make([]float64, pat.NNZ())
+	if err := pat.CopyValues(net.baseVals); err != nil {
 		return err
 	}
-	if m.diagIdx, err = pat.DiagIndices(); err != nil {
+	if net.diagIdx, err = pat.DiagIndices(); err != nil {
 		return err
 	}
-	if m.icSym, err = sparse.NewICSymbolic(pat); err != nil {
+	if net.icSym, err = sparse.NewICSymbolic(pat); err != nil {
 		return err
 	}
-	m.pcs = make(map[precondKey]*sparse.ICPreconditioner)
-	m.resMem = make(map[string]memoEntry)
-	nc := m.grids[planeChip].NumCells()
-	m.scratch.New = func() any {
+	nc := net.grids[planeChip].NumCells()
+	net.scratch.New = func() any {
 		sc := &evalScratch{
 			vals:    make([]float64, pat.NNZ()),
-			rhs:     make([]float64, m.n),
-			warm:    make([]float64, m.n),
+			rhs:     make([]float64, net.n),
+			warm:    make([]float64, net.n),
 			chipRHS: make([]float64, nc),
 			tChip:   make([]float64, nc),
 			cur:     make([]float64, nc),
 			// Every zone holds a module, so no zoning has more than
 			// numTEC zones.
-			key: make([]byte, keyHead+8*m.numTEC),
+			key: make([]byte, keyHead+8*net.numTEC),
 		}
 		mat, werr := pat.WithValues(sc.vals)
 		if werr != nil {
@@ -585,8 +679,8 @@ func (m *Model) buildSymbolic() error {
 	return nil
 }
 
-func (m *Model) getScratch() *evalScratch   { return m.scratch.Get().(*evalScratch) }
-func (m *Model) putScratch(sc *evalScratch) { m.scratch.Put(sc) }
+func (net *network) getScratch() *evalScratch   { return net.scratch.Get().(*evalScratch) }
+func (net *network) putScratch(sc *evalScratch) { net.scratch.Put(sc) }
 
 // maxResults bounds the result memo (each entry holds a full temperature
 // field, NumNodes×8 bytes, so the bound caps the memory at a few

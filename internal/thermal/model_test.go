@@ -30,17 +30,23 @@ func uniformMap(cfg *Config, total float64) power.Map {
 	return m
 }
 
-func benchModel(t *testing.T, cfg Config, bench string) *Model {
-	t.Helper()
+// benchMap is the named benchmark's dynamic power map on cfg's floorplan.
+func benchMap(tb testing.TB, cfg Config, bench string) power.Map {
+	tb.Helper()
 	b, err := workload.ByName(bench)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	pm, err := b.PowerMap(cfg.Floorplan)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	m, err := NewModel(cfg, pm)
+	return pm
+}
+
+func benchModel(t *testing.T, cfg Config, bench string) *Model {
+	t.Helper()
+	m, err := NewModel(cfg, benchMap(t, cfg, bench))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 # bench.sh — the hot-path benchmark trajectory for this repository.
 #
 # Runs the steady-state evaluation benchmarks (repeated-point and cold
-# variants, the batched-vs-per-point surface sweep, plus the assembly
-# micro-benchmarks) and writes the parsed numbers to BENCH_evaluate.json
+# variants, the batched-vs-per-point surface sweep, plus the assembly and
+# model-build micro-benchmarks) and writes the parsed numbers to BENCH_evaluate.json
 # next to the frozen pre-optimization baseline, together with the
 # per-benchmark speedup and allocation ratios. Successive PRs diff the
 # JSON instead of eyeballing `go test -bench` output.
@@ -35,8 +35,12 @@ echo "== go test -bench (hot path, benchtime $BENCHTIME)"
 go test -run '^$' \
 	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate|BenchmarkSurfaceGridBatched|BenchmarkROMColdStart|BenchmarkGradVsFD|BenchmarkCoolantPower)$' \
 	-benchtime "$BENCHTIME" -benchmem . | tee "$raw"
+# The thermal line: assembly microbenchmarks, and build microbenchmarks
+# for NewModel on a cached network (BenchmarkNewModel) and on a
+# configuration never seen before (BenchmarkNewModelCold). Neither build
+# benchmark solves anything.
 go test -run '^$' \
-	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference)$' \
+	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold)$' \
 	-benchtime "$BENCHTIME" -benchmem ./internal/thermal | tee -a "$raw"
 
 # One JSON object per benchmark line: the name plus every value/unit pair
@@ -109,6 +113,15 @@ jq -n \
 			batched:  $cur["BenchmarkSurfaceGridBatched/batched"],
 			batched_vs_perpoint: ($cur["BenchmarkSurfaceGridBatched/perpoint"].ns_per_op
 				/ $cur["BenchmarkSurfaceGridBatched/batched"].ns_per_op)
+		},
+		# Build microbenchmarks (no solve): NewModel at paper resolution on
+		# a cached network, against a configuration never seen before,
+		# which assembles its network.
+		build: {
+			network_hit:  $cur.BenchmarkNewModel,
+			network_cold: $cur.BenchmarkNewModelCold,
+			cold_vs_hit: ($cur.BenchmarkNewModelCold.ns_per_op
+				/ $cur.BenchmarkNewModel.ns_per_op)
 		},
 		# Adjoint gradients vs finite differences on the zoned k=8 SQP run
 		# (9 decision variables): same feasible answer, one adjoint pair
