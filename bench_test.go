@@ -361,9 +361,7 @@ func BenchmarkTECOnlyRunaway(b *testing.B) {
 func BenchmarkSolverComparison(b *testing.B) {
 	setup := benchSetup()
 	for _, m := range []core.Method{
-		core.MethodSQP, core.MethodInteriorPoint,
-		core.MethodTrustRegion, core.MethodNelderMead,
-		core.MethodHookeJeeves,
+		core.MethodSQP, core.MethodInteriorPoint, core.MethodTrustRegion,
 	} {
 		b.Run(m.String(), func(b *testing.B) {
 			var pw float64

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	oftec [-bench Basicmath] [-mode oftec|var|fixed|teconly]
-//	      [-method sqp|interior|trust|neldermead|hooke] [-opt2] [-exact]
+//	      [-method sqp|interior|trust] [-opt2] [-exact]
 //	      [-grad] [-fallback] [-timeout 30s] [-trace]
 //	      [-res 16] [-tmax 90] [-ambient 45]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -38,14 +38,14 @@ func main() {
 	var (
 		bench       = flag.String("bench", "Basicmath", "benchmark name (one of "+strings.Join(workload.Names, ", ")+")")
 		mode        = flag.String("mode", "oftec", "cooling mode: oftec, var, fixed, teconly")
-		method      = flag.String("method", "sqp", "NLP method: sqp, interior, trust, neldermead, hooke")
+		method      = flag.String("method", "sqp", "NLP method: sqp, interior, trust")
 		backendName = flag.String("backend", "", "evaluation backend: "+strings.Join(backend.Names(), ", ")+" (default full)")
 		coolantName = flag.String("coolant", "", "cooling actuator: "+strings.Join(coolant.Names(), ", ")+" (default air, the paper's fan)")
 		opt2        = flag.Bool("opt2", false, "solve Optimization 2 only (minimize the maximum temperature)")
 		exact       = flag.Bool("exact", false, "verify the result with the exact exponential leakage model")
-		grad        = flag.Bool("grad", false, "steer gradient-based methods with adjoint gradients (smoothed-max objective) instead of finite differences")
+		grad        = flag.Bool("grad", false, "steer the solver with adjoint gradients (smoothed-max objective) instead of finite differences")
 
-		fallback = flag.Bool("fallback", false, "on non-convergence, retry with the solver fallback chain (method, then sqp → interior → hooke)")
+		fallback = flag.Bool("fallback", false, "on non-convergence, retry with the solver fallback chain (method, then sqp → interior)")
 		timeout  = flag.Duration("timeout", 0, "bound the whole solve; on expiry the best point found so far is reported (0 = none)")
 		trace    = flag.Bool("trace", false, "dump the last per-iteration solver trace records to stderr")
 		res      = flag.Int("res", 16, "chip-layer grid resolution (cells per edge)")

@@ -41,7 +41,7 @@ func TestTableTwoModesIdenticalThroughSeam(t *testing.T) {
 
 	for _, mode := range []Mode{ModeHybrid, ModeVariableFan, ModeFixedFan, ModeTECOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
-			opts := Options{Mode: mode, Method: MethodHookeJeeves}
+			opts := Options{Mode: mode, Method: MethodSQP}
 			a, errA := nilSys.Run(opts)
 			b, errB := airSys.Run(opts)
 			if (errA == nil) != (errB == nil) {

@@ -85,23 +85,6 @@ func TestGradientModeZonedRun(t *testing.T) {
 	}
 }
 
-// TestGradientModeDerivativeFreeInert: the Gradient option is harmless
-// on a derivative-free method, which ignores Options.Grad by design —
-// the run completes and records no adjoint evaluations.
-func TestGradientModeDerivativeFreeInert(t *testing.T) {
-	s := benchSystem(t, "CRC32")
-	out, err := s.Run(Options{Mode: ModeHybrid, Method: MethodNelderMead, Gradient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Opt1Report.GradEvals != 0 || out.Opt2Report.GradEvals != 0 {
-		t.Error("derivative-free method consumed gradients")
-	}
-	if !out.Feasible {
-		t.Error("gradient option broke the derivative-free run")
-	}
-}
-
 // TestGradientTinySpanProbesDistinct is the core-level regression for the
 // cache-quantization bug: with a TEC rated at 1 µA the current span is
 // 1e-6 A, the legacy scaled probe step 1e-5·span = 1e-11 A fell below the

@@ -55,24 +55,22 @@ type Options struct {
 	// Solver.Workers, when set, pins the solver's own width instead, and
 	// WarmStart runs keep the solver serial.
 	Workers int
-	// Gradient steers the gradient-based solver methods with exact adjoint
-	// gradients from the backend (see backend.GradientOf) instead of
-	// finite differences, collapsing the 2(1+k) probe evaluations per
-	// derivative into one adjoint pair on the already-factored system. The
-	// thermal objective and constraint switch to the log-sum-exp smoothed
-	// maximum 𝒯_τ the adjoint differentiates — an over-estimate of the
-	// true maximum by at most thermal.DefaultSmoothBound (0.05 K), so
-	// feasibility claims stay conservative. Backends without the
-	// capability anywhere in their fall-through chain, and the
-	// derivative-free methods, silently stay on finite differences; an
+	// Gradient steers the solver with exact adjoint gradients from the
+	// backend (see backend.GradientOf) instead of finite differences,
+	// collapsing the 2(1+k) probe evaluations per derivative into one
+	// adjoint pair on the already-factored system. The thermal objective
+	// and constraint switch to the log-sum-exp smoothed maximum 𝒯_τ the
+	// adjoint differentiates — an over-estimate of the true maximum by at
+	// most thermal.DefaultSmoothBound (0.05 K), so feasibility claims stay
+	// conservative. Backends without the capability anywhere in their
+	// fall-through chain silently stay on finite differences; an
 	// approximate backend (rom) evaluates the objectives itself but
 	// borrows its authoritative sibling's gradients.
 	Gradient bool
 	// Fallback runs each optimization through the solver fallback chain
-	// (selected method first, then SQP → interior point → Hooke-Jeeves
-	// with the duplicate removed): when a stage fails to converge to a
-	// feasible point, the next method restarts from the best iterate so
-	// far. Off by default so the paper's method-vs-method comparisons
+	// (selected method first, then SQP → interior point with the
+	// duplicate removed): when a stage fails to converge to a feasible
+	// point, the next method restarts from the best iterate so far. Off by default so the paper's method-vs-method comparisons
 	// measure one technique at a time; reports then aggregate evaluation
 	// counts across every stage that ran.
 	Fallback bool

@@ -40,10 +40,9 @@ func TestFallbackChainShape(t *testing.T) {
 		method Method
 		want   []string
 	}{
-		{MethodSQP, []string{"sqp", "interior", "hooke"}},
-		{MethodInteriorPoint, []string{"interior", "sqp", "hooke"}},
-		{MethodNelderMead, []string{"neldermead", "sqp", "interior", "hooke"}},
-		{MethodHookeJeeves, []string{"hooke", "sqp", "interior"}},
+		{MethodSQP, []string{"sqp", "interior"}},
+		{MethodInteriorPoint, []string{"interior", "sqp"}},
+		{MethodTrustRegion, []string{"trust", "sqp", "interior"}},
 	}
 	for _, tc := range cases {
 		chain := tc.method.fallbackChain()

@@ -91,11 +91,6 @@ const (
 	MethodInteriorPoint
 	// MethodTrustRegion is the trust-region comparator.
 	MethodTrustRegion
-	// MethodNelderMead is a derivative-free comparator (not in the paper;
-	// used for verification).
-	MethodNelderMead
-	// MethodHookeJeeves is a derivative-free pattern-search comparator.
-	MethodHookeJeeves
 )
 
 // String names the method.
@@ -107,10 +102,6 @@ func (m Method) String() string {
 		return "interior point"
 	case MethodTrustRegion:
 		return "trust region"
-	case MethodNelderMead:
-		return "Nelder-Mead"
-	case MethodHookeJeeves:
-		return "Hooke-Jeeves"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -124,10 +115,6 @@ func (m Method) run(p *solver.Problem, x0 []float64, opts solver.Options) (solve
 		return solver.InteriorPoint(p, x0, opts)
 	case MethodTrustRegion:
 		return solver.TrustRegion(p, x0, opts)
-	case MethodNelderMead:
-		return solver.NelderMead(p, x0, opts)
-	case MethodHookeJeeves:
-		return solver.HookeJeeves(p, x0, opts)
 	default:
 		return solver.Report{}, fmt.Errorf("core: unknown method %d", int(m))
 	}
@@ -140,8 +127,6 @@ var methodNames = [...]string{
 	MethodSQP:           "sqp",
 	MethodInteriorPoint: "interior",
 	MethodTrustRegion:   "trust",
-	MethodNelderMead:    "neldermead",
-	MethodHookeJeeves:   "hooke",
 }
 
 // ParseMethod returns the method spelled s (see methodNames).
@@ -157,8 +142,8 @@ func (m Method) chainName() string {
 
 // fallbackChain builds the degradation ladder for a run with
 // Options.Fallback: the selected method first, then the solver package's
-// default chain (SQP → interior point → Hooke-Jeeves) with the selected
-// method deduplicated, so every chain ends in the derivative-free stage.
+// default chain (SQP → interior point) with the selected method
+// deduplicated.
 func (m Method) fallbackChain() []solver.NamedRunner {
 	chain := []solver.NamedRunner{{Name: m.chainName(), Run: m.run}}
 	for _, stage := range solver.DefaultFallbackChain() {

@@ -365,7 +365,7 @@ type SolverRow struct {
 	// optimization phases.
 	FuncEvals int
 	// GradEvals totals adjoint gradient evaluations across both phases
-	// (zero on finite-difference rows and derivative-free methods).
+	// (zero on finite-difference rows).
 	GradEvals int
 	// Converged and Stopped report the Optimization 1 solve's verdict
 	// (see solver.Report); a method can land on a feasible point without
@@ -375,11 +375,10 @@ type SolverRow struct {
 }
 
 // SolverComparison runs Algorithm 1 on one benchmark with each NLP method
-// (the paper compared active-set SQP, interior point, and trust region and
-// chose SQP; Nelder-Mead is included as a derivative-free reference). The
-// gradient-based methods appear twice: once on finite differences and
-// once steered by adjoint gradients, so the table shows what the exact
-// derivatives buy each of them.
+// the paper compared (active-set SQP, interior point, and trust region;
+// it chose SQP). Each method appears twice: once on finite differences
+// and once steered by adjoint gradients, so the table shows what the
+// exact derivatives buy each of them.
 func SolverComparison(s Setup, benchName string) ([]SolverRow, error) {
 	sys, err := s.System(benchName)
 	if err != nil {
@@ -392,8 +391,6 @@ func SolverComparison(s Setup, benchName string) ([]SolverRow, error) {
 		{core.MethodSQP, false}, {core.MethodSQP, true},
 		{core.MethodInteriorPoint, false}, {core.MethodInteriorPoint, true},
 		{core.MethodTrustRegion, false}, {core.MethodTrustRegion, true},
-		{core.MethodNelderMead, false},
-		{core.MethodHookeJeeves, false},
 	}
 	var rows []SolverRow
 	for _, mc := range methods {

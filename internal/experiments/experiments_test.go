@@ -238,8 +238,8 @@ func TestSolverComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("got %d rows, want 8 (FD and gradient variants of the 3 gradient-based methods, plus 2 derivative-free)", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows, want 6 (FD and gradient variants of the paper's 3 methods)", len(rows))
 	}
 	var sqp, sqpGrad SolverRow
 	for _, r := range rows {

@@ -17,7 +17,7 @@ func TestRunReportAndMarkdown(t *testing.T) {
 	if len(report.Opt2) != 6 || len(report.Opt1) != 6 {
 		t.Fatalf("series sizes: opt2=%d opt1=%d", len(report.Opt2), len(report.Opt1))
 	}
-	if len(report.TECOnly) != 2 || len(report.Table2) != 2 || len(report.Solvers) != 8 {
+	if len(report.TECOnly) != 2 || len(report.Table2) != 2 || len(report.Solvers) != 6 {
 		t.Fatalf("section sizes: teconly=%d table2=%d solvers=%d",
 			len(report.TECOnly), len(report.Table2), len(report.Solvers))
 	}

@@ -16,11 +16,14 @@ import (
 // Map assigns dynamic power in watts to floorplan units by name.
 type Map map[string]float64
 
-// Total returns the summed power of the map in watts.
+// Total returns the summed power of the map in watts. It sums in sorted
+// name order: Go randomizes map iteration and float addition is not
+// associative, so summing in map order could differ by an ulp from call
+// to call.
 func (m Map) Total() float64 {
 	var s float64
-	for _, p := range m {
-		s += p
+	for _, name := range m.Names() {
+		s += m[name]
 	}
 	return s
 }

@@ -161,7 +161,7 @@ type OptimizeRequest struct {
 	Chip ChipSpec `json:"chip"`
 	// Mode: "oftec" (default), "var", "fixed", "teconly".
 	Mode string `json:"mode,omitempty"`
-	// Method: "sqp" (default), "interior", "trust", "neldermead", "hooke".
+	// Method: "sqp" (default), "interior", "trust".
 	Method string `json:"method,omitempty"`
 	// Zoning switches to zoned control (one current per zone).
 	Zoning     *ZoneSpec `json:"zoning,omitempty"`

@@ -444,6 +444,10 @@ func TestBadRequests(t *testing.T) {
 		{"multistart over 8 zones", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Bench: "CRC32", Res: 16}, Zoning: &ZoneSpec{Zones: 8}, MultiStart: true}},
 		{"streamed multistart over 8 zones", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Bench: "CRC32", Res: 16}, Zoning: &ZoneSpec{Zones: 8}, MultiStart: true, Stream: true}},
 		{"unknown pareto method", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, Method: "nope"}},
+		{"removed method neldermead", "/v1/optimize", OptimizeRequest{Method: "neldermead"}},
+		{"removed method hooke", "/v1/optimize", OptimizeRequest{Method: "hooke"}},
+		{"removed pareto method neldermead", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, Method: "neldermead"}},
+		{"removed pareto method hooke", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, Method: "hooke"}},
 		{"tiny grid", "/v1/sweep", SweepRequest{NOmega: 1, NI: 1}},
 		{"empty pareto", "/v1/pareto", ParetoRequest{}},
 		{"unknown field", "/v1/evaluate", map[string]any{"omega_rpm": 2000, "bogus": true}},
@@ -452,8 +456,12 @@ func TestBadRequests(t *testing.T) {
 	// launch past the multistart bound names the bound.
 	lists := map[string]string{
 		"unknown mode":                     "oftec, var, fixed, teconly",
-		"unknown method":                   "sqp, interior, trust, neldermead, hooke",
-		"unknown pareto method":            "sqp, interior, trust, neldermead, hooke",
+		"unknown method":                   "(want sqp, interior, trust)",
+		"unknown pareto method":            "(want sqp, interior, trust)",
+		"removed method neldermead":        "(want sqp, interior, trust)",
+		"removed method hooke":             "(want sqp, interior, trust)",
+		"removed pareto method neldermead": "(want sqp, interior, trust)",
+		"removed pareto method hooke":      "(want sqp, interior, trust)",
 		"multistart over 8 zones":          "CornerStarts limited to 8 dimensions",
 		"streamed multistart over 8 zones": "CornerStarts limited to 8 dimensions",
 	}

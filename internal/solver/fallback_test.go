@@ -32,7 +32,7 @@ func table2Start() []float64 { return []float64{3.5, 1.8} }
 // ground-truth comparator.
 func gridReference(t *testing.T) solver.Report {
 	t.Helper()
-	ref, err := solver.GridSearch(table2Problem(), 201, 1e-9)
+	ref, err := testutil.GridSearch(table2Problem(), 201, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,14 +149,13 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		if g := gradAnalytic(z, mu); g != nil {
 			return g
 		}
-		h := opts.fdStep()
 		steps := make([]float64, n)
 		var zs [][]float64
 		for i := 0; i < n; i++ {
 			if p.pinned(i) {
 				continue // pinned axis: the derivative along it is zero
 			}
-			steps[i] = math.Max(math.Max(h, 1e-9), minStep[i])
+			steps[i] = math.Max(fdRelStep, minStep[i])
 			zs = append(zs, shifted(z, i, z[i]+steps[i]), shifted(z, i, z[i]-steps[i]))
 		}
 		phi := func(zz []float64, evals *int) float64 { return barrier(zz, mu, evals) }

@@ -9,14 +9,15 @@ import (
 )
 
 // Runner is the common signature of the iterative solvers in this
-// package (ActiveSetSQP, InteriorPoint, TrustRegion, NelderMead,
-// HookeJeeves) and of the drivers composed from them.
+// package (ActiveSetSQP, InteriorPoint, TrustRegion) and of the drivers
+// composed from them.
 type Runner func(p *Problem, x0 []float64, opts Options) (Report, error)
 
 // betterReport reports whether rep beats best under the feasibility-first
-// ordering shared by MultiStart, Fallback, and GridSearch: a feasible
-// report beats any infeasible one, feasible reports compare on the
-// objective, and infeasible ones on their violation.
+// ordering shared by MultiStart and Fallback (testutil.GridSearch ranks
+// its grid the same way): a feasible report beats any infeasible one,
+// feasible reports compare on the objective, and infeasible ones on
+// their violation.
 func betterReport(rep, best Report, feasTol float64) bool {
 	switch {
 	case rep.Feasible(feasTol) && !best.Feasible(feasTol):

@@ -16,6 +16,11 @@ import (
 // (Infeasible − fx)/h would be ~1e17 and wrecks the Hessian model.
 const sliverSlope = 1e6
 
+// fdRelStep is the finite-difference step as a fraction of the variable's
+// range (Upper − Lower); on the solvers' unit-box scaled problems it is
+// the step itself.
+const fdRelStep = 1e-5
+
 // quantRelStep is the minimum finite-difference probe separation, relative
 // to the variable's magnitude scale max(1, |Lower|, |Upper|), that keeps
 // two probes on distinct keys of an evaluation cache quantized to a 1e-9
@@ -103,7 +108,7 @@ func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
 // gradient approximates ∇f at x with central differences, falling back to
 // one-sided differences at box edges or when a probe point evaluates to the
 // Infeasible sentinel (e.g. probing into a thermal-runaway region). The
-// step for variable i is h_i = fdStep·(Upper_i − Lower_i), floored at 1e-10
+// step for variable i is h_i = fdRelStep·(Upper_i − Lower_i), floored at 1e-10
 // and at GradMinStep_i when set. A pinned variable (Upper_i == Lower_i)
 // gets a zero derivative without spending any evaluations. f counts and
 // clamps its own evaluations (Problem.eval, for instance).
@@ -122,7 +127,7 @@ func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
 //   - fx itself Infeasible with one usable probe: the slope points so
 //     that −g moves toward the feasible probe (the raw one-sided quotient
 //     would be ±(fProbe − 1e12)/h garbage).
-func (p *Problem) gradient(f countedFunc, x []float64, fx, fdStep float64, workers int, evals *int) []float64 {
+func (p *Problem) gradient(f countedFunc, x []float64, fx float64, workers int, evals *int) []float64 {
 	n := p.Dim()
 	// Plan: hi[i] and lo[i] index axis i's probes in xs, −1 where a probe
 	// would leave the box.
@@ -141,7 +146,7 @@ func (p *Problem) gradient(f countedFunc, x []float64, fx, fdStep float64, worke
 			// honest derivative along a frozen axis is zero.
 			continue
 		}
-		h[i] = fdStep * (p.Upper[i] - p.Lower[i])
+		h[i] = fdRelStep * (p.Upper[i] - p.Lower[i])
 		if h[i] < 1e-10 {
 			h[i] = 1e-10
 		}

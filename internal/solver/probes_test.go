@@ -39,8 +39,8 @@ func TestGradientParallelMatchesSerial(t *testing.T) {
 	p := probeProblem()
 	for _, fx := range []float64{p.F(probePoint), Infeasible} {
 		var serialEvals, parEvals int
-		serial := p.gradient(p.eval, probePoint, fx, 1e-5, 1, &serialEvals)
-		par := p.gradient(p.eval, probePoint, fx, 1e-5, 4, &parEvals)
+		serial := p.gradient(p.eval, probePoint, fx, 1, &serialEvals)
+		par := p.gradient(p.eval, probePoint, fx, 4, &parEvals)
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("fx=%g: gradients differ: serial %v, parallel %v", fx, serial, par)
 		}

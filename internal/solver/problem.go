@@ -1,9 +1,9 @@
 // Package solver implements the constrained nonlinear programming methods
-// the paper evaluated for OFTEC: the active-set sequential quadratic
-// programming (SQP) method it selected, plus the interior-point and
-// trust-region techniques it compared against, and two derivative-free
-// comparators (Nelder-Mead and dense grid search) used by tests to verify
-// solution quality.
+// the paper evaluated for OFTEC (Section 5.2): the active-set sequential
+// quadratic programming (SQP) method it selected, plus the interior-point
+// and trust-region techniques it compared against, and the drivers
+// composed from them (MultiStart, Fallback, the trace hook). The dense
+// grid search that checks their answers lives in the testutil package.
 //
 // Objectives are treated as black boxes evaluated numerically (the paper's
 // objective requires a thermal simulation per point); gradients default to
@@ -162,14 +162,10 @@ type Options struct {
 	// Tol is the convergence tolerance on step length and KKT residual;
 	// zero selects 1e-6 (in the scaled variable space).
 	Tol float64
-	// FDStep is the relative finite-difference step; zero selects 1e-5 of
-	// the variable range.
-	FDStep float64
 	// Grad, when non-nil, supplies the exact gradient of F (in the
-	// problem's own units); the gradient-based solvers (ActiveSetSQP,
-	// InteriorPoint, TrustRegion) then skip the 2n finite-difference
+	// problem's own units); the solvers then skip the 2n finite-difference
 	// probes per derivative. A nil return from the function falls back to
-	// finite differences at that point. Derivative-free methods ignore it.
+	// finite differences at that point.
 	Grad GradFunc
 	// ConsGrad optionally supplies exact gradients for the corresponding
 	// entries of Problem.Cons; missing or nil entries use finite
@@ -183,8 +179,7 @@ type Options struct {
 	// soon as 𝒯 < T_max.
 	StopWhen func(x []float64, f float64) bool
 	// Workers bounds the solvers' fan-out: the finite-difference probes
-	// of every derivative the gradient-based methods (ActiveSetSQP,
-	// InteriorPoint, TrustRegion) take, and MultiStart's launch over
+	// of every derivative the solvers take, and MultiStart's launch over
 	// starting points, which runs each start with Workers = 1 so the
 	// fan-out stays one level deep. Zero and one keep the serial loop
 	// (required when the problem's F/Cons/StopWhen are not safe for
@@ -237,13 +232,6 @@ func (o Options) tol() float64 {
 		return 1e-6
 	}
 	return o.Tol
-}
-
-func (o Options) fdStep() float64 {
-	if o.FDStep <= 0 {
-		return 1e-5
-	}
-	return o.FDStep
 }
 
 // StopReason says why a solver handed back its Report. Every solver in

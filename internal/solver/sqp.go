@@ -75,7 +75,7 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 				return scaleToZ(gx, span, p)
 			}
 		}
-		return scaled.gradient(scaled.eval, zz, fzz, opts.fdStep(), opts.workers(), &evals)
+		return scaled.gradient(scaled.eval, zz, fzz, opts.workers(), &evals)
 	}
 	gradCons := func(i int, zz []float64, cvv float64) []float64 {
 		if i < len(opts.ConsGrad) && opts.ConsGrad[i] != nil {
@@ -85,7 +85,7 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 			}
 		}
 		cons := func(z []float64, ev *int) float64 { return scaled.evalCons(i, z, ev) }
-		return scaled.gradient(cons, zz, cvv, opts.fdStep(), opts.workers(), &evals)
+		return scaled.gradient(cons, zz, cvv, opts.workers(), &evals)
 	}
 
 	fz := scaled.eval(z, &evals)

@@ -1,9 +1,10 @@
-// Package testutil provides fault-injection wrappers for solver.Problem,
-// used to test that the optimizer layer degrades gracefully when an
-// evaluation model starts misbehaving mid-solve (a diverging thermal
-// simulation, a NaN from a singular factorization, a wedged external
-// process). The wrappers are safe for concurrent use, matching the
-// thread-safety contract MultiStart imposes on evaluators.
+// Package testutil holds the optimizer layer's test instruments. Fault
+// wraps a solver.Problem so it starts misbehaving mid-solve (a diverging
+// thermal simulation, a NaN from a singular factorization, a wedged
+// external process), to test that the solvers degrade gracefully; the
+// wrappers are safe for concurrent use, matching the thread-safety
+// contract MultiStart imposes on evaluators. GridSearch is the dense-grid
+// reference optimum the solvers' answers are checked against.
 package testutil
 
 import (

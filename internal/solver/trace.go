@@ -14,11 +14,11 @@ import (
 //
 // Fields a method does not track are NaN: the penalty and barrier methods
 // do not separate the constraint violation from their merit value, and the
-// derivative-free methods have no line-search step size α.
+// trust-region method has no line-search step size α.
 type TraceRecord struct {
-	// Method labels the emitting solver ("sqp", "interior", "trust",
-	// "hooke", "neldermead"), so mixed streams (Fallback chains,
-	// MultiStart launches) stay attributable.
+	// Method labels the emitting solver ("sqp", "interior", "trust"), so
+	// mixed streams (Fallback chains, MultiStart launches) stay
+	// attributable.
 	Method string
 	// Iter is the solver's iteration counter at the time of emission.
 	Iter int
@@ -33,8 +33,7 @@ type TraceRecord struct {
 	// method tracks it per-iteration (SQP), NaN otherwise.
 	MaxViolation float64
 	// StepNorm is the ∞-norm of the accepted step in the solver's scaled
-	// variable space (mesh size for pattern search, simplex size for
-	// Nelder-Mead).
+	// variable space.
 	StepNorm float64
 	// Alpha is the accepted line-search step size, NaN for methods
 	// without a line search.

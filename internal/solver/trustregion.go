@@ -123,7 +123,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 				return g
 			}
 		}
-		return scaledPen.gradient(penalizedProbe, zz, fzz, opts.fdStep(), opts.workers(), &evals)
+		return scaledPen.gradient(penalizedProbe, zz, fzz, opts.workers(), &evals)
 	}
 
 	f := penalized(z, &evals)

@@ -44,11 +44,11 @@ func benchMap(tb testing.TB, cfg Config, bench string) power.Map {
 	return pm
 }
 
-func benchModel(t *testing.T, cfg Config, bench string) *Model {
-	t.Helper()
-	m, err := NewModel(cfg, benchMap(t, cfg, bench))
+func benchModel(tb testing.TB, cfg Config, bench string) *Model {
+	tb.Helper()
+	m, err := NewModel(cfg, benchMap(tb, cfg, bench))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }

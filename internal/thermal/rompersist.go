@@ -37,10 +37,11 @@ import (
 // in the header, so distinct chips/options/workloads never collide and a
 // config change simply misses the cache. Invalidation rules, enforced in
 // that order on load: wrong magic/version → ignore; checksum mismatch →
-// reject (corruption); identity mismatch → ignore (stale content);
-// bound re-validation failure → reject. Every failure path returns an
-// error and the caller rebuilds from scratch — a cache can produce a
-// cold start, never a wrong model.
+// reject (corruption); identity mismatch → ignore (stale content); a
+// calibration scalar that is not finite, a ω floor ≤ 0, a bound below
+// romMinBound or a negative κ → reject; bound re-validation failure →
+// reject. Every failure path returns an error and the caller rebuilds
+// from scratch — a cache can produce a cold start, never a wrong model.
 
 const (
 	romMagic         = "OFTECROM"
@@ -214,8 +215,12 @@ func loadCachedROM(m *Model, dir string) (*ReducedModel, error) {
 	off += 8
 	r.kappa = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
 	off += 8
-	if !(r.omegaFloor > 0) || !(r.bound > 0) || r.kappa < 0 ||
-		math.IsNaN(r.kappa) || math.IsInf(r.omegaFloor, 0) {
+	// A fresh build never writes a bound below romMinBound, and an
+	// infinite bound would switch off Evaluate's residual check
+	// (κ·‖r‖ > bound could never hold).
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(r.omegaFloor) || !finite(r.bound) || !finite(r.kappa) ||
+		r.omegaFloor <= 0 || r.bound < romMinBound || r.kappa < 0 {
 		return nil, fmt.Errorf("thermal: ROM cache calibration scalars out of range")
 	}
 	r.rank = rank

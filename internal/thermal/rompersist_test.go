@@ -3,6 +3,7 @@ package thermal
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -41,14 +42,29 @@ func assertROMsIdentical(t *testing.T, label string, a, b *ReducedModel) {
 	}
 }
 
-func romCacheFile(t *testing.T, m *Model, dir string) string {
-	t.Helper()
+func romCacheFile(tb testing.TB, m *Model, dir string) string {
+	tb.Helper()
 	identity, err := romIdentity(m)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return romCachePath(dir, identity)
 }
+
+// sealROM returns an OFTECROM file: body followed by its FNV-64a
+// checksum, so the file's only defects are the ones body carries.
+func sealROM(body []byte) []byte {
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), h.Sum64())
+}
+
+// Offsets of the calibration scalars, the last three header fields.
+const (
+	romFloorOff = romHeaderLen - 24
+	romBoundOff = romHeaderLen - 16
+	romKappaOff = romHeaderLen - 8
+)
 
 // TestROMPersistIdentityStable pins the content address of one fixed
 // model: the identity hashes the same bytes in the same order as when the
@@ -154,13 +170,9 @@ func TestROMPersistStaleVersionIgnored(t *testing.T) {
 	// Rewrite the format version and re-seal the checksum, so the ONLY
 	// defect is staleness — it must be ignored on its own merits, not
 	// caught as corruption.
-	stale := make([]byte, len(raw))
-	copy(stale, raw)
+	stale := append([]byte(nil), raw[:len(raw)-8]...)
 	binary.LittleEndian.PutUint32(stale[8:], romFormatVersion+7)
-	h := fnv.New64a()
-	h.Write(stale[:len(stale)-8])
-	binary.LittleEndian.PutUint64(stale[len(stale)-8:], h.Sum64())
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
+	if err := os.WriteFile(path, sealROM(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = loadCachedROM(benchModel(t, cfg, "Basicmath"), dir)
@@ -201,4 +213,117 @@ func TestROMPersistIdentityMismatchIgnored(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "identity") {
 		t.Fatalf("planted foreign basis: err = %v, want an identity rejection", err)
 	}
+}
+
+// TestROMPersistBadCalibrationRejected: a checksummed file whose only
+// defect is one calibration scalar must not load. An infinite bound
+// would switch off Evaluate's residual check, and a fresh build never
+// writes a bound below romMinBound.
+func TestROMPersistBadCalibrationRejected(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	collected, err := NewReducedModel(benchModel(t, cfg, "Basicmath"), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := romCacheFile(t, collected.m, dir)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[:len(raw)-8]
+
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    float64
+	}{
+		{"bound +Inf", romBoundOff, inf},
+		{"bound NaN", romBoundOff, nan},
+		{"bound below the floor", romBoundOff, romMinBound / 2},
+		{"bound zero", romBoundOff, 0},
+		{"omegaFloor +Inf", romFloorOff, inf},
+		{"omegaFloor NaN", romFloorOff, nan},
+		{"omegaFloor zero", romFloorOff, 0},
+		{"kappa +Inf", romKappaOff, inf},
+		{"kappa NaN", romKappaOff, nan},
+		{"kappa negative", romKappaOff, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), body...)
+			binary.LittleEndian.PutUint64(bad[tc.off:], math.Float64bits(tc.v))
+			if err := os.WriteFile(path, sealROM(bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := loadCachedROM(benchModel(t, cfg, "Basicmath"), dir)
+			if err == nil {
+				t.Fatalf("file loaded: ErrorBound() = %g, OmegaFloor() = %g", r.ErrorBound(), r.OmegaFloor())
+			}
+			if !strings.Contains(err.Error(), "calibration scalars") {
+				t.Errorf("err = %v, want a calibration-scalar rejection", err)
+			}
+		})
+	}
+
+	// The untouched body, resealed, still loads: the rejections above are
+	// the scalars', not the rewrite's.
+	if err := os.WriteFile(path, sealROM(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := loadCachedROM(benchModel(t, cfg, "Basicmath"), dir)
+	if err != nil {
+		t.Fatalf("resealed original did not load: %v", err)
+	}
+	assertROMsIdentical(t, "resealed", collected, loaded)
+}
+
+// FuzzLoadCachedROM feeds loadCachedROM arbitrary file bodies, sealed
+// with their correct checksum so mutations reach past the integrity
+// check. A load may fail; it must not panic, and a model it returns must
+// carry finite calibration scalars, a bound no tighter than romMinBound
+// and a basis shaped for the model.
+func FuzzLoadCachedROM(f *testing.F) {
+	dir := f.TempDir()
+	m := benchModel(f, testConfig(), "Basicmath")
+	if _, err := NewReducedModel(m, dir); err != nil {
+		f.Fatal(err)
+	}
+	path := romCacheFile(f, m, dir)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := raw[:len(raw)-8]
+	f.Add(body)
+	infBound := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint64(infBound[romBoundOff:], math.Float64bits(math.Inf(1)))
+	f.Add(infBound)
+	f.Add(body[:len(body)/2])
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := os.WriteFile(path, sealROM(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := loadCachedROM(m, dir)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{r.omegaFloor, r.bound, r.kappa} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("loaded non-finite calibration: floor %g, bound %g, kappa %g", r.omegaFloor, r.bound, r.kappa)
+			}
+		}
+		if r.bound < romMinBound {
+			t.Fatalf("loaded bound %g below romMinBound %g", r.bound, romMinBound)
+		}
+		if r.rank <= 0 || r.rank > romMaxRank || len(r.basis) != r.rank {
+			t.Fatalf("loaded rank %d with %d basis vectors", r.rank, len(r.basis))
+		}
+		for k, col := range r.basis {
+			if len(col) != m.n {
+				t.Fatalf("basis vector %d has %d entries, model has %d nodes", k, len(col), m.n)
+			}
+		}
+	})
 }

@@ -3,9 +3,9 @@
 #
 #   build → go vet → gofmt → oftecvet (project static analysis) → named test
 #   gates with -race (concurrency, solver, adjoint, backend, batch,
-#   coolant) → every remaining test with -race → the benchmark module's
-#   tests → oftecd smoke (live daemon, every endpoint, clean SIGTERM
-#   shutdown) → parallel-sweep bench smoke
+#   coolant) → every remaining test with -race → OFTECROM loader fuzz
+#   smoke → the benchmark module's tests → oftecd smoke (live daemon,
+#   every endpoint, clean SIGTERM shutdown) → parallel-sweep bench smoke
 #
 # Run from anywhere inside the module; exits nonzero on the first failure.
 set -eu
@@ -139,6 +139,14 @@ done_pat="$done_pat|$cool"
 
 echo "== go test -race ./... (every test the gates above did not run)"
 go test -race -skip "$done_pat" ./...
+
+# A short fuzz smoke on the OFTECROM loader, an untrusted boundary: any
+# file body, sealed with its correct checksum, must load a well-formed
+# model or fail, never panic. Minimizing a newly interesting input
+# re-runs the 49 KB load thousands of times, so it is capped at 1s;
+# otherwise the smoke spends its 10s shrinking one input.
+echo "== go test -fuzz FuzzLoadCachedROM (10s smoke)"
+go test -run '^$' -fuzz '^FuzzLoadCachedROM$' -fuzztime 10s -fuzzminimizetime 1s ./internal/thermal
 
 # The end-to-end benchmark is a module of its own (perfbench/, built
 # against this tree), so ./... above never reaches it. Its tests pin what
