@@ -51,9 +51,12 @@ type Options struct {
 	// ParetoFront's threshold probe, and the MultiStart corner launch. An
 	// outer fan-out runs its inner solves with one worker, so only one
 	// level is ever parallel. Zero sizes the pool to GOMAXPROCS; one
-	// forces the serial reference path. Results are identical either way.
-	// Solver.Workers, when set, pins the solver's own width instead, and
-	// WarmStart runs keep the solver serial.
+	// forces the serial reference path. Results are identical either way:
+	// every solve a solver call asks for warm-starts from its current
+	// iterate's temperature field (solver.Problem.Near), fixed before the
+	// probes fan out. A point's answer agrees with any other hint's to
+	// solver tolerance, and the first solve's hint fixes the cached bits.
+	// Solver.Workers, when set, pins the solver's own width instead.
 	Workers int
 	// Gradient steers the solver with exact adjoint gradients from the
 	// backend (see backend.GradientOf) instead of finite differences,
@@ -74,15 +77,6 @@ type Options struct {
 	// measure one technique at a time; reports then aggregate evaluation
 	// counts across every stage that ran.
 	Fallback bool
-	// WarmStart threads each converged temperature field into the next
-	// solve as the iterative solver's starting point. Line searches probe
-	// nearby operating points, so warm starts cut the CG iteration count
-	// of every cache miss. The hint only steers the solver — each point's
-	// answer still agrees with the cold path to solver tolerance — but
-	// solutions are no longer bit-identical to a cold-started run, so the
-	// option defaults to off and determinism-sensitive comparisons should
-	// leave it off.
-	WarmStart bool
 }
 
 func (o Options) tMax(cfg thermal.Config) float64 {
@@ -233,32 +227,34 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 	}
 
 	tMaxSolve := opts.tMax(cfg) - opts.margin()
-	eval := bindingEval(bnd)
-	if opts.WarmStart {
-		eval = (&warmCarry{bnd: bnd}).evaluate
-	} else if opts.Solver.Workers == 0 {
-		// The cached objectives are pure functions of the operating point
-		// and safe for concurrent use, so the solver fans out its
-		// finite-difference probes and the MultiStart corner launch unless
-		// the caller pinned a width. A warm-start carry makes each answer
-		// depend on evaluation order, so those runs stay serial.
+	if opts.Solver.Workers == 0 {
+		// Every evaluation of a solver call is anchored on its incumbent
+		// (anchoredProblem), so an answer never depends on evaluation
+		// order and the solver fans out its finite-difference probes and
+		// the MultiStart corner launch unless the caller pinned a width.
 		opts.Solver.Workers = parallel.Workers(opts.Workers)
 	}
-	tempObj := func(x []float64) float64 { return maxTempObj(eval, x) }
-	tempCons := func(x []float64) float64 { return maxTempObj(eval, x) - tMaxSolve }
-	powerObj := func(x []float64) float64 { return coolingPowerObj(eval, x) }
 
 	// Gradient mode: when the binding's backend chain offers adjoint
 	// gradients, install them on the solver options and align the thermal
 	// objective/constraint with the smoothed maximum the adjoint
 	// differentiates.
+	temp := maxTempObj
 	var adj *adjoint
 	if opts.Gradient {
 		if ge, ok := backend.GradientOf(bnd); ok {
 			adj = &adjoint{ge: ge}
-			tempObj = func(x []float64) float64 { return smoothTempObj(eval, x) }
-			tempCons = func(x []float64) float64 { return smoothTempObj(eval, x) - tMaxSolve }
+			temp = smoothTempObj
 		}
+	}
+	// Optimization 2 minimizes the thermal objective; Optimization 1
+	// minimizes 𝒫 under the thermal constraint.
+	feasibility := func(eval vecEval) (solver.Func, []solver.Func) {
+		return func(x []float64) float64 { return temp(eval, x) }, nil
+	}
+	power := func(eval vecEval) (solver.Func, []solver.Func) {
+		return func(x []float64) float64 { return coolingPowerObj(eval, x) },
+			[]solver.Func{func(x []float64) float64 { return temp(eval, x) - tMaxSolve }}
 	}
 
 	// Both phases solve through one runner: the bare method, or the
@@ -277,9 +273,9 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 	// convergence; inside Algorithm 1 it only runs when the starting point
 	// is infeasible, and stops early as soon as 𝒯 < T_max.
 	x1 := x0
-	t1 := tempObj(x0)
+	p2 := anchoredProblem(bnd, feasibility, lower, upper)
+	t1 := p2.F(x0)
 	if t1 > tMaxSolve || opts.SkipOpt1 {
-		p2 := &solver.Problem{F: tempObj, Lower: lower, Upper: upper}
 		o2 := opts.Solver
 		if adj != nil {
 			o2.Grad = adj.tempGrad
@@ -325,12 +321,7 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 	}
 
 	// Line 6: Optimization 1 from the feasible start.
-	p1 := &solver.Problem{
-		F:     powerObj,
-		Cons:  []solver.Func{tempCons},
-		Lower: lower,
-		Upper: upper,
-	}
+	p1 := anchoredProblem(bnd, power, lower, upper)
 	so1 := opts.Solver
 	if adj != nil {
 		so1.Grad = adj.powerGrad

@@ -295,7 +295,7 @@ func TestSQPNearGridSearchOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := bindingEval(bnd)
+	eval := bindingEval(bnd, nil)
 	prob := &solver.Problem{
 		F: func(x []float64) float64 { return coolingPowerObj(eval, x) },
 		Cons: []solver.Func{

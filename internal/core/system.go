@@ -239,12 +239,13 @@ func (s *System) CacheStats() CacheStats { return s.cache.Stats() }
 // warm is an optional warm-start temperature field (length NumNodes),
 // typically the T of a neighboring operating point; it only steers the
 // iterative solver on a genuine cache miss — hits and coalesced waits
-// return the already-solved result and ignore it — so the answer for a
-// given point is the same either way. The warm slice is read, never
-// written. A cancelled ctx releases coalesced waiters immediately (the
-// leader's solve runs to completion for the benefit of other callers), so
-// a client deadline never wedges a service handler on someone else's
-// solve.
+// return the already-solved result and ignore it. A point's answer agrees
+// with any other hint's to solver tolerance, and the first solve's hint
+// fixes the cached bits every later caller gets. The warm slice is read,
+// never written. A cancelled ctx releases coalesced waiters immediately
+// (the leader's solve runs to completion for the benefit of other
+// callers), so a client deadline never wedges a service handler on
+// someone else's solve.
 func (s *System) EvaluateContext(ctx context.Context, zoning *thermal.Zoning, op backend.OpPoint, warm []float64) (*thermal.Result, error) {
 	bnd, err := s.binding(zoning)
 	if err != nil {
@@ -279,15 +280,40 @@ func (s *System) binding(zoning *thermal.Zoning) (*evalcache.Binding, error) {
 	return bnd, nil
 }
 
-// vecEval abstracts the steady-state evaluation of a decision vector
-// x = (ω, I_1..I_k) so runVector can swap the plain cached path for a
-// warm-start carry (Options.WarmStart).
+// vecEval is the steady-state evaluation of a decision vector
+// x = (ω, I_1..I_k).
 type vecEval func(x []float64) (*thermal.Result, error)
 
-// bindingEval evaluates through the shared cache with no warm hint.
-func bindingEval(bnd *evalcache.Binding) vecEval {
+// bindingEval evaluates through the shared cache, warm-starting every
+// cache miss from warm (nil starts cold).
+func bindingEval(bnd *evalcache.Binding, warm []float64) vecEval {
 	return func(x []float64) (*thermal.Result, error) {
-		return bnd.Evaluate(context.Background(), backend.OpPoint{Omega: x[0], Currents: x[1:]}, nil)
+		return bnd.Evaluate(context.Background(), backend.OpPoint{Omega: x[0], Currents: x[1:]}, warm)
+	}
+}
+
+// phaseFuncs builds one Algorithm 1 phase's objective and constraints
+// over an evaluator.
+type phaseFuncs func(eval vecEval) (f solver.Func, cons []solver.Func)
+
+// anchoredProblem is one phase's problem over bnd's box [lower, upper]:
+// F and Cons evaluate cold, and Near re-anchors them on each incumbent so
+// every solve the solver asks for near x_k — its finite-difference probes
+// and line-search trials — starts CG at x_k's temperature field. The
+// incumbent's own Result is a cache hit, since the solver has just
+// evaluated it; a runaway incumbent has no field and anchors cold.
+func anchoredProblem(bnd *evalcache.Binding, phase phaseFuncs, lower, upper []float64) *solver.Problem {
+	cold := bindingEval(bnd, nil)
+	f, cons := phase(cold)
+	return &solver.Problem{
+		F: f, Cons: cons, Lower: lower, Upper: upper,
+		Near: func(x []float64) (solver.Func, []solver.Func) {
+			var warm []float64
+			if r, err := cold(x); err == nil && !r.Runaway {
+				warm = r.T
+			}
+			return phase(bindingEval(bnd, warm))
+		},
 	}
 }
 
@@ -307,35 +333,6 @@ func coolingPowerObj(eval vecEval, x []float64) float64 {
 		return solver.Infeasible
 	}
 	return r.CoolingPower()
-}
-
-// warmCarry hands each solve the previous converged temperature field as
-// its starting point — the optimizer's line searches move in small steps,
-// so consecutive solves are near each other and the iterative solver
-// converges in a fraction of the iterations. Safe for concurrent use
-// (MultiStart's corner launch shares one carry): the carry is advisory
-// only, so racing updates change which hint the next cold solve starts
-// from, never the converged result beyond solver tolerance.
-type warmCarry struct {
-	bnd *evalcache.Binding
-
-	mu sync.Mutex
-	t  []float64
-}
-
-func (w *warmCarry) evaluate(x []float64) (*thermal.Result, error) {
-	w.mu.Lock()
-	warm := w.t
-	w.mu.Unlock()
-	res, err := w.bnd.Evaluate(context.Background(), backend.OpPoint{Omega: x[0], Currents: x[1:]}, warm)
-	if err == nil && !res.Runaway && res.T != nil {
-		// Result fields are shared and immutable; the backend only reads
-		// the hint, so carrying the slice forward is safe.
-		w.mu.Lock()
-		w.t = res.T
-		w.mu.Unlock()
-	}
-	return res, err
 }
 
 // bounds returns the decision-variable box for a mode over k control

@@ -56,8 +56,8 @@ func (o *ZonedOutcome) String() string {
 // the k = 1 special case (bit-identical to Run — the backend routes a
 // one-zone point onto the scalar path), so any zoned optimum is at least
 // as good. The run shares the scalar path's machinery: modes, solver
-// fallback, multistart, warm starts, and the System's evaluation cache
-// (in a zone-keyed space of its own).
+// fallback, multistart, anchored warm starts, and the System's
+// evaluation cache (in a zone-keyed space of its own).
 func (s *System) RunZoned(zoning *thermal.Zoning, opts Options) (*ZonedOutcome, error) {
 	start := time.Now()
 	if zoning == nil {

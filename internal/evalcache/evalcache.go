@@ -176,9 +176,11 @@ func (b *Binding) Fallthrough() backend.Evaluator { return b.ev }
 // Evaluate returns the (cached) steady state at op. Concurrent callers
 // requesting the same quantized point share one solve; the optional warm
 // temperature-field hint only steers a genuine miss — hits and coalesced
-// waits return the already-solved result and ignore it. Waiters honor ctx
-// cancellation (the leader's solve continues for the others); a nil ctx
-// waits unconditionally.
+// waits return the already-solved result and ignore it. A point's answer
+// agrees with any other hint's to solver tolerance, and the first solve's
+// hint fixes the cached bits. Waiters honor ctx cancellation (the
+// leader's solve continues for the others); a nil ctx waits
+// unconditionally.
 //
 //oftec:hotpath
 func (b *Binding) Evaluate(ctx context.Context, op backend.OpPoint, warm []float64) (*thermal.Result, error) {

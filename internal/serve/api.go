@@ -167,7 +167,6 @@ type OptimizeRequest struct {
 	Zoning     *ZoneSpec `json:"zoning,omitempty"`
 	MultiStart bool      `json:"multistart,omitempty"`
 	Fallback   bool      `json:"fallback,omitempty"`
-	WarmStart  bool      `json:"warmstart,omitempty"`
 	// Opt2Only solves only the feasibility phase (minimize max temp).
 	Opt2Only bool `json:"opt2_only,omitempty"`
 	// Stream selects chunked NDJSON: per-iterate trace records, then the

@@ -119,7 +119,6 @@ func optimizeOptions(ctx context.Context, req OptimizeRequest) (core.Options, er
 		Method:     method,
 		MultiStart: req.MultiStart,
 		Fallback:   req.Fallback,
-		WarmStart:  req.WarmStart,
 		SkipOpt1:   req.Opt2Only,
 		Solver:     solver.Options{Ctx: ctx},
 	}, nil

@@ -451,6 +451,11 @@ func TestBadRequests(t *testing.T) {
 		{"tiny grid", "/v1/sweep", SweepRequest{NOmega: 1, NI: 1}},
 		{"empty pareto", "/v1/pareto", ParetoRequest{}},
 		{"unknown field", "/v1/evaluate", map[string]any{"omega_rpm": 2000, "bogus": true}},
+		{"removed field warmstart", "/v1/optimize", map[string]any{"warmstart": true}},
+		{"evaluate res over cap", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Res: 129}, OmegaRPM: 2000}},
+		{"evaluate res far over cap", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Res: 1000000}, OmegaRPM: 2000}},
+		{"optimize res over cap", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Res: 129}}},
+		{"optimize res far over cap", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Res: 1000000}}},
 	}
 	// An unknown name is answered with the accepted ones, and a corner
 	// launch past the multistart bound names the bound.
@@ -464,6 +469,11 @@ func TestBadRequests(t *testing.T) {
 		"removed pareto method hooke":      "(want sqp, interior, trust)",
 		"multistart over 8 zones":          "CornerStarts limited to 8 dimensions",
 		"streamed multistart over 8 zones": "CornerStarts limited to 8 dimensions",
+		"removed field warmstart":          `unknown field "warmstart"`,
+		"evaluate res over cap":            "chip grid resolution 129 exceeds the cap of 128",
+		"evaluate res far over cap":        "chip grid resolution 1000000 exceeds the cap of 128",
+		"optimize res over cap":            "chip grid resolution 129 exceeds the cap of 128",
+		"optimize res far over cap":        "chip grid resolution 1000000 exceeds the cap of 128",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -70,18 +70,22 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return 1 + (c+mu)/mu
 	}
 
+	// at is the problem anchored on the incumbent (see Problem.Near);
+	// every evaluation below goes through it.
+	at := p.near(toX(z))
+
 	// Barrier objective in scaled space.
 	const edge = 1e-9
 	barrier := func(z []float64, mu float64, evals *int) float64 {
 		x := toX(z)
 		*evals++
-		f := p.F(x)
+		f := at.F(x)
 		if math.IsNaN(f) || f >= Infeasible || math.IsInf(f, 1) {
 			return Infeasible
 		}
-		for i := range p.Cons {
+		for i := range at.Cons {
 			*evals++
-			f += psi(p.Cons[i](x), mu)
+			f += psi(at.Cons[i](x), mu)
 		}
 		for i := 0; i < n; i++ {
 			f += psi(edge-z[i], mu) + psi(z[i]-1+edge, mu)
@@ -119,7 +123,7 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 				return nil
 			}
 			gradEvals++
-			dpsi := psiPrime(p.evalCons(i, x, &evals), mu)
+			dpsi := psiPrime(at.evalCons(i, x, &evals), mu)
 			for j := 0; j < n; j++ {
 				if p.pinned(j) {
 					continue
@@ -247,6 +251,7 @@ outer:
 				stationary = true
 				break // stationary for this barrier parameter
 			}
+			at = p.near(toX(zNew))
 			gNew := grad(zNew, mu, fNew)
 			s := make([]float64, n)
 			y := make([]float64, n)
@@ -267,14 +272,14 @@ outer:
 
 			if opts.StopWhen != nil {
 				x := toX(z)
-				fv := p.eval(x, &evals)
+				fv := at.eval(x, &evals)
 				if opts.StopWhen(x, fv) {
 					report.X = x
 					report.F = fv
 					report.EarlyStopped = true
 					report.Stopped = StopEarlyStopped
 					report.Iterations = totalIter
-					report.MaxViolation = p.maxViolation(x, &evals)
+					report.MaxViolation = at.maxViolation(x, &evals)
 					report.FuncEvals = evals
 					report.GradEvals = gradEvals
 					return report, nil
@@ -290,8 +295,8 @@ outer:
 
 	report.Iterations = totalIter
 	report.X = toX(z)
-	report.F = p.eval(report.X, &evals)
-	report.MaxViolation = p.maxViolation(report.X, &evals)
+	report.F = at.eval(report.X, &evals)
+	report.MaxViolation = at.maxViolation(report.X, &evals)
 	if report.Stopped != StopCancelled {
 		// Converged only when the final barrier subproblem actually
 		// reached stationarity, not unconditionally.

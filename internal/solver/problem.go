@@ -62,6 +62,17 @@ type Problem struct {
 	// floor keeps both probes on distinct cache keys. The iterative
 	// solvers set it automatically on their internally scaled problems.
 	GradMinStep []float64
+	// Near, when non-nil, anchors a solver call's evaluations on its
+	// incumbent. The solver calls it serially, with its clamped start and
+	// then with each accepted iterate, before taking derivatives there.
+	// Every later evaluation of the call — finite-difference probes on any
+	// number of workers, line-search trials, constraint values — goes
+	// through the objective and constraints it returned (one per Cons)
+	// until the next accepted iterate. An evaluator that a nearby answer
+	// can steer (core warm-starts CG from the incumbent's temperature
+	// field) thereby steers by the iterate, never by evaluation order.
+	// Nil evaluates F and Cons throughout.
+	Near func(x []float64) (f Func, cons []Func)
 }
 
 // Dim returns the number of decision variables.
@@ -105,6 +116,19 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
+}
+
+// near returns the problem a solver call evaluates through from incumbent
+// x on: p itself without Near, else a copy carrying the functions Near
+// returned for x.
+func (p *Problem) near(x []float64) *Problem {
+	if p.Near == nil {
+		return p
+	}
+	q := *p
+	q.F, q.Cons = p.Near(x)
+	q.Near = nil
+	return &q
 }
 
 // clampBox projects x into the box bounds in place.
@@ -183,8 +207,11 @@ type Options struct {
 	// starting points, which runs each start with Workers = 1 so the
 	// fan-out stays one level deep. Zero and one keep the serial loop
 	// (required when the problem's F/Cons/StopWhen are not safe for
-	// concurrent use); negative selects GOMAXPROCS. When F and Cons are
-	// pure functions of the point, the Report is identical at any width.
+	// concurrent use); negative selects GOMAXPROCS. When F and Cons, and
+	// the functions Problem.Near returns, answer a point independently of
+	// evaluation order, the Report is identical at any width: an anchored
+	// answer may depend on the incumbent, which the serial iteration
+	// fixes, but not on which probe ran first.
 	Workers int
 	// Ctx, when non-nil, is checked at every iteration boundary: once it
 	// is cancelled or past its deadline, the solver stops within one

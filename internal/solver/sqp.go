@@ -38,8 +38,11 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 		p.clampBox(x)
 		return x
 	}
+	// at is the problem anchored on the incumbent (see Problem.Near);
+	// every evaluation below goes through it.
+	var at *Problem
 	scaled := &Problem{
-		F:           func(z []float64) float64 { return p.F(toX(z)) },
+		F:           func(z []float64) float64 { return at.F(toX(z)) },
 		Lower:       make([]float64, n),
 		Upper:       make([]float64, n),
 		GradMinStep: scaledGradMinStep(p, span),
@@ -53,9 +56,8 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 			scaled.Upper[i] = 0
 		}
 	}
-	for _, c := range p.Cons {
-		c := c
-		scaled.Cons = append(scaled.Cons, func(z []float64) float64 { return c(toX(z)) })
+	for i := range p.Cons {
+		scaled.Cons = append(scaled.Cons, func(z []float64) float64 { return at.Cons[i](toX(z)) })
 	}
 
 	z := make([]float64, n)
@@ -88,10 +90,11 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return scaled.gradient(cons, zz, cvv, opts.workers(), &evals)
 	}
 
+	at = p.near(toX(z))
 	fz := scaled.eval(z, &evals)
 	report := Report{X: toX(z), F: fz, Iterations: 0}
 	finish := func() (Report, error) {
-		report.MaxViolation = p.maxViolation(report.X, &evals)
+		report.MaxViolation = at.maxViolation(report.X, &evals)
 		report.FuncEvals = evals
 		report.GradEvals = gradEvals
 		return report, nil
@@ -256,7 +259,8 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 		}
 
 		// New derivatives (constraint values carried over from the line
-		// search above).
+		// search above), anchored on the new incumbent.
+		at = p.near(toX(zNew))
 		gNew := gradObj(zNew, fz)
 		caNew := make([][]float64, m)
 		for i := 0; i < m; i++ {

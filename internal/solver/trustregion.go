@@ -39,15 +39,18 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		z[i] = math.Min(1, math.Max(0, (x0[i]-p.Lower[i])/span[i]))
 	}
 
+	// at is the problem anchored on the incumbent (see Problem.Near);
+	// every evaluation below goes through it.
+	var at *Problem
 	penWeight := 1e3
 	penalized := func(z []float64, evals *int) float64 {
 		x := toX(z)
-		f := p.eval(x, evals)
+		f := at.eval(x, evals)
 		if f >= Infeasible {
 			return Infeasible
 		}
-		for i := range p.Cons {
-			if v := p.evalCons(i, x, evals); v > 0 {
+		for i := range at.Cons {
+			if v := at.evalCons(i, x, evals); v > 0 {
 				f += penWeight * v * v
 			}
 		}
@@ -99,7 +102,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 				gradEvals++
 				g := scaleToZ(gx, span, p)
 				for i := range p.Cons {
-					v := p.evalCons(i, x, &evals)
+					v := at.evalCons(i, x, &evals)
 					if v <= 0 {
 						continue
 					}
@@ -126,6 +129,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return scaledPen.gradient(penalizedProbe, zz, fzz, opts.workers(), &evals)
 	}
 
+	at = p.near(toX(z))
 	f := penalized(z, &evals)
 	g := gradPen(z, f)
 	bmat := identity(n)
@@ -185,6 +189,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			delta = math.Min(2*delta, 1)
 		}
 		if rho > 1e-4 && fNew < f {
+			at = p.near(toX(zNew))
 			gNew := gradPen(zNew, fNew)
 			s := make([]float64, n)
 			y := make([]float64, n)
@@ -197,7 +202,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			bfgsUpdate(bmat, s, y)
 			z, f, g = zNew, fNew, gNew
 			report.X = toX(z)
-			report.F = p.eval(report.X, &evals)
+			report.F = at.eval(report.X, &evals)
 			opts.trace(TraceRecord{
 				Method: "trust", Iter: iter,
 				X: append([]float64(nil), report.X...), F: f,
@@ -209,7 +214,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 				break
 			}
 			// Escalate the penalty while the iterate stays infeasible.
-			if p.maxViolation(report.X, &evals) > opts.tol() {
+			if at.maxViolation(report.X, &evals) > opts.tol() {
 				penWeight = math.Min(penWeight*2, 1e9)
 				f = penalized(z, &evals)
 				g = gradPen(z, f)
@@ -225,7 +230,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		report.Stopped = StopMaxIter
 	}
 
-	report.MaxViolation = p.maxViolation(report.X, &evals)
+	report.MaxViolation = at.maxViolation(report.X, &evals)
 	report.FuncEvals = evals
 	report.GradEvals = gradEvals
 	return report, nil

@@ -189,6 +189,12 @@ type Config struct {
 	RunawayTemp float64
 }
 
+// MaxRes caps every layer's grid resolution, in cells per edge: 8× the
+// paper's chip resolution of 16. A model's memory and build time grow with
+// the square of the resolution (≈220 MiB at 128), so a configuration from
+// an untrusted source cannot ask for an unbounded one.
+const MaxRes = 128
+
 // Validate checks the full configuration.
 func (c *Config) Validate() error {
 	if c.Floorplan == nil {
@@ -220,6 +226,14 @@ func (c *Config) Validate() error {
 	if c.ChipRes <= 0 || c.SpreaderRes <= 0 || c.SinkRes <= 0 || c.PCBRes <= 0 {
 		return fmt.Errorf("thermal: grid resolutions must be positive (chip %d, spreader %d, sink %d, pcb %d)",
 			c.ChipRes, c.SpreaderRes, c.SinkRes, c.PCBRes)
+	}
+	for _, l := range []struct {
+		name string
+		res  int
+	}{{"chip", c.ChipRes}, {"spreader", c.SpreaderRes}, {"sink", c.SinkRes}, {"pcb", c.PCBRes}} {
+		if l.res > MaxRes {
+			return fmt.Errorf("thermal: %s grid resolution %d exceeds the cap of %d cells per edge", l.name, l.res, MaxRes)
+		}
 	}
 	if err := c.TEC.Validate(); err != nil {
 		return err

@@ -1,7 +1,9 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"oftec/internal/material"
@@ -78,6 +80,38 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", m.name)
 		}
+	}
+}
+
+// TestConfigResolutionCap: every layer's grid resolution is accepted at
+// MaxRes and rejected one cell above it, with an error naming the layer
+// and the cap.
+func TestConfigResolutionCap(t *testing.T) {
+	layers := []struct {
+		name string
+		res  func(*Config) *int
+	}{
+		{"chip", func(c *Config) *int { return &c.ChipRes }},
+		{"spreader", func(c *Config) *int { return &c.SpreaderRes }},
+		{"sink", func(c *Config) *int { return &c.SinkRes }},
+		{"pcb", func(c *Config) *int { return &c.PCBRes }},
+	}
+	for _, l := range layers {
+		t.Run(l.name, func(t *testing.T) {
+			cfg := testConfig()
+			*l.res(&cfg) = MaxRes
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("resolution %d rejected: %v", MaxRes, err)
+			}
+			*l.res(&cfg) = MaxRes + 1
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatalf("resolution %d accepted", MaxRes+1)
+			}
+			if want := fmt.Sprintf("%s grid resolution %d exceeds the cap of %d", l.name, MaxRes+1, MaxRes); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
+			}
+		})
 	}
 }
 

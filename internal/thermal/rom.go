@@ -65,12 +65,22 @@ const (
 )
 
 // ROMStats counts reduced-model traffic. Rejections are evaluations that
-// fell through to the full model (error estimate over bound, ω below the
-// snapshot floor, or a runaway-looking reconstruction).
+// fell through to the full model; the four Declined counters split them
+// by cause, and Rejections is their sum.
 type ROMStats struct {
-	Evaluations  int64
-	Rejections   int64
-	DynRefreshes int64
+	Evaluations int64
+	Rejections  int64
+	// DeclinedFloor: ω below the snapshot floor.
+	DeclinedFloor int64
+	// DeclinedDegenerate: a singular reduced system or an unphysical
+	// reconstruction.
+	DeclinedDegenerate int64
+	// DeclinedResidual: the residual error estimate exceeded the bound.
+	DeclinedResidual int64
+	// DeclinedRunaway: the reconstruction's peak chip temperature sits
+	// near the runaway wall.
+	DeclinedRunaway int64
+	DynRefreshes    int64
 }
 
 // ReducedModel is the constructed ROM. It is safe for concurrent Evaluate
@@ -108,9 +118,11 @@ type ReducedModel struct {
 	b0     []float64 // full-space base RHS at (0, 0)
 	br0    []float64 // Vᵀb₀
 
-	evals      atomic.Int64
-	rejections atomic.Int64
-	refreshes  atomic.Int64
+	evals     atomic.Int64
+	refreshes atomic.Int64
+
+	// Declined evaluations, one counter per cause (see ROMStats).
+	declFloor, declDegenerate, declResidual, declRunaway atomic.Int64
 
 	scratch sync.Pool // *romScratch
 }
@@ -434,11 +446,16 @@ func (r *ReducedModel) OmegaFloor() float64 { return r.omegaFloor }
 
 // Stats returns a snapshot of the traffic counters.
 func (r *ReducedModel) Stats() ROMStats {
-	return ROMStats{
-		Evaluations:  r.evals.Load(),
-		Rejections:   r.rejections.Load(),
-		DynRefreshes: r.refreshes.Load(),
+	st := ROMStats{
+		Evaluations:        r.evals.Load(),
+		DeclinedFloor:      r.declFloor.Load(),
+		DeclinedDegenerate: r.declDegenerate.Load(),
+		DeclinedResidual:   r.declResidual.Load(),
+		DeclinedRunaway:    r.declRunaway.Load(),
+		DynRefreshes:       r.refreshes.Load(),
 	}
+	st.Rejections = st.DeclinedFloor + st.DeclinedDegenerate + st.DeclinedResidual + st.DeclinedRunaway
+	return st
 }
 
 // ensureDyn refreshes the dynamic-power-dependent RHS pieces if
@@ -533,16 +550,16 @@ func (r *ReducedModel) Evaluate(omega, itec float64) (*Result, bool, error) {
 	}
 	r.evals.Add(1)
 	if omega < r.omegaFloor-1e-12 {
-		r.rejections.Add(1)
+		r.declFloor.Add(1)
 		return nil, false, nil
 	}
 	t, resNorm, ok := r.reducedSolve(omega, itec)
 	if !ok || !r.m.physical(t) {
-		r.rejections.Add(1)
+		r.declDegenerate.Add(1)
 		return nil, false, nil
 	}
 	if r.kappa > 0 && r.kappa*resNorm > r.bound {
-		r.rejections.Add(1)
+		r.declResidual.Add(1)
 		return nil, false, nil
 	}
 	sc := r.m.getScratch()
@@ -552,7 +569,7 @@ func (r *ReducedModel) Evaluate(omega, itec float64) (*Result, bool, error) {
 	if res.MaxChipTemp > r.runawayT {
 		// Near or inside the runaway wall the linearized fixed point is
 		// meaningless; let the full model classify the point.
-		r.rejections.Add(1)
+		r.declRunaway.Add(1)
 		return nil, false, nil
 	}
 	return res, true, nil

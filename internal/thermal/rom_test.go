@@ -84,6 +84,91 @@ func TestROMWithinAdvertisedBound(t *testing.T) {
 	}
 }
 
+// TestROMDeclineCauses drives Evaluate into each of its four decline
+// branches once, at a point it otherwise accepts, and checks that exactly
+// one cause counter moves each time and that Rejections stays their sum.
+// Each branch is reached by corrupting one calibration field for the one
+// call: the ω floor raised above the point, the projected operators
+// zeroed (a singular reduced system), κ inflated past any residual, and
+// the runaway wall lowered below the point's peak temperature.
+func TestROMDeclineCauses(t *testing.T) {
+	m, rm := buildROM(t, "Basicmath")
+	cfg := m.Config()
+	omega := (rm.OmegaFloor() + cfg.Fan.OmegaMax) / 2
+	itec := cfg.TEC.MaxCurrent / 2
+	zero := make([][]float64, rm.rank)
+	for i := range zero {
+		zero[i] = make([]float64, rm.rank)
+	}
+	causes := []struct {
+		name    string
+		count   func(ROMStats) int64
+		corrupt func() (restore func())
+	}{
+		{"floor", func(s ROMStats) int64 { return s.DeclinedFloor }, func() func() {
+			floor := rm.omegaFloor
+			rm.omegaFloor = 2 * omega
+			return func() { rm.omegaFloor = floor }
+		}},
+		{"degenerate", func(s ROMStats) int64 { return s.DeclinedDegenerate }, func() func() {
+			ar0, ds, dp := rm.ar0, rm.ds, rm.dp
+			rm.ar0, rm.ds, rm.dp = zero, zero, zero
+			return func() { rm.ar0, rm.ds, rm.dp = ar0, ds, dp }
+		}},
+		{"residual", func(s ROMStats) int64 { return s.DeclinedResidual }, func() func() {
+			kappa := rm.kappa
+			rm.kappa = 1e300
+			return func() { rm.kappa = kappa }
+		}},
+		{"runaway", func(s ROMStats) int64 { return s.DeclinedRunaway }, func() func() {
+			wall := rm.runawayT
+			rm.runawayT = 0
+			return func() { rm.runawayT = wall }
+		}},
+	}
+	evaluate := func() bool {
+		t.Helper()
+		_, ok, err := rm.Evaluate(omega, itec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if !evaluate() {
+		t.Fatalf("ROM declines the uncorrupted point (ω=%g, I=%g)", omega, itec)
+	}
+	for _, c := range causes {
+		before := rm.Stats()
+		restore := c.corrupt()
+		ok := evaluate()
+		restore()
+		after := rm.Stats()
+		if ok {
+			t.Errorf("%s: the corrupted ROM accepted the point", c.name)
+		}
+		for _, o := range causes {
+			want := o.count(before)
+			if o.name == c.name {
+				want++
+			}
+			if got := o.count(after); got != want {
+				t.Errorf("%s decline: %s counter %d, want %d", c.name, o.name, got, want)
+			}
+		}
+		if after.Rejections != before.Rejections+1 || after.Evaluations != before.Evaluations+1 {
+			t.Errorf("%s decline: %d rejections of %d evaluations, want %d of %d", c.name,
+				after.Rejections, after.Evaluations, before.Rejections+1, before.Evaluations+1)
+		}
+	}
+	if !evaluate() {
+		t.Error("ROM declines the point after every corruption was undone")
+	}
+	s := rm.Stats()
+	if sum := s.DeclinedFloor + s.DeclinedDegenerate + s.DeclinedResidual + s.DeclinedRunaway; s.Rejections != sum || sum != int64(len(causes)) {
+		t.Errorf("Rejections %d, causes sum to %d, want both %d", s.Rejections, sum, len(causes))
+	}
+}
+
 // TestROMRunawayRejects pins the fall-through contract at the runaway
 // wall: a near-zero fan speed (below the snapshot floor, and in thermal
 // runaway on the full model) must be declined, never answered.

@@ -3,9 +3,10 @@
 #
 #   build → go vet → gofmt → oftecvet (project static analysis) → named test
 #   gates with -race (concurrency, solver, adjoint, backend, batch,
-#   coolant) → every remaining test with -race → OFTECROM loader fuzz
-#   smoke → the benchmark module's tests → oftecd smoke (live daemon,
-#   every endpoint, clean SIGTERM shutdown) → parallel-sweep bench smoke
+#   coolant) → every remaining test with -race → OFTECROM loader and chip
+#   spec fuzz smokes → the benchmark module's tests → oftecd smoke (live
+#   daemon, every endpoint, the resolution cap, clean SIGTERM shutdown) →
+#   parallel-sweep bench smoke
 #
 # Run from anywhere inside the module; exits nonzero on the first failure.
 set -eu
@@ -148,6 +149,12 @@ go test -race -skip "$done_pat" ./...
 echo "== go test -fuzz FuzzLoadCachedROM (10s smoke)"
 go test -run '^$' -fuzz '^FuzzLoadCachedROM$' -fuzztime 10s -fuzzminimizetime 1s ./internal/thermal
 
+# The same smoke on oftecd's chip spec, the field every request decoder
+# materializes into a thermal configuration: any body must decode and
+# validate to a bounded, finite configuration or fail, never panic.
+echo "== go test -fuzz FuzzChipSpecConfig (10s smoke)"
+go test -run '^$' -fuzz '^FuzzChipSpecConfig$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+
 # The end-to-end benchmark is a module of its own (perfbench/, built
 # against this tree), so ./... above never reaches it. Its tests pin what
 # the benchmark relies on: traced runs answer exactly what untraced runs
@@ -191,6 +198,15 @@ curl -sf -X POST "http://$smokeaddr/v1/pareto" \
 # The sweep above went through the blocked multi-RHS path; /statz must
 # show the batch traffic next to the cache misses.
 curl -sf "http://$smokeaddr/statz" | jq -e '.cache.misses > 0 and .batch.batches > 0' >/dev/null
+# A grid resolution over thermal.MaxRes is refused before any model is
+# built, and the daemon keeps answering.
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$smokeaddr/v1/evaluate" \
+	-d '{"chip":{"res":100000}}')
+if [ "$code" != 400 ]; then
+	echo "check.sh: oftecd answered $code to an over-cap grid resolution, want 400" >&2
+	exit 1
+fi
+curl -sf "http://$smokeaddr/healthz" >/dev/null
 kill -TERM "$smokepid"
 if ! wait "$smokepid"; then
 	echo "check.sh: oftecd did not exit cleanly on SIGTERM" >&2
