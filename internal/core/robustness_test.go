@@ -64,23 +64,40 @@ func TestFallbackChainShape(t *testing.T) {
 }
 
 // TestRunCancelledContext: a pre-cancelled solver context must not hang
-// or error the run; Algorithm 1 finishes with the best point each phase
-// had in hand, and the reports say the solves were cancelled.
+// or error the run, whichever method runs it and whether it goes through
+// the fallback chain, the multistart launch or both; Algorithm 1
+// finishes with the best point each phase had in hand, and the reports
+// say the solves were cancelled.
 func TestRunCancelledContext(t *testing.T) {
 	s := benchSystem(t, "Basicmath")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := Options{Mode: ModeHybrid}
-	opts.Solver.Ctx = ctx
-	out, err := s.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Opt1Report.Stopped != solver.StopCancelled {
-		t.Errorf("Opt1Report.Stopped = %s, want %s", out.Opt1Report.Stopped, solver.StopCancelled)
-	}
-	if out.Omega == 0 && out.ITEC == 0 {
-		t.Error("cancelled run returned a zero operating point instead of best-so-far")
+	for m := range methodNames {
+		for _, v := range []struct {
+			name                 string
+			fallback, multiStart bool
+		}{
+			{"plain", false, false},
+			{"fallback", true, false},
+			{"multistart", false, true},
+			{"fallback+multistart", true, true},
+		} {
+			method := Method(m)
+			t.Run(methodNames[m]+"/"+v.name, func(t *testing.T) {
+				opts := Options{Mode: ModeHybrid, Method: method, Fallback: v.fallback, MultiStart: v.multiStart}
+				opts.Solver.Ctx = ctx
+				out, err := s.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Opt1Report.Stopped != solver.StopCancelled {
+					t.Errorf("Opt1Report.Stopped = %s, want %s", out.Opt1Report.Stopped, solver.StopCancelled)
+				}
+				if out.Omega == 0 && out.ITEC == 0 {
+					t.Error("cancelled run returned a zero operating point instead of best-so-far")
+				}
+			})
+		}
 	}
 }
 

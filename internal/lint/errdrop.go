@@ -12,10 +12,11 @@ import (
 // temperature. Two shapes are reported: assignments of an error result to
 // the blank identifier (`_ = f()`, `v, _ := g()`), and error-returning
 // calls used as bare statements (including defer/go). Calls whose errors
-// are documented never to occur are allowlisted: the fmt print family and
-// the Write* methods of strings.Builder and bytes.Buffer. Intentional
-// drops — such as the restore-on-defer idiom in internal/controller —
-// must be annotated with //lint:ignore errdrop <reason>.
+// are documented never to occur are allowlisted: the fmt print family,
+// the Write* methods of strings.Builder and bytes.Buffer, and Write on a
+// hash.Hash. Intentional drops — such as the restore-on-defer idiom in
+// internal/controller — must be annotated with //lint:ignore errdrop
+// <reason>.
 var ErrDropAnalyzer = &Analyzer{
 	Name: "errdrop",
 	Doc:  "flags discarded error results (blank assignment or bare call statement)",
@@ -125,6 +126,14 @@ func allowlisted(pass *Pass, call *ast.CallExpr) bool {
 	pkg := fn.Pkg()
 	if pkg == nil {
 		return false
+	}
+	// hash.Hash writes never fail. The callee is io.Writer's Write, so
+	// the receiver expression's static type is what names the hash.
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && fn.Name() == "Write" {
+		named, ok := pass.TypeOf(sel.X).(*types.Named)
+		if ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "hash" {
+			return true
+		}
 	}
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 		// strings.Builder and bytes.Buffer writes never fail.

@@ -25,13 +25,9 @@ var fixtureCases = []struct {
 	// is loaded as if it were internal/solver.
 	{"nonfinite", "oftec/internal/solver", []string{"nonfinite"}},
 	{"ignore", "fixture/ignore", []string{"floatcmp", "errdrop"}},
-	{"ctxleak", "fixture/ctxleak", []string{"ctxleak"}},
 	{"hotalloc", "fixture/hotalloc", []string{"hotalloc"}},
 	{"lockorder", "fixture/lockorder", []string{"lockorder"}},
 	{"goroleak", "fixture/goroleak", []string{"goroleak"}},
-	// Directive-extent edge cases exercise two analyzers at once, so a
-	// comma-list directive has two findings to suppress.
-	{"ignoremulti", "fixture/ignoremulti", []string{"floatcmp", "errdrop"}},
 }
 
 // runFixture loads a fixture package and returns its diagnostics rendered
@@ -110,22 +106,9 @@ func TestByName(t *testing.T) {
 	if _, err := ByName([]string{"nope"}); err == nil {
 		t.Error("ByName(nope) should fail")
 	}
-
-	// One entry may pack a comma-separated list, matching the directive
-	// grammar; order is preserved and duplicates collapse.
-	as, err = ByName([]string{"hotalloc,lockorder", "goroleak"})
-	if err != nil || len(as) != 3 || as[0].Name != "hotalloc" || as[1].Name != "lockorder" || as[2].Name != "goroleak" {
-		t.Errorf("ByName(packed) = %v, %v", as, err)
-	}
-	as, err = ByName([]string{"errdrop, floatcmp ,errdrop", "floatcmp"})
-	if err != nil || len(as) != 2 || as[0].Name != "errdrop" || as[1].Name != "floatcmp" {
-		t.Errorf("ByName(dedupe) = %v, %v", as, err)
-	}
-	if _, err := ByName([]string{"errdrop,nope"}); err == nil {
-		t.Error("ByName(errdrop,nope) should fail on the unknown entry")
-	}
-	if as, err := ByName([]string{",,"}); err != nil || len(as) != 0 {
-		t.Errorf("ByName(empty entries) = %v, %v; want empty, nil", as, err)
+	// A directive names one analyzer, so a comma list is no name.
+	if _, err := ByName([]string{"errdrop,floatcmp"}); err == nil {
+		t.Error("ByName(errdrop,floatcmp) should fail")
 	}
 }
 
@@ -144,8 +127,8 @@ func TestAllHaveDocs(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 10 {
-		t.Errorf("expected the 10 analyzers of the suite, got %d", len(seen))
+	if len(seen) != 9 {
+		t.Errorf("expected the 9 analyzers of the suite, got %d", len(seen))
 	}
 }
 

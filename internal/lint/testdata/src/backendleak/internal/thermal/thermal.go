@@ -11,7 +11,7 @@ type Model struct{ cfg Config }
 
 func NewModel(cfg Config) (*Model, error) { return &Model{cfg: cfg}, nil }
 
-func (m *Model) NumTEC() int   { return 0 }
+func (m *Model) NumTEC() int    { return 0 }
 func (m *Model) Config() Config { return m.cfg }
 
 func (m *Model) Evaluate(omega, itec float64) (*Result, error) { return &Result{}, nil }

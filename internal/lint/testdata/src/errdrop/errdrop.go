@@ -5,6 +5,8 @@ package errdrop
 import (
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"strings"
 )
 
@@ -12,17 +14,18 @@ func mayFail() error { return errors.New("boom") }
 
 func twoRet() (int, error) { return 0, nil }
 
-func positives() {
-	_ = mayFail()      // want: blank assignment of an error
-	_, _ = twoRet()    // want: blank error in a tuple assignment
-	mayFail()          // want: bare statement call
-	defer mayFail()    // want: deferred call drops the error
-	go mayFail()       // want: goroutine call drops the error
-	v, _ := twoRet()   // want: value kept, error blanked
+func positives(w io.Writer) {
+	_ = mayFail()    // want: blank assignment of an error
+	_, _ = twoRet()  // want: blank error in a tuple assignment
+	mayFail()        // want: bare statement call
+	defer mayFail()  // want: deferred call drops the error
+	go mayFail()     // want: goroutine call drops the error
+	v, _ := twoRet() // want: value kept, error blanked
 	_ = v
+	w.Write(nil) // want: an io.Writer's write can fail
 }
 
-func negatives() error {
+func negatives(h hash.Hash64) error {
 	if err := mayFail(); err != nil { // handled
 		return err
 	}
@@ -34,6 +37,7 @@ func negatives() error {
 	fmt.Println("best-effort") // fmt print family is allowlisted
 	var sb strings.Builder
 	sb.WriteString("never fails") // strings.Builder is allowlisted
+	h.Write(nil)                  // hash.Hash writes never fail
 	return nil
 }
 

@@ -38,16 +38,21 @@ import (
 // config change simply misses the cache. Invalidation rules, enforced in
 // that order on load: wrong magic/version → ignore; checksum mismatch →
 // reject (corruption); identity mismatch → ignore (stale content); a
-// calibration scalar that is not finite, a ω floor ≤ 0, a bound below
-// romMinBound or a negative κ → reject; bound re-validation failure →
-// reject. Every failure path returns an error and the caller rebuilds
-// from scratch — a cache can produce a cold start, never a wrong model.
+// calibration scalar that is not finite, a ω floor ≤ 0, a bound outside
+// [romMinBound, romMaxBound] or a κ ≤ 0 → reject; bound re-validation
+// failure → reject. Every failure path returns an error and the caller
+// rebuilds from scratch — a cache can produce a cold start, never a
+// wrong model.
 
 const (
 	romMagic         = "OFTECROM"
 	romFormatVersion = 1
 	// romHeaderLen is everything before the basis payload.
 	romHeaderLen = 8 + 4 + 8 + 4 + 4 + 3*8
+	// romMaxBound caps the error bound a file may advertise, in kelvin.
+	// Fresh builds advertise romMinBound; a looser bound would let the
+	// ROM answer points its residual check ought to decline.
+	romMaxBound = 1.0
 )
 
 // romIdentity content-addresses a model's ROM: the full config (embedded
@@ -61,19 +66,16 @@ func romIdentity(m *Model) (uint64, error) {
 		return 0, fmt.Errorf("thermal: hashing config: %w", err)
 	}
 	h := fnv.New64a()
-	//lint:ignore errdrop fnv's Write is documented to never fail
 	h.Write(cfgJSON)
 	// The coolant spec is already part of the config JSON; folding the
 	// resolved actuator name in as well guards against distinct actuators
 	// whose specs happen to serialize identically (e.g. a future default
 	// change): a basis snapshotted under one g(u) law must never answer
 	// for another.
-	//lint:ignore errdrop fnv's Write is documented to never fail
 	h.Write([]byte(m.act.Name()))
 	var buf [8]byte
 	w64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
-		//lint:ignore errdrop fnv's Write is documented to never fail
 		h.Write(buf[:])
 	}
 	wf := func(v float64) { w64(math.Float64bits(v)) }
@@ -129,7 +131,6 @@ func saveCachedROM(r *ReducedModel, dir string) error {
 		}
 	}
 	h := fnv.New64a()
-	//lint:ignore errdrop fnv's Write is documented to never fail
 	h.Write(payload[:off])
 	binary.LittleEndian.PutUint64(payload[off:], h.Sum64())
 	off += 8
@@ -182,7 +183,6 @@ func loadCachedROM(m *Model, dir string) (*ReducedModel, error) {
 	// the file (header included) must read as corruption, not as a
 	// different-but-plausible model.
 	h := fnv.New64a()
-	//lint:ignore errdrop fnv's Write is documented to never fail
 	h.Write(raw[:len(raw)-8])
 	if got := binary.LittleEndian.Uint64(raw[len(raw)-8:]); got != h.Sum64() {
 		return nil, fmt.Errorf("thermal: ROM cache checksum mismatch (corrupt file)")
@@ -215,12 +215,12 @@ func loadCachedROM(m *Model, dir string) (*ReducedModel, error) {
 	off += 8
 	r.kappa = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
 	off += 8
-	// A fresh build never writes a bound below romMinBound, and an
-	// infinite bound would switch off Evaluate's residual check
-	// (κ·‖r‖ > bound could never hold).
+	// A fresh build never writes a bound below romMinBound. A huge bound
+	// or a zero κ would switch off Evaluate's residual check (κ·‖r‖ >
+	// bound could never hold), and a bound above romMaxBound loosens it.
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	if !finite(r.omegaFloor) || !finite(r.bound) || !finite(r.kappa) ||
-		r.omegaFloor <= 0 || r.bound < romMinBound || r.kappa < 0 {
+		r.omegaFloor <= 0 || r.bound < romMinBound || r.bound > romMaxBound || r.kappa <= 0 {
 		return nil, fmt.Errorf("thermal: ROM cache calibration scalars out of range")
 	}
 	r.rank = rank

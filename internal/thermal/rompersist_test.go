@@ -243,12 +243,15 @@ func TestROMPersistBadCalibrationRejected(t *testing.T) {
 		{"bound NaN", romBoundOff, nan},
 		{"bound below the floor", romBoundOff, romMinBound / 2},
 		{"bound zero", romBoundOff, 0},
+		{"bound 1e300", romBoundOff, 1e300},
+		{"bound above the cap", romBoundOff, 1.5},
 		{"omegaFloor +Inf", romFloorOff, inf},
 		{"omegaFloor NaN", romFloorOff, nan},
 		{"omegaFloor zero", romFloorOff, 0},
 		{"kappa +Inf", romKappaOff, inf},
 		{"kappa NaN", romKappaOff, nan},
 		{"kappa negative", romKappaOff, -1},
+		{"kappa zero", romKappaOff, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), body...)
@@ -281,8 +284,8 @@ func TestROMPersistBadCalibrationRejected(t *testing.T) {
 // FuzzLoadCachedROM feeds loadCachedROM arbitrary file bodies, sealed
 // with their correct checksum so mutations reach past the integrity
 // check. A load may fail; it must not panic, and a model it returns must
-// carry finite calibration scalars, a bound no tighter than romMinBound
-// and a basis shaped for the model.
+// carry finite calibration scalars, a bound in [romMinBound,
+// romMaxBound], a positive κ and a basis shaped for the model.
 func FuzzLoadCachedROM(f *testing.F) {
 	dir := f.TempDir()
 	m := benchModel(f, testConfig(), "Basicmath")
@@ -300,6 +303,12 @@ func FuzzLoadCachedROM(f *testing.F) {
 	binary.LittleEndian.PutUint64(infBound[romBoundOff:], math.Float64bits(math.Inf(1)))
 	f.Add(infBound)
 	f.Add(body[:len(body)/2])
+	hugeBound := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint64(hugeBound[romBoundOff:], math.Float64bits(1e300))
+	f.Add(hugeBound)
+	zeroKappa := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint64(zeroKappa[romKappaOff:], 0)
+	f.Add(zeroKappa)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if err := os.WriteFile(path, sealROM(body), 0o644); err != nil {
@@ -314,8 +323,11 @@ func FuzzLoadCachedROM(f *testing.F) {
 				t.Fatalf("loaded non-finite calibration: floor %g, bound %g, kappa %g", r.omegaFloor, r.bound, r.kappa)
 			}
 		}
-		if r.bound < romMinBound {
-			t.Fatalf("loaded bound %g below romMinBound %g", r.bound, romMinBound)
+		if r.bound < romMinBound || r.bound > romMaxBound {
+			t.Fatalf("loaded bound %g outside [%g, %g]", r.bound, romMinBound, romMaxBound)
+		}
+		if r.kappa <= 0 {
+			t.Fatalf("loaded kappa %g, want > 0", r.kappa)
 		}
 		if r.rank <= 0 || r.rank > romMaxRank || len(r.basis) != r.rank {
 			t.Fatalf("loaded rank %d with %d basis vectors", r.rank, len(r.basis))

@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the full verification gate for this repository:
 #
-#   build → go vet → gofmt → oftecvet (project static analysis) → named test
-#   gates with -race (concurrency, solver, adjoint, backend, batch,
-#   coolant) → every remaining test with -race → OFTECROM loader and chip
+#   build → go vet → gofmt (whole tree) → oftecvet (project static
+#   analysis; any finding fails) → named test gates with -race
+#   (concurrency, solver, adjoint, backend, batch, coolant) → every
+#   remaining test with -race → OFTECROM loader and chip
 #   spec fuzz smokes → the benchmark module's tests → oftecd smoke (live
 #   daemon, every endpoint, the resolution cap, clean SIGTERM shutdown) →
 #   parallel-sweep bench smoke
@@ -19,37 +20,27 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-# Formatting gate: every Go file must be gofmt-clean, except the analyzer
-# fixtures under testdata/ (some are deliberately malformed) and the
-# benchmark's build tree.
+# Formatting gate: every Go file must be gofmt-clean, the analyzer
+# fixtures under testdata/ included; only the benchmark's build tree is
+# skipped.
 echo "== gofmt -l"
-unformatted=$(find . -path ./.bench_build -prune -o -path '*/testdata' -prune -o -name '*.go' -print | xargs gofmt -l)
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
 if [ -n "$unformatted" ]; then
 	echo "check.sh: gofmt -l lists unformatted files; run gofmt -w on them:" >&2
 	echo "$unformatted" >&2
 	exit 1
 fi
 
-# Project static analysis, gated against the committed baseline. The
-# baseline exists so a finding introduced by an upstream change can be
-# parked deliberately mid-stack, but it must be empty at merge: the gate
-# refuses to pass while entries are still present.
-echo "== lint baseline must be empty"
-if [ "$(jq 'length' lint_baseline.json)" != "0" ]; then
-	echo "check.sh: lint_baseline.json has parked findings; fix them and empty the baseline" >&2
-	jq . lint_baseline.json >&2
-	exit 1
-fi
-
-echo "== go run ./cmd/oftecvet -baseline lint_baseline.json ./..."
+# Project static analysis: any finding fails the gate.
+echo "== go run ./cmd/oftecvet"
 vet_start=$(date +%s)
-go run ./cmd/oftecvet -baseline lint_baseline.json ./...
+go run ./cmd/oftecvet
 vet_wall=$(( $(date +%s) - vet_start ))
 
 # Self runtime budget: the suite runs on every gate, so it has to stay
 # cheap. The budget is ~10× the current cost (compile of cmd/oftecvet
 # plus a few seconds of analysis); tripping it means an analyzer
-# regressed algorithmically or the module outgrew the parallel loader.
+# regressed algorithmically or the module outgrew the loader.
 if [ "$vet_wall" -gt 60 ]; then
 	echo "check.sh: oftecvet took ${vet_wall}s, over the 60s self-runtime budget" >&2
 	exit 1
