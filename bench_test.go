@@ -205,40 +205,35 @@ func BenchmarkSurfaceGridBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkROMColdStart measures what basis persistence buys a restarted
-// service: "collected" pays the full Galerkin pipeline (snapshot solves,
-// orthogonalization, calibration) on every construction, while
-// "persisted" loads a previously saved basis from disk, re-validates it
-// against live solves, and skips collection. scripts/bench.sh records
-// both in BENCH_serve.json as the cold-start collapse.
-func BenchmarkROMColdStart(b *testing.B) {
+// BenchmarkROMBuild measures what oftecd's model pool pays the first
+// time a ROM-backed chip is requested: each iteration builds a fresh
+// Model (a hit on the shared network cache, but with an empty result
+// memo and preconditioner cache) and then the reduced model over it, so
+// every snapshot and validation solve runs.
+func BenchmarkROMBuild(b *testing.B) {
 	setup := experiments.FastSetup()
-	sys, err := setup.System("Basicmath")
+	bench, err := workload.ByName("Basicmath")
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := benchModel(b, sys)
-
-	b.Run("collected", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := thermal.NewReducedModel(m, ""); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("persisted", func(b *testing.B) {
-		dir := b.TempDir()
-		// Warm the cache dir once; every timed iteration is a restart.
-		if _, err := thermal.NewReducedModel(m, dir); err != nil {
+	pm, err := bench.PowerMap(setup.Config.Floorplan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm the network cache, so even a 1x run times only memo-cold builds.
+	if _, err := thermal.NewModel(setup.Config, pm); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := thermal.NewModel(setup.Config, pm)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := thermal.NewReducedModel(m, dir); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := thermal.NewReducedModel(m); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // BenchmarkFig6cOpt2 regenerates Figure 6(c): maximum chip temperature

@@ -55,7 +55,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "clamp on client-requested deadlines (0 = 2m)")
 	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period for in-flight requests")
-	romCacheDir := flag.String("rom-cache-dir", "", "persist ROM bases here so restarts skip snapshot collection")
 	flag.Parse()
 
 	s := serve.New(serve.Options{
@@ -64,7 +63,6 @@ func main() {
 		MaxModels:      *maxModels,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		ROMCacheDir:    *romCacheDir,
 	})
 	srv := &http.Server{
 		Handler:           s.Handler(),

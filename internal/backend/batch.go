@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"sync/atomic"
 
 	"oftec/internal/thermal"
 )
@@ -18,23 +17,6 @@ import (
 // to per-point Evaluate when absent.
 type BatchEvaluator interface {
 	EvaluateBatch(ctx context.Context, ops []OpPoint, warm []float64) ([]*thermal.Result, error)
-}
-
-// romCacheDir is the process-wide ROM basis cache directory, consulted
-// whenever a reduced backend is built through Select("rom") or the "rom"
-// registry factory. It is package state because the Factory signature is
-// fixed at (model) → Plant; cmds set it once at startup before any
-// backend construction.
-var romCacheDir atomic.Value
-
-// SetROMCacheDir sets the directory used to persist and load ROM bases.
-// Empty (the default) disables persistence.
-func SetROMCacheDir(dir string) { romCacheDir.Store(dir) }
-
-// ROMCacheDir returns the configured ROM basis cache directory.
-func ROMCacheDir() string {
-	dir, _ := romCacheDir.Load().(string)
-	return dir
 }
 
 // EvaluateBatch answers each scalar point from the reduced model when it

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"os"
 	"reflect"
 	"testing"
 
@@ -170,27 +169,5 @@ func TestROMBatchFallsThrough(t *testing.T) {
 		if r.Omega != ops[i].Omega {
 			t.Errorf("point %d: result ω=%g, want %g (index mix-up)", i, r.Omega, ops[i].Omega)
 		}
-	}
-}
-
-func TestSetROMCacheDir(t *testing.T) {
-	old := ROMCacheDir()
-	defer SetROMCacheDir(old)
-	dir := t.TempDir()
-	SetROMCacheDir(dir)
-	if got := ROMCacheDir(); got != dir {
-		t.Fatalf("ROMCacheDir() = %q, want %q", got, dir)
-	}
-	// A backend built now persists its basis into the configured dir.
-	p := testPlant(t, "rom", "CRC32")
-	if _, err := p.Evaluate(context.Background(), Scalar(200, 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) == 0 {
-		t.Error("ROM construction with a cache dir wrote no basis file")
 	}
 }

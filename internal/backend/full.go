@@ -92,7 +92,7 @@ func (f *Full) Select(name string) (Evaluator, error) {
 		return f, nil
 	case "rom":
 		f.romOnce.Do(func() {
-			f.rom, f.romErr = NewROM(f, ROMCacheDir())
+			f.rom, f.romErr = NewROM(f)
 		})
 		return f.rom, f.romErr
 	default:

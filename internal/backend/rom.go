@@ -21,10 +21,9 @@ type ROM struct {
 	rm   *thermal.ReducedModel
 }
 
-// NewROM builds the reduced-order sibling of a full backend, persisting
-// its basis in cacheDir when that is non-empty.
-func NewROM(full *Full, cacheDir string) (*ROM, error) {
-	rm, err := thermal.NewReducedModel(full.m, cacheDir)
+// NewROM builds the reduced-order sibling of a full backend.
+func NewROM(full *Full) (*ROM, error) {
+	rm, err := thermal.NewReducedModel(full.m)
 	if err != nil {
 		return nil, err
 	}

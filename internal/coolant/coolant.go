@@ -36,9 +36,7 @@ import (
 // must be immutable value types — the thermal model resolves the actuator
 // once at construction and shares it across concurrent evaluations.
 type Actuator interface {
-	// Name identifies the actuator family for diagnostics and for the
-	// ROM persistence identity (an air-built basis must not load under a
-	// liquid actuator).
+	// Name identifies the actuator family for diagnostics.
 	Name() string
 	// Validate reports whether the actuator parameters are physical.
 	Validate() error

@@ -12,8 +12,8 @@ const (
 // configuration. It is a tagged union rather than an interface so it
 // survives the configuration's JSON round-trip (SaveConfig/LoadConfig
 // with unknown fields disallowed) and participates in every identity
-// derived from the configuration JSON — the serve-pool key and the ROM
-// persistence identity both change the moment the actuator does.
+// derived from the configuration JSON — the serve-pool key changes the
+// moment the actuator does.
 //
 // A nil *Spec (the zero configuration) means air cooling with the
 // configuration's Fan/HeatSink laws and no override recorded, which keeps

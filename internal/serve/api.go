@@ -96,8 +96,9 @@ func (c ChipSpec) bench() (workload.Benchmark, error) {
 // ZoneSpec selects a TEC control zoning for zoned requests. Exactly one
 // of the three fields should be set.
 type ZoneSpec struct {
-	// Zones assigns floorplan units round-robin onto this many zones
-	// (unit i → zone i mod Zones) — the uniform high-density layout.
+	// Zones spreads the floorplan units that own TEC-covered cells
+	// round-robin over this many zones, the rest riding in zone 0
+	// (thermal.Model.SpreadZoning) — the uniform high-density layout.
 	Zones int `json:"zones,omitempty"`
 	// Clusters selects the canonical 3-zone EV6 clustering (cache
 	// periphery / FP cluster / integer cluster).

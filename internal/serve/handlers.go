@@ -48,6 +48,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 				req.OmegaRPM, units.RadPerSecToRPM(cfg.UMax())))
 		return
 	}
+	if err := checkCurrents(req.ITecA, req.CurrentsA, cfg.TEC.MaxCurrent); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
@@ -92,6 +96,21 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		resp.FanW = fin(res.PFan)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// checkCurrents refuses a TEC current outside [0, iMax], with the same
+// relative slack the fan speed gets against its maximum.
+func checkCurrents(itec float64, zoned []float64, iMax float64) error {
+	outside := func(i float64) bool { return i < 0 || i > iMax*(1+1e-9) }
+	if outside(itec) {
+		return fmt.Errorf("serve: itec_a %g A is outside the TEC range [0, %g] A", itec, iMax)
+	}
+	for k, i := range zoned {
+		if outside(i) {
+			return fmt.Errorf("serve: currents_a[%d] %g A is outside the TEC range [0, %g] A", k, i, iMax)
+		}
+	}
+	return nil
 }
 
 // solveStatus distinguishes a deadline-killed solve (504) from a genuine

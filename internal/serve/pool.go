@@ -142,15 +142,7 @@ func (e *poolEntry) zoning(sys *core.System, zs *ZoneSpec) (*thermal.Zoning, err
 	if z, ok := e.zonings[key]; ok {
 		return z, nil
 	}
-	zoner, ok := sys.Backend().(backend.Zoner)
-	if !ok {
-		return nil, fmt.Errorf("serve: backend %q cannot evaluate zoned points", sys.Backend().Name())
-	}
-	assign, numZones, err := e.assignment(zs)
-	if err != nil {
-		return nil, err
-	}
-	z, err := zoner.NewZoning(assign, numZones)
+	z, err := newZoning(sys, zs)
 	if err != nil {
 		return nil, err
 	}
@@ -158,58 +150,36 @@ func (e *poolEntry) zoning(sys *core.System, zs *ZoneSpec) (*thermal.Zoning, err
 	return z, nil
 }
 
-// assignment materializes the unit → zone map a ZoneSpec describes.
-func (e *poolEntry) assignment(zs *ZoneSpec) (map[string]int, int, error) {
+// newZoning builds the zoning a ZoneSpec describes over the chip's model.
+func newZoning(sys *core.System, zs *ZoneSpec) (*thermal.Zoning, error) {
+	zoner, ok := sys.Backend().(backend.Zoner)
+	if !ok {
+		return nil, fmt.Errorf("serve: backend %q cannot evaluate zoned points", sys.Backend().Name())
+	}
 	switch {
 	case len(zs.ZoneOf) > 0:
 		assign := make(map[string]int, len(zs.ZoneOf))
 		max := 0
 		for name, z := range zs.ZoneOf {
 			if z < 0 {
-				return nil, 0, fmt.Errorf("serve: zone_of[%q] = %d is negative", name, z)
+				return nil, fmt.Errorf("serve: zone_of[%q] = %d is negative", name, z)
 			}
 			assign[name] = z
 			if z > max {
 				max = z
 			}
 		}
-		return assign, max + 1, nil
+		return zoner.NewZoning(assign, max+1)
 	case zs.Clusters:
 		assign, n := core.ClusterZones()
-		return assign, n, nil
+		return zoner.NewZoning(assign, n)
 	case zs.Zones > 0:
-		// Round-robin over the TEC-covered units only; units the
-		// deployment leaves uncovered (the caches) ride along in zone 0,
-		// since a zone without a single TEC module is unactuatable and the
-		// model rejects it. Zone counts the floorplan still cannot support
-		// (tiny units owning no chip cell) surface as the model's own
-		// validation error.
-		uncovered := make(map[string]bool, len(e.cfg.TEC.Uncovered))
-		for _, name := range e.cfg.TEC.Uncovered {
-			uncovered[name] = true
+		m, ok := backend.ModelOf(sys.Backend())
+		if !ok {
+			return nil, fmt.Errorf("serve: backend %q exposes no model to spread zones over", sys.Backend().Name())
 		}
-		units := e.cfg.Floorplan.Units()
-		covered := 0
-		for _, u := range units {
-			if !uncovered[u.Name] {
-				covered++
-			}
-		}
-		if zs.Zones > covered {
-			return nil, 0, fmt.Errorf("serve: %d zones exceed the floorplan's %d TEC-covered units", zs.Zones, covered)
-		}
-		assign := make(map[string]int, len(units))
-		i := 0
-		for _, u := range units {
-			if uncovered[u.Name] {
-				assign[u.Name] = 0
-				continue
-			}
-			assign[u.Name] = i % zs.Zones
-			i++
-		}
-		return assign, zs.Zones, nil
+		return m.SpreadZoning(zs.Zones)
 	default:
-		return nil, 0, fmt.Errorf("serve: zoning spec selects nothing (set zones, clusters, or zone_of)")
+		return nil, fmt.Errorf("serve: zoning spec selects nothing (set zones, clusters, or zone_of)")
 	}
 }

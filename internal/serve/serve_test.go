@@ -90,15 +90,15 @@ func TestEvaluateScalar(t *testing.T) {
 }
 
 // TestEvaluateZonedWideCached exercises the k > maxInlineK wide-key
-// path through the full HTTP stack: 16 zones over the EV6's 18 units,
+// path through the full HTTP stack: nine zones over the EV6's units,
 // where a repeat request must hit the cache, not re-solve.
 func TestEvaluateZonedWideCached(t *testing.T) {
 	s := New(Options{})
 	h := s.Handler()
 
 	// Nine zones: above maxInlineK (8), so the cache takes the wide-key
-	// path, while round-robin still gives every zone two units (and so at
-	// least one TEC module) on the 18-unit EV6.
+	// path, while the 13 units that own TEC-covered cells at the default
+	// resolution still give every zone at least one TEC module.
 	currents := make([]float64, 9)
 	for i := range currents {
 		currents[i] = 0.5 + 0.1*float64(i)
@@ -427,6 +427,14 @@ func TestBadRequests(t *testing.T) {
 	s := New(Options{})
 	h := s.Handler()
 
+	// Every unit in zone 0 except L2, whose zone index would size a
+	// 2^40-entry table if the zone count were not bounded first.
+	hugeZone := map[string]int{}
+	for _, u := range experiments.FastSetup().Config.Floorplan.Units() {
+		hugeZone[u.Name] = 0
+	}
+	hugeZone["L2"] = 1 << 40
+
 	cases := []struct {
 		name string
 		path string
@@ -439,6 +447,10 @@ func TestBadRequests(t *testing.T) {
 		{"current count mismatch", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1}, Zoning: &ZoneSpec{Zones: 3}}},
 		{"too many zones", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: make([]float64, 99), Zoning: &ZoneSpec{Zones: 99}}},
 		{"empty zoning", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1}, Zoning: &ZoneSpec{}}},
+		{"zone_of index over the unit count", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1, 1}, Zoning: &ZoneSpec{ZoneOf: hugeZone}}},
+		{"negative current", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, ITecA: -1}},
+		{"over-max current", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, ITecA: 1e9}},
+		{"negative zoned current", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1, -1, 1}, Zoning: &ZoneSpec{Clusters: true}}},
 		{"unknown mode", "/v1/optimize", OptimizeRequest{Mode: "nope"}},
 		{"unknown method", "/v1/optimize", OptimizeRequest{Method: "nope"}},
 		{"multistart over 8 zones", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Bench: "CRC32", Res: 16}, Zoning: &ZoneSpec{Zones: 8}, MultiStart: true}},
@@ -460,20 +472,24 @@ func TestBadRequests(t *testing.T) {
 	// An unknown name is answered with the accepted ones, and a corner
 	// launch past the multistart bound names the bound.
 	lists := map[string]string{
-		"unknown mode":                     "oftec, var, fixed, teconly",
-		"unknown method":                   "(want sqp, interior, trust)",
-		"unknown pareto method":            "(want sqp, interior, trust)",
-		"removed method neldermead":        "(want sqp, interior, trust)",
-		"removed method hooke":             "(want sqp, interior, trust)",
-		"removed pareto method neldermead": "(want sqp, interior, trust)",
-		"removed pareto method hooke":      "(want sqp, interior, trust)",
-		"multistart over 8 zones":          "CornerStarts limited to 8 dimensions",
-		"streamed multistart over 8 zones": "CornerStarts limited to 8 dimensions",
-		"removed field warmstart":          `unknown field "warmstart"`,
-		"evaluate res over cap":            "chip grid resolution 129 exceeds the cap of 128",
-		"evaluate res far over cap":        "chip grid resolution 1000000 exceeds the cap of 128",
-		"optimize res over cap":            "chip grid resolution 129 exceeds the cap of 128",
-		"optimize res far over cap":        "chip grid resolution 1000000 exceeds the cap of 128",
+		"unknown mode":                      "oftec, var, fixed, teconly",
+		"unknown method":                    "(want sqp, interior, trust)",
+		"unknown pareto method":             "(want sqp, interior, trust)",
+		"removed method neldermead":         "(want sqp, interior, trust)",
+		"removed method hooke":              "(want sqp, interior, trust)",
+		"removed pareto method neldermead":  "(want sqp, interior, trust)",
+		"removed pareto method hooke":       "(want sqp, interior, trust)",
+		"multistart over 8 zones":           "CornerStarts limited to 8 dimensions",
+		"streamed multistart over 8 zones":  "CornerStarts limited to 8 dimensions",
+		"removed field warmstart":           `unknown field "warmstart"`,
+		"zone_of index over the unit count": "zone count 1099511627777 exceeds the floorplan's 18 units",
+		"negative current":                  "itec_a -1 A is outside the TEC range [0, 5] A",
+		"over-max current":                  "itec_a 1e+09 A is outside the TEC range [0, 5] A",
+		"negative zoned current":            "currents_a[1] -1 A is outside the TEC range [0, 5] A",
+		"evaluate res over cap":             "chip grid resolution 129 exceeds the cap of 128",
+		"evaluate res far over cap":         "chip grid resolution 1000000 exceeds the cap of 128",
+		"optimize res over cap":             "chip grid resolution 129 exceeds the cap of 128",
+		"optimize res far over cap":         "chip grid resolution 1000000 exceeds the cap of 128",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -503,6 +519,24 @@ func TestPoolFull(t *testing.T) {
 	rec := post(t, h, "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Bench: "FFT"}, OmegaRPM: 2000})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("second chip on a full pool answered %d, want 503", rec.Code)
+	}
+}
+
+// TestZonedEvaluateEveryZoneCount: {"zones": k} builds a valid zoning on
+// the default chip for every k up to the number of units that own
+// TEC-covered cells at its resolution.
+func TestZonedEvaluateEveryZoneCount(t *testing.T) {
+	s := New(Options{})
+	h := s.Handler()
+	for k := 2; k <= 13; k++ {
+		currents := make([]float64, k)
+		for i := range currents {
+			currents[i] = 1
+		}
+		rec := post(t, h, "/v1/evaluate", EvaluateRequest{OmegaRPM: 3000, CurrentsA: currents, Zoning: &ZoneSpec{Zones: k}})
+		if rec.Code != http.StatusOK {
+			t.Errorf("zones=%d: status %d: %s", k, rec.Code, rec.Body.String())
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oftec/internal/backend"
 	"oftec/internal/core"
 	"oftec/internal/evalcache"
 )
@@ -38,9 +37,6 @@ type Options struct {
 	// MaxGridPoints bounds sweep grids (n_omega × n_i). Zero selects
 	// 4096.
 	MaxGridPoints int
-	// ROMCacheDir, when set, persists Galerkin ROM bases there so a
-	// restarted server loads them instead of re-collecting snapshots.
-	ROMCacheDir string
 }
 
 func (o Options) maxInflight() int {
@@ -101,9 +97,6 @@ type Server struct {
 
 // New builds a Server.
 func New(opts Options) *Server {
-	if opts.ROMCacheDir != "" {
-		backend.SetROMCacheDir(opts.ROMCacheDir)
-	}
 	return &Server{
 		opts:  opts,
 		cache: evalcache.New(opts.CacheCapacity),

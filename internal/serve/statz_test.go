@@ -4,12 +4,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
-
-	"oftec/internal/backend"
 )
 
 // TestStatzBatchCounters drives a sweep (whole ω-rows submitted as
@@ -44,31 +41,6 @@ func TestStatzAdmissionExempt(t *testing.T) {
 	defer func() { <-s.sem }()
 	if rec := get(t, h, "/statz"); rec.Code != http.StatusOK {
 		t.Errorf("statz blocked by admission control: %d", rec.Code)
-	}
-}
-
-// TestROMCacheDirPersists: a server with ROMCacheDir set writes the ROM
-// basis for a "rom"-backed chip so a restart can skip snapshot
-// collection.
-func TestROMCacheDirPersists(t *testing.T) {
-	dir := t.TempDir()
-	prev := backend.ROMCacheDir()
-	defer backend.SetROMCacheDir(prev)
-
-	s := New(Options{ROMCacheDir: dir})
-	h := s.Handler()
-	rec := post(t, h, "/v1/evaluate", EvaluateRequest{
-		Chip: ChipSpec{Backend: "rom"}, OmegaRPM: 3000, ITecA: 1,
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("rom evaluate status %d: %s", rec.Code, rec.Body.String())
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("ROM cache dir empty after building a rom-backed chip")
 	}
 }
 

@@ -175,7 +175,7 @@ type Config struct {
 	// bit-for-bit. A liquid spec replaces both the conductance law and
 	// the drive-power law; PUE and Chips wrap whichever actuator is
 	// selected. The spec participates in the configuration JSON, so the
-	// serve-pool key and the ROM persistence identity change with it.
+	// serve-pool key changes with it.
 	Coolant *coolant.Spec `json:",omitempty"`
 	// Leakage is the chip leakage model.
 	Leakage LeakageSpec

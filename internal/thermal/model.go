@@ -226,7 +226,7 @@ var networks = struct {
 }{m: make(map[string]*network)}
 
 // networkKey is a configuration's canonical JSON: the identity the serve
-// pool and the ROM persistence already rely on. Every numeric leaf of the
+// pool already relies on. Every numeric leaf of the
 // configuration, the floorplan's unit rectangles included, moves it.
 func networkKey(cfg *Config) (string, error) {
 	b, err := json.Marshal(cfg)

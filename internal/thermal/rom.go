@@ -137,43 +137,14 @@ type romScratch struct {
 
 // NewReducedModel builds a ROM over the model's operating box
 // [0, ΩMax] × [0, MaxCurrent]. It fails if the snapshot grid yields no
-// usable basis (for example, every snapshot in thermal runaway). A
-// non-empty cacheDir enables basis persistence: a previously persisted
-// basis with a matching identity is loaded instead of collected (see
-// rompersist.go), and a fresh build persists its basis for the next
-// restart. Any load-time mismatch — corruption, stale format, different
-// identity, failed re-validation — silently falls through to a full build.
-func NewReducedModel(m *Model, cacheDir string) (*ReducedModel, error) {
+// usable basis (for example, every snapshot in thermal runaway).
+func NewReducedModel(m *Model) (*ReducedModel, error) {
 	cfg := m.Config()
 	omegaMax := m.act.UMax()
 	iMax := cfg.TEC.MaxCurrent
 	if omegaMax <= 0 {
 		return nil, fmt.Errorf("thermal: ROM needs a positive fan speed range, got ΩMax=%g", omegaMax)
 	}
-	if cacheDir != "" {
-		if r, err := loadCachedROM(m, cacheDir); err == nil {
-			return r, nil
-		}
-	}
-	r, err := buildReducedModel(m, omegaMax, iMax)
-	if err != nil {
-		return nil, err
-	}
-	if cacheDir != "" {
-		// Best effort: a failed write (read-only dir, disk full) costs the
-		// next restart a rebuild, never this construction.
-		//lint:ignore errdrop a failed cache write only costs the next restart a rebuild
-		_ = saveCachedROM(r, cacheDir)
-	}
-	return r, nil
-}
-
-// newReducedShell captures the model-derived state shared by fresh
-// builds and cache loads: the affine base pieces and the pooled scratch
-// factory (which needs the rank, so callers invoke initScratch after the
-// basis exists).
-func newReducedShell(m *Model) (*ReducedModel, error) {
-	cfg := m.Config()
 	r := &ReducedModel{m: m, runawayT: cfg.runawayTemp(), g0: m.act.Conductance(0)}
 
 	// Capture the affine base: assemble once at (ω=0, I=0) with the linear
@@ -192,31 +163,6 @@ func newReducedShell(m *Model) (*ReducedModel, error) {
 	}
 	r.a0mat = a0mat
 	r.dynGen = m.dynGen.Load()
-	return r, nil
-}
-
-func (r *ReducedModel) initScratch() {
-	rank := r.rank
-	n := r.m.n
-	r.scratch.New = func() any {
-		s := &romScratch{
-			flat: make([]float64, rank*rank),
-			br:   make([]float64, rank),
-			work: make([]float64, n),
-		}
-		s.ar = make([][]float64, rank)
-		for i := range s.ar {
-			s.ar[i] = s.flat[i*rank : (i+1)*rank]
-		}
-		return s
-	}
-}
-
-func buildReducedModel(m *Model, omegaMax, iMax float64) (*ReducedModel, error) {
-	r, err := newReducedShell(m)
-	if err != nil {
-		return nil, err
-	}
 
 	// Snapshot sweep, submitted as one batch: every ω-slice shares one
 	// assembly and one factorization (sparse.CGPrecondBatch). Low fan
@@ -267,7 +213,19 @@ func buildReducedModel(m *Model, omegaMax, iMax float64) (*ReducedModel, error) 
 		return nil, fmt.Errorf("thermal: ROM basis collapsed (degenerate snapshots)")
 	}
 	r.project()
-	r.initScratch()
+	rank, n := r.rank, m.n
+	r.scratch.New = func() any {
+		s := &romScratch{
+			flat: make([]float64, rank*rank),
+			br:   make([]float64, rank),
+			work: make([]float64, n),
+		}
+		s.ar = make([][]float64, rank)
+		for i := range s.ar {
+			s.ar[i] = s.flat[i*rank : (i+1)*rank]
+		}
+		return s
+	}
 
 	if err := r.calibrate(omegaMax, iMax); err != nil {
 		return nil, err

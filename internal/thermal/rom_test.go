@@ -11,7 +11,7 @@ import (
 func buildROM(t *testing.T, bench string) (*Model, *ReducedModel) {
 	t.Helper()
 	m := benchModel(t, testConfig(), bench)
-	rm, err := NewReducedModel(m, "")
+	rm, err := NewReducedModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestROMTracksDynamicPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := NewReducedModel(m, "")
+	rm, err := NewReducedModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}

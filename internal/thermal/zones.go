@@ -32,12 +32,16 @@ func (z *Zoning) NumZones() int { return z.numZones }
 // NewZoning builds a zoning from a unit→zone assignment. Every floorplan
 // unit must be assigned; zones must be numbered 0..numZones-1 with every
 // zone used by at least one TEC-covered cell. Cells are assigned to the
-// zone of the unit covering their center.
+// zone of the unit covering their center, so no valid zoning has more
+// zones than the floorplan has units.
 func (m *Model) NewZoning(assign map[string]int, numZones int) (*Zoning, error) {
 	if numZones <= 0 {
 		return nil, fmt.Errorf("thermal: zone count %d must be positive", numZones)
 	}
 	fp := m.cfg.Floorplan
+	if numZones > fp.NumUnits() {
+		return nil, fmt.Errorf("thermal: zone count %d exceeds the floorplan's %d units", numZones, fp.NumUnits())
+	}
 	for _, u := range fp.Units() {
 		zone, ok := assign[u.Name]
 		if !ok {

@@ -2,8 +2,8 @@
 # bench.sh — the hot-path benchmark trajectory for this repository.
 #
 # Runs the steady-state evaluation benchmarks (repeated-point and cold
-# variants, the batched-vs-per-point surface sweep, plus the assembly and
-# model-build micro-benchmarks) and writes the parsed numbers to BENCH_evaluate.json
+# variants, the batched-vs-per-point surface sweep, a memo-cold ROM build,
+# plus the assembly and model-build micro-benchmarks) and writes the parsed numbers to BENCH_evaluate.json
 # next to the frozen pre-optimization baseline, together with the
 # per-benchmark speedup and allocation ratios. Successive PRs diff the
 # JSON instead of eyeballing `go test -bench` output.
@@ -33,7 +33,7 @@ trap 'rm -f "$raw" "$parsed" "$current"' EXIT
 
 echo "== go test -bench (hot path, benchtime $BENCHTIME)"
 go test -run '^$' \
-	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate|BenchmarkSurfaceGridBatched|BenchmarkROMColdStart|BenchmarkGradVsFD|BenchmarkCoolantPower)$' \
+	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate|BenchmarkSurfaceGridBatched|BenchmarkROMBuild|BenchmarkGradVsFD|BenchmarkCoolantPower)$' \
 	-benchtime "$BENCHTIME" -benchmem . | tee "$raw"
 # The thermal line: assembly microbenchmarks, and build microbenchmarks
 # for NewModel on a cached network (BenchmarkNewModel) and on a
@@ -193,18 +193,4 @@ echo "== oftecload (serving benchmark, ${SERVE_N:-1000} requests × ${SERVE_C:-3
 go run ./cmd/oftecload -n "${SERVE_N:-1000}" -c "${SERVE_C:-32}" -out "$SERVE_OUT"
 
 echo "== wrote $SERVE_OUT"
-
-# Fold the ROM cold-start numbers into the serve report's pool section:
-# "collected" is what a fresh replica pays to build a ROM-backed chip
-# (snapshot + calibration sweeps), "persisted" what the same build costs
-# when -rom-cache-dir serves the basis from disk.
-merged="$(mktemp)"
-jq --slurpfile current "$current" '
-	.pool.rom_cold_start = {
-		collected: $current[0]["BenchmarkROMColdStart/collected"],
-		persisted: $current[0]["BenchmarkROMColdStart/persisted"],
-		persisted_vs_collected: ($current[0]["BenchmarkROMColdStart/collected"].ns_per_op
-			/ $current[0]["BenchmarkROMColdStart/persisted"].ns_per_op)
-	}' "$SERVE_OUT" >"$merged" && mv "$merged" "$SERVE_OUT"
-
-jq '{p50_ms, p90_ms, p99_ms, throughput_rps, errors, coalesce_rate: .cache.coalesce_rate, rom_cold_start: .pool.rom_cold_start.persisted_vs_collected}' "$SERVE_OUT"
+jq '{p50_ms, p90_ms, p99_ms, throughput_rps, errors, coalesce_rate: .cache.coalesce_rate}' "$SERVE_OUT"

@@ -4,8 +4,8 @@
 #   build → go vet → gofmt (whole tree) → oftecvet (project static
 #   analysis; any finding fails) → named test gates with -race
 #   (concurrency, solver, adjoint, backend, batch, coolant) → every
-#   remaining test with -race → OFTECROM loader and chip
-#   spec fuzz smokes → the benchmark module's tests → oftecd smoke (live
+#   remaining test with -race → evaluate-request and chip-spec fuzz
+#   smokes → the benchmark module's tests → oftecd smoke (live
 #   daemon, every endpoint, the resolution cap, clean SIGTERM shutdown) →
 #   parallel-sweep bench smoke
 #
@@ -91,10 +91,9 @@ done_pat="$done_pat|$adj"
 
 # The backend-conformance gate by name: the k=1 zoned/scalar agreement
 # contract through the backend layer, the registry and ROM fall-through
-# behavior, ROM fidelity against the advertised bound, ROM basis
-# persistence round-trips (in the model and through oftecd), the
-# backendleak seam analyzer, and mixed scalar/zoned traffic on one shared
-# evalcache — the set that keeps every backend interchangeable.
+# behavior, ROM fidelity against the advertised bound, the backendleak
+# seam analyzer, and mixed scalar/zoned traffic on one shared evalcache —
+# the set that keeps every backend interchangeable.
 back='SingleZoneMatchesScalarRun|Registry|FullScalarMatchesModel|ROM|MixedTraffic|BackendLeak|Binding|Quantized|Oversized|Waiter'
 echo "== go test -race (backend conformance)"
 go test -race -run "$back" -skip "$done_pat" \
@@ -119,10 +118,10 @@ done_pat="$done_pat|$batch"
 # bit-identical to the fan package, knee continuity/monotonicity,
 # exact-zero saturated-branch derivative), every Table-2 mode DeepEqual
 # through the seam, liquid adjoint gradients vs central differences,
-# ROM-basis invalidation on actuator change, the liquid/package backend
-# registrations and the served coolant field, and the fanleak seam
-# analyzer — the set that keeps every actuator interchangeable.
-cool='Coolant|Liquid|AirSpec|AirBitIdentical|ActuatorChange|Knee|Saturated|TableTwoModes|ColdPlate|Facility|Package|SpecResolve|SpecJSON|FanLeak'
+# the liquid/package backend registrations and the served coolant field,
+# and the fanleak seam analyzer — the set that keeps every actuator
+# interchangeable.
+cool='Coolant|Liquid|AirSpec|AirBitIdentical|Knee|Saturated|TableTwoModes|ColdPlate|Facility|Package|SpecResolve|SpecJSON|FanLeak'
 echo "== go test -race (coolant-actuator conformance)"
 go test -race -run "$cool" -skip "$done_pat" \
 	./internal/coolant/... ./internal/thermal/... ./internal/core/... \
@@ -132,13 +131,12 @@ done_pat="$done_pat|$cool"
 echo "== go test -race ./... (every test the gates above did not run)"
 go test -race -skip "$done_pat" ./...
 
-# A short fuzz smoke on the OFTECROM loader, an untrusted boundary: any
-# file body, sealed with its correct checksum, must load a well-formed
-# model or fail, never panic. Minimizing a newly interesting input
-# re-runs the 49 KB load thousands of times, so it is capped at 1s;
-# otherwise the smoke spends its 10s shrinking one input.
-echo "== go test -fuzz FuzzLoadCachedROM (10s smoke)"
-go test -run '^$' -fuzz '^FuzzLoadCachedROM$' -fuzztime 10s -fuzzminimizetime 1s ./internal/thermal
+# A short fuzz smoke on oftecd's evaluate request, an untrusted boundary:
+# any body that decodes, posted on the default chip, must answer 200 or
+# 400, never panic or 500. Minimizing a newly interesting input is
+# capped at 1s, so the smoke spends its 10s fuzzing, not shrinking.
+echo "== go test -fuzz FuzzEvaluateRequest (10s smoke)"
+go test -run '^$' -fuzz '^FuzzEvaluateRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 
 # The same smoke on oftecd's chip spec, the field every request decoder
 # materializes into a thermal configuration: any body must decode and
