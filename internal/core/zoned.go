@@ -55,8 +55,11 @@ func (o *ZonedOutcome) String() string {
 // and control" generalization: the single series string of the paper is
 // the k = 1 special case (bit-identical to Run — the backend routes a
 // one-zone point onto the scalar path), so any zoned optimum is at least
-// as good. The run shares the scalar path's machinery: modes, solver
-// fallback, multistart, anchored warm starts, and the System's
+// as good, for k ≤ 6. From k = 7 on, SQP's QP subproblem has 1 + 2(1+k)
+// constraint rows, more than the 16 it enumerates: every QP fails, and
+// the run stops at its start point with stop reason restored, feasible
+// but not optimized. The run shares the scalar path's machinery: modes,
+// solver fallback, multistart, anchored warm starts, and the System's
 // evaluation cache (in a zone-keyed space of its own).
 func (s *System) RunZoned(zoning *thermal.Zoning, opts Options) (*ZonedOutcome, error) {
 	start := time.Now()

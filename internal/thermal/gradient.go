@@ -1,9 +1,11 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"oftec/internal/parallel"
 	"oftec/internal/sparse"
 )
 
@@ -100,7 +102,8 @@ type Gradient struct {
 	SmoothBound   float64
 
 	// AdjointStats aggregates the two adjoint solves (summed iterations,
-	// max relative residual).
+	// max relative residual). The solves run concurrently, so the sum
+	// counts work, not wall time.
 	AdjointStats sparse.Stats
 }
 
@@ -112,7 +115,8 @@ type Gradient struct {
 // matrix, reusing the cached ω-slice IC(0) factorization — one forward +
 // one backward triangular sweep per preconditioner application, no new
 // factorization, instead of the k+1 full solves a finite-difference
-// gradient burns.
+// gradient burns. The two solves run concurrently (see gradientAt), and
+// the Gradient is bit-identical at any GOMAXPROCS.
 //
 // The Gradient is memoized with its point's Result (see memoKey), so a
 // repeat — the constraint gradient after the objective gradient at one
@@ -151,12 +155,50 @@ func (m *Model) EvaluateGrad(z *Zoning, p Point) (*Gradient, error) {
 //
 // reduces to a handful of O(n) dot products over the sink and TEC nodes.
 //
-//oftec:allocok two solution vectors per gradient by SolveAuto contract; scratch is pooled
+// The two adjoints are independent. Both right-hand sides are built
+// before either solve starts; the solves share the assembled matrix and
+// the ω-slice IC(0) factor, which they only read, and each brings its
+// own right-hand side and workspace (the temperature adjoint's from a
+// second pooled scratch). parallel.ForEach runs them concurrently, or as
+// the serial loop at GOMAXPROCS=1. Each solve's arithmetic is the same
+// under either schedule, so the Gradient is bit-identical at any width,
+// and the power adjoint's error wins as it would in a serial loop.
+//
+//oftec:allocok two solution vectors per gradient by SolveAuto contract, plus the fan-out's closure, join state and worker goroutines; scratch is pooled
 func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*Gradient, error) {
-	omega := p.Omega
 	if res.Runaway {
-		return nil, fmt.Errorf("thermal: cannot differentiate a runaway operating point (ω=%g)", omega)
+		return nil, fmt.Errorf("thermal: cannot differentiate a runaway operating point (ω=%g)", p.Omega)
 	}
+	tsc := m.getScratch()
+	defer m.putScratch(tsc)
+	g, opts := m.adjointSystem(sc, tsc.warm, res, z, p)
+
+	work := [2]*evalScratch{sc, tsc}
+	var lam [2][]float64
+	var st [2]sparse.Stats
+	err := parallel.ForEach(context.Background(), 2, 0, func(i int) error {
+		o := opts
+		o.Work = &work[i].ws
+		var err error
+		if lam[i], st[i], err = sparse.SolveAuto(sc.mat, work[i].warm, o); err != nil {
+			return fmt.Errorf("thermal: %s adjoint solve: %w", [2]string{"power", "temperature"}[i], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.contractAdjoints(g, z, p.Omega, sc.cur, lam, st)
+	return g, nil
+}
+
+// adjointSystem prepares the adjoint pair at p, whose steady state is
+// res. It re-assembles the exact system the steady state solved into
+// sc.mat, writes the power adjoint's right-hand side into sc.warm and the
+// temperature adjoint's into rhsT, and returns the Gradient with its
+// smoothed-max fields set, together with the options both solves run
+// under (Work left for each solve to supply).
+func (m *Model) adjointSystem(sc *evalScratch, rhsT []float64, res *Result, z *Zoning, p Point) (*Gradient, sparse.SolveOptions) {
 	k := z.numZones
 	nc := len(res.ChipTemps)
 	tau := SmoothMaxTau(nc, DefaultSmoothBound)
@@ -171,54 +213,55 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 		g.SmoothBound = tau * math.Log(float64(nc))
 	}
 
-	// Re-assemble the exact system the steady state solved; only the
-	// matrix is needed (the adjoint RHS replaces b), but assembleInto
-	// refreshes both in one O(nnz) pass. The system is symmetric (see
-	// buildSymbolic), so each adjoint solve Aᵀλ = ∂j/∂T is a forward
-	// solve under the ω-slice's cached factorization.
+	// Only the matrix is needed (the adjoint right-hand sides replace b),
+	// but assembleInto refreshes both in one O(nnz) pass. The system is
+	// symmetric (see buildSymbolic), so each adjoint solve Aᵀλ = ∂j/∂T is
+	// a forward solve under the ω-slice's cached factorization.
 	sc.loadCurrents(z, p.Currents)
-	m.assembleInto(sc, omega, sc.cur, true, nil)
-
-	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws}
-	if ic, ok := m.slicePrecond(omega); ok {
+	m.assembleInto(sc, p.Omega, sc.cur, true, nil)
+	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n}
+	if ic, ok := m.slicePrecond(p.Omega); ok {
 		opts.Precond = ic
 	}
 
 	// Adjoint of the power objective: ∂𝒫/∂T is the Taylor leakage slope
 	// at the chip nodes plus ±α·I at the Peltier interface nodes.
-	adjRHS := sc.warm
-	sparse.Fill(adjRHS, 0)
+	rhsP := sc.warm
+	sparse.Fill(rhsP, 0)
 	for i := 0; i < nc; i++ {
-		adjRHS[m.node(planeChip, i)] = m.leakA[i]
+		rhsP[m.node(planeChip, i)] = m.leakA[i]
 	}
 	for i, alpha := range m.tecAlpha {
 		if alpha == 0 {
 			continue
 		}
 		iz := sc.cur[i]
-		adjRHS[m.node(planeTECHot, i)] += alpha * iz
-		adjRHS[m.node(planeTECCold, i)] -= alpha * iz
-	}
-	lamP, stP, err := sparse.SolveAuto(sc.mat, adjRHS, opts)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: power adjoint solve: %w", err)
+		rhsP[m.node(planeTECHot, i)] += alpha * iz
+		rhsP[m.node(planeTECCold, i)] -= alpha * iz
 	}
 
 	// Adjoint of the smoothed max temperature: ∂𝒯_τ/∂T is the softmax
 	// weight vector on the chip nodes.
-	sparse.Fill(adjRHS, 0)
+	sparse.Fill(rhsT, 0)
 	w := sc.tChip
 	softmaxWeights(w, res.ChipTemps, tau)
 	for i := 0; i < nc; i++ {
-		adjRHS[m.node(planeChip, i)] = w[i]
+		rhsT[m.node(planeChip, i)] = w[i]
 	}
-	lamT, stT, err := sparse.SolveAuto(sc.mat, adjRHS, opts)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: temperature adjoint solve: %w", err)
-	}
+	return g, opts
+}
+
+// contractAdjoints completes g at the point (omega, cur) from the power
+// and temperature adjoints lam, in that order, and their solve
+// statistics st: the explicit partial derivatives plus each adjoint's
+// contraction with the design's matrix patches and RHS injections. cur
+// is the per-cell TEC current the system was assembled at.
+func (m *Model) contractAdjoints(g *Gradient, z *Zoning, omega float64, cur []float64, lam [2][]float64, st [2]sparse.Stats) {
+	res := g.Result
+	lamP, lamT := lam[0], lam[1]
 	g.AdjointStats = sparse.Stats{
-		Iterations: stP.Iterations + stT.Iterations,
-		Residual:   math.Max(stP.Residual, stT.Residual),
+		Iterations: st[0].Iterations + st[1].Iterations,
+		Residual:   math.Max(st[0].Residual, st[1].Residual),
 	}
 
 	// ω: the design enters through the sink conductance g(ω) (matrix
@@ -245,7 +288,7 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 			continue
 		}
 		zi := z.zoneOf[i]
-		iz := sc.cur[i]
+		iz := cur[i]
 		cold := m.node(planeTECCold, i)
 		mid := m.node(planeTECMid, i)
 		hot := m.node(planeTECHot, i)
@@ -255,5 +298,4 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 			lamP[mid]*joule - lamP[cold]*alpha*tc + lamP[hot]*alpha*th
 		g.TempGrad[1+zi] += lamT[mid]*joule - lamT[cold]*alpha*tc + lamT[hot]*alpha*th
 	}
-	return g, nil
 }

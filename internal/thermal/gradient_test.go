@@ -3,7 +3,11 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
+
+	"oftec/internal/sparse"
 )
 
 // This file pins the adjoint gradients against Richardson-extrapolated
@@ -224,5 +228,136 @@ func TestAdjointRunawayRejected(t *testing.T) {
 	// runaway.
 	if _, err := m.EvaluateGrad(nil, opPoint(0, m.Config().TEC.MaxCurrent)); err == nil {
 		t.Fatal("EvaluateGrad on a runaway point returned a gradient")
+	}
+}
+
+// serialAdjointPair is the serial reference for EvaluateGrad at p: the
+// same two right-hand sides, solved by sparse.SolveAuto one after the
+// other through one workspace, then the same contraction. p must already
+// be evaluated on m, so the reference differentiates the memoized Result.
+func serialAdjointPair(t *testing.T, m *Model, z *Zoning, p Point) *Gradient {
+	t.Helper()
+	z = m.zoningOr(z)
+	res, err := m.EvaluateWarm(z, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, tsc := m.getScratch(), m.getScratch()
+	defer m.putScratch(sc)
+	defer m.putScratch(tsc)
+	g, opts := m.adjointSystem(sc, tsc.warm, res, z, p)
+	opts.Work = &sc.ws
+	var lam [2][]float64
+	var st [2]sparse.Stats
+	for i, rhs := range [2][]float64{sc.warm, tsc.warm} {
+		if lam[i], st[i], err = sparse.SolveAuto(sc.mat, rhs, opts); err != nil {
+			t.Fatalf("serial adjoint %d: %v", i, err)
+		}
+	}
+	m.contractAdjoints(g, z, p.Omega, sc.cur, lam, st)
+	return g
+}
+
+// sameBits reports whether two slices hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAdjointPairMatchesSerialSolves: EvaluateGrad solves its two
+// adjoints concurrently on one matrix and one IC(0) factor, each with its
+// own workspace. Its gradients and adjoint statistics must be bit for
+// bit those of the two solves run one after the other, on the one-zone
+// deployment, on eight zones and under the liquid coolant. Run at -cpu 1
+// this pins the serial degenerate path; at -cpu 2 the concurrent one.
+func TestAdjointPairMatchesSerialSolves(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		k    int
+		p    Point
+	}{
+		{"one-zone", testConfig(), 1, opPoint(230, 1.1)},
+		{"spread-8", testConfig(), 8, opPoint(220, 0.3, 0.45, 0.6, 0.75, 0.9, 0.3, 0.45, 0.6)},
+		{"liquid", liquidConfig(), 1, opPoint(200, 0.5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := benchModel(t, tc.cfg, "Basicmath")
+			var z *Zoning
+			if tc.k > 1 {
+				z = testZoning(t, m, tc.k)
+			}
+			g, err := m.EvaluateGrad(z, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := serialAdjointPair(t, m, z, tc.p)
+			if !sameBits(g.PowerGrad, ref.PowerGrad) {
+				t.Errorf("PowerGrad %v, serial %v", g.PowerGrad, ref.PowerGrad)
+			}
+			if !sameBits(g.TempGrad, ref.TempGrad) {
+				t.Errorf("TempGrad %v, serial %v", g.TempGrad, ref.TempGrad)
+			}
+			if g.AdjointStats.Iterations != ref.AdjointStats.Iterations ||
+				math.Float64bits(g.AdjointStats.Residual) != math.Float64bits(ref.AdjointStats.Residual) {
+				t.Errorf("AdjointStats %+v, serial %+v", g.AdjointStats, ref.AdjointStats)
+			}
+		})
+	}
+}
+
+// TestAdjointConcurrentCallersShareModel: eight goroutines differentiate
+// distinct points on one shared Model, the even ones on the one-zone
+// deployment and the odd ones on eight zones, while every call fans out
+// its own adjoint pair. Each Gradient must DeepEqual the one a fresh
+// model computes for that point alone.
+func TestAdjointConcurrentCallersShareModel(t *testing.T) {
+	const callers = 8
+	point := func(i int) Point {
+		omega := 160 + 15*float64(i)
+		if i%2 == 0 {
+			return opPoint(omega, 0.4+0.1*float64(i))
+		}
+		cur := make([]float64, 8)
+		for j := range cur {
+			cur[j] = 0.3 + 0.05*float64((i+j)%7)
+		}
+		return Point{Omega: omega, Currents: cur}
+	}
+
+	shared := benchModel(t, testConfig(), "Basicmath")
+	zonings := [2]*Zoning{nil, testZoning(t, shared, 8)}
+	got := make([]*Gradient, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = shared.EvaluateGrad(zonings[i%2], point(i))
+		}(i)
+	}
+	wg.Wait()
+
+	for i := 0; i < callers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		fresh := benchModel(t, testConfig(), "Basicmath")
+		freshZonings := [2]*Zoning{nil, testZoning(t, fresh, 8)}
+		want, err := fresh.EvaluateGrad(freshZonings[i%2], point(i))
+		if err != nil {
+			t.Fatalf("caller %d solo: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("caller %d: shared-model gradient differs from the solo answer", i)
+		}
 	}
 }

@@ -124,9 +124,9 @@ jq -n \
 				/ $cur.BenchmarkNewModel.ns_per_op)
 		},
 		# Adjoint gradients vs finite differences on the zoned k=8 SQP run
-		# (9 decision variables): same feasible answer, one adjoint pair
-		# per iterate instead of 2(1+k) probes per derivative. The
-		# acceptance bar is func_evals_ratio >= 5.
+		# (9 decision variables). At k=8 SQP stops at its start point, so
+		# both legs measure one derivative of both functions at x0: one
+		# adjoint pair against 2(1+k) probes per function, not a solve.
 		grad_vs_fd: {
 			fd:   $cur["BenchmarkGradVsFD/fd"],
 			grad: $cur["BenchmarkGradVsFD/grad"],

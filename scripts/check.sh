@@ -81,12 +81,14 @@ done_pat="$done_pat|$solv"
 # agreement suite (scalar and zoned), the smoothed-max bracket, the
 # backend capability chain, the solver's analytic-gradient steering, and
 # the core gradient-mode runs — the contract that keeps
-# Options.Gradient's derivatives exact.
+# Options.Gradient's derivatives exact. The thermal package runs at
+# GOMAXPROCS 1 and 2: EvaluateGrad's adjoint pair is a serial loop at one
+# and concurrent at two, and both schedules must give the same bits.
 adj='Adjoint|SmoothMax|Gradient'
 echo "== go test -race (adjoint gradients vs finite differences)"
 go test -race -run "$adj" -skip "$done_pat" \
-	./internal/sparse/... ./internal/thermal/... ./internal/backend/... ./internal/core/... \
-	./internal/solver/...
+	./internal/sparse/... ./internal/backend/... ./internal/core/... ./internal/solver/...
+go test -race -cpu 1,2 -run "$adj" -skip "$done_pat" ./internal/thermal/...
 done_pat="$done_pat|$adj"
 
 # The backend-conformance gate by name: the k=1 zoned/scalar agreement
