@@ -5,10 +5,12 @@
 // The production concerns live here, decoupled from transport details so
 // they are testable with httptest:
 //
-//   - A model pool keyed by a collision-checked hash of (benchmark,
+//   - A model pool keyed by the canonical rendering of (benchmark,
 //     backend, full thermal configuration), so concurrent requests for
 //     one chip share a single assembled thermal.Model (and ROM basis)
 //     behind one core.System — the model build itself is singleflighted.
+//     Every spec that resolved is also indexed by its value, so a chip
+//     spelled as before is found with one map read.
 //   - One shared internal/evalcache across every pooled system, so
 //     cross-request duplicate operating points coalesce onto one solve
 //     and the cache's capacity/eviction budget is global, not per chip.

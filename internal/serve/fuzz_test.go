@@ -17,7 +17,11 @@ import (
 // every oftecd request decoder does for its chip field, and materializes
 // the configuration. A spec may fail; it must not panic, and a
 // configuration it yields must pass Validate, keep every grid resolution
-// within thermal.MaxRes, and carry a finite threshold and ambient.
+// within thermal.MaxRes, and carry a finite threshold and ambient. The
+// spec also resolves twice through one fresh model pool, once through the
+// canonical key and once through the spec index: both must give the same
+// entry, or the same error, and a failed spec must leave the pool and its
+// index empty.
 func FuzzChipSpecConfig(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -25,6 +29,7 @@ func FuzzChipSpecConfig(f *testing.F) {
 		`{"res":100000}`,
 		`{"tmax_c":1e308}`,
 		`{"coolant":"liquid"}`,
+		`{"bench":"NoSuch"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -34,6 +39,20 @@ func FuzzChipSpecConfig(f *testing.F) {
 		var spec ChipSpec
 		if err := dec.Decode(&spec); err != nil {
 			return
+		}
+		p := newPool(0)
+		e1, err1 := p.lookup(spec)
+		e2, err2 := p.lookup(spec)
+		switch {
+		case err1 != nil || err2 != nil:
+			if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+				t.Fatalf("%+v: resolved to (%p, %v), then (%p, %v)", spec, e1, err1, e2, err2)
+			}
+			if size, idx := p.size(), p.indexed(); size != 0 || idx != 0 {
+				t.Fatalf("%+v: failed spec left %d entries and %d indexed specs", spec, size, idx)
+			}
+		case e1 != e2:
+			t.Fatalf("%+v: resolved to entry %p, then %p", spec, e1, e2)
 		}
 		cfg, err := spec.config()
 		if err != nil {

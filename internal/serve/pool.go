@@ -20,12 +20,25 @@ import (
 // ROM basis) is singleflighted and every request shares the resulting
 // core.System. All pooled systems evaluate through the server's one
 // shared evalcache.
+//
+// Rendering the canonical key costs a full configuration as JSON, so the
+// pool also indexes every spec that resolved to an entry by its value:
+// a spec seen before finds its entry with one map read. Resolution is a
+// deterministic function of the spec, so the index only ever returns the
+// entry the canonical key would.
 type pool struct {
 	mu      sync.Mutex
-	entries map[string]*poolEntry // canonical chip → entry
+	entries map[string]*poolEntry   // canonical chip → entry
+	specs   map[ChipSpec]*poolEntry // resolved spelling → its entry
 	builds  atomic.Int64
 	max     int
 }
+
+// spellingsPerModel bounds the spec index at this many spellings per
+// model the pool admits. Past the bound it clears wholesale, like the
+// thermal result memo and preconditioner cache: every spelling
+// re-resolves once through the canonical key.
+const spellingsPerModel = 8
 
 // poolEntry is one resident chip: its spec, the once-guarded build, and
 // the memoized zonings resolved against it.
@@ -43,7 +56,7 @@ func newPool(maxModels int) *pool {
 	if maxModels <= 0 {
 		maxModels = 64
 	}
-	return &pool{entries: map[string]*poolEntry{}, max: maxModels}
+	return &pool{entries: map[string]*poolEntry{}, specs: map[ChipSpec]*poolEntry{}, max: maxModels}
 }
 
 // canonChip renders the spec's full identity: workload, backend, and the
@@ -61,8 +74,27 @@ func canonChip(spec ChipSpec, cfg thermal.Config, benchName, backendName string)
 
 // lookup returns the pool entry for the spec, creating a cold (unbuilt)
 // entry on first sight. It never builds the model — that happens in
-// entry.system, outside the pool lock.
+// entry.system, outside the pool lock. A spec seen before is one map
+// read; a new one resolves through resolve.
+//
+//oftec:hotpath
 func (p *pool) lookup(spec ChipSpec) (*poolEntry, error) {
+	p.mu.Lock()
+	e, ok := p.specs[spec]
+	p.mu.Unlock()
+	if ok {
+		return e, nil
+	}
+	return p.resolve(spec)
+}
+
+// resolve materializes a spec not yet in the index, finds or creates its
+// entry under the canonical key, and indexes the spec. A spec that fails
+// to resolve (unknown workload, invalid configuration, full pool) is not
+// indexed, so it fails the same way on every repeat.
+//
+//oftec:allocok first sight of a spelling: materializes and canonicalizes its configuration, once per distinct spec
+func (p *pool) resolve(spec ChipSpec) (*poolEntry, error) {
 	bench, err := spec.bench()
 	if err != nil {
 		return nil, err
@@ -82,14 +114,18 @@ func (p *pool) lookup(spec ChipSpec) (*poolEntry, error) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.entries[canon]; ok {
-		return e, nil
+	e, ok := p.entries[canon]
+	if !ok {
+		if len(p.entries) >= p.max {
+			return nil, errPoolFull
+		}
+		e = &poolEntry{spec: spec, cfg: cfg, zonings: map[string]*thermal.Zoning{}}
+		p.entries[canon] = e
 	}
-	if len(p.entries) >= p.max {
-		return nil, errPoolFull
+	if len(p.specs) >= spellingsPerModel*p.max {
+		clear(p.specs)
 	}
-	e := &poolEntry{spec: spec, cfg: cfg, zonings: map[string]*thermal.Zoning{}}
-	p.entries[canon] = e
+	p.specs[spec] = e
 	return e, nil
 }
 
