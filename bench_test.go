@@ -54,7 +54,7 @@ func benchModel(b *testing.B, sys *core.System) *thermal.Model {
 func BenchmarkFig6aSurface(b *testing.B) {
 	setup := benchSetup()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Surface(setup, "Basicmath", 20, 11)
+		pts, err := experiments.SurfaceContext(context.Background(), setup, "Basicmath", 20, 11, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func BenchmarkFig6aSurface(b *testing.B) {
 func BenchmarkFig6bSurface(b *testing.B) {
 	setup := benchSetup()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Surface(setup, "Basicmath", 20, 11)
+		pts, err := experiments.SurfaceContext(context.Background(), setup, "Basicmath", 20, 11, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkFig6bSurface(b *testing.B) {
 // BenchmarkSurfaceGrid measures the parallel fan-out engine on the
 // Figure 6 grid shape (40×40 = 1600 independent operating points) against
 // the serial reference path, at reduced thermal resolution so one
-// iteration stays in benchmark territory. Every Surface call builds a
+// iteration stays in benchmark territory. Every sweep builds a
 // fresh system, so both variants run cold-cache and the comparison is
 // pure fan-out: at GOMAXPROCS ≥ 4 the parallel variant is expected to be
 // ≥ 2× faster in wall-clock, with byte-identical output (asserted by

@@ -132,11 +132,15 @@ func buildController(name string, plant backend.Plant, peak power.Map, cfg therm
 			THigh: cfg.TMax - 3, TLow: cfg.TMax - 8,
 		}, 0, nil
 	case "pifan":
-		return &controller.PIFan{
+		c := &controller.PIFan{
 			Setpoint: cfg.TMax - 5,
 			Kp:       25, Ki: 6,
 			OmegaMin: 15, OmegaMax: cfg.UMax(),
-		}, 0, nil
+		}
+		if err := c.Validate(); err != nil {
+			return nil, 0, err
+		}
+		return c, 0, nil
 	case "oftec-static":
 		sys := core.NewSystem(plant)
 		out, err := sys.Run(core.Options{Mode: core.ModeHybrid})

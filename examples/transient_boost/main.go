@@ -132,8 +132,8 @@ func (c *boostThenSwitch) Act(t, maxChipTemp float64) (float64, float64) {
 }
 
 // simulateFrom runs a controller from an explicit initial temperature
-// field (the pre-step steady state), unlike controller.Simulate which
-// starts from the controller's own steady state.
+// field (the pre-step steady state), unlike controller.TraceSimulate,
+// which starts from the controller's own steady state or from ambient.
 func simulateFrom(m *thermal.Model, ctrl controller.Controller, init []float64, duration, dt float64) ([]controller.TracePoint, error) {
 	omega, itec := ctrl.Act(0, 0)
 	tr, err := m.NewTransient(omega, itec, init)

@@ -42,10 +42,6 @@ func (r *ROM) Fallthrough() Evaluator { return r.full }
 // ROMStats returns the reduced model's traffic counters.
 func (r *ROM) ROMStats() thermal.ROMStats { return r.rm.Stats() }
 
-// ErrorBound returns the advertised worst-case chip-temperature error of
-// reduced evaluations, in kelvin.
-func (r *ROM) ErrorBound() float64 { return r.rm.ErrorBound() }
-
 // Evaluate answers scalar points from the reduced model when its error
 // estimate stays inside the advertised bound, and falls through to the
 // full backend otherwise (including every zoned point).

@@ -8,12 +8,10 @@
 package controller
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"oftec/internal/backend"
 	"oftec/internal/units"
 )
 
@@ -126,57 +124,6 @@ type TracePoint struct {
 	MaxTempC float64 // °C
 	Omega    float64 // rad/s
 	ITEC     float64 // A
-}
-
-// Simulate runs the controller against the plant's transient simulation
-// for the given duration. The plant advances with step dtSim; the
-// controller is sampled every dtCtrl (which must be ≥ dtSim). The initial
-// state is the steady state at the controller's initial action, unless
-// fromAmbient is set, in which case the stack starts at ambient.
-func Simulate(p backend.Plant, ctrl Controller, duration, dtSim, dtCtrl float64, fromAmbient bool) ([]TracePoint, error) {
-	if dtSim <= 0 || dtCtrl < dtSim || duration <= 0 {
-		return nil, fmt.Errorf("controller: invalid timing (duration %g, dtSim %g, dtCtrl %g)", duration, dtSim, dtCtrl)
-	}
-	omega, itec := ctrl.Act(0, p.Config().Ambient)
-
-	var init []float64
-	if !fromAmbient {
-		ss, err := p.Evaluate(context.Background(), backend.Scalar(omega, itec), nil)
-		if err != nil {
-			return nil, err
-		}
-		if !ss.Runaway {
-			init = ss.T
-		}
-	}
-	tr, err := p.NewTransient(omega, itec, init)
-	if err != nil {
-		return nil, err
-	}
-
-	maxTemp, _ := tr.ChipState()
-	var trace []TracePoint
-	nextCtrl := 0.0
-	for tr.Time() < duration {
-		if tr.Time() >= nextCtrl {
-			omega, itec = ctrl.Act(tr.Time(), maxTemp)
-			if err := tr.SetOperatingPoint(omega, itec); err != nil {
-				return nil, err
-			}
-			nextCtrl += dtCtrl
-		}
-		maxTemp, err = tr.Step(dtSim)
-		if err != nil {
-			return nil, err
-		}
-		trace = append(trace, TracePoint{
-			Time:     tr.Time(),
-			MaxTempC: units.KToC(maxTemp),
-			Omega:    omega,
-			ITEC:     itec,
-		})
-	}
-	return trace, nil
 }
 
 // CountTECTransitions counts ON/OFF switches of the TEC drive in a trace —

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oftec/internal/backend"
+	"oftec/internal/power"
 	"oftec/internal/thermal"
 	"oftec/internal/units"
 	"oftec/internal/workload"
@@ -32,6 +33,34 @@ func testModel(t *testing.T, bench string) backend.Plant {
 		t.Fatal(err)
 	}
 	return backend.NewFull(m)
+}
+
+// simulate runs ctrl in closed loop on a plant from testModel under its
+// benchmark's constant workload, a one-sample trace, and returns the
+// controller-level samples.
+func simulate(t *testing.T, p backend.Plant, bench string, ctrl Controller, duration, dtSim, dtCtrl float64, fromAmbient bool) ([]TracePoint, error) {
+	t.Helper()
+	b, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := b.PowerMap(p.Config().Floorplan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr power.Trace
+	if err := tr.Append(0, pm); err != nil {
+		t.Fatal(err)
+	}
+	detail, err := TraceSimulate(p, ctrl, &tr, duration, dtSim, dtCtrl, fromAmbient)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TracePoint, len(detail))
+	for i, d := range detail {
+		out[i] = d.TracePoint
+	}
+	return out, nil
 }
 
 func TestThresholdControllerSwitches(t *testing.T) {
@@ -92,7 +121,7 @@ func TestHysteresisReducesTransitions(t *testing.T) {
 func TestSimulateStaticReachesSteadyState(t *testing.T) {
 	m := testModel(t, "CRC32")
 	ctrl := &Static{Omega: units.RPMToRadPerSec(2000), ITEC: 0.5}
-	trace, err := Simulate(m, ctrl, 2.0, 0.1, 0.5, false)
+	trace, err := simulate(t, m, "CRC32", ctrl, 2.0, 0.1, 0.5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +139,7 @@ func TestSimulateStaticReachesSteadyState(t *testing.T) {
 func TestSimulateFromAmbientWarmsUp(t *testing.T) {
 	m := testModel(t, "Basicmath")
 	ctrl := &Static{Omega: units.RPMToRadPerSec(2500), ITEC: 0}
-	trace, err := Simulate(m, ctrl, 3.0, 0.05, 0.5, true)
+	trace, err := simulate(t, m, "Basicmath", ctrl, 3.0, 0.05, 0.5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +152,13 @@ func TestSimulateFromAmbientWarmsUp(t *testing.T) {
 func TestSimulateTimingValidation(t *testing.T) {
 	m := testModel(t, "CRC32")
 	ctrl := &Static{Omega: 100}
-	if _, err := Simulate(m, ctrl, 0, 0.1, 0.1, false); err == nil {
+	if _, err := simulate(t, m, "CRC32", ctrl, 0, 0.1, 0.1, false); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := Simulate(m, ctrl, 1, 0, 0.1, false); err == nil {
+	if _, err := simulate(t, m, "CRC32", ctrl, 1, 0, 0.1, false); err == nil {
 		t.Error("zero sim step accepted")
 	}
-	if _, err := Simulate(m, ctrl, 1, 0.2, 0.1, false); err == nil {
+	if _, err := simulate(t, m, "CRC32", ctrl, 1, 0.2, 0.1, false); err == nil {
 		t.Error("control period below sim step accepted")
 	}
 }
@@ -154,11 +183,11 @@ func TestBoostCoolsDuringWarmup(t *testing.T) {
 	base := &Static{Omega: omega, ITEC: 1}
 	boosted := &Boost{BaseOmega: omega, BaseITEC: 1, DeltaI: 1, Duration: 1}
 
-	trBase, err := Simulate(m, base, 1.0, 0.05, 0.05, true)
+	trBase, err := simulate(t, m, "Quicksort", base, 1.0, 0.05, 0.05, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trBoost, err := Simulate(m, boosted, 1.0, 0.05, 0.05, true)
+	trBoost, err := simulate(t, m, "Quicksort", boosted, 1.0, 0.05, 0.05, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +249,11 @@ func TestThresholdControllerClosedLoop(t *testing.T) {
 	off := &Static{Omega: omega, ITEC: 0}
 	ctl := &Threshold{Omega: omega, IOn: 2.5, TOn: tOn}
 
-	trOff, err := Simulate(m, off, 2.0, 0.1, 0.2, false)
+	trOff, err := simulate(t, m, "Quicksort", off, 2.0, 0.1, 0.2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCtl, err := Simulate(m, ctl, 2.0, 0.1, 0.2, false)
+	trCtl, err := simulate(t, m, "Quicksort", ctl, 2.0, 0.1, 0.2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestPIFanRegulatesPlant(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	trace, err := Simulate(m, c, 240.0, 1.0, 1.0, true)
+	trace, err := simulate(t, m, "Basicmath", c, 240.0, 1.0, 1.0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,13 @@ func (p DetailPoint) CoolingPowerW() float64 { return p.LeakageW + p.TECW + p.Fa
 
 // TraceSimulate runs a controller against a time-varying workload trace:
 // the plant's dynamic power follows the trace under a zero-order hold
-// while the controller is sampled every dtCtrl. This is the closed-loop
-// DTM experiment the paper's runtime discussion anticipates (controllers
-// reacting to PTscalar-style phase behaviour). The plant's workload is
-// restored afterwards.
+// while the controller is sampled every dtCtrl (which must be ≥ dtSim).
+// This is the closed-loop DTM experiment the paper's runtime discussion
+// anticipates (controllers reacting to PTscalar-style phase behaviour); a
+// constant workload is a one-sample trace. The initial state is the
+// steady state at the controller's initial action, unless fromAmbient is
+// set, in which case the stack starts at ambient. On return the plant's
+// workload is left at the trace's first sample.
 func TraceSimulate(p backend.Plant, ctrl Controller, tr *power.Trace, duration, dtSim, dtCtrl float64, fromAmbient bool) ([]DetailPoint, error) {
 	if dtSim <= 0 || dtCtrl < dtSim || duration <= 0 {
 		return nil, fmt.Errorf("controller: invalid timing (duration %g, dtSim %g, dtCtrl %g)", duration, dtSim, dtCtrl)

@@ -172,9 +172,12 @@ type System struct {
 	// runs and evaluations — every request a service answers for the same
 	// chip and zoning — share one cache key space instead of opening a
 	// fresh one per call. Lookups take no lock; bindMu only serializes
-	// building a missing binding, so a zoning is never bound twice.
+	// building a missing binding, so a zoning is never bound twice while
+	// its binding is resident. Past maxZonedBindings zoned bindings the
+	// memo drops every zoned one (see binding).
 	bindMu   sync.Mutex
 	bindings sync.Map
+	zoned    int // zoned bindings resident; guarded by bindMu
 
 	// solveHook, when non-nil, runs immediately before each underlying
 	// scalar backend solve — i.e. exactly once per deduplicated cache
@@ -254,9 +257,14 @@ func (s *System) EvaluateContext(ctx context.Context, zoning *thermal.Zoning, op
 	return bnd.Evaluate(ctx, op, warm)
 }
 
-// binding resolves a zoning to its cached evaluator, memoized for the
-// System's lifetime. A nil zoning evaluates on the system's backend
-// itself (bound at construction); any other goes through its Zoner
+// maxZonedBindings bounds the zoned bindings a System keeps. Past the
+// bound they clear wholesale, like the thermal result memo: a zoning seen
+// again is bound afresh, to a new cache key space.
+const maxZonedBindings = 16
+
+// binding resolves a zoning to its cached evaluator, memoized while
+// resident. A nil zoning evaluates on the system's backend itself (bound
+// at construction, never cleared); any other goes through its Zoner
 // capability.
 func (s *System) binding(zoning *thermal.Zoning) (*evalcache.Binding, error) {
 	if bnd, ok := s.bindings.Load(zoning); ok {
@@ -275,8 +283,18 @@ func (s *System) binding(zoning *thermal.Zoning) (*evalcache.Binding, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.zoned >= maxZonedBindings {
+		s.bindings.Range(func(k, _ any) bool {
+			if k.(*thermal.Zoning) != nil {
+				s.bindings.Delete(k)
+			}
+			return true
+		})
+		s.zoned = 0
+	}
 	bnd := s.cache.Bind(ev)
 	s.bindings.Store(zoning, bnd)
+	s.zoned++
 	return bnd, nil
 }
 

@@ -253,6 +253,57 @@ func TestZonedBindingMemoized(t *testing.T) {
 	}
 }
 
+// TestZonedBindingsBounded: a System keeps at most maxZonedBindings zoned
+// bindings however many zonings it is asked about, from several
+// goroutines at once, and the one-zone binding survives every clear.
+func TestZonedBindingsBounded(t *testing.T) {
+	s := benchSystem(t, "CRC32")
+	m := testModelOf(t, s)
+	scalar, err := s.binding(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, nz := ClusterZones()
+	ctx := context.Background()
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*maxZonedBindings/workers; i++ {
+				z, err := m.NewZoning(assign, nz)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.EvaluateContext(ctx, z, backend.OpPoint{Omega: 300, Currents: []float64{1, 0.5, 2}}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.EvaluateContext(ctx, nil, backend.Scalar(300, 1), nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	zoned := 0
+	s.bindings.Range(func(k, _ any) bool {
+		if k.(*thermal.Zoning) != nil {
+			zoned++
+		}
+		return true
+	})
+	if zoned > maxZonedBindings {
+		t.Errorf("System keeps %d zoned bindings, over its bound %d", zoned, maxZonedBindings)
+	}
+	if bnd, err := s.binding(nil); err != nil || bnd != scalar {
+		t.Errorf("one-zone binding replaced: %p vs %p (err %v)", bnd, scalar, err)
+	}
+}
+
 // TestSharedCacheSystems pins NewSystemShared: two systems bound to one
 // cache share capacity and statistics, while their coincident operating
 // points stay isolated in separate key spaces.

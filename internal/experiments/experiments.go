@@ -81,36 +81,19 @@ type SurfacePoint struct {
 	Runaway bool
 }
 
-// Surface evaluates 𝒯(ω, I) and 𝒫(ω, I) on an nOmega×nI uniform grid for
-// one benchmark — the data behind Figure 6(a) and (b). Rows of constant ω
-// are independent, so they are fanned out across GOMAXPROCS workers; the
-// returned slice is in deterministic row-major (ω, then I) order
-// regardless.
-func Surface(setup Setup, benchName string, nOmega, nI int) ([]SurfacePoint, error) {
-	return SurfaceWorkers(setup, benchName, nOmega, nI, 0)
-}
-
-// SurfaceContext is SurfaceWorkers under a caller-supplied context: when
-// ctx is cancelled (deadline, signal) the sweep stops issuing rows and
-// returns ctx's error. Rows already completed are discarded — a partial
-// surface has holes in deterministic row-major order, so callers that
-// want partial data should shrink the grid instead.
-func SurfaceContext(ctx context.Context, setup Setup, benchName string, nOmega, nI, workers int) ([]SurfacePoint, error) {
-	return surface(ctx, setup, benchName, nOmega, nI, workers)
-}
-
-// SurfaceWorkers is Surface with an explicit fan-out width: zero sizes
-// the pool to GOMAXPROCS, one forces the serial reference path. The unit
-// of parallelism is one ω-row: within a row the converged field at each
-// point warm-starts the next I step, which cuts the solver iterations on
-// the smooth stretches of the surface. The carry never crosses rows, so
+// SurfaceContext evaluates 𝒯(ω, I) and 𝒫(ω, I) on an nOmega×nI uniform
+// grid for one benchmark, the data behind Figure 6(a) and (b), in
+// row-major (ω, then I) order. Rows of constant ω are independent and fan
+// out over workers goroutines: zero sizes the pool to GOMAXPROCS, one
+// forces the serial reference path. Within a row the converged field at
+// each point warm-starts the next I step, which cuts the solver iterations
+// on the smooth stretches of the surface. The carry never crosses rows, so
 // every point's inputs are fixed by its own row alone and results are
-// identical for any worker count.
-func SurfaceWorkers(setup Setup, benchName string, nOmega, nI, workers int) ([]SurfacePoint, error) {
-	return surface(context.Background(), setup, benchName, nOmega, nI, workers)
-}
-
-func surface(ctx context.Context, setup Setup, benchName string, nOmega, nI, workers int) ([]SurfacePoint, error) {
+// identical for any worker count. When ctx is cancelled (deadline, signal)
+// the sweep stops issuing rows and returns ctx's error. Rows already
+// completed are discarded: a partial surface has holes in row-major
+// order, so callers that want partial data should shrink the grid instead.
+func SurfaceContext(ctx context.Context, setup Setup, benchName string, nOmega, nI, workers int) ([]SurfacePoint, error) {
 	sys, err := setup.System(benchName)
 	if err != nil {
 		return nil, err
@@ -134,6 +117,9 @@ func surface(ctx context.Context, setup Setup, benchName string, nOmega, nI, wor
 func SurfaceSystem(ctx context.Context, sys *core.System, nOmega, nI, workers int) ([]SurfacePoint, error) {
 	if nOmega < 2 || nI < 2 {
 		return nil, fmt.Errorf("experiments: surface grid %d×%d must be at least 2×2", nOmega, nI)
+	}
+	if nOmega > math.MaxInt/nI {
+		return nil, fmt.Errorf("experiments: surface grid %d×%d overflows the point count", nOmega, nI)
 	}
 	cfg := sys.Config()
 	out := make([]SurfacePoint, nOmega*nI)

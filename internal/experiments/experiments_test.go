@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -14,7 +15,7 @@ import (
 
 func TestSurfaceShapeMatchesFigure6a(t *testing.T) {
 	setup := FastSetup()
-	pts, err := Surface(setup, "Basicmath", 9, 5)
+	pts, err := SurfaceContext(context.Background(), setup, "Basicmath", 9, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSurfaceShapeMatchesFigure6a(t *testing.T) {
 
 func TestSurfaceCSV(t *testing.T) {
 	setup := FastSetup()
-	pts, err := Surface(setup, "CRC32", 3, 3)
+	pts, err := SurfaceContext(context.Background(), setup, "CRC32", 3, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +68,13 @@ func TestSurfaceCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "omega_rad_s,") {
 		t.Errorf("unexpected header %q", lines[0])
 	}
-	if _, err := Surface(setup, "CRC32", 1, 3); err == nil {
+	if _, err := SurfaceContext(context.Background(), setup, "CRC32", 1, 3, 0); err == nil {
 		t.Error("degenerate grid accepted")
 	}
-	if _, err := Surface(setup, "NoSuchBench", 3, 3); err == nil {
+	if _, err := SurfaceContext(context.Background(), setup, "CRC32", 1<<62+1, 4, 0); err == nil {
+		t.Error("grid whose point count overflows accepted")
+	}
+	if _, err := SurfaceContext(context.Background(), setup, "NoSuchBench", 3, 3, 0); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -81,11 +85,11 @@ func TestSurfaceCSV(t *testing.T) {
 // caches independent, so agreement means the solves themselves agree.
 func TestSurfaceParallelMatchesSerial(t *testing.T) {
 	setup := FastSetup()
-	serial, err := SurfaceWorkers(setup, "Basicmath", 10, 7, 1)
+	serial, err := SurfaceContext(context.Background(), setup, "Basicmath", 10, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SurfaceWorkers(setup, "Basicmath", 10, 7, 4)
+	par, err := SurfaceContext(context.Background(), setup, "Basicmath", 10, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -18,22 +17,5 @@ func TestSurfaceContextCancelled(t *testing.T) {
 	}
 	if pts != nil {
 		t.Errorf("cancelled sweep returned %d points, want none", len(pts))
-	}
-}
-
-// TestSurfaceContextMatchesSurface: with a live context the two entry
-// points are the same computation.
-func TestSurfaceContextMatchesSurface(t *testing.T) {
-	setup := FastSetup()
-	plain, err := Surface(setup, "Basicmath", 9, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCtx, err := SurfaceContext(context.Background(), setup, "Basicmath", 9, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, withCtx) {
-		t.Error("SurfaceContext diverged from Surface on the same grid")
 	}
 }

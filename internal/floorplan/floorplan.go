@@ -11,7 +11,6 @@ package floorplan
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -37,9 +36,6 @@ func (r Rect) Overlap(s Rect) float64 {
 	}
 	return w * h
 }
-
-// Intersects reports whether r and s overlap with positive area.
-func (r Rect) Intersects(s Rect) bool { return r.Overlap(s) > 0 }
 
 // Center returns the rectangle's center point.
 func (r Rect) Center() (x, y float64) { return r.X + r.W/2, r.Y + r.H/2 }
@@ -103,15 +99,6 @@ func (f *Floorplan) Unit(name string) (Unit, bool) {
 	return f.units[i], true
 }
 
-// UnitIndex returns the insertion index of the named unit, or -1.
-func (f *Floorplan) UnitIndex(name string) int {
-	i, ok := f.byName[name]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // UnitAt returns the unit containing point (x, y), or false if the point is
 // uncovered.
 func (f *Floorplan) UnitAt(x, y float64) (Unit, bool) {
@@ -165,16 +152,6 @@ func finite(vs ...float64) bool {
 		}
 	}
 	return true
-}
-
-// Names returns the sorted unit names.
-func (f *Floorplan) Names() []string {
-	names := make([]string, len(f.units))
-	for i, u := range f.units {
-		names[i] = u.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // String renders a short human-readable summary.

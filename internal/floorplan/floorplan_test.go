@@ -100,12 +100,6 @@ func TestUnitLookup(t *testing.T) {
 	if _, ok := f.Unit("nonesuch"); ok {
 		t.Error("Unit(nonesuch) reported present")
 	}
-	if idx := f.UnitIndex("cache"); idx != 1 {
-		t.Errorf("UnitIndex(cache) = %d, want 1", idx)
-	}
-	if idx := f.UnitIndex("nope"); idx != -1 {
-		t.Errorf("UnitIndex(nope) = %d, want -1", idx)
-	}
 	if u, ok := f.UnitAt(5, 5); !ok || u.Name != "cache" {
 		t.Errorf("UnitAt(5,5) = %+v, %v, want cache", u, ok)
 	}
@@ -201,11 +195,11 @@ func TestAlphaEV6(t *testing.T) {
 	// in the top band, away from the caches.
 	ie, _ := f.Unit(UnitIntExec)
 	ic, _ := f.Unit(UnitIcache)
-	if ie.Rect.Intersects(ic.Rect) {
+	if ie.Rect.Overlap(ic.Rect) > 0 {
 		t.Error("IntExec overlaps Icache")
 	}
-	if names := f.Names(); len(names) != 18 {
-		t.Errorf("Names() returned %d entries", len(names))
+	if n := f.NumUnits(); n != 18 {
+		t.Errorf("NumUnits() = %d, want 18", n)
 	}
 	if s := f.String(); s == "" {
 		t.Error("String() is empty")

@@ -34,14 +34,6 @@ func (tr *Trace) Append(t float64, m Map) error {
 // Len returns the number of samples.
 func (tr *Trace) Len() int { return len(tr.times) }
 
-// Duration returns the time span covered by the trace.
-func (tr *Trace) Duration() float64 {
-	if len(tr.times) < 2 {
-		return 0
-	}
-	return tr.times[len(tr.times)-1] - tr.times[0]
-}
-
 // At returns the sample in effect at time t (zero-order hold): the last
 // sample whose timestamp is ≤ t, or the first sample for t before the
 // trace starts. It fails on an empty trace.
@@ -98,16 +90,4 @@ func (tr *Trace) MeanMap() Map {
 		}
 	}
 	return out
-}
-
-// PeakTotal returns the maximum instantaneous total power over the trace
-// and the time it occurs.
-func (tr *Trace) PeakTotal() (t, watts float64) {
-	for i, m := range tr.maps {
-		if tot := m.Total(); tot > watts {
-			watts = tot
-			t = tr.times[i]
-		}
-	}
-	return t, watts
 }

@@ -26,9 +26,6 @@ func TestTraceAppendOrdering(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Errorf("Len = %d, want 2", tr.Len())
 	}
-	if tr.Duration() != 1 {
-		t.Errorf("Duration = %g, want 1", tr.Duration())
-	}
 }
 
 func TestTraceAppendIsolation(t *testing.T) {
@@ -97,10 +94,6 @@ func TestMaxAndMeanMap(t *testing.T) {
 	mean := tr.MeanMap()
 	if mean["alu"] <= 2 || mean["alu"] >= 5 {
 		t.Errorf("MeanMap[alu] = %g, want strictly inside (2, 5)", mean["alu"])
-	}
-	tPeak, wPeak := tr.PeakTotal()
-	if tPeak != 1 || wPeak != 5.5 {
-		t.Errorf("PeakTotal = (%g, %g), want (1, 5.5)", tPeak, wPeak)
 	}
 }
 

@@ -96,7 +96,7 @@ func (c ChipSpec) bench() (workload.Benchmark, error) {
 }
 
 // ZoneSpec selects a TEC control zoning for zoned requests. Exactly one
-// of the three fields should be set.
+// of the three fields must be set.
 type ZoneSpec struct {
 	// Zones spreads the floorplan units that own TEC-covered cells
 	// round-robin over this many zones, the rest riding in zone 0
@@ -107,6 +107,32 @@ type ZoneSpec struct {
 	Clusters bool `json:"clusters,omitempty"`
 	// ZoneOf is an explicit unit → zone assignment covering every unit.
 	ZoneOf map[string]int `json:"zone_of,omitempty"`
+}
+
+// check refuses a spec that does not set exactly one of its fields,
+// naming the fields it sets.
+func (z *ZoneSpec) check() error {
+	var set [3]string
+	n := 0
+	if z.Zones != 0 {
+		set[n] = "zones"
+		n++
+	}
+	if z.Clusters {
+		set[n] = "clusters"
+		n++
+	}
+	if len(z.ZoneOf) > 0 {
+		set[n] = "zone_of"
+		n++
+	}
+	switch n {
+	case 0:
+		return fmt.Errorf("serve: zoning spec selects nothing (set zones, clusters, or zone_of)")
+	case 1:
+		return nil
+	}
+	return fmt.Errorf("serve: zoning spec sets %s; set exactly one of zones, clusters, or zone_of", strings.Join(set[:n], " and "))
 }
 
 // canon renders the spec canonically for memoization keys.

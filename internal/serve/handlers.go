@@ -255,9 +255,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: sweep grid %d×%d must be at least 2×2", req.NOmega, req.NI))
 		return
 	}
-	if pts := req.NOmega * req.NI; pts > s.opts.maxGridPoints() {
+	// Each edge is bounded before the product is taken, so it cannot wrap.
+	if req.NOmega > maxGridPoints || req.NI > maxGridPoints || req.NOmega*req.NI > maxGridPoints {
 		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: sweep grid %d×%d exceeds the %d-point limit", req.NOmega, req.NI, s.opts.maxGridPoints()))
+			fmt.Errorf("serve: sweep grid %d×%d exceeds the %d-point limit", req.NOmega, req.NI, maxGridPoints))
 		return
 	}
 	_, sys, status, err := s.system(req.Chip)

@@ -40,6 +40,11 @@ type pool struct {
 // re-resolves once through the canonical key.
 const spellingsPerModel = 8
 
+// zoningsPerChip bounds the zonings a pool entry memoizes. Past the
+// bound the memo clears wholesale, like the spec index: each spelling
+// then resolves once more to a fresh zoning.
+const zoningsPerChip = 16
+
 // poolEntry is one resident chip: its spec, the once-guarded build, and
 // the memoized zonings resolved against it.
 type poolEntry struct {
@@ -172,6 +177,9 @@ func (e *poolEntry) zoning(sys *core.System, zs *ZoneSpec) (*thermal.Zoning, err
 	if zs == nil {
 		return nil, nil
 	}
+	if err := zs.check(); err != nil {
+		return nil, err
+	}
 	key := zs.canon()
 	e.zoneMu.Lock()
 	defer e.zoneMu.Unlock()
@@ -182,11 +190,15 @@ func (e *poolEntry) zoning(sys *core.System, zs *ZoneSpec) (*thermal.Zoning, err
 	if err != nil {
 		return nil, err
 	}
+	if len(e.zonings) >= zoningsPerChip {
+		clear(e.zonings)
+	}
 	e.zonings[key] = z
 	return z, nil
 }
 
-// newZoning builds the zoning a ZoneSpec describes over the chip's model.
+// newZoning builds the zoning a ZoneSpec that passed check describes over
+// the chip's model.
 func newZoning(sys *core.System, zs *ZoneSpec) (*thermal.Zoning, error) {
 	zoner, ok := sys.Backend().(backend.Zoner)
 	if !ok {
@@ -216,6 +228,6 @@ func newZoning(sys *core.System, zs *ZoneSpec) (*thermal.Zoning, error) {
 		}
 		return m.SpreadZoning(zs.Zones)
 	default:
-		return nil, fmt.Errorf("serve: zoning spec selects nothing (set zones, clusters, or zone_of)")
+		return nil, fmt.Errorf("serve: zones %d must be positive", zs.Zones)
 	}
 }

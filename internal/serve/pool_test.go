@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"oftec/internal/evalcache"
+	"oftec/internal/experiments"
+	"oftec/internal/floorplan"
 )
 
 // decodeSpec strict-decodes a chip spec, as every request decoder does.
@@ -230,6 +232,61 @@ func TestPoolIndexBounded(t *testing.T) {
 	}
 	if size := p.size(); size != 1 {
 		t.Errorf("pool holds %d entries, want 1", size)
+	}
+}
+
+// TestPoolZoningsBounded: a chip keeps at most zoningsPerChip zonings
+// however many distinct zone_of maps clients send, and a spelling sent
+// twice in a row still resolves to one zoning and one cache key space.
+func TestPoolZoningsBounded(t *testing.T) {
+	s := New(Options{})
+	h := s.Handler()
+	// Two zones: FPMul always in zone 1 and L2 always in zone 0 (both own
+	// TEC-covered cells at the default resolution); bit k of i moves the
+	// k-th other unit to zone 1.
+	units := experiments.FastSetup().Config.Floorplan.Units()
+	twoZones := func(i int) EvaluateRequest {
+		zoneOf := map[string]int{}
+		k := 0
+		for _, u := range units {
+			switch u.Name {
+			case floorplan.UnitFPMul:
+				zoneOf[u.Name] = 1
+			case floorplan.UnitL2:
+				zoneOf[u.Name] = 0
+			default:
+				zoneOf[u.Name] = i >> k & 1
+				k++
+			}
+		}
+		return EvaluateRequest{OmegaRPM: 3000, CurrentsA: []float64{1, 1}, Zoning: &ZoneSpec{ZoneOf: zoneOf}}
+	}
+	for i := 0; i < 3*zoningsPerChip; i++ {
+		if rec := post(t, h, "/v1/evaluate", twoZones(i)); rec.Code != http.StatusOK {
+			t.Fatalf("zoning %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	e, err := s.pool.lookup(ChipSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.zoneMu.Lock()
+	n := len(e.zonings)
+	e.zoneMu.Unlock()
+	if n > zoningsPerChip {
+		t.Errorf("chip keeps %d zonings, over its bound %d", n, zoningsPerChip)
+	}
+
+	before := s.Cache().Stats()
+	for range 2 {
+		if rec := post(t, h, "/v1/evaluate", twoZones(0)); rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	after := s.Cache().Stats()
+	if after.Misses-before.Misses != 1 || after.Hits-before.Hits != 1 {
+		t.Errorf("a spelling sent twice: %d misses and %d hits, want 1 and 1",
+			after.Misses-before.Misses, after.Hits-before.Hits)
 	}
 }
 

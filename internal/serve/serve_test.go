@@ -461,6 +461,8 @@ func TestBadRequests(t *testing.T) {
 		{"removed pareto method neldermead", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, Method: "neldermead"}},
 		{"removed pareto method hooke", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, Method: "hooke"}},
 		{"tiny grid", "/v1/sweep", SweepRequest{NOmega: 1, NI: 1}},
+		{"sweep grid product overflows", "/v1/sweep", SweepRequest{NOmega: 1<<62 + 1, NI: 4}},
+		{"ambiguous zone spec", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1, 1, 1}, Zoning: &ZoneSpec{Zones: 3, Clusters: true}}},
 		{"empty pareto", "/v1/pareto", ParetoRequest{}},
 		{"unknown field", "/v1/evaluate", map[string]any{"omega_rpm": 2000, "bogus": true}},
 		{"removed field warmstart", "/v1/optimize", map[string]any{"warmstart": true}},
@@ -490,6 +492,8 @@ func TestBadRequests(t *testing.T) {
 		"evaluate res far over cap":         "chip grid resolution 1000000 exceeds the cap of 128",
 		"optimize res over cap":             "chip grid resolution 129 exceeds the cap of 128",
 		"optimize res far over cap":         "chip grid resolution 1000000 exceeds the cap of 128",
+		"sweep grid product overflows":      "exceeds the 4096-point limit",
+		"ambiguous zone spec":               "sets zones and clusters",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,10 +34,10 @@ type Options struct {
 	// MaxModels bounds the model pool; a request for a new chip beyond
 	// it is refused with 503. Zero selects 64.
 	MaxModels int
-	// MaxGridPoints bounds sweep grids (n_omega × n_i). Zero selects
-	// 4096.
-	MaxGridPoints int
 }
+
+// maxGridPoints bounds sweep grids (n_omega × n_i).
+const maxGridPoints = 4096
 
 func (o Options) maxInflight() int {
 	if o.MaxInflight > 0 {
@@ -65,13 +65,6 @@ func (o Options) maxTimeout() time.Duration {
 		return o.MaxTimeout
 	}
 	return 2 * time.Minute
-}
-
-func (o Options) maxGridPoints() int {
-	if o.MaxGridPoints > 0 {
-		return o.MaxGridPoints
-	}
-	return 4096
 }
 
 // Server is the oftecd service core: the model pool, the shared

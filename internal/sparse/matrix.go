@@ -59,9 +59,6 @@ func (b *Builder) Add(i, j int, v float64) {
 // AddDiag accumulates v into the diagonal entry (i, i).
 func (b *Builder) AddDiag(i int, v float64) { b.Add(i, i, v) }
 
-// N returns the matrix dimension.
-func (b *Builder) N() int { return b.n }
-
 // Build sorts and merges the accumulated triplets into a CSR matrix.
 func (b *Builder) Build() (*CSR, error) {
 	return b.build(false)

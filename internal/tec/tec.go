@@ -1,8 +1,10 @@
 // Package tec models thin-film thermoelectric coolers (TECs): the Peltier,
 // conduction, and Joule heating terms of Equations (1)-(3) of the paper,
-// and the three-sub-layer circuit element of Figure 4 used by the thermal
-// network (heat absorption at the cold node, Joule generation at the middle
-// node, heat rejection at the hot node).
+// and the three-sub-layer circuit element of Figure 4 (heat absorption at
+// the cold node, Joule generation at the middle node, heat rejection at
+// the hot node). The thermal package does not import this package: it
+// assembles the same circuit per grid cell from its own areal TECSpec, and
+// Element documents that circuit and checks it against Equation (1).
 package tec
 
 import (
@@ -22,6 +24,14 @@ type Device struct {
 	Conductance float64
 	// MaxCurrent is the damage threshold I_TEC,max in A (constraint (17)).
 	MaxCurrent float64
+}
+
+// DefaultModule is the 1 mm² thin-film module tiled over the die in the
+// OFTEC experiments (DESIGN.md §6): modest per-module Seebeck voltage and
+// milliohm resistance, so hundreds of series-connected modules draw a few
+// amperes at a few volts.
+func DefaultModule() Device {
+	return Device{Seebeck: 1.5e-3, Resistance: 4e-3, Conductance: 0.1, MaxCurrent: 5}
 }
 
 // Validate reports whether the device parameters are physical.
@@ -94,42 +104,12 @@ func (d Device) FigureOfMerit(tMean float64) float64 {
 	return d.Seebeck * d.Seebeck * tMean / (d.Resistance * d.Conductance)
 }
 
-// Array is a set of N identical devices connected electrically in series
-// and thermally in parallel, driven by the same current (the deployment
-// model of the paper: all deployed TECs share one driving current).
-type Array struct {
-	Device
-	N int
-}
-
-// Validate reports whether the array is well-formed.
-func (a Array) Validate() error {
-	if a.N <= 0 {
-		return fmt.Errorf("tec: array size %d must be positive", a.N)
-	}
-	return a.Device.Validate()
-}
-
-// ColdSideHeat returns the total q̇_c of the array (Equation (1)).
-func (a Array) ColdSideHeat(tc, dT, i float64) float64 {
-	return float64(a.N) * a.Device.ColdSideHeat(tc, dT, i)
-}
-
-// HotSideHeat returns the total q̇_h of the array (Equation (2)).
-func (a Array) HotSideHeat(th, dT, i float64) float64 {
-	return float64(a.N) * a.Device.HotSideHeat(th, dT, i)
-}
-
-// Power returns the total electrical power of the array (Equation (3)).
-func (a Array) Power(dT, i float64) float64 {
-	return float64(a.N) * a.Device.Power(dT, i)
-}
-
-// Element is the three-node circuit view of one TEC used by the thermal
-// network (Figure 4): the cold (absorption) node couples to the layer
-// below, the mid (generation) node carries the Joule source, and the hot
-// (rejection) node couples to the layer above. Both internal couplings have
-// conductance 2·K_TEC so the series combination equals K_TEC.
+// Element is the three-node circuit view of one TEC (Figure 4), the
+// circuit the thermal package's assembly implements per grid cell: the
+// cold (absorption) node couples to the layer below, the mid (generation)
+// node carries the Joule source, and the hot (rejection) node couples to
+// the layer above. Both internal couplings have conductance 2·K_TEC so
+// the series combination equals K_TEC.
 type Element struct {
 	dev Device
 }

@@ -121,27 +121,6 @@ func TestCOP(t *testing.T) {
 	}
 }
 
-func TestArrayScaling(t *testing.T) {
-	a := Array{Device: sample(), N: 9}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tc, th, i := 350.0, 355.0, 1.5
-	dT := th - tc
-	if got, want := a.ColdSideHeat(tc, dT, i), 9*a.Device.ColdSideHeat(tc, dT, i); math.Abs(got-want) > 1e-12 {
-		t.Errorf("array q̇c = %g, want %g", got, want)
-	}
-	if got, want := a.HotSideHeat(th, dT, i), 9*a.Device.HotSideHeat(th, dT, i); math.Abs(got-want) > 1e-12 {
-		t.Errorf("array q̇h = %g, want %g", got, want)
-	}
-	if got, want := a.Power(dT, i), 9*a.Device.Power(dT, i); math.Abs(got-want) > 1e-12 {
-		t.Errorf("array P = %g, want %g", got, want)
-	}
-	if err := (Array{Device: sample(), N: 0}).Validate(); err == nil {
-		t.Error("zero-size array accepted")
-	}
-}
-
 func TestElementCircuitMatchesClosedForm(t *testing.T) {
 	e, err := NewElement(sample())
 	if err != nil {

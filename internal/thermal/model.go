@@ -3,7 +3,6 @@ package thermal
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -17,11 +16,6 @@ import (
 	"oftec/internal/power"
 	"oftec/internal/sparse"
 )
-
-// ErrThermalRunaway is reported (wrapped) when the steady-state iteration
-// with the exact exponential leakage model diverges, i.e. the positive
-// electrothermal feedback loop has gain at or above one.
-var ErrThermalRunaway = errors.New("thermal: thermal runaway")
 
 // plane indices in the node stack, bottom to top.
 const (

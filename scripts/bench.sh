@@ -17,7 +17,7 @@
 #
 # Usage: scripts/bench.sh [output.json] [backend-output.json] [serve-output.json]
 #   BENCHTIME=5s scripts/bench.sh       # longer runs for stabler numbers
-#   SERVE_N=5000 SERVE_C=64 scripts/bench.sh   # heavier serving run
+#   SERVE_N=1000 scripts/bench.sh      # quick, start-up-dominated serving run
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -188,9 +188,11 @@ jq '{coolant_liquid_vs_air_power_ratio: .coolant_liquid_vs_air.power_ratio}' "$B
 # sweeps, Pareto fronts across three chips), writing latency percentiles
 # and cache-coalescing rates. oftecload itself exits nonzero on any
 # request error or if no cross-request coalescing was observed, so this
-# doubles as the serving acceptance gate.
-echo "== oftecload (serving benchmark, ${SERVE_N:-1000} requests × ${SERVE_C:-32} workers)"
-go run ./cmd/oftecload -n "${SERVE_N:-1000}" -c "${SERVE_C:-32}" -out "$SERVE_OUT"
+# doubles as the serving acceptance gate. The default 20,000 requests run
+# for over a second on two CPUs, so steady-state serving outweighs the
+# three model builds and first solves that dominate a 1,000-request run.
+echo "== oftecload (serving benchmark, ${SERVE_N:-20000} requests × ${SERVE_C:-32} workers)"
+go run ./cmd/oftecload -n "${SERVE_N:-20000}" -c "${SERVE_C:-32}" -out "$SERVE_OUT"
 
 echo "== wrote $SERVE_OUT"
 jq '{p50_ms, p90_ms, p99_ms, throughput_rps, errors, coalesce_rate: .cache.coalesce_rate}' "$SERVE_OUT"
