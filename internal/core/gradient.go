@@ -13,8 +13,7 @@ import (
 // on the already-factored system), and the thermal model memoizes the
 // Gradient with its point's Result, so when the solver asks for the
 // objective and constraint gradients separately at one iterate, the second
-// request is a memo hit rather than another adjoint pair. Safe for
-// concurrent use (MultiStart's corner launch shares one).
+// request is a memo hit rather than another adjoint pair.
 type adjoint struct {
 	ge backend.GradEvaluator
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -90,8 +91,8 @@ func TestGradientModeZonedRun(t *testing.T) {
 // 1e-6 A, the legacy scaled probe step 1e-5·span = 1e-11 A fell below the
 // evaluation cache's 1e-9 quantization grid, every probe aliased onto its
 // base point, and the solver declared convergence at the starting point
-// having "sampled" exactly one operating point. The GradMinStep floor
-// keeps probes on distinct grid points.
+// having "sampled" exactly one operating point. The solvers' floor on
+// the finite-difference step keeps probes on distinct grid points.
 func TestGradientTinySpanProbesDistinct(t *testing.T) {
 	cfg := testConfig()
 	cfg.TEC.MaxCurrent = 1e-6
@@ -138,83 +139,87 @@ func systemFromConfig(t *testing.T, bench string, cfg thermal.Config) *System {
 	return newSystemCap(backend.NewFull(m), 0)
 }
 
-// paretoHookFront fabricates per-threshold outcomes so the parallel and
-// serial Pareto paths can be compared under controlled fault injection.
-func paretoHookFront(ambient float64, errAt float64, injected error) func(o Options) (*Outcome, error) {
+// paretoHookFront fabricates per-threshold outcomes so ParetoFront's
+// frontier and error rules can be checked under controlled fault
+// injection: feasible at ambient+20 K and above, infeasible below, and
+// the injected error at every threshold in errAt. It records the
+// thresholds it was asked to solve in *solved.
+func paretoHookFront(ambient float64, injected error, solved *[]float64, errAt ...float64) func(o Options) (*Outcome, error) {
 	return func(o Options) (*Outcome, error) {
-		switch {
-		case errAt != 0 && math.Abs(o.TMax-errAt) < 1e-9:
-			return nil, injected
-		case o.TMax >= ambient+20:
+		*solved = append(*solved, o.TMax)
+		for _, e := range errAt {
+			if math.Abs(o.TMax-e) < 1e-9 {
+				return nil, injected
+			}
+		}
+		if o.TMax >= ambient+20 {
 			return &Outcome{
 				Feasible: true,
 				Omega:    100,
 				ITEC:     0.5,
 				Result:   &thermal.Result{MaxChipTemp: o.TMax - 1},
 			}, nil
-		default:
-			return &Outcome{Result: &thermal.Result{MaxChipTemp: o.TMax + 5}}, nil
 		}
+		return &Outcome{Result: &thermal.Result{MaxChipTemp: o.TMax + 5}}, nil
 	}
 }
 
-// TestParetoParallelErrorBelowFrontierMatchesSerial is the regression for
-// the parallel-vs-serial error-semantics bug: a backend that fails only
-// on a threshold below the frontier (deep in the infeasible region the
-// serial path never probes, because it short-circuits at the first
-// infeasible threshold) must not fail the parallel front either.
-func TestParetoParallelErrorBelowFrontierMatchesSerial(t *testing.T) {
+// TestParetoErrorBelowFrontierNeverSolved: the sweep stops solving at the
+// first infeasible threshold, so a backend that fails only deeper in the
+// infeasible region cannot fail the front, and every point below the
+// frontier comes back blank.
+func TestParetoErrorBelowFrontierNeverSolved(t *testing.T) {
 	s := benchSystem(t, "CRC32")
 	ambient := s.Config().Ambient
-	boom := errors.New("backend melted below the frontier")
+	var solved []float64
 	// Feasible at ambient+30/+20, infeasible at +10, error injected at +5
 	// — strictly below the first infeasible threshold.
-	s.paretoRunHook = paretoHookFront(ambient, ambient+5, boom)
-	thresholds := []float64{ambient + 30, ambient + 20, ambient + 10, ambient + 5}
+	s.paretoRunHook = paretoHookFront(ambient, errors.New("backend melted below the frontier"), &solved, ambient+5)
+	thresholds := []float64{ambient + 5, ambient + 30, ambient + 10, ambient + 20}
 
-	serial, serr := s.ParetoFront(thresholds, Options{Workers: 1})
-	if serr != nil {
-		t.Fatalf("serial front failed: %v", serr)
+	front, err := s.ParetoFront(thresholds, Options{})
+	if err != nil {
+		t.Fatalf("front failed on an error below the frontier: %v", err)
 	}
-	par, perr := s.ParetoFront(thresholds, Options{Workers: 4})
-	if perr != nil {
-		t.Fatalf("parallel front failed on an error the serial path never hits: %v", perr)
+	want := []float64{ambient + 30, ambient + 20, ambient + 10}
+	if !reflect.DeepEqual(solved, want) {
+		t.Errorf("solved thresholds %v, want %v (descending, stopping at the first infeasible)", solved, want)
 	}
-	if len(par) != len(serial) {
-		t.Fatalf("front lengths diverged: %d vs %d", len(par), len(serial))
+	if len(front) != len(thresholds) {
+		t.Fatalf("front has %d points, want %d", len(front), len(thresholds))
 	}
-	for i := range par {
-		if par[i] != serial[i] {
-			t.Errorf("point %d diverged: parallel %+v, serial %+v", i, par[i], serial[i])
+	for i, pt := range front {
+		if i > 0 && pt.TMax >= front[i-1].TMax {
+			t.Errorf("thresholds not descending: %g then %g", front[i-1].TMax, pt.TMax)
+		}
+		if feasible := i < 2; pt.Feasible != feasible {
+			t.Errorf("point %d (%g K): Feasible=%t, want %t", i, pt.TMax, pt.Feasible, feasible)
 		}
 	}
-	// The blanked tail: below the frontier both paths report bare
-	// thresholds.
-	if last := par[len(par)-1]; last.Feasible || last.Power != 0 {
+	if last := front[len(front)-1]; last != (ParetoPoint{TMax: ambient + 5}) {
 		t.Errorf("below-frontier point not blanked: %+v", last)
 	}
 }
 
-// TestParetoParallelErrorAtFrontierMatchesSerial: an error at a threshold
-// the serial path does solve must fail both paths identically.
-func TestParetoParallelErrorAtFrontierMatchesSerial(t *testing.T) {
+// TestParetoErrorAtFrontierFails: an error at a threshold the sweep
+// solves fails it, and with errors at two solved thresholds the sweep
+// reports the first in descending order, naming it.
+func TestParetoErrorAtFrontierFails(t *testing.T) {
 	s := benchSystem(t, "CRC32")
 	ambient := s.Config().Ambient
 	boom := errors.New("backend melted at the frontier")
-	s.paretoRunHook = paretoHookFront(ambient, ambient+20, boom)
-	thresholds := []float64{ambient + 30, ambient + 20, ambient + 10}
+	var solved []float64
+	s.paretoRunHook = paretoHookFront(ambient, boom, &solved, ambient+10, ambient+20)
+	thresholds := []float64{ambient + 10, ambient + 20, ambient + 30}
 
-	_, serr := s.ParetoFront(thresholds, Options{Workers: 1})
-	_, perr := s.ParetoFront(thresholds, Options{Workers: 4})
-	if serr == nil || perr == nil {
-		t.Fatalf("expected both paths to fail: serial %v, parallel %v", serr, perr)
+	_, err := s.ParetoFront(thresholds, Options{})
+	if !errors.Is(err, boom) {
+		t.Fatalf("error lost the injected cause: %v", err)
 	}
-	for _, err := range []error{serr, perr} {
-		if !errors.Is(err, boom) {
-			t.Errorf("error lost the injected cause: %v", err)
-		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("%g", ambient+20)) {
-			t.Errorf("error does not name the failing threshold: %v", err)
-		}
+	if !strings.Contains(err.Error(), fmt.Sprintf("%g", ambient+20)) {
+		t.Errorf("error does not name the first failing threshold in descending order (%g K): %v", ambient+20, err)
+	}
+	if want := []float64{ambient + 30, ambient + 20}; !reflect.DeepEqual(solved, want) {
+		t.Errorf("solved thresholds %v, want %v", solved, want)
 	}
 }

@@ -45,18 +45,16 @@ type Options struct {
 	// uses the model configuration's T_max. Pareto sweeps use this to
 	// trace the power/temperature trade-off.
 	TMax float64
-	// Workers bounds the parallel fan-out built on the (thread-safe)
-	// evaluation cache: the solver's finite-difference probes (a
-	// derivative then costs ⌈2·dim/W⌉ solve times instead of 2·dim),
-	// ParetoFront's threshold probe, and the MultiStart corner launch. An
-	// outer fan-out runs its inner solves with one worker, so only one
-	// level is ever parallel. Zero sizes the pool to GOMAXPROCS; one
-	// forces the serial reference path. Results are identical either way:
-	// every solve a solver call asks for warm-starts from its current
-	// iterate's temperature field (solver.Problem.Near), fixed before the
-	// probes fan out. A point's answer agrees with any other hint's to
-	// solver tolerance, and the first solve's hint fixes the cached bits.
-	// Solver.Workers, when set, pins the solver's own width instead.
+	// Workers bounds the fan-out of the solver's finite-difference probes
+	// over the (thread-safe) evaluation cache: a derivative then costs
+	// ⌈2·dim/W⌉ solve times instead of 2·dim. Zero sizes the pool to
+	// GOMAXPROCS; one forces the serial loop. Results are identical
+	// either way: every solve a solver call asks for warm-starts from its
+	// current iterate's temperature field (solver.Problem.Near), fixed
+	// before the probes fan out. A point's answer agrees with any other
+	// hint's to solver tolerance, and the first solve's hint fixes the
+	// cached bits. MultiStart's starts and ParetoFront's thresholds run in
+	// order. Solver.Workers, when set, pins the solver's own width instead.
 	Workers int
 	// Gradient steers the solver with exact adjoint gradients from the
 	// backend (see backend.GradientOf) instead of finite differences,
@@ -230,8 +228,8 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 	if opts.Solver.Workers == 0 {
 		// Every evaluation of a solver call is anchored on its incumbent
 		// (anchoredProblem), so an answer never depends on evaluation
-		// order and the solver fans out its finite-difference probes and
-		// the MultiStart corner launch unless the caller pinned a width.
+		// order and the solver fans out its finite-difference probes
+		// unless the caller pinned a width.
 		opts.Solver.Workers = parallel.Workers(opts.Workers)
 	}
 

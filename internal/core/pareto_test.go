@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"oftec/internal/units"
@@ -51,36 +50,6 @@ func TestParetoFrontShape(t *testing.T) {
 	// must report it infeasible.
 	if front[len(front)-1].Feasible {
 		t.Error("60 °C threshold unexpectedly feasible")
-	}
-}
-
-// TestParetoFrontParallelMatchesSerial pins the fan-out contract: the
-// parallel threshold probe plus monotonicity post-pass must reproduce the
-// serial short-circuit path exactly. The sweep deliberately includes an
-// infeasible tail (60/55 °C) so the post-pass blanking is exercised.
-func TestParetoFrontParallelMatchesSerial(t *testing.T) {
-	thresholds := []float64{
-		units.CToK(95), units.CToK(90), units.CToK(85), units.CToK(60), units.CToK(55),
-	}
-	serialSys := benchSystem(t, "Quicksort")
-	serial, err := serialSys.ParetoFront(thresholds, Options{Mode: ModeHybrid, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelSys := benchSystem(t, "Quicksort")
-	par, err := parallelSys.ParetoFront(thresholds, Options{Mode: ModeHybrid, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("fronts differ:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	// The infeasible tail must be blanked on both paths.
-	for _, front := range [][]ParetoPoint{serial, par} {
-		tail := front[len(front)-1]
-		if tail.Feasible || tail.Power != 0 || tail.Omega != 0 {
-			t.Errorf("55 °C point not blanked: %+v", tail)
-		}
 	}
 }
 

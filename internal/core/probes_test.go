@@ -12,12 +12,8 @@ import (
 // exactly the outcome and the cache traffic of the serial run. It covers
 // every Table-2 benchmark under SQP, Basicmath under trust region and
 // interior point, the baseline modes (FixedFan pins the ω axis, so its
-// derivative plans no probes there), and the fallback chain. Every solve
-// is anchored on its solver call's incumbent, so a multistart launch,
-// whose corner starts run concurrently at width four, returns the serial
-// outcome too; its cache traffic differs (a start can wait on a point
-// another start is solving, where the serial launch finds it cached), so
-// only its outcome is compared.
+// derivative plans no probes there), the fallback chain, and a
+// multistart launch, whose corner starts run in order at either width.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	type runCase struct {
 		name, bench string
@@ -55,7 +51,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(serial, par) {
 				t.Errorf("outcomes differ:\nserial   %+v\nparallel %+v", serial, par)
 			}
-			if !c.opts.MultiStart && serialStats != parStats {
+			if serialStats != parStats {
 				t.Errorf("cache traffic differs: serial %+v, parallel %+v", serialStats, parStats)
 			}
 		})

@@ -182,8 +182,8 @@ type System struct {
 	// solveHook, when non-nil, runs immediately before each underlying
 	// scalar backend solve — i.e. exactly once per deduplicated cache
 	// miss. It can fire from several solves at once (a run's
-	// finite-difference probes and every other fan-out evaluate
-	// concurrently), so it must be safe for concurrent use. Test
+	// finite-difference probes evaluate concurrently), so it must be safe
+	// for concurrent use. Test
 	// instrumentation only; set before any traffic.
 	solveHook func(omega, itec float64)
 

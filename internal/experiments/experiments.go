@@ -101,6 +101,10 @@ func SurfaceContext(ctx context.Context, setup Setup, benchName string, nOmega, 
 	return SurfaceSystem(ctx, sys, nOmega, nI, workers)
 }
 
+// maxSurfacePoints bounds a surface sweep's grid: 2²² points, 160 MiB of
+// SurfacePoints, far past any figure's 40×40.
+const maxSurfacePoints = 1 << 22
+
 // SurfaceSystem sweeps an already-built System — the form a long-running
 // service uses, so the sweep shares the system's model, ROM basis, and
 // evaluation cache with every other request for the same chip instead of
@@ -118,8 +122,8 @@ func SurfaceSystem(ctx context.Context, sys *core.System, nOmega, nI, workers in
 	if nOmega < 2 || nI < 2 {
 		return nil, fmt.Errorf("experiments: surface grid %d×%d must be at least 2×2", nOmega, nI)
 	}
-	if nOmega > math.MaxInt/nI {
-		return nil, fmt.Errorf("experiments: surface grid %d×%d overflows the point count", nOmega, nI)
+	if nOmega > maxSurfacePoints || nI > maxSurfacePoints || nOmega*nI > maxSurfacePoints {
+		return nil, fmt.Errorf("experiments: surface grid %d×%d exceeds the %d-point limit", nOmega, nI, maxSurfacePoints)
 	}
 	cfg := sys.Config()
 	out := make([]SurfacePoint, nOmega*nI)

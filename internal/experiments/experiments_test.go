@@ -74,6 +74,12 @@ func TestSurfaceCSV(t *testing.T) {
 	if _, err := SurfaceContext(context.Background(), setup, "CRC32", 1<<62+1, 4, 0); err == nil {
 		t.Error("grid whose point count overflows accepted")
 	}
+	if _, err := SurfaceContext(context.Background(), setup, "CRC32", 1e9, 1e9, 0); err == nil {
+		t.Error("10⁹×10⁹ grid accepted")
+	}
+	if _, err := SurfaceContext(context.Background(), setup, "CRC32", 1<<22+1, 2, 0); err == nil {
+		t.Error("grid past the point bound accepted")
+	}
 	if _, err := SurfaceContext(context.Background(), setup, "NoSuchBench", 3, 3, 0); err == nil {
 		t.Error("unknown benchmark accepted")
 	}

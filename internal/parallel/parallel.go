@@ -1,9 +1,9 @@
 // Package parallel is the fan-out engine behind the repository's
 // embarrassingly parallel drivers: the ω×I_TEC surface sweep (Figure 6),
-// the Pareto threshold probe, the multistart corner launch, and the
-// sensitivity/throttling studies. Every experiment in the paper's
-// evaluation section is a set of independent steady-state solves, so one
-// bounded worker pool covers them all.
+// the per-benchmark tables, the sensitivity/throttling studies, and the
+// finite-difference probes of every solver derivative. Each is a set of
+// independent steady-state solves, so one bounded worker pool covers
+// them all.
 //
 // The engine's contract:
 //

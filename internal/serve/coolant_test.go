@@ -83,3 +83,19 @@ func TestUnknownCoolantRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateLiquidPackageLowFlowRunaway: at 143.24 RPM (15 rad/s) the
+// liquid-package cold plate cannot hold Quicksort. The request answers
+// 200 with runaway set, not a field far below ambient with a negative
+// cooling power.
+func TestEvaluateLiquidPackageLowFlowRunaway(t *testing.T) {
+	h := New(Options{}).Handler()
+	rec := post(t, h, "/v1/evaluate",
+		json.RawMessage(`{"chip":{"bench":"Quicksort","coolant":"liquid-package"},"omega_rpm":143.24}`))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := decodeBody[EvaluateResponse](t, rec); !got.Runaway {
+		t.Errorf("runaway = false: max_temp_c %g, cooling_power_w %g", got.MaxTempC, got.CoolingPowerW)
+	}
+}

@@ -121,3 +121,62 @@ func FuzzEvaluateRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParetoRequest strict-decodes arbitrary bytes into a ParetoRequest
+// and posts it to /v1/pareto on one shared Server, with the chip and the
+// deadline pinned to the defaults as in FuzzEvaluateRequest. A request
+// with more than eight thresholds is skipped, since each threshold is an
+// Algorithm-1 run. Whatever the thresholds and method, the answer is 200
+// or 400, and a 200 body decodes to a front of finite numbers.
+func FuzzParetoRequest(f *testing.F) {
+	for _, seed := range []ParetoRequest{
+		{TMaxC: []float64{90}},
+		{TMaxC: []float64{95, 85, 75}, Method: "interior"},
+		{TMaxC: []float64{40}},
+		{TMaxC: []float64{90, 45}},
+		{TMaxC: []float64{-300}},
+		{TMaxC: []float64{1e308}, Method: "trust"},
+	} {
+		b, err := json.Marshal(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	h := New(Options{}).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req ParetoRequest
+		if err := dec.Decode(&req); err != nil || len(req.TMaxC) > 8 {
+			return
+		}
+		req.Chip, req.TimeoutMS = ChipSpec{}, 0
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > maxBodyBytes {
+			return // the 413 path has its own test
+		}
+		rec := post(t, h, "/v1/pareto", json.RawMessage(b))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("%s: status %d: %s", b, rec.Code, rec.Body.String())
+		}
+		var resp ParetoResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: 200 body does not decode: %v: %q", b, err, rec.Body.String())
+		}
+		for _, p := range resp.Points {
+			for _, v := range []float64{p.TMaxC, p.PowerW, p.MaxTempC, p.OmegaRPM, p.ITecA} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: non-finite number in %+v", b, p)
+				}
+			}
+		}
+	})
+}

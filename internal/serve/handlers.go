@@ -296,10 +296,6 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	if len(req.TMaxC) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: pareto needs at least one tmax_c threshold"))
-		return
-	}
 	_, sys, status, err := s.system(req.Chip)
 	if err != nil {
 		s.writeError(w, status, err)
@@ -310,13 +306,17 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
 	thresholds := make([]float64, len(req.TMaxC))
 	for i, c := range req.TMaxC {
 		thresholds[i] = units.CToK(c)
 	}
+	if err := sys.CheckPareto(thresholds); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
+
 	front, err := sys.ParetoFront(thresholds, core.Options{
 		Mode:   core.ModeHybrid,
 		Method: method,

@@ -464,6 +464,9 @@ func TestBadRequests(t *testing.T) {
 		{"sweep grid product overflows", "/v1/sweep", SweepRequest{NOmega: 1<<62 + 1, NI: 4}},
 		{"ambiguous zone spec", "/v1/evaluate", EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1, 1, 1}, Zoning: &ZoneSpec{Zones: 3, Clusters: true}}},
 		{"empty pareto", "/v1/pareto", ParetoRequest{}},
+		{"pareto threshold below ambient", "/v1/pareto", ParetoRequest{TMaxC: []float64{40}}},
+		{"pareto threshold at ambient", "/v1/pareto", ParetoRequest{TMaxC: []float64{90, 45}}},
+		{"pareto threshold below absolute zero", "/v1/pareto", ParetoRequest{TMaxC: []float64{-300}}},
 		{"unknown field", "/v1/evaluate", map[string]any{"omega_rpm": 2000, "bogus": true}},
 		{"removed field warmstart", "/v1/optimize", map[string]any{"warmstart": true}},
 		{"evaluate res over cap", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Res: 129}, OmegaRPM: 2000}},
@@ -474,26 +477,29 @@ func TestBadRequests(t *testing.T) {
 	// An unknown name is answered with the accepted ones, and a corner
 	// launch past the multistart bound names the bound.
 	lists := map[string]string{
-		"unknown mode":                      "oftec, var, fixed, teconly",
-		"unknown method":                    "(want sqp, interior, trust)",
-		"unknown pareto method":             "(want sqp, interior, trust)",
-		"removed method neldermead":         "(want sqp, interior, trust)",
-		"removed method hooke":              "(want sqp, interior, trust)",
-		"removed pareto method neldermead":  "(want sqp, interior, trust)",
-		"removed pareto method hooke":       "(want sqp, interior, trust)",
-		"multistart over 8 zones":           "CornerStarts limited to 8 dimensions",
-		"streamed multistart over 8 zones":  "CornerStarts limited to 8 dimensions",
-		"removed field warmstart":           `unknown field "warmstart"`,
-		"zone_of index over the unit count": "zone count 1099511627777 exceeds the floorplan's 18 units",
-		"negative current":                  "itec_a -1 A is outside the TEC range [0, 5] A",
-		"over-max current":                  "itec_a 1e+09 A is outside the TEC range [0, 5] A",
-		"negative zoned current":            "currents_a[1] -1 A is outside the TEC range [0, 5] A",
-		"evaluate res over cap":             "chip grid resolution 129 exceeds the cap of 128",
-		"evaluate res far over cap":         "chip grid resolution 1000000 exceeds the cap of 128",
-		"optimize res over cap":             "chip grid resolution 129 exceeds the cap of 128",
-		"optimize res far over cap":         "chip grid resolution 1000000 exceeds the cap of 128",
-		"sweep grid product overflows":      "exceeds the 4096-point limit",
-		"ambiguous zone spec":               "sets zones and clusters",
+		"unknown mode":                         "oftec, var, fixed, teconly",
+		"unknown method":                       "(want sqp, interior, trust)",
+		"unknown pareto method":                "(want sqp, interior, trust)",
+		"removed method neldermead":            "(want sqp, interior, trust)",
+		"removed method hooke":                 "(want sqp, interior, trust)",
+		"removed pareto method neldermead":     "(want sqp, interior, trust)",
+		"removed pareto method hooke":          "(want sqp, interior, trust)",
+		"multistart over 8 zones":              "CornerStarts limited to 8 dimensions",
+		"streamed multistart over 8 zones":     "CornerStarts limited to 8 dimensions",
+		"removed field warmstart":              `unknown field "warmstart"`,
+		"zone_of index over the unit count":    "zone count 1099511627777 exceeds the floorplan's 18 units",
+		"negative current":                     "itec_a -1 A is outside the TEC range [0, 5] A",
+		"over-max current":                     "itec_a 1e+09 A is outside the TEC range [0, 5] A",
+		"negative zoned current":               "currents_a[1] -1 A is outside the TEC range [0, 5] A",
+		"evaluate res over cap":                "chip grid resolution 129 exceeds the cap of 128",
+		"evaluate res far over cap":            "chip grid resolution 1000000 exceeds the cap of 128",
+		"optimize res over cap":                "chip grid resolution 129 exceeds the cap of 128",
+		"optimize res far over cap":            "chip grid resolution 1000000 exceeds the cap of 128",
+		"sweep grid product overflows":         "exceeds the 4096-point limit",
+		"ambiguous zone spec":                  "sets zones and clusters",
+		"pareto threshold below ambient":       "threshold 313.15 K not above ambient",
+		"pareto threshold at ambient":          "threshold 318.15 K not above ambient",
+		"pareto threshold below absolute zero": "not above ambient",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

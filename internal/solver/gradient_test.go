@@ -229,7 +229,8 @@ func TestGradientPinnedInfeasiblePlateauEquivalence(t *testing.T) {
 // the grid spacing; on a problem whose whole span is 1e-6 the scaled
 // default step lands at 1e-11 and every difference quotient collapses to
 // an exact zero, so the solvers declared convergence at their starting
-// point. The GradMinStep floor keeps probes on distinct grid points.
+// point. The unit box's gradMinStep floor keeps probes on distinct grid
+// points.
 func TestGradientQuantizedEvalTinySpanFloor(t *testing.T) {
 	const target = 7e-7
 	quantized := func(x []float64) float64 {

@@ -21,35 +21,7 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 	n := p.Dim()
 	evals := 0
 
-	span := make([]float64, n)
-	for i := range span {
-		span[i] = p.Upper[i] - p.Lower[i]
-		if span[i] == 0 {
-			span[i] = 1
-		}
-	}
-	toX := func(z []float64) []float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = p.Lower[i] + z[i]*span[i]
-		}
-		p.clampBox(x)
-		return x
-	}
-
-	// uz is the per-axis upper bound in scaled space: 1, or 0 for a pinned
-	// variable (Upper == Lower), whose axis must never move.
-	uz := make([]float64, n)
-	for i := range uz {
-		uz[i] = 1
-		if p.pinned(i) {
-			uz[i] = 0
-		}
-	}
-	z := make([]float64, n)
-	for i := range z {
-		z[i] = math.Min(uz[i], math.Max(0, (x0[i]-p.Lower[i])/span[i]))
-	}
+	box, z := newUnitBox(p, x0, opts)
 
 	// psi is the extrapolated log barrier: -mu*ln(-c) while c ≤ -mu,
 	// and the C¹ quadratic continuation beyond.
@@ -70,22 +42,18 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return 1 + (c+mu)/mu
 	}
 
-	// at is the problem anchored on the incumbent (see Problem.Near);
-	// every evaluation below goes through it.
-	at := p.near(toX(z))
-
 	// Barrier objective in scaled space.
 	const edge = 1e-9
 	barrier := func(z []float64, mu float64, evals *int) float64 {
-		x := toX(z)
+		x := box.toX(z)
 		*evals++
-		f := at.F(x)
+		f := box.at.F(x)
 		if math.IsNaN(f) || f >= Infeasible || math.IsInf(f, 1) {
 			return Infeasible
 		}
-		for i := range at.Cons {
+		for i := range box.at.Cons {
 			*evals++
-			f += psi(at.Cons[i](x), mu)
+			f += psi(box.at.Cons[i](x), mu)
 		}
 		for i := 0; i < n; i++ {
 			f += psi(edge-z[i], mu) + psi(z[i]-1+edge, mu)
@@ -96,7 +64,6 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return f
 	}
 
-	gradEvals := 0
 	// gradAnalytic assembles the exact barrier gradient from Options.Grad
 	// and Options.ConsGrad: ∇φ_z = span∘(∇F + Σψ'(c_i)∇c_i) plus the box
 	// barrier terms, which are analytic by construction. It returns nil —
@@ -104,35 +71,20 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 	// unavailable or declines: a half-analytic composite would drift
 	// against the finite-difference pieces and wreck the BFGS pairs.
 	gradAnalytic := func(zz []float64, mu float64) []float64 {
-		if opts.Grad == nil {
+		x := box.toX(zz)
+		g := box.objGrad(x)
+		if g == nil {
 			return nil
 		}
-		x := toX(zz)
-		gx := opts.Grad(x)
-		if gx == nil {
-			return nil
-		}
-		gradEvals++
-		g := scaleToZ(gx, span, p)
 		for i := range p.Cons {
-			var gc []float64
-			if i < len(opts.ConsGrad) && opts.ConsGrad[i] != nil {
-				gc = opts.ConsGrad[i](x)
-			}
+			gc := box.consGradX(i, x)
 			if gc == nil {
 				return nil
 			}
-			gradEvals++
-			dpsi := psiPrime(at.evalCons(i, x, &evals), mu)
-			for j := 0; j < n; j++ {
-				if p.pinned(j) {
-					continue
-				}
-				g[j] += dpsi * gc[j] * span[j]
-			}
+			box.addWeighted(g, gc, psiPrime(box.at.evalCons(i, x, &evals), mu))
 		}
 		for i := 0; i < n; i++ {
-			if p.pinned(i) {
+			if box.pinned(i) {
 				g[i] = 0
 				continue
 			}
@@ -141,14 +93,11 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return g
 	}
 
-	// minStep is the scaled-space finite-difference floor that keeps the
-	// two probes on distinct keys of a 1e-9-quantized evaluation cache
-	// (see quantRelStep).
-	minStep := scaledGradMinStep(p, span)
 	// grad falls back to finite differences of the barrier, planned,
 	// evaluated and combined like Problem.gradient's: both probes of every
-	// live axis (the extrapolated barrier is defined past the box), run
-	// through probe on opts.workers().
+	// live axis (the extrapolated barrier is defined past the box), each
+	// at least the unit box's floor apart, run through probe on
+	// opts.workers().
 	grad := func(z []float64, mu float64, f0 float64) []float64 {
 		if g := gradAnalytic(z, mu); g != nil {
 			return g
@@ -156,10 +105,10 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		steps := make([]float64, n)
 		var zs [][]float64
 		for i := 0; i < n; i++ {
-			if p.pinned(i) {
+			if box.pinned(i) {
 				continue // pinned axis: the derivative along it is zero
 			}
-			steps[i] = math.Max(fdRelStep, minStep[i])
+			steps[i] = math.Max(fdRelStep, box.gradMinStep[i])
 			zs = append(zs, shifted(z, i, z[i]+steps[i]), shifted(z, i, z[i]-steps[i]))
 		}
 		phi := func(zz []float64, evals *int) float64 { return barrier(zz, mu, evals) }
@@ -167,7 +116,7 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 
 		g := make([]float64, n)
 		for i := 0; i < n; i++ {
-			if p.pinned(i) {
+			if box.pinned(i) {
 				continue
 			}
 			fHi, fLo, step := vals[0], vals[1], steps[i]
@@ -184,7 +133,7 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return g
 	}
 
-	report := Report{X: toX(z)}
+	report := Report{X: box.toX(z)}
 	tol := opts.tol()
 	totalIter := 0
 
@@ -236,8 +185,9 @@ outer:
 			for alpha >= 1e-10 {
 				cand := make([]float64, n)
 				for i := range cand {
-					cand[i] = math.Min(uz[i], math.Max(0, z[i]+alpha*d[i]))
+					cand[i] = z[i] + alpha*d[i]
 				}
+				box.clampBox(cand)
 				fNew = barrier(cand, mu, &evals)
 				armijo := fNew < f-1e-6*alpha*math.Abs(dot(g, d))
 				lastResort := alpha < 1e-8 && fNew < f
@@ -251,7 +201,7 @@ outer:
 				stationary = true
 				break // stationary for this barrier parameter
 			}
-			at = p.near(toX(zNew))
+			box.anchor(zNew)
 			gNew := grad(zNew, mu, fNew)
 			s := make([]float64, n)
 			y := make([]float64, n)
@@ -266,22 +216,22 @@ outer:
 
 			opts.trace(TraceRecord{
 				Method: "interior", Iter: totalIter,
-				X: toX(z), F: f,
+				X: box.toX(z), F: f,
 				MaxViolation: math.NaN(), StepNorm: stepInf, Alpha: alpha,
 			})
 
 			if opts.StopWhen != nil {
-				x := toX(z)
-				fv := at.eval(x, &evals)
+				x := box.toX(z)
+				fv := box.at.eval(x, &evals)
 				if opts.StopWhen(x, fv) {
 					report.X = x
 					report.F = fv
 					report.EarlyStopped = true
 					report.Stopped = StopEarlyStopped
 					report.Iterations = totalIter
-					report.MaxViolation = at.maxViolation(x, &evals)
+					report.MaxViolation = box.at.maxViolation(x, &evals)
 					report.FuncEvals = evals
-					report.GradEvals = gradEvals
+					report.GradEvals = box.gradEvals
 					return report, nil
 				}
 			}
@@ -294,9 +244,9 @@ outer:
 	}
 
 	report.Iterations = totalIter
-	report.X = toX(z)
-	report.F = at.eval(report.X, &evals)
-	report.MaxViolation = at.maxViolation(report.X, &evals)
+	report.X = box.toX(z)
+	report.F = box.at.eval(report.X, &evals)
+	report.MaxViolation = box.at.maxViolation(report.X, &evals)
 	if report.Stopped != StopCancelled {
 		// Converged only when the final barrier subproblem actually
 		// reached stationarity, not unconditionally.
@@ -308,6 +258,6 @@ outer:
 		}
 	}
 	report.FuncEvals = evals
-	report.GradEvals = gradEvals
+	report.GradEvals = box.gradEvals
 	return report, nil
 }

@@ -1,11 +1,8 @@
 package solver
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"oftec/internal/parallel"
 )
 
 // Runner is the common signature of the iterative solvers in this
@@ -30,28 +27,19 @@ func betterReport(rep, best Report, feasTol float64) bool {
 	return false
 }
 
-// MultiStart runs a solver from several starting points and returns the
-// best feasible result (or the least-infeasible one when nothing is
-// feasible). The paper notes its objectives have "minor non-convexities";
-// a small multistart turns the local SQP into a practical global method
-// when extra robustness is wanted. FuncEvals and Iterations aggregate
-// across all starts.
+// MultiStart runs a solver from several starting points, in order, and
+// returns the best feasible result (or the least-infeasible one when
+// nothing is feasible). The paper notes its objectives have "minor
+// non-convexities"; a small multistart turns the local SQP into a
+// practical global method when extra robustness is wanted. FuncEvals and
+// Iterations aggregate across all starts. Every start runs with opts, so
+// Options.Workers sizes each start's finite-difference probes.
 //
-// With Options.Workers outside {0, 1} the starts are launched on a
-// bounded worker pool (see Options.Workers for the thread-safety
-// contract), each start solving with Workers = 1 so the fan-out stays
-// one level deep. The selection over completed reports is replayed serially
-// in start order, so the returned Report is identical to the serial
-// launch — including the early-stop short circuit, whose skipped starts
-// are solved but then ignored.
-//
-// Cancellation (Options.Ctx) is honored by every underlying solve; the
-// aggregate then reports the launch as a whole: best-so-far X/F, summed
-// counters over whatever ran, Converged=false, Stopped=StopCancelled.
-// Under cancellation the serial launch stops issuing solves while the
-// parallel one lets the remaining starts return their (cheap) cancelled
-// stubs, so the two paths may differ in the aggregate counters — never
-// in the incumbent's provenance guarantees.
+// The launch stops at the first start that early-stops, and on
+// cancellation (Options.Ctx), which every underlying solve also honors.
+// A cancelled launch reports the whole launch: best-so-far X/F, summed
+// counters over the starts that ran, Converged=false,
+// Stopped=StopCancelled.
 func MultiStart(run Runner, p *Problem, starts [][]float64, opts Options) (Report, error) {
 	if err := p.Validate(); err != nil {
 		return Report{}, err
@@ -66,55 +54,20 @@ func MultiStart(run Runner, p *Problem, starts [][]float64, opts Options) (Repor
 		}
 	}
 
-	workers := opts.workers()
-	reps := make([]Report, len(starts))
-	if workers == 1 {
-		// Serial launch: stop issuing solves at the first early stop or on
-		// cancellation. reps is truncated so unstarted zero Reports (which
-		// would look "feasible at F=0") never reach the reduction below.
-		launched := 0
-		for i, x0 := range starts {
-			if i > 0 && opts.cancelled() {
-				break
-			}
-			rep, err := run(p, x0, opts)
-			if err != nil {
-				return Report{}, fmt.Errorf("solver: start %d: %w", i, err)
-			}
-			reps[i] = rep
-			launched = i + 1
-			if rep.EarlyStopped {
-				break
-			}
-		}
-		reps = reps[:launched]
-	} else {
-		// One level of fan-out: each start probes its derivatives serially.
-		inner := opts
-		inner.Workers = 1
-		err := parallel.ForEach(context.Background(), len(starts), workers, func(i int) error {
-			rep, err := run(p, starts[i], inner)
-			if err != nil {
-				return fmt.Errorf("solver: start %d: %w", i, err)
-			}
-			reps[i] = rep
-			return nil
-		})
-		if err != nil {
-			return Report{}, err
-		}
-	}
-
-	// Deterministic reduction in start order, regardless of how the
-	// reports were produced.
 	best := Report{F: math.Inf(1), MaxViolation: math.Inf(1)}
 	var totalEvals, totalGrads, totalIters int
 	feasTol := opts.tol()
-	for _, rep := range reps {
+	for i, x0 := range starts {
+		if i > 0 && opts.cancelled() {
+			break
+		}
+		rep, err := run(p, x0, opts)
+		if err != nil {
+			return Report{}, fmt.Errorf("solver: start %d: %w", i, err)
+		}
 		totalEvals += rep.FuncEvals
 		totalGrads += rep.GradEvals
 		totalIters += rep.Iterations
-
 		if betterReport(rep, best, feasTol) {
 			best = rep
 		}

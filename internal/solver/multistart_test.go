@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -117,46 +116,32 @@ func TestCornerStarts(t *testing.T) {
 	}
 }
 
-// TestMultiStartParallelMatchesSerial pins the fan-out contract: the
-// parallel launch must return a Report identical to the serial one —
-// selection, aggregate counters, and the early-stop short circuit
-// (replayed over the completed reports) included.
-func TestMultiStartParallelMatchesSerial(t *testing.T) {
+// TestMultiStartEarlyStopTruncates: the launch stops at the first start
+// that early-stops. Later starts never run, and the aggregate counters are
+// those of the starts that did.
+func TestMultiStartEarlyStopTruncates(t *testing.T) {
 	p := twoBasins()
-	starts, err := CornerStarts(p, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := MultiStart(ActiveSetSQP, p, starts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MultiStart(ActiveSetSQP, p, starts, Options{Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("reports differ:\nserial   %+v\nparallel %+v", serial, par)
-	}
-
-	// Early stop: the parallel reduction must discard reports past the
-	// first early-stopped start, matching the serial break. StopWhen is a
-	// pure function of f so it is safe for the concurrent launch.
 	stop := func(x []float64, f float64) bool { return f < 1.5 }
-	es := [][]float64{{-3.5, 0}, {3.5, 0}, {0.1, 0.5}}
-	serialES, err := MultiStart(ActiveSetSQP, p, es, Options{StopWhen: stop})
+	starts := [][]float64{{3.5, 0}, {-3.5, 0}, {0.1, 0.5}}
+	var ran []Report
+	run := func(p *Problem, x0 []float64, opts Options) (Report, error) {
+		rep, err := ActiveSetSQP(p, x0, opts)
+		ran = append(ran, rep)
+		return rep, err
+	}
+	rep, err := MultiStart(run, p, starts, Options{StopWhen: stop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parES, err := MultiStart(ActiveSetSQP, p, es, Options{StopWhen: stop, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if len(ran) != 1 || !ran[0].EarlyStopped {
+		t.Fatalf("ran %d starts, want only the first, early-stopped", len(ran))
 	}
-	if !parES.EarlyStopped {
-		t.Error("parallel launch lost the early stop")
+	if !rep.EarlyStopped || rep.Stopped != StopEarlyStopped || rep.Converged {
+		t.Errorf("launch verdict EarlyStopped=%t Stopped=%s Converged=%t, want early-stopped",
+			rep.EarlyStopped, rep.Stopped, rep.Converged)
 	}
-	if !reflect.DeepEqual(serialES, parES) {
-		t.Errorf("early-stop reports differ:\nserial   %+v\nparallel %+v", serialES, parES)
+	if rep.FuncEvals != ran[0].FuncEvals || rep.Iterations != ran[0].Iterations || rep.F != ran[0].F {
+		t.Errorf("aggregate %+v, want the first start's %+v", rep, ran[0])
 	}
 }
 

@@ -36,34 +36,6 @@ func minFDStep(lo, hi float64) float64 {
 	return quantRelStep * scale
 }
 
-// scaledGradMinStep maps the x-space finite-difference floors of p onto a
-// unit-box scaled problem: a z-step of m/span_i moves x_i by m. The
-// iterative solvers install the result as their scaled problem's
-// GradMinStep so cache-quantization aliasing cannot zero out gradients on
-// problems with tiny variable spans.
-func scaledGradMinStep(p *Problem, span []float64) []float64 {
-	steps := make([]float64, p.Dim())
-	for i := range steps {
-		steps[i] = minFDStep(p.Lower[i], p.Upper[i]) / span[i]
-	}
-	return steps
-}
-
-// scaleToZ converts an x-space gradient (as returned by a GradFunc) to the
-// unit-box z-space of a solver's internal scaling: ∂f/∂z_i = span_i·∂f/∂x_i.
-// Pinned axes (Upper == Lower in the original problem) are zeroed — their x
-// never moves, so the scaled derivative is identically zero.
-func scaleToZ(gx, span []float64, p *Problem) []float64 {
-	g := make([]float64, len(gx))
-	for i := range g {
-		if p.pinned(i) {
-			continue
-		}
-		g[i] = gx[i] * span[i]
-	}
-	return g
-}
-
 // countedFunc evaluates at x and adds the evaluations it spends to
 // *evals. The probe fan-out hands every probe its own counter.
 type countedFunc func(x []float64, evals *int) float64
@@ -109,7 +81,7 @@ func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
 // one-sided differences at box edges or when a probe point evaluates to the
 // Infeasible sentinel (e.g. probing into a thermal-runaway region). The
 // step for variable i is h_i = fdRelStep·(Upper_i − Lower_i), floored at 1e-10
-// and at GradMinStep_i when set. A pinned variable (Upper_i == Lower_i)
+// and at gradMinStep_i when set. A pinned variable (Upper_i == Lower_i)
 // gets a zero derivative without spending any evaluations. f counts and
 // clamps its own evaluations (Problem.eval, for instance).
 //
@@ -150,8 +122,8 @@ func (p *Problem) gradient(f countedFunc, x []float64, fx float64, workers int, 
 		if h[i] < 1e-10 {
 			h[i] = 1e-10
 		}
-		if p.GradMinStep != nil && h[i] < p.GradMinStep[i] {
-			h[i] = p.GradMinStep[i]
+		if p.gradMinStep != nil && h[i] < p.gradMinStep[i] {
+			h[i] = p.gradMinStep[i]
 		}
 		if x[i]+h[i] <= p.Upper[i] {
 			hi[i] = len(xs)

@@ -54,14 +54,14 @@ type Problem struct {
 	Cons []Func
 	// Lower and Upper are box bounds, required and finite.
 	Lower, Upper []float64
-	// GradMinStep, when non-nil (length Dim), floors the per-variable
+	// gradMinStep, when non-nil (length Dim), floors the per-variable
 	// finite-difference step at an absolute minimum in the variable's own
 	// units. Evaluators that memoize on quantized coordinates (core's
 	// evaluation cache rounds to a 1e-9 grid) alias probes closer than the
 	// grid spacing, turning difference quotients into exact zeros; the
-	// floor keeps both probes on distinct cache keys. The iterative
-	// solvers set it automatically on their internally scaled problems.
-	GradMinStep []float64
+	// floor keeps both probes on distinct cache keys. Only the solvers'
+	// unit boxes set it.
+	gradMinStep []float64
 	// Near, when non-nil, anchors a solver call's evaluations on its
 	// incumbent. The solver calls it serially, with its clamped start and
 	// then with each accepted iterate, before taking derivatives there.
@@ -103,16 +103,6 @@ func (p *Problem) Validate() error {
 		}
 		if p.Lower[i] > p.Upper[i] {
 			return fmt.Errorf("solver: variable %d has empty domain [%g, %g]", i, p.Lower[i], p.Upper[i])
-		}
-	}
-	if p.GradMinStep != nil {
-		if len(p.GradMinStep) != n {
-			return fmt.Errorf("solver: GradMinStep length %d, want %d", len(p.GradMinStep), n)
-		}
-		for i, s := range p.GradMinStep {
-			if math.IsNaN(s) || s < 0 {
-				return fmt.Errorf("solver: GradMinStep[%d] = %g must be a non-negative number", i, s)
-			}
 		}
 	}
 	return nil
@@ -202,13 +192,11 @@ type Options struct {
 	// EarlyStopped=true. Algorithm 1 uses this to stop Optimization 2 as
 	// soon as 𝒯 < T_max.
 	StopWhen func(x []float64, f float64) bool
-	// Workers bounds the solvers' fan-out: the finite-difference probes
-	// of every derivative the solvers take, and MultiStart's launch over
-	// starting points, which runs each start with Workers = 1 so the
-	// fan-out stays one level deep. Zero and one keep the serial loop
-	// (required when the problem's F/Cons/StopWhen are not safe for
-	// concurrent use); negative selects GOMAXPROCS. When F and Cons, and
-	// the functions Problem.Near returns, answer a point independently of
+	// Workers bounds the fan-out of the finite-difference probes of every
+	// derivative the solvers take. Zero and one keep the serial loop
+	// (required when the problem's F and Cons are not safe for concurrent
+	// use); negative selects GOMAXPROCS. When F and Cons, and the
+	// functions Problem.Near returns, answer a point independently of
 	// evaluation order, the Report is identical at any width: an anchored
 	// answer may depend on the incumbent, which the serial iteration
 	// fixes, but not on which probe ran first.
@@ -222,7 +210,7 @@ type Options struct {
 	Ctx context.Context
 	// Trace, when non-nil, receives one TraceRecord per accepted iterate
 	// from every iterative solver (and from each start of a MultiStart
-	// launch). With Workers > 1 it must be safe for concurrent use.
+	// launch), always from the solver's own goroutine.
 	Trace TraceFunc
 }
 

@@ -131,8 +131,8 @@ func TestCancelMidRunReturnsBestSoFar(t *testing.T) {
 }
 
 // TestMultiStartCancelledAggregate checks the launch-wide verdict: a
-// cancelled multistart reports StopCancelled with summed counters, on
-// both the serial and the parallel path.
+// cancelled multistart reports StopCancelled with the counters of the
+// start that ran, whether its probes run on one worker or two.
 func TestMultiStartCancelledAggregate(t *testing.T) {
 	p := conformanceProblem()
 	starts := [][]float64{{3, 0}, {0, 3}, {-4, -4}, {4, 4}}
@@ -361,9 +361,9 @@ func TestTraceRingConcurrent(t *testing.T) {
 	}
 }
 
-// TestMultiStartTraceConcurrent drives the trace hook through a parallel
-// multistart launch; the hook must see records from every start without
-// racing (enforced by the -race gate).
+// TestMultiStartTraceConcurrent drives the trace hook through a
+// multistart launch whose probes fan out on four workers; the hook must
+// see records without racing (enforced by the -race gate).
 func TestMultiStartTraceConcurrent(t *testing.T) {
 	p := conformanceProblem()
 	ring := NewTraceRing(64)
@@ -373,7 +373,7 @@ func TestMultiStartTraceConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ring.Total() == 0 {
-		t.Error("parallel multistart emitted no trace records")
+		t.Error("multistart emitted no trace records")
 	}
 }
 

@@ -10,93 +10,38 @@ import (
 // conditions are approximated by a convex QP built from a damped-BFGS
 // Hessian of the Lagrangian and linearized constraints; the QP is solved
 // exactly (active-set enumeration), and an ℓ1-merit backtracking line
-// search globalizes the step.
-//
-// Internally the variables are scaled to the unit box so tolerances and
-// curvature estimates are comparable across variables with very different
-// ranges (ω spans hundreds of rad/s, I_TEC a few amperes).
+// search globalizes the step. It iterates in the unit box (see unitBox).
 func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 	if err := p.Validate(); err != nil {
 		return Report{}, err
 	}
 	n := p.Dim()
 	evals := 0
+	box, z := newUnitBox(p, x0, opts)
 
-	// Variable scaling to the unit box.
-	span := make([]float64, n)
-	for i := range span {
-		span[i] = p.Upper[i] - p.Lower[i]
-		if span[i] == 0 {
-			span[i] = 1 // pinned variable
-		}
-	}
-	toX := func(z []float64) []float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = p.Lower[i] + z[i]*span[i]
-		}
-		p.clampBox(x)
-		return x
-	}
-	// at is the problem anchored on the incumbent (see Problem.Near);
-	// every evaluation below goes through it.
-	var at *Problem
-	scaled := &Problem{
-		F:           func(z []float64) float64 { return at.F(toX(z)) },
-		Lower:       make([]float64, n),
-		Upper:       make([]float64, n),
-		GradMinStep: scaledGradMinStep(p, span),
-	}
-	for i := 0; i < n; i++ {
-		scaled.Upper[i] = 1
-		if p.pinned(i) {
-			// Propagate pinned bounds so the scaled problem is exactly the
-			// lower-dimensional one: the QP box rows pin d_i = 0 and the
-			// finite-difference gradient skips the frozen axis.
-			scaled.Upper[i] = 0
-		}
-	}
-	for i := range p.Cons {
-		scaled.Cons = append(scaled.Cons, func(z []float64) float64 { return at.Cons[i](toX(z)) })
-	}
-
-	z := make([]float64, n)
-	for i := range z {
-		zi := (x0[i] - p.Lower[i]) / span[i]
-		z[i] = math.Min(scaled.Upper[i], math.Max(0, zi))
-	}
-
-	gradEvals := 0
 	// gradObj and gradCons produce scaled-space derivatives: analytic via
 	// Options.Grad/ConsGrad chain-ruled through the scaling when available
 	// (and not declined), central differences otherwise.
 	gradObj := func(zz []float64, fzz float64) []float64 {
-		if opts.Grad != nil {
-			if gx := opts.Grad(toX(zz)); gx != nil {
-				gradEvals++
-				return scaleToZ(gx, span, p)
-			}
+		if g := box.objGrad(box.toX(zz)); g != nil {
+			return g
 		}
-		return scaled.gradient(scaled.eval, zz, fzz, opts.workers(), &evals)
+		return box.gradient(box.eval, zz, fzz, opts.workers(), &evals)
 	}
 	gradCons := func(i int, zz []float64, cvv float64) []float64 {
-		if i < len(opts.ConsGrad) && opts.ConsGrad[i] != nil {
-			if gx := opts.ConsGrad[i](toX(zz)); gx != nil {
-				gradEvals++
-				return scaleToZ(gx, span, p)
-			}
+		if gc := box.consGradX(i, box.toX(zz)); gc != nil {
+			return box.scale(gc)
 		}
-		cons := func(z []float64, ev *int) float64 { return scaled.evalCons(i, z, ev) }
-		return scaled.gradient(cons, zz, cvv, opts.workers(), &evals)
+		cons := func(z []float64, ev *int) float64 { return box.evalCons(i, z, ev) }
+		return box.gradient(cons, zz, cvv, opts.workers(), &evals)
 	}
 
-	at = p.near(toX(z))
-	fz := scaled.eval(z, &evals)
-	report := Report{X: toX(z), F: fz, Iterations: 0}
+	fz := box.eval(z, &evals)
+	report := Report{X: box.toX(z), F: fz, Iterations: 0}
 	finish := func() (Report, error) {
-		report.MaxViolation = at.maxViolation(report.X, &evals)
+		report.MaxViolation = box.at.maxViolation(report.X, &evals)
 		report.FuncEvals = evals
-		report.GradEvals = gradEvals
+		report.GradEvals = box.gradEvals
 		return report, nil
 	}
 	if opts.cancelled() {
@@ -105,11 +50,11 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 	}
 
 	g := gradObj(z, fz)
-	m := len(scaled.Cons)
+	m := len(box.Cons)
 	cv := make([]float64, m)
 	ca := make([][]float64, m)
 	for i := 0; i < m; i++ {
-		cv[i] = scaled.evalCons(i, z, &evals)
+		cv[i] = box.evalCons(i, z, &evals)
 		ca[i] = gradCons(i, z, cv[i])
 	}
 
@@ -123,10 +68,10 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 	// therefore costs 1+m evaluations — the line search below must not
 	// re-evaluate constraints it already has.
 	merit := func(zz, cons []float64) (float64, float64) {
-		f := scaled.eval(zz, &evals)
+		f := box.eval(zz, &evals)
 		var violSum float64
 		for i := 0; i < m; i++ {
-			v := scaled.evalCons(i, zz, &evals)
+			v := box.evalCons(i, zz, &evals)
 			cons[i] = v
 			if v > 0 {
 				violSum += v
@@ -154,7 +99,7 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 			up := make([]float64, n)
 			up[i] = 1
 			rows = append(rows, up)
-			rhs = append(rhs, scaled.Upper[i]-z[i])
+			rhs = append(rhs, box.Upper[i]-z[i])
 			lo := make([]float64, n)
 			lo[i] = -1
 			rows = append(rows, lo)
@@ -231,7 +176,7 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 			for i := range cand {
 				cand[i] = z[i] + alpha*d[i]
 			}
-			scaled.clampBox(cand)
+			box.clampBox(cand)
 			f, violSum := merit(cand, consTrial)
 			phi := f + mu*violSum
 			if phi <= phi0+1e-4*alpha*descent && phi < Infeasible {
@@ -260,7 +205,7 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 
 		// New derivatives (constraint values carried over from the line
 		// search above), anchored on the new incumbent.
-		at = p.near(toX(zNew))
+		box.anchor(zNew)
 		gNew := gradObj(zNew, fz)
 		caNew := make([][]float64, m)
 		for i := 0; i < m; i++ {
@@ -280,7 +225,7 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 		bfgsUpdate(bmat, s, y)
 
 		z, g, cv, ca = zNew, gNew, cvNew, caNew
-		report.X = toX(z)
+		report.X = box.toX(z)
 		report.F = fz
 
 		var worstViol float64

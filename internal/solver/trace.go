@@ -40,13 +40,12 @@ type TraceRecord struct {
 	Alpha float64
 }
 
-// TraceFunc receives per-iteration records. When a solve fans out
-// (MultiStart with Workers > 1), the function must be safe for concurrent
-// use; TraceRing satisfies that.
+// TraceFunc receives per-iteration records.
 type TraceFunc func(TraceRecord)
 
 // TraceRing is the default trace recorder: a fixed-capacity ring buffer
-// keeping the most recent records. It is safe for concurrent use.
+// keeping the most recent records. It is safe for concurrent use, so one
+// ring can record several concurrent solves.
 type TraceRing struct {
 	mu    sync.Mutex
 	cap   int

@@ -18,39 +18,17 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 	n := p.Dim()
 	evals := 0
 
-	span := make([]float64, n)
-	for i := range span {
-		span[i] = p.Upper[i] - p.Lower[i]
-		if span[i] == 0 {
-			span[i] = 1
-		}
-	}
-	toX := func(z []float64) []float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = p.Lower[i] + z[i]*span[i]
-		}
-		p.clampBox(x)
-		return x
-	}
+	box, z := newUnitBox(p, x0, opts)
 
-	z := make([]float64, n)
-	for i := range z {
-		z[i] = math.Min(1, math.Max(0, (x0[i]-p.Lower[i])/span[i]))
-	}
-
-	// at is the problem anchored on the incumbent (see Problem.Near);
-	// every evaluation below goes through it.
-	var at *Problem
 	penWeight := 1e3
 	penalized := func(z []float64, evals *int) float64 {
-		x := toX(z)
-		f := at.eval(x, evals)
+		x := box.toX(z)
+		f := box.at.eval(x, evals)
 		if f >= Infeasible {
 			return Infeasible
 		}
-		for i := range at.Cons {
-			if v := at.evalCons(i, x, evals); v > 0 {
+		for i := range box.at.Cons {
+			if v := box.at.evalCons(i, x, evals); v > 0 {
 				f += penWeight * v * v
 			}
 		}
@@ -66,77 +44,45 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		*evals++
 		return clamp(penalized(z, evals))
 	}
-	// scaledPen is the unit box the finite differences probe.
-	scaledPen := &Problem{
-		Lower:       make([]float64, n),
-		Upper:       make([]float64, n),
-		GradMinStep: scaledGradMinStep(p, span),
-	}
-	for i := 0; i < n; i++ {
-		scaledPen.Upper[i] = 1
-		if p.pinned(i) {
-			scaledPen.Upper[i] = 0 // pinned axis: the QP must not move it
+	// gradAnalytic assembles the exact penalized gradient from
+	// Options.Grad and Options.ConsGrad: ∇φ_z = span∘(∇F + Σ_{c_i>0}
+	// 2·penWeight·c_i·∇c_i). penWeight is read at call time, so
+	// re-derivations after a penalty escalation see the new weight. Any
+	// unavailable or declined piece returns nil, and the whole composite
+	// falls back to finite differences.
+	gradAnalytic := func(zz []float64) []float64 {
+		x := box.toX(zz)
+		g := box.objGrad(x)
+		if g == nil {
+			return nil
 		}
-	}
-	z2 := func(zi float64, i int) float64 {
-		return math.Min(scaledPen.Upper[i], math.Max(0, zi))
-	}
-	for i := range z {
-		z[i] = z2(z[i], i)
-	}
-
-	gradEvals := 0
-	// gradPen produces the scaled-space gradient of the penalized
-	// objective: ∇φ_z = span∘(∇F + Σ_{c_i>0} 2·penWeight·c_i·∇c_i) on the
-	// analytic path (penWeight is read at call time, so re-derivations
-	// after a penalty escalation see the new weight), finite differences of
-	// the composite otherwise. Any declined piece falls back whole.
-	gradPen := func(zz []float64, fzz float64) []float64 {
-		if opts.Grad != nil {
-			if g := func() []float64 {
-				x := toX(zz)
-				gx := opts.Grad(x)
-				if gx == nil {
-					return nil
-				}
-				gradEvals++
-				g := scaleToZ(gx, span, p)
-				for i := range p.Cons {
-					v := at.evalCons(i, x, &evals)
-					if v <= 0 {
-						continue
-					}
-					var gc []float64
-					if i < len(opts.ConsGrad) && opts.ConsGrad[i] != nil {
-						gc = opts.ConsGrad[i](x)
-					}
-					if gc == nil {
-						return nil
-					}
-					gradEvals++
-					for j := 0; j < n; j++ {
-						if p.pinned(j) {
-							continue
-						}
-						g[j] += 2 * penWeight * v * gc[j] * span[j]
-					}
-				}
-				return g
-			}(); g != nil {
-				return g
+		for i := range p.Cons {
+			v := box.at.evalCons(i, x, &evals)
+			if v <= 0 {
+				continue
 			}
+			gc := box.consGradX(i, x)
+			if gc == nil {
+				return nil
+			}
+			box.addWeighted(g, gc, 2*penWeight*v)
 		}
-		return scaledPen.gradient(penalizedProbe, zz, fzz, opts.workers(), &evals)
+		return g
+	}
+	gradPen := func(zz []float64, fzz float64) []float64 {
+		if g := gradAnalytic(zz); g != nil {
+			return g
+		}
+		return box.gradient(penalizedProbe, zz, fzz, opts.workers(), &evals)
 	}
 
-	at = p.near(toX(z))
 	f := penalized(z, &evals)
 	g := gradPen(z, f)
 	bmat := identity(n)
 	delta := 0.25
 	tol := opts.tol()
 
-	report := Report{X: toX(z), F: f}
+	report := Report{X: box.toX(z), F: f}
 	for iter := 1; iter <= opts.maxIter(); iter++ {
 		if opts.cancelled() {
 			report.Stopped = StopCancelled
@@ -151,7 +97,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			up := make([]float64, n)
 			up[i] = 1
 			rows = append(rows, up)
-			rhs = append(rhs, math.Min(delta, scaledPen.Upper[i]-z[i]))
+			rhs = append(rhs, math.Min(delta, box.Upper[i]-z[i]))
 			lo := make([]float64, n)
 			lo[i] = -1
 			rows = append(rows, lo)
@@ -173,8 +119,9 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		predicted := -(q.objective(d)) // model reduction
 		zNew := make([]float64, n)
 		for i := range zNew {
-			zNew[i] = z2(z[i]+d[i], i)
+			zNew[i] = z[i] + d[i]
 		}
+		box.clampBox(zNew)
 		fNew := penalized(zNew, &evals)
 		actual := f - fNew
 
@@ -189,7 +136,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			delta = math.Min(2*delta, 1)
 		}
 		if rho > 1e-4 && fNew < f {
-			at = p.near(toX(zNew))
+			box.anchor(zNew)
 			gNew := gradPen(zNew, fNew)
 			s := make([]float64, n)
 			y := make([]float64, n)
@@ -201,8 +148,8 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			}
 			bfgsUpdate(bmat, s, y)
 			z, f, g = zNew, fNew, gNew
-			report.X = toX(z)
-			report.F = at.eval(report.X, &evals)
+			report.X = box.toX(z)
+			report.F = box.at.eval(report.X, &evals)
 			opts.trace(TraceRecord{
 				Method: "trust", Iter: iter,
 				X: append([]float64(nil), report.X...), F: f,
@@ -214,7 +161,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 				break
 			}
 			// Escalate the penalty while the iterate stays infeasible.
-			if at.maxViolation(report.X, &evals) > opts.tol() {
+			if box.at.maxViolation(report.X, &evals) > opts.tol() {
 				penWeight = math.Min(penWeight*2, 1e9)
 				f = penalized(z, &evals)
 				g = gradPen(z, f)
@@ -230,8 +177,8 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		report.Stopped = StopMaxIter
 	}
 
-	report.MaxViolation = at.maxViolation(report.X, &evals)
+	report.MaxViolation = box.at.maxViolation(report.X, &evals)
 	report.FuncEvals = evals
-	report.GradEvals = gradEvals
+	report.GradEvals = box.gradEvals
 	return report, nil
 }

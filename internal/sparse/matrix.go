@@ -8,9 +8,10 @@
 // contributed by linear-in-temperature heat sources (Peltier terms and the
 // Taylor-linearized leakage). The Laplacian part is symmetric positive
 // definite; the shifts keep the matrix symmetric, but near thermal runaway
-// they make it indefinite. There IC(0)-preconditioned CG stops on negative
-// curvature and Jacobi CG, which stops only at zero curvature, answers:
-// SolveAuto is that two-rung ladder.
+// they make it indefinite. SolveAuto, a two-rung ladder of IC(0)- and
+// Jacobi-preconditioned CG, answers a positive definite system; both rungs
+// stop on non-positive curvature, so an indefinite one is an error the
+// thermal package reports as runaway.
 package sparse
 
 import (

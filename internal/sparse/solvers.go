@@ -88,7 +88,9 @@ type Stats struct {
 
 // CG solves A·x = b with the Jacobi-preconditioned conjugate gradient
 // method. A must be symmetric; positive definiteness is required for
-// guaranteed convergence. The result is written into a new slice.
+// guaranteed convergence, and CG stops on non-positive curvature
+// (pᵀAp ≤ 0) rather than run on into the stationary point of an
+// indefinite system. The result is written into a new slice.
 func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
 	n := a.N()
 	if len(b) != n {
@@ -129,7 +131,7 @@ func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
 	for it := 1; it <= maxIter; it++ {
 		a.MulVec(ap, p)
 		pap := Dot(p, ap)
-		if pap == 0 || math.IsNaN(pap) {
+		if pap <= 0 || math.IsNaN(pap) {
 			return nil, Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=%g)", ErrNoConvergence, pap)
 		}
 		alpha := rz / pap
@@ -246,11 +248,13 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 // SolveAuto solves A·x = b for a symmetric A, the only kind the thermal
 // package builds, down a two-rung ladder. Rung 1 is CG under the caller's
 // IC(0) factorization (SolveOptions.Precond); rung 2, and the only rung
-// when Precond is nil, is Jacobi CG. Near thermal runaway the matrix
-// turns indefinite: IC(0)-CG stops on negative curvature (pᵀAp < 0),
-// while Jacobi CG stops only at pᵀAp = 0, so it passes through and
-// converges. When both rungs fail, SolveAuto returns Jacobi CG's error,
-// which wraps ErrNoConvergence. It neither factors nor checks symmetry.
+// when Precond is nil, is Jacobi CG. Both rungs stop on non-positive
+// curvature (pᵀAp ≤ 0). Near thermal runaway the matrix turns
+// indefinite, and the point CG would converge to there is the unstable
+// fixed point, not a steady state, so an indefinite system fails both
+// rungs and the thermal package reports runaway. When both rungs fail,
+// SolveAuto returns Jacobi CG's error, which wraps ErrNoConvergence. It
+// neither factors nor checks symmetry.
 //
 //oftec:allocok returns a freshly allocated solution vector by contract; iteration scratch comes from SolveOptions.Work
 func SolveAuto(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {

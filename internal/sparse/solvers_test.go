@@ -257,9 +257,10 @@ func TestSolveAutoRungs(t *testing.T) {
 
 // TestSolveAutoNegativeCurvature: one strongly negative diagonal makes
 // the matrix indefinite, as runaway does to the thermal systems. CG under
-// the healthy matrix's IC(0) factorization stops on negative curvature;
-// SolveAuto's second rung, Jacobi CG, still answers within the tolerance
-// the thermal package asks for.
+// the healthy matrix's IC(0) factorization stops on negative curvature,
+// and so does SolveAuto's second rung, Jacobi CG: the point it would
+// otherwise converge to is the unstable fixed point of an indefinite
+// system, which the thermal package must see as a failed solve.
 func TestSolveAutoNegativeCurvature(t *testing.T) {
 	base := laplacian2D(8, 2.0)
 	n := base.N()
@@ -294,15 +295,10 @@ func TestSolveAutoNegativeCurvature(t *testing.T) {
 
 	opts.Precond = ic
 	x, st, err := SolveAuto(a, rhs, opts)
-	if err != nil {
-		t.Fatalf("SolveAuto: %v", err)
+	if !errors.Is(err, ErrNoConvergence) || x != nil {
+		t.Fatalf("SolveAuto on the indefinite matrix: solution returned %t, err = %v, want no solution and ErrNoConvergence", x != nil, err)
 	}
-	r := make([]float64, n)
-	a.Residual(r, x, rhs)
-	if res := Norm2(r) / Norm2(rhs); res > opts.Tol {
-		t.Errorf("relative residual %g exceeds %g", res, opts.Tol)
-	}
-	t.Logf("Jacobi CG answered in %d iterations, relative residual %.1e", st.Iterations, st.Residual)
+	t.Logf("Jacobi CG stopped at iteration %d: %v", st.Iterations, err)
 }
 
 // Property: CG solution of a random SPD system reproduces the rhs.

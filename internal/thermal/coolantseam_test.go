@@ -202,3 +202,34 @@ func TestLiquidROMFidelity(t *testing.T) {
 		}
 	}
 }
+
+// TestLiquidPackageLowFlowIsRunaway: on the liquid-package cold plate the
+// low-flow systems are indefinite. Their linear solve has a fixed point,
+// but it is the unstable one, with nodes far below ambient and a negative
+// cooling power, so each point must report runaway.
+func TestLiquidPackageLowFlowIsRunaway(t *testing.T) {
+	cfg := testConfig()
+	spec, err := coolant.SpecByName("liquid-package")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Coolant = spec
+	m := benchModel(t, cfg, "Quicksort")
+	type point struct{ omega, itec float64 }
+	pts := []point{{30, 0}}
+	for _, omega := range []float64{5, 10, 15, 20} {
+		for _, itec := range []float64{0, 1, 3} {
+			pts = append(pts, point{omega, itec})
+		}
+	}
+	for _, pt := range pts {
+		r, err := m.Evaluate(pt.omega, pt.itec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Runaway {
+			t.Errorf("(u=%g rad/s, I=%g A): Runaway=false, max chip %.2f K, cooling power %.2f W",
+				pt.omega, pt.itec, r.MaxChipTemp, r.CoolingPower())
+		}
+	}
+}

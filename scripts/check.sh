@@ -4,8 +4,8 @@
 #   build → go vet → gofmt (whole tree) → oftecvet (project static
 #   analysis; any finding fails) → named test gates with -race
 #   (concurrency, solver, adjoint, backend, batch, coolant) → every
-#   remaining test with -race → evaluate-request and chip-spec fuzz
-#   smokes → the benchmark module's tests → oftecd smoke (live
+#   remaining test with -race → evaluate-request, chip-spec and
+#   pareto-request fuzz smokes → the benchmark module's tests → oftecd smoke (live
 #   daemon, every endpoint, the resolution cap, clean SIGTERM shutdown) →
 #   parallel-sweep bench smoke
 #
@@ -145,6 +145,11 @@ go test -run '^$' -fuzz '^FuzzEvaluateRequest$' -fuzztime 10s -fuzzminimizetime 
 # validate to a bounded, finite configuration or fail, never panic.
 echo "== go test -fuzz FuzzChipSpecConfig (10s smoke)"
 go test -run '^$' -fuzz '^FuzzChipSpecConfig$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+
+# And on oftecd's Pareto request: any body with at most eight thresholds,
+# posted on the default chip, must answer 200 with a finite front or 400.
+echo "== go test -fuzz FuzzParetoRequest (10s smoke)"
+go test -run '^$' -fuzz '^FuzzParetoRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 
 # The end-to-end benchmark is a module of its own (perfbench/, built
 # against this tree), so ./... above never reaches it. Its tests pin what
