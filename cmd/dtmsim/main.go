@@ -44,7 +44,7 @@ func main() {
 		dt          = flag.Float64("dt", 0.01, "plant integration step (s)")
 		ctrlPeriod  = flag.Float64("ctrlperiod", 0.05, "controller sampling period (s)")
 		res         = flag.Int("res", 12, "chip-layer grid resolution")
-		backendName = flag.String("backend", "", "evaluation backend: full (default) or rom")
+		backendName = flag.String("backend", "", "evaluation backend: "+strings.Join(backend.Names(), ", ")+" (default full)")
 		coolantName = flag.String("coolant", "", "cooling actuator: air (default, the paper's fan), liquid, liquid-dc, liquid-package")
 		csvPath     = flag.String("csv", "", "write the detailed trace as CSV")
 	)

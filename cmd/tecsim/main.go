@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	tecsim [-backend full] [-tc 75] [-dt 5] [-alpha 1.5e-3] [-r 4e-3] [-k 0.1] [-imax 5] [-n 26] [-csv out.csv]
+//	tecsim [-tc 75] [-dt 5] [-alpha 1.5e-3] [-r 4e-3] [-k 0.1] [-imax 5] [-n 26] [-csv out.csv]
 //
 // Parameters default to one 1 mm² module of the deployment used by the
 // OFTEC experiments (DESIGN.md §6).
@@ -18,9 +18,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
-	"oftec/internal/backend"
 	"oftec/internal/tec"
 	"oftec/internal/units"
 )
@@ -38,22 +36,9 @@ func main() {
 		imax  = flag.Float64("imax", 5, "sweep upper current in A")
 		n     = flag.Int("n", 26, "sweep points")
 		csv   = flag.String("csv", "", "write the sweep as CSV")
-		// The device sweep is closed-form (no steady-state thermal solve), so
-		// every backend produces identical curves; the flag exists for CLI
-		// uniformity across the suite and still validates its argument.
-		backendName = flag.String("backend", "", "evaluation backend: "+strings.Join(backend.Names(), ", ")+" (device curves are backend-independent)")
 	)
 	flag.Parse()
 
-	if *backendName != "" {
-		known := false
-		for _, name := range backend.Names() {
-			known = known || name == *backendName
-		}
-		if !known {
-			log.Fatalf("unknown backend %q (have %s)", *backendName, strings.Join(backend.Names(), ", "))
-		}
-	}
 	dev := tec.Device{Seebeck: *alpha, Resistance: *r, Conductance: *k, MaxCurrent: *imax}
 	if err := dev.Validate(); err != nil {
 		log.Fatal(err)

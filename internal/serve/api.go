@@ -41,7 +41,8 @@ import (
 type ChipSpec struct {
 	// Bench is the workload name (Table 2 spelling); empty = Basicmath.
 	Bench string `json:"bench,omitempty"`
-	// Res overrides the chip-layer grid resolution (cells per edge).
+	// Res overrides the chip-layer grid resolution (cells per edge);
+	// zero keeps the default and a negative value is refused.
 	Res int `json:"res,omitempty"`
 	// PaperRes selects the paper's full grid resolutions instead of the
 	// reduced service default (Res still overrides the chip layer).
@@ -66,7 +67,10 @@ func (c ChipSpec) config() (thermal.Config, error) {
 		cfg.SinkRes = 6
 		cfg.PCBRes = 4
 	}
-	if c.Res > 0 {
+	switch {
+	case c.Res < 0:
+		return thermal.Config{}, fmt.Errorf("serve: chip res %d is negative", c.Res)
+	case c.Res > 0:
 		cfg.ChipRes = c.Res
 	}
 	if c.TMaxC != 0 {

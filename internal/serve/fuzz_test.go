@@ -21,12 +21,13 @@ import (
 // spec also resolves twice through one fresh model pool, once through the
 // canonical key and once through the spec index: both must give the same
 // entry, or the same error, and a failed spec must leave the pool and its
-// index empty.
+// index empty. A negative res never resolves.
 func FuzzChipSpecConfig(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
 		`{"paper_res":true,"res":16}`,
 		`{"res":100000}`,
+		`{"res":-5}`,
 		`{"tmax_c":1e308}`,
 		`{"coolant":"liquid"}`,
 		`{"bench":"NoSuch"}`,
@@ -53,6 +54,8 @@ func FuzzChipSpecConfig(f *testing.F) {
 			}
 		case e1 != e2:
 			t.Fatalf("%+v: resolved to entry %p, then %p", spec, e1, e2)
+		case spec.Res < 0:
+			t.Fatalf("%+v: negative res resolved", spec)
 		}
 		cfg, err := spec.config()
 		if err != nil {
@@ -173,6 +176,70 @@ func FuzzParetoRequest(f *testing.F) {
 		}
 		for _, p := range resp.Points {
 			for _, v := range []float64{p.TMaxC, p.PowerW, p.MaxTempC, p.OmegaRPM, p.ITecA} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: non-finite number in %+v", b, p)
+				}
+			}
+		}
+	})
+}
+
+// FuzzSweepRequest strict-decodes arbitrary bytes into a SweepRequest and
+// posts it to /v1/sweep on one shared Server, with the chip and the
+// deadline pinned to the defaults as in FuzzEvaluateRequest. A grid of
+// more than 64 points is skipped, since each point is a steady-state
+// solve. Whatever the grid, the answer is 200 or 400, and a 200 body
+// decodes to n_omega·n_i points of finite numbers.
+func FuzzSweepRequest(f *testing.F) {
+	for _, seed := range []SweepRequest{
+		{NOmega: 3, NI: 3},
+		{NOmega: 8, NI: 8},
+		{NOmega: 2, NI: 32},
+		{NOmega: 1, NI: 1},
+		{NOmega: -3, NI: 5},
+		{NOmega: 1<<62 + 1, NI: 4},
+	} {
+		b, err := json.Marshal(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	h := New(Options{}).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req SweepRequest
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		// Over 64 points, computed without overflow: for positive edges,
+		// n_omega·n_i > 64 exactly when n_omega > ⌊64/n_i⌋.
+		if req.NOmega > 0 && req.NI > 0 && req.NOmega > 64/req.NI {
+			return
+		}
+		req.Chip, req.TimeoutMS = ChipSpec{}, 0
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := post(t, h, "/v1/sweep", json.RawMessage(b))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("%s: status %d: %s", b, rec.Code, rec.Body.String())
+		}
+		var resp SweepResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: 200 body does not decode: %v: %q", b, err, rec.Body.String())
+		}
+		if len(resp.Points) != req.NOmega*req.NI {
+			t.Fatalf("%s: %d points for a %d×%d grid", b, len(resp.Points), req.NOmega, req.NI)
+		}
+		for _, p := range resp.Points {
+			for _, v := range []float64{p.OmegaRPM, p.ITecA, p.MaxTempC, p.PowerW} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("%s: non-finite number in %+v", b, p)
 				}

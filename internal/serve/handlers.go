@@ -53,7 +53,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	defer cancel()
 
 	op := backend.Scalar(omega, req.ITecA)
@@ -154,7 +158,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	defer cancel()
 	opts, err := optimizeOptions(ctx, req)
 	if err != nil {
@@ -266,7 +274,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	defer cancel()
 
 	pts, err := experiments.SurfaceSystem(ctx, sys, req.NOmega, req.NI, 0)
@@ -314,7 +326,11 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	defer cancel()
 
 	front, err := sys.ParetoFront(thresholds, core.Options{

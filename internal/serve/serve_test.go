@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"oftec/internal/backend"
 	"oftec/internal/experiments"
@@ -201,10 +200,10 @@ func TestConcurrentEvaluatesCoalesce(t *testing.T) {
 }
 
 // TestAdmissionControl pins the throttle path: with every slot taken, a
-// request is refused with 429 and a Retry-After hint, while /healthz and
-// /statz stay reachable.
+// request waits admitWait and is refused with 429 and a Retry-After hint,
+// while /healthz and /statz stay reachable.
 func TestAdmissionControl(t *testing.T) {
-	s := New(Options{MaxInflight: 1, AdmitWait: time.Millisecond})
+	s := New(Options{MaxInflight: 1})
 	h := s.Handler()
 
 	s.sem <- struct{}{} // occupy the only slot
@@ -473,6 +472,12 @@ func TestBadRequests(t *testing.T) {
 		{"evaluate res far over cap", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Res: 1000000}, OmegaRPM: 2000}},
 		{"optimize res over cap", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Res: 129}}},
 		{"optimize res far over cap", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Res: 1000000}}},
+		{"negative res", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Res: -5}, OmegaRPM: 3000, ITecA: 1}},
+		{"negative res at paper resolution", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Res: -5, PaperRes: true}, OmegaRPM: 3000, ITecA: 1}},
+		{"negative evaluate timeout", "/v1/evaluate", EvaluateRequest{OmegaRPM: 3000, ITecA: 1, TimeoutMS: -1}},
+		{"negative optimize timeout", "/v1/optimize", OptimizeRequest{TimeoutMS: -1}},
+		{"negative sweep timeout", "/v1/sweep", SweepRequest{NOmega: 2, NI: 2, TimeoutMS: -1}},
+		{"negative pareto timeout", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, TimeoutMS: -1}},
 	}
 	// An unknown name is answered with the accepted ones, and a corner
 	// launch past the multistart bound names the bound.
@@ -495,6 +500,12 @@ func TestBadRequests(t *testing.T) {
 		"evaluate res far over cap":            "chip grid resolution 1000000 exceeds the cap of 128",
 		"optimize res over cap":                "chip grid resolution 129 exceeds the cap of 128",
 		"optimize res far over cap":            "chip grid resolution 1000000 exceeds the cap of 128",
+		"negative res":                         "chip res -5 is negative",
+		"negative res at paper resolution":     "chip res -5 is negative",
+		"negative evaluate timeout":            "timeout_ms -1 is negative",
+		"negative optimize timeout":            "timeout_ms -1 is negative",
+		"negative sweep timeout":               "timeout_ms -1 is negative",
+		"negative pareto timeout":              "timeout_ms -1 is negative",
 		"sweep grid product overflows":         "exceeds the 4096-point limit",
 		"ambiguous zone spec":                  "sets zones and clusters",
 		"pareto threshold below ambient":       "threshold 313.15 K not above ambient",

@@ -20,12 +20,9 @@ type Options struct {
 	// capacity; zero selects the evalcache default.
 	CacheCapacity int
 	// MaxInflight bounds the number of working requests admitted at
-	// once; beyond it requests wait AdmitWait for a slot and are then
+	// once; beyond it requests wait admitWait for a slot and are then
 	// refused with 429 + Retry-After. Zero selects 64.
 	MaxInflight int
-	// AdmitWait is how long an over-limit request waits for a slot
-	// before being throttled. Zero selects 250ms.
-	AdmitWait time.Duration
 	// DefaultTimeout caps requests that set no timeout_ms. Zero selects
 	// 30s.
 	DefaultTimeout time.Duration
@@ -39,18 +36,15 @@ type Options struct {
 // maxGridPoints bounds sweep grids (n_omega × n_i).
 const maxGridPoints = 4096
 
+// admitWait is how long an over-limit request waits for a slot before
+// being throttled.
+const admitWait = 250 * time.Millisecond
+
 func (o Options) maxInflight() int {
 	if o.MaxInflight > 0 {
 		return o.MaxInflight
 	}
 	return 64
-}
-
-func (o Options) admitWait() time.Duration {
-	if o.AdmitWait > 0 {
-		return o.AdmitWait
-	}
-	return 250 * time.Millisecond
 }
 
 func (o Options) defaultTimeout() time.Duration {
@@ -136,7 +130,7 @@ func (s *Server) working(h http.HandlerFunc, counter *atomic.Int64) http.Handler
 	}
 }
 
-// admit takes an in-flight slot, waiting up to AdmitWait. The bound is
+// admit takes an in-flight slot, waiting up to admitWait. The bound is
 // what keeps a traffic burst from stacking up thousands of concurrent
 // solves: beyond MaxInflight the surplus parks here briefly (absorbing
 // jitter without a client retry loop) and is then turned away cheaply.
@@ -144,7 +138,7 @@ func (s *Server) admit(ctx context.Context) (release func(), ok bool) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		t := time.NewTimer(s.opts.admitWait())
+		t := time.NewTimer(admitWait)
 		defer t.Stop()
 		select {
 		case s.sem <- struct{}{}:
@@ -161,14 +155,17 @@ func (s *Server) admit(ctx context.Context) (release func(), ok bool) {
 // floored at 1s — coarse, but it spreads retries instead of
 // synchronizing them.
 func (s *Server) retryAfter() string {
-	return strconv.Itoa(int(s.opts.admitWait()/time.Second) + 1)
+	return strconv.Itoa(int(admitWait/time.Second) + 1)
 }
 
 // requestContext derives the per-request deadline: client timeout_ms,
 // clamped to MaxTimeout, defaulting to DefaultTimeout, layered over the
 // connection context so a disconnect cancels the solve at its next
-// iteration boundary.
-func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
+// iteration boundary. A negative timeout_ms is refused.
+func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc, error) {
+	if timeoutMS < 0 {
+		return nil, nil, fmt.Errorf("serve: timeout_ms %d is negative", timeoutMS)
+	}
 	d := s.opts.defaultTimeout()
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -176,7 +173,8 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	if max := s.opts.maxTimeout(); d > max {
 		d = max
 	}
-	return context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	return ctx, cancel, nil
 }
 
 // maxBodyBytes caps a request body. The largest legitimate request — a

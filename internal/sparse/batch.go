@@ -24,10 +24,10 @@ import (
 // matrix row in the same k-order, and each column carries its own
 // alpha/beta/rz scalars. A column that converges is frozen (its x is
 // never touched again); a column that breaks down or exhausts the budget
-// is reported not-ok and the caller re-solves it through the scalar
-// path, which reproduces the identical failure and proceeds down its own
-// ladder. Batched results are therefore DeepEqual to per-point results,
-// including SolveStats.
+// is frozen too and reported not-ok with the Stats CGPrecond fails with.
+// Batched results are therefore DeepEqual to per-point results,
+// including SolveStats, and a failed column is as final as a failed
+// CGPrecond.
 
 // BatchWidth is the lockstep column count: one float64 cache line under
 // every matrix-entry load, where the pattern-walk amortization saturates,
@@ -344,18 +344,19 @@ func updateDirCols(p, z []float64, beta *[BatchWidth]float64, inactive *[BatchWi
 // under a shared IC(0) preconditioner, where A_j is the base matrix a
 // with the per-column DiagOverride coefficients applied. b and x0 are
 // interleaved (node i, column j at i*BatchWidth+j); x0 may be nil for a
-// zero start. The returned solutions are freshly allocated per column
-// (they outlive the workspace); stats[j] and ok[j] report each column's
-// outcome. ok[j] = false marks a breakdown or exhausted iteration budget
-// — the caller re-solves that column through its scalar ladder, which
-// reproduces the identical failure and handles it as the per-point path
-// would.
+// zero start. ok[j] reports whether column j converged; its solution is
+// then freshly allocated (it outlives the workspace), and nil otherwise.
+// stats[j] is the column's Stats either way. A column fails exactly when
+// CGPrecond would — breakdown, exhausted budget, or a nil m, which fails
+// every column with zero Stats — and with CGPrecond's Stats, so a failed
+// column is final: re-solving it per point reproduces the same failure.
+// The error reports malformed arguments only.
 //
 // Per column the arithmetic is bit-identical to CGPrecond against the
 // patched matrix with the same preconditioner, start, and options:
 // batched and per-point solves return DeepEqual solutions and Stats.
 //
-//oftec:allocok one output slice per solved column plus pooled-workspace growth; the per-iteration kernels are the annotated hot paths
+//oftec:allocok one output slice per converged column plus pooled-workspace growth; the per-iteration kernels are the annotated hot paths
 func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditioner, opts SolveOptions, ws *BatchWorkspace) ([][]float64, []Stats, []bool, error) {
 	const w = BatchWidth
 	n := a.N()
@@ -364,9 +365,6 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 	}
 	if x0 != nil && len(x0) != n*w {
 		return nil, nil, nil, fmt.Errorf("sparse: batch start length %d does not match n·%d = %d", len(x0), w, n*w)
-	}
-	if m == nil {
-		return nil, nil, nil, fmt.Errorf("sparse: CGPrecondBatch requires a preconditioner")
 	}
 	for oi, ov := range ovs {
 		if len(ov.Vals) != w {
@@ -378,6 +376,12 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 		if ov.Row < 0 || int(ov.Row) >= n || ov.K < int32(a.rowPtr[ov.Row]) || ov.K >= int32(a.rowPtr[ov.Row+1]) {
 			return nil, nil, nil, fmt.Errorf("sparse: override %d (row %d, k %d) outside the matrix pattern", oi, ov.Row, ov.K)
 		}
+	}
+	out := make([][]float64, w)
+	stats := make([]Stats, w)
+	ok := make([]bool, w)
+	if m == nil {
+		return out, stats, ok, nil
 	}
 	if ws == nil {
 		ws = &BatchWorkspace{}
@@ -393,8 +397,6 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 		}
 	}
 
-	stats := make([]Stats, w)
-	ok := make([]bool, w)
 	inactive := &ws.inactive
 	active := w
 
@@ -433,8 +435,7 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 			}
 			pap := ws.pap[j]
 			if pap <= 0 || math.IsNaN(pap) {
-				// CGPrecond's breakdown: the scalar ladder re-solves this
-				// column and fails at the same iteration.
+				// CGPrecond's breakdown, at the same iteration.
 				stats[j] = Stats{Iterations: it}
 				inactive[j] = true
 				anyInactive = true
@@ -483,15 +484,17 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 	}
 
 	// Columns that exhausted the budget report the per-point
-	// no-convergence stats; ok stays false and the caller re-solves.
+	// no-convergence stats; ok stays false.
 	for j := 0; j < w; j++ {
 		if !inactive[j] {
 			stats[j] = Stats{Iterations: maxIter, Residual: ws.resnorm[j]}
 		}
 	}
 
-	out := make([][]float64, w)
 	for j := 0; j < w; j++ {
+		if !ok[j] {
+			continue
+		}
 		col := make([]float64, n)
 		for i := 0; i < n; i++ {
 			col[i] = x[i*w+j]

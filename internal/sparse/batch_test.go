@@ -209,9 +209,13 @@ func TestCGPrecondBatchZeroRHS(t *testing.T) {
 	}
 }
 
-// TestCGPrecondBatchBreakdown: an override that makes one column's
-// matrix indefinite must trip the pᵀAp breakdown for that column only,
-// at the same iteration the solo solve fails, leaving siblings intact.
+// TestCGPrecondBatchBreakdown: a column fails exactly when CGPrecond
+// fails on its patched system, with CGPrecond's Stats and no solution,
+// and its siblings are unperturbed. An override that makes one column's
+// matrix indefinite trips the pᵀAp breakdown in that column only; an
+// exhausted budget fails every column still iterating; and with no
+// factorization every column fails with zero Stats, as CGPrecond does,
+// a zero right-hand side included.
 func TestCGPrecondBatchBreakdown(t *testing.T) {
 	base := laplacian2D(8, 2.0)
 	n := base.N()
@@ -230,41 +234,44 @@ func TestCGPrecondBatchBreakdown(t *testing.T) {
 		// Column 1 gets a strongly negative diagonal → indefinite.
 		Vals: padded([]float64{base.ValAt(int(diag[row])), -40, base.ValAt(int(diag[row])) + 1}),
 	}}
-	bcols := make([][]float64, 3)
+	bcols := make([][]float64, 4)
 	for j := range bcols {
 		bcols[j] = make([]float64, n)
-		for i := 0; i < n; i++ {
+	}
+	// Column 3, and the pads repeating it, keep a zero right-hand side.
+	for j := 0; j < 3; j++ {
+		for i := range bcols[j] {
 			bcols[j][i] = math.Sin(float64(i)*0.7 + float64(j))
 		}
 	}
 	b := interleave(bcols)
-	got, stats, ok, err := CGPrecondBatch(base, ovs, b, nil, ic, SolveOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok[1] {
-		t.Fatal("indefinite column reported converged")
-	}
-	_, soloStats, soloErr := CGPrecond(patchedMatrix(t, base, ovs, 1), column(b, 1), ic, SolveOptions{})
-	if soloErr == nil {
-		t.Fatal("solo solve of indefinite column unexpectedly converged")
-	}
-	if stats[1].Iterations != soloStats.Iterations {
-		t.Errorf("breakdown iteration %d, solo %d", stats[1].Iterations, soloStats.Iterations)
-	}
-	for j := 0; j < BatchWidth; j++ {
-		if j == 1 {
-			continue
-		}
-		if !ok[j] {
-			t.Fatalf("healthy column %d failed", j)
-		}
-		want, wantStats, err := CGPrecond(patchedMatrix(t, base, ovs, j), column(b, j), ic, SolveOptions{})
+	for _, tc := range []struct {
+		name string
+		m    *ICPreconditioner
+		opts SolveOptions
+		fail []int // columns that must fail, so the case exercises its failure
+	}{
+		{"breakdown", ic, SolveOptions{}, []int{1}},
+		{"budget", ic, SolveOptions{MaxIter: 3, Tol: 1e-14}, []int{0, 2}},
+		{"no factorization", nil, SolveOptions{}, []int{0, 1, 2, 3}},
+	} {
+		got, stats, ok, err := CGPrecondBatch(base, ovs, b, nil, tc.m, tc.opts, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(got[j], want) || stats[j] != wantStats {
-			t.Errorf("healthy column %d perturbed by sibling breakdown", j)
+		for _, j := range tc.fail {
+			if ok[j] {
+				t.Errorf("%s: column %d converged", tc.name, j)
+			}
+		}
+		for j := 0; j < BatchWidth; j++ {
+			want, wantStats, soloErr := CGPrecond(patchedMatrix(t, base, ovs, j), column(b, j), tc.m, tc.opts)
+			if ok[j] != (soloErr == nil) || stats[j] != wantStats {
+				t.Errorf("%s col %d: ok %v stats %+v; solo err %v stats %+v", tc.name, j, ok[j], stats[j], soloErr, wantStats)
+			}
+			if ok[j] && !reflect.DeepEqual(got[j], want) || !ok[j] && got[j] != nil {
+				t.Errorf("%s col %d: solution differs from solo (ok %v)", tc.name, j, ok[j])
+			}
 		}
 	}
 }
@@ -289,10 +296,6 @@ func TestCGPrecondBatchValidation(t *testing.T) {
 		}},
 		{"short start", func() error {
 			_, _, _, err := CGPrecondBatch(base, nil, good, make([]float64, n), ic, SolveOptions{}, nil)
-			return err
-		}},
-		{"nil preconditioner", func() error {
-			_, _, _, err := CGPrecondBatch(base, nil, good, nil, nil, SolveOptions{}, nil)
 			return err
 		}},
 		{"override width", func() error {

@@ -1,17 +1,19 @@
 // Package sparse implements the sparse linear algebra needed by the thermal
 // simulator: compressed sparse row (CSR) matrices assembled from coordinate
-// triplets, conjugate gradients (Jacobi and IC(0)-preconditioned, and a
-// lockstep multi-RHS variant), and a dense LU for the optimizers' small
-// systems and for cross-checking the iterative methods in tests.
+// triplets, the IC(0) factorization, conjugate gradients under it
+// (CGPrecond, and CGPrecondBatch's lockstep multi-RHS variant), and a
+// dense LU for the optimizers' small systems and for cross-checking CG in
+// tests.
 //
 // The thermal system matrix is a conduction Laplacian plus diagonal shifts
 // contributed by linear-in-temperature heat sources (Peltier terms and the
 // Taylor-linearized leakage). The Laplacian part is symmetric positive
 // definite; the shifts keep the matrix symmetric, but near thermal runaway
-// they make it indefinite. SolveAuto, a two-rung ladder of IC(0)- and
-// Jacobi-preconditioned CG, answers a positive definite system; both rungs
-// stop on non-positive curvature, so an indefinite one is an error the
-// thermal package reports as runaway.
+// they make it indefinite. CG under the caller's IC(0) factorization is
+// the one solver of every thermal system: it answers a positive definite
+// system, and an indefinite one either fails to factor or stops CG on
+// non-positive curvature, a failure the thermal package reports as
+// runaway with no second solve.
 package sparse
 
 import (

@@ -8,12 +8,9 @@ import (
 
 // ICPreconditioner is a zero-fill incomplete Cholesky factorization
 // M = L·Lᵀ of a symmetric positive-definite matrix, with L restricted to
-// the sparsity pattern of the lower triangle of A. For the thermal
-// conduction matrices in this repository it cuts CG iteration counts by
-// several times compared to Jacobi scaling (see the preconditioner
-// ablation benchmark). Its structure arrays are shared with the
-// ICSymbolic it was factored through; it owns only the values of L and
-// Lᵀ, and is read-only once built.
+// the sparsity pattern of the lower triangle of A. Its structure arrays
+// are shared with the ICSymbolic it was factored through; it owns only
+// the values of L and Lᵀ, and is read-only once built.
 type ICPreconditioner struct {
 	n int
 	// l is the factor in CSR layout (rows sorted by column, diagonal last).
@@ -50,9 +47,9 @@ type ICSymbolic struct {
 }
 
 // NewICPreconditioner computes the IC(0) factorization. It returns an
-// error when the matrix is structurally unsuitable (asymmetric pattern or
-// a non-positive pivot, which signals an indefinite matrix — callers then
-// fall back to Jacobi).
+// error when the matrix is structurally unsuitable (no structural
+// diagonal) or meets a non-positive pivot, the sign of a matrix that is
+// not positive definite enough to factor.
 func NewICPreconditioner(a *CSR) (*ICPreconditioner, error) {
 	s, err := NewICSymbolic(a)
 	if err != nil {
@@ -243,16 +240,24 @@ func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
 	}
 }
 
-// CGPrecond solves A·x = b with the conjugate gradient method under the
-// IC(0) preconditioner m. It stops on non-positive curvature (pᵀAp ≤ 0),
-// the sign of an indefinite A.
+// CGPrecond solves A·x = b, for a symmetric A, with the conjugate
+// gradient method under the IC(0) factorization m; it neither factors nor
+// checks symmetry. It fails, wrapping ErrNoConvergence, on non-positive
+// curvature (pᵀAp ≤ 0), the sign of an indefinite A, when MaxIter runs
+// out, and on a nil m, the mark of a factorization that failed, before
+// any iteration and with zero Stats. Near thermal runaway the point CG
+// would converge to is the unstable fixed point, not a steady state, so
+// the thermal package, whose one solver this is, reports any failure as
+// runaway.
+//
+//oftec:allocok returns a freshly allocated solution vector by contract; iteration scratch comes from SolveOptions.Work
 func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]float64, Stats, error) {
 	n := a.N()
 	if len(b) != n {
 		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
 	}
 	if m == nil {
-		return nil, Stats{}, fmt.Errorf("sparse: CGPrecond requires a preconditioner")
+		return nil, Stats{}, fmt.Errorf("%w: no IC(0) factorization to precondition CG", ErrNoConvergence)
 	}
 	x := make([]float64, n)
 	if opts.X0 != nil {

@@ -72,11 +72,12 @@ func TestWithValuesSharedPattern(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = math.Sin(float64(i))
 	}
-	x0, _, err := SolveAuto(base, rhs, SolveOptions{})
+	ic := icOf(t, base)
+	x0, _, err := CGPrecond(base, rhs, ic, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1, _, err := SolveAuto(m, rhs, SolveOptions{})
+	x1, _, err := CGPrecond(m, rhs, ic, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +107,18 @@ func TestWithValuesSharedPattern(t *testing.T) {
 // workspace-free solves bit-for-bit, and the workspace must grow to fit.
 func TestWorkspaceReuse(t *testing.T) {
 	ws := &Workspace{}
-	for _, n := range []int{7, 40, 12} {
-		a := laplacian1D(n, 2)
-		rhs := make([]float64, n)
+	for _, n := range []int{3, 7, 5} {
+		a := laplacian2D(n, 2)
+		ic := icOf(t, a)
+		rhs := make([]float64, a.N())
 		for i := range rhs {
 			rhs[i] = 1 + float64(i%3)
 		}
-		plain, st0, err := SolveAuto(a, rhs, SolveOptions{})
+		plain, st0, err := CGPrecond(a, rhs, ic, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, st1, err := SolveAuto(a, rhs, SolveOptions{Work: ws})
+		pooled, st1, err := CGPrecond(a, rhs, ic, SolveOptions{Work: ws})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,15 +6,16 @@ import (
 	"math"
 )
 
-// ErrNoConvergence is returned when an iterative solver exhausts its
-// iteration budget without reaching the requested tolerance.
+// ErrNoConvergence is wrapped by every failure of a CG solve on a
+// well-formed system: an exhausted iteration budget, a breakdown on
+// non-positive curvature, or a missing factorization.
 var ErrNoConvergence = errors.New("sparse: iterative solver did not converge")
 
 // ErrSingular is returned when a direct factorization encounters a pivot
 // that is numerically zero.
 var ErrSingular = errors.New("sparse: matrix is singular to working precision")
 
-// SolveOptions configures the iterative solvers.
+// SolveOptions configures CGPrecond and its lockstep twin CGPrecondBatch.
 type SolveOptions struct {
 	// Tol is the relative residual tolerance ‖b−Ax‖₂ ≤ Tol·‖b‖₂.
 	// Zero selects the default 1e-10.
@@ -23,20 +24,16 @@ type SolveOptions struct {
 	MaxIter int
 	// X0 is an optional warm-start; nil starts from zero.
 	X0 []float64
-	// Precond is the IC(0) factorization SolveAuto's first rung runs CG
-	// under. SolveAuto never factors: callers own their factorizations
-	// (thermal caches one per ω-slice). Nil skips to Jacobi CG.
-	Precond *ICPreconditioner
 	// Work optionally supplies reusable solver work arrays so repeated
 	// solves stay allocation-light. A Workspace must not be shared by
 	// concurrent solves.
 	Work *Workspace
 }
 
-// Workspace holds the per-solve scratch vectors of the CG-family solvers
-// so callers that solve in a loop (or from a sync.Pool) avoid per-call
-// allocation. The zero value is ready to use; vectors grow on demand and
-// are retained across solves.
+// Workspace holds the per-solve scratch vectors of CGPrecond so callers
+// that solve in a loop (or from a sync.Pool) avoid per-call allocation.
+// The zero value is ready to use; vectors grow on demand and are retained
+// across solves.
 type Workspace struct {
 	r, z, p, ap, pre []float64
 }
@@ -86,79 +83,10 @@ type Stats struct {
 	Residual   float64 // final relative residual
 }
 
-// CG solves A·x = b with the Jacobi-preconditioned conjugate gradient
-// method. A must be symmetric; positive definiteness is required for
-// guaranteed convergence, and CG stops on non-positive curvature
-// (pᵀAp ≤ 0) rather than run on into the stationary point of an
-// indefinite system. The result is written into a new slice.
-func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
-	n := a.N()
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-	}
-	ws := opts.work(n)
-	r := ws.r
-	a.Residual(r, x, b)
-
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, Stats{}, nil
-	}
-	tol := opts.tol()
-
-	// Jacobi preconditioner M = diag(A).
-	invDiag := ws.pre
-	for i := range invDiag {
-		d := a.At(i, i)
-		if d == 0 {
-			return nil, Stats{}, fmt.Errorf("sparse: zero diagonal at row %d; Jacobi preconditioner undefined", i)
-		}
-		invDiag[i] = 1 / d
-	}
-
-	z, p, ap := ws.z, ws.p, ws.ap
-	for i := range z {
-		z[i] = invDiag[i] * r[i]
-	}
-	copy(p, z)
-	rz := Dot(r, z)
-
-	maxIter := opts.maxIter(n)
-	for it := 1; it <= maxIter; it++ {
-		a.MulVec(ap, p)
-		pap := Dot(p, ap)
-		if pap <= 0 || math.IsNaN(pap) {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=%g)", ErrNoConvergence, pap)
-		}
-		alpha := rz / pap
-		AXPY(alpha, p, x)
-		AXPY(-alpha, ap, r)
-
-		res := Norm2(r) / bnorm
-		if res <= tol {
-			return x, Stats{Iterations: it, Residual: res}, nil
-		}
-		for i := range z {
-			z[i] = invDiag[i] * r[i]
-		}
-		rzNew := Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
-}
-
 // LU is a dense LU factorization with partial pivoting. It solves the
 // small dense systems of the optimizers (QP KKT, interior-point Newton)
 // and the ROM's reduced system; the sparse thermal systems go through
-// SolveAuto.
+// CGPrecond.
 type LU struct {
 	n   int
 	lu  [][]float64
@@ -243,25 +171,4 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = (x[i] - s) / row[i]
 	}
 	return x, nil
-}
-
-// SolveAuto solves A·x = b for a symmetric A, the only kind the thermal
-// package builds, down a two-rung ladder. Rung 1 is CG under the caller's
-// IC(0) factorization (SolveOptions.Precond); rung 2, and the only rung
-// when Precond is nil, is Jacobi CG. Both rungs stop on non-positive
-// curvature (pᵀAp ≤ 0). Near thermal runaway the matrix turns
-// indefinite, and the point CG would converge to there is the unstable
-// fixed point, not a steady state, so an indefinite system fails both
-// rungs and the thermal package reports runaway. When both rungs fail,
-// SolveAuto returns Jacobi CG's error, which wraps ErrNoConvergence. It
-// neither factors nor checks symmetry.
-//
-//oftec:allocok returns a freshly allocated solution vector by contract; iteration scratch comes from SolveOptions.Work
-func SolveAuto(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
-	if opts.Precond != nil {
-		if x, st, err := CGPrecond(a, b, opts.Precond, opts); err == nil {
-			return x, st, nil
-		}
-	}
-	return CG(a, b, opts)
 }

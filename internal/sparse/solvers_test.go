@@ -68,58 +68,82 @@ func checkSolution(t *testing.T, name string, a *CSR, x, b []float64, tol float6
 	}
 }
 
+// icOf is the IC(0) factorization of a, which must factor.
+func icOf(t testing.TB, a *CSR) *ICPreconditioner {
+	t.Helper()
+	ic, err := NewICPreconditioner(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ic
+}
+
 func TestCGOnLaplacian(t *testing.T) {
-	for _, n := range []int{1, 2, 10, 100, 500} {
-		a := laplacian1D(n, 3.5)
+	for _, a := range []*CSR{laplacian1D(1, 3.5), laplacian1D(2, 3.5), laplacian1D(500, 3.5), laplacian2D(10, 3.5), laplacian2D(30, 1.2)} {
+		n := a.N()
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = float64(i%7) - 3
 		}
-		x, st, err := CG(a, b, SolveOptions{})
+		x, st, err := CGPrecond(a, b, icOf(t, a), SolveOptions{})
 		if err != nil {
-			t.Fatalf("n=%d: CG: %v", n, err)
+			t.Fatalf("n=%d: CGPrecond: %v", n, err)
 		}
 		if st.Iterations == 0 && NormInf(b) > 0 {
-			t.Errorf("n=%d: CG reported zero iterations", n)
+			t.Errorf("n=%d: CGPrecond reported zero iterations", n)
 		}
-		checkSolution(t, "CG", a, x, b, 1e-8)
+		checkSolution(t, "CGPrecond", a, x, b, 1e-8)
 	}
 }
 
+// TestCGZeroRHS: a zero right-hand side returns the start unchanged, zero
+// from a cold start, with zero Stats and no iteration.
 func TestCGZeroRHS(t *testing.T) {
-	a := laplacian1D(5, 1)
-	x, _, err := CG(a, make([]float64, 5), SolveOptions{})
-	if err != nil {
-		t.Fatalf("CG: %v", err)
-	}
-	if NormInf(x) != 0 {
-		t.Errorf("CG with zero rhs returned nonzero x: %v", x)
+	a := laplacian2D(4, 1)
+	ic := icOf(t, a)
+	for _, x0 := range [][]float64{nil, {1, -2, 3, 0.5, 7, 1, 1, 1, 2, 2, 2, 2, 0, 0, 0, 4}} {
+		x, st, err := CGPrecond(a, make([]float64, a.N()), ic, SolveOptions{X0: x0})
+		if err != nil || st != (Stats{}) {
+			t.Fatalf("start %v: st=%+v err=%v", x0, st, err)
+		}
+		want := x0
+		if want == nil {
+			want = make([]float64, a.N())
+		}
+		if !reflect.DeepEqual(x, want) {
+			t.Errorf("zero rhs from start %v returned %v", x0, x)
+		}
 	}
 }
 
+// TestCGWarmStart: started from its own solution, CG stops after one
+// iteration, far sooner than from zero.
 func TestCGWarmStart(t *testing.T) {
-	a := laplacian1D(50, 2)
-	b := make([]float64, 50)
+	a := laplacian2D(12, 2)
+	ic := icOf(t, a)
+	b := make([]float64, a.N())
 	for i := range b {
 		b[i] = math.Sin(float64(i))
 	}
-	x1, st1, err := CG(a, b, SolveOptions{})
+	x1, st1, err := CGPrecond(a, b, ic, SolveOptions{})
 	if err != nil {
-		t.Fatalf("cold CG: %v", err)
+		t.Fatalf("cold CGPrecond: %v", err)
 	}
-	_, st2, err := CG(a, b, SolveOptions{X0: x1})
+	_, st2, err := CGPrecond(a, b, ic, SolveOptions{X0: x1})
 	if err != nil {
-		t.Fatalf("warm CG: %v", err)
+		t.Fatalf("warm CGPrecond: %v", err)
 	}
-	if st2.Iterations > st1.Iterations {
-		t.Errorf("warm start took %d iterations, cold start %d", st2.Iterations, st1.Iterations)
+	if st2.Iterations != 1 || st1.Iterations <= 1 {
+		t.Errorf("warm start took %d iterations, cold start %d; want 1 and more", st2.Iterations, st1.Iterations)
 	}
 }
 
 func TestCGRejectsDimensionMismatch(t *testing.T) {
 	a := laplacian1D(4, 1)
-	if _, _, err := CG(a, make([]float64, 3), SolveOptions{}); err == nil {
-		t.Fatal("CG accepted mismatched rhs")
+	for _, ic := range []*ICPreconditioner{icOf(t, a), nil} {
+		if _, _, err := CGPrecond(a, make([]float64, 3), ic, SolveOptions{}); err == nil || errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("mismatched rhs (factorization %t): err = %v, want a dimension error", ic != nil, err)
+		}
 	}
 }
 
@@ -181,7 +205,7 @@ func TestLUPivoting(t *testing.T) {
 	}
 }
 
-func TestSolveAutoAgreesWithLU(t *testing.T) {
+func TestCGPrecondAgreesWithLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
 		n := 3 + rng.Intn(20)
@@ -190,9 +214,9 @@ func TestSolveAutoAgreesWithLU(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xAuto, _, err := SolveAuto(a, b, SolveOptions{})
+		xCG, _, err := CGPrecond(a, b, icOf(t, a), SolveOptions{})
 		if err != nil {
-			t.Fatalf("SolveAuto: %v", err)
+			t.Fatalf("CGPrecond: %v", err)
 		}
 		f, err := NewLU(a.Dense())
 		if err != nil {
@@ -202,66 +226,21 @@ func TestSolveAutoAgreesWithLU(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LU Solve: %v", err)
 		}
-		for i := range xAuto {
-			if math.Abs(xAuto[i]-xLU[i]) > 1e-6*(1+math.Abs(xLU[i])) {
-				t.Fatalf("trial %d: xAuto[%d]=%g differs from xLU=%g", trial, i, xAuto[i], xLU[i])
+		for i := range xCG {
+			if math.Abs(xCG[i]-xLU[i]) > 1e-6*(1+math.Abs(xLU[i])) {
+				t.Fatalf("trial %d: xCG[%d]=%g differs from xLU=%g", trial, i, xCG[i], xLU[i])
 			}
 		}
 	}
 }
 
-// TestSolveAutoRungs: with a factorization SolveAuto's answer is CG's
-// under it, bit for bit, in far fewer iterations than the dimension (a
-// dropped factorization would show up there); without one it is Jacobi
-// CG's, bit for bit.
-func TestSolveAutoRungs(t *testing.T) {
-	const n = 40
-	m := laplacian1D(n, 2)
-	ic, err := NewICPreconditioner(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = math.Cos(float64(i))
-	}
-	opts := SolveOptions{Tol: 1e-12}
-
-	got, st, err := SolveAuto(m, rhs, SolveOptions{Tol: 1e-12, Precond: ic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantSt, err := CGPrecond(m, rhs, ic, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) || st != wantSt {
-		t.Error("SolveAuto with a factorization differs from CGPrecond under it")
-	}
-	if st.Iterations >= n {
-		t.Errorf("preconditioned solve took %d iterations; factorization ignored?", st.Iterations)
-	}
-
-	got, st, err = SolveAuto(m, rhs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantSt, err = CG(m, rhs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) || st != wantSt {
-		t.Error("SolveAuto without a factorization differs from Jacobi CG")
-	}
-}
-
-// TestSolveAutoNegativeCurvature: one strongly negative diagonal makes
+// TestCGPrecondNegativeCurvature: one strongly negative diagonal makes
 // the matrix indefinite, as runaway does to the thermal systems. CG under
-// the healthy matrix's IC(0) factorization stops on negative curvature,
-// and so does SolveAuto's second rung, Jacobi CG: the point it would
-// otherwise converge to is the unstable fixed point of an indefinite
-// system, which the thermal package must see as a failed solve.
-func TestSolveAutoNegativeCurvature(t *testing.T) {
+// the healthy matrix's IC(0) factorization, with thermal's options, stops
+// on negative curvature with no solution: the point it would otherwise
+// converge to is the unstable fixed point of an indefinite system, which
+// the thermal package must see as a failed solve.
+func TestCGPrecondNegativeCurvature(t *testing.T) {
 	base := laplacian2D(8, 2.0)
 	n := base.N()
 	ic, err := NewICPreconditioner(base)
@@ -287,21 +266,18 @@ func TestSolveAutoNegativeCurvature(t *testing.T) {
 	}
 	opts := SolveOptions{Tol: 1e-9, MaxIter: 20 * n}
 
-	_, st, err := CGPrecond(a, rhs, ic, opts)
+	x, st, err := CGPrecond(a, rhs, ic, opts)
 	if !errors.Is(err, ErrNoConvergence) || !strings.Contains(err.Error(), "pᵀAp=-") {
 		t.Fatalf("IC(0)-CG on the indefinite matrix: err = %v, want a negative-curvature stop", err)
 	}
-	t.Logf("IC(0)-CG stopped at iteration %d", st.Iterations)
-
-	opts.Precond = ic
-	x, st, err := SolveAuto(a, rhs, opts)
-	if !errors.Is(err, ErrNoConvergence) || x != nil {
-		t.Fatalf("SolveAuto on the indefinite matrix: solution returned %t, err = %v, want no solution and ErrNoConvergence", x != nil, err)
+	if x != nil || st.Iterations == 0 || st.Residual != 0 {
+		t.Errorf("negative-curvature stop returned a solution (%t) or stats %+v, want none and the stopping iteration", x != nil, st)
 	}
-	t.Logf("Jacobi CG stopped at iteration %d: %v", st.Iterations, err)
+	t.Logf("IC(0)-CG stopped at iteration %d", st.Iterations)
 }
 
-// Property: CG solution of a random SPD system reproduces the rhs.
+// Property: CG's solution of a random dense SPD system, under its IC(0)
+// factorization (a full Cholesky on a dense pattern), reproduces the rhs.
 func TestCGPropertySPD(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -311,7 +287,11 @@ func TestCGPropertySPD(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 10
 		}
-		x, _, err := CG(a, b, SolveOptions{Tol: 1e-12})
+		ic, err := NewICPreconditioner(a)
+		if err != nil {
+			return false
+		}
+		x, _, err := CGPrecond(a, b, ic, SolveOptions{Tol: 1e-12})
 		if err != nil {
 			return false
 		}
@@ -366,14 +346,20 @@ func TestLULinearityProperty(t *testing.T) {
 	}
 }
 
+// TestNoConvergenceReported: a solve that runs out of MaxIter fails with
+// ErrNoConvergence and reports the budget it spent and the residual it
+// reached.
 func TestNoConvergenceReported(t *testing.T) {
-	a := laplacian1D(200, 1)
-	b := make([]float64, 200)
+	a := laplacian2D(20, 1)
+	b := make([]float64, a.N())
 	for i := range b {
 		b[i] = 1
 	}
-	_, _, err := CG(a, b, SolveOptions{MaxIter: 1, Tol: 1e-14})
+	_, st, err := CGPrecond(a, b, icOf(t, a), SolveOptions{MaxIter: 1, Tol: 1e-14})
 	if !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("CG with MaxIter=1: err = %v, want ErrNoConvergence", err)
+		t.Fatalf("CGPrecond with MaxIter=1: err = %v, want ErrNoConvergence", err)
+	}
+	if st.Iterations != 1 || !(st.Residual > 1e-14) {
+		t.Errorf("stats %+v, want 1 iteration and the residual above the tolerance", st)
 	}
 }

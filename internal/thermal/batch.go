@@ -20,10 +20,10 @@ import (
 // assembly patches use the same floating-point statement shapes as
 // assembleInto and the lockstep CG replicates CGPrecond bit-for-bit, so
 // a batched result is reflect.DeepEqual to the per-point result from the
-// same seed (the equivalence suite pins this). A column the lockstep
-// solve cannot finish (breakdown, iteration budget) falls back to the
-// per-point path, which reproduces the identical failure and proceeds down
-// the full SolveAuto ladder exactly as a per-point call would.
+// same seed (the equivalence suite pins this). A failed column is final:
+// the lockstep solve reports the Stats a per-point CGPrecond fails with
+// (breakdown, iteration budget, or a slice that does not factor), and the
+// point is runaway with them, exactly as a per-point call reports it.
 
 // EvaluateBatch computes the steady state at every operating point under
 // zoning z (nil is the one-zone deployment), solving memo misses in
@@ -103,10 +103,9 @@ func groupByOmega(n int, omegaOf func(int) float64) [][]int {
 }
 
 // evaluateGroup solves the memo misses among the points idxs of pts, all
-// at fan speed omega, in lockstep chunks. A column the lockstep path could
-// not finish is re-solved per-point from the same seed.
+// at fan speed omega, in lockstep chunks.
 func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts []Point, maxCur []float64, idxs []int, seed []float64, results []*Result) error {
-	ic, icOK := m.slicePrecond(omega)
+	ic := m.slicePrecond(omega)
 
 	// One canonical assembly for the whole group: the I_TEC = 0 system.
 	// Chunks only read sc.vals/sc.rhs; per-point terms live in the
@@ -156,19 +155,6 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 			chunk = append(chunk, pi)
 		}
 		if len(chunk) == 0 {
-			continue
-		}
-		if !icOK {
-			// No slice factorization (matrix not SPD enough): the lockstep
-			// rung is unavailable, so every point takes the per-point
-			// ladder — the same one it would have taken solo.
-			for _, pi := range chunk {
-				res, err := m.EvaluateWarm(z, pts[pi], seed)
-				if err != nil {
-					return err
-				}
-				results[pi] = res
-			}
 			continue
 		}
 		// Pad a partial chunk to the full lockstep width by repeating its
@@ -239,22 +225,11 @@ func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts
 			return err
 		}
 		for j, pi := range chunk {
-			if ok[j] {
-				// The chunk's canonical assembly is done, so sc.cur is free
-				// to carry this column's per-cell current into the result.
-				sc.loadCurrents(z, pts[pi].Currents)
-				res := m.linearResult(omega, maxCur[pi], sc.cur, sols[j], stats[j], nil)
-				m.storeResult(sc.memoKey(z, true, pts[pi].Omega, pts[pi].Currents), res)
-				results[pi] = res
-				continue
-			}
-			// Lockstep rung failed for this column: re-solve per-point
-			// from the same seed. The first CG rung reproduces the same
-			// failure and the ladder continues exactly as a solo call.
-			res, err := m.EvaluateWarm(z, pts[pi], seed)
-			if err != nil {
-				return err
-			}
+			// The chunk's canonical assembly is done, so sc.cur is free to
+			// carry this column's per-cell current into the result.
+			sc.loadCurrents(z, pts[pi].Currents)
+			res := m.linearResult(omega, maxCur[pi], sc.cur, sols[j], stats[j], ok[j])
+			m.storeResult(sc.memoKey(z, true, pts[pi].Omega, pts[pi].Currents), res)
 			results[pi] = res
 		}
 	}

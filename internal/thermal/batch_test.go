@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"oftec/internal/sparse"
 )
 
 // This file is the batched-evaluation equivalence suite: EvaluateBatch
@@ -105,6 +107,55 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 	r2 := benchModel(t, cfg, "Basicmath")
 	want2 := perPointReference(t, r2, nil, pts, warmRes.T)
 	assertResultsDeepEqual(t, "warm", got2, want2)
+}
+
+// TestEvaluateBatchFailuresMatchPerPoint: a column the lockstep solve
+// fails is final, and its runaway Result, SolveStats included, is
+// DeepEqual to the per-point one. It covers both ways a batched point
+// fails: a CG breakdown (the fanless full-current corner turns its
+// system indefinite), and an ω-slice that does not factor (at leakage
+// ×20 no slice of this chip is positive definite enough for IC(0)).
+func TestEvaluateBatchFailuresMatchPerPoint(t *testing.T) {
+	cfg := testConfig()
+	iMax := cfg.TEC.MaxCurrent
+	// The first point of each ω-group solves per point; the rest share a
+	// lockstep chunk.
+	pts := []Point{opPoint(0, 0), opPoint(0, 0.8), opPoint(0, iMax), opPoint(0, iMax/2), opPoint(250, 0), opPoint(250, 1)}
+	leaky := testConfig()
+	leaky.Leakage.P0Density *= 20
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// failed reports whether the reference exercises the failure the
+		// case names.
+		failed func(m *Model, want []*Result) bool
+	}{
+		{"breakdown", cfg, func(_ *Model, want []*Result) bool {
+			st := want[2].SolveStats
+			return want[2].Runaway && st.Iterations > 0 && st.Residual == 0
+		}},
+		{"no slice factorization", leaky, func(m *Model, want []*Result) bool {
+			for _, r := range want {
+				if m.slicePrecond(r.Omega) != nil || !r.Runaway || r.SolveStats != (sparse.Stats{}) {
+					return false
+				}
+			}
+			return true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := benchModel(t, tc.cfg, "Basicmath").EvaluateBatch(context.Background(), nil, pts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := benchModel(t, tc.cfg, "Basicmath")
+			want := perPointReference(t, ref, nil, pts, nil)
+			if !tc.failed(ref, want) {
+				t.Fatalf("the per-point reference does not exercise the %s", tc.name)
+			}
+			assertResultsDeepEqual(t, tc.name, got, want)
+		})
+	}
 }
 
 // TestEvaluateBatchSharesMemo: points already memoized answer from the

@@ -112,12 +112,11 @@ func TestResultMemoEveryZoneCount(t *testing.T) {
 // clears wholesale.
 func TestPrecondCache(t *testing.T) {
 	m := benchModel(t, testConfig(), "Basicmath")
-	ic1, ok := m.slicePrecond(250)
-	if !ok || ic1 == nil {
+	ic1 := m.slicePrecond(250)
+	if ic1 == nil {
 		t.Fatal("ω-slice factorization failed")
 	}
-	ic2, ok := m.slicePrecond(250)
-	if !ok || ic2 != ic1 {
+	if ic2 := m.slicePrecond(250); ic2 != ic1 {
 		t.Error("ω-slice hit did not return the cached factorization")
 	}
 
@@ -130,7 +129,7 @@ func TestPrecondCache(t *testing.T) {
 	if n > maxPreconds {
 		t.Errorf("cache holds %d preconditioners, bound %d", n, maxPreconds)
 	}
-	if ic3, _ := m.slicePrecond(250); ic3 == ic1 {
+	if ic3 := m.slicePrecond(250); ic3 == ic1 {
 		t.Error("the first slice outlived a wholesale clear")
 	}
 }
@@ -150,12 +149,12 @@ func TestPrecondCacheBuildOnMiss(t *testing.T) {
 		tr.assemble(sc, 0.25)
 	}
 	key := precondKey{omega: 250, itec: 1, dt: 0.25}
-	ic1, ok := m.precond(key, step)
-	if !ok || ic1 == nil || builds != 1 {
-		t.Fatalf("miss: ok=%v builds=%d", ok, builds)
+	ic1 := m.precond(key, step)
+	if ic1 == nil || builds != 1 {
+		t.Fatalf("miss: factored=%v builds=%d", ic1 != nil, builds)
 	}
-	ic2, ok := m.precond(key, step)
-	if !ok || ic2 != ic1 || builds != 1 {
+	ic2 := m.precond(key, step)
+	if ic2 != ic1 || builds != 1 {
 		t.Fatalf("hit rebuilt: builds=%d same=%v", builds, ic2 == ic1)
 	}
 
@@ -168,7 +167,7 @@ func TestPrecondCacheBuildOnMiss(t *testing.T) {
 	}
 	bad := precondKey{omega: 250, itec: 1, dt: 0.5}
 	for i := 0; i < 2; i++ {
-		if ic, ok := m.precond(bad, indefinite); ok || ic != nil {
+		if ic := m.precond(bad, indefinite); ic != nil {
 			t.Fatalf("call %d: indefinite matrix factorized", i)
 		}
 	}
@@ -188,7 +187,7 @@ func TestPrecondCacheConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	const slices, steps = 24, 8
-	lookup := func(i int) (*sparse.ICPreconditioner, bool) {
+	lookup := func(i int) *sparse.ICPreconditioner {
 		if i < slices {
 			return m.slicePrecond(120 + 10*float64(i))
 		}
@@ -202,7 +201,7 @@ func TestPrecondCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for n := 0; n < 40; n++ {
-				if _, ok := lookup(rng.Intn(slices + steps)); !ok {
+				if lookup(rng.Intn(slices+steps)) == nil {
 					t.Error("factorization failed")
 					return
 				}
@@ -211,9 +210,7 @@ func TestPrecondCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < slices+steps; i++ {
-		a, _ := lookup(i)
-		b, _ := lookup(i)
-		if a != b {
+		if lookup(i) != lookup(i) {
 			t.Errorf("key %d: settled cache answers two objects", i)
 		}
 	}

@@ -109,7 +109,7 @@ func TestAssembleMatchesReferenceConstantLeakage(t *testing.T) {
 	}
 }
 
-// TestAssembledSystemsSymmetric pins the contract sparse.SolveAuto and
+// TestAssembledSystemsSymmetric pins the contract sparse.CGPrecond and
 // the adjoint's Aᵀ = A rest on: every system assembled on the shared
 // pattern is exactly symmetric, at random operating points for k ∈
 // {1, 3, 9} zones, with linearized and exact (constant-injection)
@@ -155,15 +155,15 @@ func TestAssembledSystemsSymmetric(t *testing.T) {
 	check("ω-slice at ω = 0")
 }
 
-// solve is the reference path's sparse solve: an IC(0) factorization of
-// its own Builder-assembled matrix, then sparse.SolveAuto's ladder, with
-// a warm start when available.
+// solve is the reference path's sparse solve: CG under an IC(0)
+// factorization of its own Builder-assembled matrix, with a warm start
+// when available.
 func (m *Model) solve(mat *sparse.CSR, rhs, warm []float64) ([]float64, sparse.Stats, error) {
-	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm}
-	if ic, err := sparse.NewICPreconditioner(mat); err == nil {
-		opts.Precond = ic
+	ic, err := sparse.NewICPreconditioner(mat)
+	if err != nil {
+		return nil, sparse.Stats{}, err
 	}
-	return sparse.SolveAuto(mat, rhs, opts)
+	return sparse.CGPrecond(mat, rhs, ic, sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm})
 }
 
 // referenceEvaluate is the pre-optimization end-to-end path: Builder

@@ -164,7 +164,7 @@ func (m *Model) EvaluateGrad(z *Zoning, p Point) (*Gradient, error) {
 // under either schedule, so the Gradient is bit-identical at any width,
 // and the power adjoint's error wins as it would in a serial loop.
 //
-//oftec:allocok two solution vectors per gradient by SolveAuto contract, plus the fan-out's closure, join state and worker goroutines; scratch is pooled
+//oftec:allocok two solution vectors per gradient by CGPrecond contract, plus the fan-out's closure, join state and worker goroutines; scratch is pooled
 func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*Gradient, error) {
 	if res.Runaway {
 		return nil, fmt.Errorf("thermal: cannot differentiate a runaway operating point (ω=%g)", p.Omega)
@@ -172,6 +172,7 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 	tsc := m.getScratch()
 	defer m.putScratch(tsc)
 	g, opts := m.adjointSystem(sc, tsc.warm, res, z, p)
+	ic := m.slicePrecond(p.Omega)
 
 	work := [2]*evalScratch{sc, tsc}
 	var lam [2][]float64
@@ -180,7 +181,7 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 		o := opts
 		o.Work = &work[i].ws
 		var err error
-		if lam[i], st[i], err = sparse.SolveAuto(sc.mat, work[i].warm, o); err != nil {
+		if lam[i], st[i], err = sparse.CGPrecond(sc.mat, work[i].warm, ic, o); err != nil {
 			return fmt.Errorf("thermal: %s adjoint solve: %w", [2]string{"power", "temperature"}[i], err)
 		}
 		return nil
@@ -220,9 +221,6 @@ func (m *Model) adjointSystem(sc *evalScratch, rhsT []float64, res *Result, z *Z
 	sc.loadCurrents(z, p.Currents)
 	m.assembleInto(sc, p.Omega, sc.cur, true, nil)
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n}
-	if ic, ok := m.slicePrecond(p.Omega); ok {
-		opts.Precond = ic
-	}
 
 	// Adjoint of the power objective: ∂𝒫/∂T is the Taylor leakage slope
 	// at the chip nodes plus ±α·I at the Peltier interface nodes.

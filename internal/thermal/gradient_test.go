@@ -232,8 +232,9 @@ func TestAdjointRunawayRejected(t *testing.T) {
 }
 
 // serialAdjointPair is the serial reference for EvaluateGrad at p: the
-// same two right-hand sides, solved by sparse.SolveAuto one after the
-// other through one workspace, then the same contraction. p must already
+// same two right-hand sides, solved by sparse.CGPrecond under the ω-slice
+// factorization one after the other through one workspace, then the same
+// contraction. p must already
 // be evaluated on m, so the reference differentiates the memoized Result.
 func serialAdjointPair(t *testing.T, m *Model, z *Zoning, p Point) *Gradient {
 	t.Helper()
@@ -250,7 +251,7 @@ func serialAdjointPair(t *testing.T, m *Model, z *Zoning, p Point) *Gradient {
 	var lam [2][]float64
 	var st [2]sparse.Stats
 	for i, rhs := range [2][]float64{sc.warm, tsc.warm} {
-		if lam[i], st[i], err = sparse.SolveAuto(sc.mat, rhs, opts); err != nil {
+		if lam[i], st[i], err = sparse.CGPrecond(sc.mat, rhs, m.slicePrecond(p.Omega), opts); err != nil {
 			t.Fatalf("serial adjoint %d: %v", i, err)
 		}
 	}

@@ -620,7 +620,7 @@ func (m *Model) TotalLeakageSlope() float64 {
 // assembleInto never needs a sparse.Builder and one IC(0) analysis
 // serves every factorization the preconditioner cache makes.
 //
-// The same fact is the symmetry contract sparse.SolveAuto relies on:
+// The same fact is the symmetry contract sparse.CGPrecond relies on:
 // every per-point term is diagonal, so every system on the pattern is
 // symmetric exactly when the base couplings are, which is checked here
 // once. It is also why an adjoint solve is a forward solve (Aᵀ = A).
@@ -813,29 +813,29 @@ func (m *Model) assembleSlice(sc *evalScratch, omega float64) {
 	m.assembleInto(sc, omega, sc.cur, true, nil)
 }
 
-// solveScratch runs the sparse solve through the scratch workspace. All
-// steady-state paths (scalar, zoned, exact, batched) share the ω-slice
-// preconditioner: one IC(0) factorization of the canonical I_TEC = 0
-// matrix serves every operating point in the slice, since the per-point
-// systems differ only in a few TEC diagonal terms. The preconditioner is
-// slightly weaker at large currents, but the solve converges on the true
-// residual of the patched matrix to the same tolerance either way, and a
-// 40×40 sweep pays 40 factorizations instead of 1600.
+// solveScratch runs the sparse solve through the scratch workspace: CG
+// under the ω-slice preconditioner, which every steady-state path
+// (scalar, zoned, exact, batched) shares. One IC(0) factorization of the
+// canonical I_TEC = 0 matrix serves every operating point in the slice,
+// since the per-point systems differ only in a few TEC diagonal terms.
+// The preconditioner is slightly weaker at large currents, but the solve
+// converges on the true residual of the patched matrix to the same
+// tolerance either way, and a 40×40 sweep pays 40 factorizations instead
+// of 1600. A slice that does not factor fails the solve, and the point
+// is runaway.
 //
 //oftec:hotpath
 func (m *Model) solveScratch(sc *evalScratch, omega float64, warm []float64) ([]float64, sparse.Stats, error) {
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm, Work: &sc.ws}
-	if ic, ok := m.slicePrecond(omega); ok {
-		opts.Precond = ic
-	}
-	return sparse.SolveAuto(sc.mat, sc.rhs, opts)
+	return sparse.CGPrecond(sc.mat, sc.rhs, m.slicePrecond(omega), opts)
 }
 
 // slicePrecond returns the IC(0) preconditioner of the ω-slice's
-// canonical matrix, factoring it on first sight.
+// canonical matrix, factoring it on first sight, or nil when it does not
+// factor.
 //
 //oftec:allocok one canonical assembly + factorization per ω-slice, amortized across every point in the slice
-func (m *Model) slicePrecond(omega float64) (*sparse.ICPreconditioner, bool) {
+func (m *Model) slicePrecond(omega float64) *sparse.ICPreconditioner {
 	return m.precond(precondKey{omega: omega}, func(sc *evalScratch) { m.assembleSlice(sc, omega) })
 }
 
@@ -848,11 +848,11 @@ const maxPreconds = 64
 // assemble writes the matrix key names into a pooled scratch, which is
 // factored outside the lock; concurrent misses on one key may both
 // factor, harmlessly, since the factors are identical. A failed
-// factorization (matrix not SPD enough) is cached as a failure, so the
-// caller's fallback does not retry it every solve.
+// factorization (matrix not SPD enough) is cached as a nil factor, which
+// fails every solve under it without another factorization attempt.
 //
 //oftec:allocok one assembly + factorization per key, amortized across every solve that shares it
-func (m *Model) precond(key precondKey, assemble func(sc *evalScratch)) (*sparse.ICPreconditioner, bool) {
+func (m *Model) precond(key precondKey, assemble func(sc *evalScratch)) *sparse.ICPreconditioner {
 	m.pcMu.Lock()
 	ic, hit := m.pcs[key]
 	m.pcMu.Unlock()
@@ -871,7 +871,7 @@ func (m *Model) precond(key precondKey, assemble func(sc *evalScratch)) (*sparse
 		m.pcs[key] = ic
 		m.pcMu.Unlock()
 	}
-	return ic, ic != nil
+	return ic
 }
 
 // assembleReference builds the system matrix and RHS for the given
@@ -994,7 +994,7 @@ func (m *Model) EvaluateWarm(z *Zoning, p Point, warm []float64) (*Result, error
 		warm = sc.warm
 	}
 	t, stats, err := m.solveScratch(sc, p.Omega, warm)
-	res := m.linearResult(p.Omega, maxCur, sc.cur, t, stats, err)
+	res := m.linearResult(p.Omega, maxCur, sc.cur, t, stats, err == nil)
 	m.storeResult(key, res)
 	return res, nil
 }
@@ -1013,8 +1013,8 @@ func (m *Model) zoningOr(z *Zoning) *Zoning {
 // non-physical solve, or a field past the runaway threshold, is runaway;
 // anything else materializes the Result. cur is the per-cell current the
 // system was assembled at and maxCur the largest of them.
-func (m *Model) linearResult(omega, maxCur float64, cur, t []float64, stats sparse.Stats, solveErr error) *Result {
-	if solveErr != nil || !m.physical(t) {
+func (m *Model) linearResult(omega, maxCur float64, cur, t []float64, stats sparse.Stats, solved bool) *Result {
+	if !solved || !m.physical(t) {
 		return m.runawayResult(omega, maxCur, stats)
 	}
 	res := m.buildResult(omega, maxCur, cur, t, stats, true)

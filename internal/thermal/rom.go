@@ -247,10 +247,7 @@ func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 		rhs[m.node(planeChip, i)] = p
 	}
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws}
-	if ic, ok := m.slicePrecond(omega); ok {
-		opts.Precond = ic
-	}
-	x, _, err := sparse.SolveAuto(sc.mat, rhs, opts)
+	x, _, err := sparse.CGPrecond(sc.mat, rhs, m.slicePrecond(omega), opts)
 	return x, err
 }
 

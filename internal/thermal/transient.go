@@ -113,7 +113,9 @@ func (tr *Transient) ChipState() (maxTemp float64, temps []float64) {
 // diagonal, so the pattern is unchanged). Its preconditioner is cached
 // under (ω, I, Δt), so a fixed-step integration reuses one IC(0)
 // factorization across all steps; the shared ω-slice preconditioner would
-// fit poorly, since the C/Δt patch touches every row.
+// fit poorly, since the C/Δt patch touches every row. A step matrix that
+// does not factor, or a CG breakdown, is an error, and the state does not
+// advance.
 func (tr *Transient) Step(dt float64) (float64, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return 0, fmt.Errorf("thermal: step size %g must be positive and finite", dt)
@@ -124,10 +126,8 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 	tr.assemble(sc, dt)
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: tr.temps, Work: &sc.ws}
 	key := precondKey{omega: tr.omega, itec: tr.itec, dt: dt}
-	if ic, ok := m.precond(key, func(pc *evalScratch) { tr.assemble(pc, dt) }); ok {
-		opts.Precond = ic
-	}
-	next, _, err := sparse.SolveAuto(sc.mat, sc.rhs, opts)
+	ic := m.precond(key, func(pc *evalScratch) { tr.assemble(pc, dt) })
+	next, _, err := sparse.CGPrecond(sc.mat, sc.rhs, ic, opts)
 	if err != nil {
 		return 0, fmt.Errorf("thermal: transient solve failed at t=%g: %w", tr.now, err)
 	}

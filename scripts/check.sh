@@ -4,10 +4,10 @@
 #   build → go vet → gofmt (whole tree) → oftecvet (project static
 #   analysis; any finding fails) → named test gates with -race
 #   (concurrency, solver, adjoint, backend, batch, coolant) → every
-#   remaining test with -race → evaluate-request, chip-spec and
-#   pareto-request fuzz smokes → the benchmark module's tests → oftecd smoke (live
-#   daemon, every endpoint, the resolution cap, clean SIGTERM shutdown) →
-#   parallel-sweep bench smoke
+#   remaining test with -race → evaluate-request, chip-spec,
+#   pareto-request and sweep-request fuzz smokes → the benchmark
+#   module's tests → oftecd smoke (live daemon, every endpoint, the
+#   resolution cap, clean SIGTERM shutdown) → parallel-sweep bench smoke
 #
 # Run from anywhere inside the module; exits nonzero on the first failure.
 set -eu
@@ -150,6 +150,11 @@ go test -run '^$' -fuzz '^FuzzChipSpecConfig$' -fuzztime 10s -fuzzminimizetime 1
 # posted on the default chip, must answer 200 with a finite front or 400.
 echo "== go test -fuzz FuzzParetoRequest (10s smoke)"
 go test -run '^$' -fuzz '^FuzzParetoRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+
+# And on oftecd's sweep request: any grid of at most 64 points, posted on
+# the default chip, must answer 200 with n_omega·n_i finite points or 400.
+echo "== go test -fuzz FuzzSweepRequest (10s smoke)"
+go test -run '^$' -fuzz '^FuzzSweepRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 
 # The end-to-end benchmark is a module of its own (perfbench/, built
 # against this tree), so ./... above never reaches it. Its tests pin what
