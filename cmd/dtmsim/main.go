@@ -57,6 +57,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("unknown coolant %q; registered coolants: %s", *coolantName, strings.Join(coolant.Names(), ", "))
 	}
+	if err := backend.CheckCoolant(*backendName, *coolantName); err != nil {
+		log.Fatalf("-backend and -coolant disagree: %v", err)
+	}
 
 	cfg := thermal.DefaultConfig()
 	cfg.Coolant = coolantSpec

@@ -61,6 +61,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("unknown coolant %q; registered coolants: %s", *coolantName, strings.Join(coolant.Names(), ", "))
 	}
+	if err := backend.CheckCoolant(*backendName, *coolantName); err != nil {
+		log.Fatalf("-backend and -coolant disagree: %v", err)
+	}
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {

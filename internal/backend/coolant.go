@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"fmt"
+
 	"oftec/internal/coolant"
 	"oftec/internal/thermal"
 )
@@ -36,15 +38,35 @@ func reactuated(variant string, f Factory) Factory {
 	}
 }
 
+// reactuating lists the backends that rebuild their model under a fixed
+// coolant variant, whatever coolant the configuration carries.
+var reactuating = [...]struct{ backend, coolant string }{
+	{"liquid", "liquid"},
+	{"package", "liquid-package"},
+}
+
+// CheckCoolant refuses a backend that re-actuates its model under a fixed
+// coolant paired with a different, explicitly named coolant: the backend
+// would answer for its own coolant, not the one asked for. An empty
+// coolant name asks for none and is always accepted.
+func CheckCoolant(backendName, coolantName string) error {
+	for _, r := range reactuating {
+		if r.backend == backendName && coolantName != "" && coolantName != r.coolant {
+			return fmt.Errorf("backend %q always runs coolant %q, which contradicts coolant %q", backendName, r.coolant, coolantName)
+		}
+	}
+	return nil
+}
+
 func init() {
 	// The liquid-loop and multi-chip-package variants of the full
 	// backend: same floorplan and calibration, re-actuated through the
 	// coolant seam. Registered here (not in the coolant package) so the
 	// registry stays the single place backend names come from.
-	Register("liquid", reactuated("liquid", func(m *thermal.Model) (Plant, error) {
-		return NewFull(m).Renamed("liquid"), nil
-	}))
-	Register("package", reactuated("liquid-package", func(m *thermal.Model) (Plant, error) {
-		return NewFull(m).Renamed("package"), nil
-	}))
+	for _, r := range reactuating {
+		name := r.backend
+		Register(name, reactuated(r.coolant, func(m *thermal.Model) (Plant, error) {
+			return NewFull(m).Renamed(name), nil
+		}))
+	}
 }

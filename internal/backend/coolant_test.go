@@ -46,6 +46,23 @@ func TestCoolantBackendsRegistered(t *testing.T) {
 	}
 }
 
+// TestCheckCoolantRefusesContradiction: the liquid and package backends
+// re-actuate under their own coolant, so naming a different coolant next
+// to them, air included, is refused; their own coolant, an empty name,
+// and every coolant on a backend that keeps the configuration's own are
+// accepted.
+func TestCheckCoolantRefusesContradiction(t *testing.T) {
+	own := map[string]string{"liquid": "liquid", "package": "liquid-package"}
+	for _, b := range Names() {
+		for _, c := range append(coolant.Names(), "") {
+			err := CheckCoolant(b, c)
+			if want := own[b] != "" && c != "" && c != own[b]; (err != nil) != want {
+				t.Errorf("backend %q, coolant %q: err = %v, want refused %t", b, c, err, want)
+			}
+		}
+	}
+}
+
 // TestPackageBackendSharesColdPlate: the package variant couples chips
 // through a shared cold plate — per-chip conductance and drive power are
 // the 1/N share of the liquid loop's.

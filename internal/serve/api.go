@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 
+	"oftec/internal/backend"
 	"oftec/internal/coolant"
 	"oftec/internal/thermal"
 	"oftec/internal/units"
@@ -54,7 +55,9 @@ type ChipSpec struct {
 	// Backend names the evaluation backend ("full", "rom"); empty = full.
 	Backend string `json:"backend,omitempty"`
 	// Coolant names the cooling actuator variant ("air", "liquid",
-	// "liquid-dc", "liquid-package"); empty = air, the paper's fan.
+	// "liquid-dc", "liquid-package"); empty = air, the paper's fan. The
+	// "liquid" and "package" backends run their own coolant, and a
+	// different coolant named next to them is refused.
 	Coolant string `json:"coolant,omitempty"`
 }
 
@@ -82,6 +85,9 @@ func (c ChipSpec) config() (thermal.Config, error) {
 	spec, err := coolant.SpecByName(c.Coolant)
 	if err != nil {
 		return thermal.Config{}, err
+	}
+	if err := backend.CheckCoolant(c.Backend, c.Coolant); err != nil {
+		return thermal.Config{}, fmt.Errorf("serve: chip %w", err)
 	}
 	cfg.Coolant = spec
 	if err := cfg.Validate(); err != nil {

@@ -125,6 +125,80 @@ func FuzzEvaluateRequest(f *testing.F) {
 	})
 }
 
+// FuzzOptimizeRequest strict-decodes arbitrary bytes into an
+// OptimizeRequest and posts it to /v1/optimize on one shared Server, with
+// the chip and the deadline pinned to the defaults as in
+// FuzzEvaluateRequest. A multistart over a zoning is skipped, since it
+// launches one Algorithm-1 run per corner of a box with one edge per
+// zone. Whatever the mode, method, zoning and flags, the answer is 200
+// or 400; a 200 body decodes to an outcome of finite numbers, streamed
+// or not, and a stream ends on an outcome, not an error.
+func FuzzOptimizeRequest(f *testing.F) {
+	for _, seed := range []OptimizeRequest{
+		{},
+		{Mode: "var", Method: "interior"},
+		{Mode: "teconly", Method: "trust", Fallback: true},
+		{Mode: "fixed", Opt2Only: true},
+		{MultiStart: true, Stream: true},
+		{Zoning: &ZoneSpec{Clusters: true}},
+		{Zoning: &ZoneSpec{Zones: 3}, Stream: true},
+		{Mode: "nope"},
+	} {
+		b, err := json.Marshal(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	h := New(Options{}).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req OptimizeRequest
+		if err := dec.Decode(&req); err != nil || (req.MultiStart && req.Zoning != nil) {
+			return
+		}
+		req.Chip, req.TimeoutMS = ChipSpec{}, 0
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > maxBodyBytes {
+			return // the 413 path has its own test
+		}
+		rec := post(t, h, "/v1/optimize", json.RawMessage(b))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("%s: status %d: %s", b, rec.Code, rec.Body.String())
+		}
+		out := new(OptimizeResponse)
+		if req.Stream {
+			var last StreamLine
+			lines := json.NewDecoder(rec.Body)
+			for lines.More() {
+				last = StreamLine{}
+				if err := lines.Decode(&last); err != nil {
+					t.Fatalf("%s: stream line does not decode: %v", b, err)
+				}
+			}
+			if last.Outcome == nil {
+				t.Fatalf("%s: stream ends without an outcome: %+v", b, last)
+			}
+			out = last.Outcome
+		} else if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("%s: 200 body does not decode: %v: %q", b, err, rec.Body.String())
+		}
+		for _, v := range append([]float64{out.OmegaRPM, out.ITecA, out.MaxTempC, out.CoolingW, out.MinMaxTempC}, out.CurrentsA...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: non-finite number in %+v", b, out)
+			}
+		}
+	})
+}
+
 // FuzzParetoRequest strict-decodes arbitrary bytes into a ParetoRequest
 // and posts it to /v1/pareto on one shared Server, with the chip and the
 // deadline pinned to the defaults as in FuzzEvaluateRequest. A request

@@ -478,6 +478,10 @@ func TestBadRequests(t *testing.T) {
 		{"negative optimize timeout", "/v1/optimize", OptimizeRequest{TimeoutMS: -1}},
 		{"negative sweep timeout", "/v1/sweep", SweepRequest{NOmega: 2, NI: 2, TimeoutMS: -1}},
 		{"negative pareto timeout", "/v1/pareto", ParetoRequest{TMaxC: []float64{90}, TimeoutMS: -1}},
+		{"liquid backend on air", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Backend: "liquid", Coolant: "air"}, OmegaRPM: 3000, ITecA: 1}},
+		{"liquid backend on liquid-dc", "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Backend: "liquid", Coolant: "liquid-dc"}, OmegaRPM: 3000, ITecA: 1}},
+		{"package backend on liquid", "/v1/optimize", OptimizeRequest{Chip: ChipSpec{Backend: "package", Coolant: "liquid"}}},
+		{"package backend on air", "/v1/sweep", SweepRequest{Chip: ChipSpec{Backend: "package", Coolant: "air"}, NOmega: 2, NI: 2}},
 	}
 	// An unknown name is answered with the accepted ones, and a corner
 	// launch past the multistart bound names the bound.
@@ -511,6 +515,10 @@ func TestBadRequests(t *testing.T) {
 		"pareto threshold below ambient":       "threshold 313.15 K not above ambient",
 		"pareto threshold at ambient":          "threshold 318.15 K not above ambient",
 		"pareto threshold below absolute zero": "not above ambient",
+		"liquid backend on air":                `backend "liquid" always runs coolant "liquid", which contradicts coolant "air"`,
+		"liquid backend on liquid-dc":          `backend "liquid" always runs coolant "liquid", which contradicts coolant "liquid-dc"`,
+		"package backend on liquid":            `backend "package" always runs coolant "liquid-package", which contradicts coolant "liquid"`,
+		"package backend on air":               `backend "package" always runs coolant "liquid-package", which contradicts coolant "air"`,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

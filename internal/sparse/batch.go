@@ -151,12 +151,13 @@ func mulVecBatch(m *CSR, ovs []DiagOverride, dst, x []float64) {
 	}
 }
 
-// applyBlock runs the IC(0) forward/backward triangular sweeps over the
-// eight interleaved columns at once: dst = (L·Lᵀ)⁻¹·r per column,
-// touching the factor pattern once for all columns, with the eight
-// running residuals held in registers through each row's update loop.
-// Per column the operations and their order (acc −= v·y in k-order, then
-// /d) match ApplyScratch exactly.
+// applyBlock runs the factor's forward/backward triangular sweeps over
+// the eight interleaved columns at once: dst = (L·Lᵀ)⁻¹·r per column,
+// touching the factor pattern once for all columns, with each row's
+// eight values held in registers through its update loop. Per column
+// the operations and their order (forward: acc −= v·y in k-order, then
+// /d; backward: x = y/d, then y −= v·x in k-order) match ApplyScratch
+// exactly.
 //
 //oftec:hotpath
 func (p *ICPreconditioner) applyBlock(dst, r, y []float64) {
@@ -184,30 +185,30 @@ func (p *ICPreconditioner) applyBlock(dst, r, y []float64) {
 		ys[0], ys[1], ys[2], ys[3] = a0/d, a1/d, a2/d, a3/d
 		ys[4], ys[5], ys[6], ys[7] = a4/d, a5/d, a6/d, a7/d
 	}
-	// Backward solve Lᵀ·dst = y (row i of Lᵀ holds columns ≥ i, diagonal
-	// first).
+	// Backward solve Lᵀ·dst = y by columns of Lᵀ (the rows of L).
 	for i := p.n - 1; i >= 0; i-- {
 		base := i * 8
+		lo, hi := int(p.lRowPtr[i]), int(p.lRowPtr[i+1])
+		d := p.lValues[hi-1]
 		ys := y[base : base+8 : base+8]
-		a0, a1, a2, a3, a4, a5, a6, a7 := ys[0], ys[1], ys[2], ys[3], ys[4], ys[5], ys[6], ys[7]
-		lo, hi := int(p.ltRowPtr[i]), int(p.ltRowPtr[i+1])
-		for k := lo + 1; k < hi; k++ {
-			v := p.ltValues[k]
-			c := int(p.ltColIdx[k]) * 8
-			ds := dst[c : c+8 : c+8]
-			a0 -= v * ds[0]
-			a1 -= v * ds[1]
-			a2 -= v * ds[2]
-			a3 -= v * ds[3]
-			a4 -= v * ds[4]
-			a5 -= v * ds[5]
-			a6 -= v * ds[6]
-			a7 -= v * ds[7]
-		}
-		d := p.ltValues[lo]
+		x0, x1, x2, x3 := ys[0]/d, ys[1]/d, ys[2]/d, ys[3]/d
+		x4, x5, x6, x7 := ys[4]/d, ys[5]/d, ys[6]/d, ys[7]/d
 		ds := dst[base : base+8 : base+8]
-		ds[0], ds[1], ds[2], ds[3] = a0/d, a1/d, a2/d, a3/d
-		ds[4], ds[5], ds[6], ds[7] = a4/d, a5/d, a6/d, a7/d
+		ds[0], ds[1], ds[2], ds[3] = x0, x1, x2, x3
+		ds[4], ds[5], ds[6], ds[7] = x4, x5, x6, x7
+		for k := lo; k < hi-1; k++ {
+			v := p.lValues[k]
+			c := int(p.lColIdx[k]) * 8
+			yc := y[c : c+8 : c+8]
+			yc[0] -= v * x0
+			yc[1] -= v * x1
+			yc[2] -= v * x2
+			yc[3] -= v * x3
+			yc[4] -= v * x4
+			yc[5] -= v * x5
+			yc[6] -= v * x6
+			yc[7] -= v * x7
+		}
 	}
 }
 

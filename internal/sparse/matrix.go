@@ -1,6 +1,7 @@
 // Package sparse implements the sparse linear algebra needed by the thermal
 // simulator: compressed sparse row (CSR) matrices assembled from coordinate
-// triplets, the IC(0) factorization, conjugate gradients under it
+// triplets, a relaxed modified IC(0) factorization (zero fill, with the
+// fill it drops moved onto the diagonal), conjugate gradients under it
 // (CGPrecond, and CGPrecondBatch's lockstep multi-RHS variant), and a
 // dense LU for the optimizers' small systems and for cross-checking CG in
 // tests.
@@ -9,7 +10,7 @@
 // contributed by linear-in-temperature heat sources (Peltier terms and the
 // Taylor-linearized leakage). The Laplacian part is symmetric positive
 // definite; the shifts keep the matrix symmetric, but near thermal runaway
-// they make it indefinite. CG under the caller's IC(0) factorization is
+// they make it indefinite. CG under the caller's factorization is
 // the one solver of every thermal system: it answers a positive definite
 // system, and an indefinite one either fails to factor or stops CG on
 // non-positive curvature, a failure the thermal package reports as

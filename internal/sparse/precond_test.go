@@ -43,8 +43,9 @@ func laplacian2D(n int, g float64) *CSR {
 }
 
 func TestICFactorizationExactOnTridiagonal(t *testing.T) {
-	// IC(0) on a tridiagonal SPD matrix has no fill-in, so L·Lᵀ must
-	// reproduce A exactly; the preconditioner is then an exact solver.
+	// A tridiagonal SPD matrix drops no fill, so the modified factor has
+	// nothing to compensate and L·Lᵀ must reproduce A exactly; the
+	// preconditioner is then an exact solver.
 	a := laplacian1D(40, 3.0)
 	ic, err := NewICPreconditioner(a)
 	if err != nil {
@@ -82,11 +83,63 @@ func TestICPCGOn2DLaplacian(t *testing.T) {
 	}
 	checkSolution(t, "IC-PCG", a, x, b, 1e-8)
 
-	// The factorization earns its keep: on this 20×20 grid IC(0)-CG takes
-	// 11 iterations, Jacobi-scaled CG 32. A bound of √n = 20 catches a
-	// factorization that stopped preconditioning.
+	// The factorization earns its keep: on this 20×20 grid CG under the
+	// modified factor takes 9 iterations, where plain IC(0) took 11 and
+	// Jacobi-scaled CG 32. A bound of √n = 20 catches a factorization
+	// that stopped preconditioning.
 	if bound := int(math.Sqrt(float64(a.N()))); stIC.Iterations >= bound {
 		t.Errorf("IC-PCG took %d iterations, want fewer than %d", stIC.Iterations, bound)
+	}
+}
+
+// TestModifiedICCompensatesDroppedFill pins the factorization entry by
+// entry on a 2-D grid, where each elimination drops fill: L·Lᵀ matches A
+// on every off-diagonal entry of the pattern, and each diagonal of L·Lᵀ
+// sits below A's by 0.95 times the fill L·Lᵀ carries off the pattern in
+// that row, so with full relaxation the row sums would match.
+func TestModifiedICCompensatesDroppedFill(t *testing.T) {
+	a := laplacian2D(8, 1.3)
+	ic, err := NewICPreconditioner(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.N()
+	l := make([][]float64, n)
+	for i := range l {
+		l[i] = make([]float64, n)
+		for k := ic.lRowPtr[i]; k < ic.lRowPtr[i+1]; k++ {
+			l[i][ic.lColIdx[k]] = ic.lValues[k]
+		}
+	}
+	dropped := 0
+	for i := 0; i < n; i++ {
+		var offPattern float64
+		for j := 0; j < n; j++ {
+			var m float64
+			for k := 0; k <= min(i, j); k++ {
+				m += l[i][k] * l[j][k]
+			}
+			switch {
+			case i == j:
+			case a.At(i, j) != 0:
+				if math.Abs(m-a.At(i, j)) > 1e-12 {
+					t.Errorf("(L·Lᵀ)[%d][%d] = %g, A = %g", i, j, m, a.At(i, j))
+				}
+			case m != 0:
+				offPattern += m
+				dropped++
+			}
+		}
+		var d float64
+		for k := 0; k <= i; k++ {
+			d += l[i][k] * l[i][k]
+		}
+		if want := a.At(i, i) - 0.95*offPattern; math.Abs(d-want) > 1e-12*a.At(i, i) {
+			t.Errorf("(L·Lᵀ)[%d][%d] = %.15g, want A − 0.95·(fill off the pattern) = %.15g", i, i, d, want)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no fill off the pattern: the grid tests nothing")
 	}
 }
 

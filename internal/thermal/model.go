@@ -815,7 +815,7 @@ func (m *Model) assembleSlice(sc *evalScratch, omega float64) {
 
 // solveScratch runs the sparse solve through the scratch workspace: CG
 // under the ω-slice preconditioner, which every steady-state path
-// (scalar, zoned, exact, batched) shares. One IC(0) factorization of the
+// (scalar, zoned, exact, batched) shares. One factorization of the
 // canonical I_TEC = 0 matrix serves every operating point in the slice,
 // since the per-point systems differ only in a few TEC diagonal terms.
 // The preconditioner is slightly weaker at large currents, but the solve
@@ -830,7 +830,7 @@ func (m *Model) solveScratch(sc *evalScratch, omega float64, warm []float64) ([]
 	return sparse.CGPrecond(sc.mat, sc.rhs, m.slicePrecond(omega), opts)
 }
 
-// slicePrecond returns the IC(0) preconditioner of the ω-slice's
+// slicePrecond returns the modified IC(0) preconditioner of the ω-slice's
 // canonical matrix, factoring it on first sight, or nil when it does not
 // factor.
 //
@@ -844,9 +844,9 @@ func (m *Model) slicePrecond(omega float64) *sparse.ICPreconditioner {
 // an optimization run is far below the bound.
 const maxPreconds = 64
 
-// precond returns the IC(0) preconditioner cached under key. On a miss,
-// assemble writes the matrix key names into a pooled scratch, which is
-// factored outside the lock; concurrent misses on one key may both
+// precond returns the modified IC(0) preconditioner cached under key.
+// On a miss, assemble writes the matrix key names into a pooled scratch,
+// which is factored outside the lock; concurrent misses on one key may both
 // factor, harmlessly, since the factors are identical. A failed
 // factorization (matrix not SPD enough) is cached as a nil factor, which
 // fails every solve under it without another factorization attempt.

@@ -5,9 +5,10 @@
 #   analysis; any finding fails) → named test gates with -race
 #   (concurrency, solver, adjoint, backend, batch, coolant) → every
 #   remaining test with -race → evaluate-request, chip-spec,
-#   pareto-request and sweep-request fuzz smokes → the benchmark
-#   module's tests → oftecd smoke (live daemon, every endpoint, the
-#   resolution cap, clean SIGTERM shutdown) → parallel-sweep bench smoke
+#   optimize-request, pareto-request and sweep-request fuzz smokes → the
+#   benchmark module's tests → oftecd smoke (live daemon, every endpoint,
+#   the resolution cap, clean SIGTERM shutdown) → parallel-sweep bench
+#   smoke
 #
 # Run from anywhere inside the module; exits nonzero on the first failure.
 set -eu
@@ -145,6 +146,12 @@ go test -run '^$' -fuzz '^FuzzEvaluateRequest$' -fuzztime 10s -fuzzminimizetime 
 # validate to a bounded, finite configuration or fail, never panic.
 echo "== go test -fuzz FuzzChipSpecConfig (10s smoke)"
 go test -run '^$' -fuzz '^FuzzChipSpecConfig$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+
+# And on oftecd's optimize request: any body but a multistart over a
+# zoning, posted on the default chip, must answer 200 with a finite
+# outcome, streamed or not, or 400.
+echo "== go test -fuzz FuzzOptimizeRequest (10s smoke)"
+go test -run '^$' -fuzz '^FuzzOptimizeRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 
 # And on oftecd's Pareto request: any body with at most eight thresholds,
 # posted on the default chip, must answer 200 with a finite front or 400.
