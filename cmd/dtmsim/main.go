@@ -90,7 +90,9 @@ func main() {
 
 	detail, err := controller.TraceSimulate(plant, ctrl, trace, *duration, *dt, *ctrlPeriod, false)
 	if err != nil {
-		log.Fatal(err)
+		// A step past the runaway temperature stops the run
+		// (thermal.ErrRunaway).
+		log.Fatalf("policy %s: %v", ctrl.Name(), err)
 	}
 	sum := controller.Summarize(detail, units.KToC(cfg.TMax))
 	fmt.Printf("  peak temp       %.2f °C (T_max %.1f °C)\n", sum.PeakTempC, units.KToC(cfg.TMax))

@@ -96,7 +96,9 @@ func main() {
 	for _, p := range policies {
 		trace, err := simulateFrom(model, p.ctrl, initState, 2.0, 0.05)
 		if err != nil {
-			log.Fatal(err)
+			// A step past the runaway temperature stops the run
+			// (thermal.ErrRunaway).
+			log.Fatalf("%s: %v", p.name, err)
 		}
 		at := func(tt float64) float64 {
 			best := trace[0]

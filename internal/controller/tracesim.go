@@ -31,7 +31,9 @@ func (p DetailPoint) CoolingPowerW() float64 { return p.LeakageW + p.TECW + p.Fa
 // constant workload is a one-sample trace. The initial state is the
 // steady state at the controller's initial action, unless fromAmbient is
 // set, in which case the stack starts at ambient. On return the plant's
-// workload is left at the trace's first sample.
+// workload is left at the trace's first sample. A plant step that fails
+// ends the run with its error and no samples; on the thermal plants a
+// step past the runaway temperature fails, wrapping thermal.ErrRunaway.
 func TraceSimulate(p backend.Plant, ctrl Controller, tr *power.Trace, duration, dtSim, dtCtrl float64, fromAmbient bool) ([]DetailPoint, error) {
 	if dtSim <= 0 || dtCtrl < dtSim || duration <= 0 {
 		return nil, fmt.Errorf("controller: invalid timing (duration %g, dtSim %g, dtCtrl %g)", duration, dtSim, dtCtrl)

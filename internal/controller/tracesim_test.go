@@ -2,10 +2,13 @@ package controller
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"oftec/internal/backend"
+	"oftec/internal/power"
+	"oftec/internal/thermal"
 	"oftec/internal/units"
 	"oftec/internal/workload"
 )
@@ -81,6 +84,40 @@ func TestTraceSimulateValidation(t *testing.T) {
 	}
 	if _, err := TraceSimulate(m, ctrl, tr, 1, 0.05, 0.01, false); err == nil {
 		t.Error("control period below sim step accepted")
+	}
+}
+
+// TestTraceSimulateStopsOnRunaway: on a runaway-heavy plant (ambient
+// 140 °C, leakage density ×32) started from ambient, the closed loop
+// stops at the first step past the runaway temperature and returns its
+// error, which wraps thermal.ErrRunaway, instead of a trace of chip
+// temperatures above it.
+func TestTraceSimulateStopsOnRunaway(t *testing.T) {
+	cfg := thermal.DefaultConfig()
+	cfg.ChipRes, cfg.SpreaderRes, cfg.SinkRes, cfg.PCBRes = 8, 7, 6, 4
+	cfg.Ambient = units.CToK(140)
+	cfg.TMax = cfg.Ambient + 45
+	cfg.Leakage.P0Density *= 32
+	b, err := workload.ByName("Quicksort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := b.PowerMap(cfg.Floorplan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := thermal.NewModel(cfg, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr power.Trace
+	if err := tr.Append(0, pm); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := &Static{Omega: m.UMax()}
+	trace, err := TraceSimulate(backend.NewFull(m), ctrl, &tr, 0.01, 1e-4, 1e-4, true)
+	if !errors.Is(err, thermal.ErrRunaway) || trace != nil {
+		t.Fatalf("got %d samples and error %v, want none and thermal.ErrRunaway", len(trace), err)
 	}
 }
 

@@ -152,16 +152,17 @@ func mulVecBatch(m *CSR, ovs []DiagOverride, dst, x []float64) {
 }
 
 // applyBlock runs the factor's forward/backward triangular sweeps over
-// the eight interleaved columns at once: dst = (L·Lᵀ)⁻¹·r per column,
+// the eight interleaved columns at once: dst = (L̃·D·L̃ᵀ)⁻¹·r per column,
 // touching the factor pattern once for all columns, with each row's
 // eight values held in registers through its update loop. Per column
-// the operations and their order (forward: acc −= v·y in k-order, then
-// /d; backward: x = y/d, then y −= v·x in k-order) match ApplyScratch
-// exactly.
+// the operations and their order match ApplyScratch exactly: forward,
+// acc −= v·y in k-order into y, then w = acc·(1/d) into dst; backward,
+// x = dst (final), then dst −= v·x in k-order.
 //
 //oftec:hotpath
 func (p *ICPreconditioner) applyBlock(dst, r, y []float64) {
-	// Forward solve L·y = r (rows of L are sorted with the diagonal last).
+	// Forward solve L̃·y = r (rows of L̃ are sorted with the diagonal slot
+	// last), and w = D⁻¹·y into dst.
 	for i := 0; i < p.n; i++ {
 		base := i * 8
 		rs := r[base : base+8 : base+8]
@@ -180,34 +181,34 @@ func (p *ICPreconditioner) applyBlock(dst, r, y []float64) {
 			a6 -= v * ys[6]
 			a7 -= v * ys[7]
 		}
-		d := p.lValues[hi-1]
 		ys := y[base : base+8 : base+8]
-		ys[0], ys[1], ys[2], ys[3] = a0/d, a1/d, a2/d, a3/d
-		ys[4], ys[5], ys[6], ys[7] = a4/d, a5/d, a6/d, a7/d
+		ys[0], ys[1], ys[2], ys[3] = a0, a1, a2, a3
+		ys[4], ys[5], ys[6], ys[7] = a4, a5, a6, a7
+		dinv := p.lValues[hi-1]
+		ds := dst[base : base+8 : base+8]
+		ds[0], ds[1], ds[2], ds[3] = a0*dinv, a1*dinv, a2*dinv, a3*dinv
+		ds[4], ds[5], ds[6], ds[7] = a4*dinv, a5*dinv, a6*dinv, a7*dinv
 	}
-	// Backward solve Lᵀ·dst = y by columns of Lᵀ (the rows of L).
+	// Backward solve L̃ᵀ·dst = w in place, by columns of L̃ᵀ (the rows of
+	// L̃).
 	for i := p.n - 1; i >= 0; i-- {
 		base := i * 8
 		lo, hi := int(p.lRowPtr[i]), int(p.lRowPtr[i+1])
-		d := p.lValues[hi-1]
-		ys := y[base : base+8 : base+8]
-		x0, x1, x2, x3 := ys[0]/d, ys[1]/d, ys[2]/d, ys[3]/d
-		x4, x5, x6, x7 := ys[4]/d, ys[5]/d, ys[6]/d, ys[7]/d
 		ds := dst[base : base+8 : base+8]
-		ds[0], ds[1], ds[2], ds[3] = x0, x1, x2, x3
-		ds[4], ds[5], ds[6], ds[7] = x4, x5, x6, x7
+		x0, x1, x2, x3 := ds[0], ds[1], ds[2], ds[3]
+		x4, x5, x6, x7 := ds[4], ds[5], ds[6], ds[7]
 		for k := lo; k < hi-1; k++ {
 			v := p.lValues[k]
 			c := int(p.lColIdx[k]) * 8
-			yc := y[c : c+8 : c+8]
-			yc[0] -= v * x0
-			yc[1] -= v * x1
-			yc[2] -= v * x2
-			yc[3] -= v * x3
-			yc[4] -= v * x4
-			yc[5] -= v * x5
-			yc[6] -= v * x6
-			yc[7] -= v * x7
+			dc := dst[c : c+8 : c+8]
+			dc[0] -= v * x0
+			dc[1] -= v * x1
+			dc[2] -= v * x2
+			dc[3] -= v * x3
+			dc[4] -= v * x4
+			dc[5] -= v * x5
+			dc[6] -= v * x6
+			dc[7] -= v * x7
 		}
 	}
 }

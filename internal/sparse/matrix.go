@@ -15,11 +15,22 @@
 // system, and an indefinite one either fails to factor or stops CG on
 // non-positive curvature, a failure the thermal package reports as
 // runaway with no second solve.
+//
+// One CG iteration is one SpMV, one preconditioner apply and a few vector
+// passes, so their cost is each thermal solve's cost. The factor is kept
+// square-root-free, as L̃·D·L̃ᵀ with a unit lower-triangular L̃, so neither
+// triangular sweep divides or multiplies on its dependency chain. pᵀAp is
+// summed inside the SpMV and ‖r‖² inside the x and r updates, in the
+// order separate passes would sum them. The SpMV and both sweeps walk a
+// row plan frozen with their pattern: runs of consecutive rows with one
+// stored-entry count, each run of a common count with a loop body
+// unrolled for it, so those rows end on no loop exit to mispredict.
 package sparse
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -131,19 +142,61 @@ func (b *Builder) build(forceDiag bool) (*CSR, error) {
 	for i := 0; i < b.n; i++ {
 		m.rowPtr[i+1] += m.rowPtr[i]
 	}
+	m.runs = planRows(m.rowPtr, spmvMinLen, spmvMaxLen)
 	return m, nil
 }
 
 // CSR is a compressed-sparse-row matrix. The sparsity pattern (rowPtr,
-// colIdx) is immutable once built; the value array is immutable for
-// matrices from Build, but matrices created with WithValues share the
-// pattern while owning a caller-managed value array that may be rewritten
-// between solves (the patched-assembly hot path).
+// colIdx) and its row plan are immutable once built; the value array is
+// immutable for matrices from Build, but matrices created with WithValues
+// share the pattern while owning a caller-managed value array that may be
+// rewritten between solves (the patched-assembly hot path).
 type CSR struct {
 	n      int
 	rowPtr []int32
 	colIdx []int32
 	values []float64
+	runs   []rowRun // the row plan MulVec walks
+}
+
+// The SpMV's unrolled row lengths: the layered conduction matrices of the
+// thermal package store 3 to 8 entries in most rows (a diagonal, up to
+// four in-plane neighbours and the planes above and below); at paper
+// resolution these lengths cover 1,777 of 1,938 rows.
+const (
+	spmvMinLen = 3
+	spmvMaxLen = 8
+)
+
+// rowRun is a maximal run of consecutive rows [lo, hi) that one kernel
+// loop body walks: an unrolled body when every row of the run stores
+// length entries, or the plain row loop when length is 0 (rows of any
+// length the kernel does not unroll, empty rows included).
+type rowRun struct {
+	lo, hi, length int32
+}
+
+// planRows groups the rows of a pattern into runs by stored-entry count,
+// in row order, giving the rows that store minLen to maxLen entries to
+// unrolled bodies; a kernel freezes the plan with the pattern. The plain
+// row loop's inner-loop exit is a branch whose outcome changes with the
+// row length and mispredicts at the end of most rows; an unrolled body
+// has none, and the one branch per run predicts as well as the run is
+// long.
+func planRows(rowPtr []int32, minLen, maxLen int32) []rowRun {
+	var runs []rowRun
+	for i := 0; i+1 < len(rowPtr); i++ {
+		length := rowPtr[i+1] - rowPtr[i]
+		if length < minLen || length > maxLen {
+			length = 0
+		}
+		if k := len(runs) - 1; k >= 0 && runs[k].length == length {
+			runs[k].hi++
+			continue
+		}
+		runs = append(runs, rowRun{lo: int32(i), hi: int32(i + 1), length: length})
+	}
+	return slices.Clip(runs)
 }
 
 // N returns the matrix dimension.
@@ -170,15 +223,85 @@ func (m *CSR) At(i, j int) float64 {
 // alias each other.
 //
 //oftec:hotpath
-func (m *CSR) MulVec(dst, x []float64) {
-	for i := 0; i < m.n; i++ {
-		lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
-		var s float64
-		for k := lo; k < hi; k++ {
-			s += m.values[k] * x[m.colIdx[k]]
+func (m *CSR) MulVec(dst, x []float64) { m.mulVecDot(dst, x) }
+
+// mulVecDot computes dst = m·x along the row plan and returns xᵀ·dst, the
+// pᵀAp of a CG iteration, taken in the same pass. Every row sums its
+// entries in stored order from zero, as the plain row loop does, and the
+// dot product sums in ascending row order, as Dot does, so the result
+// bits match a plain row loop followed by Dot. MulVec shares this kernel
+// and drops the dot, so each row length has one loop body.
+//
+//oftec:hotpath
+func (m *CSR) mulVecDot(dst, x []float64) float64 {
+	rp, cols, vals := m.rowPtr, m.colIdx, m.values
+	var d float64
+	for _, run := range m.runs {
+		lo, hi := int(run.lo), int(run.hi)
+		switch run.length {
+		case 3:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+3:k+3], cols[k:k+3:k+3]
+				s := 0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]]
+				dst[i] = s
+				d += x[i] * s
+			}
+		case 4:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+4:k+4], cols[k:k+4:k+4]
+				s := 0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]] + v[3]*x[c[3]]
+				dst[i] = s
+				d += x[i] * s
+			}
+		case 5:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+5:k+5], cols[k:k+5:k+5]
+				s := 0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]] + v[3]*x[c[3]] + v[4]*x[c[4]]
+				dst[i] = s
+				d += x[i] * s
+			}
+		case 6:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+6:k+6], cols[k:k+6:k+6]
+				s := 0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]] + v[3]*x[c[3]] + v[4]*x[c[4]] +
+					v[5]*x[c[5]]
+				dst[i] = s
+				d += x[i] * s
+			}
+		case 7:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+7:k+7], cols[k:k+7:k+7]
+				s := 0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]] + v[3]*x[c[3]] + v[4]*x[c[4]] +
+					v[5]*x[c[5]] + v[6]*x[c[6]]
+				dst[i] = s
+				d += x[i] * s
+			}
+		case 8:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+8:k+8], cols[k:k+8:k+8]
+				s := 0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]] + v[3]*x[c[3]] + v[4]*x[c[4]] +
+					v[5]*x[c[5]] + v[6]*x[c[6]] + v[7]*x[c[7]]
+				dst[i] = s
+				d += x[i] * s
+			}
+		default:
+			for i := lo; i < hi; i++ {
+				var s float64
+				for k := int(rp[i]); k < int(rp[i+1]); k++ {
+					s += vals[k] * x[cols[k]]
+				}
+				dst[i] = s
+				d += x[i] * s
+			}
 		}
-		dst[i] = s
 	}
+	return d
 }
 
 // RowPtr returns the CSR row-pointer entry i (0 ≤ i ≤ N). Together with
@@ -231,7 +354,7 @@ func (m *CSR) WithValues(values []float64) (*CSR, error) {
 	if len(values) != len(m.values) {
 		return nil, fmt.Errorf("sparse: value array length %d does not match nnz %d", len(values), len(m.values))
 	}
-	return &CSR{n: m.n, rowPtr: m.rowPtr, colIdx: m.colIdx, values: values}, nil
+	return &CSR{n: m.n, rowPtr: m.rowPtr, colIdx: m.colIdx, values: values, runs: m.runs}, nil
 }
 
 // CopyValues copies the matrix's value array into dst, which must have

@@ -107,6 +107,109 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
+// rowLoop is the plain row loop the row plan replaces: dst = m·x, every
+// row summed in stored order from zero.
+func rowLoop(m *CSR, dst, x []float64) {
+	for i := 0; i < m.n; i++ {
+		var s float64
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			s += m.values[k] * x[m.colIdx[k]]
+		}
+		dst[i] = s
+	}
+}
+
+// TestMulVecPlanMatchesRowLoopBitwise: on random patterns whose rows store
+// 0 to 12 entries (empty rows, every unrolled length, and rows longer than
+// any), MulVec and Residual along the row plan match the plain row loop
+// bit for bit, and the fused pᵀAp of mulVecDot matches Dot bit for bit;
+// so does a WithValues matrix sharing the plan, and a 1×1 matrix.
+func TestMulVecPlanMatchesRowLoopBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lengths := map[int32]bool{} // run lengths walked (0: the plain loop)
+	rowLens := map[int32]bool{} // stored-entry counts of the rows checked
+	check := func(name string, m *CSR) {
+		t.Helper()
+		n := m.N()
+		x, b := make([]float64, n), make([]float64, n)
+		for i := range x {
+			switch rng.Intn(5) {
+			case 0:
+				x[i] = 0
+			case 1:
+				x[i] = math.Copysign(0, -1)
+			default:
+				x[i] = rng.NormFloat64()
+			}
+			b[i] = rng.NormFloat64()
+		}
+		want := make([]float64, n)
+		rowLoop(m, want, x)
+		got := make([]float64, n)
+		m.MulVec(got, x)
+		gotDot := m.mulVecDot(got, x)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: row %d (%d entries): planned %v, row loop %v", name, i, m.rowPtr[i+1]-m.rowPtr[i], got[i], want[i])
+			}
+		}
+		if wantDot := Dot(x, want); math.Float64bits(gotDot) != math.Float64bits(wantDot) {
+			t.Fatalf("%s: fused xᵀ·Ax = %v, Dot = %v", name, gotDot, wantDot)
+		}
+		res := make([]float64, n)
+		m.Residual(res, x, b)
+		for i := range res {
+			if w := b[i] - want[i]; math.Float64bits(res[i]) != math.Float64bits(w) {
+				t.Fatalf("%s: residual row %d = %v, want %v", name, i, res[i], w)
+			}
+		}
+		for _, run := range m.runs {
+			lengths[run.length] = true
+		}
+		for i := 0; i < n; i++ {
+			rowLens[m.rowPtr[i+1]-m.rowPtr[i]] = true
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		for i := 0; i < n; i++ {
+			for _, j := range rng.Perm(n)[:rng.Intn(min(n, 12)+1)] {
+				b.Add(i, j, rng.NormFloat64())
+			}
+		}
+		m, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("random", m)
+		vals := make([]float64, m.NNZ())
+		for k := range vals {
+			vals[k] = rng.NormFloat64()
+		}
+		w, err := m.WithValues(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("WithValues", w)
+	}
+	one := NewBuilder(1)
+	one.AddDiag(0, 2.5)
+	m1, err := one.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("1×1", m1)
+	for l := int32(0); l <= spmvMaxLen; l++ {
+		if (l == 0 || l >= spmvMinLen) && !lengths[l] {
+			t.Errorf("no run of length %d: the patterns miss a loop body", l)
+		}
+	}
+	if !rowLens[0] || !rowLens[spmvMaxLen+1] {
+		t.Errorf("row lengths %v: want an empty row and one longer than %d", rowLens, spmvMaxLen)
+	}
+}
+
 func TestIsSymmetric(t *testing.T) {
 	sym := buildFromDense(t, [][]float64{{2, -1, 0}, {-1, 2, -1}, {0, -1, 2}})
 	if !sym.IsSymmetric(0) {

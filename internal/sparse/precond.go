@@ -8,8 +8,8 @@ import (
 
 // relaxation is the share of each fill entry the zero-fill pattern
 // drops that the modified factorization moves onto the two diagonals the
-// entry would have coupled. Full compensation (1) keeps L·Lᵀ's row sums
-// equal to A's, but it drives pivots toward zero on the thermal
+// entry would have coupled. Full compensation (1) keeps the factor's row
+// sums equal to A's, but it drives pivots toward zero on the thermal
 // systems' weakly coupled slices: at paper resolution it fails to factor
 // the default ω-slice below ω ≈ 2.38 rad/s, where plain IC(0) factors,
 // and a slice that does not factor makes every point on it runaway.
@@ -17,19 +17,32 @@ import (
 const relaxation = 0.95
 
 // ICPreconditioner is a relaxed modified incomplete Cholesky
-// factorization M = L·Lᵀ of a symmetric positive-definite matrix, with L
-// restricted to the sparsity pattern of the lower triangle of A (zero
-// fill, as in IC(0)). Its structure arrays are shared with the
-// ICSymbolic it was factored through; it owns only the values of L, and
-// is read-only once built.
+// factorization M = L̃·D·L̃ᵀ of a symmetric positive-definite matrix, with
+// the unit lower-triangular L̃ restricted to the sparsity pattern of the
+// lower triangle of A (zero fill, as in IC(0)) and D diagonal. It is the
+// square-root-free form of M = L·Lᵀ with L = L̃·D^½. Its structure arrays
+// are shared with the ICSymbolic it was factored through; it owns only the
+// factor's values, and is read-only once built.
 type ICPreconditioner struct {
 	n int
-	// l is the factor in CSR layout (rows sorted by column, diagonal
-	// last). The backward solve reads its rows as the columns of Lᵀ.
+	// The factor in CSR layout (rows sorted by column, diagonal last):
+	// lValues holds L̃'s off-diagonal entries, and 1/d_i in row i's
+	// diagonal slot, where L̃'s unit diagonal needs no storage. The
+	// backward solve reads the rows as the columns of L̃ᵀ.
 	lRowPtr []int32
 	lColIdx []int32
 	lValues []float64
+	runs    []rowRun // the row plan both sweeps walk
 }
+
+// The triangular sweeps' unrolled row lengths, diagonal slot included:
+// a row of the thermal systems' factor stores 1 to 4 entries left of its
+// diagonal (its lower in-plane neighbours and the plane below); at paper
+// resolution lengths 2 to 5 cover 1,798 of 1,938 rows.
+const (
+	sweepMinLen = 2
+	sweepMaxLen = 5
+)
 
 // ICSymbolic is the symbolic half of the factorization on one sparsity
 // pattern: the structure of L, the structure of Lᵀ the right-looking
@@ -44,10 +57,11 @@ type ICSymbolic struct {
 	aRowPtr []int32
 	aColIdx []int32
 	// lRowPtr and lColIdx are L's structure; lSrc[k] indexes A's value
-	// array for L's entry k.
+	// array for L's entry k; runs is the row plan of L's pattern.
 	lRowPtr []int32
 	lColIdx []int32
 	lSrc    []int32
+	runs    []rowRun
 	// ltRowPtr and ltColIdx are Lᵀ's structure (row j of Lᵀ is column j
 	// of L, rows ascending, diagonal first); ltSrc[k] indexes L's value
 	// array for Lᵀ's entry k.
@@ -122,6 +136,7 @@ func NewICSymbolic(a *CSR) (*ICSymbolic, error) {
 		s.lColIdx[pos] = int32(i)
 		s.lSrc[pos] = diag
 	}
+	s.runs = planRows(s.lRowPtr, sweepMinLen, sweepMaxLen)
 
 	// Lᵀ in CSR form: the columns of L the factorization eliminates.
 	s.ltRowPtr = make([]int32, n+1)
@@ -173,14 +188,17 @@ func NewICSymbolic(a *CSR) (*ICSymbolic, error) {
 // must have the pattern NewICSymbolic analysed. It errors on a different
 // pattern and on a non-positive pivot (an indefinite matrix).
 //
-// The factorization is right-looking: column j of L is scaled by its
-// pivot, then each pair of its entries L_pj·L_qj is subtracted from the
-// entry (p, q) of the trailing matrix. Where the zero-fill pattern has no
-// such entry, IC(0) would drop the update; here relaxation times it is
-// subtracted from both diagonals (p, p) and (q, q) instead (Gustafsson's
-// modified incomplete Cholesky), which keeps the factor's row sums close
-// to A's and cuts CG's iteration count on the layered conduction
-// matrices the thermal package solves.
+// The factorization is right-looking: column j's pivot d is the trailing
+// diagonal entry (j, j), column j of L̃ is column j of the trailing matrix
+// divided by d, and each pair of its entries subtracts
+// a_pj·a_qj/d = a_pj·L̃_qj from the entry (p, q) of the trailing matrix.
+// Where the zero-fill pattern has no such entry, IC(0) would drop the
+// update; here relaxation times it is subtracted from both diagonals
+// (p, p) and (q, q) instead (Gustafsson's modified incomplete Cholesky),
+// which keeps the factor's row sums close to A's and cuts CG's iteration
+// count on the layered conduction matrices the thermal package solves.
+// The pivots are those of the L·Lᵀ form (d_j = L_jj²), and the factor
+// takes no square root.
 func (s *ICSymbolic) Factor(a *CSR) (*ICPreconditioner, error) {
 	if !s.matches(a) {
 		return nil, fmt.Errorf("sparse: IC(0) factor: matrix pattern differs from the analysed one")
@@ -197,17 +215,18 @@ func (s *ICSymbolic) Factor(a *CSR) (*ICPreconditioner, error) {
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("sparse: IC(0) non-positive pivot %g at row %d (matrix not SPD enough)", d, j)
 		}
-		d = math.Sqrt(d)
-		v[dk] = d
-		for k := lo + 1; k < hi; k++ {
-			v[s.ltSrc[k]] /= d
-		}
+		dinv := 1 / d
+		v[dk] = dinv
+		// Entry p of the column is scaled once its pairs are done, so the
+		// entries q before it already hold L̃_qj.
 		for p := lo + 1; p < hi; p++ {
-			lp := v[s.ltSrc[p]]
+			sp := s.ltSrc[p]
+			ap := v[sp]
+			lp := ap * dinv
 			dp := s.lRowPtr[s.ltColIdx[p]+1] - 1
-			v[dp] -= lp * lp
+			v[dp] -= lp * ap
 			for q := lo + 1; q < p; q++ {
-				u := lp * v[s.ltSrc[q]]
+				u := ap * v[s.ltSrc[q]]
 				if k := s.target[t]; k >= 0 {
 					v[k] -= u
 				} else {
@@ -217,9 +236,10 @@ func (s *ICSymbolic) Factor(a *CSR) (*ICPreconditioner, error) {
 				}
 				t++
 			}
+			v[sp] = lp
 		}
 	}
-	return &ICPreconditioner{n: s.n, lRowPtr: s.lRowPtr, lColIdx: s.lColIdx, lValues: v}, nil
+	return &ICPreconditioner{n: s.n, lRowPtr: s.lRowPtr, lColIdx: s.lColIdx, lValues: v, runs: s.runs}, nil
 }
 
 // matches reports whether a has the analysed pattern. Matrices sharing
@@ -234,32 +254,116 @@ func (s *ICSymbolic) matches(a *CSR) bool {
 	return slices.Equal(a.rowPtr, s.aRowPtr) && slices.Equal(a.colIdx, s.aColIdx)
 }
 
-// ApplyScratch computes dst = (L·Lᵀ)⁻¹ · r via one forward and one
+// ApplyScratch computes dst = (L̃·D·L̃ᵀ)⁻¹ · r via one forward and one
 // backward triangular solve, through a caller-provided intermediate
 // vector (length N). The factor arrays are read-only after construction,
 // so a cached ICPreconditioner is safe for concurrent solves as long as
 // each solve brings its own scratch (see Workspace).
 //
+// L̃ has a unit diagonal, so neither sweep divides or multiplies on its
+// dependency chain: the forward sweep's y_i = r_i − Σ_k L̃_ik·y_k feeds the
+// next rows directly, and D⁻¹ scales y_i into dst off the chain. The
+// backward sweep x_i = w_i − Σ_j L̃_ji·x_j runs by columns of L̃ᵀ, which are
+// the rows of L̃: once dst[i] is final, its multiples leave the rows above
+// it. Both sweeps walk the factor's row plan, each row in stored order.
+//
 //oftec:hotpath
 func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
 	y := scratch
-	// Forward solve L·y = r (rows of L are sorted with the diagonal last).
-	for i := 0; i < p.n; i++ {
-		s := r[i]
-		lo, hi := int(p.lRowPtr[i]), int(p.lRowPtr[i+1])
-		for k := lo; k < hi-1; k++ {
-			s -= p.lValues[k] * y[p.lColIdx[k]]
+	rp, cols, vals := p.lRowPtr, p.lColIdx, p.lValues
+	// Forward solve L̃·y = r (rows of L̃ are sorted with the diagonal slot
+	// last), and w = D⁻¹·y into dst.
+	for _, run := range p.runs {
+		lo, hi := int(run.lo), int(run.hi)
+		switch run.length {
+		case 2:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+2:k+2], cols[k:k+1:k+1]
+				s := r[i] - v[0]*y[c[0]]
+				y[i] = s
+				dst[i] = s * v[1]
+			}
+		case 3:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+3:k+3], cols[k:k+2:k+2]
+				s := r[i] - v[0]*y[c[0]] - v[1]*y[c[1]]
+				y[i] = s
+				dst[i] = s * v[2]
+			}
+		case 4:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+4:k+4], cols[k:k+3:k+3]
+				s := r[i] - v[0]*y[c[0]] - v[1]*y[c[1]] - v[2]*y[c[2]]
+				y[i] = s
+				dst[i] = s * v[3]
+			}
+		case 5:
+			for i := lo; i < hi; i++ {
+				k := int(rp[i])
+				v, c := vals[k:k+5:k+5], cols[k:k+4:k+4]
+				s := r[i] - v[0]*y[c[0]] - v[1]*y[c[1]] - v[2]*y[c[2]] - v[3]*y[c[3]]
+				y[i] = s
+				dst[i] = s * v[4]
+			}
+		default:
+			for i := lo; i < hi; i++ {
+				s := r[i]
+				last := int(rp[i+1]) - 1
+				for k := int(rp[i]); k < last; k++ {
+					s -= vals[k] * y[cols[k]]
+				}
+				y[i] = s
+				dst[i] = s * vals[last]
+			}
 		}
-		y[i] = s / p.lValues[hi-1]
 	}
-	// Backward solve Lᵀ·dst = y by columns of Lᵀ, which are the rows of
-	// L: once dst[i] is known, its multiples leave the rows above it.
-	for i := p.n - 1; i >= 0; i-- {
-		lo, hi := int(p.lRowPtr[i]), int(p.lRowPtr[i+1])
-		x := y[i] / p.lValues[hi-1]
-		dst[i] = x
-		for k := lo; k < hi-1; k++ {
-			y[p.lColIdx[k]] -= p.lValues[k] * x
+	// Backward solve L̃ᵀ·dst = w in place, runs and rows in reverse.
+	for ri := len(p.runs) - 1; ri >= 0; ri-- {
+		lo, hi := int(p.runs[ri].lo), int(p.runs[ri].hi)
+		switch p.runs[ri].length {
+		case 2:
+			for i := hi - 1; i >= lo; i-- {
+				k := int(rp[i])
+				dst[cols[k]] -= vals[k] * dst[i]
+			}
+		case 3:
+			for i := hi - 1; i >= lo; i-- {
+				k := int(rp[i])
+				v, c := vals[k:k+2:k+2], cols[k:k+2:k+2]
+				x := dst[i]
+				dst[c[0]] -= v[0] * x
+				dst[c[1]] -= v[1] * x
+			}
+		case 4:
+			for i := hi - 1; i >= lo; i-- {
+				k := int(rp[i])
+				v, c := vals[k:k+3:k+3], cols[k:k+3:k+3]
+				x := dst[i]
+				dst[c[0]] -= v[0] * x
+				dst[c[1]] -= v[1] * x
+				dst[c[2]] -= v[2] * x
+			}
+		case 5:
+			for i := hi - 1; i >= lo; i-- {
+				k := int(rp[i])
+				v, c := vals[k:k+4:k+4], cols[k:k+4:k+4]
+				x := dst[i]
+				dst[c[0]] -= v[0] * x
+				dst[c[1]] -= v[1] * x
+				dst[c[2]] -= v[2] * x
+				dst[c[3]] -= v[3] * x
+			}
+		default:
+			for i := hi - 1; i >= lo; i-- {
+				x := dst[i]
+				last := int(rp[i+1]) - 1
+				for k := int(rp[i]); k < last; k++ {
+					dst[cols[k]] -= vals[k] * x
+				}
+			}
 		}
 	}
 }
@@ -304,16 +408,22 @@ func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]f
 	rz := Dot(r, z)
 
 	maxIter := opts.maxIter(n)
+	x, p, r, ap = x[:n], p[:n], r[:n], ap[:n]
 	for it := 1; it <= maxIter; it++ {
-		a.MulVec(ap, p)
-		pap := Dot(p, ap)
+		// pᵀAp comes with the product, and ‖r‖² with the x and r updates;
+		// each sums in ascending index order, as Dot and Norm2 do.
+		pap := a.mulVecDot(ap, p)
 		if pap <= 0 || math.IsNaN(pap) {
 			return nil, Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=%g)", ErrNoConvergence, pap)
 		}
 		alpha := rz / pap
-		AXPY(alpha, p, x)
-		AXPY(-alpha, ap, r)
-		res := Norm2(r) / bnorm
+		var rr float64
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+			rr += r[i] * r[i]
+		}
+		res := math.Sqrt(rr) / bnorm
 		if res <= tol {
 			return x, Stats{Iterations: it, Residual: res}, nil
 		}

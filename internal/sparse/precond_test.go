@@ -44,7 +44,7 @@ func laplacian2D(n int, g float64) *CSR {
 
 func TestICFactorizationExactOnTridiagonal(t *testing.T) {
 	// A tridiagonal SPD matrix drops no fill, so the modified factor has
-	// nothing to compensate and L·Lᵀ must reproduce A exactly; the
+	// nothing to compensate and L̃·D·L̃ᵀ must reproduce A exactly; the
 	// preconditioner is then an exact solver.
 	a := laplacian1D(40, 3.0)
 	ic, err := NewICPreconditioner(a)
@@ -93,10 +93,12 @@ func TestICPCGOn2DLaplacian(t *testing.T) {
 }
 
 // TestModifiedICCompensatesDroppedFill pins the factorization entry by
-// entry on a 2-D grid, where each elimination drops fill: L·Lᵀ matches A
-// on every off-diagonal entry of the pattern, and each diagonal of L·Lᵀ
-// sits below A's by 0.95 times the fill L·Lᵀ carries off the pattern in
-// that row, so with full relaxation the row sums would match.
+// entry on a 2-D grid, where each elimination drops fill. It rebuilds
+// M = L̃·D·L̃ᵀ from the stored factor (unit-lower off-diagonals, 1/d in the
+// diagonal slot): M matches A on every off-diagonal entry of the pattern,
+// and each diagonal of M sits below A's by 0.95 times the fill M carries
+// off the pattern in that row, so with full relaxation the row sums would
+// match.
 func TestModifiedICCompensatesDroppedFill(t *testing.T) {
 	a := laplacian2D(8, 1.3)
 	ic, err := NewICPreconditioner(a)
@@ -105,41 +107,118 @@ func TestModifiedICCompensatesDroppedFill(t *testing.T) {
 	}
 	n := a.N()
 	l := make([][]float64, n)
+	d := make([]float64, n)
 	for i := range l {
 		l[i] = make([]float64, n)
-		for k := ic.lRowPtr[i]; k < ic.lRowPtr[i+1]; k++ {
+		lo, hi := ic.lRowPtr[i], ic.lRowPtr[i+1]
+		for k := lo; k < hi-1; k++ {
 			l[i][ic.lColIdx[k]] = ic.lValues[k]
 		}
+		if ic.lColIdx[hi-1] != int32(i) {
+			t.Fatalf("row %d: diagonal slot holds column %d", i, ic.lColIdx[hi-1])
+		}
+		l[i][i] = 1
+		d[i] = 1 / ic.lValues[hi-1]
+		if !(d[i] > 0) {
+			t.Fatalf("row %d: pivot %g", i, d[i])
+		}
+	}
+	mEntry := func(i, j int) float64 {
+		var m float64
+		for k := 0; k <= min(i, j); k++ {
+			m += l[i][k] * d[k] * l[j][k]
+		}
+		return m
 	}
 	dropped := 0
 	for i := 0; i < n; i++ {
 		var offPattern float64
 		for j := 0; j < n; j++ {
-			var m float64
-			for k := 0; k <= min(i, j); k++ {
-				m += l[i][k] * l[j][k]
-			}
+			m := mEntry(i, j)
 			switch {
 			case i == j:
 			case a.At(i, j) != 0:
 				if math.Abs(m-a.At(i, j)) > 1e-12 {
-					t.Errorf("(L·Lᵀ)[%d][%d] = %g, A = %g", i, j, m, a.At(i, j))
+					t.Errorf("(L̃·D·L̃ᵀ)[%d][%d] = %g, A = %g", i, j, m, a.At(i, j))
 				}
 			case m != 0:
 				offPattern += m
 				dropped++
 			}
 		}
-		var d float64
-		for k := 0; k <= i; k++ {
-			d += l[i][k] * l[i][k]
-		}
-		if want := a.At(i, i) - 0.95*offPattern; math.Abs(d-want) > 1e-12*a.At(i, i) {
-			t.Errorf("(L·Lᵀ)[%d][%d] = %.15g, want A − 0.95·(fill off the pattern) = %.15g", i, i, d, want)
+		if got, want := mEntry(i, i), a.At(i, i)-0.95*offPattern; math.Abs(got-want) > 1e-12*a.At(i, i) {
+			t.Errorf("(L̃·D·L̃ᵀ)[%d][%d] = %.15g, want A − 0.95·(fill off the pattern) = %.15g", i, i, got, want)
 		}
 	}
 	if dropped == 0 {
 		t.Fatal("no fill off the pattern: the grid tests nothing")
+	}
+}
+
+// TestICApplyPlanMatchesRowLoopBitwise: on random SPD patterns whose
+// factor rows store 1 to 12 entries (every unrolled length and rows on
+// either side of them), ApplyScratch along the row plan matches the two
+// plain row-loop sweeps bit for bit.
+func TestICApplyPlanMatchesRowLoopBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lengths := map[int32]bool{}
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(60)
+		b := NewBuilder(n)
+		for i := 0; i < n; i++ {
+			b.AddDiag(i, 1)
+			for _, j := range rng.Perm(i)[:rng.Intn(min(i, 11)+1)] {
+				v := -rng.Float64()
+				b.Add(i, j, v)
+				b.Add(j, i, v)
+				b.AddDiag(i, -v)
+				b.AddDiag(j, -v)
+			}
+		}
+		a, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ic, err := NewICPreconditioner(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := make([]float64, n)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		// The plain sweeps: forward y_i = r_i − Σ L̃_ik·y_k, w_i = y_i/d_i,
+		// then backward by columns of L̃ᵀ.
+		y, want := make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			s := r[i]
+			last := ic.lRowPtr[i+1] - 1
+			for k := ic.lRowPtr[i]; k < last; k++ {
+				s -= ic.lValues[k] * y[ic.lColIdx[k]]
+			}
+			y[i] = s
+			want[i] = s * ic.lValues[last]
+		}
+		for i := n - 1; i >= 0; i-- {
+			for k := ic.lRowPtr[i]; k < ic.lRowPtr[i+1]-1; k++ {
+				want[ic.lColIdx[k]] -= ic.lValues[k] * want[i]
+			}
+		}
+		got := make([]float64, n)
+		ic.ApplyScratch(got, r, make([]float64, n))
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d, row %d (%d entries): planned %v, row loops %v", trial, i, ic.lRowPtr[i+1]-ic.lRowPtr[i], got[i], want[i])
+			}
+		}
+		for _, run := range ic.runs {
+			lengths[run.length] = true
+		}
+	}
+	for l := int32(0); l <= sweepMaxLen; l++ {
+		if (l == 0 || l >= sweepMinLen) && !lengths[l] {
+			t.Errorf("no run of length %d: the patterns miss a loop body", l)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"math"
 	"testing"
 
 	"oftec/internal/sparse"
@@ -85,6 +86,67 @@ func BenchmarkAssembleReference(b *testing.B) {
 		}
 		if mat.N() != m.n {
 			b.Fatal("bad dimension")
+		}
+	}
+}
+
+// benchSlice assembles the canonical matrix of the ω-slice at 220 rad/s,
+// the slice BenchmarkEvaluateCold solves on, at paper resolution, and
+// returns it with a smooth vector to multiply.
+func benchSlice(b *testing.B) (*Model, *evalScratch, []float64) {
+	m := benchmarkModel(b)
+	sc := m.getScratch()
+	m.assembleSlice(sc, 220)
+	x := make([]float64, m.n)
+	for i := range x {
+		x[i] = math.Sin(0.01 * float64(i))
+	}
+	return m, sc, x
+}
+
+// BenchmarkMulVec is a kernel microbenchmark: one sparse matrix-vector
+// product along the row plan, the SpMV of every CG iteration, on the
+// paper-resolution Basicmath ω-slice (1,938 rows, 12,472 entries).
+func BenchmarkMulVec(b *testing.B) {
+	m, sc, x := benchSlice(b)
+	defer m.putScratch(sc)
+	dst := make([]float64, m.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.mat.MulVec(dst, x)
+	}
+}
+
+// BenchmarkICApply is a kernel microbenchmark: one application of the
+// modified IC(0) preconditioner (a forward and a backward triangular
+// sweep), the other half of every CG iteration, on the same slice.
+func BenchmarkICApply(b *testing.B) {
+	m, sc, x := benchSlice(b)
+	defer m.putScratch(sc)
+	ic, err := m.icSym.Factor(sc.mat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst, scratch := make([]float64, m.n), make([]float64, m.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ic.ApplyScratch(dst, x, scratch)
+	}
+}
+
+// BenchmarkICFactor is a kernel microbenchmark: one numeric modified
+// IC(0) factorization of the slice through the network's shared symbolic
+// analysis, what a preconditioner-cache miss pays before its solve.
+func BenchmarkICFactor(b *testing.B) {
+	m, sc, _ := benchSlice(b)
+	defer m.putScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.icSym.Factor(sc.mat); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,11 +1,19 @@
 package thermal
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"oftec/internal/sparse"
 )
+
+// ErrRunaway is wrapped by the error of a transient step whose chip
+// maximum passes the configuration's runaway temperature
+// (Config.RunawayTemp, 500 K by default), the threshold past which a
+// steady solve reports Result.Runaway. The integration stops there
+// instead of reporting such a field as temperatures.
+var ErrRunaway = errors.New("thermal: thermal runaway")
 
 // Transient integrates the thermal RC network through time with the
 // backward-Euler method:
@@ -95,15 +103,11 @@ func (tr *Transient) Temperatures() []float64 { return tr.temps }
 // ChipState summarizes the chip layer at the current instant.
 func (tr *Transient) ChipState() (maxTemp float64, temps []float64) {
 	m := tr.model
-	nc := m.grids[planeChip].NumCells()
-	temps = make([]float64, nc)
-	for i := 0; i < nc; i++ {
+	temps = make([]float64, m.grids[planeChip].NumCells())
+	for i := range temps {
 		temps[i] = tr.temps[m.node(planeChip, i)]
-		if temps[i] > maxTemp {
-			maxTemp = temps[i]
-		}
 	}
-	return maxTemp, temps
+	return m.chipMax(tr.temps), temps
 }
 
 // Step advances the simulation by dt seconds with one backward-Euler
@@ -114,7 +118,8 @@ func (tr *Transient) ChipState() (maxTemp float64, temps []float64) {
 // under (ω, I, Δt), so a fixed-step integration reuses one IC(0)
 // factorization across all steps; the shared ω-slice preconditioner would
 // fit poorly, since the C/Δt patch touches every row. A step matrix that
-// does not factor, or a CG breakdown, is an error, and the state does not
+// does not factor, a CG breakdown, or a chip maximum past the runaway
+// temperature (wrapping ErrRunaway) is an error, and the state does not
 // advance.
 func (tr *Transient) Step(dt float64) (float64, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
@@ -131,10 +136,22 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("thermal: transient solve failed at t=%g: %w", tr.now, err)
 	}
+	maxTemp := m.chipMax(next)
+	if limit := m.cfg.runawayTemp(); !(maxTemp <= limit) {
+		return 0, fmt.Errorf("thermal: transient step at t=%g reaches %.4g K on the chip, past %g K: %w", tr.now, maxTemp, limit, ErrRunaway)
+	}
 	copy(tr.temps, next)
 	tr.now += dt
-	maxTemp, _ := tr.ChipState()
 	return maxTemp, nil
+}
+
+// chipMax returns the largest chip-plane temperature of the field t.
+func (m *Model) chipMax(t []float64) float64 {
+	var maxTemp float64
+	for i := 0; i < m.grids[planeChip].NumCells(); i++ {
+		maxTemp = max(maxTemp, t[m.node(planeChip, i)])
+	}
+	return maxTemp
 }
 
 // assemble writes the backward-Euler system of a dt step from the current

@@ -1,7 +1,9 @@
 package thermal
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"oftec/internal/units"
@@ -75,6 +77,53 @@ func TestTransientStepValidation(t *testing.T) {
 	if _, err := m.NewTransient(-1, 0, nil); err == nil {
 		t.Error("negative operating point accepted")
 	}
+}
+
+// TestTransientRunawayIsAnError: on a runaway-heavy configuration
+// (ambient 140 °C, leakage density ×32) a transient from ambient heats
+// past the runaway temperature within half a millisecond; at 0.1 ms steps
+// a few steps pass before it, and at 10 ms the step matrix does not
+// factor at all. The step that
+// would pass it fails, wrapping ErrRunaway, and leaves the state, the
+// clock and the steps before it as they were; every step before it stayed
+// at or below the threshold.
+func TestTransientRunawayIsAnError(t *testing.T) {
+	cfg := testConfig()
+	cfg.Ambient = units.CToK(140)
+	cfg.TMax = cfg.Ambient + 45
+	cfg.Leakage.P0Density *= 32
+	m := benchModel(t, cfg, "Quicksort")
+	limit := m.cfg.runawayTemp()
+	tr, err := m.NewTransient(0.1*m.UMax(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 100; k++ {
+		before := append([]float64(nil), tr.Temperatures()...)
+		now := tr.Time()
+		maxTemp, err := tr.Step(1e-4)
+		if err == nil {
+			if maxTemp > limit {
+				t.Fatalf("step %d: chip at %g K, past %g K, with no error", k, maxTemp, limit)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrRunaway) {
+			t.Fatalf("step %d: %v, want ErrRunaway", k, err)
+		}
+		if k == 0 {
+			t.Fatal("runaway on the first step: nothing before it is checked")
+		}
+		if tr.Time() != now || !reflect.DeepEqual(tr.Temperatures(), before) {
+			t.Fatalf("step %d: a runaway step advanced the state (t %g → %g)", k, now, tr.Time())
+		}
+		if held, _ := tr.ChipState(); held > limit {
+			t.Fatalf("state after the failed step holds %g K", held)
+		}
+		t.Logf("runaway at step %d (t = %g s): %v", k, now, err)
+		return
+	}
+	t.Fatal("no runaway in 10 ms on a runaway-heavy configuration")
 }
 
 func TestPeltierBoostActsImmediately(t *testing.T) {

@@ -3,7 +3,7 @@
 #
 # Runs the steady-state evaluation benchmarks (repeated-point and cold
 # variants, the batched-vs-per-point surface sweep, a memo-cold ROM build,
-# plus the assembly and model-build micro-benchmarks) and writes the parsed numbers to BENCH_evaluate.json
+# plus the assembly, model-build and CG kernel micro-benchmarks) and writes the parsed numbers to BENCH_evaluate.json
 # next to the frozen pre-optimization baseline, together with the
 # per-benchmark speedup and allocation ratios. Successive PRs diff the
 # JSON instead of eyeballing `go test -bench` output.
@@ -35,12 +35,16 @@ echo "== go test -bench (hot path, benchtime $BENCHTIME)"
 go test -run '^$' \
 	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate|BenchmarkSurfaceGridBatched|BenchmarkROMBuild|BenchmarkGradVsFD|BenchmarkCoolantPower)$' \
 	-benchtime "$BENCHTIME" -benchmem . | tee "$raw"
-# The thermal line: assembly microbenchmarks, and build microbenchmarks
-# for NewModel on a cached network (BenchmarkNewModel) and on a
-# configuration never seen before (BenchmarkNewModelCold). Neither build
-# benchmark solves anything.
+# The thermal line: assembly microbenchmarks, build microbenchmarks for
+# NewModel on a cached network (BenchmarkNewModel) and on a configuration
+# never seen before (BenchmarkNewModelCold), neither of which solves
+# anything, and the CG kernel microbenchmarks on the paper-resolution
+# Basicmath ω-slice BenchmarkEvaluateCold solves on: one SpMV
+# (BenchmarkMulVec), one IC preconditioner apply (BenchmarkICApply) and
+# one numeric IC factorization (BenchmarkICFactor). A kernel number times
+# one kernel call, not a solve or a workload.
 go test -run '^$' \
-	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold)$' \
+	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor)$' \
 	-benchtime "$BENCHTIME" -benchmem ./internal/thermal | tee -a "$raw"
 
 # One JSON object per benchmark line: the name plus every value/unit pair
@@ -113,6 +117,14 @@ jq -n \
 			batched:  $cur["BenchmarkSurfaceGridBatched/batched"],
 			batched_vs_perpoint: ($cur["BenchmarkSurfaceGridBatched/perpoint"].ns_per_op
 				/ $cur["BenchmarkSurfaceGridBatched/batched"].ns_per_op)
+		},
+		# CG kernel microbenchmarks (one kernel call each, no solve) on
+		# the slice BenchmarkEvaluateCold solves on, next to it.
+		kernels: {
+			evaluate_cold: $cur.BenchmarkEvaluateCold,
+			mul_vec:       $cur.BenchmarkMulVec,
+			ic_apply:      $cur.BenchmarkICApply,
+			ic_factor:     $cur.BenchmarkICFactor
 		},
 		# Build microbenchmarks (no solve): NewModel at paper resolution on
 		# a cached network, against a configuration never seen before,

@@ -6,6 +6,7 @@
 #   (concurrency, solver, adjoint, backend, batch, coolant) → every
 #   remaining test with -race → evaluate-request, chip-spec,
 #   optimize-request, pareto-request and sweep-request fuzz smokes → the
+#   configuration-file fuzz smoke → the
 #   benchmark module's tests → oftecd smoke (live daemon, every endpoint,
 #   the resolution cap, clean SIGTERM shutdown) → parallel-sweep bench
 #   smoke
@@ -163,6 +164,13 @@ go test -run '^$' -fuzz '^FuzzParetoRequest$' -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzSweepRequest (10s smoke)"
 go test -run '^$' -fuzz '^FuzzSweepRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 
+# And on the configuration file `oftec -config` reads (thermal.LoadConfig,
+# with its coolant spec and floorplan): any input must fail to load, or
+# load a configuration that validates and round-trips through SaveConfig
+# to identical bytes.
+echo "== go test -fuzz FuzzLoadConfig (10s smoke)"
+go test -run '^$' -fuzz '^FuzzLoadConfig$' -fuzztime 10s -fuzzminimizetime 1s ./internal/thermal
+
 # The end-to-end benchmark is a module of its own (perfbench/, built
 # against this tree), so ./... above never reaches it. Its tests pin what
 # the benchmark relies on: traced runs answer exactly what untraced runs
@@ -237,13 +245,14 @@ echo "== go test -bench=SurfaceGrid -benchtime=1x"
 go test -run '^$' -bench 'SurfaceGrid' -benchtime 1x .
 
 # One iteration of each hot-path benchmark (repeated-point, cold, and
-# assembly), so the symbolic-reuse path stays exercised on every gate;
+# assembly) and of the CG kernel microbenchmarks (SpMV, IC apply, IC
+# factor), so the symbolic-reuse path stays exercised on every gate;
 # scripts/bench.sh runs the same set at full benchtime for the recorded
 # numbers in BENCH_evaluate.json.
 echo "== go test -bench (hot-path smoke, benchtime=1x)"
 go test -run '^$' \
 	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate)$' \
 	-benchtime 1x .
-go test -run '^$' -bench '^BenchmarkAssemble$' -benchtime 1x ./internal/thermal
+go test -run '^$' -bench '^(BenchmarkAssemble|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor)$' -benchtime 1x ./internal/thermal
 
 echo "== check.sh: all gates passed"
