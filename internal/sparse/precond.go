@@ -186,7 +186,9 @@ func NewICSymbolic(a *CSR) (*ICSymbolic, error) {
 
 // Factor computes the relaxed modified IC(0) factorization of a, which
 // must have the pattern NewICSymbolic analysed. It errors on a different
-// pattern and on a non-positive pivot (an indefinite matrix).
+// pattern and on a non-positive pivot (an indefinite matrix). It is the
+// factorization through the empty prefix: every column is eliminated
+// here.
 //
 // The factorization is right-looking: column j's pivot d is the trailing
 // diagonal entry (j, j), column j of L̃ is column j of the trailing matrix
@@ -200,20 +202,115 @@ func NewICSymbolic(a *CSR) (*ICSymbolic, error) {
 // The pivots are those of the L·Lᵀ form (d_j = L_jj²), and the factor
 // takes no square root.
 func (s *ICSymbolic) Factor(a *CSR) (*ICPreconditioner, error) {
+	return (&ICPrefix{s: s}).Factor(a)
+}
+
+// ICPrefix is the elimination of a factorization's leading columns,
+// shared by every matrix on the analysed pattern that agrees with the one
+// it was built from outside the trailing block: the entries whose column
+// (and so whose row) is at or past the split. Those leading columns never
+// read the trailing block, so their values are final once, and the
+// updates they make into it are recorded in order. Factor then pays only
+// for the trailing block: each of its entries receives the same
+// subtractions in the same order as under ICSymbolic.Factor, so every
+// factor is bitwise equal to ICSymbolic.Factor's. It is read-only after
+// construction and safe for concurrent Factor calls.
+type ICPrefix struct {
+	s     *ICSymbolic
+	split int
+	// pairs is the index into s.target of the first trailing column's
+	// update pairs.
+	pairs int
+	// vals holds the factor's values with the leading columns final (nil
+	// for the empty prefix); tape holds the leading columns' updates into
+	// the trailing block, in the order the elimination made them.
+	vals []float64
+	tape []icUpdate
+}
+
+// icUpdate is one recorded subtraction v[k] −= u.
+type icUpdate struct {
+	k int32
+	u float64
+}
+
+// Prefix eliminates the first split columns of a (0 ≤ split ≤ N), for
+// Factor to finish on any matrix that agrees with a outside the trailing
+// block. It errors on a different pattern, on a split out of range, and
+// on a non-positive pivot among the leading columns: ICSymbolic.Factor
+// fails with that same error on every matrix the prefix would serve.
+func (s *ICSymbolic) Prefix(a *CSR, split int) (*ICPrefix, error) {
+	if split < 0 || split > s.n {
+		return nil, fmt.Errorf("sparse: IC(0) prefix split %d outside [0, %d]", split, s.n)
+	}
+	v, err := (&ICPrefix{s: s}).load(a)
+	if err != nil {
+		return nil, err
+	}
+	p := &ICPrefix{s: s, split: split, vals: v}
+	for j := 0; j < split; j++ {
+		p.tape = s.trailingUpdates(p.tape, v, j, p.pairs, int32(split))
+		if p.pairs, err = s.eliminate(v, j, j+1, p.pairs); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Factor finishes the factorization of a, which must have the analysed
+// pattern and agree with the prefix's matrix on the leading columns (it
+// is not checked): it copies the prefix's values, loads a's trailing
+// entries, replays the recorded updates, and eliminates the trailing
+// columns. It errors like ICSymbolic.Factor, on a different pattern and
+// on a non-positive pivot in the trailing block.
+func (p *ICPrefix) Factor(a *CSR) (*ICPreconditioner, error) {
+	s := p.s
+	v, err := p.load(a)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.eliminate(v, p.split, s.n, p.pairs); err != nil {
+		return nil, err
+	}
+	return &ICPreconditioner{n: s.n, lRowPtr: s.lRowPtr, lColIdx: s.lColIdx, lValues: v, runs: s.runs}, nil
+}
+
+// load returns a fresh value array for factoring a past the prefix: the
+// prefix's values, a's entries in the trailing block, and the recorded
+// updates replayed onto them.
+func (p *ICPrefix) load(a *CSR) ([]float64, error) {
+	s := p.s
 	if !s.matches(a) {
 		return nil, fmt.Errorf("sparse: IC(0) factor: matrix pattern differs from the analysed one")
 	}
 	v := make([]float64, len(s.lSrc))
-	for k, src := range s.lSrc {
-		v[k] = a.values[src]
+	copy(v, p.vals)
+	// The trailing block's entries sit in the rows from the split on.
+	for k := int(s.lRowPtr[p.split]); k < len(v); k++ {
+		if int(s.lColIdx[k]) >= p.split {
+			v[k] = a.values[s.lSrc[k]]
+		}
 	}
-	t := 0
-	for j := 0; j < s.n; j++ {
+	for _, u := range p.tape {
+		v[u.k] -= u.u
+	}
+	return v, nil
+}
+
+// eliminate runs the right-looking elimination over columns [from, to) of
+// the factor values v, whose update pairs start at s.target[t], and
+// returns the index of the pair after the last. It errors on a
+// non-positive pivot, naming the column. Every update is rounded before
+// it is subtracted (the explicit conversions forbid a fused
+// multiply-subtract), so an update trailingUpdates records replays to
+// the bits this loop subtracts.
+func (s *ICSymbolic) eliminate(v []float64, from, to, t int) (int, error) {
+	for j := from; j < to; j++ {
 		lo, hi := int(s.ltRowPtr[j]), int(s.ltRowPtr[j+1])
 		dk := s.ltSrc[lo]
 		d := v[dk]
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("sparse: IC(0) non-positive pivot %g at row %d (matrix not SPD enough)", d, j)
+			return t, fmt.Errorf("sparse: IC(0) non-positive pivot %g at row %d (matrix not SPD enough)", d, j)
 		}
 		dinv := 1 / d
 		v[dk] = dinv
@@ -224,13 +321,13 @@ func (s *ICSymbolic) Factor(a *CSR) (*ICPreconditioner, error) {
 			ap := v[sp]
 			lp := ap * dinv
 			dp := s.lRowPtr[s.ltColIdx[p]+1] - 1
-			v[dp] -= lp * ap
+			v[dp] -= float64(lp * ap)
 			for q := lo + 1; q < p; q++ {
-				u := ap * v[s.ltSrc[q]]
+				u := float64(ap * v[s.ltSrc[q]])
 				if k := s.target[t]; k >= 0 {
 					v[k] -= u
 				} else {
-					u *= relaxation
+					u = float64(u * relaxation)
 					v[dp] -= u
 					v[s.lRowPtr[s.ltColIdx[q]+1]-1] -= u
 				}
@@ -239,7 +336,46 @@ func (s *ICSymbolic) Factor(a *CSR) (*ICPreconditioner, error) {
 			v[sp] = lp
 		}
 	}
-	return &ICPreconditioner{n: s.n, lRowPtr: s.lRowPtr, lColIdx: s.lColIdx, lValues: v, runs: s.runs}, nil
+	return t, nil
+}
+
+// trailingUpdates appends to tape, in the order eliminate makes them, the
+// updates that eliminating column j (its pairs starting at s.target[t])
+// will make into columns at or past stop, reading v just before that
+// elimination. The column's entries are unscaled then, so each L̃_qj is
+// formed here exactly as eliminate forms and stores it.
+func (s *ICSymbolic) trailingUpdates(tape []icUpdate, v []float64, j, t int, stop int32) []icUpdate {
+	lo, hi := int(s.ltRowPtr[j]), int(s.ltRowPtr[j+1])
+	dinv := 1 / v[s.ltSrc[lo]]
+	for p := lo + 1; p < hi; p++ {
+		rp := s.ltColIdx[p]
+		if rp < stop {
+			// Rows ascend down the column: none of p's pairs reaches past
+			// stop.
+			t += p - lo - 1
+			continue
+		}
+		ap := v[s.ltSrc[p]]
+		dp := s.lRowPtr[rp+1] - 1
+		tape = append(tape, icUpdate{k: dp, u: float64(float64(ap*dinv) * ap)})
+		for q := lo + 1; q < p; q++ {
+			u := float64(ap * float64(v[s.ltSrc[q]]*dinv))
+			rq := s.ltColIdx[q]
+			if k := s.target[t]; k >= 0 {
+				if rq >= stop {
+					tape = append(tape, icUpdate{k: k, u: u})
+				}
+			} else {
+				u = float64(u * relaxation)
+				tape = append(tape, icUpdate{k: dp, u: u})
+				if rq >= stop {
+					tape = append(tape, icUpdate{k: s.lRowPtr[rq+1] - 1, u: u})
+				}
+			}
+			t++
+		}
+	}
+	return tape
 }
 
 // matches reports whether a has the analysed pattern. Matrices sharing

@@ -371,3 +371,137 @@ func TestICSymbolicParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// randomConductance builds an n×n symmetric matrix on a random pattern:
+// a conduction Laplacian with couplings of random strength, a positive
+// ambient term on every diagonal, and a random shift subtracted from
+// each diagonal that makes some draws indefinite.
+func randomConductance(rng *rand.Rand, n int, density, shift float64) *CSR {
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddDiag(i, 0.1+rng.Float64()-shift*rng.Float64())
+		for j := 0; j < i; j++ {
+			if rng.Float64() < density {
+				g := 0.1 + rng.Float64()
+				b.AddDiag(i, g)
+				b.AddDiag(j, g)
+				b.Add(i, j, -g)
+				b.Add(j, i, -g)
+			}
+		}
+	}
+	m, err := b.BuildWithDiagonal()
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// perturbTrailing returns a matrix on a's pattern that agrees with a
+// outside the trailing block from split on, where every entry moves by a
+// random amount, symmetrically, and each diagonal may drop far enough to
+// fail the factorization there.
+func perturbTrailing(rng *rand.Rand, a *CSR, split int, shift float64) *CSR {
+	vals := make([]float64, a.NNZ())
+	if err := a.CopyValues(vals); err != nil {
+		panic(err)
+	}
+	for i := split; i < a.N(); i++ {
+		for k := int(a.RowPtr(i)); k < int(a.RowPtr(i+1)); k++ {
+			switch j := a.ColAt(k); {
+			case j == i:
+				vals[k] += 0.5*rng.Float64() - shift*rng.Float64()
+			case j >= split && j < i:
+				dv := 0.2 * (rng.Float64() - 0.5)
+				vals[k] += dv
+				for kt := int(a.RowPtr(j)); kt < int(a.RowPtr(j+1)); kt++ {
+					if a.ColAt(kt) == i {
+						vals[kt] += dv
+					}
+				}
+			}
+		}
+	}
+	m, err := a.WithValues(vals)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestPrefixFactorMatchesFactorBitwise: a factor finished through a
+// prefix equals ICSymbolic.Factor's bit for bit, on random patterns
+// split at random rows, for every matrix that agrees with the prefix's
+// outside the trailing block; and a factorization that fails, in the
+// leading columns or in the trailing block, fails in the same column
+// with the same error either way. The draws must reach both kinds of
+// failure and the split's extremes.
+func TestPrefixFactorMatchesFactorBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var factored, prefixFailed, trailingFailed, empty, whole int
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		a := randomConductance(rng, n, 0.05+0.3*rng.Float64(), 0.3*rng.Float64())
+		sym, err := NewICSymbolic(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := rng.Intn(n + 1)
+		switch split {
+		case 0:
+			empty++
+		case n:
+			whole++
+		}
+		pre, preErr := sym.Prefix(a, split)
+		for draw := 0; draw < 4; draw++ {
+			b := perturbTrailing(rng, a, split, 0.6*rng.Float64())
+			want, wantErr := sym.Factor(b)
+			if preErr != nil {
+				if wantErr == nil || wantErr.Error() != preErr.Error() {
+					t.Fatalf("trial %d (n=%d, split %d): the prefix failed with %v, Factor with %v", trial, n, split, preErr, wantErr)
+				}
+				prefixFailed++
+				continue
+			}
+			got, gotErr := pre.Factor(b)
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("trial %d (n=%d, split %d): prefix factor error %v, Factor error %v", trial, n, split, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				trailingFailed++
+				continue
+			}
+			for k, v := range want.lValues {
+				if math.Float64bits(got.lValues[k]) != math.Float64bits(v) {
+					t.Fatalf("trial %d (n=%d, split %d): factor value %d is %v through the prefix, %v through Factor", trial, n, split, k, got.lValues[k], v)
+				}
+			}
+			factored++
+		}
+	}
+	t.Logf("%d factors bitwise equal, %d failures in the prefix, %d in the trailing block, %d empty and %d whole-matrix splits",
+		factored, prefixFailed, trailingFailed, empty, whole)
+	if factored == 0 || prefixFailed == 0 || trailingFailed == 0 || empty == 0 || whole == 0 {
+		t.Error("the draws missed a case")
+	}
+
+	// The prefix refuses a split out of range and a matrix off its pattern.
+	a := laplacian2D(6, 1.1)
+	sym, err := NewICSymbolic(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, split := range []int{-1, a.N() + 1} {
+		if _, err := sym.Prefix(a, split); err == nil {
+			t.Errorf("split %d of a %d-row matrix made a prefix", split, a.N())
+		}
+	}
+	pre, err := sym.Prefix(a, a.N()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pre.Factor(laplacian1D(a.N(), 1.1)); err == nil {
+		t.Error("a matrix off the analysed pattern factored through the prefix")
+	}
+}

@@ -137,8 +137,9 @@ func BenchmarkICApply(b *testing.B) {
 }
 
 // BenchmarkICFactor is a kernel microbenchmark: one numeric modified
-// IC(0) factorization of the slice through the network's shared symbolic
-// analysis, what a preconditioner-cache miss pays before its solve.
+// IC(0) factorization of the whole slice through the network's shared
+// symbolic analysis, what a transient step's preconditioner-cache miss
+// pays before its solve.
 func BenchmarkICFactor(b *testing.B) {
 	m, sc, _ := benchSlice(b)
 	defer m.putScratch(sc)
@@ -146,6 +147,22 @@ func BenchmarkICFactor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.icSym.Factor(sc.mat); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSliceFactor is a kernel microbenchmark: the same slice's
+// factorization finished from the network's prefix (see
+// network.slicePre), what a steady ω-slice's preconditioner-cache miss
+// pays before its solve.
+func BenchmarkSliceFactor(b *testing.B) {
+	m, sc, _ := benchSlice(b)
+	defer m.putScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.slicePre.Factor(sc.mat); err != nil {
 			b.Fatal(err)
 		}
 	}

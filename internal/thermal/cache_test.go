@@ -3,12 +3,15 @@ package thermal
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"oftec/internal/coolant"
 	"oftec/internal/sparse"
+	"oftec/internal/units"
 )
 
 // TestResultMemoEveryZoneCount pins the one memo rule: a steady state is
@@ -144,9 +147,10 @@ func TestPrecondCacheBuildOnMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := 0
-	step := func(sc *evalScratch) {
+	step := func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
 		builds++
 		tr.assemble(sc, 0.25)
+		return m.icSym.Factor(sc.mat)
 	}
 	key := precondKey{omega: 250, itec: 1, dt: 0.25}
 	ic1 := m.precond(key, step)
@@ -160,10 +164,11 @@ func TestPrecondCacheBuildOnMiss(t *testing.T) {
 
 	// An indefinite matrix: flip a diagonal entry's sign after assembly.
 	fails := 0
-	indefinite := func(sc *evalScratch) {
+	indefinite := func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
 		fails++
 		m.assembleSlice(sc, 250)
 		sc.vals[m.diagIdx[0]] = -1
+		return m.icSym.Factor(sc.mat)
 	}
 	bad := precondKey{omega: 250, itec: 1, dt: 0.5}
 	for i := 0; i < 2; i++ {
@@ -192,7 +197,10 @@ func TestPrecondCacheConcurrent(t *testing.T) {
 			return m.slicePrecond(120 + 10*float64(i))
 		}
 		dt := 0.01 * float64(i-slices+1)
-		return m.precond(precondKey{omega: 250, itec: 1, dt: dt}, func(sc *evalScratch) { tr.assemble(sc, dt) })
+		return m.precond(precondKey{omega: 250, itec: 1, dt: dt}, func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
+			tr.assemble(sc, dt)
+			return m.icSym.Factor(sc.mat)
+		})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -264,5 +272,79 @@ func TestSlicePrecondParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(got[k], want) {
 			t.Errorf("matrix %d: shared-symbolic factor differs from NewICPreconditioner", k)
 		}
+	}
+}
+
+// TestSlicePrefixMatchesFactor: an ω-slice factored through the network's
+// prefix is the factor ICSymbolic.Factor makes of the same matrix, on the
+// slices of every coolant, at random ambients and leakage densities
+// (35–140 °C, ×0.5–32) and on the paper-resolution default. The values
+// agree (DeepEqual), one application of each agrees bit for bit, and a
+// slice that does not factor fails through both with the same error; a
+// network whose prefix failed has no slice that Factor can factor. The
+// draws must reach a failed prefix and a slice that fails past it.
+func TestSlicePrefixMatchesFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	paper := DefaultConfig()
+	cfgs := []Config{paper}
+	for _, name := range coolant.Names() {
+		spec, err := coolant.SpecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 6; c++ {
+			cfg := testConfig()
+			cfg.Ambient = units.CToK(35 + 105*rng.Float64())
+			cfg.TMax = cfg.Ambient + 45
+			cfg.Leakage.P0Density *= 0.5 * math.Pow(64, rng.Float64())
+			cfg.Coolant = spec
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	var factored, prefixFailed, sliceFailed int
+	for c, cfg := range cfgs {
+		m := benchModel(t, cfg, "Basicmath")
+		sc := m.getScratch()
+		for s := 0; s < 9; s++ {
+			omega := m.UMax() * float64(s) / 8
+			m.assembleSlice(sc, omega)
+			want, wantErr := m.icSym.Factor(sc.mat)
+			if m.slicePre == nil {
+				if wantErr == nil {
+					t.Fatalf("config %d: the prefix failed, yet the slice at ω=%g factors", c, omega)
+				}
+				prefixFailed++
+				continue
+			}
+			got, gotErr := m.slicePre.Factor(sc.mat)
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("config %d, ω=%g: prefix factor error %v, Factor error %v", c, omega, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				sliceFailed++
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("config %d, ω=%g: the prefix factor differs from Factor's", c, omega)
+			}
+			r := make([]float64, m.n)
+			for i := range r {
+				r[i] = rng.NormFloat64()
+			}
+			x, y, scratch := make([]float64, m.n), make([]float64, m.n), make([]float64, m.n)
+			got.ApplyScratch(x, r, scratch)
+			want.ApplyScratch(y, r, scratch)
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+					t.Fatalf("config %d, ω=%g: applied factors differ at row %d: %v vs %v", c, omega, i, x[i], y[i])
+				}
+			}
+			factored++
+		}
+		m.putScratch(sc)
+	}
+	t.Logf("%d slices factored bitwise equal, %d failed past the prefix, %d on a failed prefix", factored, sliceFailed, prefixFailed)
+	if factored == 0 || sliceFailed == 0 || prefixFailed == 0 {
+		t.Error("the draws missed a case")
 	}
 }

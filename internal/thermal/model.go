@@ -3,9 +3,11 @@ package thermal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,6 +97,12 @@ type network struct {
 	// factorization a model's preconditioner cache makes: each one
 	// allocates only its values.
 	icSym *sparse.ICSymbolic
+	// slicePre eliminates every column before the sink plane, which no
+	// steady ω-slice's matrix varies: slices differ only in the sink
+	// cells' diagonal, and the sink plane is the last block of rows. Each
+	// slice's factorization finishes from it (see slicePrecond). Nil when
+	// those columns do not factor, which fails every slice.
+	slicePre *sparse.ICPrefix
 
 	// scratch pools per-evaluation workspaces (matrix values, RHS, warm
 	// vector, CG work arrays) so concurrent Evaluate stays race-free
@@ -649,6 +657,22 @@ func (net *network) buildSymbolic() error {
 	if net.icSym, err = sparse.NewICSymbolic(pat); err != nil {
 		return err
 	}
+	// The leading block of every slice: the base values with the
+	// linearized leakage slope on the chip diagonal, as assembleInto
+	// writes them. Only the sink plane, past the split, sees g(ω).
+	lead := slices.Clone(net.baseVals)
+	for i, a := range net.leakA {
+		lead[net.diagIdx[net.node(planeChip, i)]] -= a
+	}
+	leadMat, err := pat.WithValues(lead)
+	if err != nil {
+		return err
+	}
+	// A prefix that does not factor leaves slicePre nil, and every slice
+	// fails with it: Factor would meet the same pivot in each.
+	if pre, err := net.icSym.Prefix(leadMat, net.off[planeSink]); err == nil {
+		net.slicePre = pre
+	}
 	nc := net.grids[planeChip].NumCells()
 	net.scratch.New = func() any {
 		sc := &evalScratch{
@@ -832,12 +856,23 @@ func (m *Model) solveScratch(sc *evalScratch, omega float64, warm []float64) ([]
 
 // slicePrecond returns the modified IC(0) preconditioner of the ω-slice's
 // canonical matrix, factoring it on first sight, or nil when it does not
-// factor.
+// factor. The factorization finishes from the network's prefix, so a
+// slice pays only for its sink plane; a failed prefix fails every slice
+// at once.
 //
 //oftec:allocok one canonical assembly + factorization per ω-slice, amortized across every point in the slice
 func (m *Model) slicePrecond(omega float64) *sparse.ICPreconditioner {
-	return m.precond(precondKey{omega: omega}, func(sc *evalScratch) { m.assembleSlice(sc, omega) })
+	return m.precond(precondKey{omega: omega}, func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
+		if m.slicePre == nil {
+			return nil, errPrefixFailed
+		}
+		m.assembleSlice(sc, omega)
+		return m.slicePre.Factor(sc.mat)
+	})
 }
+
+// errPrefixFailed marks a slice whose network's prefix did not factor.
+var errPrefixFailed = errors.New("thermal: the columns before the sink plane do not factor")
 
 // maxPreconds bounds the preconditioner cache. Past the bound it clears
 // wholesale: factorizations rebuild in one pass, and the working set of
@@ -845,22 +880,21 @@ func (m *Model) slicePrecond(omega float64) *sparse.ICPreconditioner {
 const maxPreconds = 64
 
 // precond returns the modified IC(0) preconditioner cached under key.
-// On a miss, assemble writes the matrix key names into a pooled scratch,
-// which is factored outside the lock; concurrent misses on one key may both
+// On a miss, factor assembles the matrix key names into a pooled scratch
+// and factors it, outside the lock; concurrent misses on one key may both
 // factor, harmlessly, since the factors are identical. A failed
 // factorization (matrix not SPD enough) is cached as a nil factor, which
 // fails every solve under it without another factorization attempt.
 //
 //oftec:allocok one assembly + factorization per key, amortized across every solve that shares it
-func (m *Model) precond(key precondKey, assemble func(sc *evalScratch)) *sparse.ICPreconditioner {
+func (m *Model) precond(key precondKey, factor func(sc *evalScratch) (*sparse.ICPreconditioner, error)) *sparse.ICPreconditioner {
 	m.pcMu.Lock()
 	ic, hit := m.pcs[key]
 	m.pcMu.Unlock()
 	if !hit {
 		sc := m.getScratch()
-		assemble(sc)
 		var err error
-		if ic, err = m.icSym.Factor(sc.mat); err != nil {
+		if ic, err = factor(sc); err != nil {
 			ic = nil
 		}
 		m.putScratch(sc)

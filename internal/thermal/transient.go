@@ -131,7 +131,10 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 	tr.assemble(sc, dt)
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: tr.temps, Work: &sc.ws}
 	key := precondKey{omega: tr.omega, itec: tr.itec, dt: dt}
-	ic := m.precond(key, func(pc *evalScratch) { tr.assemble(pc, dt) })
+	ic := m.precond(key, func(pc *evalScratch) (*sparse.ICPreconditioner, error) {
+		tr.assemble(pc, dt)
+		return m.icSym.Factor(pc.mat)
+	})
 	next, _, err := sparse.CGPrecond(sc.mat, sc.rhs, ic, opts)
 	if err != nil {
 		return 0, fmt.Errorf("thermal: transient solve failed at t=%g: %w", tr.now, err)
