@@ -109,7 +109,8 @@ func main() {
 			log.Fatal(err)
 		}
 		if err := experiments.WriteSeriesTable(os.Stdout,
-			"== Figure 6(c)/(d): after Optimization 2 (minimum max temperature) ==", series); err != nil {
+			"== Figure 6(c)/(d): after Optimization 2 (minimum max temperature) ==", series,
+			experiments.Opt2PowerDigits); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()
@@ -118,7 +119,8 @@ func main() {
 	if want("fig6e", "fig6f") {
 		ran = true
 		if err := experiments.WriteSeriesTable(os.Stdout,
-			"== Figure 6(e)/(f): after Optimization 1 (minimum cooling power, Algorithm 1) ==", opt1); err != nil {
+			"== Figure 6(e)/(f): after Optimization 1 (minimum cooling power, Algorithm 1) ==", opt1,
+			experiments.Opt1PowerDigits); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()

@@ -44,7 +44,9 @@ func (op OpPoint) K() int { return len(op.Currents) }
 // Evaluator is the backend contract every consumer programs against:
 // compute the steady state at an operating point. warm is an optional
 // temperature-field hint of length NumNodes that may steer an iterative
-// solve but never the answer; implementations are free to ignore it.
+// solve but never the answer; implementations are free to ignore it, and
+// read it only during the call, so the caller may reuse its buffer once
+// Evaluate returns.
 // ctx bounds the call for implementations that can wait (the shared
 // evaluation cache's in-flight rendezvous); nil means no cancellation.
 //

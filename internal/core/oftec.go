@@ -45,13 +45,14 @@ type Options struct {
 	// uses the model configuration's T_max. Pareto sweeps use this to
 	// trace the power/temperature trade-off.
 	TMax float64
-	// Workers bounds the fan-out of the solver's finite-difference probes
-	// over the (thread-safe) evaluation cache: a derivative then costs
-	// ⌈2·dim/W⌉ solve times instead of 2·dim. Zero sizes the pool to
+	// Workers bounds the fan-out of the solver's finite-difference probe
+	// pairs over the (thread-safe) evaluation cache, one pair per axis: a
+	// derivative then costs ⌈dim/W⌉ pair times. Zero sizes the pool to
 	// GOMAXPROCS; one forces the serial loop. Results are identical
 	// either way: every solve a solver call asks for warm-starts from its
-	// current iterate's temperature field (solver.Problem.Near), fixed
-	// before the probes fan out. A point's answer agrees with any other
+	// current iterate's temperature field, or, for a lower probe, from its
+	// upper probe's reflection (solver.Problem.Near), both fixed by the
+	// iterate and the probe plan. A point's answer agrees with any other
 	// hint's to solver tolerance, and the first solve's hint fixes the
 	// cached bits. MultiStart's starts and ParetoFront's thresholds run in
 	// order. Solver.Workers, when set, pins the solver's own width instead.

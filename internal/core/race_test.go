@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -111,4 +112,56 @@ func TestZonedCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentRunsShareOneSystem runs Algorithm 1 four times at once on
+// one System, as oftecd runs optimize and Pareto requests concurrently on
+// one pooled chip: finite differences on two workers, two runs at the
+// default T_max and two 5 K below it. Every point the runs share is
+// solved from the same anchor, whichever run leads the solve, so each
+// outcome, Runtime aside, is DeepEqual to a serial run of its options on
+// a fresh System.
+func TestConcurrentRunsShareOneSystem(t *testing.T) {
+	tmax := testConfig().TMax
+	opts := []Options{
+		{Mode: ModeHybrid, Workers: 2},
+		{Mode: ModeHybrid, Workers: 2, TMax: tmax - 5},
+	}
+	want := make([]*Outcome, len(opts))
+	for i, o := range opts {
+		o.Workers = 1
+		out, err := benchSystem(t, "Quicksort").Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Runtime = 0
+		want[i] = out
+	}
+	if reflect.DeepEqual(want[0], want[1]) {
+		t.Fatal("both thresholds reach one outcome; the runs would share every point")
+	}
+
+	s := benchSystem(t, "Quicksort")
+	got := make([]*Outcome, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out, err := s.Run(opts[g%len(opts)])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out.Runtime = 0
+			got[g] = out
+		}(g)
+	}
+	wg.Wait()
+	for g, out := range got {
+		if out != nil && !reflect.DeepEqual(out, want[g%len(opts)]) {
+			t.Errorf("run %d (T_max %g K): concurrent outcome differs from the serial run:\n got %v, %+v\nwant %v, %+v",
+				g, opts[g%len(opts)].TMax, out, out.Opt1Report, want[g%len(opts)], want[g%len(opts)].Opt1Report)
+		}
+	}
 }

@@ -315,25 +315,71 @@ func bindingEval(bnd *evalcache.Binding, warm []float64) vecEval {
 type phaseFuncs func(eval vecEval) (f solver.Func, cons []solver.Func)
 
 // anchoredProblem is one phase's problem over bnd's box [lower, upper]:
-// F and Cons evaluate cold, and Near re-anchors them on each incumbent so
-// every solve the solver asks for near x_k — its finite-difference probes
-// and line-search trials — starts CG at x_k's temperature field. The
-// incumbent's own Result is a cache hit, since the solver has just
-// evaluated it; a runaway incumbent has no field and anchors cold.
+// F and Cons evaluate cold, and Near re-anchors them. Near(x, nil)
+// anchors on the incumbent x, so every solve the solver asks for near
+// x_k — its upper finite-difference probes and line-search trials —
+// starts CG at x_k's temperature field. Near(x, up) anchors a lower probe
+// on its upper probe's reflection, so it starts CG at 2·T(x_k) − T(up),
+// where the derivative's two probes differ from x_k by one step of
+// opposite sign. The solver has just evaluated both points, so both
+// fields are in the cache; Near reads them through Binding.Anchor, which
+// leaves them out of the hit count, and builds the reflection only when a
+// solve will use it. A runaway incumbent has no field and anchors cold,
+// and so does a reflection through it.
 func anchoredProblem(bnd *evalcache.Binding, phase phaseFuncs, lower, upper []float64) *solver.Problem {
 	cold := bindingEval(bnd, nil)
 	f, cons := phase(cold)
+	field := func(x []float64) []float64 {
+		r, err := bnd.Anchor(context.Background(), backend.OpPoint{Omega: x[0], Currents: x[1:]})
+		if err == nil && !r.Runaway {
+			return r.T
+		}
+		return nil
+	}
 	return &solver.Problem{
 		F: f, Cons: cons, Lower: lower, Upper: upper,
-		Near: func(x []float64) (solver.Func, []solver.Func) {
-			var warm []float64
-			if r, err := cold(x); err == nil && !r.Runaway {
-				warm = r.T
+		Near: func(x, up []float64) (solver.Func, []solver.Func) {
+			if up == nil {
+				return phase(bindingEval(bnd, field(x)))
 			}
-			return phase(bindingEval(bnd, warm))
+			return phase(reflectedEval(bnd, field, x, up))
 		},
 	}
 }
+
+// reflectedEval evaluates through the shared cache, warm-starting a
+// genuine miss from 2·T(x) − T(up), with field fetching each point's
+// temperature field; when either has none, it starts from T(x), or cold.
+// The reflection is built on demand in a pooled buffer, which goes back
+// to the pool once the solve that read it has returned.
+func reflectedEval(bnd *evalcache.Binding, field func([]float64) []float64, x, up []float64) vecEval {
+	return func(y []float64) (*thermal.Result, error) {
+		var buf *[]float64
+		hint := func() []float64 {
+			t0, t1 := field(x), field(up)
+			if t0 == nil || t1 == nil {
+				return t0
+			}
+			buf = fields.Get().(*[]float64)
+			if cap(*buf) < len(t0) {
+				*buf = make([]float64, len(t0))
+			}
+			w := (*buf)[:len(t0)]
+			for i := range w {
+				w[i] = 2*t0[i] - t1[i]
+			}
+			return w
+		}
+		r, err := bnd.EvaluateHint(context.Background(), backend.OpPoint{Omega: y[0], Currents: y[1:]}, hint)
+		if buf != nil {
+			fields.Put(buf)
+		}
+		return r, err
+	}
+}
+
+// fields pools the buffers reflectedEval builds its warm fields in.
+var fields = sync.Pool{New: func() any { return new([]float64) }}
 
 // maxTempObj is the 𝒯 objective; runaway maps to the Infeasible sentinel.
 func maxTempObj(eval vecEval, x []float64) float64 {

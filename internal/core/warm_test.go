@@ -92,11 +92,14 @@ func TestAnchoredRunMatchesCold(t *testing.T) {
 	}
 }
 
-// TestAnchorHintReachesCG checks that an anchored solve starts CG from the
-// incumbent's field: at a Basicmath SQP iterate, every finite-difference
-// probe takes fewer CG iterations than the same probe solved cold. A hint
-// dropped anywhere between the evaluation cache, the backend and the
-// thermal model would leave the counts equal.
+// TestAnchorHintReachesCG checks that an anchored solve starts CG from
+// its anchor's field, at a Basicmath SQP iterate x_k. Every upper
+// finite-difference probe, anchored on x_k, takes fewer CG iterations
+// than the same probe solved cold; and every lower probe, anchored on its
+// upper probe's reflection 2·T(x_k) − T(x_k + h·e_i), takes fewer than
+// the same probe anchored on x_k. A hint dropped anywhere between the
+// evaluation cache, the backend and the thermal model would leave the
+// counts equal.
 func TestAnchorHintReachesCG(t *testing.T) {
 	var iterates [][]float64
 	trace := func(rec solver.TraceRecord) { iterates = append(iterates, rec.X) }
@@ -108,34 +111,58 @@ func TestAnchorHintReachesCG(t *testing.T) {
 	}
 	xk := iterates[0]
 
-	s := benchSystem(t, "Basicmath")
-	bnd, err := s.binding(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := s.Config()
-	span := []float64{cfg.UMax(), cfg.TEC.MaxCurrent}
 	temp := func(eval vecEval) (solver.Func, []solver.Func) {
 		return func(x []float64) float64 { return maxTempObj(eval, x) }, nil
 	}
-	f, _ := anchoredProblem(bnd, temp, []float64{0, 0}, span).Near(xk)
+	// anchored returns a fresh Basicmath system and its temperature
+	// problem, anchored as a solver would anchor it.
+	anchored := func() (*System, *solver.Problem) {
+		s := benchSystem(t, "Basicmath")
+		bnd, err := s.binding(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := s.Config()
+		return s, anchoredProblem(bnd, temp, []float64{0, 0}, []float64{cfg.UMax(), cfg.TEC.MaxCurrent})
+	}
+	// iters solves x through f and returns its CG iterations, read back
+	// from the Result the solve filed in s's cache.
+	iters := func(s *System, f solver.Func, x []float64) int {
+		f(x)
+		r, err := evalAt(s, x[0], x[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.SolveStats.Iterations
+	}
+	s, p := anchored()
+	f, _ := p.Near(xk, nil)
+	span := []float64{p.Upper[0], p.Upper[1]}
 	for i := range xk {
-		probe := append([]float64(nil), xk...)
-		probe[i] += 1e-5 * span[i]
-		f(probe)
-		// The anchored solve filed its Result in the cache; this is a hit.
-		warm, err := evalAt(s, probe[0], probe[1])
+		up := append([]float64(nil), xk...)
+		up[i] += 1e-5 * span[i]
+		down := append([]float64(nil), xk...)
+		down[i] -= 1e-5 * span[i]
+
+		w := iters(s, f, up)
+		cold, err := evalAt(benchSystem(t, "Basicmath"), up[0], up[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := evalAt(benchSystem(t, "Basicmath"), probe[0], probe[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, c := warm.SolveStats.Iterations, cold.SolveStats.Iterations
-		t.Logf("probe along axis %d: %d CG iterations anchored, %d cold", i, w, c)
+		c := cold.SolveStats.Iterations
+		t.Logf("upper probe along axis %d: %d CG iterations anchored on x_k, %d cold", i, w, c)
 		if w >= c {
-			t.Errorf("probe along axis %d: the anchor saved no CG iteration", i)
+			t.Errorf("upper probe along axis %d: the anchor saved no CG iteration", i)
+		}
+
+		fr, _ := p.Near(xk, up)
+		r := iters(s, fr, down)
+		s2, p2 := anchored()
+		fk, _ := p2.Near(xk, nil)
+		k := iters(s2, fk, down)
+		t.Logf("lower probe along axis %d: %d CG iterations anchored on the reflection, %d on x_k", i, r, k)
+		if r >= k {
+			t.Errorf("lower probe along axis %d: the reflection saved no CG iteration", i)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func (b *Binding) EvaluateBatch(ctx context.Context, ops []backend.OpPoint, warm
 	c.stats.BatchPoints += int64(len(ops))
 	for i, op := range ops {
 		c.keyLocked(b.space, op)
-		res, fl, miss := c.claimLocked()
+		res, fl, miss := c.claimLocked(true)
 		switch {
 		case fl == nil:
 			out[i] = res

@@ -40,7 +40,8 @@ const DefaultCapacity = 1 << 13
 // Stats counts cache traffic; totals are cumulative for the Cache's
 // lifetime, across all bindings.
 type Stats struct {
-	// Hits were served from a completed cached solve.
+	// Hits were served from a completed cached solve. Anchor's reads are
+	// not among them.
 	Hits int64
 	// Waits were coalesced onto another caller's in-flight solve — each
 	// one is a backend solve that an unshared cache would have duplicated.
@@ -184,10 +185,38 @@ func (b *Binding) Fallthrough() backend.Evaluator { return b.ev }
 //
 //oftec:hotpath
 func (b *Binding) Evaluate(ctx context.Context, op backend.OpPoint, warm []float64) (*thermal.Result, error) {
+	return b.evaluate(ctx, op, warm, nil, true)
+}
+
+// EvaluateHint is Evaluate with the warm hint made on demand: hint runs
+// only on a genuine miss, on the caller's goroutine, just before the
+// solve it steers, so a hint that costs work to build costs nothing on a
+// hit or a coalesced wait. The caller leads that solve synchronously, and
+// a backend reads its hint only during the call, so the field's buffer is
+// free for reuse once EvaluateHint returns.
+func (b *Binding) EvaluateHint(ctx context.Context, op backend.OpPoint, hint func() []float64) (*thermal.Result, error) {
+	return b.evaluate(ctx, op, nil, hint, true)
+}
+
+// Anchor is Evaluate with no hint, for reading a point's temperature
+// field to warm-start other solves from rather than for an evaluation of
+// its own: a completed entry it finds is not counted in Stats.Hits, so
+// the hits count the evaluations callers ask for. A wait or a miss counts
+// as usual, since each stands for a solve.
+func (b *Binding) Anchor(ctx context.Context, op backend.OpPoint) (*thermal.Result, error) {
+	return b.evaluate(ctx, op, nil, nil, false)
+}
+
+// evaluate is Evaluate, EvaluateHint and Anchor: a genuine miss solves
+// from warm, or from hint's field when hint is set, and a hit counts when
+// countHit is set.
+//
+//oftec:hotpath
+func (b *Binding) evaluate(ctx context.Context, op backend.OpPoint, warm []float64, hint func() []float64, countHit bool) (*thermal.Result, error) {
 	c := b.c
 	c.mu.Lock()
 	c.keyLocked(b.space, op)
-	res, fl, miss := c.claimLocked()
+	res, fl, miss := c.claimLocked(countHit)
 	hook := c.hook
 	c.mu.Unlock()
 	if fl == nil {
@@ -199,6 +228,9 @@ func (b *Binding) Evaluate(ctx context.Context, op backend.OpPoint, warm []float
 
 	if hook != nil {
 		hook(op)
+	}
+	if hint != nil {
+		warm = hint()
 	}
 	fl.res, fl.err = b.ev.Evaluate(ctx, op, warm)
 	c.mu.Lock()
@@ -233,14 +265,17 @@ func appendCoord(key []byte, v float64) []byte {
 
 // claimLocked classifies the point keyed in c.key — the one step Evaluate
 // and EvaluateBatch share. A completed entry is a hit and returns its
-// result; a point another solve is working on returns that rendezvous to
-// wait on; anything else is a miss, registered as a new rendezvous
-// (miss = true) that the caller must solve and pass to finishLocked.
+// result (counted when countHit is set); a point another solve is working
+// on returns that rendezvous to wait on; anything else is a miss,
+// registered as a new rendezvous (miss = true) that the caller must solve
+// and pass to finishLocked.
 //
 //oftec:hotpath
-func (c *Cache) claimLocked() (res *thermal.Result, fl *inflight, miss bool) {
+func (c *Cache) claimLocked(countHit bool) (res *thermal.Result, fl *inflight, miss bool) {
 	if e, ok := c.lookupLocked(); ok {
-		c.stats.Hits++
+		if countHit {
+			c.stats.Hits++
+		}
 		return e.res, nil, false
 	}
 	if fl, ok := c.infl[string(c.key)]; ok {

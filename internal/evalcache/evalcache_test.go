@@ -220,6 +220,57 @@ func TestQuantizedHitsAndStats(t *testing.T) {
 	}
 }
 
+// warmEval records the warm field each solve received.
+type warmEval struct {
+	fakeEval
+	warm [][]float64
+}
+
+func (w *warmEval) Evaluate(ctx context.Context, op backend.OpPoint, warm []float64) (*thermal.Result, error) {
+	w.warm = append(w.warm, append([]float64(nil), warm...))
+	return w.fakeEval.Evaluate(ctx, op, warm)
+}
+
+// TestAnchorAndHintAccounting pins the two variants of Evaluate: Anchor
+// solves a missing point like Evaluate but leaves a completed one out of
+// the hit count, and EvaluateHint builds its hint for a genuine miss only.
+func TestAnchorAndHintAccounting(t *testing.T) {
+	ev := &warmEval{}
+	c := New(0)
+	b := c.Bind(ev)
+	ctx := context.Background()
+
+	a, _ := b.Anchor(ctx, backend.Scalar(100, 1))
+	r, _ := b.Evaluate(ctx, backend.Scalar(100, 1), nil)
+	if again, _ := b.Anchor(ctx, backend.Scalar(100, 1)); again != a || r != a {
+		t.Error("Anchor and Evaluate returned different results for one point")
+	}
+	if s, want := c.Stats(), (Stats{Hits: 1, Misses: 1}); s != want {
+		t.Errorf("stats after Anchor, Evaluate, Anchor = %+v, want %+v", s, want)
+	}
+
+	calls := 0
+	hint := func() []float64 { calls++; return []float64{7} }
+	if _, err := b.EvaluateHint(ctx, backend.Scalar(100, 1), hint); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("a hit built its hint %d times, want 0", calls)
+	}
+	if _, err := b.EvaluateHint(ctx, backend.Scalar(100, 2), hint); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Errorf("a miss built its hint %d times, want 1", calls)
+	}
+	if got := ev.warm[len(ev.warm)-1]; len(got) != 1 || got[0] != 7 {
+		t.Errorf("the miss solved from %v, want the hint's [7]", got)
+	}
+	if s, want := c.Stats(), (Stats{Hits: 2, Misses: 2}); s != want {
+		t.Errorf("stats after the hinted calls = %+v, want %+v", s, want)
+	}
+}
+
 // TestHitAllocatesNothing pins the zero-allocation hit for a scalar point
 // and for a point wider than eight zones: both key into the reused buffer
 // and look up without building a string.

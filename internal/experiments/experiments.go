@@ -462,8 +462,26 @@ func Summarize(series []MethodResult) Summary {
 	return sum
 }
 
-// WriteSeriesTable renders a method-result series as an aligned text table.
-func WriteSeriesTable(w io.Writer, title string, series []MethodResult) error {
+// Opt2PowerDigits is the number of digits after the point that an
+// Optimization-2 row fixes in 𝒫. OFTEC's optimum is flat in I, which it
+// fixes only to about 1e-4 A, so its 𝒫 is known to about ±0.01 W: whole
+// watts. The baselines run at I = 0 with ω at a bound or fixed, so their
+// 𝒫 keeps two digits.
+func Opt2PowerDigits(m MethodResult) int {
+	if m.Mode == core.ModeHybrid {
+		return 0
+	}
+	return 2
+}
+
+// Opt1PowerDigits is the number of digits after the point that an
+// Optimization-1 row fixes in 𝒫, which that optimization minimizes: two.
+func Opt1PowerDigits(MethodResult) int { return 2 }
+
+// WriteSeriesTable renders a method-result series as an aligned text table,
+// with powerDigits(r) digits after the point in row r's 𝒫 cell
+// (Opt2PowerDigits or Opt1PowerDigits).
+func WriteSeriesTable(w io.Writer, title string, series []MethodResult, powerDigits func(MethodResult) int) error {
 	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
 		return err
 	}
@@ -473,7 +491,7 @@ func WriteSeriesTable(w io.Writer, title string, series []MethodResult) error {
 		temp, pow := "runaway", "runaway"
 		if !math.IsInf(r.MaxTempC, 1) {
 			temp = fmt.Sprintf("%.2f", r.MaxTempC)
-			pow = fmt.Sprintf("%.2f", r.PowerW)
+			pow = fmt.Sprintf("%.*f", powerDigits(r), r.PowerW)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%t\t%s\t%s\t%.0f\t%.2f\t%s\n",
 			r.Benchmark, r.Mode, r.Feasible, temp, pow, r.OmegaRPM, r.ITEC,

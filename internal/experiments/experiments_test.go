@@ -162,7 +162,7 @@ func TestOpt1SeriesShape(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSeriesTable(&buf, "Optimization 1", series); err != nil {
+	if err := WriteSeriesTable(&buf, "Optimization 1", series, Opt1PowerDigits); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Quicksort") {

@@ -56,11 +56,12 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		_, err := fmt.Fprintf(w, format, args...)
 		return err
 	}
-	cell := func(v float64, unit string) string {
+	// cell prints v with prec digits after the point.
+	cell := func(v float64, prec int) string {
 		if math.IsInf(v, 1) {
 			return "runaway"
 		}
-		return fmt.Sprintf("%.2f%s", v, unit)
+		return fmt.Sprintf("%.*f", prec, v)
 	}
 
 	if err := p("# OFTEC reproduction report\n\n"); err != nil {
@@ -73,7 +74,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	}
 	for _, m := range r.Opt2 {
 		if err := p("| %s | %s | %s | %s | %.0f | %.2f |\n",
-			m.Benchmark, m.Mode, cell(m.MaxTempC, ""), cell(m.PowerW, ""), m.OmegaRPM, m.ITEC); err != nil {
+			m.Benchmark, m.Mode, cell(m.MaxTempC, 2), cell(m.PowerW, Opt2PowerDigits(m)), m.OmegaRPM, m.ITEC); err != nil {
 			return err
 		}
 	}
@@ -84,7 +85,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	}
 	for _, m := range r.Opt1 {
 		if err := p("| %s | %s | %t | %s | %s | %.0f | %.2f |\n",
-			m.Benchmark, m.Mode, m.Feasible, cell(m.MaxTempC, ""), cell(m.PowerW, ""), m.OmegaRPM, m.ITEC); err != nil {
+			m.Benchmark, m.Mode, m.Feasible, cell(m.MaxTempC, 2), cell(m.PowerW, Opt1PowerDigits(m)), m.OmegaRPM, m.ITEC); err != nil {
 			return err
 		}
 	}

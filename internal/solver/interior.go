@@ -42,18 +42,18 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return 1 + (c+mu)/mu
 	}
 
-	// Barrier objective in scaled space.
+	// Barrier objective in scaled space, through q: the box or one of its
+	// anchored copies.
 	const edge = 1e-9
-	barrier := func(z []float64, mu float64, evals *int) float64 {
-		x := box.toX(z)
+	barrier := func(q *Problem, z []float64, mu float64, evals *int) float64 {
 		*evals++
-		f := box.at.F(x)
+		f := q.F(z)
 		if math.IsNaN(f) || f >= Infeasible || math.IsInf(f, 1) {
 			return Infeasible
 		}
-		for i := range box.at.Cons {
+		for i := range q.Cons {
 			*evals++
-			f += psi(box.at.Cons[i](x), mu)
+			f += psi(q.Cons[i](z), mu)
 		}
 		for i := 0; i < n; i++ {
 			f += psi(edge-z[i], mu) + psi(z[i]-1+edge, mu)
@@ -93,41 +93,36 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return g
 	}
 
-	// grad falls back to finite differences of the barrier, planned,
-	// evaluated and combined like Problem.gradient's: both probes of every
-	// live axis (the extrapolated barrier is defined past the box), each
-	// at least the unit box's floor apart, run through probe on
-	// opts.workers().
+	// grad falls back to finite differences of the barrier, planned and
+	// combined like Problem.gradient's and evaluated through the same pair
+	// scheduler: both probes of every live axis (the extrapolated barrier
+	// is defined past the box), each at least the unit box's floor apart.
 	grad := func(z []float64, mu float64, f0 float64) []float64 {
 		if g := gradAnalytic(z, mu); g != nil {
 			return g
 		}
-		steps := make([]float64, n)
-		var zs [][]float64
-		for i := 0; i < n; i++ {
+		pairs := make([]pair, n)
+		for i := range pairs {
 			if box.pinned(i) {
 				continue // pinned axis: the derivative along it is zero
 			}
-			steps[i] = math.Max(fdRelStep, box.gradMinStep[i])
-			zs = append(zs, shifted(z, i, z[i]+steps[i]), shifted(z, i, z[i]-steps[i]))
+			pairs[i] = pair{h: math.Max(fdRelStep, box.gradMinStep[i]), up: true, down: true}
 		}
-		phi := func(zz []float64, evals *int) float64 { return barrier(zz, mu, evals) }
-		vals := probe(phi, zs, opts.workers(), &evals)
+		phi := func(q *Problem, zz []float64, evals *int) float64 { return barrier(q, zz, mu, evals) }
+		box.probePairs(phi, z, pairs, opts.workers(), &evals)
 
 		g := make([]float64, n)
-		for i := 0; i < n; i++ {
+		for i, pr := range pairs {
 			if box.pinned(i) {
 				continue
 			}
-			fHi, fLo, step := vals[0], vals[1], steps[i]
-			vals = vals[2:]
 			switch {
-			case fHi < Infeasible && fLo < Infeasible:
-				g[i] = (fHi - fLo) / (2 * step)
-			case fHi < Infeasible:
-				g[i] = (fHi - f0) / step
-			case fLo < Infeasible:
-				g[i] = (f0 - fLo) / step
+			case pr.fUp < Infeasible && pr.fDown < Infeasible:
+				g[i] = (pr.fUp - pr.fDown) / (2 * pr.h)
+			case pr.fUp < Infeasible:
+				g[i] = (pr.fUp - f0) / pr.h
+			case pr.fDown < Infeasible:
+				g[i] = (f0 - pr.fDown) / pr.h
 			}
 		}
 		return g
@@ -148,7 +143,7 @@ func InteriorPoint(p *Problem, x0 []float64, opts Options) (Report, error) {
 outer:
 	for outerIt := 0; outerIt < 12 && mu > 1e-8; outerIt++ {
 		bmat := identity(n)
-		f := barrier(z, mu, &evals)
+		f := barrier(&box.Problem, z, mu, &evals)
 		g := grad(z, mu, f)
 		stationary = false
 		for inner := 0; inner < opts.maxIter()/4+10; inner++ {
@@ -188,7 +183,7 @@ outer:
 					cand[i] = z[i] + alpha*d[i]
 				}
 				box.clampBox(cand)
-				fNew = barrier(cand, mu, &evals)
+				fNew = barrier(&box.Problem, cand, mu, &evals)
 				armijo := fNew < f-1e-6*alpha*math.Abs(dot(g, d))
 				lastResort := alpha < 1e-8 && fNew < f
 				if armijo || lastResort {

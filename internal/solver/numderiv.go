@@ -36,9 +36,10 @@ func minFDStep(lo, hi float64) float64 {
 	return quantRelStep * scale
 }
 
-// countedFunc evaluates at x and adds the evaluations it spends to
-// *evals. The probe fan-out hands every probe its own counter.
-type countedFunc func(x []float64, evals *int) float64
+// countedFunc evaluates at x through q, one of the problem's anchored
+// copies (see probePairs), and adds the evaluations it spends to *evals.
+// The pair scheduler hands every axis its own counter.
+type countedFunc func(q *Problem, x []float64, evals *int) float64
 
 // shifted returns a copy of x with coordinate i set to v.
 func shifted(x []float64, i int, v float64) []float64 {
@@ -47,25 +48,52 @@ func shifted(x []float64, i int, v float64) []float64 {
 	return xp
 }
 
-// probe evaluates f at every point of xs on a pool of the given width
-// (see Options.workers) and returns the values in order. Width 1 is the
-// serial loop. Each probe counts its evaluations in its own slot and the
-// slots are summed into *evals, so the total equals the serial count. A
-// panicking probe is re-raised on the caller's goroutine, where the
-// serial loop would have panicked, so Fallback's stage recovery still
-// sees it.
-func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
-	vals := make([]float64, len(xs))
-	counts := make([]int, len(xs))
+// pair is one axis's central-difference probes x ± h·e_i: which of them
+// are planned, and the values they came back with. h = 0 marks an axis
+// with no probes.
+type pair struct {
+	h          float64
+	up, down   bool
+	fUp, fDown float64
+}
+
+// probePairs evaluates the planned probes of every axis around x through
+// f, one task per axis on a pool of the given width (see
+// Options.workers); width 1 is the serial loop. A task solves its upper
+// probe through p, then its lower probe through p anchored on the upper
+// probe's reflection (Problem.Near(x, xUp)): an evaluator that warm-starts
+// from the anchor starts the lower probe from 2·T(x) − T(xUp), which is
+// T(x − h·e_i) to first order. An upper probe that is not planned, lies
+// outside the box or comes back Infeasible, or a lower probe outside the
+// box, leaves the lower probe on p.
+// Each axis counts its evaluations in its own slot, summed into *evals,
+// so the total equals the serial count; the anchors depend on x and the
+// plan alone, so when f answers a point independently of evaluation
+// order the values are the same at every width. A panicking probe is
+// re-raised on the caller's goroutine, where the serial loop would have
+// panicked, so Fallback's stage recovery still sees it.
+func (p *Problem) probePairs(f countedFunc, x []float64, pairs []pair, workers int, evals *int) {
+	counts := make([]int, len(pairs))
 	// No Options.Ctx here: the solvers honour cancellation at iteration
 	// boundaries only, so a derivative, once started, is finished.
-	err := parallel.ForEach(context.Background(), len(xs), workers, func(k int) (err error) {
+	err := parallel.ForEach(context.Background(), len(pairs), workers, func(i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("solver: finite-difference probe panicked: %v", r)
 			}
 		}()
-		vals[k] = f(xs[k], &counts[k])
+		pr := &pairs[i]
+		lower := p
+		if pr.up {
+			xUp := shifted(x, i, x[i]+pr.h)
+			pr.fUp = f(p, xUp, &counts[i])
+			if pr.down && pr.fUp < Infeasible && xUp[i] <= p.Upper[i] && x[i]-pr.h >= p.Lower[i] {
+				lower = p.near(x, xUp)
+			}
+		}
+		if pr.down {
+			pr.fDown = f(lower, shifted(x, i, x[i]-pr.h), &counts[i])
+		}
 		return nil
 	})
 	if err != nil {
@@ -74,7 +102,6 @@ func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
 	for _, c := range counts {
 		*evals += c
 	}
-	return vals
 }
 
 // gradient approximates ∇f at x with central differences, falling back to
@@ -83,12 +110,12 @@ func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
 // step for variable i is h_i = fdRelStep·(Upper_i − Lower_i), floored at 1e-10
 // and at gradMinStep_i when set. A pinned variable (Upper_i == Lower_i)
 // gets a zero derivative without spending any evaluations. f counts and
-// clamps its own evaluations (Problem.eval, for instance).
+// clamps its own evaluations ((*Problem).eval, for instance).
 //
-// It runs in three steps: plan every in-box probe, evaluate them all
-// through probe on the given number of workers, then combine the values
-// into difference quotients. When f is a pure function of its point, the
-// result is the same at every width.
+// It runs in three steps: plan every in-box probe, evaluate them pair by
+// pair through probePairs on the given number of workers, then combine
+// the values into difference quotients. When f is a pure function of its
+// point, the result is the same at every width.
 //
 // When finite differencing degenerates, a synthetic slope of magnitude
 // sliverSlope stands in for the unknown derivative:
@@ -101,14 +128,8 @@ func probe(f countedFunc, xs [][]float64, workers int, evals *int) []float64 {
 //     would be ±(fProbe − 1e12)/h garbage).
 func (p *Problem) gradient(f countedFunc, x []float64, fx float64, workers int, evals *int) []float64 {
 	n := p.Dim()
-	// Plan: hi[i] and lo[i] index axis i's probes in xs, −1 where a probe
-	// would leave the box.
-	h := make([]float64, n)
-	hi := make([]int, n)
-	lo := make([]int, n)
-	var xs [][]float64
-	for i := 0; i < n; i++ {
-		hi[i], lo[i] = -1, -1
+	pairs := make([]pair, n)
+	for i := range pairs {
 		if p.pinned(i) {
 			// Degenerate (pinned) bounds freeze this axis: no step can stay
 			// inside the box, so the floored probes would both land
@@ -118,54 +139,39 @@ func (p *Problem) gradient(f countedFunc, x []float64, fx float64, workers int, 
 			// honest derivative along a frozen axis is zero.
 			continue
 		}
-		h[i] = fdRelStep * (p.Upper[i] - p.Lower[i])
-		if h[i] < 1e-10 {
-			h[i] = 1e-10
+		h := fdRelStep * (p.Upper[i] - p.Lower[i])
+		if h < 1e-10 {
+			h = 1e-10
 		}
-		if p.gradMinStep != nil && h[i] < p.gradMinStep[i] {
-			h[i] = p.gradMinStep[i]
+		if p.gradMinStep != nil && h < p.gradMinStep[i] {
+			h = p.gradMinStep[i]
 		}
-		if x[i]+h[i] <= p.Upper[i] {
-			hi[i] = len(xs)
-			xs = append(xs, shifted(x, i, x[i]+h[i]))
-		}
-		if x[i]-h[i] >= p.Lower[i] {
-			lo[i] = len(xs)
-			xs = append(xs, shifted(x, i, x[i]-h[i]))
-		}
+		pairs[i] = pair{h: h, up: x[i]+h <= p.Upper[i], down: x[i]-h >= p.Lower[i]}
 	}
 
-	vals := probe(f, xs, workers, evals)
-	// usable returns probe k's value and whether it was planned and came
-	// back below Infeasible.
-	usable := func(k int) (float64, bool) {
-		if k < 0 {
-			return 0, false
-		}
-		return vals[k], vals[k] < Infeasible
-	}
+	p.probePairs(f, x, pairs, workers, evals)
 
 	g := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for i, pr := range pairs {
 		if p.pinned(i) {
 			continue
 		}
-		fHi, usableHi := usable(hi[i])
-		fLo, usableLo := usable(lo[i])
+		usableHi := pr.up && pr.fUp < Infeasible
+		usableLo := pr.down && pr.fDown < Infeasible
 		switch {
 		case usableHi && usableLo:
-			g[i] = (fHi - fLo) / (2 * h[i])
+			g[i] = (pr.fUp - pr.fDown) / (2 * pr.h)
 		case usableHi:
 			if fx >= Infeasible {
 				g[i] = -sliverSlope // descend toward the feasible upper probe
 			} else {
-				g[i] = (fHi - fx) / h[i]
+				g[i] = (pr.fUp - fx) / pr.h
 			}
 		case usableLo:
 			if fx >= Infeasible {
 				g[i] = sliverSlope // descend toward the feasible lower probe
 			} else {
-				g[i] = (fx - fLo) / h[i]
+				g[i] = (fx - pr.fDown) / pr.h
 			}
 		default:
 			// Both probes infeasible: the point sits in a sliver of

@@ -39,8 +39,8 @@ func TestGradientParallelMatchesSerial(t *testing.T) {
 	p := probeProblem()
 	for _, fx := range []float64{p.F(probePoint), Infeasible} {
 		var serialEvals, parEvals int
-		serial := p.gradient(p.eval, probePoint, fx, 1, &serialEvals)
-		par := p.gradient(p.eval, probePoint, fx, 4, &parEvals)
+		serial := p.gradient((*Problem).eval, probePoint, fx, 1, &serialEvals)
+		par := p.gradient((*Problem).eval, probePoint, fx, 4, &parEvals)
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("fx=%g: gradients differ: serial %v, parallel %v", fx, serial, par)
 		}
@@ -93,10 +93,15 @@ func TestSolversParallelMatchesSerial(t *testing.T) {
 // panic on the caller's goroutine at every width, where Fallback's stage
 // recovery can catch it, instead of killing the process from a worker.
 func TestProbePanicParallelMatchesSerial(t *testing.T) {
-	xs := [][]float64{{0}, {1}, {2}, {3}}
-	boom := func(x []float64, evals *int) float64 {
+	p := &Problem{Lower: []float64{0, 0, 0, 0}, Upper: []float64{4, 4, 4, 4}}
+	x := []float64{2, 2, 2, 2}
+	pairs := make([]pair, len(x))
+	for i := range pairs {
+		pairs[i] = pair{h: 1, up: true, down: true}
+	}
+	boom := func(_ *Problem, x []float64, evals *int) float64 {
 		*evals++
-		if x[0] == 2 {
+		if x[2] == 1 {
 			panic("model exploded")
 		}
 		return x[0]
@@ -105,7 +110,7 @@ func TestProbePanicParallelMatchesSerial(t *testing.T) {
 		msg := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
 			evals := 0
-			probe(boom, xs, workers, &evals)
+			p.probePairs(boom, x, append([]pair(nil), pairs...), workers, &evals)
 			return ""
 		}()
 		if !strings.Contains(msg, "model exploded") {

@@ -9,10 +9,12 @@
 // objective requires a thermal simulation per point); gradients default to
 // finite-difference approximations, with an analytic path (Options.Grad /
 // Options.ConsGrad, fed by the thermal adjoint solves) that collapses the
-// 2n probes per derivative into a single callback. The probes of one
-// finite-difference derivative are independent, so they run on
-// Options.Workers goroutines: a derivative costs ⌈2n/W⌉ evaluation times
-// instead of 2n, with the same result at every width. Problems are small
+// 2n probes per derivative into a single callback. A finite-difference
+// derivative runs one task per axis on Options.Workers goroutines, each
+// solving its upper probe and then its lower probe warm-started from the
+// upper one's reflection (Problem.Near), which costs little more than a
+// cache hit: a derivative costs ⌈n/W⌉ pair times instead of 2n evaluation
+// times, with the same result at every width. Problems are small
 // (OFTEC has two variables, ω and I_TEC), which the implementations
 // exploit: the SQP quadratic subproblems are solved exactly by enumerating
 // active sets.
@@ -62,17 +64,27 @@ type Problem struct {
 	// floor keeps both probes on distinct cache keys. Only the solvers'
 	// unit boxes set it.
 	gradMinStep []float64
-	// Near, when non-nil, anchors a solver call's evaluations on its
-	// incumbent. The solver calls it serially, with its clamped start and
-	// then with each accepted iterate, before taking derivatives there.
-	// Every later evaluation of the call — finite-difference probes on any
-	// number of workers, line-search trials, constraint values — goes
-	// through the objective and constraints it returned (one per Cons)
-	// until the next accepted iterate. An evaluator that a nearby answer
-	// can steer (core warm-starts CG from the incumbent's temperature
-	// field) thereby steers by the iterate, never by evaluation order.
-	// Nil evaluates F and Cons throughout.
-	Near func(x []float64) (f Func, cons []Func)
+	// Near, when non-nil, anchors a solver call's evaluations. Its two
+	// kinds of call differ in the second argument:
+	//
+	//   - Near(x, nil) anchors on the incumbent x. The solver makes this
+	//     call serially, with its clamped start and then with each
+	//     accepted iterate, before taking derivatives there. Every later
+	//     evaluation of the call — upper finite-difference probes on any
+	//     number of workers, line-search trials, constraint values — goes
+	//     through the objective and constraints it returned (one per
+	//     Cons) until the next accepted iterate.
+	//   - Near(x, up), with up = x + h·e_i an upper finite-difference
+	//     probe the derivative at x has just evaluated below Infeasible,
+	//     anchors on up's reflection through x: the functions it returns
+	//     answer only the matching lower probe x − h·e_i. The derivative's
+	//     probe tasks make these calls, possibly concurrently.
+	//
+	// An evaluator that a nearby answer can steer (core warm-starts CG
+	// from the anchor's temperature field, or from 2·T(x) − T(up))
+	// thereby steers by the iterate and the plan, never by evaluation
+	// order. Nil evaluates F and Cons throughout.
+	Near func(x, up []float64) (f Func, cons []Func)
 }
 
 // Dim returns the number of decision variables.
@@ -108,15 +120,14 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// near returns the problem a solver call evaluates through from incumbent
-// x on: p itself without Near, else a copy carrying the functions Near
-// returned for x.
-func (p *Problem) near(x []float64) *Problem {
+// near returns the problem anchored on x and up (see Near): p itself
+// without Near, else a copy carrying the functions Near returned.
+func (p *Problem) near(x, up []float64) *Problem {
 	if p.Near == nil {
 		return p
 	}
 	q := *p
-	q.F, q.Cons = p.Near(x)
+	q.F, q.Cons = p.Near(x, up)
 	q.Near = nil
 	return &q
 }
@@ -192,14 +203,15 @@ type Options struct {
 	// EarlyStopped=true. Algorithm 1 uses this to stop Optimization 2 as
 	// soon as 𝒯 < T_max.
 	StopWhen func(x []float64, f float64) bool
-	// Workers bounds the fan-out of the finite-difference probes of every
-	// derivative the solvers take. Zero and one keep the serial loop
-	// (required when the problem's F and Cons are not safe for concurrent
-	// use); negative selects GOMAXPROCS. When F and Cons, and the
-	// functions Problem.Near returns, answer a point independently of
-	// evaluation order, the Report is identical at any width: an anchored
-	// answer may depend on the incumbent, which the serial iteration
-	// fixes, but not on which probe ran first.
+	// Workers bounds the fan-out of every finite-difference derivative
+	// the solvers take: one task per axis, each an upper probe and then
+	// its lower probe. Zero and one keep the serial loop (required when
+	// the problem's F and Cons are not safe for concurrent use); negative
+	// selects GOMAXPROCS. When F and Cons, and the functions Problem.Near
+	// returns, answer a point independently of evaluation order, the
+	// Report is identical at any width: an anchored answer may depend on
+	// the incumbent and on the probe plan, which the serial iteration
+	// fixes, but not on which axis ran first.
 	Workers int
 	// Ctx, when non-nil, is checked at every iteration boundary: once it
 	// is cancelled or past its deadline, the solver stops within one

@@ -232,7 +232,7 @@ func TestGradientSliverBothProbesInfeasible(t *testing.T) {
 	evals := 0
 
 	// Point near the lower bound on axis 0, near the upper bound on axis 1.
-	g := p.gradient(p.eval, []float64{0.2, 0.8}, 1.0, 1, &evals)
+	g := p.gradient((*Problem).eval, []float64{0.2, 0.8}, 1.0, 1, &evals)
 	if g[0] != -sliverSlope {
 		t.Errorf("g[0] = %g, want %g (−g must point up-axis, away from the lower bound)", g[0], -sliverSlope)
 	}
@@ -250,19 +250,19 @@ func TestGradientInfeasibleCurrentUsesBoundedSlope(t *testing.T) {
 	evals := 0
 
 	// At the lower bound only the upper probe exists, and it is feasible.
-	g := p.gradient(p.eval, []float64{0}, Infeasible, 1, &evals)
+	g := p.gradient((*Problem).eval, []float64{0}, Infeasible, 1, &evals)
 	if g[0] != -sliverSlope {
 		t.Errorf("upper probe feasible: g = %g, want %g", g[0], -sliverSlope)
 	}
 
 	// At the upper bound only the lower probe exists.
-	g = p.gradient(p.eval, []float64{1}, Infeasible, 1, &evals)
+	g = p.gradient((*Problem).eval, []float64{1}, Infeasible, 1, &evals)
 	if g[0] != sliverSlope {
 		t.Errorf("lower probe feasible: g = %g, want %g", g[0], sliverSlope)
 	}
 
 	// Feasible current point keeps the genuine one-sided quotient.
-	g = p.gradient(p.eval, []float64{0}, 0, 1, &evals)
+	g = p.gradient((*Problem).eval, []float64{0}, 0, 1, &evals)
 	if math.Abs(g[0]-1) > 1e-6 {
 		t.Errorf("feasible one-sided quotient: g = %g, want 1", g[0])
 	}

@@ -26,13 +26,13 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 		if g := box.objGrad(box.toX(zz)); g != nil {
 			return g
 		}
-		return box.gradient(box.eval, zz, fzz, opts.workers(), &evals)
+		return box.gradient((*Problem).eval, zz, fzz, opts.workers(), &evals)
 	}
 	gradCons := func(i int, zz []float64, cvv float64) []float64 {
 		if gc := box.consGradX(i, box.toX(zz)); gc != nil {
 			return box.scale(gc)
 		}
-		cons := func(z []float64, ev *int) float64 { return box.evalCons(i, z, ev) }
+		cons := func(q *Problem, z []float64, ev *int) float64 { return q.evalCons(i, z, ev) }
 		return box.gradient(cons, zz, cvv, opts.workers(), &evals)
 	}
 

@@ -21,14 +21,15 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 	box, z := newUnitBox(p, x0, opts)
 
 	penWeight := 1e3
-	penalized := func(z []float64, evals *int) float64 {
-		x := box.toX(z)
-		f := box.at.eval(x, evals)
+	// penalized is the penalty objective through q, the box or one of its
+	// anchored copies.
+	penalized := func(q *Problem, z []float64, evals *int) float64 {
+		f := q.eval(z, evals)
 		if f >= Infeasible {
 			return Infeasible
 		}
-		for i := range box.at.Cons {
-			if v := box.at.evalCons(i, x, evals); v > 0 {
+		for i := range q.Cons {
+			if v := q.evalCons(i, z, evals); v > 0 {
 				f += penWeight * v * v
 			}
 		}
@@ -40,9 +41,9 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 	// penalizedProbe is a finite-difference probe of penalized: it counts
 	// itself as one evaluation on top of the F and constraint evaluations
 	// inside it.
-	penalizedProbe := func(z []float64, evals *int) float64 {
+	penalizedProbe := func(q *Problem, z []float64, evals *int) float64 {
 		*evals++
-		return clamp(penalized(z, evals))
+		return clamp(penalized(q, z, evals))
 	}
 	// gradAnalytic assembles the exact penalized gradient from
 	// Options.Grad and Options.ConsGrad: ∇φ_z = span∘(∇F + Σ_{c_i>0}
@@ -76,7 +77,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 		return box.gradient(penalizedProbe, zz, fzz, opts.workers(), &evals)
 	}
 
-	f := penalized(z, &evals)
+	f := penalized(&box.Problem, z, &evals)
 	g := gradPen(z, f)
 	bmat := identity(n)
 	delta := 0.25
@@ -122,7 +123,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			zNew[i] = z[i] + d[i]
 		}
 		box.clampBox(zNew)
-		fNew := penalized(zNew, &evals)
+		fNew := penalized(&box.Problem, zNew, &evals)
 		actual := f - fNew
 
 		rho := 0.0
@@ -163,7 +164,7 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			// Escalate the penalty while the iterate stays infeasible.
 			if box.at.maxViolation(report.X, &evals) > opts.tol() {
 				penWeight = math.Min(penWeight*2, 1e9)
-				f = penalized(z, &evals)
+				f = penalized(&box.Problem, z, &evals)
 				g = gradPen(z, f)
 			}
 		}

@@ -11,8 +11,10 @@ import "math"
 // or 0 on an axis the caller's bounds pin, so the scaled problem is
 // exactly the lower-dimensional one: QP box rows hold d_i = 0 there and
 // finite differences skip the axis. Its F and Cons evaluate the anchored
-// problem at toX(z), and its gradMinStep carries the caller's
-// finite-difference floors (see quantRelStep) into unit-box steps.
+// problem at toX(z), its Near (set when the caller's is) anchors the
+// caller's problem on toX of its arguments, and its gradMinStep carries
+// the caller's finite-difference floors (see quantRelStep) into unit-box
+// steps.
 type unitBox struct {
 	Problem
 	p *Problem
@@ -53,6 +55,21 @@ func newUnitBox(p *Problem, x0 []float64, opts Options) (*unitBox, []float64) {
 	for i := range p.Cons {
 		b.Cons = append(b.Cons, func(z []float64) float64 { return b.at.Cons[i](b.toX(z)) })
 	}
+	if p.Near != nil {
+		b.Near = func(z, zUp []float64) (Func, []Func) {
+			var up []float64
+			if zUp != nil {
+				up = b.toX(zUp)
+			}
+			q := p.near(b.toX(z), up)
+			f := func(z []float64) float64 { return q.F(b.toX(z)) }
+			cons := make([]Func, len(q.Cons))
+			for i, c := range q.Cons {
+				cons[i] = func(z []float64) float64 { return c(b.toX(z)) }
+			}
+			return f, cons
+		}
+	}
 	b.anchor(z)
 	return b, z
 }
@@ -68,7 +85,7 @@ func (b *unitBox) toX(z []float64) []float64 {
 }
 
 // anchor makes z the incumbent every later evaluation is anchored on.
-func (b *unitBox) anchor(z []float64) { b.at = b.p.near(b.toX(z)) }
+func (b *unitBox) anchor(z []float64) { b.at = b.p.near(b.toX(z), nil) }
 
 // objGrad returns the analytic objective gradient at x in unit-box units,
 // or nil when Options.Grad is unset or declines x.

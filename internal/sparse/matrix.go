@@ -1,7 +1,9 @@
 // Package sparse implements the sparse linear algebra needed by the thermal
 // simulator: compressed sparse row (CSR) matrices assembled from coordinate
 // triplets, a relaxed modified IC(0) factorization (zero fill, with the
-// fill it drops moved onto the diagonal), conjugate gradients under it
+// fill it drops moved onto the diagonal; ICPrefix eliminates the leading
+// columns once for matrices that differ only past them), conjugate
+// gradients under it
 // (CGPrecond, and CGPrecondBatch's lockstep multi-RHS variant), and a
 // dense LU for the optimizers' small systems and for cross-checking CG in
 // tests.

@@ -12,12 +12,15 @@ import (
 )
 
 // TestPreconditionerIterationBudget pins what the modified IC(0) factor
-// buys at paper resolution, where every Table-2 evaluation solves: a
-// cold Basicmath solve at (262 rad/s, 2.5 A) takes 21 CG iterations
-// under it (29 under plain IC(0)), and the finite-difference probe at
-// ω + 5.24e-3 rad/s, started from that field, takes 9 (IC(0): 13). The
+// and the probe anchors buy at paper resolution, where every Table-2
+// evaluation solves: a cold Basicmath solve at (262 rad/s, 2.5 A) takes
+// 21 CG iterations under it (29 under plain IC(0)), and the upper
+// finite-difference probe at ω + 5.24e-3 rad/s, started from that field,
+// takes 9 (IC(0): 13). The lower probe at ω − 5.24e-3 rad/s, started from
+// the upper probe's reflection 2·T(ω) − T(ω + 5.24e-3), takes 1. The
 // bounds leave a little room for rounding and none for a factor that
-// drops the dropped fill instead of compensating for it.
+// drops the dropped fill instead of compensating for it, or for a
+// reflection that is no better than the incumbent's field.
 func TestPreconditionerIterationBudget(t *testing.T) {
 	m := benchModel(t, DefaultConfig(), "Basicmath")
 	cold, err := m.Evaluate(262, 2.5)
@@ -28,14 +31,25 @@ func TestPreconditionerIterationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Runaway || probe.Runaway {
-		t.Fatalf("runaway at the Table-2 operating point: cold %t, probe %t", cold.Runaway, probe.Runaway)
+	reflection := make([]float64, len(cold.T))
+	for i := range reflection {
+		reflection[i] = 2*cold.T[i] - probe.T[i]
+	}
+	lower, err := m.EvaluateWarm(nil, Point{Omega: 262 - 5.24e-3, Currents: []float64{2.5}}, reflection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Runaway || probe.Runaway || lower.Runaway {
+		t.Fatalf("runaway at the Table-2 operating point: cold %t, probe %t, lower probe %t", cold.Runaway, probe.Runaway, lower.Runaway)
 	}
 	if got := cold.SolveStats.Iterations; got > 24 {
 		t.Errorf("cold solve took %d CG iterations, want at most 24", got)
 	}
 	if got := probe.SolveStats.Iterations; got > 11 {
 		t.Errorf("warm probe solve took %d CG iterations, want at most 11", got)
+	}
+	if got := lower.SolveStats.Iterations; got > 2 {
+		t.Errorf("reflected lower probe solve took %d CG iterations, want at most 2", got)
 	}
 }
 

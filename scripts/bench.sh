@@ -40,11 +40,14 @@ go test -run '^$' \
 # never seen before (BenchmarkNewModelCold), neither of which solves
 # anything, and the CG kernel microbenchmarks on the paper-resolution
 # Basicmath ω-slice BenchmarkEvaluateCold solves on: one SpMV
-# (BenchmarkMulVec), one IC preconditioner apply (BenchmarkICApply) and
-# one numeric IC factorization (BenchmarkICFactor). A kernel number times
-# one kernel call, not a solve or a workload.
+# (BenchmarkMulVec), one IC preconditioner apply (BenchmarkICApply), one
+# full numeric IC factorization (BenchmarkICFactor, what a transient
+# step's cache miss pays) and the same slice's factorization finished
+# from the network's prefix (BenchmarkSliceFactor, what a steady slice's
+# cache miss pays). A kernel number times one kernel call, not a solve or
+# a workload.
 go test -run '^$' \
-	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor)$' \
+	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor|BenchmarkSliceFactor)$' \
 	-benchtime "$BENCHTIME" -benchmem ./internal/thermal | tee -a "$raw"
 
 # One JSON object per benchmark line: the name plus every value/unit pair
@@ -124,7 +127,8 @@ jq -n \
 			evaluate_cold: $cur.BenchmarkEvaluateCold,
 			mul_vec:       $cur.BenchmarkMulVec,
 			ic_apply:      $cur.BenchmarkICApply,
-			ic_factor:     $cur.BenchmarkICFactor
+			ic_factor:     $cur.BenchmarkICFactor,
+			slice_factor:  $cur.BenchmarkSliceFactor
 		},
 		# Build microbenchmarks (no solve): NewModel at paper resolution on
 		# a cached network, against a configuration never seen before,
