@@ -10,9 +10,9 @@ import (
 )
 
 // Full is the exact backend: every evaluation is the sparse steady-state
-// solve of the complete thermal network (with the model's own
-// preconditioner cache and result memo underneath). It is the
-// authoritative end of every fall-through chain.
+// solve of the complete thermal network (with the model's own result
+// memo underneath). It is the authoritative end of every fall-through
+// chain.
 type Full struct {
 	fullEval
 

@@ -242,6 +242,61 @@ func TestTable2(t *testing.T) {
 	}
 }
 
+// table2Optima are Algorithm 1's Table-2 optima at paper resolution
+// (experiments.DefaultSetup, active-set SQP, finite differences, default
+// core.Options), the values TestTable2OptimaPinned holds the code to.
+var table2Optima = map[string]struct{ omega, itec, power float64 }{
+	"Basicmath":    {130.62090173308098, 0.53111765002230782, 12.466980350168118},
+	"BitCount":     {234.09704680940365, 1.6628252485617867, 20.548596031474347},
+	"CRC32":        {122.43683072066381, 0.50837240669514938, 11.12985237859678},
+	"Dijkstra":     {165.14244048147674, 0.75418304440062245, 16.871049676790879},
+	"FFT":          {175.79426870168123, 0.9348043820652181, 16.114857311480694},
+	"Quicksort":    {265.61073054563423, 1.9907356554682409, 24.124754447647426},
+	"Stringsearch": {126.69238122345588, 0.51677075452109511, 11.799974820135786},
+	"Susan":        {164.48951605598523, 0.74172425556817467, 16.918978471606739},
+}
+
+// TestTable2OptimaPinned pins Table 2 to solver tolerance: on
+// DefaultSetup, Algorithm 1 (active-set SQP, finite differences, default
+// core.Options, so the probe pairs fan out over GOMAXPROCS workers) lands
+// on every benchmark's committed optimum with |Δ𝒫|/𝒫 ≤ 1e-8, and ω* and
+// I* within 1e-5 of their spans. A change that moves an optimum further
+// changes the answers Table 2 reports, and has to say so by re-pinning.
+func TestTable2OptimaPinned(t *testing.T) {
+	setup := DefaultSetup()
+	if len(setup.Benchmarks) != len(table2Optima) {
+		t.Fatalf("DefaultSetup has %d benchmarks, %d are pinned", len(setup.Benchmarks), len(table2Optima))
+	}
+	for _, b := range setup.Benchmarks {
+		want, ok := table2Optima[b.Name]
+		if !ok {
+			t.Fatalf("%s: no pinned optimum", b.Name)
+		}
+		sys, err := setup.System(b.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sys.Run(core.Options{Mode: core.ModeHybrid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Feasible {
+			t.Errorf("%s: the optimum is infeasible", b.Name)
+			continue
+		}
+		cfg := sys.Config()
+		p := out.CoolingPower()
+		dp := math.Abs(p-want.power) / want.power
+		dw := math.Abs(out.Omega-want.omega) / cfg.UMax()
+		di := math.Abs(out.ITEC-want.itec) / cfg.TEC.MaxCurrent
+		t.Logf("%-12s ω*=%.17g I*=%.17g 𝒫=%.17g (|Δ𝒫|/𝒫 %.1e, Δω %.1e and ΔI %.1e of their spans)", b.Name, out.Omega, out.ITEC, p, dp, dw, di)
+		if !(dp <= 1e-8 && dw <= 1e-5 && di <= 1e-5) {
+			t.Errorf("%s: optimum (ω*=%.17g, I*=%.17g, 𝒫=%.17g) is off the pinned (%.17g, %.17g, %.17g): |Δ𝒫|/𝒫 %.2e, Δω %.2e and ΔI %.2e of their spans",
+				b.Name, out.Omega, out.ITEC, p, want.omega, want.itec, want.power, dp, dw, di)
+		}
+	}
+}
+
 func TestSolverComparison(t *testing.T) {
 	s := FastSetup()
 	rows, err := SolverComparison(s, "Stringsearch")

@@ -2,8 +2,8 @@
 // simulator: compressed sparse row (CSR) matrices assembled from coordinate
 // triplets, a relaxed modified IC(0) factorization (zero fill, with the
 // fill it drops moved onto the diagonal; ICPrefix eliminates the leading
-// columns once for matrices that differ only past them), conjugate
-// gradients under it
+// columns once for matrices that differ only past them, and finishes
+// each one into storage the caller reuses), conjugate gradients under it
 // (CGPrecond, and CGPrecondBatch's lockstep multi-RHS variant), and a
 // dense LU for the optimizers' small systems and for cross-checking CG in
 // tests.

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -243,13 +244,15 @@ func (s *ICSymbolic) Prefix(a *CSR, split int) (*ICPrefix, error) {
 	if split < 0 || split > s.n {
 		return nil, fmt.Errorf("sparse: IC(0) prefix split %d outside [0, %d]", split, s.n)
 	}
-	v, err := (&ICPrefix{s: s}).load(a)
-	if err != nil {
-		return nil, err
+	if !s.matches(a) {
+		return nil, errPattern
 	}
+	v := make([]float64, len(s.lSrc))
+	(&ICPrefix{s: s}).load(v, a)
 	p := &ICPrefix{s: s, split: split, vals: v}
 	for j := 0; j < split; j++ {
 		p.tape = s.trailingUpdates(p.tape, v, j, p.pairs, int32(split))
+		var err error
 		if p.pairs, err = s.eliminate(v, j, j+1, p.pairs); err != nil {
 			return nil, err
 		}
@@ -258,32 +261,58 @@ func (s *ICSymbolic) Prefix(a *CSR, split int) (*ICPrefix, error) {
 }
 
 // Factor finishes the factorization of a, which must have the analysed
-// pattern and agree with the prefix's matrix on the leading columns (it
-// is not checked): it copies the prefix's values, loads a's trailing
-// entries, replays the recorded updates, and eliminates the trailing
-// columns. It errors like ICSymbolic.Factor, on a different pattern and
-// on a non-positive pivot in the trailing block.
+// pattern, into a new ICPreconditioner (see FactorInto).
 func (p *ICPrefix) Factor(a *CSR) (*ICPreconditioner, error) {
-	s := p.s
-	v, err := p.load(a)
-	if err != nil {
+	ic := new(ICPreconditioner)
+	if err := p.FactorInto(ic, a); err != nil {
 		return nil, err
 	}
-	if _, err := s.eliminate(v, p.split, s.n, p.pairs); err != nil {
-		return nil, err
-	}
-	return &ICPreconditioner{n: s.n, lRowPtr: s.lRowPtr, lColIdx: s.lColIdx, lValues: v, runs: s.runs}, nil
+	return ic, nil
 }
 
-// load returns a fresh value array for factoring a past the prefix: the
-// prefix's values, a's entries in the trailing block, and the recorded
-// updates replayed onto them.
-func (p *ICPrefix) load(a *CSR) ([]float64, error) {
+// FactorInto finishes the factorization of a, which must have the
+// analysed pattern, into ic, reusing ic's value array once it has been
+// sized: it copies the prefix's values, loads a's trailing entries,
+// replays the recorded updates, and eliminates the trailing columns. Only
+// a's trailing block is read, so the factor is that of the matrix which
+// agrees with the prefix's on the leading columns and with a on the
+// trailing block, whatever a holds before the split. It errors like
+// ICSymbolic.Factor, on a different pattern and on a non-positive pivot
+// in the trailing block; ic then holds no factor and must not be
+// applied until a later FactorInto succeeds.
+func (p *ICPrefix) FactorInto(ic *ICPreconditioner, a *CSR) error {
 	s := p.s
 	if !s.matches(a) {
-		return nil, fmt.Errorf("sparse: IC(0) factor: matrix pattern differs from the analysed one")
+		return errPattern
 	}
-	v := make([]float64, len(s.lSrc))
+	v := s.valuesOf(ic)
+	p.load(v, a)
+	if _, err := s.eliminate(v, p.split, s.n, p.pairs); err != nil {
+		return err
+	}
+	ic.n, ic.lRowPtr, ic.lColIdx, ic.runs = s.n, s.lRowPtr, s.lColIdx, s.runs
+	return nil
+}
+
+// errPattern is the error of a factorization asked of a matrix off the
+// analysed pattern.
+var errPattern = errors.New("sparse: IC(0) factor: matrix pattern differs from the analysed one")
+
+// valuesOf returns ic's value array, sized for the analysed pattern.
+//
+//oftec:allocok once per header: every later factorization into it reuses the array
+func (s *ICSymbolic) valuesOf(ic *ICPreconditioner) []float64 {
+	if len(ic.lValues) != len(s.lSrc) {
+		ic.lValues = make([]float64, len(s.lSrc))
+	}
+	return ic.lValues
+}
+
+// load fills v, a value array of the analysed pattern, for factoring a
+// past the prefix: the prefix's values, a's entries in the trailing
+// block, and the recorded updates replayed onto them.
+func (p *ICPrefix) load(v []float64, a *CSR) {
+	s := p.s
 	copy(v, p.vals)
 	// The trailing block's entries sit in the rows from the split on.
 	for k := int(s.lRowPtr[p.split]); k < len(v); k++ {
@@ -294,7 +323,6 @@ func (p *ICPrefix) load(a *CSR) ([]float64, error) {
 	for _, u := range p.tape {
 		v[u.k] -= u.u
 	}
-	return v, nil
 }
 
 // eliminate runs the right-looking elimination over columns [from, to) of
@@ -310,7 +338,7 @@ func (s *ICSymbolic) eliminate(v []float64, from, to, t int) (int, error) {
 		dk := s.ltSrc[lo]
 		d := v[dk]
 		if d <= 0 || math.IsNaN(d) {
-			return t, fmt.Errorf("sparse: IC(0) non-positive pivot %g at row %d (matrix not SPD enough)", d, j)
+			return t, pivotError(d, j)
 		}
 		dinv := 1 / d
 		v[dk] = dinv
@@ -337,6 +365,13 @@ func (s *ICSymbolic) eliminate(v []float64, from, to, t int) (int, error) {
 		}
 	}
 	return t, nil
+}
+
+// pivotError is eliminate's failure: the non-positive pivot d of column j.
+//
+//oftec:allocok failure path: a matrix that does not factor fails its solve, and a thermal point on it is runaway
+func pivotError(d float64, j int) error {
+	return fmt.Errorf("sparse: IC(0) non-positive pivot %g at row %d (matrix not SPD enough)", d, j)
 }
 
 // trailingUpdates appends to tape, in the order eliminate makes them, the

@@ -432,10 +432,11 @@ func perturbTrailing(rng *rand.Rand, a *CSR, split int, shift float64) *CSR {
 // TestPrefixFactorMatchesFactorBitwise: a factor finished through a
 // prefix equals ICSymbolic.Factor's bit for bit, on random patterns
 // split at random rows, for every matrix that agrees with the prefix's
-// outside the trailing block; and a factorization that fails, in the
-// leading columns or in the trailing block, fails in the same column
-// with the same error either way. The draws must reach both kinds of
-// failure and the split's extremes.
+// outside the trailing block, and so does one FactorInto reuses a header
+// for, draw after draw, failed factorizations included; and a
+// factorization that fails, in the leading columns or in the trailing
+// block, fails in the same column with the same error either way. The
+// draws must reach both kinds of failure and the split's extremes.
 func TestPrefixFactorMatchesFactorBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	var factored, prefixFailed, trailingFailed, empty, whole int
@@ -454,6 +455,7 @@ func TestPrefixFactorMatchesFactorBitwise(t *testing.T) {
 			whole++
 		}
 		pre, preErr := sym.Prefix(a, split)
+		var reused ICPreconditioner
 		for draw := 0; draw < 4; draw++ {
 			b := perturbTrailing(rng, a, split, 0.6*rng.Float64())
 			want, wantErr := sym.Factor(b)
@@ -465,17 +467,24 @@ func TestPrefixFactorMatchesFactorBitwise(t *testing.T) {
 				continue
 			}
 			got, gotErr := pre.Factor(b)
+			intoErr := pre.FactorInto(&reused, b)
 			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 				t.Fatalf("trial %d (n=%d, split %d): prefix factor error %v, Factor error %v", trial, n, split, gotErr, wantErr)
+			}
+			if (intoErr == nil) != (wantErr == nil) || intoErr != nil && intoErr.Error() != wantErr.Error() {
+				t.Fatalf("trial %d (n=%d, split %d): FactorInto error %v, Factor error %v", trial, n, split, intoErr, wantErr)
 			}
 			if gotErr != nil {
 				trailingFailed++
 				continue
 			}
 			for k, v := range want.lValues {
-				if math.Float64bits(got.lValues[k]) != math.Float64bits(v) {
-					t.Fatalf("trial %d (n=%d, split %d): factor value %d is %v through the prefix, %v through Factor", trial, n, split, k, got.lValues[k], v)
+				if math.Float64bits(got.lValues[k]) != math.Float64bits(v) || math.Float64bits(reused.lValues[k]) != math.Float64bits(v) {
+					t.Fatalf("trial %d (n=%d, split %d): factor value %d is %v through the prefix, %v into a reused header, %v through Factor", trial, n, split, k, got.lValues[k], reused.lValues[k], v)
 				}
+			}
+			if !reflect.DeepEqual(&reused, got) {
+				t.Fatalf("trial %d (n=%d, split %d): the reused header differs from Factor's", trial, n, split)
 			}
 			factored++
 		}

@@ -105,14 +105,13 @@ func groupByOmega(n int, omegaOf func(int) float64) [][]int {
 // evaluateGroup solves the memo misses among the points idxs of pts, all
 // at fan speed omega, in lockstep chunks.
 func (m *Model) evaluateGroup(ctx context.Context, z *Zoning, omega float64, pts []Point, maxCur []float64, idxs []int, seed []float64, results []*Result) error {
-	ic := m.slicePrecond(omega)
-
-	// One canonical assembly for the whole group: the I_TEC = 0 system.
-	// Chunks only read sc.vals/sc.rhs; per-point terms live in the
-	// override and RHS buffers below.
+	// One canonical assembly, and its factorization, for the whole group:
+	// the I_TEC = 0 system. Chunks only read sc.vals/sc.rhs; per-point
+	// terms live in the override and RHS buffers below.
 	sc := m.getScratch()
 	defer m.putScratch(sc)
 	m.assembleSlice(sc, omega)
+	ic := m.factorSlice(sc)
 
 	ws := sparse.GetBatchWorkspace()
 	defer sparse.PutBatchWorkspace(ws)

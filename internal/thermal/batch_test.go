@@ -135,8 +135,11 @@ func TestEvaluateBatchFailuresMatchPerPoint(t *testing.T) {
 			return want[2].Runaway && st.Iterations > 0 && st.Residual == 0
 		}},
 		{"no slice factorization", leaky, func(m *Model, want []*Result) bool {
+			sc := m.getScratch()
+			defer m.putScratch(sc)
 			for _, r := range want {
-				if m.slicePrecond(r.Omega) != nil || !r.Runaway || r.SolveStats != (sparse.Stats{}) {
+				m.assembleSlice(sc, r.Omega)
+				if m.factorSlice(sc) != nil || !r.Runaway || r.SolveStats != (sparse.Stats{}) {
 					return false
 				}
 			}

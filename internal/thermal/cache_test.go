@@ -110,21 +110,41 @@ func TestResultMemoEveryZoneCount(t *testing.T) {
 	}
 }
 
+// stepPrecond returns the cached preconditioner of tr's backward-Euler
+// step of length dt, as Transient.Step looks it up.
+func stepPrecond(m *Model, tr *Transient, dt float64) *sparse.ICPreconditioner {
+	return m.precond(precondKey{omega: tr.omega, itec: tr.itec, dt: dt}, func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
+		tr.assemble(sc, dt)
+		return m.icSym.Factor(sc.mat)
+	})
+}
+
 // TestPrecondCache pins the preconditioner cache's hits and bound: a hit
-// returns the cached factorization object, and past the bound the cache
-// clears wholesale.
+// returns the cached factorization object, past the bound the cache
+// clears wholesale, and steady solves leave it empty (each factors its
+// ω-slice into its own scratch).
 func TestPrecondCache(t *testing.T) {
 	m := benchModel(t, testConfig(), "Basicmath")
-	ic1 := m.slicePrecond(250)
-	if ic1 == nil {
-		t.Fatal("ω-slice factorization failed")
+	if _, err := m.Evaluate(250, 1); err != nil {
+		t.Fatal(err)
 	}
-	if ic2 := m.slicePrecond(250); ic2 != ic1 {
-		t.Error("ω-slice hit did not return the cached factorization")
+	if len(m.pcs) != 0 {
+		t.Errorf("a steady solve cached %d factorizations", len(m.pcs))
+	}
+	tr, err := m.NewTransient(250, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic1 := stepPrecond(m, tr, 1.5)
+	if ic1 == nil {
+		t.Fatal("step factorization failed")
+	}
+	if ic2 := stepPrecond(m, tr, 1.5); ic2 != ic1 {
+		t.Error("step hit did not return the cached factorization")
 	}
 
 	for w := 0; w < maxPreconds; w++ {
-		m.slicePrecond(100 + float64(w))
+		stepPrecond(m, tr, 0.01*float64(w+1))
 	}
 	m.pcMu.Lock()
 	n := len(m.pcs)
@@ -132,8 +152,8 @@ func TestPrecondCache(t *testing.T) {
 	if n > maxPreconds {
 		t.Errorf("cache holds %d preconditioners, bound %d", n, maxPreconds)
 	}
-	if ic3 := m.slicePrecond(250); ic3 == ic1 {
-		t.Error("the first slice outlived a wholesale clear")
+	if ic3 := stepPrecond(m, tr, 1.5); ic3 == ic1 {
+		t.Error("the first step outlived a wholesale clear")
 	}
 }
 
@@ -181,26 +201,23 @@ func TestPrecondCacheBuildOnMiss(t *testing.T) {
 	}
 }
 
-// TestPrecondCacheConcurrent races misses and hits on many keys — ω-slices
-// and transient steps — from several goroutines. Run under -race it pins
-// the locking discipline: misses factor outside the lock, and once the
-// misses settle every key answers one object.
+// TestPrecondCacheConcurrent races misses and hits on many transient-step
+// keys, at two operating points, from several goroutines. Run under -race
+// it pins the locking discipline: misses factor outside the lock, and
+// once the misses settle every key answers one object.
 func TestPrecondCacheConcurrent(t *testing.T) {
 	m := benchModel(t, testConfig(), "Basicmath")
-	tr, err := m.NewTransient(250, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const slices, steps = 24, 8
-	lookup := func(i int) *sparse.ICPreconditioner {
-		if i < slices {
-			return m.slicePrecond(120 + 10*float64(i))
+	var trs []*Transient
+	for _, omega := range []float64{150, 250} {
+		tr, err := m.NewTransient(omega, 1, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		dt := 0.01 * float64(i-slices+1)
-		return m.precond(precondKey{omega: 250, itec: 1, dt: dt}, func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
-			tr.assemble(sc, dt)
-			return m.icSym.Factor(sc.mat)
-		})
+		trs = append(trs, tr)
+	}
+	const steps = 16
+	lookup := func(i int) *sparse.ICPreconditioner {
+		return stepPrecond(m, trs[i%2], 0.01*float64(i/2+1))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -209,7 +226,7 @@ func TestPrecondCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for n := 0; n < 40; n++ {
-				if lookup(rng.Intn(slices+steps)) == nil {
+				if lookup(rng.Intn(2*steps)) == nil {
 					t.Error("factorization failed")
 					return
 				}
@@ -217,7 +234,7 @@ func TestPrecondCacheConcurrent(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	for i := 0; i < slices+steps; i++ {
+	for i := 0; i < 2*steps; i++ {
 		if lookup(i) != lookup(i) {
 			t.Errorf("key %d: settled cache answers two objects", i)
 		}
@@ -281,8 +298,17 @@ func TestSlicePrecondParallelMatchesSerial(t *testing.T) {
 // (35–140 °C, ×0.5–32) and on the paper-resolution default. The values
 // agree (DeepEqual), one application of each agrees bit for bit, and a
 // slice that does not factor fails through both with the same error; a
-// network whose prefix failed has no slice that Factor can factor. The
-// draws must reach a failed prefix and a slice that fails past it.
+// network whose prefix failed has no slice that Factor can factor.
+//
+// Every steady solve factors its slice the way factorSlice does, from
+// its own point's assembled matrix rather than the slice's canonical
+// I_TEC = 0 one. So at each of the grid's ω and at random ω, a point
+// with a random zoning, random zone currents and a random leakage
+// treatment (linearized, or a constant per-cell leakage on the RHS) is
+// assembled too: its factorSlice is DeepEqual to the slice's prefix
+// factor and applies to the same bits, and it fails exactly where the
+// slice fails, a failed prefix included, so no runaway verdict moves.
+// The draws must reach a failed prefix and a slice that fails past it.
 func TestSlicePrefixMatchesFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	paper := DefaultConfig()
@@ -304,14 +330,26 @@ func TestSlicePrefixMatchesFactor(t *testing.T) {
 	var factored, prefixFailed, sliceFailed int
 	for c, cfg := range cfgs {
 		m := benchModel(t, cfg, "Basicmath")
-		sc := m.getScratch()
+		zonings := []*Zoning{nil, testZoning(t, m, 3), testZoning(t, m, 9)}
+		sc, pt := m.getScratch(), m.getScratch()
+		var omegas []float64
 		for s := 0; s < 9; s++ {
-			omega := m.UMax() * float64(s) / 8
+			omegas = append(omegas, m.UMax()*float64(s)/8)
+		}
+		for s := 0; s < 3; s++ {
+			omegas = append(omegas, m.UMax()*rng.Float64())
+		}
+		for _, omega := range omegas {
 			m.assembleSlice(sc, omega)
 			want, wantErr := m.icSym.Factor(sc.mat)
+			point := assembleRandomPoint(rng, m, pt, zonings[rng.Intn(len(zonings))], omega)
+			fromPoint := m.factorSlice(pt)
 			if m.slicePre == nil {
 				if wantErr == nil {
 					t.Fatalf("config %d: the prefix failed, yet the slice at ω=%g factors", c, omega)
+				}
+				if fromPoint != nil {
+					t.Fatalf("config %d: the prefix failed, yet %s factors", c, point)
 				}
 				prefixFailed++
 				continue
@@ -321,30 +359,63 @@ func TestSlicePrefixMatchesFactor(t *testing.T) {
 				t.Fatalf("config %d, ω=%g: prefix factor error %v, Factor error %v", c, omega, gotErr, wantErr)
 			}
 			if gotErr != nil {
+				if fromPoint != nil {
+					t.Fatalf("config %d: the slice at ω=%g fails, yet %s factors", c, omega, point)
+				}
 				sliceFailed++
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("config %d, ω=%g: the prefix factor differs from Factor's", c, omega)
 			}
+			if fromPoint == nil || !reflect.DeepEqual(fromPoint, got) {
+				t.Fatalf("config %d: %s factors unlike its slice", c, point)
+			}
 			r := make([]float64, m.n)
 			for i := range r {
 				r[i] = rng.NormFloat64()
 			}
-			x, y, scratch := make([]float64, m.n), make([]float64, m.n), make([]float64, m.n)
-			got.ApplyScratch(x, r, scratch)
-			want.ApplyScratch(y, r, scratch)
-			for i := range x {
-				if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-					t.Fatalf("config %d, ω=%g: applied factors differ at row %d: %v vs %v", c, omega, i, x[i], y[i])
+			scratch := make([]float64, m.n)
+			var applied [3][]float64
+			for k, ic := range []*sparse.ICPreconditioner{want, got, fromPoint} {
+				applied[k] = make([]float64, m.n)
+				ic.ApplyScratch(applied[k], r, scratch)
+			}
+			for i := range r {
+				x, y, z := applied[0][i], applied[1][i], applied[2][i]
+				if math.Float64bits(x) != math.Float64bits(y) || math.Float64bits(x) != math.Float64bits(z) {
+					t.Fatalf("config %d, ω=%g: applied factors differ at row %d: %v (Factor), %v (prefix), %v (%s)", c, omega, i, x, y, z, point)
 				}
 			}
 			factored++
 		}
 		m.putScratch(sc)
+		m.putScratch(pt)
 	}
 	t.Logf("%d slices factored bitwise equal, %d failed past the prefix, %d on a failed prefix", factored, sliceFailed, prefixFailed)
 	if factored == 0 || sliceFailed == 0 || prefixFailed == 0 {
 		t.Error("the draws missed a case")
 	}
+}
+
+// assembleRandomPoint assembles into sc a steady system at ω under zoning
+// z (nil is the one-zone deployment), with zone currents drawn from
+// [0, MaxCurrent] and the leakage either linearized into the matrix or,
+// with even odds, a constant per-cell draw on the RHS, and names it.
+func assembleRandomPoint(rng *rand.Rand, m *Model, sc *evalScratch, z *Zoning, omega float64) string {
+	z = m.zoningOr(z)
+	cur := make([]float64, z.numZones)
+	for i := range cur {
+		cur[i] = m.cfg.TEC.MaxCurrent * rng.Float64()
+	}
+	sc.loadCurrents(z, cur)
+	var leak []float64
+	if rng.Intn(2) == 0 {
+		leak = make([]float64, len(m.leakB))
+		for i := range leak {
+			leak[i] = 2 * m.leakB[i] * rng.Float64()
+		}
+	}
+	m.assembleInto(sc, omega, sc.cur, leak == nil, leak)
+	return fmt.Sprintf("the point (ω=%g, %d zones, linearized leakage %v)", omega, z.numZones, leak == nil)
 }

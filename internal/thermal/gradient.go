@@ -111,11 +111,9 @@ type Gradient struct {
 // one-zone deployment) and the exact gradients of 𝒫 and the smoothed 𝒯
 // via the adjoint method; the gradients have length 1+k, ordered
 // (ω, I₁..I_k). The system G(ω,I)·T = b(ω,I) is symmetric, so each
-// objective costs one extra solve Gᵀλ = ∂j/∂T on the already-assembled
-// matrix, reusing the cached ω-slice IC(0) factorization — one forward +
-// one backward triangular sweep per preconditioner application, no new
-// factorization, instead of the k+1 full solves a finite-difference
-// gradient burns. The two solves run concurrently (see gradientAt), and
+// objective costs one extra solve Gᵀλ = ∂j/∂T on the re-assembled
+// matrix, both under one ω-slice IC(0) factorization, instead of the k+1
+// full solves a finite-difference gradient burns. The two solves run concurrently (see gradientAt), and
 // the Gradient is bit-identical at any GOMAXPROCS.
 //
 // The Gradient is memoized with its point's Result (see memoKey), so a
@@ -125,19 +123,19 @@ type Gradient struct {
 // its forward Result is, so a repeat costs only the check.
 func (m *Model) EvaluateGrad(z *Zoning, p Point) (*Gradient, error) {
 	z = m.zoningOr(z)
-	if _, err := m.checkPoint(z, p); err != nil {
+	maxCur, err := m.checkPoint(z, p)
+	if err != nil {
 		return nil, err
 	}
+	// The forward solve and the adjoint pair share one scratch, and so
+	// one memo key.
 	sc := m.getScratch()
 	defer m.putScratch(sc)
 	key := sc.memoKey(z, true, p.Omega, p.Currents)
 	if e, _ := m.loadMemo(key); e.grad != nil {
 		return e.grad, nil
 	}
-	res, err := m.EvaluateWarm(z, p, nil)
-	if err != nil {
-		return nil, err
-	}
+	res := m.evaluateIn(sc, z, p, maxCur, nil)
 	g, err := m.gradientAt(sc, res, z, p)
 	if err != nil {
 		return nil, err
@@ -156,10 +154,13 @@ func (m *Model) EvaluateGrad(z *Zoning, p Point) (*Gradient, error) {
 // reduces to a handful of O(n) dot products over the sink and TEC nodes.
 //
 // The two adjoints are independent. Both right-hand sides are built
-// before either solve starts; the solves share the assembled matrix and
-// the ω-slice IC(0) factor, which they only read, and each brings its
-// own right-hand side and workspace (the temperature adjoint's from a
-// second pooled scratch). parallel.ForEach runs them concurrently, or as
+// before either solve starts, the power adjoint's in sc.warm and the
+// temperature adjoint's in sc.rhs, whose forward right-hand side the
+// adjoints do not read. The solves share the assembled matrix and the
+// ω-slice IC(0) factor, factored into sc, which they only read, and each
+// brings its own CG workspace: the power adjoint sc's, the temperature
+// adjoint one from the network's pool, so a gradient holds one
+// evaluation scratch. parallel.ForEach runs them concurrently, or as
 // the serial loop at GOMAXPROCS=1. Each solve's arithmetic is the same
 // under either schedule, so the Gradient is bit-identical at any width,
 // and the power adjoint's error wins as it would in a serial loop.
@@ -169,19 +170,20 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 	if res.Runaway {
 		return nil, fmt.Errorf("thermal: cannot differentiate a runaway operating point (ω=%g)", p.Omega)
 	}
-	tsc := m.getScratch()
-	defer m.putScratch(tsc)
-	g, opts := m.adjointSystem(sc, tsc.warm, res, z, p)
-	ic := m.slicePrecond(p.Omega)
+	g, opts := m.adjointSystem(sc, sc.rhs, res, z, p)
+	ic := m.factorSlice(sc)
+	tws := m.adjointWork.Get().(*sparse.Workspace)
+	defer m.adjointWork.Put(tws)
 
-	work := [2]*evalScratch{sc, tsc}
+	rhs := [2][]float64{sc.warm, sc.rhs}
+	work := [2]*sparse.Workspace{&sc.ws, tws}
 	var lam [2][]float64
 	var st [2]sparse.Stats
 	err := parallel.ForEach(context.Background(), 2, 0, func(i int) error {
 		o := opts
-		o.Work = &work[i].ws
+		o.Work = work[i]
 		var err error
-		if lam[i], st[i], err = sparse.CGPrecond(sc.mat, work[i].warm, ic, o); err != nil {
+		if lam[i], st[i], err = sparse.CGPrecond(sc.mat, rhs[i], ic, o); err != nil {
 			return fmt.Errorf("thermal: %s adjoint solve: %w", [2]string{"power", "temperature"}[i], err)
 		}
 		return nil
@@ -196,7 +198,8 @@ func (m *Model) gradientAt(sc *evalScratch, res *Result, z *Zoning, p Point) (*G
 // adjointSystem prepares the adjoint pair at p, whose steady state is
 // res. It re-assembles the exact system the steady state solved into
 // sc.mat, writes the power adjoint's right-hand side into sc.warm and the
-// temperature adjoint's into rhsT, and returns the Gradient with its
+// temperature adjoint's into rhsT (which may be sc.rhs: it is written
+// after the assembly), and returns the Gradient with its
 // smoothed-max fields set, together with the options both solves run
 // under (Work left for each solve to supply).
 func (m *Model) adjointSystem(sc *evalScratch, rhsT []float64, res *Result, z *Zoning, p Point) (*Gradient, sparse.SolveOptions) {
@@ -215,9 +218,9 @@ func (m *Model) adjointSystem(sc *evalScratch, rhsT []float64, res *Result, z *Z
 	}
 
 	// Only the matrix is needed (the adjoint right-hand sides replace b),
-	// but assembleInto refreshes both in one O(nnz) pass. The system is
+	// but assembleInto refreshes both in one O(n) pass. The system is
 	// symmetric (see buildSymbolic), so each adjoint solve Aᵀλ = ∂j/∂T is
-	// a forward solve under the ω-slice's cached factorization.
+	// a forward solve under the ω-slice's factorization.
 	sc.loadCurrents(z, p.Currents)
 	m.assembleInto(sc, p.Omega, sc.cur, true, nil)
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n}

@@ -248,10 +248,11 @@ func serialAdjointPair(t *testing.T, m *Model, z *Zoning, p Point) *Gradient {
 	defer m.putScratch(tsc)
 	g, opts := m.adjointSystem(sc, tsc.warm, res, z, p)
 	opts.Work = &sc.ws
+	ic := m.factorSlice(sc)
 	var lam [2][]float64
 	var st [2]sparse.Stats
 	for i, rhs := range [2][]float64{sc.warm, tsc.warm} {
-		if lam[i], st[i], err = sparse.CGPrecond(sc.mat, rhs, m.slicePrecond(p.Omega), opts); err != nil {
+		if lam[i], st[i], err = sparse.CGPrecond(sc.mat, rhs, ic, opts); err != nil {
 			t.Fatalf("serial adjoint %d: %v", i, err)
 		}
 	}

@@ -3,7 +3,6 @@ package thermal
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -94,14 +93,13 @@ type network struct {
 	diagIdx  []int32     // per-row index of the diagonal slot in the value array
 
 	// icSym is the IC(0) analysis of basePat, shared by every
-	// factorization a model's preconditioner cache makes: each one
-	// allocates only its values.
+	// factorization a model makes: each one owns only its values.
 	icSym *sparse.ICSymbolic
 	// slicePre eliminates every column before the sink plane, which no
 	// steady ω-slice's matrix varies: slices differ only in the sink
 	// cells' diagonal, and the sink plane is the last block of rows. Each
-	// slice's factorization finishes from it (see slicePrecond). Nil when
-	// those columns do not factor, which fails every slice.
+	// steady solve's factorization finishes from it (see factorSlice).
+	// Nil when those columns do not factor, which fails every slice.
 	slicePre *sparse.ICPrefix
 
 	// scratch pools per-evaluation workspaces (matrix values, RHS, warm
@@ -109,6 +107,10 @@ type network struct {
 	// without per-call allocation. It belongs to the network, not the
 	// model: a discarded model leaves no pool behind.
 	scratch sync.Pool
+	// adjointWork pools the CG workspace of a gradient's temperature
+	// adjoint (see gradientAt), the one thing the pair's second solve
+	// needs that its evaluation scratch cannot lend it.
+	adjointWork sync.Pool
 }
 
 // Model is the assembled thermal network of one cooling package under one
@@ -127,8 +129,9 @@ type Model struct {
 	dynMap power.Map // last SetDynamicPower input (for WithCoolant rebuilds)
 	dyn    []float64 // dynamic power per chip-grid cell, W
 
-	// pcs caches IC(0) preconditioners by the matrix they factor (see
-	// precondKey). A nil entry records a failed factorization.
+	// pcs caches transient steps' IC(0) preconditioners by the matrix
+	// they factor (see precondKey). A nil entry records a failed
+	// factorization.
 	pcMu sync.Mutex
 	pcs  map[precondKey]*sparse.ICPreconditioner
 
@@ -151,20 +154,25 @@ type Model struct {
 	dynGen atomic.Uint64
 }
 
-// precondKey names the matrix a cached preconditioner factors: {ω, 0, 0}
-// is a steady ω-slice's canonical I_TEC = 0 assembly, and {ω, I, Δt} a
-// transient step's backward-Euler matrix.
+// precondKey names the matrix a cached preconditioner factors: {ω, I, Δt}
+// is a transient step's backward-Euler matrix.
 type precondKey struct {
 	omega, itec, dt float64
 }
 
 // evalScratch is one pooled per-evaluation workspace.
 type evalScratch struct {
-	mat  *sparse.CSR // shares basePat's pattern; values aliases vals
+	// mat shares basePat's pattern, and its values alias vals, which hold
+	// basePat's values off the diagonal from the pool on (see
+	// assembleInto).
+	mat  *sparse.CSR
 	vals []float64
 	rhs  []float64
 	warm []float64
 	ws   sparse.Workspace
+	// ic is the ω-slice factorization of the system in flight (see
+	// factorSlice), in the scratch's own value array.
+	ic sparse.ICPreconditioner
 
 	// EvaluateExact fixed-point scratch (chip-cell sized).
 	chipRHS []float64 // leak-free RHS at the chip nodes
@@ -626,7 +634,7 @@ func (m *Model) TotalLeakageSlope() float64 {
 // slope, Peltier terms, backward-Euler C/Δt) are all diagonal, and
 // BuildWithDiagonal stores a structural diagonal in every row, so
 // assembleInto never needs a sparse.Builder and one IC(0) analysis
-// serves every factorization the preconditioner cache makes.
+// serves every factorization a model makes.
 //
 // The same fact is the symmetry contract sparse.CGPrecond relies on:
 // every per-point term is diagonal, so every system on the pattern is
@@ -673,10 +681,11 @@ func (net *network) buildSymbolic() error {
 	if pre, err := net.icSym.Prefix(leadMat, net.off[planeSink]); err == nil {
 		net.slicePre = pre
 	}
+	net.adjointWork.New = func() any { return new(sparse.Workspace) }
 	nc := net.grids[planeChip].NumCells()
 	net.scratch.New = func() any {
 		sc := &evalScratch{
-			vals:    make([]float64, pat.NNZ()),
+			vals:    slices.Clone(net.baseVals),
 			rhs:     make([]float64, net.n),
 			warm:    make([]float64, net.n),
 			chipRHS: make([]float64, nc),
@@ -780,16 +789,20 @@ func (m *Model) storeGrad(key []byte, g *Gradient) *Gradient {
 }
 
 // assembleInto refreshes sc with the system at the given operating point:
-// an O(nnz) copy of the frozen base values followed by O(n) diagonal and
-// RHS patches. cur is the TEC current per chip-grid cell. It mirrors
-// assembleReference exactly (the equivalence suite pins the two paths to
-// ≤1e-12). A nil leakConst with linearLeak=false leaves the leakage out
-// entirely — the exact fixed-point loop patches it into the RHS per
-// iteration.
+// the n diagonal slots reset to the frozen base values, then O(n)
+// diagonal and RHS patches. Every per-point term is diagonal, and so is
+// every write to sc.vals, so the off-diagonal values the scratch was
+// built with stay the base's. cur is the TEC current per chip-grid cell.
+// It mirrors assembleReference exactly (the equivalence suite pins the
+// two paths to ≤1e-12). A nil leakConst with linearLeak=false leaves the
+// leakage out entirely — the exact fixed-point loop patches it into the
+// RHS per iteration.
 //
 //oftec:hotpath
 func (m *Model) assembleInto(sc *evalScratch, omega float64, cur []float64, linearLeak bool, leakConst []float64) {
-	copy(sc.vals, m.baseVals)
+	for _, k := range m.diagIdx {
+		sc.vals[k] = m.baseVals[k]
+	}
 	copy(sc.rhs, m.baseRHS)
 
 	// Actuator-dependent sink-to-ambient conductance g(u).
@@ -837,49 +850,46 @@ func (m *Model) assembleSlice(sc *evalScratch, omega float64) {
 	m.assembleInto(sc, omega, sc.cur, true, nil)
 }
 
-// solveScratch runs the sparse solve through the scratch workspace: CG
-// under the ω-slice preconditioner, which every steady-state path
-// (scalar, zoned, exact, batched) shares. One factorization of the
-// canonical I_TEC = 0 matrix serves every operating point in the slice,
-// since the per-point systems differ only in a few TEC diagonal terms.
-// The preconditioner is slightly weaker at large currents, but the solve
-// converges on the true residual of the patched matrix to the same
-// tolerance either way, and a 40×40 sweep pays 40 factorizations instead
-// of 1600. A slice that does not factor fails the solve, and the point
-// is runaway.
+// solveScratch runs the sparse solve of the system assembled in sc
+// through the scratch workspace: CG from warm under ic, the ω-slice
+// factorization every steady-state path (scalar, zoned, exact, batched)
+// solves under (see factorSlice). A nil ic, a slice that does not
+// factor, fails the solve, and the point is runaway.
 //
 //oftec:hotpath
-func (m *Model) solveScratch(sc *evalScratch, omega float64, warm []float64) ([]float64, sparse.Stats, error) {
+func (m *Model) solveScratch(sc *evalScratch, ic *sparse.ICPreconditioner, warm []float64) ([]float64, sparse.Stats, error) {
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm, Work: &sc.ws}
-	return sparse.CGPrecond(sc.mat, sc.rhs, m.slicePrecond(omega), opts)
+	return sparse.CGPrecond(sc.mat, sc.rhs, ic, opts)
 }
 
-// slicePrecond returns the modified IC(0) preconditioner of the ω-slice's
-// canonical matrix, factoring it on first sight, or nil when it does not
-// factor. The factorization finishes from the network's prefix, so a
-// slice pays only for its sink plane; a failed prefix fails every slice
-// at once.
+// factorSlice factors the ω-slice of the system assembled in sc into
+// sc.ic and returns it, or nil when the slice does not factor. The
+// factor is the modified IC(0) factorization of the slice's canonical
+// I_TEC = 0 matrix: every steady system at one ω agrees with that matrix
+// on the sink plane, the trailing block past the network's prefix (the
+// TEC and leakage terms sit on the planes below it, and only the sink
+// plane sees ω), so the factorization finishes from the prefix with its
+// trailing block loaded straight from sc's matrix. One factor serves
+// every point of the slice, since the per-point systems differ only in a
+// few TEC diagonal terms: it is slightly weaker at large currents, but
+// the solve converges on the true residual of the patched matrix to the
+// same tolerance either way. A failed prefix fails every slice.
 //
-//oftec:allocok one canonical assembly + factorization per ω-slice, amortized across every point in the slice
-func (m *Model) slicePrecond(omega float64) *sparse.ICPreconditioner {
-	return m.precond(precondKey{omega: omega}, func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
-		if m.slicePre == nil {
-			return nil, errPrefixFailed
-		}
-		m.assembleSlice(sc, omega)
-		return m.slicePre.Factor(sc.mat)
-	})
+//oftec:hotpath
+func (m *Model) factorSlice(sc *evalScratch) *sparse.ICPreconditioner {
+	if m.slicePre == nil || m.slicePre.FactorInto(&sc.ic, sc.mat) != nil {
+		return nil
+	}
+	return &sc.ic
 }
-
-// errPrefixFailed marks a slice whose network's prefix did not factor.
-var errPrefixFailed = errors.New("thermal: the columns before the sink plane do not factor")
 
 // maxPreconds bounds the preconditioner cache. Past the bound it clears
 // wholesale: factorizations rebuild in one pass, and the working set of
-// an optimization run is far below the bound.
+// a transient integration is far below the bound.
 const maxPreconds = 64
 
-// precond returns the modified IC(0) preconditioner cached under key.
+// precond returns the modified IC(0) preconditioner of a transient step
+// cached under key.
 // On a miss, factor assembles the matrix key names into a pooled scratch
 // and factors it, outside the lock; concurrent misses on one key may both
 // factor, harmlessly, since the factors are identical. A failed
@@ -1017,9 +1027,19 @@ func (m *Model) EvaluateWarm(z *Zoning, p Point, warm []float64) (*Result, error
 	}
 	sc := m.getScratch()
 	defer m.putScratch(sc)
+	return m.evaluateIn(sc, z, p, maxCur, warm), nil
+}
+
+// evaluateIn answers the validated point p under the resolved zoning z,
+// whose largest zone current is maxCur, from the memo, or solves it in
+// sc from warm (nil is a uniform ambient field) and memoizes the Result.
+// It leaves sc.key holding p's memo key.
+//
+//oftec:hotpath
+func (m *Model) evaluateIn(sc *evalScratch, z *Zoning, p Point, maxCur float64, warm []float64) *Result {
 	key := sc.memoKey(z, true, p.Omega, p.Currents)
 	if e, ok := m.loadMemo(key); ok {
-		return e.res, nil
+		return e.res
 	}
 	sc.loadCurrents(z, p.Currents)
 	m.assembleInto(sc, p.Omega, sc.cur, true, nil)
@@ -1027,10 +1047,10 @@ func (m *Model) EvaluateWarm(z *Zoning, p Point, warm []float64) (*Result, error
 		sparse.Fill(sc.warm, m.cfg.Ambient)
 		warm = sc.warm
 	}
-	t, stats, err := m.solveScratch(sc, p.Omega, warm)
+	t, stats, err := m.solveScratch(sc, m.factorSlice(sc), warm)
 	res := m.linearResult(p.Omega, maxCur, sc.cur, t, stats, err == nil)
 	m.storeResult(key, res)
-	return res, nil
+	return res
 }
 
 // zoningOr resolves a nil zoning, and any one-zone zoning, to the model's
@@ -1076,10 +1096,11 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 		return e.res, nil
 	}
 
-	// The system matrix is hoisted out of the fixed-point loop entirely.
-	// Keeping the Taylor leakage folded into the matrix (exactly as in the
-	// linearized path — so the factorization is shared with Evaluate at the
-	// same operating point) and iterating only on the second-order Taylor
+	// The system matrix, and its slice factorization, are hoisted out of
+	// the fixed-point loop entirely. Keeping the Taylor leakage folded
+	// into the matrix (exactly as in the linearized path — so matrix and
+	// factor are Evaluate's at the same operating point) and iterating
+	// only on the second-order Taylor
 	// remainder  P0·e^{β(T−T0)} − (a(T−Tref)+b)  leaves a Picard map whose
 	// slope is the remainder's derivative — near zero over the regression
 	// range — instead of the full leakage slope. The fixed point is
@@ -1093,6 +1114,7 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	for i := 0; i < nc; i++ {
 		sc.chipRHS[i] = sc.rhs[m.node(planeChip, i)]
 	}
+	ic := m.factorSlice(sc)
 	tChip := sc.tChip
 	sparse.Fill(tChip, m.cfg.Ambient)
 	sparse.Fill(sc.warm, m.cfg.Ambient)
@@ -1108,7 +1130,7 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 			sc.rhs[m.node(planeChip, i)] = sc.chipRHS[i] + exact - taylor
 		}
 		var solveErr error
-		t, stats, solveErr = m.solveScratch(sc, omega, warm)
+		t, stats, solveErr = m.solveScratch(sc, ic, warm)
 		if solveErr != nil || !m.physical(t) {
 			res := m.runawayResult(omega, iTEC, stats)
 			m.storeResult(key, res)

@@ -235,8 +235,8 @@ func NewReducedModel(m *Model) (*ReducedModel, error) {
 
 // dynSensitivity solves A(ω, 0)·x = b_dyn, the derivative of the steady
 // state with respect to a uniform dynamic-power scale factor. A(ω, 0) is
-// the ω-slice's canonical matrix, so the slice's cached factorization is
-// its exact IC(0).
+// the ω-slice's canonical matrix, so the slice's factorization is its
+// exact IC(0).
 func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 	m := r.m
 	sc := m.getScratch()
@@ -247,7 +247,7 @@ func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 		rhs[m.node(planeChip, i)] = p
 	}
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws}
-	x, _, err := sparse.CGPrecond(sc.mat, rhs, m.slicePrecond(omega), opts)
+	x, _, err := sparse.CGPrecond(sc.mat, rhs, m.factorSlice(sc), opts)
 	return x, err
 }
 

@@ -3,6 +3,7 @@ package thermal
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"oftec/internal/coolant"
@@ -10,6 +11,40 @@ import (
 	"oftec/internal/units"
 	"oftec/internal/workload"
 )
+
+// TestColdEvaluateAllocBound pins what a cold paper-resolution solve
+// allocates: an EvaluateWarm at a fresh ω, a memo miss on a new ω-slice,
+// allocates at most 32 KiB per call on average. That admits its Result
+// (the 15.5 KB solution vector, ChipTemps, the struct and the memo key)
+// but not a 57.6 KB factor: the slice factors into the pooled scratch.
+func TestColdEvaluateAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratches at random, so a call may allocate a fresh one")
+	}
+	m := benchModel(t, DefaultConfig(), "Basicmath")
+	evaluate := func(omega float64) {
+		res, err := m.EvaluateWarm(nil, Point{Omega: omega, Currents: []float64{1.2}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Runaway {
+			t.Fatalf("ω=%g ran away", omega)
+		}
+	}
+	evaluate(220) // the pool's first scratch
+	const calls = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= calls; i++ {
+		evaluate(220 + 1e-4*float64(i))
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("%.0f B per cold EvaluateWarm", perCall)
+	if perCall > 32<<10 {
+		t.Errorf("a cold EvaluateWarm allocates %.0f B on average, over the 32 KiB bound", perCall)
+	}
+}
 
 // TestPreconditionerIterationBudget pins what the modified IC(0) factor
 // and the probe anchors buy at paper resolution, where every Table-2

@@ -43,8 +43,8 @@ go test -run '^$' \
 # (BenchmarkMulVec), one IC preconditioner apply (BenchmarkICApply), one
 # full numeric IC factorization (BenchmarkICFactor, what a transient
 # step's cache miss pays) and the same slice's factorization finished
-# from the network's prefix (BenchmarkSliceFactor, what a steady slice's
-# cache miss pays). A kernel number times one kernel call, not a solve or
+# from the network's prefix into pooled scratch (BenchmarkSliceFactor,
+# what every steady solve pays before its CG). A kernel number times one kernel call, not a solve or
 # a workload.
 go test -run '^$' \
 	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor|BenchmarkSliceFactor)$' \
@@ -112,9 +112,10 @@ jq -n \
 			| from_entries),
 		# The blocked multi-RHS engine on the cold 40x40 surface sweep,
 		# against the per-point reference path on the same fresh systems.
-		# Both legs share the per-slice factorization cache and the batch
-		# replicates per-point CG bit-for-bit, so the ratio is pure
-		# kernel-level amortization of the pattern walk.
+		# The batch replicates per-point CG bit-for-bit, and factors each
+		# omega-slice once per group where the per-point path factors it
+		# once per point, so the ratio is the amortization of the pattern
+		# walk and of the slice factorizations.
 		batched_surface: {
 			perpoint: $cur["BenchmarkSurfaceGridBatched/perpoint"],
 			batched:  $cur["BenchmarkSurfaceGridBatched/batched"],

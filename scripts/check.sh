@@ -3,8 +3,8 @@
 #
 #   build → go vet → gofmt (whole tree) → oftecvet (project static
 #   analysis; any finding fails) → named test gates with -race
-#   (concurrency, solver, adjoint, backend, batch, coolant) → every
-#   remaining test with -race → evaluate-request, chip-spec,
+#   (concurrency, solver, Table-2 pin, adjoint, backend, batch, coolant)
+#   → every remaining test with -race → evaluate-request, chip-spec,
 #   optimize-request, pareto-request and sweep-request fuzz smokes → the
 #   configuration-file fuzz smoke → the
 #   benchmark module's tests → oftecd smoke (live daemon, every endpoint,
@@ -78,6 +78,15 @@ go test -race -run "$solv" -skip "$done_pat" \
 	./internal/evalcache/... ./internal/experiments/... ./internal/power/... ./internal/thermal/... \
 	./internal/workload/...
 done_pat="$done_pat|$solv"
+
+# The Table-2 pin by name: Algorithm 1's eight paper-resolution optima
+# (active-set SQP, finite differences, default options) against their
+# committed values at solver tolerance. At GOMAXPROCS 1 the probe pairs
+# run serially and at 2 they fan out, and the pin must hold at both.
+pin='Table2Optima'
+echo "== go test -race -cpu 1,2 (Table 2 pinned)"
+go test -race -cpu 1,2 -run "$pin" -skip "$done_pat" ./internal/experiments/...
+done_pat="$done_pat|$pin"
 
 # The adjoint-gradient gate by name: the adjoint-vs-central-difference
 # agreement suite (scalar and zoned), the smoothed-max bracket, the
