@@ -246,14 +246,14 @@ func TestTable2(t *testing.T) {
 // (experiments.DefaultSetup, active-set SQP, finite differences, default
 // core.Options), the values TestTable2OptimaPinned holds the code to.
 var table2Optima = map[string]struct{ omega, itec, power float64 }{
-	"Basicmath":    {130.62090173308098, 0.53111765002230782, 12.466980350168118},
-	"BitCount":     {234.09704680940365, 1.6628252485617867, 20.548596031474347},
-	"CRC32":        {122.43683072066381, 0.50837240669514938, 11.12985237859678},
-	"Dijkstra":     {165.14244048147674, 0.75418304440062245, 16.871049676790879},
-	"FFT":          {175.79426870168123, 0.9348043820652181, 16.114857311480694},
-	"Quicksort":    {265.61073054563423, 1.9907356554682409, 24.124754447647426},
-	"Stringsearch": {126.69238122345588, 0.51677075452109511, 11.799974820135786},
-	"Susan":        {164.48951605598523, 0.74172425556817467, 16.918978471606739},
+	"Basicmath":    {130.62118225080889, 0.53111873315877678, 12.466980352398464},
+	"BitCount":     {234.09709324995239, 1.6628251005937325, 20.548596031065838},
+	"CRC32":        {122.43683067388361, 0.50837240650496984, 11.12985237878881},
+	"Dijkstra":     {165.14244048143419, 0.75418304440077666, 16.871049679007243},
+	"FFT":          {175.7940177077673, 0.93480518078040453, 16.114857277061574},
+	"Quicksort":    {265.61075589431078, 1.9907355680590579, 24.124754647839918},
+	"Stringsearch": {126.6923812231374, 0.51677075451971211, 11.799974821108213},
+	"Susan":        {164.4893673880955, 0.74172480484377701, 16.918978466522113},
 }
 
 // TestTable2OptimaPinned pins Table 2 to solver tolerance: on

@@ -196,27 +196,22 @@ outer:
 				stationary = true
 				break // stationary for this barrier parameter
 			}
+			// The accepted iterate is tested before it is differentiated,
+			// so an early stop costs no derivative.
 			box.anchor(zNew)
-			gNew := grad(zNew, mu, fNew)
 			s := make([]float64, n)
-			y := make([]float64, n)
 			var stepInf float64
 			for i := 0; i < n; i++ {
 				s[i] = zNew[i] - z[i]
-				y[i] = gNew[i] - g[i]
 				stepInf = math.Max(stepInf, math.Abs(s[i]))
 			}
-			bfgsUpdate(bmat, s, y)
-			z, f, g = zNew, fNew, gNew
-
 			opts.trace(TraceRecord{
 				Method: "interior", Iter: totalIter,
-				X: box.toX(z), F: f,
+				X: box.toX(zNew), F: fNew,
 				MaxViolation: math.NaN(), StepNorm: stepInf, Alpha: alpha,
 			})
-
 			if opts.StopWhen != nil {
-				x := box.toX(z)
+				x := box.toX(zNew)
 				fv := box.at.eval(x, &evals)
 				if opts.StopWhen(x, fv) {
 					report.X = x
@@ -230,6 +225,13 @@ outer:
 					return report, nil
 				}
 			}
+			gNew := grad(zNew, mu, fNew)
+			y := make([]float64, n)
+			for i := 0; i < n; i++ {
+				y[i] = gNew[i] - g[i]
+			}
+			bfgsUpdate(bmat, s, y)
+			z, f, g = zNew, fNew, gNew
 			if stepInf < tol {
 				stationary = true
 				break

@@ -11,6 +11,13 @@ import (
 // Hessian of the Lagrangian and linearized constraints; the QP is solved
 // exactly (active-set enumeration), and an ℓ1-merit backtracking line
 // search globalizes the step. It iterates in the unit box (see unitBox).
+//
+// It converges once a step α·‖d‖∞ falls below Tol. An accepted step that
+// short converges at once, before any derivative is taken there; and
+// while the incumbent violates no constraint by more than Tol, the line
+// search stops before its first trial that short and converges at the
+// incumbent, since whether such a trial is accepted or not the run ends
+// converged less than Tol from it.
 func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 	if err := p.Validate(); err != nil {
 		return Report{}, err
@@ -167,11 +174,23 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 			descent = 0
 		}
 
+		// A trial less than Tol from the incumbent ends the run: accepted,
+		// it converges where it lands, and rejected, the search backtracks
+		// only to shorter ones or exhausts, converging at the incumbent.
+		// At an incumbent feasible to within Tol the search stops there:
+		// the trials it skips could move the answer by less than Tol, and
+		// only evaluation noise would decide between them.
+		var dInf float64
+		for _, di := range d {
+			dInf = math.Max(dInf, math.Abs(di))
+		}
+		settled := maxPositive(cv) <= tol
+
 		alpha := 1.0
 		var zNew []float64
 		var cvNew []float64
 		accepted := false
-		for alpha >= 1e-9 {
+		for alpha >= 1e-9 && !(settled && alpha*dInf < tol) {
 			cand := make([]float64, n)
 			for i := range cand {
 				cand[i] = z[i] + alpha*d[i]
@@ -191,21 +210,39 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 			alpha /= 2
 		}
 		if !accepted {
-			// The merit function cannot be decreased along d: declare
-			// convergence at the current iterate.
+			// The merit function cannot be decreased along d, or no
+			// shorter step could move the answer: declare convergence at
+			// the current iterate.
 			report.Converged = true
 			report.Stopped = StopConverged
 			break
 		}
 
-		step := 0.0
-		for i := range d {
-			step = math.Max(step, math.Abs(alpha*d[i]))
+		// The accepted iterate is the incumbent. It is tested before
+		// anything is differentiated there, so an iterate the run stops at
+		// costs no derivative.
+		step := alpha * dInf
+		box.anchor(zNew)
+		report.X = box.toX(zNew)
+		report.F = fz
+		opts.trace(TraceRecord{
+			Method: "sqp", Iter: iter,
+			X: append([]float64(nil), report.X...), F: fz,
+			MaxViolation: maxPositive(cvNew), StepNorm: step, Alpha: alpha,
+		})
+		if opts.StopWhen != nil && opts.StopWhen(report.X, fz) {
+			report.EarlyStopped = true
+			report.Stopped = StopEarlyStopped
+			break
+		}
+		if step < tol {
+			report.Converged = true
+			report.Stopped = StopConverged
+			break
 		}
 
 		// New derivatives (constraint values carried over from the line
 		// search above), anchored on the new incumbent.
-		box.anchor(zNew)
 		gNew := gradObj(zNew, fz)
 		caNew := make([][]float64, m)
 		for i := 0; i < m; i++ {
@@ -223,37 +260,21 @@ func ActiveSetSQP(p *Problem, x0 []float64, opts Options) (Report, error) {
 			}
 		}
 		bfgsUpdate(bmat, s, y)
-
 		z, g, cv, ca = zNew, gNew, cvNew, caNew
-		report.X = box.toX(z)
-		report.F = fz
-
-		var worstViol float64
-		for i := 0; i < m; i++ {
-			if cv[i] > worstViol {
-				worstViol = cv[i]
-			}
-		}
-		opts.trace(TraceRecord{
-			Method: "sqp", Iter: iter,
-			X: append([]float64(nil), report.X...), F: fz,
-			MaxViolation: worstViol, StepNorm: step, Alpha: alpha,
-		})
-
-		if opts.StopWhen != nil && opts.StopWhen(report.X, fz) {
-			report.EarlyStopped = true
-			report.Stopped = StopEarlyStopped
-			break
-		}
-		if step < tol {
-			report.Converged = true
-			report.Stopped = StopConverged
-			break
-		}
 	}
 	if report.Stopped == StopUnset {
 		report.Stopped = StopMaxIter
 	}
 
 	return finish()
+}
+
+// maxPositive returns the largest entry of v, or 0 when none is positive:
+// the worst violation among constraint values.
+func maxPositive(v []float64) float64 {
+	var worst float64
+	for _, x := range v {
+		worst = math.Max(worst, x)
+	}
+	return worst
 }

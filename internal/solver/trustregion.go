@@ -137,23 +137,20 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 			delta = math.Min(2*delta, 1)
 		}
 		if rho > 1e-4 && fNew < f {
+			// The accepted iterate is tested before it is differentiated,
+			// so an early stop costs no derivative.
 			box.anchor(zNew)
-			gNew := gradPen(zNew, fNew)
+			report.X = box.toX(zNew)
+			report.F = box.at.eval(report.X, &evals)
 			s := make([]float64, n)
-			y := make([]float64, n)
 			var stepInf float64
 			for i := 0; i < n; i++ {
 				s[i] = zNew[i] - z[i]
-				y[i] = gNew[i] - g[i]
 				stepInf = math.Max(stepInf, math.Abs(s[i]))
 			}
-			bfgsUpdate(bmat, s, y)
-			z, f, g = zNew, fNew, gNew
-			report.X = box.toX(z)
-			report.F = box.at.eval(report.X, &evals)
 			opts.trace(TraceRecord{
 				Method: "trust", Iter: iter,
-				X: append([]float64(nil), report.X...), F: f,
+				X: append([]float64(nil), report.X...), F: fNew,
 				MaxViolation: math.NaN(), StepNorm: stepInf, Alpha: math.NaN(),
 			})
 			if opts.StopWhen != nil && opts.StopWhen(report.X, report.F) {
@@ -161,6 +158,13 @@ func TrustRegion(p *Problem, x0 []float64, opts Options) (Report, error) {
 				report.Stopped = StopEarlyStopped
 				break
 			}
+			gNew := gradPen(zNew, fNew)
+			y := make([]float64, n)
+			for i := 0; i < n; i++ {
+				y[i] = gNew[i] - g[i]
+			}
+			bfgsUpdate(bmat, s, y)
+			z, f, g = zNew, fNew, gNew
 			// Escalate the penalty while the iterate stays infeasible.
 			if box.at.maxViolation(report.X, &evals) > opts.tol() {
 				penWeight = math.Min(penWeight*2, 1e9)

@@ -113,8 +113,9 @@ type Gradient struct {
 // (ω, I₁..I_k). The system G(ω,I)·T = b(ω,I) is symmetric, so each
 // objective costs one extra solve Gᵀλ = ∂j/∂T on the re-assembled
 // matrix, both under one ω-slice IC(0) factorization, instead of the k+1
-// full solves a finite-difference gradient burns. The two solves run concurrently (see gradientAt), and
-// the Gradient is bit-identical at any GOMAXPROCS.
+// full solves a finite-difference gradient burns. The two solves run
+// concurrently (see gradientAt), and the Gradient is bit-identical at
+// any GOMAXPROCS.
 //
 // The Gradient is memoized with its point's Result (see memoKey), so a
 // repeat — the constraint gradient after the objective gradient at one
