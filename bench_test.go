@@ -169,12 +169,14 @@ func checkSurfaceShape(b *testing.B, pts []experiments.SurfacePoint) {
 // engine. scripts/bench.sh records perpoint/batched in
 // BENCH_evaluate.json.
 //
-// On the measured ratio: the per-point path already shares the ω-slice
-// IC(0) factorization across a row (the model's preconditioner cache,
-// keyed by ω), and the batch contract replicates per-point CG
-// bit-for-bit, which pins per-column iteration counts to per-point counts. What batching buys is the
-// per-iteration pattern walk amortized over eight columns — worth ~2×
-// here, not an algorithmic-order win.
+// On the measured ratio: the per-point path finishes each point's ω-slice
+// factorization from the network's shared prefix, a few µs next to its
+// CG, and the batch contract replicates per-point CG bit-for-bit, which
+// pins per-column iteration counts to per-point counts. What batching
+// buys is the per-iteration pattern walk amortized over eight columns,
+// and one slice factorization per group instead of one per point — a
+// constant factor, not an algorithmic-order win. BENCH_evaluate.json's
+// batched_surface records the ratio of the medians and each leg's spread.
 func BenchmarkSurfaceGridBatched(b *testing.B) {
 	setup := experiments.FastSetup()
 	for _, bc := range []struct {
@@ -208,8 +210,8 @@ func BenchmarkSurfaceGridBatched(b *testing.B) {
 // BenchmarkROMBuild measures what oftecd's model pool pays the first
 // time a ROM-backed chip is requested: each iteration builds a fresh
 // Model (a hit on the shared network cache, but with an empty result
-// memo and preconditioner cache) and then the reduced model over it, so
-// every snapshot and validation solve runs.
+// memo) and then the reduced model over it, so every snapshot and
+// validation solve runs.
 func BenchmarkROMBuild(b *testing.B) {
 	setup := experiments.FastSetup()
 	bench, err := workload.ByName("Basicmath")
@@ -379,8 +381,12 @@ func BenchmarkSolverComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientBoost times the Section 6.2 transient-boost study: a
-// two-second closed-loop simulation of the +1 A boost after a step load.
+// BenchmarkTransientBoost times one fresh Section 6.2 transient-boost
+// integration on Quicksort at 2500 RPM: a new Transient from the ambient
+// field, 1 s of 50 ms backward-Euler steps at the boosted 2 A, then 1 s
+// at 1 A. A Transient owns its step factor, so each iteration pays both
+// factorizations, one per operating point. scripts/bench.sh records it
+// as transient_boost in BENCH_evaluate.json.
 func BenchmarkTransientBoost(b *testing.B) {
 	setup := benchSetup()
 	sys, err := setup.System("Quicksort")
@@ -472,9 +478,9 @@ func BenchmarkEvaluateExact(b *testing.B) {
 }
 
 // BenchmarkEvaluateCold measures the fresh-solve cost: every iteration
-// uses a distinct operating point, so the result memo and the
-// factorization cache miss and the full assemble + IC(0) + preconditioned
-// CG pipeline runs. Together with BenchmarkEvaluate (the repeated-point
+// uses a distinct operating point, so the result memo misses and the
+// whole pipeline runs: assembly, the ω-slice's IC(0) factorization
+// finished from the network's prefix, and preconditioned CG. Together with BenchmarkEvaluate (the repeated-point
 // pattern) this brackets the hot path: memo hit at the floor, cold solve
 // at the ceiling.
 func BenchmarkEvaluateCold(b *testing.B) {

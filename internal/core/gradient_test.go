@@ -9,9 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"oftec/internal/backend"
 	"oftec/internal/thermal"
-	"oftec/internal/workload"
 )
 
 // TestGradientModeRunMatchesFiniteDifferences: Algorithm 1 steered by
@@ -96,16 +94,14 @@ func TestGradientModeZonedRun(t *testing.T) {
 func TestGradientTinySpanProbesDistinct(t *testing.T) {
 	cfg := testConfig()
 	cfg.TEC.MaxCurrent = 1e-6
-	s := systemFromConfig(t, "Basicmath", cfg)
-
 	// Probe solves run concurrently, so the hook guards its map.
 	var mu sync.Mutex
 	seen := map[float64]bool{}
-	s.solveHook = func(omega, itec float64) {
+	s := benchSystemWith(t, "Basicmath", cfg, 0, func(omega, itec float64) {
 		mu.Lock()
 		seen[math.Round(itec*1e9)/1e9] = true
 		mu.Unlock()
-	}
+	})
 	// Hybrid mode keeps both axes live; the fan axis spans hundreds of
 	// rad/s and probes fine either way, while the current axis has the
 	// micro-span. Every distinct current the solver manages to sample
@@ -118,25 +114,6 @@ func TestGradientTinySpanProbesDistinct(t *testing.T) {
 	if len(seen) < 3 {
 		t.Errorf("solver sampled only %d distinct TEC currents on the 1e-9 grid — probes aliased (pre-fix this is 1)", len(seen))
 	}
-}
-
-// systemFromConfig is benchSystemCap with a caller-supplied thermal
-// configuration.
-func systemFromConfig(t *testing.T, bench string, cfg thermal.Config) *System {
-	t.Helper()
-	b, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := b.PowerMap(cfg.Floorplan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := thermal.NewModel(cfg, pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newSystemCap(backend.NewFull(m), 0)
 }
 
 // paretoHookFront fabricates per-threshold outcomes so ParetoFront's

@@ -20,9 +20,6 @@ type Options struct {
 	// Method selects the NLP technique; the zero value is the paper's
 	// active-set SQP.
 	Method Method
-	// FixedOmega is the pinned fan speed for ModeFixedFan, in rad/s. Zero
-	// selects the paper's 2000 RPM.
-	FixedOmega float64
 	// Solver tunes the underlying NLP solver.
 	Solver solver.Options
 	// SkipOpt1 stops after the feasibility phase (pure Optimization 2,
@@ -90,13 +87,6 @@ func (o Options) margin() float64 {
 		return o.ConstraintMargin
 	}
 	return 0.05
-}
-
-func (o Options) fixedOmega() float64 {
-	if o.FixedOmega != 0 {
-		return o.FixedOmega
-	}
-	return units.RPMToRadPerSec(2000)
 }
 
 // Outcome reports one controller run.
@@ -358,7 +348,7 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 // solves nothing, so an option the run cannot honor fails before the
 // first solve.
 func (s *System) setup(k int, opts Options) (lower, upper []float64, corners [][]float64, err error) {
-	lower, upper, err = s.bounds(opts.Mode, opts.fixedOmega(), k)
+	lower, upper, err = s.bounds(opts.Mode, k)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"oftec/internal/backend"
+	"oftec/internal/evalcache"
 	"oftec/internal/floorplan"
 	"oftec/internal/power"
 	"oftec/internal/solver"
@@ -28,15 +30,18 @@ func testConfig() thermal.Config {
 
 func benchSystem(t *testing.T, bench string) *System {
 	t.Helper()
-	return benchSystemCap(t, bench, 0)
+	return benchSystemWith(t, bench, testConfig(), 0, nil)
 }
 
-// benchSystemCap builds a system over the full backend with an explicit
-// evaluation-cache generation capacity (zero = default); the eviction
-// tests use tiny capacities to force rotations.
-func benchSystemCap(t *testing.T, bench string, capacity int) *System {
+// benchSystemWith builds a system over the full backend of bench on cfg,
+// with an explicit evaluation-cache generation capacity (zero = default;
+// the eviction tests use tiny capacities to force rotations). A non-nil
+// hook runs before each scalar solve the backend is asked for, which
+// through the cache is exactly once per deduplicated miss; a run's
+// finite-difference probes evaluate concurrently, so it must be safe for
+// concurrent use.
+func benchSystemWith(t *testing.T, bench string, cfg thermal.Config, capacity int, hook func(omega, itec float64)) *System {
 	t.Helper()
-	cfg := testConfig()
 	b, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +54,25 @@ func benchSystemCap(t *testing.T, bench string, capacity int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSystemCap(backend.NewFull(m), capacity)
+	var ev backend.Evaluator = backend.NewFull(m)
+	if hook != nil {
+		ev = hookedEval{Evaluator: ev, hook: hook}
+	}
+	return NewSystemShared(ev, evalcache.New(capacity))
+}
+
+// hookedEval wraps a backend and runs hook before each scalar solve it
+// passes on.
+type hookedEval struct {
+	backend.Evaluator
+	hook func(omega, itec float64)
+}
+
+func (h hookedEval) Evaluate(ctx context.Context, op backend.OpPoint, warm []float64) (*thermal.Result, error) {
+	if op.K() == 1 {
+		h.hook(op.Omega, op.Currents[0])
+	}
+	return h.Evaluator.Evaluate(ctx, op, warm)
 }
 
 // testModelOf digs the underlying physics model out of a system's backend
@@ -222,16 +245,13 @@ func TestFixedFanPinsOmega(t *testing.T) {
 	if out.ITEC != 0 {
 		t.Errorf("fixed fan baseline drove TECs: I = %g", out.ITEC)
 	}
-	// A custom pinned speed.
-	out2, err := s.Run(Options{Mode: ModeFixedFan, FixedOmega: units.RPMToRadPerSec(3000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out2.Omega-units.RPMToRadPerSec(3000)) > 1e-9 {
-		t.Errorf("custom fixed ω = %g", out2.Omega)
-	}
-	if _, err := s.Run(Options{Mode: ModeFixedFan, FixedOmega: 1e6}); err == nil {
-		t.Error("out-of-range fixed speed accepted")
+	// A fan whose top speed is below the pinned 2000 RPM cannot run the
+	// baseline.
+	cfg := testConfig()
+	cfg.Fan.OmegaMax = units.RPMToRadPerSec(1500)
+	slow := benchSystemWith(t, "CRC32", cfg, 0, nil)
+	if _, err := slow.Run(Options{Mode: ModeFixedFan}); err == nil {
+		t.Error("a pinned speed above the fan's top speed was accepted")
 	}
 }
 
@@ -403,7 +423,7 @@ func TestMultiStartOption(t *testing.T) {
 
 func TestBoundsRejectUnknownMode(t *testing.T) {
 	s := benchSystem(t, "CRC32")
-	if _, _, err := s.bounds(Mode(42), 0, 1); err == nil {
+	if _, _, err := s.bounds(Mode(42), 1); err == nil {
 		t.Error("unknown mode accepted")
 	}
 	if _, err := s.Run(Options{Mode: Mode(42)}); err == nil {

@@ -23,6 +23,7 @@ import (
 	"oftec/internal/evalcache"
 	"oftec/internal/solver"
 	"oftec/internal/thermal"
+	"oftec/internal/units"
 )
 
 // Mode selects which actuators the controller may use. The paper's
@@ -37,7 +38,8 @@ const (
 	ModeHybrid Mode = iota
 	// ModeVariableFan optimizes ω with the TECs unpowered (baseline 1).
 	ModeVariableFan
-	// ModeFixedFan pins ω to FixedOmega with the TECs unpowered (baseline 2).
+	// ModeFixedFan pins ω to the paper's 2000 RPM with the TECs unpowered
+	// (baseline 2).
 	ModeFixedFan
 	// ModeTECOnly optimizes I_TEC with the fan off (the runaway demo).
 	ModeTECOnly
@@ -179,14 +181,6 @@ type System struct {
 	bindings sync.Map
 	zoned    int // zoned bindings resident; guarded by bindMu
 
-	// solveHook, when non-nil, runs immediately before each underlying
-	// scalar backend solve — i.e. exactly once per deduplicated cache
-	// miss. It can fire from several solves at once (a run's
-	// finite-difference probes evaluate concurrently), so it must be safe
-	// for concurrent use. Test
-	// instrumentation only; set before any traffic.
-	solveHook func(omega, itec float64)
-
 	// paretoRunHook, when non-nil, replaces Run for ParetoFront's
 	// per-threshold solves, so tests can fault-inject specific thresholds.
 	// Test instrumentation only; set before any traffic.
@@ -197,32 +191,17 @@ type System struct {
 // the System's lifetime, across the scalar and zoned paths.
 type CacheStats = evalcache.Stats
 
-// NewSystem wraps a thermal backend (see backend.FromModel / backend.New).
-func NewSystem(ev backend.Evaluator) *System { return newSystemCap(ev, 0) }
+// NewSystem wraps a thermal backend (see backend.FromModel / backend.New)
+// over an evaluation cache of its own, of the default capacity.
+func NewSystem(ev backend.Evaluator) *System { return NewSystemShared(ev, evalcache.New(0)) }
 
 // NewSystemShared wraps a backend over a caller-owned evaluation cache,
 // so several Systems — one per chip configuration in a model pool — share
 // one bounded cache, one eviction budget, and one set of traffic
-// statistics, and cross-System duplicate operating points coalesce. The
-// cache's solve hook is left untouched (the owner may have metrics
-// attached); the per-System solveHook test seam is inert on shared
-// systems.
+// statistics, and cross-System duplicate operating points coalesce.
 func NewSystemShared(ev backend.Evaluator, cache *evalcache.Cache) *System {
 	s := &System{ev: ev, cache: cache}
 	s.bindings.Store((*thermal.Zoning)(nil), cache.Bind(ev))
-	return s
-}
-
-// newSystemCap is NewSystem with an explicit per-generation cache
-// capacity; zero selects the default. Tests use small capacities to
-// exercise eviction.
-func newSystemCap(ev backend.Evaluator, capacity int) *System {
-	s := NewSystemShared(ev, evalcache.New(capacity))
-	s.cache.SetSolveHook(func(op backend.OpPoint) {
-		if h := s.solveHook; h != nil && op.K() == 1 {
-			h(op.Omega, op.Currents[0])
-		}
-	})
 	return s
 }
 
@@ -402,7 +381,7 @@ func coolingPowerObj(eval vecEval, x []float64) float64 {
 // bounds returns the decision-variable box for a mode over k control
 // zones; x = (ω, I_1..I_k). Every zone shares the mode's current limits —
 // a mode restricts actuators, not the zone layout.
-func (s *System) bounds(mode Mode, fixedOmega float64, k int) (lower, upper []float64, err error) {
+func (s *System) bounds(mode Mode, k int) (lower, upper []float64, err error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: bounds need at least one control zone, got %d", k)
 	}
@@ -422,10 +401,11 @@ func (s *System) bounds(mode Mode, fixedOmega float64, k int) (lower, upper []fl
 	case ModeVariableFan:
 		upper[0] = uMax
 	case ModeFixedFan:
-		if fixedOmega < 0 || fixedOmega > uMax {
-			return nil, nil, fmt.Errorf("core: fixed actuator command %g outside [0, %g]", fixedOmega, uMax)
+		fixed := units.RPMToRadPerSec(2000)
+		if fixed > uMax {
+			return nil, nil, fmt.Errorf("core: fixed actuator command %g outside [0, %g]", fixed, uMax)
 		}
-		lower[0], upper[0] = fixedOmega, fixedOmega
+		lower[0], upper[0] = fixed, fixed
 	case ModeTECOnly:
 		setCurrents(cfg.TEC.MaxCurrent)
 	default:

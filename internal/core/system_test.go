@@ -25,18 +25,17 @@ func evalAt(s *System, omega, itec float64) (*thermal.Result, error) {
 
 // TestEvaluateSingleflight launches M goroutines at one operating point
 // and asserts exactly one model.Evaluate runs underneath. The leader is
-// held inside the solve hook until every other goroutine has had time to
+// held inside the backend's hook until every other goroutine has had time to
 // arrive, so the window where the old code duplicated solves is wide
 // open; late arrivals that miss the window hit the filled cache instead,
 // so the single-solve invariant holds regardless of scheduling.
 func TestEvaluateSingleflight(t *testing.T) {
-	s := benchSystem(t, "CRC32")
 	var solves atomic.Int64
 	release := make(chan struct{})
-	s.solveHook = func(omega, itec float64) {
+	s := benchSystemWith(t, "CRC32", testConfig(), 0, func(omega, itec float64) {
 		solves.Add(1)
 		<-release
-	}
+	})
 
 	const workers = 16
 	var entered atomic.Int64
@@ -85,16 +84,14 @@ func TestEvaluateSingleflight(t *testing.T) {
 // full-map wipe: under sustained distinct-key pressure that forces many
 // rotations, a key touched regularly must stay cached (one solve, ever).
 func TestHotKeySurvivesEviction(t *testing.T) {
-	// Tiny generations so a few dozen solves force rotations.
-	s := benchSystemCap(t, "CRC32", 3)
-
 	const hotOmega, hotITEC = 200.0, 1.0
 	var hotSolves atomic.Int64
-	s.solveHook = func(omega, itec float64) {
+	// Tiny generations so a few dozen solves force rotations.
+	s := benchSystemWith(t, "CRC32", testConfig(), 3, func(omega, itec float64) {
 		if omega == hotOmega && itec == hotITEC {
 			hotSolves.Add(1)
 		}
-	}
+	})
 
 	if _, err := evalAt(s, hotOmega, hotITEC); err != nil {
 		t.Fatal(err)
@@ -126,14 +123,13 @@ func TestHotKeySurvivesEviction(t *testing.T) {
 // sweep. Run under -race this exercises every lock transition; the
 // results must still match a fresh serial system exactly.
 func TestEvaluateMixedTrafficStress(t *testing.T) {
-	s := benchSystemCap(t, "CRC32", 4)
 	// The thermal layer memoizes repeated operating points, which makes
 	// cache misses orders of magnitude faster than a real cold solve; on a
 	// single CPU a worker then churns the whole small cache within one
 	// scheduler slice and no overlap (hits, waits) can occur. Restore
 	// solver-scale miss latency so the stress keeps mixing the traffic
 	// classes it is meant to exercise.
-	s.solveHook = func(omega, itec float64) { time.Sleep(200 * time.Microsecond) }
+	s := benchSystemWith(t, "CRC32", testConfig(), 4, func(omega, itec float64) { time.Sleep(200 * time.Microsecond) })
 
 	var points []struct{ omega, itec float64 }
 	for i := 0; i < 24; i++ {

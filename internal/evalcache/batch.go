@@ -48,16 +48,10 @@ func (b *Binding) EvaluateBatch(ctx context.Context, ops []backend.OpPoint, warm
 			waits = append(waits, claim{idx: i, fl: fl})
 		}
 	}
-	hook := c.hook
 	c.mu.Unlock()
 
 	var solveErr error
 	if len(misses) > 0 {
-		if hook != nil {
-			for _, mc := range misses {
-				hook(ops[mc.idx])
-			}
-		}
 		if be, ok := b.ev.(backend.BatchEvaluator); ok {
 			missOps := make([]backend.OpPoint, len(misses))
 			for j, mc := range misses {

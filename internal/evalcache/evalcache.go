@@ -90,12 +90,6 @@ type Cache struct {
 	// key is the point being classified, written by keyLocked and read by
 	// claimLocked; one reused buffer, guarded by mu.
 	key []byte
-
-	// hook, when non-nil, runs immediately before each underlying
-	// backend Evaluate — i.e. exactly once per deduplicated miss.
-	// Guarded by mu (read while a call classifies its points), so
-	// installation is safe at any time, including mid-traffic.
-	hook func(op backend.OpPoint)
 }
 
 // New builds a cache whose generations hold up to capacity entries each;
@@ -109,18 +103,6 @@ func New(capacity int) *Cache {
 		infl:     make(map[string]*inflight),
 		capacity: capacity,
 	}
-}
-
-// SetSolveHook installs a function invoked once per deduplicated miss,
-// outside the cache lock, immediately before the underlying solve —
-// instrumentation for tests and service metrics. Safe to call at any
-// time, including concurrently with Evaluate: installation synchronizes
-// on the cache lock, and misses already in their solve keep the hook (or
-// nil) they observed at dispatch.
-func (c *Cache) SetSolveHook(hook func(op backend.OpPoint)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hook = hook
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -217,7 +199,6 @@ func (b *Binding) evaluate(ctx context.Context, op backend.OpPoint, warm []float
 	c.mu.Lock()
 	c.keyLocked(b.space, op)
 	res, fl, miss := c.claimLocked(countHit)
-	hook := c.hook
 	c.mu.Unlock()
 	if fl == nil {
 		return res, nil
@@ -226,9 +207,6 @@ func (b *Binding) evaluate(ctx context.Context, op backend.OpPoint, warm []float
 		return waitInflight(ctx, fl)
 	}
 
-	if hook != nil {
-		hook(op)
-	}
 	if hint != nil {
 		warm = hint()
 	}

@@ -394,51 +394,6 @@ func TestConcurrentWideMissesCoalesce(t *testing.T) {
 	}
 }
 
-// TestSetSolveHookConcurrentWithEvaluate is the -race gate for hook
-// installation mid-traffic (oftecd attaches metrics to a cache that is
-// already serving).
-func TestSetSolveHookConcurrentWithEvaluate(t *testing.T) {
-	fake := &fakeEval{}
-	c := New(0)
-	b := c.Bind(fake)
-
-	var hooked atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				op := backend.Scalar(float64(100+i%50), float64(w))
-				if w == 3 {
-					op = backend.OpPoint{Omega: float64(100 + i%50), Currents: make([]float64, 16)}
-				}
-				if _, err := b.Evaluate(context.Background(), op, nil); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < 100; i++ {
-		c.SetSolveHook(func(backend.OpPoint) { hooked.Add(1) })
-		c.SetSolveHook(nil)
-		time.Sleep(100 * time.Microsecond)
-	}
-	c.SetSolveHook(func(backend.OpPoint) { hooked.Add(1) })
-	close(stop)
-	wg.Wait()
-	if c.Stats().Misses == 0 {
-		t.Error("stress loop produced no traffic")
-	}
-}
-
 func TestWaiterHonorsContext(t *testing.T) {
 	fake := &fakeEval{block: make(chan struct{})}
 	c := New(0)

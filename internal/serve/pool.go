@@ -36,8 +36,8 @@ type pool struct {
 
 // spellingsPerModel bounds the spec index at this many spellings per
 // model the pool admits. Past the bound it clears wholesale, like the
-// thermal result memo and preconditioner cache: every spelling
-// re-resolves once through the canonical key.
+// thermal result memo: every spelling re-resolves once through the
+// canonical key.
 const spellingsPerModel = 8
 
 // zoningsPerChip bounds the zonings a pool entry memoizes. Past the

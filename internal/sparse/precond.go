@@ -49,9 +49,9 @@ const (
 // pattern: the structure of L, the structure of Lᵀ the right-looking
 // factorization walks, and the entry each elimination step updates. Every
 // matrix on that pattern factors through Factor, which allocates only
-// L's value array, so a cache of factorizations over one pattern pays the
-// structural analysis once. It is read-only after construction and safe
-// for concurrent Factor calls.
+// L's value array, so every factorization on one pattern shares the one
+// structural analysis. It is read-only after construction and safe for
+// concurrent Factor calls.
 type ICSymbolic struct {
 	n int
 	// aRowPtr and aColIdx are the analysed pattern of A (shared, immutable).
@@ -571,8 +571,9 @@ func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]f
 	}
 	tol := opts.tol()
 
-	// A shared (cached) factorization is applied through the per-solve
-	// scratch vector, so concurrent solves never contend on it.
+	// The factorization is read-only here: it is applied through the
+	// per-solve scratch vector, so solves sharing one factor never contend
+	// on it.
 	z, p, ap := ws.z, ws.p, ws.ap
 	m.ApplyScratch(z, r, ws.pre)
 	copy(p, z)

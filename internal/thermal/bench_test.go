@@ -138,8 +138,8 @@ func BenchmarkICApply(b *testing.B) {
 
 // BenchmarkICFactor is a kernel microbenchmark: one numeric modified
 // IC(0) factorization of the whole slice through the network's shared
-// symbolic analysis into a fresh value array, what a transient step's
-// preconditioner-cache miss pays before its solve.
+// symbolic analysis into a fresh value array, what a transient step pays
+// before its solve when its (ω, I, Δt) changes.
 func BenchmarkICFactor(b *testing.B) {
 	m, sc, _ := benchSlice(b)
 	defer m.putScratch(sc)

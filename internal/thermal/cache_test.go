@@ -110,133 +110,149 @@ func TestResultMemoEveryZoneCount(t *testing.T) {
 	}
 }
 
-// stepPrecond returns the cached preconditioner of tr's backward-Euler
-// step of length dt, as Transient.Step looks it up.
-func stepPrecond(m *Model, tr *Transient, dt float64) *sparse.ICPreconditioner {
-	return m.precond(precondKey{omega: tr.omega, itec: tr.itec, dt: dt}, func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
-		tr.assemble(sc, dt)
-		return m.icSym.Factor(sc.mat)
-	})
-}
-
-// TestPrecondCache pins the preconditioner cache's hits and bound: a hit
-// returns the cached factorization object, past the bound the cache
-// clears wholesale, and steady solves leave it empty (each factors its
-// ω-slice into its own scratch).
-func TestPrecondCache(t *testing.T) {
-	m := benchModel(t, testConfig(), "Basicmath")
-	if _, err := m.Evaluate(250, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.pcs) != 0 {
-		t.Errorf("a steady solve cached %d factorizations", len(m.pcs))
-	}
-	tr, err := m.NewTransient(250, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic1 := stepPrecond(m, tr, 1.5)
-	if ic1 == nil {
-		t.Fatal("step factorization failed")
-	}
-	if ic2 := stepPrecond(m, tr, 1.5); ic2 != ic1 {
-		t.Error("step hit did not return the cached factorization")
-	}
-
-	for w := 0; w < maxPreconds; w++ {
-		stepPrecond(m, tr, 0.01*float64(w+1))
-	}
-	m.pcMu.Lock()
-	n := len(m.pcs)
-	m.pcMu.Unlock()
-	if n > maxPreconds {
-		t.Errorf("cache holds %d preconditioners, bound %d", n, maxPreconds)
-	}
-	if ic3 := stepPrecond(m, tr, 1.5); ic3 == ic1 {
-		t.Error("the first step outlived a wholesale clear")
-	}
-}
-
-// TestPrecondCacheBuildOnMiss pins when the cache assembles: once on a
-// miss and never on a hit, and a failed factorization stays cached as a
-// failure, so it is neither assembled nor factored again.
-func TestPrecondCacheBuildOnMiss(t *testing.T) {
+// TestTransientRefactorsOnKeyChange pins when a Transient factors its
+// step matrix: it keeps one factor across steps at one (ω, I, Δt), and
+// refactors on any change of the three, a change back included.
+func TestTransientRefactorsOnKeyChange(t *testing.T) {
 	m := benchModel(t, testConfig(), "Basicmath")
 	tr, err := m.NewTransient(250, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := 0
-	step := func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
-		builds++
-		tr.assemble(sc, 0.25)
-		return m.icSym.Factor(sc.mat)
+	step := func(label string, dt float64) *sparse.ICPreconditioner {
+		t.Helper()
+		if _, err := tr.Step(dt); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if tr.ic == nil {
+			t.Fatalf("%s: the step matrix did not factor", label)
+		}
+		return tr.ic
 	}
-	key := precondKey{omega: 250, itec: 1, dt: 0.25}
-	ic1 := m.precond(key, step)
-	if ic1 == nil || builds != 1 {
-		t.Fatalf("miss: factored=%v builds=%d", ic1 != nil, builds)
-	}
-	ic2 := m.precond(key, step)
-	if ic2 != ic1 || builds != 1 {
-		t.Fatalf("hit rebuilt: builds=%d same=%v", builds, ic2 == ic1)
-	}
-
-	// An indefinite matrix: flip a diagonal entry's sign after assembly.
-	fails := 0
-	indefinite := func(sc *evalScratch) (*sparse.ICPreconditioner, error) {
-		fails++
-		m.assembleSlice(sc, 250)
-		sc.vals[m.diagIdx[0]] = -1
-		return m.icSym.Factor(sc.mat)
-	}
-	bad := precondKey{omega: 250, itec: 1, dt: 0.5}
-	for i := 0; i < 2; i++ {
-		if ic := m.precond(bad, indefinite); ic != nil {
-			t.Fatalf("call %d: indefinite matrix factorized", i)
+	first := step("first step", 0.05)
+	for i := 0; i < 3; i++ {
+		if step("same key", 0.05) != first {
+			t.Fatalf("step %d at one key refactored", i+2)
 		}
 	}
-	if fails != 1 {
-		t.Errorf("failed factorization assembled %d times, want once", fails)
+	prev := first
+	for _, c := range []struct {
+		label       string
+		omega, itec float64
+		dt          float64
+	}{
+		{"ω changed", 300, 1, 0.05},
+		{"I changed", 300, 2, 0.05},
+		{"Δt changed", 300, 2, 0.1},
+		{"changed back", 250, 1, 0.05},
+	} {
+		if err := tr.SetOperatingPoint(c.omega, c.itec); err != nil {
+			t.Fatal(err)
+		}
+		ic := step(c.label, c.dt)
+		if ic == prev || ic == first {
+			t.Errorf("%s: the step reused a factor of another key", c.label)
+		}
+		if step(c.label+", held", c.dt) != ic {
+			t.Errorf("%s: the next step at the key refactored", c.label)
+		}
+		prev = ic
 	}
 }
 
-// TestPrecondCacheConcurrent races misses and hits on many transient-step
-// keys, at two operating points, from several goroutines. Run under -race
-// it pins the locking discipline: misses factor outside the lock, and
-// once the misses settle every key answers one object.
-func TestPrecondCacheConcurrent(t *testing.T) {
+// TestTransientUnfactorableStep: a step matrix that does not factor fails
+// every step at its key and leaves the temperatures and the time where
+// they were, and it is not factored again until the key changes. On a
+// hot, leaky configuration with the fan off, the step matrix of a long
+// step is indefinite.
+func TestTransientUnfactorableStep(t *testing.T) {
+	cfg := testConfig()
+	cfg.Ambient = units.CToK(140)
+	cfg.TMax = cfg.Ambient + 45
+	cfg.Leakage.P0Density *= 64
+	m := benchModel(t, cfg, "Basicmath")
+	tr, err := m.NewTransient(0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 1e6
+	temps := append([]float64(nil), tr.Temperatures()...)
+	failing := func(dt float64) {
+		if _, err := tr.Step(dt); err == nil {
+			t.Fatalf("a %g s step on an indefinite matrix succeeded", dt)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		failing(bad)
+		if tr.ic != nil || tr.icKey != [3]float64{0, 0, bad} {
+			t.Fatalf("step %d: factor %v under key %v, want nil under (0, 0, %g)", i+1, tr.ic != nil, tr.icKey, bad)
+		}
+		if tr.Time() != 0 || !reflect.DeepEqual(tr.Temperatures(), temps) {
+			t.Fatalf("step %d: a failed step advanced the state", i+1)
+		}
+	}
+
+	// A factorization allocates the factor's value array, so a step that
+	// refactors allocates more than one at the key it already failed on.
+	held := testing.AllocsPerRun(8, func() { failing(bad) })
+	dt := bad
+	refactoring := testing.AllocsPerRun(8, func() {
+		dt = 3*bad - dt // 2·bad, bad, 2·bad, …: each a new key
+		failing(dt)
+	})
+	if held >= refactoring {
+		t.Errorf("a failed key's steps allocate %g times each, key changes %g: the failed key refactors", held, refactoring)
+	}
+
+	// A short step's C/Δt makes its matrix definite again.
+	if _, err := tr.Step(1e-4); err != nil {
+		t.Fatalf("a step at a new key: %v", err)
+	}
+	if tr.ic == nil {
+		t.Error("a new key kept the failed key's nil factor")
+	}
+}
+
+// TestTransientStepsMatchFreshFactor: on a schedule that toggles two
+// operating points and two step sizes, repeats and changes back
+// included, every step's field is bitwise the field CG gives under a
+// fresh sparse.NewICPreconditioner of the same assembled step matrix.
+func TestTransientStepsMatchFreshFactor(t *testing.T) {
 	m := benchModel(t, testConfig(), "Basicmath")
-	var trs []*Transient
-	for _, omega := range []float64{150, 250} {
-		tr, err := m.NewTransient(omega, 1, nil)
+	ops := [2][2]float64{{250, 1}, {120, 2.5}}
+	dts := [2]float64{0.05, 0.2}
+	tr, err := m.NewTransient(ops[0][0], ops[0][1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		op, dt := ops[i/3%2], dts[i/2%2]
+		if err := tr.SetOperatingPoint(op[0], op[1]); err != nil {
+			t.Fatal(err)
+		}
+		sc := m.getScratch()
+		tr.assemble(sc, dt)
+		mat, err := m.basePat.WithValues(append([]float64(nil), sc.vals...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		trs = append(trs, tr)
-	}
-	const steps = 16
-	lookup := func(i int) *sparse.ICPreconditioner {
-		return stepPrecond(m, trs[i%2], 0.01*float64(i/2+1))
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for n := 0; n < 40; n++ {
-				if lookup(rng.Intn(2*steps)) == nil {
-					t.Error("factorization failed")
-					return
-				}
+		rhs := append([]float64(nil), sc.rhs...)
+		m.putScratch(sc)
+		ic, err := sparse.NewICPreconditioner(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := sparse.CGPrecond(mat, rhs, ic, sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: tr.Temperatures()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Step(dt); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		for k, v := range tr.Temperatures() {
+			if math.Float64bits(v) != math.Float64bits(want[k]) {
+				t.Fatalf("step %d (ω=%g, I=%g, Δt=%g): node %d reads %v, a fresh factor's solve %v", i, op[0], op[1], dt, k, v, want[k])
 			}
-		}(int64(g))
-	}
-	wg.Wait()
-	for i := 0; i < 2*steps; i++ {
-		if lookup(i) != lookup(i) {
-			t.Errorf("key %d: settled cache answers two objects", i)
 		}
 	}
 }

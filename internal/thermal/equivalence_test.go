@@ -167,7 +167,7 @@ func (m *Model) solve(mat *sparse.CSR, rhs, warm []float64) ([]float64, sparse.S
 }
 
 // referenceEvaluate is the pre-optimization end-to-end path: Builder
-// assembly plus an unpreconditioned-cache solve from a cold ambient start,
+// assembly plus a solve under a fresh factorization from a cold ambient start,
 // with the same classification rules as Evaluate.
 func referenceEvaluate(t *testing.T, m *Model, omega, itec float64) *Result {
 	t.Helper()

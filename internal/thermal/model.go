@@ -47,7 +47,7 @@ type triplet struct {
 // symbolic assembly, and the per-evaluation scratch pool. It is immutable
 // once built and shared by every Model of one configuration (see
 // networkFor); only the dynamic power, which enters the RHS alone, and the
-// caches built on it are per model.
+// result memo built on it are per model.
 type network struct {
 	// act is the cooling actuator resolved from the configuration: the
 	// model consumes g(u) and the drive power only through this seam.
@@ -129,12 +129,6 @@ type Model struct {
 	dynMap power.Map // last SetDynamicPower input (for WithCoolant rebuilds)
 	dyn    []float64 // dynamic power per chip-grid cell, W
 
-	// pcs caches transient steps' IC(0) preconditioners by the matrix
-	// they factor (see precondKey). A nil entry records a failed
-	// factorization.
-	pcMu sync.Mutex
-	pcs  map[precondKey]*sparse.ICPreconditioner
-
 	// resMem memoizes Results, and their adjoint Gradients once asked
 	// for, by operating point (see memoKey): the second-level cache below
 	// core's bounded evaluation cache. A repeated operating point of any
@@ -152,12 +146,6 @@ type Model struct {
 	// projected RHS) compare generations to refresh lazily instead of
 	// registering callbacks.
 	dynGen atomic.Uint64
-}
-
-// precondKey names the matrix a cached preconditioner factors: {ω, I, Δt}
-// is a transient step's backward-Euler matrix.
-type precondKey struct {
-	omega, itec, dt float64
 }
 
 // evalScratch is one pooled per-evaluation workspace.
@@ -210,13 +198,12 @@ func NewModel(cfg Config, dyn power.Map) (*Model, error) {
 }
 
 // newModel is the per-model half of NewModel: the caller's configuration,
-// the one-zone zoning, the dynamic power, and empty caches on net.
+// the one-zone zoning, the dynamic power, and an empty result memo on net.
 func newModel(net *network, cfg Config, dyn power.Map) (*Model, error) {
 	m := &Model{
 		network: net,
 		cfg:     cfg,
 		one:     &Zoning{id: zoningIDs.Add(1), numZones: 1, zoneOf: make([]int, net.grids[planeChip].NumCells())},
-		pcs:     make(map[precondKey]*sparse.ICPreconditioner),
 	}
 	if err := m.SetDynamicPower(dyn); err != nil {
 		return nil, err
@@ -226,7 +213,7 @@ func newModel(net *network, cfg Config, dyn power.Map) (*Model, error) {
 
 // maxNetworks bounds the process-wide network cache (a network holds about
 // 1.2 MB at paper resolution). Past the bound it clears wholesale, like
-// the result memo and the preconditioner cache.
+// the result memo.
 const maxNetworks = 8
 
 // networks caches networks by networkKey.
@@ -592,8 +579,7 @@ func (net *network) buildLeakage(cfg *Config) error {
 
 // SetDynamicPower replaces the per-unit dynamic power input and flushes
 // the result memo (dynamic power enters the RHS, so memoized results are
-// stale; the preconditioner cache is unaffected — the matrix never depends
-// on the power input).
+// stale; no matrix depends on it, so a Transient keeps its step factor).
 func (m *Model) SetDynamicPower(dyn power.Map) error {
 	cells, err := dyn.ToCells(m.cfg.Floorplan, m.grids[planeChip])
 	if err != nil {
@@ -853,8 +839,9 @@ func (m *Model) assembleSlice(sc *evalScratch, omega float64) {
 // solveScratch runs the sparse solve of the system assembled in sc
 // through the scratch workspace: CG from warm under ic, the ω-slice
 // factorization every steady-state path (scalar, zoned, exact, batched)
-// solves under (see factorSlice). A nil ic, a slice that does not
-// factor, fails the solve, and the point is runaway.
+// solves under (see factorSlice), or a transient step's own factor. A nil
+// ic, a matrix that does not factor, fails the solve; a steady point is
+// then runaway.
 //
 //oftec:hotpath
 func (m *Model) solveScratch(sc *evalScratch, ic *sparse.ICPreconditioner, warm []float64) ([]float64, sparse.Stats, error) {
@@ -881,41 +868,6 @@ func (m *Model) factorSlice(sc *evalScratch) *sparse.ICPreconditioner {
 		return nil
 	}
 	return &sc.ic
-}
-
-// maxPreconds bounds the preconditioner cache. Past the bound it clears
-// wholesale: factorizations rebuild in one pass, and the working set of
-// a transient integration is far below the bound.
-const maxPreconds = 64
-
-// precond returns the modified IC(0) preconditioner of a transient step
-// cached under key.
-// On a miss, factor assembles the matrix key names into a pooled scratch
-// and factors it, outside the lock; concurrent misses on one key may both
-// factor, harmlessly, since the factors are identical. A failed
-// factorization (matrix not SPD enough) is cached as a nil factor, which
-// fails every solve under it without another factorization attempt.
-//
-//oftec:allocok one assembly + factorization per key, amortized across every solve that shares it
-func (m *Model) precond(key precondKey, factor func(sc *evalScratch) (*sparse.ICPreconditioner, error)) *sparse.ICPreconditioner {
-	m.pcMu.Lock()
-	ic, hit := m.pcs[key]
-	m.pcMu.Unlock()
-	if !hit {
-		sc := m.getScratch()
-		var err error
-		if ic, err = factor(sc); err != nil {
-			ic = nil
-		}
-		m.putScratch(sc)
-		m.pcMu.Lock()
-		if len(m.pcs) >= maxPreconds {
-			m.pcs = make(map[precondKey]*sparse.ICPreconditioner)
-		}
-		m.pcs[key] = ic
-		m.pcMu.Unlock()
-	}
-	return ic
 }
 
 // assembleReference builds the system matrix and RHS for the given

@@ -292,7 +292,7 @@ func TestSharedNetworkMatchesFresh(t *testing.T) {
 
 // TestSharedNetworkIsolation pins what stays per model: SetDynamicPower on
 // one model moves none of another's answers on the same network, and the
-// result memo and preconditioner cache of one model never serve another.
+// result memo of one model never serves another.
 func TestSharedNetworkIsolation(t *testing.T) {
 	cfg := testConfig()
 	pts := randomPoints(rand.New(rand.NewSource(43)), cfg, 1, 6)
@@ -308,15 +308,12 @@ func TestSharedNetworkIsolation(t *testing.T) {
 		return out
 	}
 	want := solve(freshModel(t, cfg, benchMap(t, cfg, "CRC32")))
-	emptyCaches := func(label string, m *Model) {
+	emptyMemo := func(label string, m *Model) {
 		m.resMu.Lock()
 		memo := len(m.resMem)
 		m.resMu.Unlock()
-		m.pcMu.Lock()
-		pcs := len(m.pcs)
-		m.pcMu.Unlock()
-		if memo != 0 || pcs != 0 {
-			t.Errorf("%s: other models' solves filled this one's caches: %d memo entries, %d factorizations", label, memo, pcs)
+		if memo != 0 {
+			t.Errorf("%s: other models' solves filled this one's memo: %d entries", label, memo)
 		}
 	}
 
@@ -326,7 +323,7 @@ func TestSharedNetworkIsolation(t *testing.T) {
 		t.Fatal("models of one configuration are on different networks")
 	}
 	solve(a)
-	emptyCaches("b", b)
+	emptyMemo("b", b)
 	got := solve(b)
 	assertResultsDeepEqual(t, "shared network", got, want)
 
@@ -340,7 +337,7 @@ func TestSharedNetworkIsolation(t *testing.T) {
 		}
 	}
 	c := benchModel(t, cfg, "CRC32")
-	emptyCaches("c", c)
+	emptyMemo("c", c)
 	assertResultsDeepEqual(t, "after another model's SetDynamicPower", solve(c), want)
 }
 

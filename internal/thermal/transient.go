@@ -37,6 +37,12 @@ type Transient struct {
 	omega, itec float64
 	temps       []float64
 	now         float64
+
+	// ic is the modified IC(0) factor of the step matrix at icKey's
+	// (ω, I, Δt), nil when that matrix does not factor. icKey starts as
+	// NaNs, which key no step.
+	ic    *sparse.ICPreconditioner
+	icKey [3]float64
 }
 
 // NewTransient creates a transient simulation starting from the given
@@ -45,7 +51,8 @@ func (m *Model) NewTransient(omega, itec float64, t0 []float64) (*Transient, err
 	if err := m.checkOperatingPoint(omega, itec); err != nil {
 		return nil, err
 	}
-	tr := &Transient{model: m, omega: omega, itec: itec}
+	nan := math.NaN()
+	tr := &Transient{model: m, omega: omega, itec: itec, icKey: [3]float64{nan, nan, nan}}
 	tr.temps = make([]float64, m.n)
 	if t0 != nil {
 		if len(t0) != m.n {
@@ -114,13 +121,15 @@ func (tr *Transient) ChipState() (maxTemp float64, temps []float64) {
 // solve and returns the maximum chip temperature after the step. The
 // backward-Euler system is the steady-state matrix plus C/Δt on the
 // diagonal, assembled through the shared symbolic pattern (the shift is
-// diagonal, so the pattern is unchanged). Its preconditioner is cached
-// under (ω, I, Δt), so a fixed-step integration reuses one IC(0)
-// factorization across all steps; the shared ω-slice preconditioner would
-// fit poorly, since the C/Δt patch touches every row. A step matrix that
-// does not factor, a CG breakdown, or a chip maximum past the runaway
-// temperature (wrapping ErrRunaway) is an error, and the state does not
-// advance.
+// diagonal, so the pattern is unchanged). The Transient owns the full
+// IC(0) factor of that matrix and refactors it only when (ω, I, Δt)
+// differs from the key it last factored, so a fixed-step integration
+// pays one factorization; the ω-slice factor steady solves use would fit
+// poorly, since the C/Δt patch touches every row. A step matrix that does
+// not factor leaves a nil factor, which fails every step at its key
+// without another attempt. That failure, a CG breakdown, or a chip
+// maximum past the runaway temperature (wrapping ErrRunaway) is an error,
+// and the state does not advance.
 func (tr *Transient) Step(dt float64) (float64, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return 0, fmt.Errorf("thermal: step size %g must be positive and finite", dt)
@@ -129,13 +138,14 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 	sc := m.getScratch()
 	defer m.putScratch(sc)
 	tr.assemble(sc, dt)
-	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: tr.temps, Work: &sc.ws}
-	key := precondKey{omega: tr.omega, itec: tr.itec, dt: dt}
-	ic := m.precond(key, func(pc *evalScratch) (*sparse.ICPreconditioner, error) {
-		tr.assemble(pc, dt)
-		return m.icSym.Factor(pc.mat)
-	})
-	next, _, err := sparse.CGPrecond(sc.mat, sc.rhs, ic, opts)
+	if key := [3]float64{tr.omega, tr.itec, dt}; key != tr.icKey {
+		tr.icKey = key
+		var err error
+		if tr.ic, err = m.icSym.Factor(sc.mat); err != nil {
+			tr.ic = nil
+		}
+	}
+	next, _, err := m.solveScratch(sc, tr.ic, tr.temps)
 	if err != nil {
 		return 0, fmt.Errorf("thermal: transient solve failed at t=%g: %w", tr.now, err)
 	}

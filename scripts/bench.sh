@@ -3,9 +3,14 @@
 #
 # Runs the steady-state evaluation benchmarks (repeated-point and cold
 # variants, the batched-vs-per-point surface sweep, a memo-cold ROM build,
-# plus the assembly, model-build and CG kernel micro-benchmarks) and writes the parsed numbers to BENCH_evaluate.json
-# next to the frozen pre-optimization baseline, together with the
-# per-benchmark speedup and allocation ratios. Successive PRs diff the
+# the Section 6.2 transient boost, plus the assembly, model-build and CG
+# kernel micro-benchmarks) and writes the parsed numbers to
+# BENCH_evaluate.json next to the frozen pre-optimization baseline,
+# together with the per-benchmark speedup and allocation ratios. Each
+# benchmark runs 5 times at BENCHTIME each; the JSON records the median
+# of every metric over the runs, plus the fastest and slowest ns_per_op
+# (ns_per_op_min, ns_per_op_max) as the run-to-run spread and the number
+# of runs, and every ratio is one of medians. Successive PRs diff the
 # JSON instead of eyeballing `go test -bench` output.
 #
 # It also records the backend comparison — BenchmarkROMEvaluate against
@@ -16,13 +21,13 @@
 # (acceptance bar: zero errors and cache hits+waits > 0).
 #
 # Usage: scripts/bench.sh [output.json] [backend-output.json] [serve-output.json]
-#   BENCHTIME=5s scripts/bench.sh       # longer runs for stabler numbers
+#   BENCHTIME=1s scripts/bench.sh      # longer runs
 #   SERVE_N=1000 scripts/bench.sh      # quick, start-up-dominated serving run
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCHTIME="${BENCHTIME:-2s}"
+BENCHTIME="${BENCHTIME:-400ms}"
 OUT="${1:-BENCH_evaluate.json}"
 BACKEND_OUT="${2:-BENCH_backend.json}"
 SERVE_OUT="${3:-BENCH_serve.json}"
@@ -31,10 +36,10 @@ parsed="$(mktemp)"
 current="$(mktemp)"
 trap 'rm -f "$raw" "$parsed" "$current"' EXIT
 
-echo "== go test -bench (hot path, benchtime $BENCHTIME)"
+echo "== go test -bench (hot path, benchtime $BENCHTIME, count 5)"
 go test -run '^$' \
-	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate|BenchmarkSurfaceGridBatched|BenchmarkROMBuild|BenchmarkGradVsFD|BenchmarkCoolantPower)$' \
-	-benchtime "$BENCHTIME" -benchmem . | tee "$raw"
+	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate|BenchmarkSurfaceGridBatched|BenchmarkROMBuild|BenchmarkGradVsFD|BenchmarkCoolantPower|BenchmarkTransientBoost)$' \
+	-benchtime "$BENCHTIME" -count 5 -benchmem . | tee "$raw"
 # The thermal line: assembly microbenchmarks, build microbenchmarks for
 # NewModel on a cached network (BenchmarkNewModel) and on a configuration
 # never seen before (BenchmarkNewModelCold), neither of which solves
@@ -42,13 +47,13 @@ go test -run '^$' \
 # Basicmath ω-slice BenchmarkEvaluateCold solves on: one SpMV
 # (BenchmarkMulVec), one IC preconditioner apply (BenchmarkICApply), one
 # full numeric IC factorization (BenchmarkICFactor, what a transient
-# step's cache miss pays) and the same slice's factorization finished
-# from the network's prefix into pooled scratch (BenchmarkSliceFactor,
-# what every steady solve pays before its CG). A kernel number times one kernel call, not a solve or
-# a workload.
+# step pays when its (ω, I, Δt) changes) and the same slice's
+# factorization finished from the network's prefix into pooled scratch
+# (BenchmarkSliceFactor, what every steady solve pays before its CG). A
+# kernel number times one kernel call, not a solve or a workload.
 go test -run '^$' \
 	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor|BenchmarkSliceFactor)$' \
-	-benchtime "$BENCHTIME" -benchmem ./internal/thermal | tee -a "$raw"
+	-benchtime "$BENCHTIME" -count 5 -benchmem ./internal/thermal | tee -a "$raw"
 
 # One JSON object per benchmark line: the name plus every value/unit pair
 # (ns/op, B/op, allocs/op, and custom metrics like cg-iters).
@@ -66,7 +71,21 @@ awk '
 	print "}"
 }' "$raw" >"$parsed"
 
-jq -s 'map({(.name): del(.name)}) | add' "$parsed" >"$current"
+# One object per benchmark: the median of each metric over its runs, in
+# the order go test prints them, then the spread of ns_per_op and the
+# number of runs.
+jq -s '
+	def median: sort | .[length / 2 | floor] as $hi | .[(length - 1) / 2 | floor] as $lo | ($lo + $hi) / 2;
+	group_by(.name) | map(
+		. as $runs
+		| {(.[0].name): (
+			reduce ($runs[0] | del(.name) | keys_unsorted[]) as $m ({}; .[$m] = ($runs | map(.[$m]) | median))
+			+ {
+				ns_per_op_min: ($runs | map(.ns_per_op) | min),
+				ns_per_op_max: ($runs | map(.ns_per_op) | max),
+				runs: ($runs | length)
+			})}
+	) | add' "$parsed" >"$current"
 
 # Lint wall time: how long the full nine-analyzer oftecvet sweep takes
 # over the module, compiled first so the number is pure analysis (load +
@@ -140,6 +159,10 @@ jq -n \
 			cold_vs_hit: ($cur.BenchmarkNewModelCold.ns_per_op
 				/ $cur.BenchmarkNewModel.ns_per_op)
 		},
+		# The Section 6.2 transient boost: a fresh backward-Euler
+		# integration of 40 steps at two operating points, the two step
+		# factorizations included.
+		transient_boost: $cur.BenchmarkTransientBoost,
 		# Adjoint gradients vs finite differences on the zoned k=8 SQP run
 		# (9 decision variables). At k=8 SQP stops at its start point, so
 		# both legs measure one derivative of both functions at x0: one

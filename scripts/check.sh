@@ -253,15 +253,15 @@ go run ./cmd/benchtable -exp all > benchtable_output.txt
 echo "== go test -bench=SurfaceGrid -benchtime=1x"
 go test -run '^$' -bench 'SurfaceGrid' -benchtime 1x .
 
-# One iteration of each hot-path benchmark (repeated-point, cold, and
-# assembly) and of the CG kernel microbenchmarks (SpMV, IC apply, the
-# full IC factor and the slice factor through the network's prefix), so
-# the symbolic-reuse path stays exercised on every gate;
-# scripts/bench.sh runs the same set at full benchtime for the recorded
-# numbers in BENCH_evaluate.json.
+# One iteration of each hot-path benchmark (repeated-point, cold, the
+# transient boost, and assembly) and of the CG kernel microbenchmarks
+# (SpMV, IC apply, the full IC factor and the slice factor through the
+# network's prefix), so the symbolic-reuse path stays exercised on every
+# gate; scripts/bench.sh runs the same set at full benchtime for the
+# recorded numbers in BENCH_evaluate.json.
 echo "== go test -bench (hot-path smoke, benchtime=1x)"
 go test -run '^$' \
-	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate)$' \
+	-bench '^(BenchmarkEvaluate|BenchmarkEvaluateExact|BenchmarkEvaluateCold|BenchmarkEvaluateExactCold|BenchmarkROMEvaluate|BenchmarkTransientBoost)$' \
 	-benchtime 1x .
 go test -run '^$' -bench '^(BenchmarkAssemble|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor|BenchmarkSliceFactor)$' -benchtime 1x ./internal/thermal
 
