@@ -662,44 +662,6 @@ func benchName(res int) string {
 	return "chip"
 }
 
-// BenchmarkAblationConstraintMargin probes Algorithm 1's sensitivity to
-// the numerical back-off from the strict T < T_max constraint.
-func BenchmarkAblationConstraintMargin(b *testing.B) {
-	setup := benchSetup()
-	for _, margin := range []float64{0.01, 0.05, 0.25} {
-		b.Run(marginName(margin), func(b *testing.B) {
-			var pw float64
-			for i := 0; i < b.N; i++ {
-				sys, err := setup.System("Quicksort")
-				if err != nil {
-					b.Fatal(err)
-				}
-				out, err := sys.Run(core.Options{Mode: core.ModeHybrid, ConstraintMargin: margin})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !out.Feasible {
-					b.Fatal("infeasible")
-				}
-				pw = out.CoolingPower()
-			}
-			b.ReportMetric(pw, "𝒫-W")
-		})
-	}
-}
-
-func marginName(m float64) string {
-	switch m {
-	case 0.01:
-		return "margin10mK"
-	case 0.05:
-		return "margin50mK"
-	case 0.25:
-		return "margin250mK"
-	}
-	return "margin"
-}
-
 // BenchmarkQPSubproblem isolates the active-set QP kernel inside the SQP.
 func BenchmarkQPSubproblem(b *testing.B) {
 	p := &solver.Problem{

@@ -1,7 +1,7 @@
 // Command oftecvet runs the project's static-analysis suite (internal/lint)
 // over the module whose go.mod is in the working directory: floatcmp,
-// errdrop, unitsuffix, nonfinite, backendleak, fanleak, hotalloc,
-// lockorder, and goroleak. It is stdlib-only and gates CI next to go vet,
+// errdrop, unitsuffix, nonfinite, backendleak, hotalloc, lockorder, and
+// goroleak. It is stdlib-only and gates CI next to go vet,
 // whose copylocks check covers mutex-bearing structs passed by value:
 //
 //	go run ./cmd/oftecvet

@@ -11,8 +11,11 @@
 //
 // Three families implement it:
 //
-//   - Air: the paper's fan + heat-sink pair, bit-for-bit (the equivalence
-//     suite pins Air against internal/fan across the command range).
+//   - Air: the paper's fan + heat-sink pair, computing Equation (8)'s
+//     P = c·ω³ and Equation (9)'s g = p·ln(qω) + r itself from the plain
+//     FanSpec/HeatSinkSpec data a configuration carries. The specs have
+//     no methods, so code outside this package reaches the laws only
+//     through Actuator.
 //   - Liquid: a pump-driven cold-plate loop — pump speed u sets the
 //     volumetric flow, the capacity rate ṁ·c_p caps the effective
 //     conductance through an ε-NTU law, and pump power follows the

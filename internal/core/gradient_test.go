@@ -116,12 +116,12 @@ func TestGradientTinySpanProbesDistinct(t *testing.T) {
 	}
 }
 
-// paretoHookFront fabricates per-threshold outcomes so ParetoFront's
-// frontier and error rules can be checked under controlled fault
-// injection: feasible at ambient+20 K and above, infeasible below, and
-// the injected error at every threshold in errAt. It records the
+// fakeParetoRun fabricates per-threshold outcomes so ParetoFront's
+// frontier and error rules (paretoSweep) can be checked under controlled
+// fault injection: feasible at ambient+20 K and above, infeasible below,
+// and the injected error at every threshold in errAt. It records the
 // thresholds it was asked to solve in *solved.
-func paretoHookFront(ambient float64, injected error, solved *[]float64, errAt ...float64) func(o Options) (*Outcome, error) {
+func fakeParetoRun(ambient float64, injected error, solved *[]float64, errAt ...float64) func(o Options) (*Outcome, error) {
 	return func(o Options) (*Outcome, error) {
 		*solved = append(*solved, o.TMax)
 		for _, e := range errAt {
@@ -146,15 +146,14 @@ func paretoHookFront(ambient float64, injected error, solved *[]float64, errAt .
 // infeasible region cannot fail the front, and every point below the
 // frontier comes back blank.
 func TestParetoErrorBelowFrontierNeverSolved(t *testing.T) {
-	s := benchSystem(t, "CRC32")
-	ambient := s.Config().Ambient
+	ambient := thermal.DefaultConfig().Ambient
 	var solved []float64
 	// Feasible at ambient+30/+20, infeasible at +10, error injected at +5
 	// — strictly below the first infeasible threshold.
-	s.paretoRunHook = paretoHookFront(ambient, errors.New("backend melted below the frontier"), &solved, ambient+5)
+	run := fakeParetoRun(ambient, errors.New("backend melted below the frontier"), &solved, ambient+5)
 	thresholds := []float64{ambient + 5, ambient + 30, ambient + 10, ambient + 20}
 
-	front, err := s.ParetoFront(thresholds, Options{})
+	front, err := paretoSweep(thresholds, Options{}, run)
 	if err != nil {
 		t.Fatalf("front failed on an error below the frontier: %v", err)
 	}
@@ -182,14 +181,13 @@ func TestParetoErrorBelowFrontierNeverSolved(t *testing.T) {
 // solves fails it, and with errors at two solved thresholds the sweep
 // reports the first in descending order, naming it.
 func TestParetoErrorAtFrontierFails(t *testing.T) {
-	s := benchSystem(t, "CRC32")
-	ambient := s.Config().Ambient
+	ambient := thermal.DefaultConfig().Ambient
 	boom := errors.New("backend melted at the frontier")
 	var solved []float64
-	s.paretoRunHook = paretoHookFront(ambient, boom, &solved, ambient+10, ambient+20)
+	run := fakeParetoRun(ambient, boom, &solved, ambient+10, ambient+20)
 	thresholds := []float64{ambient + 10, ambient + 20, ambient + 30}
 
-	_, err := s.ParetoFront(thresholds, Options{})
+	_, err := paretoSweep(thresholds, Options{}, run)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error lost the injected cause: %v", err)
 	}

@@ -29,10 +29,6 @@ type Options struct {
 	// exponential leakage model and reports it in Outcome.ExactResult.
 	// Scalar (single-zone) runs only; zoned runs ignore it.
 	VerifyExact bool
-	// ConstraintMargin backs the optimizer's constraint off the strict
-	// threshold: the solver enforces T ≤ T_max − margin so the returned
-	// point satisfies the paper's strict T < T_max. Zero selects 0.05 K.
-	ConstraintMargin float64
 	// MultiStart additionally launches Optimization 1 from the domain
 	// corners (center start remains first), guarding against the "minor
 	// non-convexities" the paper observes in Figure 6. Costs roughly 5×
@@ -82,12 +78,12 @@ func (o Options) tMax(cfg thermal.Config) float64 {
 	return cfg.TMax
 }
 
-func (o Options) margin() float64 {
-	if o.ConstraintMargin > 0 {
-		return o.ConstraintMargin
-	}
-	return 0.05
-}
+// constraintMargin backs the optimizer's constraint off the strict
+// threshold, in kelvin: the solver enforces T ≤ T_max − constraintMargin
+// so the returned point satisfies the paper's strict T < T_max. It is the
+// same 0.05 K that thermal.DefaultSmoothBound allows the smoothed maximum
+// to over-estimate the true one.
+const constraintMargin = 0.05
 
 // Outcome reports one controller run.
 type Outcome struct {
@@ -215,7 +211,7 @@ func (s *System) runVector(bnd *evalcache.Binding, k int, opts Options) (*vecOut
 		x0[i] = (lower[i] + upper[i]) / 2
 	}
 
-	tMaxSolve := opts.tMax(cfg) - opts.margin()
+	tMaxSolve := opts.tMax(cfg) - constraintMargin
 	if opts.Solver.Workers == 0 {
 		// Every evaluation of a solver call is anchored on its incumbent
 		// (anchoredProblem), so an answer never depends on evaluation

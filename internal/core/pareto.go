@@ -34,6 +34,12 @@ func (s *System) ParetoFront(tmaxValues []float64, opts Options) ([]ParetoPoint,
 	if err := s.CheckPareto(tmaxValues); err != nil {
 		return nil, err
 	}
+	return paretoSweep(tmaxValues, opts, s.Run)
+}
+
+// paretoSweep is ParetoFront's loop over checked thresholds, with run
+// solving one threshold.
+func paretoSweep(tmaxValues []float64, opts Options, run func(Options) (*Outcome, error)) ([]ParetoPoint, error) {
 	sorted := append([]float64(nil), tmaxValues...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 	out := make([]ParetoPoint, 0, len(sorted))
@@ -48,7 +54,7 @@ func (s *System) ParetoFront(tmaxValues []float64, opts Options) ([]ParetoPoint,
 		if !infeasibleBelow {
 			o := opts
 			o.TMax = tmax
-			res, err := s.paretoRun(o)
+			res, err := run(o)
 			if err != nil {
 				return nil, fmt.Errorf("core: Pareto threshold %g K: %w", tmax, err)
 			}
@@ -80,13 +86,4 @@ func (s *System) CheckPareto(tmaxValues []float64) error {
 		}
 	}
 	return nil
-}
-
-// paretoRun dispatches one threshold's solve: the test seam when
-// installed, the real Algorithm 1 run otherwise.
-func (s *System) paretoRun(o Options) (*Outcome, error) {
-	if h := s.paretoRunHook; h != nil {
-		return h(o)
-	}
-	return s.Run(o)
 }

@@ -180,11 +180,6 @@ type System struct {
 	bindMu   sync.Mutex
 	bindings sync.Map
 	zoned    int // zoned bindings resident; guarded by bindMu
-
-	// paretoRunHook, when non-nil, replaces Run for ParetoFront's
-	// per-threshold solves, so tests can fault-inject specific thresholds.
-	// Test instrumentation only; set before any traffic.
-	paretoRunHook func(o Options) (*Outcome, error)
 }
 
 // CacheStats counts evaluation-cache traffic; totals are cumulative for

@@ -260,7 +260,6 @@ func All() []*Analyzer {
 		UnitSuffixAnalyzer,
 		NonFiniteAnalyzer,
 		BackendLeakAnalyzer,
-		FanLeakAnalyzer,
 		HotAllocAnalyzer,
 		LockOrderAnalyzer,
 		GoroLeakAnalyzer,

@@ -6,29 +6,20 @@ import (
 	"strings"
 )
 
-// seamRule is one layering seam the leak analyzers guard: the concrete
+// seamRule is one layering seam a leak analyzer guards: the concrete
 // types of one package that consumers must not touch, the packages the
 // rule applies to, and the remedy its findings name.
 type seamRule struct {
 	analyzer string   // analyzer name, as named in //lint:ignore hints
 	pkg      string   // the guarded package's name; its import path ends in "internal/"+pkg
 	types    []string // the guarded type names in that package
-	scoped   []string // import-path suffixes the rule applies to; nil means every package
-	exempt   []string // import-path suffixes the rule never applies to
+	scoped   []string // import-path suffixes the rule applies to
 	ident    string   // remedy for a direct type reference
 	sel      string   // remedy for a member selection on a guarded value
 }
 
 // applies reports whether the rule covers the package at path.
 func (r *seamRule) applies(path string) bool {
-	for _, suffix := range r.exempt {
-		if strings.HasSuffix(path, suffix) {
-			return false
-		}
-	}
-	if r.scoped == nil {
-		return true
-	}
 	for _, suffix := range r.scoped {
 		if strings.HasSuffix(path, suffix) {
 			return true

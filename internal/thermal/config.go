@@ -164,10 +164,11 @@ type Config struct {
 
 	// TEC is the thermoelectric deployment.
 	TEC TECSpec
-	// HeatSink is the fan-speed-dependent sink-to-ambient conductance law
-	// of the air actuator (Equation (9)).
+	// HeatSink parameterizes the air actuator's fan-speed-dependent
+	// sink-to-ambient conductance law (Equation (9)).
 	HeatSink coolant.HeatSinkSpec
-	// Fan is the forced-convection cooler of the air actuator (Equation (8)).
+	// Fan parameterizes the air actuator's forced-convection cooler
+	// (Equation (8)).
 	Fan coolant.FanSpec
 	// Coolant optionally swaps the cooling actuator: nil (the zero
 	// configuration, and what every pre-seam configuration deserializes
@@ -243,11 +244,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("thermal: TEC uncovered unit %q not in floorplan", name)
 		}
 	}
-	act, err := c.Actuator()
-	if err != nil {
-		return err
-	}
-	if err := act.Validate(); err != nil {
+	if _, err := c.Actuator(); err != nil {
 		return err
 	}
 	if err := c.Leakage.Validate(); err != nil {
@@ -307,22 +304,19 @@ func nonFinite(v reflect.Value) (string, bool) {
 	return "", false
 }
 
-// Actuator resolves the cooling actuator this configuration drives: the
-// air fan + heat-sink pair when Coolant is nil or names "air", otherwise
-// whatever the spec selects. Resolution is a cheap value construction;
-// the model resolves once at build time and callers that only need the
-// command bound can use UMax.
+// Actuator resolves and validates the cooling actuator this configuration
+// drives: the air fan + heat-sink pair when Coolant is nil or names "air",
+// otherwise whatever the spec selects. Resolution is a cheap value
+// construction; the model resolves once at build time and callers that
+// only need the command bound can use UMax.
 func (c *Config) Actuator() (coolant.Actuator, error) {
-	if c.Coolant == nil {
-		return coolant.Air{Fan: c.Fan, Sink: c.HeatSink}, nil
-	}
 	return c.Coolant.Resolve(c.Fan, c.HeatSink)
 }
 
 // UMax returns the actuator command upper bound (constraint (16)
 // generalized): the fan's ω_max under air cooling, the pump's maximum
-// speed under a liquid loop. An unresolvable coolant spec returns 0,
-// which every consumer rejects; Validate reports the underlying error.
+// speed under a liquid loop. An unresolvable or invalid actuator returns
+// 0, which every consumer rejects; Validate reports the underlying error.
 func (c *Config) UMax() float64 {
 	act, err := c.Actuator()
 	if err != nil {

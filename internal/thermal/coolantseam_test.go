@@ -88,11 +88,22 @@ func TestLiquidEvaluatePhysics(t *testing.T) {
 // TestLiquidAdjointMatchesCentralDiff is the liquid half of the gradient
 // acceptance bar: the adjoint gradients under the liquid actuator must
 // match Richardson-extrapolated central differences to 1e-5 relative
-// error, on interior points and on the GMin-saturated branch (where the
-// conductance derivative is exactly zero and only the pump term remains).
+// error, on interior points, on the GMin-saturated branch (where the
+// conductance derivative is exactly zero and only the pump term remains),
+// and at an interior point of the liquid-dc (facility meter) and
+// liquid-package (cold-plate share) variants.
 func TestLiquidAdjointMatchesCentralDiff(t *testing.T) {
 	cfg := liquidConfig()
 	m := benchModel(t, cfg, "Basicmath")
+	variant := func(name string) *Model {
+		spec, err := coolant.SpecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.Coolant = spec
+		return benchModel(t, cfg, "Basicmath")
+	}
 	nc := m.ChipGrid().NumCells()
 	tau := SmoothMaxTau(nc, DefaultSmoothBound)
 	knee := coolant.PaperLoop().CrossoverU()
@@ -144,6 +155,8 @@ func TestLiquidAdjointMatchesCentralDiff(t *testing.T) {
 		// is the pump affinity derivative, and the steps must stay below
 		// the knee so the difference quotient sees one smooth branch.
 		{"saturated", mSat, satKnee * 0.5, 0.6, 1e-5, satKnee * 0.1, 0.02},
+		{"liquid-dc-interior", variant("liquid-dc"), 200, 1.0, 1e-5, 0.5, 0.02},
+		{"liquid-package-interior", variant("liquid-package"), 200, 1.0, 1e-5, 0.5, 0.02},
 	}
 	for _, pt := range points {
 		t.Run(pt.name, func(t *testing.T) {

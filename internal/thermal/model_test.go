@@ -3,9 +3,11 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"oftec/internal/coolant"
 	"oftec/internal/material"
 	"oftec/internal/power"
 	"oftec/internal/units"
@@ -161,51 +163,104 @@ func TestZeroPowerZeroLeakageGivesAmbient(t *testing.T) {
 	}
 }
 
-func TestEnergyBalance(t *testing.T) {
-	cfg := testConfig()
-	m := benchModel(t, cfg, "Basicmath")
-	for _, op := range [][2]float64{
-		{units.RPMToRadPerSec(2000), 0},
-		{units.RPMToRadPerSec(2000), 2},
-		{units.RPMToRadPerSec(5000), 5},
-		{units.RPMToRadPerSec(800), 1},
-	} {
-		res, err := m.Evaluate(op[0], op[1])
-		if err != nil {
-			t.Fatalf("Evaluate(%v): %v", op, err)
-		}
-		if res.Runaway {
-			t.Fatalf("unexpected runaway at %v", op)
-		}
-		bal, err := m.EnergyBalance(res)
+// forEachCoolantModel runs f in one subtest per registered coolant and
+// per benchmark (Basicmath, Quicksort), named coolant/benchmark, on
+// testConfig re-actuated through that coolant, with a fixed-seed source
+// for random operating points.
+func forEachCoolantModel(t *testing.T, f func(t *testing.T, m *Model, rng *rand.Rand)) {
+	for _, name := range coolant.Names() {
+		spec, err := coolant.SpecByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := res.PDynamic + res.PLeakage + res.PTEC
-		if math.Abs(bal) > 1e-4*total {
-			t.Errorf("op %v: energy imbalance %g W of %g W total", op, bal, total)
+		for _, bench := range []string{"Basicmath", "Quicksort"} {
+			t.Run(name+"/"+bench, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Coolant = spec
+				f(t, benchModel(t, cfg, bench), rand.New(rand.NewSource(1)))
+			})
 		}
 	}
 }
 
-func TestFanSpeedMonotonicity(t *testing.T) {
-	cfg := testConfig()
-	m := benchModel(t, cfg, "Dijkstra")
-	var prev float64 = math.Inf(1)
-	for _, rpm := range []float64{500, 1000, 2000, 3500, 5000} {
-		res, err := m.Evaluate(units.RPMToRadPerSec(rpm), 0)
-		if err != nil {
-			t.Fatal(err)
+// randomCommand draws an actuator command from 5–100% of m's UMax.
+func randomCommand(rng *rand.Rand, m *Model) float64 {
+	return m.UMax() * (0.05 + 0.95*rng.Float64())
+}
+
+// randomCurrent draws a TEC current from [0, I_max].
+func randomCurrent(rng *rand.Rand, m *Model) float64 {
+	return m.Config().TEC.MaxCurrent * rng.Float64()
+}
+
+// TestCoolantEnergyBalance: under every coolant, at random operating
+// points, the heat leaving the package balances the heat generated in it
+// to 1e-4 of the total. Points that run away have no steady state and
+// are skipped.
+func TestCoolantEnergyBalance(t *testing.T) {
+	forEachCoolantModel(t, func(t *testing.T, m *Model, rng *rand.Rand) {
+		balanced := 0
+		for i := 0; i < 40; i++ {
+			u, itec := randomCommand(rng, m), randomCurrent(rng, m)
+			res, err := m.Evaluate(u, itec)
+			if err != nil {
+				t.Fatalf("Evaluate(%g, %g): %v", u, itec, err)
+			}
+			if res.Runaway {
+				continue
+			}
+			bal, err := m.EnergyBalance(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := res.PDynamic + res.PLeakage + res.PTEC
+			if math.Abs(bal) > 1e-4*total {
+				t.Errorf("(u=%g, I=%g): energy imbalance %g W of %g W total", u, itec, bal, total)
+			}
+			balanced++
 		}
-		if res.Runaway {
-			t.Fatalf("runaway at %v RPM", rpm)
+		if balanced == 0 {
+			t.Fatal("every point ran away")
 		}
-		if res.MaxChipTemp >= prev {
-			t.Errorf("Tmax did not decrease with fan speed at %v RPM: %g >= %g",
-				rpm, res.MaxChipTemp, prev)
+	})
+}
+
+// TestCoolantCommandMonotonicity: under every coolant, raising the
+// actuator command at a fixed TEC current never raises the maximum chip
+// temperature, on random pairs of commands. A pair fails if the higher
+// command runs away and the lower one does not; other pairs with a
+// runaway end are skipped.
+func TestCoolantCommandMonotonicity(t *testing.T) {
+	forEachCoolantModel(t, func(t *testing.T, m *Model, rng *rand.Rand) {
+		compared := 0
+		for i := 0; i < 40; i++ {
+			uLo, uHi, itec := randomCommand(rng, m), randomCommand(rng, m), randomCurrent(rng, m)
+			if uHi < uLo {
+				uLo, uHi = uHi, uLo
+			}
+			lo, err := m.Evaluate(uLo, itec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hi, err := m.Evaluate(uHi, itec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case hi.Runaway && !lo.Runaway:
+				t.Errorf("I=%g: runaway at u=%g but not at u=%g", itec, uHi, uLo)
+			case lo.Runaway || hi.Runaway:
+				continue
+			case hi.MaxChipTemp > lo.MaxChipTemp+units.EpsTemp:
+				t.Errorf("I=%g: Tmax rose with the command: %g K at u=%g, %g K at u=%g",
+					itec, lo.MaxChipTemp, uLo, hi.MaxChipTemp, uHi)
+			}
+			compared++
 		}
-		prev = res.MaxChipTemp
-	}
+		if compared == 0 {
+			t.Fatal("every pair ran away")
+		}
+	})
 }
 
 func TestDynamicPowerMonotonicity(t *testing.T) {
