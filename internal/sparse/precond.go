@@ -540,34 +540,50 @@ func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
 }
 
 // CGPrecond solves A·x = b, for a symmetric A, with the conjugate
-// gradient method under the factorization m; it neither factors nor
-// checks symmetry. It fails, wrapping ErrNoConvergence, on non-positive
-// curvature (pᵀAp ≤ 0), the sign of an indefinite A, when MaxIter runs
-// out, and on a nil m, the mark of a factorization that failed, before
-// any iteration and with zero Stats. Near thermal runaway the point CG
-// would converge to is the unstable fixed point, not a steady state, so
-// the thermal package, whose one solver this is, reports any failure as
-// runaway.
+// gradient method under the factorization m, into a freshly allocated
+// solution vector (see CGPrecondInto, which it calls); on failure it
+// returns no solution.
 //
 //oftec:allocok returns a freshly allocated solution vector by contract; iteration scratch comes from SolveOptions.Work
 func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]float64, Stats, error) {
+	x := make([]float64, a.N())
+	st, err := CGPrecondInto(x, a, b, m, opts)
+	if err != nil {
+		return nil, st, err
+	}
+	return x, st, nil
+}
+
+// CGPrecondInto solves A·x = b, for a symmetric A, with the conjugate
+// gradient method under the factorization m, into the caller's x of
+// length n, starting from opts.X0 (which may be x itself) or from zero;
+// it neither factors nor checks symmetry. It fails, wrapping
+// ErrNoConvergence, on non-positive curvature (pᵀAp ≤ 0), the sign of an
+// indefinite A, when MaxIter runs out, and on a nil m, the mark of a
+// factorization that failed, before any iteration and with zero Stats.
+// On failure x holds no solution. Near thermal runaway the
+// point CG would converge to is the unstable fixed point, not a steady
+// state, so the thermal package, whose one solver this is, reports any
+// failure as runaway.
+func CGPrecondInto(x []float64, a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) (Stats, error) {
 	n := a.N()
 	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
+		return Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
+	}
+	if len(x) != n {
+		return Stats{}, fmt.Errorf("sparse: solution length %d does not match matrix dimension %d", len(x), n)
 	}
 	if m == nil {
-		return nil, Stats{}, fmt.Errorf("%w: no IC(0) factorization to precondition CG", ErrNoConvergence)
+		return Stats{}, fmt.Errorf("%w: no IC(0) factorization to precondition CG", ErrNoConvergence)
 	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-	}
+	// The start's tail past a short X0 is zero, as it is from nil.
+	Fill(x[copy(x, opts.X0):], 0)
 	ws := opts.work(n)
 	r := ws.r
 	a.Residual(r, x, b)
 	bnorm := Norm2(b)
 	if bnorm == 0 {
-		return x, Stats{}, nil
+		return Stats{}, nil
 	}
 	tol := opts.tol()
 
@@ -586,7 +602,7 @@ func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]f
 		// each sums in ascending index order, as Dot and Norm2 do.
 		pap := a.mulVecDot(ap, p)
 		if pap <= 0 || math.IsNaN(pap) {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=%g)", ErrNoConvergence, pap)
+			return Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=%g)", ErrNoConvergence, pap)
 		}
 		alpha := rz / pap
 		var rr float64
@@ -597,7 +613,7 @@ func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]f
 		}
 		res := math.Sqrt(rr) / bnorm
 		if res <= tol {
-			return x, Stats{Iterations: it, Residual: res}, nil
+			return Stats{Iterations: it, Residual: res}, nil
 		}
 		m.ApplyScratch(z, r, ws.pre)
 		rzNew := Dot(r, z)
@@ -607,5 +623,5 @@ func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]f
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
+	return Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
 }

@@ -138,11 +138,44 @@ func TestCGWarmStart(t *testing.T) {
 	}
 }
 
+// TestCGPrecondIntoMatchesCGPrecond: solved into caller storage, a separate
+// vector or the warm start itself, CG gives CGPrecond's solution and Stats
+// bit for bit.
+func TestCGPrecondIntoMatchesCGPrecond(t *testing.T) {
+	a := laplacian2D(12, 2)
+	ic := icOf(t, a)
+	b := make([]float64, a.N())
+	x0 := make([]float64, a.N())
+	for i := range b {
+		b[i] = math.Sin(float64(i))
+		x0[i] = math.Cos(float64(i))
+	}
+	want, wantSt, err := CGPrecond(a, b, ic, SolveOptions{X0: x0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, x []float64, st Stats, err error) {
+		t.Helper()
+		if err != nil || st != wantSt || !reflect.DeepEqual(x, want) {
+			t.Errorf("%s: stats %+v err %v, CGPrecond stats %+v; solutions equal %v", name, st, err, wantSt, reflect.DeepEqual(x, want))
+		}
+	}
+	separate := make([]float64, a.N())
+	st, err := CGPrecondInto(separate, a, b, ic, SolveOptions{X0: x0})
+	check("separate", separate, st, err)
+	aliased := append([]float64(nil), x0...)
+	st, err = CGPrecondInto(aliased, a, b, ic, SolveOptions{X0: aliased})
+	check("aliased", aliased, st, err)
+}
+
 func TestCGRejectsDimensionMismatch(t *testing.T) {
 	a := laplacian1D(4, 1)
 	for _, ic := range []*ICPreconditioner{icOf(t, a), nil} {
 		if _, _, err := CGPrecond(a, make([]float64, 3), ic, SolveOptions{}); err == nil || errors.Is(err, ErrNoConvergence) {
 			t.Fatalf("mismatched rhs (factorization %t): err = %v, want a dimension error", ic != nil, err)
+		}
+		if _, err := CGPrecondInto(make([]float64, 3), a, make([]float64, 4), ic, SolveOptions{}); err == nil || errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("mismatched solution (factorization %t): err = %v, want a dimension error", ic != nil, err)
 		}
 	}
 }

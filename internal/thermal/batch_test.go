@@ -18,16 +18,31 @@ import (
 // the remaining points (the sweep warm-start carry), or an explicit warm
 // seeds everything.
 
-// batchGrid is a small sweep covering memo-cold points, repeated points,
-// and the fanless high-current runaway corner.
+// batchGrid is a small sweep covering memo-cold points and the fanless
+// high-current runaway corner. Each ω holds perPointChunk+2 currents from
+// 0 to MaxCurrent, so past its seed point every group's chunk holds more
+// misses than the per-point route takes and runs in lockstep.
 func batchGrid(cfg Config) []Point {
 	var pts []Point
 	for _, omega := range []float64{120, 250, 0} {
-		for _, itec := range []float64{0, 0.8, cfg.TEC.MaxCurrent} {
-			pts = append(pts, opPoint(omega, itec))
+		for k := 0; k < perPointChunk+2; k++ {
+			pts = append(pts, opPoint(omega, cfg.TEC.MaxCurrent*float64(k)/(perPointChunk+1)))
 		}
 	}
 	return pts
+}
+
+// requireLockstep fails the test unless some ω-group of pts holds more
+// than perPointChunk points past its seed point, so that a cold
+// EvaluateBatch over pts reaches sparse.CGPrecondBatch.
+func requireLockstep(t *testing.T, pts []Point) {
+	t.Helper()
+	for _, g := range groupByOmega(len(pts), func(i int) float64 { return pts[i].Omega }) {
+		if len(g)-1 > perPointChunk {
+			return
+		}
+	}
+	t.Fatalf("no ω-group of the %d points reaches the lockstep path (perPointChunk = %d)", len(pts), perPointChunk)
 }
 
 // opPoint builds an operating point with one current per zone.
@@ -84,6 +99,7 @@ func assertResultsDeepEqual(t *testing.T, label string, got, want []*Result) {
 func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 	cfg := testConfig()
 	pts := batchGrid(cfg)
+	requireLockstep(t, pts)
 
 	batched := benchModel(t, cfg, "Basicmath")
 	got, err := batched.EvaluateBatch(context.Background(), nil, pts, nil)
@@ -109,6 +125,65 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 	assertResultsDeepEqual(t, "warm", got2, want2)
 }
 
+// TestEvaluateBatchNarrowChunksMatchPerPoint: a chunk of 1 to
+// perPointChunk memo misses takes the per-point route from its group's
+// seed, cold (one group per miss count, each after its seed point), warm
+// (every point of a group a miss), and where memo hits narrow a wide
+// window to perPointChunk misses; every result is DeepEqual to the
+// per-point reference.
+func TestEvaluateBatchNarrowChunksMatchPerPoint(t *testing.T) {
+	cfg := testConfig()
+	iMax := cfg.TEC.MaxCurrent
+	// group returns a ω-group of n points with currents spread over
+	// [0, iMax].
+	group := func(omega float64, n int) []Point {
+		var pts []Point
+		for k := 0; k < n; k++ {
+			pts = append(pts, opPoint(omega, iMax*float64(k)/float64(max(n-1, 1))))
+		}
+		return pts
+	}
+	var cold, warm []Point
+	for k := 1; k <= perPointChunk; k++ {
+		cold = append(cold, group(100+40*float64(k), k+1)...)
+		warm = append(warm, group(110+40*float64(k), k)...)
+	}
+	seedRes, err := benchModel(t, cfg, "Basicmath").Evaluate(300, 0)
+	if err != nil || seedRes.Runaway {
+		t.Fatalf("seed: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		pts  []Point
+		warm []float64
+		// memo are the points evaluated, in the same order on both models,
+		// before the batch.
+		memo []Point
+	}{
+		{"cold", cold, nil, nil},
+		{"warm", warm, seedRes.T, nil},
+		{"memo-narrowed", group(260, perPointChunk+3), nil, group(260, perPointChunk+3)[2:4]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batched := benchModel(t, cfg, "Basicmath")
+			reference := benchModel(t, cfg, "Basicmath")
+			for _, m := range []*Model{batched, reference} {
+				for _, p := range tc.memo {
+					if _, err := m.EvaluateWarm(nil, p, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, err := batched.EvaluateBatch(context.Background(), nil, tc.pts, tc.warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := perPointReference(t, reference, nil, tc.pts, tc.warm)
+			assertResultsDeepEqual(t, tc.name, got, want)
+		})
+	}
+}
+
 // TestEvaluateBatchFailuresMatchPerPoint: a column the lockstep solve
 // fails is final, and its runaway Result, SolveStats included, is
 // DeepEqual to the per-point one. It covers both ways a batched point
@@ -118,9 +193,10 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 func TestEvaluateBatchFailuresMatchPerPoint(t *testing.T) {
 	cfg := testConfig()
 	iMax := cfg.TEC.MaxCurrent
-	// The first point of each ω-group solves per point; the rest share a
-	// lockstep chunk.
-	pts := []Point{opPoint(0, 0), opPoint(0, 0.8), opPoint(0, iMax), opPoint(0, iMax/2), opPoint(250, 0), opPoint(250, 1)}
+	// The first point of each ω-group solves per point; the fanless
+	// group's other five share a lockstep chunk.
+	pts := []Point{opPoint(0, 0), opPoint(0, 0.8), opPoint(0, iMax), opPoint(0, iMax/2), opPoint(0, 0.3), opPoint(0, 1.6), opPoint(250, 0), opPoint(250, 1)}
+	requireLockstep(t, pts)
 	leaky := testConfig()
 	leaky.Leakage.P0Density *= 20
 	for _, tc := range []struct {
@@ -210,10 +286,11 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 
 	var pts []Point
 	for _, omega := range []float64{150, 250} {
-		for _, cur := range [][]float64{{0, 0}, {0.6, 1.2}, {1.4, 0.2}, {0.6, 1.2}} {
+		for _, cur := range [][]float64{{0, 0}, {0.6, 1.2}, {1.4, 0.2}, {0.6, 1.2}, {2.1, 0.9}, {0, 1.8}} {
 			pts = append(pts, Point{Omega: omega, Currents: cur})
 		}
 	}
+	requireLockstep(t, pts)
 	got, err := batched.EvaluateBatch(context.Background(), zb, pts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +327,8 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 func TestEvaluateBatchSpansDynamicPowerFlush(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	pts := []Point{opPoint(200, 0), opPoint(200, 0.7), opPoint(200, 1.3), opPoint(120, 0.7)}
+	pts := []Point{opPoint(200, 0), opPoint(200, 0.7), opPoint(200, 1.3), opPoint(200, 0.2), opPoint(200, 1.0), opPoint(200, 1.6), opPoint(120, 0.7)}
+	requireLockstep(t, pts)
 	before, err := m.EvaluateBatch(context.Background(), nil, pts, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -167,6 +168,74 @@ func BenchmarkSliceFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if m.factorSlice(sc) == nil {
 			b.Fatal("the slice does not factor")
+		}
+	}
+}
+
+// BenchmarkEvaluateBatchChunk times the two routes evaluateGroup can give
+// a chunk of k memo misses in one ω-group, for k = 1…sparse.BatchWidth,
+// from a fixed seed (the group's I_TEC = 0 solution at half the fan
+// range), on Basicmath at oftecd's resolution and at paper resolution:
+// per point (k evaluateIn solves, each assembling and factoring its own
+// point) and in lockstep (the group's canonical assembly, factorization
+// and buffers, and one CGPrecondBatch over the chunk padded to
+// sparse.BatchWidth columns). The k currents are spread evenly over
+// (0, MaxCurrent). The memo is emptied before every iteration, outside
+// the timer, so both routes solve every point. perPointChunk's doc
+// comment cites the ratio of the two routes' medians.
+func BenchmarkEvaluateBatchChunk(b *testing.B) {
+	for _, r := range []struct {
+		name string
+		cfg  Config
+	}{{"oftecd", testConfig()}, {"paper", DefaultConfig()}} {
+		m, err := NewModel(r.cfg, benchMap(b, r.cfg, "Basicmath"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		omega := m.UMax() / 2
+		seedRes, err := m.Evaluate(omega, 0)
+		if err != nil || seedRes.Runaway {
+			b.Fatalf("seed at ω=%g: err %v", omega, err)
+		}
+		seed := seedRes.T
+		for k := 1; k <= sparse.BatchWidth; k++ {
+			pts := make([]Point, k)
+			maxCur := make([]float64, k)
+			chunk := make([]int, k)
+			for j := range pts {
+				maxCur[j] = r.cfg.TEC.MaxCurrent * float64(j+1) / float64(k+1)
+				pts[j] = Point{Omega: omega, Currents: []float64{maxCur[j]}}
+				chunk[j] = j
+			}
+			results := make([]*Result, k)
+			flush := func(b *testing.B) {
+				b.StopTimer()
+				m.resMu.Lock()
+				clear(m.resMem)
+				m.resMu.Unlock()
+				b.StartTimer()
+			}
+			b.Run(fmt.Sprintf("%s/k=%d/perpoint", r.name, k), func(b *testing.B) {
+				sc := m.getScratch()
+				defer m.putScratch(sc)
+				for i := 0; i < b.N; i++ {
+					flush(b)
+					for _, j := range chunk {
+						results[j] = m.evaluateIn(sc, m.one, pts[j], maxCur[j], seed)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/k=%d/lockstep", r.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					flush(b)
+					lk := m.newLockstep(omega)
+					err := m.solveLockstep(lk, m.one, omega, pts, maxCur, chunk, seed, results)
+					m.releaseLockstep(lk)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

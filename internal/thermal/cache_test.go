@@ -135,6 +135,13 @@ func TestTransientRefactorsOnKeyChange(t *testing.T) {
 			t.Fatalf("step %d at one key refactored", i+2)
 		}
 	}
+	// At its key a step allocates nothing: it solves into the Transient's
+	// own vector in pooled scratch (which a -race build drops at random).
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(4, func() { step("same key", 0.05) }); n != 0 {
+			t.Errorf("a step at its key allocates %g times", n)
+		}
+	}
 	prev := first
 	for _, c := range []struct {
 		label       string

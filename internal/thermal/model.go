@@ -839,9 +839,8 @@ func (m *Model) assembleSlice(sc *evalScratch, omega float64) {
 // solveScratch runs the sparse solve of the system assembled in sc
 // through the scratch workspace: CG from warm under ic, the ω-slice
 // factorization every steady-state path (scalar, zoned, exact, batched)
-// solves under (see factorSlice), or a transient step's own factor. A nil
-// ic, a matrix that does not factor, fails the solve; a steady point is
-// then runaway.
+// solves under (see factorSlice). A nil ic, a slice that does not factor,
+// fails the solve; the point is then runaway.
 //
 //oftec:hotpath
 func (m *Model) solveScratch(sc *evalScratch, ic *sparse.ICPreconditioner, warm []float64) ([]float64, sparse.Stats, error) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"oftec/internal/parallel"
 	"oftec/internal/sparse"
 )
 
@@ -138,6 +139,14 @@ type romScratch struct {
 // NewReducedModel builds a ROM over the model's operating box
 // [0, ΩMax] × [0, MaxCurrent]. It fails if the snapshot grid yields no
 // usable basis (for example, every snapshot in thermal runaway).
+//
+// Its full solves run in two fan-outs of independent tasks through
+// parallel.ForEach at the hardware's width: the snapshot grid's ω-groups,
+// then, once they have set the ω floor, the dynamic-power sensitivities
+// and the validation grid's ω-groups. Each ω-group is one EvaluateBatch,
+// and every task writes its results by position, so the basis is
+// orthonormalized from the same snapshots in the same order, and the ROM
+// is bit-identical, at any GOMAXPROCS.
 func NewReducedModel(m *Model) (*ReducedModel, error) {
 	cfg := m.Config()
 	omegaMax := m.act.UMax()
@@ -145,11 +154,68 @@ func NewReducedModel(m *Model) (*ReducedModel, error) {
 	if omegaMax <= 0 {
 		return nil, fmt.Errorf("thermal: ROM needs a positive fan speed range, got ΩMax=%g", omegaMax)
 	}
-	r := &ReducedModel{m: m, runawayT: cfg.runawayTemp(), g0: m.act.Conductance(0)}
+	r, err := newROMBase(m)
+	if err != nil {
+		return nil, err
+	}
 
-	// Capture the affine base: assemble once at (ω=0, I=0) with the linear
-	// leakage folded in, then copy the matrix values and RHS out of the
-	// pooled scratch.
+	// Snapshot sweep: one EvaluateBatch per ω-group. Low fan speeds sit
+	// in the runaway wall (Figure 6's dark-red region); runaway snapshots
+	// carry no field and are skipped, and the smallest surviving ω
+	// becomes the ROM's floor.
+	snapGroups := romSnapshotGrid(omegaMax, iMax)
+	snapRes := make([][]*Result, len(snapGroups))
+	err = parallel.ForEach(context.Background(), len(snapGroups), 0, func(k int) error {
+		var err error
+		snapRes[k], err = m.EvaluateBatch(context.Background(), nil, snapGroups[k], nil)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("thermal: ROM snapshot sweep: %w", err)
+	}
+	snaps, floor := romSnapshots(snapGroups, snapRes)
+	if len(snaps) == 0 {
+		return nil, fmt.Errorf("thermal: ROM snapshot grid is entirely in thermal runaway")
+	}
+
+	// The floor fixes both the sensitivity speeds and the validation
+	// grid; their solves are independent of each other.
+	dynOmegas := romDynOmegas(floor, omegaMax)
+	valGroups := romValidationGrid(floor, omegaMax, iMax)
+	dyn := make([][]float64, len(dynOmegas))
+	valRes := make([][]*Result, len(valGroups))
+	err = parallel.ForEach(context.Background(), len(dyn)+len(valGroups), 0, func(k int) error {
+		if k < len(dyn) {
+			// A sensitivity that does not solve leaves its slot nil and
+			// adds no snapshot.
+			if x, err := r.dynSensitivity(dynOmegas[k]); err == nil {
+				dyn[k] = x
+			}
+			return nil
+		}
+		var err error
+		valRes[k-len(dyn)], err = m.EvaluateBatch(context.Background(), nil, valGroups[k-len(dyn)], nil)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("thermal: ROM validation sweep: %w", err)
+	}
+	for _, x := range dyn {
+		if x != nil {
+			snaps = append(snaps, x)
+		}
+	}
+	if err := r.fit(floor, snaps, valGroups, valRes); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// newROMBase starts a ROM on m with its affine base captured: the system
+// assembled once at (ω=0, I=0) with the linear leakage folded in, its
+// matrix values and RHS copied out of the pooled scratch.
+func newROMBase(m *Model) (*ReducedModel, error) {
+	r := &ReducedModel{m: m, runawayT: m.cfg.runawayTemp(), g0: m.act.Conductance(0)}
 	sc := m.getScratch()
 	m.assembleSlice(sc, 0)
 	a0vals := make([]float64, len(sc.vals))
@@ -163,57 +229,79 @@ func NewReducedModel(m *Model) (*ReducedModel, error) {
 	}
 	r.a0mat = a0mat
 	r.dynGen = m.dynGen.Load()
+	return r, nil
+}
 
-	// Snapshot sweep, submitted as one batch: every ω-slice shares one
-	// assembly and one factorization (sparse.CGPrecondBatch). Low fan
-	// speeds sit in the runaway wall (Figure 6's dark-red region); runaway
-	// snapshots carry no field and are skipped, and the smallest surviving
-	// ω becomes the ROM's floor.
-	var pts []Point
-	for io := 0; io < romSnapOmegas; io++ {
+// romSnapshotGrid is the snapshot grid, one group of points per fan
+// speed: ω spans (0, ΩMax] and the current [0, MaxCurrent].
+func romSnapshotGrid(omegaMax, iMax float64) [][]Point {
+	groups := make([][]Point, romSnapOmegas)
+	for io := range groups {
 		omega := omegaMax * float64(io+1) / romSnapOmegas
 		for ic := 0; ic < romSnapCurrents; ic++ {
 			itec := iMax * float64(ic) / (romSnapCurrents - 1)
-			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
+			groups[io] = append(groups[io], Point{Omega: omega, Currents: []float64{itec}})
 		}
 	}
-	snapRes, err := m.EvaluateBatch(context.Background(), nil, pts, nil)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: ROM snapshot sweep: %w", err)
-	}
-	var snaps [][]float64
-	r.omegaFloor = math.Inf(1)
-	for k, res := range snapRes {
-		if res.Runaway {
-			continue
-		}
-		snaps = append(snaps, res.T)
-		if pts[k].Omega < r.omegaFloor {
-			r.omegaFloor = pts[k].Omega
-		}
-	}
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("thermal: ROM snapshot grid is entirely in thermal runaway")
-	}
+	return groups
+}
 
-	// Dynamic-power sensitivity snapshots: the steady state is affine in
-	// the dynamic-power level (a workload rescaled by s solves to
-	// A⁻¹b_rest + s·A⁻¹b_dyn), so spanning A⁻¹b_dyn at a few fan speeds
-	// lets the lazy RHS refresh track SetDynamicPower rescales — the
-	// online-control pattern — without rebuilding the basis.
-	for _, omega := range []float64{r.omegaFloor, (r.omegaFloor + omegaMax) / 2, omegaMax} {
-		if x, err := r.dynSensitivity(omega); err == nil {
-			snaps = append(snaps, x)
+// romSnapshots collects the fields of the snapshot grid's solved points
+// that did not run away, in grid order, and the smallest ω among them
+// (+Inf when none survived).
+func romSnapshots(groups [][]Point, res [][]*Result) (snaps [][]float64, floor float64) {
+	floor = math.Inf(1)
+	for g, group := range groups {
+		for k, p := range group {
+			if res[g][k].Runaway {
+				continue
+			}
+			snaps = append(snaps, res[g][k].T)
+			floor = math.Min(floor, p.Omega)
 		}
 	}
+	return snaps, floor
+}
 
+// romDynOmegas are the fan speeds of the dynamic-power sensitivity
+// snapshots: the steady state is affine in the dynamic-power level (a
+// workload rescaled by s solves to A⁻¹b_rest + s·A⁻¹b_dyn), so spanning
+// A⁻¹b_dyn at a few fan speeds lets the lazy RHS refresh track
+// SetDynamicPower rescales — the online-control pattern — without
+// rebuilding the basis.
+func romDynOmegas(floor, omegaMax float64) []float64 {
+	return []float64{floor, (floor + omegaMax) / 2, omegaMax}
+}
+
+// romValidationGrid is the held-out validation grid above the ω floor,
+// one group of points per fan speed, offset to the midpoints of the
+// snapshot grid.
+func romValidationGrid(floor, omegaMax, iMax float64) [][]Point {
+	groups := make([][]Point, romValOmegas)
+	for io := range groups {
+		omega := floor + (omegaMax-floor)*(float64(io)+0.5)/romValOmegas
+		for ic := 0; ic < romValCurrents; ic++ {
+			itec := iMax * (float64(ic) + 0.5) / romValCurrents
+			groups[io] = append(groups[io], Point{Omega: omega, Currents: []float64{itec}})
+		}
+	}
+	return groups
+}
+
+// fit finishes a ROM whose base newROMBase captured from its solved
+// grids: the basis from snaps (the surviving snapshot fields, then the
+// dynamic-power sensitivities), the projected operators, and the bound
+// and amplification calibrated against the validation grid's full
+// solutions valRes.
+func (r *ReducedModel) fit(floor float64, snaps [][]float64, valGroups [][]Point, valRes [][]*Result) error {
+	r.omegaFloor = floor
 	r.basis = orthonormalBasis(snaps, romMaxRank)
 	r.rank = len(r.basis)
 	if r.rank == 0 {
-		return nil, fmt.Errorf("thermal: ROM basis collapsed (degenerate snapshots)")
+		return fmt.Errorf("thermal: ROM basis collapsed (degenerate snapshots)")
 	}
 	r.project()
-	rank, n := r.rank, m.n
+	rank, n := r.rank, r.m.n
 	r.scratch.New = func() any {
 		s := &romScratch{
 			flat: make([]float64, rank*rank),
@@ -226,11 +314,7 @@ func NewReducedModel(m *Model) (*ReducedModel, error) {
 		}
 		return s
 	}
-
-	if err := r.calibrate(omegaMax, iMax); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r.calibrate(valGroups, valRes)
 }
 
 // dynSensitivity solves A(ω, 0)·x = b_dyn, the derivative of the steady
@@ -333,49 +417,38 @@ func (r *ReducedModel) project() {
 	}
 }
 
-// calibrate measures the ROM against full solves on the held-out grid,
-// setting the advertised bound and the residual→error amplification. The
-// full reference solves go through the batched evaluator — one assembly
-// and factorization per validation ω.
-func (r *ReducedModel) calibrate(omegaMax, iMax float64) error {
-	var pts []Point
-	for io := 0; io < romValOmegas; io++ {
-		// Midpoint offset relative to the snapshot ω grid.
-		omega := r.omegaFloor + (omegaMax-r.omegaFloor)*(float64(io)+0.5)/romValOmegas
-		for ic := 0; ic < romValCurrents; ic++ {
-			itec := iMax * (float64(ic) + 0.5) / romValCurrents
-			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
-		}
-	}
-	fulls, err := r.m.EvaluateBatch(context.Background(), nil, pts, nil)
-	if err != nil {
-		return fmt.Errorf("thermal: ROM validation sweep: %w", err)
-	}
+// calibrate measures the ROM against the validation grid's full
+// solutions, setting the advertised bound and the residual→error
+// amplification.
+func (r *ReducedModel) calibrate(groups [][]Point, fulls [][]*Result) error {
 	var maxErr, maxKappa float64
 	valid := 0
-	for k, full := range fulls {
-		if full.Runaway {
-			continue
-		}
-		t, resNorm, ok := r.reducedSolve(pts[k].Omega, pts[k].Currents[0])
-		if !ok {
-			continue
-		}
-		var errInf float64
-		nc := r.m.grids[planeChip].NumCells()
-		for i := 0; i < nc; i++ {
-			node := r.m.node(planeChip, i)
-			if d := math.Abs(t[node] - full.T[node]); d > errInf {
-				errInf = d
+	nc := r.m.grids[planeChip].NumCells()
+	for g, group := range groups {
+		for k, p := range group {
+			full := fulls[g][k]
+			if full.Runaway {
+				continue
 			}
-		}
-		valid++
-		if errInf > maxErr {
-			maxErr = errInf
-		}
-		if resNorm > 1e-12 {
-			if k := errInf / resNorm; k > maxKappa {
-				maxKappa = k
+			t, resNorm, ok := r.reducedSolve(p.Omega, p.Currents[0])
+			if !ok {
+				continue
+			}
+			var errInf float64
+			for i := 0; i < nc; i++ {
+				node := r.m.node(planeChip, i)
+				if d := math.Abs(t[node] - full.T[node]); d > errInf {
+					errInf = d
+				}
+			}
+			valid++
+			if errInf > maxErr {
+				maxErr = errInf
+			}
+			if resNorm > 1e-12 {
+				if k := errInf / resNorm; k > maxKappa {
+					maxKappa = k
+				}
 			}
 		}
 	}

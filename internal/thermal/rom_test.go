@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"oftec/internal/power"
@@ -16,6 +17,101 @@ func buildROM(t *testing.T, bench string) (*Model, *ReducedModel) {
 		t.Fatal(err)
 	}
 	return m, rm
+}
+
+// serialROMReference builds m's ROM the plain way: serially, from
+// per-point EvaluateWarm solves over the ROM's grids with the in-group
+// carry (each ω-group's first point from ambient, the rest from its
+// solution), and the dynamic-power sensitivities one after another.
+func serialROMReference(t *testing.T, m *Model) *ReducedModel {
+	t.Helper()
+	omegaMax, iMax := m.UMax(), m.cfg.TEC.MaxCurrent
+	solve := func(groups [][]Point) [][]*Result {
+		out := make([][]*Result, len(groups))
+		for g, group := range groups {
+			var seed []float64
+			for k, p := range group {
+				res, err := m.EvaluateWarm(nil, p, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == 0 && !res.Runaway {
+					seed = res.T
+				}
+				out[g] = append(out[g], res)
+			}
+		}
+		return out
+	}
+	r, err := newROMBase(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapGroups := romSnapshotGrid(omegaMax, iMax)
+	snaps, floor := romSnapshots(snapGroups, solve(snapGroups))
+	for _, omega := range romDynOmegas(floor, omegaMax) {
+		if x, err := r.dynSensitivity(omega); err == nil {
+			snaps = append(snaps, x)
+		}
+	}
+	valGroups := romValidationGrid(floor, omegaMax, iMax)
+	if err := r.fit(floor, snaps, valGroups, solve(valGroups)); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestROMBuildMatchesSerialReference pins the ROM's construction: at
+// oftecd's default resolution NewReducedModel, whose ω-groups fan out
+// and whose narrow chunks solve per point, builds bitwise the ROM that
+// serialROMReference builds on a fresh model (so no memo entry is
+// shared): basis, projected operators and RHS parts, bound, κ and ω
+// floor. Its answers on a fixed point set, declines included, are
+// DeepEqual.
+func TestROMBuildMatchesSerialReference(t *testing.T) {
+	for _, bench := range []string{"Basicmath", "CRC32"} {
+		t.Run(bench, func(t *testing.T) {
+			m, got := buildROM(t, bench)
+			want := serialROMReference(t, benchModel(t, m.Config(), bench))
+			if got.rank != want.rank {
+				t.Fatalf("rank %d, reference %d", got.rank, want.rank)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want [][]float64
+			}{
+				{"basis", got.basis, want.basis},
+				{"VᵀA₀V", got.ar0, want.ar0},
+				{"VᵀD_sV", got.ds, want.ds},
+				{"VᵀD_pV", got.dp, want.dp},
+				{"Vᵀb_s, Vᵀb_j, Vᵀb₀", [][]float64{got.bs, got.bj, got.br0}, [][]float64{want.bs, want.bj, want.br0}},
+				{"bound, κ, ω floor", [][]float64{{got.bound, got.kappa, got.omegaFloor}}, [][]float64{{want.bound, want.kappa, want.omegaFloor}}},
+			} {
+				for i := range c.want {
+					if !sameBits(c.got[i], c.want[i]) {
+						t.Errorf("%s: row %d differs from the serial per-point reference", c.name, i)
+					}
+				}
+			}
+			cfg := m.Config()
+			answered := 0
+			for _, omega := range []float64{got.omegaFloor / 2, got.omegaFloor, 0.37 * cfg.Fan.OmegaMax, 0.81 * cfg.Fan.OmegaMax, cfg.Fan.OmegaMax} {
+				for _, itec := range []float64{0, 0.29 * cfg.TEC.MaxCurrent, 0.77 * cfg.TEC.MaxCurrent, cfg.TEC.MaxCurrent} {
+					g, gok, gerr := got.Evaluate(omega, itec)
+					w, wok, werr := want.Evaluate(omega, itec)
+					if gerr != nil || werr != nil || gok != wok || !reflect.DeepEqual(g, w) {
+						t.Errorf("(ω=%g, I=%g): ROM answers (ok %v, err %v) %+v, reference (ok %v, err %v) %+v", omega, itec, gok, gerr, g, wok, werr, w)
+					}
+					if gok {
+						answered++
+					}
+				}
+			}
+			if answered < 10 {
+				t.Errorf("the ROM answered %d of the 20 points: too few to compare answers", answered)
+			}
+		})
+	}
 }
 
 // TestROMWithinAdvertisedBound is the fidelity property test: over a grid

@@ -36,7 +36,10 @@ type Transient struct {
 
 	omega, itec float64
 	temps       []float64
-	now         float64
+	// next receives each step's solve; a step that succeeds swaps it
+	// with temps, so a failed one leaves the state as it was.
+	next []float64
+	now  float64
 
 	// ic is the modified IC(0) factor of the step matrix at icKey's
 	// (ω, I, Δt), nil when that matrix does not factor. icKey starts as
@@ -54,6 +57,7 @@ func (m *Model) NewTransient(omega, itec float64, t0 []float64) (*Transient, err
 	nan := math.NaN()
 	tr := &Transient{model: m, omega: omega, itec: itec, icKey: [3]float64{nan, nan, nan}}
 	tr.temps = make([]float64, m.n)
+	tr.next = make([]float64, m.n)
 	if t0 != nil {
 		if len(t0) != m.n {
 			return nil, fmt.Errorf("thermal: initial state has %d nodes, model has %d", len(t0), m.n)
@@ -103,8 +107,9 @@ func (tr *Transient) SetOperatingPoint(omega, itec float64) error {
 	return nil
 }
 
-// Temperatures returns the current node temperature vector (live slice;
-// callers must not modify it).
+// Temperatures returns the current node temperature vector: a live
+// slice, which the next Step may overwrite, so callers must not modify it
+// and must copy what they keep past the next Step.
 func (tr *Transient) Temperatures() []float64 { return tr.temps }
 
 // ChipState summarizes the chip layer at the current instant.
@@ -129,7 +134,8 @@ func (tr *Transient) ChipState() (maxTemp float64, temps []float64) {
 // not factor leaves a nil factor, which fails every step at its key
 // without another attempt. That failure, a CG breakdown, or a chip
 // maximum past the runaway temperature (wrapping ErrRunaway) is an error,
-// and the state does not advance.
+// and the state does not advance. The solve writes into a field the
+// Transient owns, so a step allocates no solution vector.
 func (tr *Transient) Step(dt float64) (float64, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return 0, fmt.Errorf("thermal: step size %g must be positive and finite", dt)
@@ -145,15 +151,15 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 			tr.ic = nil
 		}
 	}
-	next, _, err := m.solveScratch(sc, tr.ic, tr.temps)
-	if err != nil {
+	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: tr.temps, Work: &sc.ws}
+	if _, err := sparse.CGPrecondInto(tr.next, sc.mat, sc.rhs, tr.ic, opts); err != nil {
 		return 0, fmt.Errorf("thermal: transient solve failed at t=%g: %w", tr.now, err)
 	}
-	maxTemp := m.chipMax(next)
+	maxTemp := m.chipMax(tr.next)
 	if limit := m.cfg.runawayTemp(); !(maxTemp <= limit) {
 		return 0, fmt.Errorf("thermal: transient step at t=%g reaches %.4g K on the chip, past %g K: %w", tr.now, maxTemp, limit, ErrRunaway)
 	}
-	copy(tr.temps, next)
+	tr.temps, tr.next = tr.next, tr.temps
 	tr.now += dt
 	return maxTemp, nil
 }

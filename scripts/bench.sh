@@ -50,9 +50,13 @@ go test -run '^$' \
 # step pays when its (ω, I, Δt) changes) and the same slice's
 # factorization finished from the network's prefix into pooled scratch
 # (BenchmarkSliceFactor, what every steady solve pays before its CG). A
-# kernel number times one kernel call, not a solve or a workload.
+# kernel number times one kernel call, not a solve or a workload. The
+# line also times EvaluateBatch's two routes for a chunk of k = 1…8 memo
+# misses in one ω-group (BenchmarkEvaluateBatchChunk: per point against
+# lockstep, at oftecd's resolution and at paper resolution), the
+# break-even that sets thermal's perPointChunk.
 go test -run '^$' \
-	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor|BenchmarkSliceFactor)$' \
+	-bench '^(BenchmarkAssemble|BenchmarkAssembleReference|BenchmarkNewModel|BenchmarkNewModelCold|BenchmarkMulVec|BenchmarkICApply|BenchmarkICFactor|BenchmarkSliceFactor|BenchmarkEvaluateBatchChunk)$' \
 	-benchtime "$BENCHTIME" -count 5 -benchmem ./internal/thermal | tee -a "$raw"
 
 # One JSON object per benchmark line: the name plus every value/unit pair
@@ -151,6 +155,22 @@ jq -n \
 			batched:  $cur["BenchmarkSurfaceGridBatched/batched"],
 			batched_vs_perpoint: ($cur["BenchmarkSurfaceGridBatched/perpoint"].ns_per_op
 				/ $cur["BenchmarkSurfaceGridBatched/batched"].ns_per_op)
+		},
+		# The two routes of an EvaluateBatch chunk: per resolution and
+		# miss count k, the median time per point over the median time in
+		# lockstep (below 1, solving per point is cheaper), then both legs.
+		batch_chunk: {
+			perpoint_vs_lockstep: ([$cur | to_entries[]
+				| select(.key | startswith("BenchmarkEvaluateBatchChunk/"))
+				| (.key | ltrimstr("BenchmarkEvaluateBatchChunk/") | split("/")) as $p
+				| {res: $p[0], k: $p[1], route: $p[2], ns: .value.ns_per_op}]
+				| group_by(.res)
+				| map({key: .[0].res, value: (group_by(.k) | map({
+					key: .[0].k,
+					value: ((map(select(.route == "perpoint"))[0].ns) / (map(select(.route == "lockstep"))[0].ns))
+				}) | from_entries)})
+				| from_entries),
+			runs: ($cur | with_entries(select(.key | startswith("BenchmarkEvaluateBatchChunk/"))))
 		},
 		# CG kernel microbenchmarks (one kernel call each, no solve) on
 		# the slice BenchmarkEvaluateCold solves on, next to it.

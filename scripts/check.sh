@@ -104,19 +104,26 @@ done_pat="$done_pat|$adj"
 
 # The backend-conformance gate by name: the k=1 zoned/scalar agreement
 # contract through the backend layer, the registry and ROM fall-through
-# behavior, ROM fidelity against the advertised bound, the backendleak
-# seam analyzer, and mixed scalar/zoned traffic on one shared evalcache —
-# the set that keeps every backend interchangeable.
+# behavior, ROM fidelity against the advertised bound, the ROM's
+# construction bitwise equal to a serial per-point build, the
+# backendleak seam analyzer, and mixed scalar/zoned traffic on one shared
+# evalcache — the set that keeps every backend interchangeable. The
+# thermal package runs at GOMAXPROCS 1 and 2: NewReducedModel's ω-group
+# fan-out is a serial loop at one and concurrent at two, and both
+# schedules must build the same ROM.
 back='SingleZoneMatchesScalarRun|Registry|FullScalarMatchesModel|ROM|MixedTraffic|BackendLeak|Binding|Quantized|Oversized|Waiter'
 echo "== go test -race (backend conformance)"
 go test -race -run "$back" -skip "$done_pat" \
-	./internal/core/... ./internal/backend/... ./internal/evalcache/... ./internal/thermal/... \
+	./internal/core/... ./internal/backend/... ./internal/evalcache/... \
 	./internal/lint/... ./internal/serve/...
+go test -race -cpu 1,2 -run "$back" -skip "$done_pat" ./internal/thermal/...
 done_pat="$done_pat|$back"
 
 # The batched-equivalence gate by name: blocked multi-RHS CG against the
 # scalar solver bitwise, EvaluateBatch against per-point DeepEqual
-# (scalar, zoned, mid-batch cancellation, dynamic-power flush spans), the
+# (scalar, zoned, failures, mid-batch cancellation, dynamic-power flush
+# spans, on grids wide enough for the lockstep route, and chunks narrow
+# enough for the per-point route), the
 # evalcache batch classification, the backend BatchEvaluator conformance
 # contract, the batched surface sweep, and the /statz counters — the set
 # that keeps the batch path interchangeable with the per-point path.
